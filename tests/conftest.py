@@ -18,10 +18,8 @@ def default_context(default_scenario):
     return build_context(default_scenario)
 
 
-@pytest.fixture(scope="session")
-def fast_scenario(default_scenario):
+def reduced_scenario(sc: ScenarioConfig) -> ScenarioConfig:
     """Same physics, desk-scale Monte Carlo and coarse grids."""
-    sc = default_scenario
     return dataclasses.replace(
         sc,
         detection=dataclasses.replace(sc.detection, trials=5000, kappa_points=9),
@@ -31,3 +29,8 @@ def fast_scenario(default_scenario):
             sc.optimizer, power_points=24, rho_points=11, kappa_points=51
         ),
     )
+
+
+@pytest.fixture(scope="session")
+def fast_scenario(default_scenario):
+    return reduced_scenario(default_scenario)
