@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -189,6 +190,18 @@ def _provenance(scenario: ScenarioConfig) -> dict:
     return {"seed": scenario.seed, "config_hash": config_hash(scenario)}
 
 
+def _resolved_spread(std: float, mean: float) -> float:
+    """Zero a spread below half a unit in the 9th significant digit of its mean.
+
+    The table resolves the mean no finer than that, and a smaller spread is
+    summation-order rounding (it moves with the BLAS build), not data.
+    """
+    if mean == 0.0:
+        return std
+    half_unit = 0.5 * 10.0 ** (math.floor(math.log10(abs(mean))) - 8)
+    return 0.0 if std < half_unit else std
+
+
 def _level_sigma_pairs(levels) -> list[tuple[str, float]]:
     return [(level, sigma_for_level(level)) for level in levels]
 
@@ -234,7 +247,7 @@ def run_scnr_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
                         "carrier_ghz": f_ghz,
                         "clutter": level,
                         "scnr_db_mean": mean,
-                        "scnr_db_std": std,
+                        "scnr_db_std": _resolved_spread(std, mean),
                         "realizations": realizations,
                     }))
                 cell_means[(f_ghz, n, level)] = float(np.mean(db))
