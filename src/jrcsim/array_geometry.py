@@ -30,6 +30,7 @@ __all__ = [
     "exact_distance",
     "fresnel_distance",
     "steering_vector",
+    "steering_matrix",
     "fraunhofer_distance",
 ]
 
@@ -104,6 +105,14 @@ def fresnel_distance(cfg: ArrayConfig, pos: PolarPosition, offsets=None) -> np.n
     return r - n * d * np.cos(pos.angle_rad) + (n * d) ** 2 / (2.0 * r)
 
 
+def _fresnel_steering(cfg: ArrayConfig, n, r, theta) -> np.ndarray:
+    d = cfg.spacing
+    # r_n - r formed term by term: subtracting the assembled r_n from r would
+    # cancel catastrophically at large range
+    delta = -n * d * np.cos(theta) + (n * d) ** 2 / (2.0 * r)
+    return np.exp(-2j * np.pi * delta / cfg.wavelength)
+
+
 def steering_vector(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
     """Near-field steering vector with unit-modulus entries.
 
@@ -112,11 +121,15 @@ def steering_vector(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
     exp(j pi n (cos(theta) - n lambda / (4 r))).
     """
     n = element_index_offsets(cfg.n_antennas)
-    r, d = pos.range_m, cfg.spacing
-    # r_n - r formed term by term: subtracting the assembled r_n from r would
-    # cancel catastrophically at large range
-    delta = -n * d * np.cos(pos.angle_rad) + (n * d) ** 2 / (2.0 * r)
-    return np.exp(-2j * np.pi * delta / cfg.wavelength)
+    return _fresnel_steering(cfg, n, pos.range_m, pos.angle_rad)
+
+
+def steering_matrix(cfg: ArrayConfig, positions) -> np.ndarray:
+    """(N, L) matrix whose column l is the steering vector of positions[l]."""
+    n = element_index_offsets(cfg.n_antennas)[:, None]
+    r = np.array([p.range_m for p in positions], dtype=float)
+    theta = np.array([p.angle_rad for p in positions], dtype=float)
+    return _fresnel_steering(cfg, n, r, theta)
 
 
 def fraunhofer_distance(cfg: ArrayConfig) -> float:

@@ -46,6 +46,11 @@ class BeamformerSet:
             raise ValueError("beamformer entries must be finite")
 
     @property
+    def stacked(self) -> np.ndarray:
+        """(K + 1, N) array: the data beams, then the radar beam, as rows."""
+        return np.vstack((*self.comm_beams, self.radar_beam))
+
+    @property
     def total_power(self) -> float:
         return float(
             sum(np.vdot(u, u).real for u in self.comm_beams)

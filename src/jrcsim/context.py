@@ -4,7 +4,9 @@ All randomness is keyed off the scenario seed through independent counter-based
 streams, so two contexts built from the same configuration are identical and
 sweep cells never share or reorder draws. The context freezes one unit-power
 symbol vector; beamformers at a given (power, split) reuse it, which keeps the
-transmit waveform fixed across Monte Carlo trials and operating points.
+transmit waveform fixed across Monte Carlo trials and operating points. The
+clutter steering matrix is computed once per context; every sensing quantity
+at an operating point reads it.
 """
 
 from __future__ import annotations
@@ -28,11 +30,17 @@ from .propagation import (
     target_reflectivity,
     TargetPhase,
 )
-from .radar_sensing import draw_symbols, response_matrix, waveform_from_symbols
+from .detection import DetectionStatisticParams, statistic_params
+from .radar_sensing import (
+    ClutterSteering,
+    InterferenceKernel,
+    draw_symbols,
+    waveform_from_symbols,
+)
 from .scenario import CLUTTER_LEVELS, ScenarioConfig, dbm_to_watts
 from .stats import derive_stream
 
-__all__ = ["SimulationContext", "build_context", "stream_id"]
+__all__ = ["SensingPoint", "SimulationContext", "build_context", "stream_id"]
 
 # stream kinds; the index payload distinguishes sweep cells and realizations
 KIND_TARGET_PHASE = 1
@@ -61,6 +69,25 @@ def stream_id(kind: int, index: int = 0) -> int:
 
 
 @dataclass(frozen=True)
+class SensingPoint:
+    """Radar side of one (power, split): beams, frozen waveform x, the
+    SCNR-optimal receive beamformer w = W^-1 A x and the detector moments."""
+
+    beams: BeamformerSet
+    x: np.ndarray
+    w: np.ndarray
+    params: DetectionStatisticParams
+
+    @property
+    def mu1_abs(self) -> float:
+        return abs(self.params.mu1)
+
+    @property
+    def sigma2(self) -> float:
+        return self.params.sigma2
+
+
+@dataclass(frozen=True)
 class SimulationContext:
     """Frozen inputs for one operating scene: geometry, channels, waveform."""
 
@@ -72,6 +99,7 @@ class SimulationContext:
     target_steering: np.ndarray
     target_response: np.ndarray
     scene: Scene
+    clutter: ClutterSteering
     channels: ChannelSet
     comm_direction: np.ndarray
     radar_direction: np.ndarray
@@ -92,8 +120,24 @@ class SimulationContext:
         v = np.sqrt(rho * power_watts) * self.radar_direction
         return BeamformerSet(comm_beams=(u,), radar_beam=v)
 
+    def unit_beams(self, rho: float) -> np.ndarray:
+        """(2, N) data and radar beams at unit total power; power P scales both by sqrt(P)."""
+        if not 0.0 <= rho <= 1.0:
+            raise ValueError(f"power split must lie in [0, 1], got {rho}")
+        return np.vstack((np.sqrt(1.0 - rho) * self.comm_direction, np.sqrt(rho) * self.radar_direction))
+
     def waveform_at(self, beams: BeamformerSet) -> np.ndarray:
         return waveform_from_symbols(beams, self.symbols)
+
+    def sensing_at(self, power_watts: float, rho: float) -> SensingPoint:
+        """Optimal receive beamformer and detector moments at one operating point."""
+        beams = self.beams_at(power_watts, rho)
+        x = self.waveform_at(beams)
+        a = self.target_steering
+        kernel = InterferenceKernel(self.clutter, self.clutter.gains(beams.stacked))
+        w = kernel.solve(a * np.dot(a, x))
+        params = statistic_params(w, self.alpha0, a, self.clutter, x, eta=1.0)
+        return SensingPoint(beams, x, w, params)
 
 
 def build_context(
@@ -177,8 +221,9 @@ def build_context(
         target=target,
         alpha0=alpha0,
         target_steering=a_target,
-        target_response=response_matrix(array, target),
+        target_response=np.outer(a_target, a_target),
         scene=scene,
+        clutter=ClutterSteering.of(array, scene),
         channels=channels,
         comm_direction=comm_direction,
         radar_direction=radar_direction,

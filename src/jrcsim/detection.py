@@ -4,10 +4,12 @@ Conditioned on a known transmit snapshot x and receive beamformer w, the
 projected observation y_s = w^H s is complex Gaussian: mean mu_1 = alpha_0
 w^H A x under H1 (0 under H0) and variance
 
-    sigma^2 = sum_l sigma_l^2 |w^H A_l x|^2 + ||w||^2.
+    sigma^2 = sum_l sigma_l^2 |w^H A_l x|^2 + ||w||^2,
 
-The log likelihood ratio reduces (affinely) to T = 2 Re(y_s conj(mu_1))
-compared against kappa = sigma^2 ln(eta) + |mu_1|^2, giving
+where the clutter sum is one product with the scene's steering matrix
+(ClutterSteering.projected_power). The log likelihood ratio reduces
+(affinely) to T = 2 Re(y_s conj(mu_1)) compared against
+kappa = sigma^2 ln(eta) + |mu_1|^2, giving
 
     P_FA = Q( kappa / (|mu_1| sqrt(2 sigma^2)) ),
     P_D  = Q( (kappa - 2 |mu_1|^2) / (|mu_1| sqrt(2 sigma^2)) ).
@@ -30,7 +32,7 @@ import numpy as np
 from .array_geometry import ArrayConfig, steering_vector
 from .comm_link import BeamformerSet
 from .propagation import Scene
-from .radar_sensing import transmit_waveform
+from .radar_sensing import ClutterSteering, transmit_waveform
 from .stats import ConfidenceInterval, binomial_ci, q_function
 
 __all__ = [
@@ -89,11 +91,10 @@ class DetectionOperatingPoint:
 
 
 def statistic_params(
-    cfg: ArrayConfig,
     w: np.ndarray,
     alpha0: complex,
     a_target: np.ndarray,
-    scene: Scene,
+    clutter: ClutterSteering,
     x: np.ndarray,
     eta: float,
 ) -> DetectionStatisticParams:
@@ -102,11 +103,7 @@ def statistic_params(
         raise ValueError(f"eta must be positive, got {eta}")
     # w^H A x with A = a a^T collapses to (w^H a)(a^T x)
     mu1 = alpha0 * np.vdot(w, a_target) * np.dot(a_target, x)
-    sigma2 = float(np.vdot(w, w).real)
-    for el in scene.clutter:
-        a_l = steering_vector(cfg, el.position)
-        # w^H A_l x with A_l = a_l a_l^T collapses to (w^H a_l)(a_l^T x)
-        sigma2 += el.amplitude_scale**2 * abs(np.vdot(w, a_l) * np.dot(a_l, x)) ** 2
+    sigma2 = float(np.vdot(w, w).real) + clutter.projected_power(w, x)
     kappa = sigma2 * math.log(eta) + abs(mu1) ** 2
     return DetectionStatisticParams(mu1=complex(mu1), sigma2=sigma2, kappa=kappa, eta=eta)
 
@@ -173,13 +170,13 @@ def sample_test_statistics(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if x is None:
         x = transmit_waveform(beams, rng)
-    params = statistic_params(cfg, w, scene.alpha0, steering_vector(cfg, scene.target), scene, x, eta=1.0)
     n = cfg.n_antennas
     a_t = steering_vector(cfg, scene.target)
+    clutter = ClutterSteering.of(cfg, scene)
+    params = statistic_params(w, scene.alpha0, a_t, clutter, x, eta=1.0)
     target_vec = scene.alpha0 * a_t * np.dot(a_t, x)
-    clutter_vecs = np.array(
-        [el.amplitude_scale * steering_vector(cfg, el.position) * np.dot(steering_vector(cfg, el.position), x) for el in scene.clutter]
-    ).reshape(len(scene.clutter), n)
+    clutter_vecs = clutter.echoes(x)
+    n_clutter = len(clutter.scale)
     w_conj = w.conj()
     mu_conj = np.conj(params.mu1)
     base = rng.bit_generator
@@ -190,7 +187,7 @@ def sample_test_statistics(
         for b in range(n_blocks):
             m = min(_BLOCK, trials - done)
             g = np.random.Generator(base.jumped(1 + 2 * b + hyp))
-            amps = (g.standard_normal((m, len(scene.clutter))) + 1j * g.standard_normal((m, len(scene.clutter)))) / np.sqrt(2.0)
+            amps = (g.standard_normal((m, n_clutter)) + 1j * g.standard_normal((m, n_clutter))) / np.sqrt(2.0)
             noise = (g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))) / np.sqrt(2.0)
             s = amps @ clutter_vecs + noise
             if hyp == 1:

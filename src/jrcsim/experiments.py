@@ -28,24 +28,20 @@ from . import __version__
 from .context import (
     KIND_DETECTION,
     KIND_VALIDATE,
+    SensingPoint,
     SimulationContext,
     build_context,
     sigma_for_level,
     stream_id,
 )
-from .detection import roc_sweep, statistic_params
+from .detection import roc_sweep
 from .power_allocation import (
     ConstraintTargets,
     OptimizationResult,
     minimize_power,
     tradeoff_sweep,
 )
-from .radar_sensing import (
-    average_scnr,
-    clutter_covariance,
-    optimal_receive_beamformer,
-    transmit_covariance,
-)
+from .radar_sensing import average_scnr_curve
 from .scenario import (
     ScenarioConfig,
     config_hash,
@@ -210,7 +206,7 @@ def run_scnr_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
     """SCNR versus power per (antennas, carrier, clutter) cell, plus summary."""
     prov = _provenance(scenario)
     powers_dbm = scenario.power_grid_dbm()
-    powers_w = [dbm_to_watts(p) for p in powers_dbm]
+    powers_w = np.array([dbm_to_watts(p) for p in powers_dbm])
     rho = scenario.power.rho
     realizations = scenario.sweep.realizations
     levels = _level_sigma_pairs(scenario.sweep.clutter_levels)
@@ -232,12 +228,10 @@ def run_scnr_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
                         sigma=sigma,
                         scene_key=(pair_index << 24) | r,
                     )
-                    for j, p_w in enumerate(powers_w):
-                        beams = ctx.beams_at(p_w, rho)
-                        s = average_scnr(
-                            ctx.array, beams, ctx.alpha0, ctx.target_steering, ctx.scene
-                        )
-                        db[r, j] = 10.0 * np.log10(s)
+                    s = average_scnr_curve(
+                        ctx.clutter, ctx.alpha0, ctx.target_steering, ctx.unit_beams(rho), powers_w
+                    )
+                    db[r] = 10.0 * np.log10(s)
                 for j, p_dbm in enumerate(powers_dbm):
                     mean = float(np.mean(db[:, j]))
                     std = float(np.std(db[:, j], ddof=1)) if realizations > 1 else 0.0
@@ -277,11 +271,7 @@ class _DetectionCell:
     level: str
     power_dbm: float
     ctx: SimulationContext
-    beams: object
-    x: np.ndarray
-    w: np.ndarray
-    mu1_abs: float
-    sigma2: float
+    sensing: SensingPoint
 
 
 def _detection_cells(scenario: ScenarioConfig) -> list[_DetectionCell]:
@@ -289,30 +279,16 @@ def _detection_cells(scenario: ScenarioConfig) -> list[_DetectionCell]:
     for level, sigma in _level_sigma_pairs(scenario.detection.clutter_levels):
         for p_dbm in scenario.detection.powers_dbm:
             ctx = build_context(scenario, sigma=sigma)
-            beams = ctx.beams_at(dbm_to_watts(p_dbm), scenario.power.rho)
-            x = ctx.waveform_at(beams)
-            cov = clutter_covariance(ctx.array, ctx.scene, transmit_covariance(beams))
-            w = optimal_receive_beamformer(ctx.target_steering, cov, x)
-            params = statistic_params(
-                ctx.array, w, ctx.alpha0, ctx.target_steering, ctx.scene, x, eta=1.0
-            )
-            cells.append(_DetectionCell(
-                level=level,
-                power_dbm=p_dbm,
-                ctx=ctx,
-                beams=beams,
-                x=x,
-                w=w,
-                mu1_abs=abs(params.mu1),
-                sigma2=params.sigma2,
-            ))
+            sensing = ctx.sensing_at(dbm_to_watts(p_dbm), scenario.power.rho)
+            cells.append(_DetectionCell(level, p_dbm, ctx, sensing))
     return cells
 
 
 def _auto_kappa_max(cells) -> float:
     # past 2|mu1|^2 + 6 sigma_T the detection probability is numerically zero
     return 1.05 * max(
-        2.0 * c.mu1_abs**2 + 6.0 * c.mu1_abs * np.sqrt(2.0 * c.sigma2) for c in cells
+        2.0 * c.sensing.mu1_abs**2 + 6.0 * c.sensing.mu1_abs * np.sqrt(2.0 * c.sensing.sigma2)
+        for c in cells
     )
 
 
@@ -328,8 +304,8 @@ def run_detection_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
     for idx, cell in enumerate(cells):
         rng = derive_stream(scenario.seed, stream_id(KIND_DETECTION, idx))
         points = roc_sweep(
-            cell.ctx.array, cell.ctx.scene, cell.beams, cell.w, kappas,
-            trials=det.trials, rng=rng, x=cell.x,
+            cell.ctx.array, cell.ctx.scene, cell.sensing.beams, cell.sensing.w, kappas,
+            trials=det.trials, rng=rng, x=cell.sensing.x,
         )
         for op in points:
             rows.append(_make_row(DETECTION_COLUMNS, {
@@ -430,8 +406,8 @@ def run_validation(scenario: ScenarioConfig) -> list[SweepTable]:
         kappas = np.linspace(det.kappa_min, kappa_max, det.kappa_points)
         rng = derive_stream(scenario.seed, stream_id(KIND_VALIDATE, idx))
         points = roc_sweep(
-            cell.ctx.array, cell.ctx.scene, cell.beams, cell.w, kappas,
-            trials=det.trials, rng=rng, x=cell.x,
+            cell.ctx.array, cell.ctx.scene, cell.sensing.beams, cell.sensing.w, kappas,
+            trials=det.trials, rng=rng, x=cell.sensing.x,
         )
         for op in points:
             for metric, analytic, mc, ci in (

@@ -25,28 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm_link import (
-    BeamformerSet,
     af_gain,
     mrc_rate,
     rate_threshold,
     sinr_direct,
     sinr_relayed,
 )
-from .context import SimulationContext, build_context
+from .context import SensingPoint, SimulationContext, build_context
 from .detection import (
-    DetectionStatisticParams,
     detection_probability,
     false_alarm_probability,
-    statistic_params,
     with_threshold,
 )
-from .radar_sensing import (
-    average_scnr,
-    clutter_covariance,
-    optimal_receive_beamformer,
-    scnr_at_optimum,
-    transmit_covariance,
-)
+from .radar_sensing import average_scnr_curve
 from .scenario import ScenarioConfig, dbm_to_watts, watts_to_dbm
 from .stats import q_function
 
@@ -163,21 +154,17 @@ class OptimizationResult:
 
 @dataclass(frozen=True)
 class _Physics:
-    beams: BeamformerSet
-    x: np.ndarray
-    cov: np.ndarray
-    w: np.ndarray
+    sensing: SensingPoint
     gamma_direct: float
     gamma_relayed: float
-    params: DetectionStatisticParams
 
     @property
     def mu1_abs(self) -> float:
-        return abs(self.params.mu1)
+        return self.sensing.mu1_abs
 
     @property
     def sigma2(self) -> float:
-        return self.params.sigma2
+        return self.sensing.sigma2
 
 
 def _as_context(obj) -> SimulationContext:
@@ -189,18 +176,12 @@ def _as_context(obj) -> SimulationContext:
 
 
 def _point_physics(ctx: SimulationContext, power_watts: float, rho: float) -> _Physics:
-    beams = ctx.beams_at(power_watts, rho)
-    x = ctx.waveform_at(beams)
+    sensing = ctx.sensing_at(power_watts, rho)
+    beams = sensing.beams
     gain = af_gain(ctx.channels.h_sr, beams, ctx.channels.noise_var_relay, ctx.relay_budget)
     gamma_direct = sinr_direct(ctx.channels.h_sd, beams, ctx.channels.noise_var_dest)
     gamma_relayed = sinr_relayed(ctx.channels, gain, beams)
-    r_x = transmit_covariance(beams)
-    cov = clutter_covariance(ctx.array, ctx.scene, r_x)
-    w = optimal_receive_beamformer(ctx.target_steering, cov, x)
-    params = statistic_params(
-        ctx.array, w, ctx.scene.alpha0, ctx.target_steering, ctx.scene, x, eta=1.0
-    )
-    return _Physics(beams, x, cov, w, gamma_direct, gamma_relayed, params)
+    return _Physics(sensing, gamma_direct, gamma_relayed)
 
 
 def threshold_grid(mu1_abs: float, sigma2: float, points: int) -> np.ndarray:
@@ -310,14 +291,19 @@ def evaluate_point(
             degenerate=True,
         )
     ph = _point_physics(ctx, power_watts, rho)
+    sensing = ph.sensing
     rate = mrc_rate(ph.gamma_direct, ph.gamma_relayed)
-    params = with_threshold(ph.params, kappa)
+    params = with_threshold(sensing.params, kappa)
     pfa = false_alarm_probability(params)
     pd = detection_probability(params)
     meets_rate = ph.gamma_direct + ph.gamma_relayed >= targets.gamma_min
     meets_pfa = pfa <= targets.pfa_max
     meets_pd = pd >= targets.pd_min
-    within_budget = ph.beams.total_power <= power_watts + _BUDGET_SLACK * max(1.0, power_watts)
+    within_budget = sensing.beams.total_power <= power_watts + _BUDGET_SLACK * max(1.0, power_watts)
+    a = ctx.target_steering
+    # |alpha_0|^2 y^H W^-1 y with y = A x and w = W^-1 y
+    scnr_opt = abs(ctx.alpha0) ** 2 * np.vdot(a * np.dot(a, sensing.x), sensing.w).real
+    scnr_avg = average_scnr_curve(ctx.clutter, ctx.alpha0, a, ctx.unit_beams(rho), power_watts)
     return EvaluatedPoint(
         power_watts=power_watts,
         rho=rho,
@@ -329,8 +315,8 @@ def evaluate_point(
         pd=pd,
         mu1_abs=ph.mu1_abs,
         sigma2=ph.sigma2,
-        scnr_opt=scnr_at_optimum(ctx.scene.alpha0, ctx.target_steering, ph.cov, ph.x),
-        scnr_avg=average_scnr(ctx.array, ph.beams, ctx.scene.alpha0, ctx.target_steering, ctx.scene),
+        scnr_opt=float(scnr_opt),
+        scnr_avg=float(scnr_avg),
         meets_rate=meets_rate,
         meets_pfa=meets_pfa,
         meets_pd=meets_pd,

@@ -7,25 +7,40 @@ while transmitting x is
 
     s = alpha_0 A(p_t) x + sum_l alpha_l A(p_l) x + n,      n ~ CN(0, I),
 
-with clutter amplitudes alpha_l drawn CN(0, sigma_l^2). Averaging over symbols
-and clutter gives the interference-plus-noise covariance
+with clutter amplitudes alpha_l drawn CN(0, sigma_l^2). Because A_l x =
+a_l (a_l^T x), every clutter term is a product with the steering matrix
+B = [a_1 ... a_L], built once per scene (ClutterSteering). Averaging over
+symbols and clutter gives the interference-plus-noise covariance
 
-    W = sum_l sigma_l^2 A_l R_x A_l^H + I,
+    W = sum_l sigma_l^2 A_l R_x A_l^H + I = I + B diag(g) B^H,
+    g_l = sigma_l^2 a_l^T R_x conj(a_l) = sigma_l^2 sum_k |a_l^T b_k|^2
 
-which is Hermitian positive definite with eigenvalues >= 1, so all solves go
-through its Cholesky factor; no explicit inverses are formed anywhere.
+for transmit beams b_k. The gains g are linear in the transmit power: beams
+sqrt(P) b_k give g = P g_1, and the SCNR loading term sum_k |a_t^T b_k|^2 scales
+by P too. InterferenceKernel decomposes the PSD part M = B diag(g_1) B^H once,
+through the SVD of B diag(g_1)^(1/2), so a^H W^-1 a, W^-1 y and y^H W^-1 y
+follow for one operating point or for a whole vector of powers without ever
+forming or factoring I + P M.
+
+clutter_covariance, optimal_receive_beamformer and scnr_at_optimum form W
+densely and solve through its Cholesky factor. They are the reference the
+kernel is tested against, not a production path.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 
-from .array_geometry import ArrayConfig, PolarPosition, steering_vector
+from .array_geometry import ArrayConfig, PolarPosition, steering_matrix, steering_vector
 from .comm_link import BeamformerSet
 from .propagation import Scene
 
 __all__ = [
+    "ClutterSteering",
+    "InterferenceKernel",
     "response_matrix",
     "transmit_covariance",
     "clutter_covariance",
@@ -33,12 +48,73 @@ __all__ = [
     "optimal_receive_beamformer",
     "scnr_at_optimum",
     "average_scnr",
+    "average_scnr_curve",
     "draw_symbols",
     "waveform_from_symbols",
     "transmit_waveform",
     "radar_snapshot",
     "radar_snapshot_batch",
 ]
+
+
+@dataclass(frozen=True)
+class ClutterSteering:
+    """A scene's clutter on one array: steering matrix B (N, L) and amplitude scales sigma_l."""
+
+    matrix: np.ndarray
+    scale: np.ndarray
+
+    @classmethod
+    def of(cls, cfg: ArrayConfig, scene: Scene) -> "ClutterSteering":
+        return cls(
+            matrix=steering_matrix(cfg, [el.position for el in scene.clutter]),
+            scale=np.array([el.amplitude_scale for el in scene.clutter], dtype=float),
+        )
+
+    def gains(self, beams: np.ndarray) -> np.ndarray:
+        """g_l = sigma_l^2 sum_k |a_l^T b_k|^2 over the transmit beams b_k (rows)."""
+        return self.scale**2 * np.sum(np.abs(beams @ self.matrix) ** 2, axis=0)
+
+    def projected_power(self, w: np.ndarray, x: np.ndarray) -> float:
+        """sum_l sigma_l^2 |w^H a_l|^2 |a_l^T x|^2: clutter power behind receive beamformer w."""
+        per_scatterer = np.abs(w.conj() @ self.matrix) ** 2 * np.abs(x @ self.matrix) ** 2
+        return float(np.sum(self.scale**2 * per_scatterer))
+
+    def echoes(self, x: np.ndarray) -> np.ndarray:
+        """(L, N) rows sigma_l a_l (a_l^T x): each scatterer's return per unit amplitude."""
+        return self.scale[:, None] * self.matrix.T * (x @ self.matrix)[:, None]
+
+
+class InterferenceKernel:
+    """W(s) = I + s B diag(g) B^H for every power scale s >= 0, from one decomposition.
+
+    The clutter part is M = F F^H with F = B diag(sqrt(g)). The SVD F = U S V^H
+    gives M = U diag(lam) U^H with lam = S^2 padded by zeros to N, hence
+    W(s)^-1 = U diag(1 / (1 + s lam)) U^H. Every lam is nonnegative by
+    construction, and the singular values carry an error of eps ||F|| rather
+    than the eps ||M|| an eigendecomposition of M would leave on its small
+    eigenvalues, so the result stays accurate however ill-conditioned W is.
+    Without clutter power W is I exactly.
+    """
+
+    def __init__(self, clutter: ClutterSteering, gains: np.ndarray):
+        n = clutter.matrix.shape[0]
+        self._lam = np.zeros(n)
+        if np.any(gains > 0.0):
+            self._vecs, s, _ = np.linalg.svd(clutter.matrix * np.sqrt(gains))
+            self._lam[: s.size] = s**2
+        else:
+            self._vecs = np.eye(n)
+
+    def solve(self, y: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """W(scale)^-1 y."""
+        return self._vecs @ ((self._vecs.conj().T @ y) / (1.0 + scale * self._lam))
+
+    def quadratic(self, y: np.ndarray, scales=1.0) -> np.ndarray:
+        """y^H W(s)^-1 y for each scale s (a scalar or an array of scales)."""
+        z = self._vecs.conj().T @ y
+        energy = z.real**2 + z.imag**2
+        return np.sum(energy / (1.0 + np.multiply.outer(scales, self._lam)), axis=-1)
 
 
 def response_matrix(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
@@ -56,14 +132,15 @@ def transmit_covariance(beams: BeamformerSet) -> np.ndarray:
 
 
 def clutter_covariance(cfg: ArrayConfig, scene: Scene, r_x: np.ndarray) -> np.ndarray:
-    """Interference-plus-noise covariance W = sum_l sigma_l^2 A_l R_x A_l^H + I."""
+    """Dense W = sum_l sigma_l^2 A_l R_x A_l^H + I from the full response matrices."""
     n = cfg.n_antennas
     if r_x.shape != (n, n):
         raise ValueError(f"R_x shape {r_x.shape} does not match the {n}-element array")
-    w = np.eye(n, dtype=complex)
-    for el in scene.clutter:
-        a_l = response_matrix(cfg, el.position)
-        w = w + el.amplitude_scale**2 * (a_l @ r_x @ a_l.conj().T)
+    clutter = ClutterSteering.of(cfg, scene)
+    columns = clutter.matrix.T
+    responses = columns[:, :, None] * columns[:, None, :]  # (L, N, N) stack of A_l
+    terms = responses @ r_x @ responses.conj().transpose(0, 2, 1)
+    w = np.eye(n, dtype=complex) + np.tensordot(clutter.scale**2, terms, axes=1)
     # the sum is Hermitian in exact arithmetic; symmetrize away rounding skew
     return (w + w.conj().T) / 2.0
 
@@ -95,6 +172,24 @@ def scnr_at_optimum(alpha0: complex, a_target: np.ndarray, cov: np.ndarray, x: n
     return float(abs(alpha0) ** 2 * np.vdot(y, scipy.linalg.cho_solve(cho, y)).real)
 
 
+def average_scnr_curve(
+    clutter: ClutterSteering,
+    alpha0: complex,
+    a_target: np.ndarray,
+    beams: np.ndarray,
+    powers,
+) -> np.ndarray:
+    """Symbol-averaged optimal SCNR at each total power P for transmit beams sqrt(P) b_k.
+
+    |alpha_0|^2 (a^H W(P)^-1 a) P sum_k |a^T b_k|^2, with the beams b_k as rows;
+    one decomposition serves every power.
+    """
+    powers = np.asarray(powers, dtype=float)
+    kernel = InterferenceKernel(clutter, clutter.gains(beams))
+    loading = np.sum(np.abs(beams @ a_target) ** 2)
+    return abs(alpha0) ** 2 * kernel.quadratic(a_target, powers) * powers * loading
+
+
 def average_scnr(
     cfg: ArrayConfig,
     beams: BeamformerSet,
@@ -106,13 +201,8 @@ def average_scnr(
 
     With A = a a^T the trace factors into (a^H W^-1 a)(a^T R_x conj(a)).
     """
-    r_x = transmit_covariance(beams)
-    cov = clutter_covariance(cfg, scene, r_x)
-    cho = scipy.linalg.cho_factor(cov)
-    whitened = np.vdot(a_target, scipy.linalg.cho_solve(cho, a_target)).real
-    c = np.conj(a_target)
-    loading = np.vdot(c, r_x @ c).real
-    return float(abs(alpha0) ** 2 * whitened * loading)
+    clutter = ClutterSteering.of(cfg, scene)
+    return float(average_scnr_curve(clutter, alpha0, a_target, beams.stacked, 1.0))
 
 
 def draw_symbols(n_beams: int, rng: np.random.Generator) -> np.ndarray:
@@ -152,18 +242,14 @@ def radar_snapshot_batch(
     n = cfg.n_antennas
     n_beams = len(beams.comm_beams) + 1
     symbols = (rng.standard_normal((count, n_beams)) + 1j * rng.standard_normal((count, n_beams))) / np.sqrt(2.0)
-    directions = np.vstack(list(beams.comm_beams) + [beams.radar_beam])
-    x = symbols @ directions  # (count, N)
+    x = symbols @ beams.stacked  # (count, N)
     a_t = steering_vector(cfg, scene.target)
     s = scene.alpha0 * (x @ a_t)[:, None] * a_t[None, :]
     if scene.clutter:
-        sigmas = np.array([el.amplitude_scale for el in scene.clutter])
-        amps = sigmas * (
-            rng.standard_normal((count, len(sigmas))) + 1j * rng.standard_normal((count, len(sigmas)))
-        ) / np.sqrt(2.0)
-        for l, el in enumerate(scene.clutter):
-            a_l = steering_vector(cfg, el.position)
-            s = s + (amps[:, l] * (x @ a_l))[:, None] * a_l[None, :]
+        clutter = ClutterSteering.of(cfg, scene)
+        shape = (count, len(clutter.scale))
+        amps = clutter.scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        s = s + (amps * (x @ clutter.matrix)) @ clutter.matrix.T
     noise = (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) / np.sqrt(2.0)
     return s + noise
 

@@ -30,6 +30,7 @@ from jrcsim.detection import (
 from jrcsim.detection import test_statistic as linear_statistic
 from jrcsim.propagation import ClutterElement, Scene
 from jrcsim.radar_sensing import (
+    ClutterSteering,
     clutter_covariance,
     optimal_receive_beamformer,
     response_matrix,
@@ -78,7 +79,7 @@ class OperatingCell:
         cov = clutter_covariance(self.ctx.array, self.ctx.scene, transmit_covariance(self.beams))
         self.w = optimal_receive_beamformer(self.ctx.target_steering, cov, self.x)
         self.params = statistic_params(
-            self.ctx.array, self.w, self.ctx.alpha0, self.ctx.target_steering, self.ctx.scene, self.x, eta=1.0
+            self.w, self.ctx.alpha0, self.ctx.target_steering, self.ctx.clutter, self.x, eta=1.0
         )
 
     def sample(self, trials, seed, x=_FROZEN):
@@ -104,7 +105,7 @@ class TestStatisticParams:
         for _ in range(50):
             w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            got = statistic_params(CFG, w, scene.alpha0, steering_vector(CFG, TARGET), scene, x, eta=1.0)
+            got = statistic_params(w, scene.alpha0, steering_vector(CFG, TARGET), ClutterSteering.of(CFG, scene), x, eta=1.0)
             mu_expected = scene.alpha0 * (w.conj() @ mat @ x)
             var_expected = float(np.vdot(w, w).real) + sum(
                 el.amplitude_scale**2 * abs(w.conj() @ m @ x) ** 2
@@ -119,7 +120,7 @@ class TestStatisticParams:
         scene = make_scene(rng)
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        got = statistic_params(CFG, w, scene.alpha0, steering_vector(CFG, TARGET), scene, x, eta=1.0)
+        got = statistic_params(w, scene.alpha0, steering_vector(CFG, TARGET), ClutterSteering.of(CFG, scene), x, eta=1.0)
         assert got.kappa == pytest.approx(abs(got.mu1) ** 2, rel=1e-12)
         assert got.eta == 1.0
 
@@ -128,7 +129,7 @@ class TestStatisticParams:
         scene = make_scene(rng)
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        got = statistic_params(CFG, w, scene.alpha0, steering_vector(CFG, TARGET), scene, x, eta=1e-6)
+        got = statistic_params(w, scene.alpha0, steering_vector(CFG, TARGET), ClutterSteering.of(CFG, scene), x, eta=1e-6)
         assert got.kappa == pytest.approx(got.sigma2 * math.log(1e-6) + abs(got.mu1) ** 2, rel=1e-12)
 
     def test_weak_target_gives_negative_threshold(self):
@@ -137,7 +138,7 @@ class TestStatisticParams:
         scene = make_scene(rng, alpha0=1e-6 + 0j)
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        got = statistic_params(CFG, w, scene.alpha0, steering_vector(CFG, TARGET), scene, x, eta=1e-6)
+        got = statistic_params(w, scene.alpha0, steering_vector(CFG, TARGET), ClutterSteering.of(CFG, scene), x, eta=1e-6)
         assert got.kappa < 0.0
 
     def test_rejects_non_positive_ratio(self):
@@ -148,7 +149,7 @@ class TestStatisticParams:
         a = steering_vector(CFG, TARGET)
         for eta in (0.0, -1.0):
             with pytest.raises(ValueError):
-                statistic_params(CFG, w, scene.alpha0, a, scene, x, eta=eta)
+                statistic_params(w, scene.alpha0, a, ClutterSteering.of(CFG, scene), x, eta=eta)
 
     def test_rejects_non_positive_variance(self):
         with pytest.raises(ValueError):
@@ -279,7 +280,7 @@ class TestSampledStatistics:
         run = cell(0.1)
         _, _, params = run.sample(4, seed=13)
         direct = statistic_params(
-            run.ctx.array, run.w, run.ctx.alpha0, run.ctx.target_steering, run.ctx.scene, run.x, eta=1.0
+            run.w, run.ctx.alpha0, run.ctx.target_steering, run.ctx.clutter, run.x, eta=1.0
         )
         assert params.mu1 == pytest.approx(direct.mu1, rel=1e-12)
         assert params.sigma2 == pytest.approx(direct.sigma2, rel=1e-12)

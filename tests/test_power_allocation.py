@@ -120,7 +120,7 @@ class TestEvaluatePoint:
         cov = clutter_covariance(ctx.array, ctx.scene, transmit_covariance(beams))
         w = optimal_receive_beamformer(ctx.target_steering, cov, x)
         params = statistic_params(
-            ctx.array, w, ctx.alpha0, ctx.target_steering, ctx.scene, x, eta=1.0
+            w, ctx.alpha0, ctx.target_steering, ctx.clutter, x, eta=1.0
         )
         kappa = abs(params.mu1) ** 2
         point = evaluate_point(ctx, power, rho, kappa)

@@ -8,12 +8,17 @@ solver on the (rank-one signal, covariance) pencil.
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_vector
 from jrcsim.comm_link import BeamformerSet
 from jrcsim.propagation import ClutterElement, Scene
 from jrcsim.radar_sensing import (
+    ClutterSteering,
+    InterferenceKernel,
     average_scnr,
+    average_scnr_curve,
     clutter_covariance,
     draw_symbols,
     optimal_receive_beamformer,
@@ -234,6 +239,78 @@ class TestAverageScnr:
         s1 = average_scnr(CFG, beams, 0.1, a, scene)
         s2 = average_scnr(CFG, beams, 0.3, a, scene)
         assert s2 == pytest.approx(9.0 * s1, rel=1e-12)
+
+
+@st.composite
+def operating_points(draw):
+    """Random scene and (P, rho) with beams split as the simulator splits them."""
+    n = draw(st.integers(1, 12))
+    n_clutter = draw(st.integers(0, 8))
+    sigma = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    rho = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    power = 10.0 ** draw(st.floats(-4.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = ArrayConfig(n_antennas=n, carrier_freq=float(rng.choice([2.8e9, 28e9])))
+    scene = make_scene(rng, n_clutter=n_clutter, sigma=sigma)
+    a = steering_vector(cfg, scene.target)
+    comm = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    comm /= np.linalg.norm(comm)
+    radar = np.conj(a) / np.linalg.norm(a)
+    return cfg, scene, comm, radar, rho, power
+
+
+def split_beams(comm, radar, rho, power):
+    return BeamformerSet(
+        comm_beams=(np.sqrt((1.0 - rho) * power) * comm,), radar_beam=np.sqrt(rho * power) * radar
+    )
+
+
+class TestInterferenceKernel:
+    """The rank-one kernel against the dense Cholesky oracle, and batched against one-point."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(operating_points(), st.integers(0, 2**32 - 1))
+    def test_matches_dense_oracle(self, point, symbol_seed):
+        cfg, scene, comm, radar, rho, power = point
+        beams = split_beams(comm, radar, rho, power)
+        x = waveform_from_symbols(beams, draw_symbols(2, np.random.default_rng(symbol_seed)))
+        a = steering_vector(cfg, scene.target)
+        y = a * np.dot(a, x)
+        cov = clutter_covariance(cfg, scene, transmit_covariance(beams))
+        clutter = ClutterSteering.of(cfg, scene)
+        gains = clutter.gains(beams.stacked)
+        kernel = InterferenceKernel(clutter, gains)
+        w = kernel.solve(y)
+
+        # the oracle forms W and factors it in double precision, so it is itself
+        # good only to about (N + L) eps cond(W); the kernel never forms W
+        eps = np.finfo(float).eps
+        rel = 1e-10 + 10 * (cfg.n_antennas + len(scene.clutter)) * eps * np.linalg.cond(cov)
+        whitened = np.vdot(a, scipy.linalg.cho_solve(scipy.linalg.cho_factor(cov), a)).real
+        assert kernel.quadratic(a) == pytest.approx(whitened, rel=rel)
+        w_dense = optimal_receive_beamformer(a, cov, x)
+        assert np.linalg.norm(w - w_dense) <= rel * np.linalg.norm(w_dense)
+        closed = abs(scene.alpha0) ** 2 * np.vdot(y, w).real
+        assert closed == pytest.approx(scnr_at_optimum(scene.alpha0, a, cov, x), rel=rel)
+
+        # backward error of w, which does not depend on the conditioning of W
+        b = clutter.matrix
+        residual = w + b @ (gains * (b.conj().T @ w)) - y
+        scale = np.linalg.norm(y) + cfg.n_antennas * np.sum(gains) * np.linalg.norm(w)
+        assert np.linalg.norm(residual) <= 1e-13 * scale
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(operating_points(), st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8))
+    def test_batched_powers_match_single_points(self, point, exponents):
+        cfg, scene, comm, radar, rho, _ = point
+        a = steering_vector(cfg, scene.target)
+        powers = 10.0 ** np.array(exponents)
+        unit = np.vstack((np.sqrt(1.0 - rho) * comm, np.sqrt(rho) * radar))
+        batched = average_scnr_curve(ClutterSteering.of(cfg, scene), scene.alpha0, a, unit, powers)
+        assert batched.shape == powers.shape
+        for p, got in zip(powers, batched):
+            single = average_scnr(cfg, split_beams(comm, radar, rho, p), scene.alpha0, a, scene)
+            assert got == pytest.approx(single, rel=1e-12)
 
 
 class TestWaveform:
