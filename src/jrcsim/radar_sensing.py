@@ -106,9 +106,9 @@ class InterferenceKernel:
         else:
             self._vecs = np.eye(n)
 
-    def solve(self, y: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """W(scale)^-1 y."""
-        return self._vecs @ ((self._vecs.conj().T @ y) / (1.0 + scale * self._lam))
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """W(1)^-1 y."""
+        return self._vecs @ ((self._vecs.conj().T @ y) / (1.0 + self._lam))
 
     def quadratic(self, y: np.ndarray, scales=1.0) -> np.ndarray:
         """y^H W(s)^-1 y for each scale s (a scalar or an array of scales)."""
