@@ -30,13 +30,13 @@ from jrcsim.scenario import ScenarioConfig
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
-# command -> (expected exit code, emitted tables)
+# command -> emitted tables; every command exits 0 on the reduced scenario
 COMMANDS = {
-    "scnr-sweep": (0, {"scnr_sweep": SCNR_SWEEP_COLUMNS, "scnr_table": SCNR_TABLE_COLUMNS}),
-    "detection-sweep": (0, {"detection_sweep": DETECTION_COLUMNS}),
-    "tradeoff": (0, {"tradeoff": TRADEOFF_COLUMNS, "optimum": OPTIMUM_COLUMNS}),
-    "optimize": (0, {"optimum": OPTIMUM_COLUMNS}),
-    "validate": (0, {"validate": VALIDATE_COLUMNS}),
+    "scnr-sweep": {"scnr_sweep": SCNR_SWEEP_COLUMNS, "scnr_table": SCNR_TABLE_COLUMNS},
+    "detection-sweep": {"detection_sweep": DETECTION_COLUMNS},
+    "tradeoff": {"tradeoff": TRADEOFF_COLUMNS, "optimum": OPTIMUM_COLUMNS},
+    "optimize": {"optimum": OPTIMUM_COLUMNS},
+    "validate": {"validate": VALIDATE_COLUMNS},
 }
 
 RTOL = 1.0e-9
@@ -59,9 +59,8 @@ def same_value(kind, got, want) -> bool:
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_tables_match_golden(command, tmp_path):
-    code, tables = COMMANDS[command]
-    assert run_command(command, str(tmp_path)) == code
-    for name, columns in tables.items():
+    assert run_command(command, str(tmp_path)) == 0
+    for name, columns in COMMANDS[command].items():
         golden = parse_table_csv(os.path.join(GOLDEN_DIR, command, f"{name}.csv"), columns)
         fresh = parse_table_csv(str(tmp_path / f"{name}.csv"), columns)
         assert len(fresh) == len(golden), name
@@ -73,10 +72,10 @@ def test_tables_match_golden(command, tmp_path):
 
 
 def regenerate() -> None:
-    for command, (code, tables) in COMMANDS.items():
+    for command, tables in COMMANDS.items():
         out_dir = os.path.join(GOLDEN_DIR, command)
-        if run_command(command, out_dir) != code:
-            raise SystemExit(f"{command} did not exit {code}")
+        if run_command(command, out_dir) != 0:
+            raise SystemExit(f"{command} did not exit 0")
         keep = {f"{name}.csv" for name in tables}
         for entry in os.listdir(out_dir):
             if entry not in keep:
