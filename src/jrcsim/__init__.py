@@ -9,36 +9,8 @@ rate, false-alarm, and detection constraints.
 
 __version__ = "0.1.0"
 
-from .array_geometry import (
-    ArrayConfig,
-    PolarPosition,
-    exact_distance,
-    fraunhofer_distance,
-    fresnel_distance,
-    steering_vector,
-)
-from .comm_link import (
-    BeamformerSet,
-    RelayGain,
-    af_gain,
-    mrc_rate,
-    rate_threshold,
-    sinr_direct,
-    sinr_relayed,
-)
-from .context import SimulationContext, build_context, sigma_for_level
-from .detection import (
-    DetectionOperatingPoint,
-    DetectionStatisticParams,
-    Hypothesis,
-    detection_probability,
-    false_alarm_probability,
-    roc_sweep,
-    simulate_detection,
-    statistic_params,
-)
+from .context import build_context
 from .experiments import (
-    SweepTable,
     emit_outputs,
     run_detection_sweep,
     run_optimize,
@@ -46,122 +18,21 @@ from .experiments import (
     run_tradeoff,
     run_validation,
 )
-from .power_allocation import (
-    ConstraintTargets,
-    EvaluatedPoint,
-    OptimizationResult,
-    TradeoffResult,
-    evaluate_point,
-    minimize_power,
-    tradeoff_sweep,
-)
-from .propagation import (
-    ChannelSet,
-    ClutterElement,
-    Fading,
-    PathLossKind,
-    PathLossModel,
-    Scene,
-    TargetPhase,
-    make_clutter_scene,
-    path_loss_db,
-    target_reflectivity,
-)
-from .radar_sensing import (
-    average_scnr,
-    clutter_covariance,
-    optimal_receive_beamformer,
-    radar_snapshot,
-    response_matrix,
-    scnr,
-    scnr_at_optimum,
-    transmit_covariance,
-    transmit_waveform,
-)
-from .scenario import (
-    CLUTTER_LEVELS,
-    ConfigError,
-    ScenarioConfig,
-    canonical_json,
-    config_hash,
-    dbm_to_watts,
-    load_scenario,
-    scenario_from_dict,
-    watts_to_dbm,
-)
-from .stats import ConfidenceInterval, binomial_ci, derive_stream, inverse_q, q_function
+from .power_allocation import evaluate_point, minimize_power, tradeoff_sweep
+from .scenario import ScenarioConfig, load_scenario
 
 __all__ = [
     "__version__",
-    "ArrayConfig",
-    "PolarPosition",
-    "exact_distance",
-    "fresnel_distance",
-    "steering_vector",
-    "fraunhofer_distance",
-    "BeamformerSet",
-    "RelayGain",
-    "af_gain",
-    "sinr_direct",
-    "sinr_relayed",
-    "mrc_rate",
-    "rate_threshold",
-    "SimulationContext",
+    "ScenarioConfig",
+    "load_scenario",
     "build_context",
-    "sigma_for_level",
-    "DetectionStatisticParams",
-    "DetectionOperatingPoint",
-    "Hypothesis",
-    "statistic_params",
-    "false_alarm_probability",
-    "detection_probability",
-    "simulate_detection",
-    "roc_sweep",
-    "SweepTable",
-    "emit_outputs",
+    "evaluate_point",
+    "minimize_power",
+    "tradeoff_sweep",
     "run_scnr_sweep",
     "run_detection_sweep",
     "run_tradeoff",
     "run_optimize",
     "run_validation",
-    "ConstraintTargets",
-    "EvaluatedPoint",
-    "OptimizationResult",
-    "TradeoffResult",
-    "evaluate_point",
-    "minimize_power",
-    "tradeoff_sweep",
-    "PathLossKind",
-    "Fading",
-    "TargetPhase",
-    "PathLossModel",
-    "ClutterElement",
-    "Scene",
-    "ChannelSet",
-    "path_loss_db",
-    "target_reflectivity",
-    "make_clutter_scene",
-    "response_matrix",
-    "transmit_covariance",
-    "clutter_covariance",
-    "optimal_receive_beamformer",
-    "scnr",
-    "scnr_at_optimum",
-    "average_scnr",
-    "transmit_waveform",
-    "radar_snapshot",
-    "CLUTTER_LEVELS",
-    "ConfigError",
-    "ScenarioConfig",
-    "scenario_from_dict",
-    "load_scenario",
-    "config_hash",
-    "canonical_json",
-    "dbm_to_watts",
-    "watts_to_dbm",
-    "ConfidenceInterval",
-    "q_function",
-    "inverse_q",
-    "binomial_ci",
-    "derive_stream",
+    "emit_outputs",
 ]

@@ -62,27 +62,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _replaced(obj, **changes):
+    """obj with every change that is not None applied, validated as it is rebuilt."""
+    return dataclasses.replace(obj, **{k: v for k, v in changes.items() if v is not None})
+
+
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     scenario = load_scenario(args.config) if args.config else ScenarioConfig()
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-        scenario = dataclasses.replace(scenario, seed=args.seed)
-    if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError(f"--trials must be at least 1, got {args.trials}")
-        scenario = dataclasses.replace(
-            scenario, detection=dataclasses.replace(scenario.detection, trials=args.trials)
-        )
-    if args.out is not None:
-        scenario = dataclasses.replace(
-            scenario, output=dataclasses.replace(scenario.output, dir=args.out)
-        )
-    if args.format is not None:
-        scenario = dataclasses.replace(
-            scenario, output=dataclasses.replace(scenario.output, format=args.format)
-        )
-    return scenario
+    return _replaced(
+        scenario,
+        seed=args.seed,
+        detection=_replaced(scenario.detection, trials=args.trials),
+        output=_replaced(scenario.output, dir=args.out, format=args.format),
+    )
 
 
 def _report_files(written: dict[str, str]) -> None:

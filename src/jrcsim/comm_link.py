@@ -23,7 +23,6 @@ __all__ = [
     "sinr_relayed",
     "mrc_rate",
     "rate_threshold",
-    "rate_constraint_satisfied",
 ]
 
 
@@ -95,20 +94,15 @@ def sinr_relayed(
     gain: RelayGain,
     beams: BeamformerSet,
     k: int = 0,
-    include_radar_leakage: bool = False,
 ) -> float:
     """Relayed-path SINR at the destination.
 
-    gamma_rd = |h_rd f h_sr^T u_k|^2 / (|h_rd f|^2 N_r + N_d); the amplified
-    radar beam also reaches the destination, and ``include_radar_leakage``
-    adds that |h_rd f h_sr^T v|^2 term to the denominator.
+    gamma_rd = |h_rd f h_sr^T u_k|^2 / (|h_rd f|^2 N_r + N_d).
     """
     f = gain.gain
     through = abs(channels.h_rd) ** 2 * f * f
     signal = through * abs(np.dot(channels.h_sr, beams.comm_beams[k])) ** 2
     denom = through * channels.noise_var_relay + channels.noise_var_dest
-    if include_radar_leakage:
-        denom += through * abs(np.dot(channels.h_sr, beams.radar_beam)) ** 2
     return float(signal / denom)
 
 
@@ -124,8 +118,3 @@ def rate_threshold(rate_target: float) -> float:
     if rate_target < 0.0:
         raise ValueError(f"rate_target must be >= 0, got {rate_target}")
     return float(2.0**rate_target - 1.0)
-
-
-def rate_constraint_satisfied(gamma_direct: float, gamma_relayed: float, gamma_min: float) -> bool:
-    """Whether the combined SINR meets the linear threshold (boundary counts as met)."""
-    return gamma_direct + gamma_relayed >= gamma_min

@@ -37,7 +37,7 @@ from .radar_sensing import (
     draw_symbols,
     waveform_from_symbols,
 )
-from .scenario import CLUTTER_LEVELS, ScenarioConfig, dbm_to_watts
+from .scenario import CLUTTER_LEVELS, ScenarioConfig
 from .stats import derive_stream
 
 __all__ = ["SensingPoint", "SimulationContext", "build_context", "stream_id"]
@@ -238,7 +238,3 @@ def sigma_for_level(level: str) -> float:
         return CLUTTER_LEVELS[level]
     except KeyError:
         raise ValueError(f"unknown clutter level {level!r}") from None
-
-
-def nominal_power_watts(scenario: ScenarioConfig) -> float:
-    return dbm_to_watts(scenario.power.nominal_dbm)

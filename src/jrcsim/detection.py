@@ -23,7 +23,6 @@ bit-for-bit regardless of execution schedule.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from dataclasses import dataclass
 
@@ -36,13 +35,10 @@ from .radar_sensing import ClutterSteering, transmit_waveform
 from .stats import ConfidenceInterval, binomial_ci, q_function
 
 __all__ = [
-    "Hypothesis",
     "DetectionStatisticParams",
     "DetectionOperatingPoint",
     "statistic_params",
     "with_threshold",
-    "test_statistic",
-    "decide",
     "false_alarm_probability",
     "detection_probability",
     "sample_test_statistics",
@@ -51,11 +47,6 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 14
-
-
-class Hypothesis(enum.Enum):
-    H0 = 0
-    H1 = 1
 
 
 @dataclass(frozen=True)
@@ -113,16 +104,6 @@ def with_threshold(params: DetectionStatisticParams, kappa: float) -> DetectionS
     return dataclasses.replace(params, kappa=float(kappa), eta=None)
 
 
-def test_statistic(y_s: complex, params: DetectionStatisticParams) -> float:
-    """Linear detector output T = 2 Re(y_s conj(mu_1))."""
-    return float(2.0 * (y_s * np.conj(params.mu1)).real)
-
-
-def decide(statistic: float, kappa: float) -> Hypothesis:
-    """Threshold test: H1 if and only if T >= kappa."""
-    return Hypothesis.H1 if statistic >= kappa else Hypothesis.H0
-
-
 def _deflection(params: DetectionStatisticParams) -> float:
     mu = abs(params.mu1)
     if mu == 0.0:
@@ -130,16 +111,9 @@ def _deflection(params: DetectionStatisticParams) -> float:
     return mu * np.sqrt(2.0 * params.sigma2)
 
 
-def false_alarm_probability(params: DetectionStatisticParams, printed_form: bool = False) -> float:
-    """P(T >= kappa | H0) = Q(kappa / (|mu_1| sqrt(2 sigma^2))).
-
-    ``printed_form`` selects the variant with numerator kappa + 2 |mu_1|^2
-    (kept for side-by-side comparison plots; it is not consistent with the
-    zero-mean H0 statistic and fails Monte Carlo checks).
-    """
-    scale = _deflection(params)
-    num = params.kappa + (2.0 * abs(params.mu1) ** 2 if printed_form else 0.0)
-    return float(q_function(num / scale))
+def false_alarm_probability(params: DetectionStatisticParams) -> float:
+    """P(T >= kappa | H0) = Q(kappa / (|mu_1| sqrt(2 sigma^2)))."""
+    return float(q_function(params.kappa / _deflection(params)))
 
 
 def detection_probability(params: DetectionStatisticParams) -> float:

@@ -152,17 +152,16 @@ class SweepTable:
     provenance: dict
 
 
-def canonical_float(x: float) -> float:
-    """Round to 9 significant digits, the precision every emission carries."""
-    return float(np.format_float_positional(
-        float(x), precision=9, unique=False, fractional=False, trim="-"
-    ))
-
-
-def _format_float(x: float) -> str:
+def _float_text(x: float) -> str:
+    """x at 9 significant digits, the precision every emission carries."""
     return np.format_float_positional(
         float(x), precision=9, unique=False, fractional=False, trim="-"
     )
+
+
+def canonical_float(x: float) -> float:
+    """Round to 9 significant digits, as the emitted text reads."""
+    return float(_float_text(x))
 
 
 def _make_row(columns, values: dict) -> dict:
@@ -441,7 +440,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _format_float(value)
+        return _float_text(value)
     return str(value)
 
 

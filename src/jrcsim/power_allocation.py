@@ -197,19 +197,6 @@ def _rho_grid(opt) -> np.ndarray:
     return np.linspace(0.0, 1.0, opt.rho_points)
 
 
-def _validate_grid(opt) -> None:
-    if opt.power_points < 2:
-        raise ValueError(f"power grid needs at least 2 points, got {opt.power_points}")
-    if opt.rho_points < 1:
-        raise ValueError(f"split grid needs at least 1 point, got {opt.rho_points}")
-    if opt.kappa_points < 3:
-        raise ValueError(f"threshold grid needs at least 3 points, got {opt.kappa_points}")
-    if opt.tol_factor <= 0.0:
-        raise ValueError(f"bisection tolerance factor must be positive, got {opt.tol_factor}")
-    if opt.fixed_rho is not None and not 0.0 <= opt.fixed_rho <= 1.0:
-        raise ValueError(f"fixed split must lie in [0, 1], got {opt.fixed_rho}")
-
-
 def _detection_curves(mu1_abs: float, sigma2: float, kappas: np.ndarray):
     scale = mu1_abs * np.sqrt(2.0 * sigma2)
     pfa = q_function(kappas / scale)
@@ -329,15 +316,12 @@ def evaluate_point(
 def minimize_power(
     scenario: ScenarioConfig | SimulationContext,
     targets: ConstraintTargets | None = None,
-    grid=None,
-    tol_watts: float | None = None,
 ) -> OptimizationResult:
     """Smallest power whose best (rho, kappa) satisfies every constraint."""
     ctx = _as_context(scenario)
     if targets is None:
         targets = ConstraintTargets.from_scenario(ctx.scenario)
-    opt = ctx.scenario.optimizer if grid is None else grid
-    _validate_grid(opt)
+    opt = ctx.scenario.optimizer
     p_floor = dbm_to_watts(ctx.scenario.power.min_dbm)
     p_max = targets.p_max_watts
     if p_floor >= p_max:
@@ -346,9 +330,7 @@ def minimize_power(
         )
     powers = np.geomspace(p_floor, p_max, opt.power_points)
     rhos = _rho_grid(opt)
-    tol = opt.tol_factor * p_max if tol_watts is None else float(tol_watts)
-    if tol <= 0.0:
-        raise ValueError(f"bisection tolerance must be positive, got {tol}")
+    tol = opt.tol_factor * p_max
 
     evaluations = 0
     found: tuple[float, float] | None = None
@@ -472,7 +454,6 @@ def tradeoff_sweep(
         raise ValueError("power grid must be strictly increasing")
 
     opt = ctx.scenario.optimizer
-    _validate_grid(opt)
     rhos = _rho_grid(opt)
     records = tuple(
         _tradeoff_record(ctx, targets, float(p), rhos, opt.kappa_points) for p in grid

@@ -52,7 +52,6 @@ __all__ = [
     "draw_symbols",
     "waveform_from_symbols",
     "transmit_waveform",
-    "radar_snapshot",
     "radar_snapshot_batch",
 ]
 
@@ -252,13 +251,3 @@ def radar_snapshot_batch(
         s = s + (amps * (x @ clutter.matrix)) @ clutter.matrix.T
     noise = (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) / np.sqrt(2.0)
     return s + noise
-
-
-def radar_snapshot(
-    cfg: ArrayConfig,
-    scene: Scene,
-    beams: BeamformerSet,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One receive snapshot s = alpha_0 A x + sum_l alpha_l A_l x + n."""
-    return radar_snapshot_batch(cfg, scene, beams, rng, 1)[0]

@@ -6,12 +6,19 @@ evaluation setup: a 5-element half-wavelength array at 28 GHz, a target at
 5 m, three clutter scatterers inside the target range, intense clutter
 sigma 0.8 (light 0.1), likelihood-ratio threshold eta = 1e-6, and a sweep
 family over N in {5, 10} and carriers {2.8, 28} GHz.
+
+Each field is declared once, with its default and the rule its values must
+meet; every section validates itself when it is built, so a ScenarioConfig
+made by scenario_from_dict, by its constructor or by dataclasses.replace is
+valid or raises ConfigError naming the field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,103 +53,187 @@ def watts_to_dbm(p_watts: float) -> float:
     return 10.0 * np.log10(p_watts) + 30.0
 
 
-@dataclass(frozen=True)
-class ArraySection:
-    n_antennas: int = 5
-    carrier_ghz: float = 28.0
-    spacing_m: float | None = None
+# value rules shared by several fields
+_POSITIVE = {"lo": 0.0, "lo_open": True}
+_NONNEGATIVE = {"lo": 0.0}
+_UNIT = {"lo": 0.0, "hi": 1.0}
+_ANGLE = {"lo": 0.0, "lo_open": True, "hi": np.pi, "below_pi": True}
+# 10^27 W at the top, far past any physical budget; every command gives finite
+# tables at both ends (the CLI's extreme-power test runs them)
+_DBM = {"lo": -300.0, "hi": 300.0}
+
+
+def _setting(default, kind=None, **rule):
+    """A field with its default and the rule every value must meet.
+
+    The rule is a kind (float, int or str) plus lo/hi bounds (lo_open
+    excludes lo), choices, or `above` an earlier field of the section. A
+    tuple default makes a non-empty list whose entries each meet the rule; a
+    None default makes the field optional.
+    """
+    if kind is None:
+        kind = type(default[0]) if isinstance(default, tuple) else type(default)
+    return field(default=default, metadata={"kind": kind, **rule})
+
+
+def _value(value, path: str, rule: dict):
+    """One scalar checked against its rule; ints become floats for float fields."""
+    kind = rule["kind"]
+    if "choices" in rule:
+        if value not in rule["choices"]:
+            raise ConfigError(f"{path}: must be one of {sorted(rule['choices'])}, got {value!r}")
+        return value
+    if kind is str:
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{path}: expected {noun}, got {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal past the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be finite")
+    lo, hi, lo_open = rule.get("lo"), rule.get("hi"), rule.get("lo_open", False)
+    if lo is not None and (value <= lo if lo_open else value < lo):
+        raise ConfigError(f"{path}: must be {'>' if lo_open else '>='} {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ConfigError(f"{path}: must be <= {hi}, got {value}")
+    if rule.get("below_pi") and value >= np.pi:
+        raise ConfigError(f"{path}: must be < pi, got {value}")
+    return value
+
+
+def _check(obj, prefix: str) -> None:
+    """Validate every field of a frozen section in place, in declaration order."""
+    for f in dataclasses.fields(obj):
+        path, value, rule = f"{prefix}.{f.name}", getattr(obj, f.name), f.metadata
+        if not rule:  # a section of ScenarioConfig, already checked when built
+            if not isinstance(value, f.default_factory):
+                raise ConfigError(f"{f.name}: expected an object, got {type(value).__name__}")
+            continue
+        if isinstance(f.default, tuple):
+            if not isinstance(value, (list, tuple)) or not value:
+                noun = {float: " of numbers", int: " of integers"}.get(rule["kind"], "")
+                raise ConfigError(f"{path}: expected a non-empty list{noun}")
+            value = tuple(_value(v, f"{path}[{i}]", rule) for i, v in enumerate(value))
+        elif value is not None or f.default is not None:
+            value = _value(value, path, rule)
+        object.__setattr__(obj, f.name, value)
+        other = rule.get("above")
+        if other is not None and value is not None and value <= getattr(obj, other):
+            raise ConfigError(f"{path}: must exceed {other}={getattr(obj, other)}, got {value}")
+
+
+class _Section:
+    """Base of the scenario sections: each validates its fields when built."""
+
+    def __post_init__(self) -> None:
+        _check(self, _SECTION_NAMES[type(self)])
 
 
 @dataclass(frozen=True)
-class TargetSection:
-    range_m: float = 5.0
-    angle_rad: float = np.pi / 3.0
-    rcs_scale: float = 3.0e7
-    phase: str = "uniform"
+class ArraySection(_Section):
+    n_antennas: int = _setting(5, lo=1)
+    carrier_ghz: float = _setting(28.0, **_POSITIVE)
+    spacing_m: float | None = _setting(None, float, **_POSITIVE)
 
 
 @dataclass(frozen=True)
-class ClutterSection:
-    count: int = 3
-    sigma: float = 0.8
-    min_range_m: float = 0.5
-    max_range_m: float = 5.0
-    angle_exclusion_rad: float = 0.05
+class TargetSection(_Section):
+    range_m: float = _setting(5.0, **_POSITIVE)
+    angle_rad: float = _setting(np.pi / 3.0, **_ANGLE)
+    rcs_scale: float = _setting(3.0e7, **_POSITIVE)
+    phase: str = _setting("uniform", choices=("zero", "uniform"))
 
 
 @dataclass(frozen=True)
-class PathLossSection:
-    kind: str = "free_space"
-    h_bs_m: float = 10.0
-    h_ut_m: float = 1.5
+class ClutterSection(_Section):
+    count: int = _setting(3, lo=0)
+    sigma: float = _setting(0.8, **_NONNEGATIVE)
+    min_range_m: float = _setting(0.5, **_POSITIVE)
+    max_range_m: float = _setting(5.0, above="min_range_m", **_POSITIVE)
+    angle_exclusion_rad: float = _setting(0.05, **_NONNEGATIVE)
 
 
 @dataclass(frozen=True)
-class CommSection:
-    destination_range_m: float = 20.0
-    destination_angle_rad: float = 1.7
-    relay_range_m: float = 10.0
-    relay_angle_rad: float = 1.4
-    noise_var_dest_w: float = 4.0e-13
-    noise_var_relay_w: float = 4.0e-13
-    relay_power_w: float = 0.01
-    fading: str = "los"
+class PathLossSection(_Section):
+    kind: str = _setting("free_space", choices=("free_space", "tr38901_umi_los"))
+    h_bs_m: float = _setting(10.0, **_POSITIVE)
+    h_ut_m: float = _setting(1.5, **_POSITIVE)
 
 
 @dataclass(frozen=True)
-class PowerSection:
-    min_dbm: float = -10.0
-    max_dbm: float = 40.0
-    points: int = 21
-    nominal_dbm: float = 30.0
-    rho: float = 0.5
+class CommSection(_Section):
+    destination_range_m: float = _setting(20.0, **_POSITIVE)
+    destination_angle_rad: float = _setting(1.7, **_ANGLE)
+    relay_range_m: float = _setting(10.0, **_POSITIVE)
+    relay_angle_rad: float = _setting(1.4, **_ANGLE)
+    noise_var_dest_w: float = _setting(4.0e-13, **_POSITIVE)
+    noise_var_relay_w: float = _setting(4.0e-13, **_POSITIVE)
+    relay_power_w: float = _setting(0.01, **_NONNEGATIVE)
+    fading: str = _setting("los", choices=("los", "rayleigh"))
 
 
 @dataclass(frozen=True)
-class DetectionSection:
-    eta: float = 1.0e-6
-    trials: int = 100_000
-    powers_dbm: tuple[float, ...] = (30.0, 36.0)
-    clutter_levels: tuple[str, ...] = ("light", "intense")
-    kappa_min: float = 0.0
-    kappa_max: float | None = None
-    kappa_points: int = 21
+class PowerSection(_Section):
+    min_dbm: float = _setting(-10.0, **_DBM)
+    max_dbm: float = _setting(40.0, above="min_dbm", **_DBM)
+    points: int = _setting(21, lo=2)
+    nominal_dbm: float = _setting(30.0, **_DBM)
+    rho: float = _setting(0.5, **_UNIT)
 
 
 @dataclass(frozen=True)
-class TargetsSection:
-    rate_bps_hz: float = 5.0
-    pfa_max: float = 1.0e-6
-    pd_min: float = 0.6
-    p_max_dbm: float = 46.0
+class DetectionSection(_Section):
+    eta: float = _setting(1.0e-6, **_POSITIVE)
+    trials: int = _setting(100_000, lo=1)
+    powers_dbm: tuple[float, ...] = _setting((30.0, 36.0), **_DBM)
+    clutter_levels: tuple[str, ...] = _setting(("light", "intense"), choices=tuple(CLUTTER_LEVELS))
+    kappa_min: float = _setting(0.0)
+    kappa_max: float | None = _setting(None, float, above="kappa_min")
+    kappa_points: int = _setting(21, lo=1)
 
 
 @dataclass(frozen=True)
-class OptimizerSection:
-    power_points: int = 64
-    rho_points: int = 21
-    kappa_points: int = 101
-    tol_factor: float = 1.0e-3
-    fixed_rho: float | None = None
+class TargetsSection(_Section):
+    rate_bps_hz: float = _setting(5.0, **_NONNEGATIVE)
+    pfa_max: float = _setting(1.0e-6, lo=0.0, lo_open=True, hi=1.0)
+    pd_min: float = _setting(0.6, **_UNIT)
+    p_max_dbm: float = _setting(46.0, **_DBM)
 
 
 @dataclass(frozen=True)
-class SweepSection:
-    antennas: tuple[int, ...] = (5, 10)
-    carriers_ghz: tuple[float, ...] = (2.8, 28.0)
-    clutter_levels: tuple[str, ...] = ("none", "light", "intense")
-    realizations: int = 100
+class OptimizerSection(_Section):
+    power_points: int = _setting(64, lo=2)
+    rho_points: int = _setting(21, lo=2)
+    kappa_points: int = _setting(101, lo=3)
+    tol_factor: float = _setting(1.0e-3, **_POSITIVE)
+    fixed_rho: float | None = _setting(None, float, **_UNIT)
 
 
 @dataclass(frozen=True)
-class OutputSection:
-    dir: str = "runs"
-    format: str = "csv"
+class SweepSection(_Section):
+    antennas: tuple[int, ...] = _setting((5, 10), lo=1)
+    carriers_ghz: tuple[float, ...] = _setting((2.8, 28.0), **_POSITIVE)
+    clutter_levels: tuple[str, ...] = _setting(
+        ("none", "light", "intense"), choices=tuple(CLUTTER_LEVELS)
+    )
+    realizations: int = _setting(100, lo=1)
+
+
+@dataclass(frozen=True)
+class OutputSection(_Section):
+    dir: str = _setting("runs")
+    format: str = _setting("csv", choices=("csv", "json"))
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    seed: int = 20260817
+    seed: int = _setting(20260817, lo=0)
     array: ArraySection = field(default_factory=ArraySection)
     target: TargetSection = field(default_factory=TargetSection)
     clutter: ClutterSection = field(default_factory=ClutterSection)
@@ -155,82 +246,30 @@ class ScenarioConfig:
     sweep: SweepSection = field(default_factory=SweepSection)
     output: OutputSection = field(default_factory=OutputSection)
 
+    def __post_init__(self) -> None:
+        _check(self, "config")
+        # compared in watts, the unit the optimizer's geometric grid spans
+        if dbm_to_watts(self.power.min_dbm) >= dbm_to_watts(self.targets.p_max_dbm):
+            raise ConfigError(
+                f"targets.p_max_dbm: must exceed power.min_dbm={self.power.min_dbm}, "
+                f"got {self.targets.p_max_dbm}"
+            )
+
     def power_grid_dbm(self) -> np.ndarray:
         return np.linspace(self.power.min_dbm, self.power.max_dbm, self.power.points)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "array": {
-                "n_antennas": self.array.n_antennas,
-                "carrier_ghz": self.array.carrier_ghz,
-                "spacing_m": self.array.spacing_m,
-            },
-            "target": {
-                "range_m": self.target.range_m,
-                "angle_rad": self.target.angle_rad,
-                "rcs_scale": self.target.rcs_scale,
-                "phase": self.target.phase,
-            },
-            "clutter": {
-                "count": self.clutter.count,
-                "sigma": self.clutter.sigma,
-                "min_range_m": self.clutter.min_range_m,
-                "max_range_m": self.clutter.max_range_m,
-                "angle_exclusion_rad": self.clutter.angle_exclusion_rad,
-            },
-            "path_loss": {
-                "kind": self.path_loss.kind,
-                "h_bs_m": self.path_loss.h_bs_m,
-                "h_ut_m": self.path_loss.h_ut_m,
-            },
-            "comm": {
-                "destination_range_m": self.comm.destination_range_m,
-                "destination_angle_rad": self.comm.destination_angle_rad,
-                "relay_range_m": self.comm.relay_range_m,
-                "relay_angle_rad": self.comm.relay_angle_rad,
-                "noise_var_dest_w": self.comm.noise_var_dest_w,
-                "noise_var_relay_w": self.comm.noise_var_relay_w,
-                "relay_power_w": self.comm.relay_power_w,
-                "fading": self.comm.fading,
-            },
-            "power": {
-                "min_dbm": self.power.min_dbm,
-                "max_dbm": self.power.max_dbm,
-                "points": self.power.points,
-                "nominal_dbm": self.power.nominal_dbm,
-                "rho": self.power.rho,
-            },
-            "detection": {
-                "eta": self.detection.eta,
-                "trials": self.detection.trials,
-                "powers_dbm": list(self.detection.powers_dbm),
-                "clutter_levels": list(self.detection.clutter_levels),
-                "kappa_min": self.detection.kappa_min,
-                "kappa_max": self.detection.kappa_max,
-                "kappa_points": self.detection.kappa_points,
-            },
-            "targets": {
-                "rate_bps_hz": self.targets.rate_bps_hz,
-                "pfa_max": self.targets.pfa_max,
-                "pd_min": self.targets.pd_min,
-                "p_max_dbm": self.targets.p_max_dbm,
-            },
-            "optimizer": {
-                "power_points": self.optimizer.power_points,
-                "rho_points": self.optimizer.rho_points,
-                "kappa_points": self.optimizer.kappa_points,
-                "tol_factor": self.optimizer.tol_factor,
-                "fixed_rho": self.optimizer.fixed_rho,
-            },
-            "sweep": {
-                "antennas": list(self.sweep.antennas),
-                "carriers_ghz": list(self.sweep.carriers_ghz),
-                "clutter_levels": list(self.sweep.clutter_levels),
-                "realizations": self.sweep.realizations,
-            },
-            "output": {"dir": self.output.dir, "format": self.output.format},
-        }
+        return dataclasses.asdict(
+            self, dict_factory=lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items}
+        )
+
+
+# section class -> its key in the scenario file, the prefix of its error paths
+_SECTION_NAMES = {
+    f.default_factory: f.name
+    for f in dataclasses.fields(ScenarioConfig)
+    if f.default_factory is not dataclasses.MISSING
+}
 
 
 def canonical_json(config: ScenarioConfig) -> str:
@@ -250,264 +289,26 @@ def config_hash(config: ScenarioConfig) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def _expect_mapping(value, path: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
-
-
-def _reject_unknown(d: dict, allowed, path: str) -> None:
-    unknown = set(d) - set(allowed)
+def _from_mapping(cls, raw, path: str):
+    """Build cls from a parsed JSON object; absent or null sections take defaults."""
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(raw).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(fields))
     if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"{path}.{key}: unknown field")
-
-
-def _number(d: dict, key: str, default, path: str, *, lo=None, hi=None, lo_open=False):
-    value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value):
-        raise ConfigError(f"{path}.{key}: must be finite")
-    if lo is not None and (value <= lo if lo_open else value < lo):
-        op = ">" if lo_open else ">="
-        raise ConfigError(f"{path}.{key}: must be {op} {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{path}.{key}: must be <= {hi}, got {value}")
-    return value
-
-
-def _integer(d: dict, key: str, default, path: str, *, lo=None):
-    value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{path}.{key}: must be >= {lo}, got {value}")
-    return value
-
-
-def _choice(d: dict, key: str, default, path: str, allowed) -> str:
-    value = d.get(key, default)
-    if value not in allowed:
-        raise ConfigError(f"{path}.{key}: must be one of {sorted(allowed)}, got {value!r}")
-    return value
+        raise ConfigError(f"{path}.{unknown[0]}: unknown field")
+    return cls(**{
+        key: _from_mapping(fields[key].default_factory, value, key)
+        if fields[key].default_factory is not dataclasses.MISSING else value
+        for key, value in raw.items()
+    })
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Validate a parsed JSON object and fill defaults for absent fields."""
-    raw = _expect_mapping(raw, "config")
-    _reject_unknown(
-        raw,
-        {"seed", "array", "target", "clutter", "path_loss", "comm", "power",
-         "detection", "targets", "optimizer", "sweep", "output"},
-        "config",
-    )
-    seed = _integer(raw, "seed", ScenarioConfig.seed, "config", lo=0)
-
-    d = _expect_mapping(raw.get("array"), "array")
-    _reject_unknown(d, {"n_antennas", "carrier_ghz", "spacing_m"}, "array")
-    array = ArraySection(
-        n_antennas=_integer(d, "n_antennas", 5, "array", lo=1),
-        carrier_ghz=_number(d, "carrier_ghz", 28.0, "array", lo=0.0, lo_open=True),
-        spacing_m=(
-            None
-            if d.get("spacing_m") is None
-            else _number(d, "spacing_m", None, "array", lo=0.0, lo_open=True)
-        ),
-    )
-
-    d = _expect_mapping(raw.get("target"), "target")
-    _reject_unknown(d, {"range_m", "angle_rad", "rcs_scale", "phase"}, "target")
-    target = TargetSection(
-        range_m=_number(d, "range_m", 5.0, "target", lo=0.0, lo_open=True),
-        angle_rad=_number(d, "angle_rad", np.pi / 3.0, "target", lo=0.0, hi=np.pi, lo_open=True),
-        rcs_scale=_number(d, "rcs_scale", 3.0e7, "target", lo=0.0, lo_open=True),
-        phase=_choice(d, "phase", "uniform", "target", {"zero", "uniform"}),
-    )
-    if target.angle_rad >= np.pi:
-        raise ConfigError(f"target.angle_rad: must be < pi, got {target.angle_rad}")
-
-    d = _expect_mapping(raw.get("clutter"), "clutter")
-    _reject_unknown(
-        d, {"count", "sigma", "min_range_m", "max_range_m", "angle_exclusion_rad"}, "clutter"
-    )
-    clutter = ClutterSection(
-        count=_integer(d, "count", 3, "clutter", lo=0),
-        sigma=_number(d, "sigma", 0.8, "clutter", lo=0.0),
-        min_range_m=_number(d, "min_range_m", 0.5, "clutter", lo=0.0, lo_open=True),
-        max_range_m=_number(d, "max_range_m", 5.0, "clutter", lo=0.0, lo_open=True),
-        angle_exclusion_rad=_number(d, "angle_exclusion_rad", 0.05, "clutter", lo=0.0),
-    )
-    if clutter.max_range_m <= clutter.min_range_m:
-        raise ConfigError(
-            f"clutter.max_range_m: must exceed min_range_m={clutter.min_range_m}, "
-            f"got {clutter.max_range_m}"
-        )
-
-    d = _expect_mapping(raw.get("path_loss"), "path_loss")
-    _reject_unknown(d, {"kind", "h_bs_m", "h_ut_m"}, "path_loss")
-    path_loss = PathLossSection(
-        kind=_choice(d, "kind", "free_space", "path_loss", {"free_space", "tr38901_umi_los"}),
-        h_bs_m=_number(d, "h_bs_m", 10.0, "path_loss", lo=0.0, lo_open=True),
-        h_ut_m=_number(d, "h_ut_m", 1.5, "path_loss", lo=0.0, lo_open=True),
-    )
-
-    d = _expect_mapping(raw.get("comm"), "comm")
-    _reject_unknown(
-        d,
-        {"destination_range_m", "destination_angle_rad", "relay_range_m", "relay_angle_rad",
-         "noise_var_dest_w", "noise_var_relay_w", "relay_power_w", "fading"},
-        "comm",
-    )
-    comm = CommSection(
-        destination_range_m=_number(d, "destination_range_m", 20.0, "comm", lo=0.0, lo_open=True),
-        destination_angle_rad=_number(d, "destination_angle_rad", 1.7, "comm", lo=0.0, hi=np.pi, lo_open=True),
-        relay_range_m=_number(d, "relay_range_m", 10.0, "comm", lo=0.0, lo_open=True),
-        relay_angle_rad=_number(d, "relay_angle_rad", 1.4, "comm", lo=0.0, hi=np.pi, lo_open=True),
-        noise_var_dest_w=_number(d, "noise_var_dest_w", 4.0e-13, "comm", lo=0.0, lo_open=True),
-        noise_var_relay_w=_number(d, "noise_var_relay_w", 4.0e-13, "comm", lo=0.0, lo_open=True),
-        relay_power_w=_number(d, "relay_power_w", 0.01, "comm", lo=0.0),
-        fading=_choice(d, "fading", "los", "comm", {"los", "rayleigh"}),
-    )
-    for key, angle in (("destination_angle_rad", comm.destination_angle_rad),
-                       ("relay_angle_rad", comm.relay_angle_rad)):
-        if angle >= np.pi:
-            raise ConfigError(f"comm.{key}: must be < pi, got {angle}")
-
-    d = _expect_mapping(raw.get("power"), "power")
-    _reject_unknown(d, {"min_dbm", "max_dbm", "points", "nominal_dbm", "rho"}, "power")
-    power = PowerSection(
-        min_dbm=_number(d, "min_dbm", -10.0, "power"),
-        max_dbm=_number(d, "max_dbm", 40.0, "power"),
-        points=_integer(d, "points", 21, "power", lo=2),
-        nominal_dbm=_number(d, "nominal_dbm", 30.0, "power"),
-        rho=_number(d, "rho", 0.5, "power", lo=0.0, hi=1.0),
-    )
-    if power.max_dbm <= power.min_dbm:
-        raise ConfigError(f"power.max_dbm: must exceed min_dbm={power.min_dbm}, got {power.max_dbm}")
-
-    d = _expect_mapping(raw.get("detection"), "detection")
-    _reject_unknown(
-        d,
-        {"eta", "trials", "powers_dbm", "clutter_levels", "kappa_min", "kappa_max", "kappa_points"},
-        "detection",
-    )
-    powers = d.get("powers_dbm", [30.0, 36.0])
-    if not isinstance(powers, list) or not powers:
-        raise ConfigError("detection.powers_dbm: expected a non-empty list of numbers")
-    for i, p in enumerate(powers):
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise ConfigError(f"detection.powers_dbm[{i}]: expected a number, got {p!r}")
-    levels = d.get("clutter_levels", ["light", "intense"])
-    if not isinstance(levels, list) or not levels:
-        raise ConfigError("detection.clutter_levels: expected a non-empty list")
-    for i, lvl in enumerate(levels):
-        if lvl not in CLUTTER_LEVELS:
-            raise ConfigError(
-                f"detection.clutter_levels[{i}]: must be one of {sorted(CLUTTER_LEVELS)}, got {lvl!r}"
-            )
-    kappa_max = d.get("kappa_max")
-    detection = DetectionSection(
-        eta=_number(d, "eta", 1.0e-6, "detection", lo=0.0, lo_open=True),
-        trials=_integer(d, "trials", 100_000, "detection", lo=1),
-        powers_dbm=tuple(float(p) for p in powers),
-        clutter_levels=tuple(levels),
-        kappa_min=_number(d, "kappa_min", 0.0, "detection"),
-        kappa_max=None if kappa_max is None else _number(d, "kappa_max", None, "detection"),
-        kappa_points=_integer(d, "kappa_points", 21, "detection", lo=1),
-    )
-    if detection.kappa_max is not None and detection.kappa_max <= detection.kappa_min:
-        raise ConfigError(
-            f"detection.kappa_max: must exceed kappa_min={detection.kappa_min}, "
-            f"got {detection.kappa_max}"
-        )
-
-    d = _expect_mapping(raw.get("targets"), "targets")
-    _reject_unknown(d, {"rate_bps_hz", "pfa_max", "pd_min", "p_max_dbm"}, "targets")
-    targets = TargetsSection(
-        rate_bps_hz=_number(d, "rate_bps_hz", 5.0, "targets", lo=0.0),
-        pfa_max=_number(d, "pfa_max", 1.0e-6, "targets", lo=0.0, hi=1.0, lo_open=True),
-        pd_min=_number(d, "pd_min", 0.6, "targets", lo=0.0, hi=1.0),
-        p_max_dbm=_number(d, "p_max_dbm", 46.0, "targets"),
-    )
-
-    d = _expect_mapping(raw.get("optimizer"), "optimizer")
-    _reject_unknown(
-        d, {"power_points", "rho_points", "kappa_points", "tol_factor", "fixed_rho"}, "optimizer"
-    )
-    fixed_rho = d.get("fixed_rho")
-    optimizer = OptimizerSection(
-        power_points=_integer(d, "power_points", 64, "optimizer", lo=2),
-        rho_points=_integer(d, "rho_points", 21, "optimizer", lo=2),
-        kappa_points=_integer(d, "kappa_points", 101, "optimizer", lo=3),
-        tol_factor=_number(d, "tol_factor", 1.0e-3, "optimizer", lo=0.0, lo_open=True),
-        fixed_rho=(
-            None
-            if fixed_rho is None
-            else _number(d, "fixed_rho", None, "optimizer", lo=0.0, hi=1.0)
-        ),
-    )
-    if dbm_to_watts(power.min_dbm) >= dbm_to_watts(targets.p_max_dbm):
-        raise ConfigError(
-            f"targets.p_max_dbm: must exceed power.min_dbm={power.min_dbm}, got {targets.p_max_dbm}"
-        )
-
-    d = _expect_mapping(raw.get("sweep"), "sweep")
-    _reject_unknown(d, {"antennas", "carriers_ghz", "clutter_levels", "realizations"}, "sweep")
-    antennas = d.get("antennas", [5, 10])
-    if not isinstance(antennas, list) or not antennas:
-        raise ConfigError("sweep.antennas: expected a non-empty list of integers")
-    for i, n in enumerate(antennas):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError(f"sweep.antennas[{i}]: expected an integer >= 1, got {n!r}")
-    carriers = d.get("carriers_ghz", [2.8, 28.0])
-    if not isinstance(carriers, list) or not carriers:
-        raise ConfigError("sweep.carriers_ghz: expected a non-empty list of numbers")
-    for i, f in enumerate(carriers):
-        if isinstance(f, bool) or not isinstance(f, (int, float)) or f <= 0:
-            raise ConfigError(f"sweep.carriers_ghz[{i}]: expected a positive number, got {f!r}")
-    sweep_levels = d.get("clutter_levels", ["none", "light", "intense"])
-    if not isinstance(sweep_levels, list) or not sweep_levels:
-        raise ConfigError("sweep.clutter_levels: expected a non-empty list")
-    for i, lvl in enumerate(sweep_levels):
-        if lvl not in CLUTTER_LEVELS:
-            raise ConfigError(
-                f"sweep.clutter_levels[{i}]: must be one of {sorted(CLUTTER_LEVELS)}, got {lvl!r}"
-            )
-    sweep = SweepSection(
-        antennas=tuple(antennas),
-        carriers_ghz=tuple(float(f) for f in carriers),
-        clutter_levels=tuple(sweep_levels),
-        realizations=_integer(d, "realizations", 100, "sweep", lo=1),
-    )
-
-    d = _expect_mapping(raw.get("output"), "output")
-    _reject_unknown(d, {"dir", "format"}, "output")
-    out_dir = d.get("dir", "runs")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError(f"output.dir: expected a non-empty string, got {out_dir!r}")
-    output = OutputSection(
-        dir=out_dir,
-        format=_choice(d, "format", "csv", "output", {"csv", "json"}),
-    )
-
-    return ScenarioConfig(
-        seed=seed,
-        array=array,
-        target=target,
-        clutter=clutter,
-        path_loss=path_loss,
-        comm=comm,
-        power=power,
-        detection=detection,
-        targets=targets,
-        optimizer=optimizer,
-        sweep=sweep,
-        output=output,
-    )
+    return _from_mapping(ScenarioConfig, raw, "config")
 
 
 def load_scenario(path: str) -> ScenarioConfig:

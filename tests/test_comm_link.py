@@ -8,11 +8,11 @@ from jrcsim.comm_link import (
     RelayGain,
     af_gain,
     mrc_rate,
-    rate_constraint_satisfied,
     rate_threshold,
     sinr_direct,
     sinr_relayed,
 )
+from jrcsim.power_allocation import ConstraintTargets, evaluate_point
 from jrcsim.propagation import ChannelSet
 
 N_R = 4e-13
@@ -163,15 +163,6 @@ class TestSinrRelayed:
             )
             assert sinr_relayed(ch, gain, beams) == pytest.approx(expected, rel=1e-12)
 
-    def test_radar_leakage_mode_lowers_sinr(self):
-        rng = np.random.default_rng(8)
-        ch = random_channels(rng, 5)
-        beams = random_beams(rng, 5, scale=0.1)
-        gain = af_gain(ch.h_sr, beams, N_R, budget=0.01)
-        plain = sinr_relayed(ch, gain, beams)
-        strict = sinr_relayed(ch, gain, beams, include_radar_leakage=True)
-        assert strict < plain
-
 
 class TestMrcRate:
     def test_anchor_points(self):
@@ -206,21 +197,30 @@ class TestRateThreshold:
             rate_threshold(-1.0)
 
 
-class TestRateConstraint:
-    def test_boundary_inclusive(self):
-        assert rate_constraint_satisfied(31.0, 0.0, 31.0)
+def rate_targets(gamma_min: float) -> ConstraintTargets:
+    return ConstraintTargets(gamma_min=gamma_min, pfa_max=1.0, pd_min=0.0, p_max_watts=1.0)
 
-    def test_below_threshold(self):
-        assert not rate_constraint_satisfied(15.0, 15.0, 31.0)
+
+class TestRateConstraint:
+    # the optimizer's rate test: gamma_direct + gamma_relayed >= gamma_min
+    def test_boundary_inclusive(self, default_context):
+        pt = evaluate_point(default_context, 1.0, 0.5, 0.0)
+        at_boundary = rate_targets(pt.gamma_direct + pt.gamma_relayed)
+        assert evaluate_point(default_context, 1.0, 0.5, 0.0, at_boundary).meets_rate
+
+    def test_below_threshold(self, default_context):
+        pt = evaluate_point(default_context, 1.0, 0.5, 0.0)
+        just_above = rate_targets(np.nextafter(pt.gamma_direct + pt.gamma_relayed, np.inf))
+        assert not evaluate_point(default_context, 1.0, 0.5, 0.0, just_above).meets_rate
 
     def test_consistent_with_rate(self):
-        # sum >= Gamma exactly when the combined rate meets log2(1 + Gamma)
+        # sum >= rate_threshold(r) exactly when the combined rate meets r
         rng = np.random.default_rng(10)
         for _ in range(500):
             gd = float(rng.uniform(0.0, 40.0))
             gr = float(rng.uniform(0.0, 40.0))
-            gamma = float(rng.uniform(0.0, 80.0))
-            ok = rate_constraint_satisfied(gd, gr, gamma)
-            rate_gap = mrc_rate(gd, gr) - np.log2(1.0 + gamma)
+            rate = float(rng.uniform(0.0, 6.5))
+            ok = gd + gr >= rate_threshold(rate)
+            rate_gap = mrc_rate(gd, gr) - rate
             if abs(rate_gap) > 1e-12:
                 assert ok == (rate_gap > 0.0)

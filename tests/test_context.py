@@ -8,7 +8,6 @@ import pytest
 from jrcsim.context import (
     KIND_SCENE,
     build_context,
-    nominal_power_watts,
     sigma_for_level,
     stream_id,
 )
@@ -40,9 +39,6 @@ class TestLevelMapping:
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             sigma_for_level("medium")
-
-    def test_nominal_power(self):
-        assert nominal_power_watts(ScenarioConfig()) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestBuildContext:

@@ -500,31 +500,34 @@ class TestCli:
     @pytest.mark.parametrize("command", ["scnr-sweep", "tradeoff"])
     def test_extreme_powers_give_finite_tables(self, command, tmp_path, capsys):
         # past ~178 dBm I + P M is no longer numerically positive definite,
-        # which once crashed a Cholesky factorization with a traceback
-        config = {
-            "power": {"min_dbm": 150.0, "max_dbm": 200.0, "points": 6},
-            "targets": {"p_max_dbm": 210.0},
-            "sweep": {"realizations": 3},
-            "optimizer": {"power_points": 12, "rho_points": 5, "kappa_points": 31},
-        }
-        path = tmp_path / "extreme.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / "out"
-        assert main([command, "--config", str(path), "--out", str(out)]) == 0
-        capsys.readouterr()
-        manifest = json.loads((out / "manifest.json").read_text())
+        # which once crashed a Cholesky factorization with a traceback; the
+        # schema admits powers out to +-300 dBm, so both ends must run too
         schemas = {
             "scnr_sweep": SCNR_SWEEP_COLUMNS,
             "scnr_table": SCNR_TABLE_COLUMNS,
             "tradeoff": TRADEOFF_COLUMNS,
             "optimum": OPTIMUM_COLUMNS,
         }
-        for name, filename in manifest["files"].items():
-            columns = schemas[name]
-            for row in parse_table_csv(str(out / filename), columns):
-                for col, kind in columns:
-                    if kind is float and row[col] is not None:
-                        assert np.isfinite(row[col]), (name, col, row)
+        for min_dbm, max_dbm, p_max_dbm in ((150.0, 200.0, 210.0), (250.0, 300.0, 300.0),
+                                            (-300.0, -240.0, -240.0)):
+            config = {
+                "power": {"min_dbm": min_dbm, "max_dbm": max_dbm, "points": 6},
+                "targets": {"p_max_dbm": p_max_dbm},
+                "sweep": {"realizations": 3},
+                "optimizer": {"power_points": 12, "rho_points": 5, "kappa_points": 31},
+            }
+            path = tmp_path / f"extreme_{min_dbm:g}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"out_{min_dbm:g}"
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0, config
+            capsys.readouterr()
+            manifest = json.loads((out / "manifest.json").read_text())
+            for name, filename in manifest["files"].items():
+                columns = schemas[name]
+                for row in parse_table_csv(str(out / filename), columns):
+                    for col, kind in columns:
+                        if kind is float and row[col] is not None:
+                            assert np.isfinite(row[col]), (min_dbm, name, col, row)
 
     def test_unwritable_output_exits_three(self, cli_config, tmp_path, capsys):
         blocker = tmp_path / "blocker"

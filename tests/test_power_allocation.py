@@ -33,7 +33,7 @@ from jrcsim.radar_sensing import (
     scnr_at_optimum,
     transmit_covariance,
 )
-from jrcsim.scenario import ScenarioConfig, dbm_to_watts, watts_to_dbm
+from jrcsim.scenario import ConfigError, ScenarioConfig, dbm_to_watts, watts_to_dbm
 from jrcsim.stats import q_function
 
 
@@ -261,6 +261,7 @@ class TestMinimizePower:
             minimize_power(fast_context, targets=targets)
 
     def test_rejects_bad_grids_and_tolerances(self, fast_context):
+        # a bad grid cannot reach the optimizer: the section refuses to be built
         opt = fast_context.scenario.optimizer
         for field, value in (
             ("power_points", 1),
@@ -269,14 +270,13 @@ class TestMinimizePower:
             ("tol_factor", 0.0),
             ("fixed_rho", 1.5),
         ):
-            with pytest.raises(ValueError):
-                minimize_power(fast_context, grid=dataclasses.replace(opt, **{field: value}))
-        with pytest.raises(ValueError):
-            minimize_power(fast_context, tol_watts=0.0)
+            with pytest.raises(ConfigError, match=rf"^optimizer\.{field}: "):
+                dataclasses.replace(opt, **{field: value})
 
     def test_fixed_split_is_respected(self, fast_context):
-        grid = dataclasses.replace(fast_context.scenario.optimizer, fixed_rho=0.9)
-        result = minimize_power(fast_context, grid=grid)
+        sc = fast_context.scenario
+        fixed = dataclasses.replace(sc, optimizer=dataclasses.replace(sc.optimizer, fixed_rho=0.9))
+        result = minimize_power(fixed)
         assert result.feasible
         assert result.rho_star == 0.9
         assert result.point.rho == 0.9

@@ -157,26 +157,44 @@ class TestValidation:
             scenario_from_dict({"power": {"rho": True}})
 
     def test_range_errors(self):
+        # scalar messages are held whole: name, bound and offending value
         cases = [
-            ({"seed": -1}, "config.seed"),
-            ({"array": {"n_antennas": 0}}, "array.n_antennas"),
-            ({"array": {"carrier_ghz": -1.0}}, "array.carrier_ghz"),
-            ({"target": {"angle_rad": 3.5}}, "target.angle_rad"),
-            ({"target": {"angle_rad": float(np.pi)}}, "target.angle_rad"),
-            ({"target": {"rcs_scale": 0.0}}, "target.rcs_scale"),
-            ({"comm": {"noise_var_dest_w": 0.0}}, "comm.noise_var_dest_w"),
-            ({"power": {"rho": 1.5}}, "power.rho"),
-            ({"power": {"points": 1}}, "power.points"),
-            ({"detection": {"eta": 0.0}}, "detection.eta"),
-            ({"detection": {"trials": 0}}, "detection.trials"),
-            ({"targets": {"pfa_max": 0.0}}, "targets.pfa_max"),
-            ({"targets": {"pfa_max": 1.5}}, "targets.pfa_max"),
-            ({"targets": {"pd_min": -0.1}}, "targets.pd_min"),
-            ({"optimizer": {"rho_points": 1}}, "optimizer.rho_points"),
-            ({"optimizer": {"kappa_points": 2}}, "optimizer.kappa_points"),
-            ({"optimizer": {"tol_factor": 0.0}}, "optimizer.tol_factor"),
-            ({"optimizer": {"fixed_rho": 1.5}}, "optimizer.fixed_rho"),
-            ({"sweep": {"realizations": 0}}, "sweep.realizations"),
+            ({"seed": -1}, "config.seed: must be >= 0, got -1"),
+            ({"array": {"n_antennas": 0}}, "array.n_antennas: must be >= 1, got 0"),
+            ({"array": {"carrier_ghz": -1.0}}, "array.carrier_ghz: must be > 0.0, got -1.0"),
+            (
+                {"target": {"angle_rad": 3.5}},
+                "target.angle_rad: must be <= 3.141592653589793, got 3.5",
+            ),
+            (
+                {"target": {"angle_rad": float(np.pi)}},
+                "target.angle_rad: must be < pi, got 3.141592653589793",
+            ),
+            ({"target": {"rcs_scale": 0.0}}, "target.rcs_scale: must be > 0.0, got 0.0"),
+            ({"comm": {"noise_var_dest_w": 0.0}}, "comm.noise_var_dest_w: must be > 0.0, got 0.0"),
+            ({"power": {"rho": 1.5}}, "power.rho: must be <= 1.0, got 1.5"),
+            ({"power": {"points": 1}}, "power.points: must be >= 2, got 1"),
+            ({"detection": {"eta": 0.0}}, "detection.eta: must be > 0.0, got 0.0"),
+            ({"detection": {"trials": 0}}, "detection.trials: must be >= 1, got 0"),
+            ({"targets": {"pfa_max": 0.0}}, "targets.pfa_max: must be > 0.0, got 0.0"),
+            ({"targets": {"pfa_max": 1.5}}, "targets.pfa_max: must be <= 1.0, got 1.5"),
+            ({"targets": {"pd_min": -0.1}}, "targets.pd_min: must be >= 0.0, got -0.1"),
+            ({"optimizer": {"rho_points": 1}}, "optimizer.rho_points: must be >= 2, got 1"),
+            ({"optimizer": {"kappa_points": 2}}, "optimizer.kappa_points: must be >= 3, got 2"),
+            ({"optimizer": {"tol_factor": 0.0}}, "optimizer.tol_factor: must be > 0.0, got 0.0"),
+            ({"optimizer": {"fixed_rho": 1.5}}, "optimizer.fixed_rho: must be <= 1.0, got 1.5"),
+            ({"sweep": {"realizations": 0}}, "sweep.realizations: must be >= 1, got 0"),
+            # powers outside [-300, 300] dBm, non-finite entries, overflowing literals
+            ({"power": {"max_dbm": 1e300}}, "power.max_dbm: must be <= 300.0"),
+            ({"power": {"min_dbm": -1e300}}, "power.min_dbm: must be >= -300.0"),
+            ({"power": {"nominal_dbm": float("inf")}}, "power.nominal_dbm: must be finite"),
+            ({"power": {"max_dbm": 10**400}}, "power.max_dbm: must be finite"),
+            ({"targets": {"p_max_dbm": 1e300}}, "targets.p_max_dbm: must be <= 300.0"),
+            ({"detection": {"powers_dbm": [float("nan")]}}, "detection.powers_dbm[0]: must be finite"),
+            ({"detection": {"powers_dbm": [30.0, float("inf")]}}, "detection.powers_dbm[1]: must be finite"),
+            ({"detection": {"powers_dbm": [301.0]}}, "detection.powers_dbm[0]: must be <= 300.0"),
+            ({"sweep": {"carriers_ghz": [float("nan")]}}, "sweep.carriers_ghz[0]: must be finite"),
+            ({"sweep": {"carriers_ghz": [float("inf")]}}, "sweep.carriers_ghz[0]: must be finite"),
         ]
         for raw, needle in cases:
             with pytest.raises(ConfigError) as err:
@@ -195,6 +213,30 @@ class TestValidation:
         with pytest.raises(ConfigError):
             scenario_from_dict({"detection": {"powers_dbm": []}})
 
+    def test_every_construction_is_validated(self):
+        with pytest.raises(ConfigError, match=r"^optimizer\.kappa_points: must be >= 3, got 2$"):
+            dataclasses.replace(ScenarioConfig().optimizer, kappa_points=2)
+        with pytest.raises(ConfigError, match=r"^config\.seed: must be >= 0, got -1$"):
+            ScenarioConfig(seed=-1)
+        with pytest.raises(ConfigError, match=r"^detection\.powers_dbm\[0\]: must be finite$"):
+            dataclasses.replace(ScenarioConfig().detection, powers_dbm=(float("nan"),))
+        low = dataclasses.replace(ScenarioConfig().targets, p_max_dbm=-20.0)
+        with pytest.raises(ConfigError, match=r"^targets\.p_max_dbm: must exceed power\.min_dbm"):
+            ScenarioConfig(targets=low)
+        with pytest.raises(ConfigError, match=r"^array: expected an object"):
+            ScenarioConfig(array={"n_antennas": 5})
+
+    def test_construction_normalizes_like_parsing(self):
+        sc = ScenarioConfig()
+        built = dataclasses.replace(
+            sc,
+            array=dataclasses.replace(sc.array, carrier_ghz=28),
+            detection=dataclasses.replace(sc.detection, powers_dbm=[30, 36]),
+        )
+        assert built == sc
+        assert isinstance(built.array.carrier_ghz, float)
+        assert config_hash(built) == config_hash(sc)
+
     def test_cross_field_constraints(self):
         with pytest.raises(ConfigError, match="clutter.max_range_m"):
             scenario_from_dict({"clutter": {"min_range_m": 2.0, "max_range_m": 1.0}})
@@ -208,6 +250,8 @@ class TestValidation:
     def test_string_choices(self):
         with pytest.raises(ConfigError, match="target.phase"):
             scenario_from_dict({"target": {"phase": "random"}})
+        with pytest.raises(ConfigError, match="target.phase"):
+            scenario_from_dict({"target": {"phase": ["zero"]}})
         with pytest.raises(ConfigError, match="path_loss.kind"):
             scenario_from_dict({"path_loss": {"kind": "two_ray"}})
         with pytest.raises(ConfigError, match="comm.fading"):
