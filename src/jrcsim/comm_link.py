@@ -5,6 +5,9 @@ unit-power symbols). All receive combining uses plain-transpose channel
 products h^T u, matching the transmit-side conjugation convention of the
 channel synthesis. The destination combines the direct and relayed copies by
 maximum ratio, so the SINRs add before the log.
+
+A BeamformerSet may hold stacks of beams (rows, say one per power split); the
+gain and SINR formulas then give each row's value, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BeamformerSet:
-    """Transmit beamformers: one or more data beams plus the radar beam."""
+    """Transmit beamformers: one or more data beams plus the radar beam, each
+    an (N,) vector or an (..., N) stack of them."""
 
     comm_beams: tuple[np.ndarray, ...]
     radar_beam: np.ndarray
@@ -36,18 +40,18 @@ class BeamformerSet:
     def __post_init__(self) -> None:
         if len(self.comm_beams) < 1:
             raise ValueError("at least one communication beam is required")
-        n = len(self.radar_beam)
+        n = np.shape(self.radar_beam)
         for k, u in enumerate(self.comm_beams):
-            if len(u) != n:
-                raise ValueError(f"comm beam {k} length {len(u)} != radar beam length {n}")
+            if np.shape(u) != n:
+                raise ValueError(f"comm beam {k} shape {np.shape(u)} != radar beam shape {n}")
         vecs = list(self.comm_beams) + [self.radar_beam]
         if not all(np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag)) for v in vecs):
             raise ValueError("beamformer entries must be finite")
 
     @property
     def stacked(self) -> np.ndarray:
-        """(K + 1, N) array: the data beams, then the radar beam, as rows."""
-        return np.vstack((*self.comm_beams, self.radar_beam))
+        """(..., K + 1, N) array: the data beams, then the radar beam, as rows."""
+        return np.stack((*self.comm_beams, self.radar_beam), axis=-2)
 
     @property
     def total_power(self) -> float:
@@ -65,6 +69,13 @@ class RelayGain:
     budget: float
 
 
+def _beam_gain(h: np.ndarray, beam: np.ndarray):
+    """|h^T b|^2 for one beam or each row of a stack, rounded as the scalar
+    abs(np.dot(h, b)) ** 2 is: the same BLAS dot, hypot and pow."""
+    z = np.vecdot(h.conj(), beam)
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
 def af_gain(h_sr: np.ndarray, beams: BeamformerSet, noise_var_relay: float, budget: float) -> RelayGain:
     """Relay gain f_rd = sqrt(budget / (received signal power + relay noise)).
 
@@ -75,35 +86,30 @@ def af_gain(h_sr: np.ndarray, beams: BeamformerSet, noise_var_relay: float, budg
         raise ValueError(f"relay power budget must be >= 0, got {budget}")
     if noise_var_relay <= 0.0:
         raise ValueError(f"noise_var_relay must be positive, got {noise_var_relay}")
-    received = sum(abs(np.dot(h_sr, u)) ** 2 for u in beams.comm_beams)
-    received += abs(np.dot(h_sr, beams.radar_beam)) ** 2
-    return RelayGain(gain=float(np.sqrt(budget / (received + noise_var_relay))), budget=budget)
+    received = sum(_beam_gain(h_sr, u) for u in beams.comm_beams)
+    received += _beam_gain(h_sr, beams.radar_beam)
+    return RelayGain(gain=np.sqrt(budget / (received + noise_var_relay)), budget=budget)
 
 
-def sinr_direct(h_sd: np.ndarray, beams: BeamformerSet, noise_var_dest: float, k: int = 0) -> float:
-    """Direct-link SINR: data beam k against radar leakage plus noise."""
+def sinr_direct(h_sd: np.ndarray, beams: BeamformerSet, noise_var_dest: float):
+    """Direct-link SINR: the first data beam against radar leakage plus noise."""
     if noise_var_dest <= 0.0:
         raise ValueError(f"noise_var_dest must be positive, got {noise_var_dest}")
-    signal = abs(np.dot(h_sd, beams.comm_beams[k])) ** 2
-    interference = abs(np.dot(h_sd, beams.radar_beam)) ** 2
-    return float(signal / (interference + noise_var_dest))
+    signal = _beam_gain(h_sd, beams.comm_beams[0])
+    interference = _beam_gain(h_sd, beams.radar_beam)
+    return signal / (interference + noise_var_dest)
 
 
-def sinr_relayed(
-    channels: ChannelSet,
-    gain: RelayGain,
-    beams: BeamformerSet,
-    k: int = 0,
-) -> float:
-    """Relayed-path SINR at the destination.
+def sinr_relayed(channels: ChannelSet, gain: RelayGain, beams: BeamformerSet):
+    """Relayed-path SINR at the destination for the first data beam u.
 
-    gamma_rd = |h_rd f h_sr^T u_k|^2 / (|h_rd f|^2 N_r + N_d).
+    gamma_rd = |h_rd f h_sr^T u|^2 / (|h_rd f|^2 N_r + N_d).
     """
     f = gain.gain
     through = abs(channels.h_rd) ** 2 * f * f
-    signal = through * abs(np.dot(channels.h_sr, beams.comm_beams[k])) ** 2
+    signal = through * _beam_gain(channels.h_sr, beams.comm_beams[0])
     denom = through * channels.noise_var_relay + channels.noise_var_dest
-    return float(signal / denom)
+    return signal / denom
 
 
 def mrc_rate(gamma_direct: float, gamma_relayed: float) -> float:

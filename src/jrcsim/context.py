@@ -30,7 +30,7 @@ from .propagation import (
     target_reflectivity,
     TargetPhase,
 )
-from .detection import DetectionStatisticParams, statistic_params
+from .detection import DetectionStatisticParams, statistic_moments, statistic_params
 from .radar_sensing import (
     ClutterSteering,
     InterferenceKernel,
@@ -110,14 +110,15 @@ class SimulationContext:
     def n_antennas(self) -> int:
         return self.array.n_antennas
 
-    def beams_at(self, power_watts: float, rho: float) -> BeamformerSet:
-        """Split a power budget between the matched data and radar directions."""
+    def beams_at(self, power_watts: float, rho) -> BeamformerSet:
+        """Split a power budget between the matched data and radar directions;
+        an array of splits gives each beam a leading split axis."""
         if power_watts < 0.0:
             raise ValueError(f"power must be nonnegative, got {power_watts}")
-        if not 0.0 <= rho <= 1.0:
+        if not np.all((0.0 <= rho) & (rho <= 1.0)):
             raise ValueError(f"power split must lie in [0, 1], got {rho}")
-        u = np.sqrt((1.0 - rho) * power_watts) * self.comm_direction
-        v = np.sqrt(rho * power_watts) * self.radar_direction
+        u = np.sqrt((1.0 - rho) * power_watts)[..., None] * self.comm_direction
+        v = np.sqrt(rho * power_watts)[..., None] * self.radar_direction
         return BeamformerSet(comm_beams=(u,), radar_beam=v)
 
     def unit_beams(self, rho: float) -> np.ndarray:
@@ -129,15 +130,28 @@ class SimulationContext:
     def waveform_at(self, beams: BeamformerSet) -> np.ndarray:
         return waveform_from_symbols(beams, self.symbols)
 
-    def sensing_at(self, power_watts: float, rho: float) -> SensingPoint:
-        """Optimal receive beamformer and detector moments at one operating point."""
+    def _receive(self, power_watts: float, rho):
+        """Beams, frozen waveform x and w = W^-1 A x; rho may be an array of splits."""
         beams = self.beams_at(power_watts, rho)
         x = self.waveform_at(beams)
         a = self.target_steering
         kernel = InterferenceKernel(self.clutter, self.clutter.gains(beams.stacked))
-        w = kernel.solve(a * np.dot(a, x))
-        params = statistic_params(w, self.alpha0, a, self.clutter, x, eta=1.0)
+        w = kernel.solve(a * np.vecdot(a.conj(), x)[..., None])
+        return beams, x, w
+
+    def sensing_at(self, power_watts: float, rho: float) -> SensingPoint:
+        """Optimal receive beamformer and detector moments at one operating point."""
+        beams, x, w = self._receive(power_watts, rho)
+        params = statistic_params(w, self.alpha0, self.target_steering, self.clutter, x, eta=1.0)
         return SensingPoint(beams, x, w, params)
+
+    def sensing_over_splits(self, power_watts: float, rhos: np.ndarray):
+        """sensing_at for every split in rhos at once: the beams (with a leading
+        split axis) and arrays of |mu_1| and sigma^2, each entry bit for bit what
+        sensing_at gives for that split alone."""
+        beams, x, w = self._receive(power_watts, np.asarray(rhos, dtype=float))
+        mu1, sigma2 = statistic_moments(w, self.alpha0, self.target_steering, self.clutter, x)
+        return beams, np.hypot(mu1.real, mu1.imag), sigma2
 
 
 def build_context(

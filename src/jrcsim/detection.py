@@ -38,6 +38,7 @@ __all__ = [
     "DetectionStatisticParams",
     "DetectionOperatingPoint",
     "statistic_params",
+    "statistic_moments",
     "with_threshold",
     "false_alarm_probability",
     "detection_probability",
@@ -92,11 +93,32 @@ def statistic_params(
     """Moments of y_s = w^H s and the threshold kappa = sigma^2 ln(eta) + |mu_1|^2."""
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    # w^H A x with A = a a^T collapses to (w^H a)(a^T x)
-    mu1 = alpha0 * np.vdot(w, a_target) * np.dot(a_target, x)
-    sigma2 = float(np.vdot(w, w).real) + clutter.projected_power(w, x)
+    mu1, sigma2 = statistic_moments(w, alpha0, a_target, clutter, x)
+    sigma2 = float(sigma2)
     kappa = sigma2 * math.log(eta) + abs(mu1) ** 2
     return DetectionStatisticParams(mu1=complex(mu1), sigma2=sigma2, kappa=kappa, eta=eta)
+
+
+def statistic_moments(
+    w: np.ndarray,
+    alpha0: complex,
+    a_target: np.ndarray,
+    clutter: ClutterSteering,
+    x: np.ndarray,
+):
+    """mu_1 and sigma^2 of y_s = w^H s for one (w, x) pair or a stack of them.
+
+    A stack rounds as one pair does: np.vecdot runs the BLAS dots of np.vdot
+    and np.dot, and complex products are in real arithmetic, as scalar ones are.
+    """
+    # w^H A x with A = a a^T collapses to (w^H a)(a^T x)
+    mu1 = _complex_product(_complex_product(alpha0, np.vecdot(w, a_target)), np.vecdot(a_target.conj(), x))
+    sigma2 = np.vecdot(w, w).real + clutter.projected_power(w, x)
+    return mu1, sigma2
+
+
+def _complex_product(p, q):
+    return (p.real * q.real - p.imag * q.imag) + 1j * (p.real * q.imag + p.imag * q.real)
 
 
 def with_threshold(params: DetectionStatisticParams, kappa: float) -> DetectionStatisticParams:

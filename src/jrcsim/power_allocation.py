@@ -10,12 +10,20 @@ not exceed its limit, the detection probability must reach its floor, and
 the spent power must stay within the ceiling.
 
 minimize_power walks an ascending coarse power grid to the first feasible
-point, then bisects the bracketing interval, re-optimizing (rho, kappa) at
-every probe. Ties prefer smaller P, then smaller rho, then smaller kappa.
-The result carries a certificate point re-evaluated from scratch at the
-winning triple. tradeoff_sweep reports, per grid power, the best achievable
-rate, the best detection probability subject to the false-alarm limit, and
-whether the constraint set is jointly satisfiable there.
+point, then bisects the bracketing interval until it is within tolerance or
+cannot be split further, re-optimizing (rho, kappa) at every probe. Ties
+prefer smaller P, then smaller rho, then smaller kappa. The result carries a
+certificate point re-evaluated from scratch at the winning triple.
+tradeoff_sweep reports, per grid power, the best achievable rate, the best
+detection probability subject to the false-alarm limit, and whether the
+constraint set is jointly satisfiable there.
+
+A probe evaluates the whole split grid at once: beams, waveforms, clutter
+gains, one stacked SVD, w, mu_1, sigma^2 and both SINRs carry a leading
+split axis, and the (split, kappa) P_FA and P_D matrices follow. The first
+feasible split and the best guarded detection are first-index argmaxes over
+those, so the tie-breaks are a split-by-split scan's, and every entry equals,
+bit for bit, what the one-point path (evaluate_point) computes.
 """
 
 from __future__ import annotations
@@ -25,13 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm_link import (
+    BeamformerSet,
     af_gain,
     mrc_rate,
     rate_threshold,
     sinr_direct,
     sinr_relayed,
 )
-from .context import SensingPoint, SimulationContext, build_context
+from .context import SimulationContext, build_context
 from .detection import (
     detection_probability,
     false_alarm_probability,
@@ -152,21 +161,6 @@ class OptimizationResult:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class _Physics:
-    sensing: SensingPoint
-    gamma_direct: float
-    gamma_relayed: float
-
-    @property
-    def mu1_abs(self) -> float:
-        return self.sensing.mu1_abs
-
-    @property
-    def sigma2(self) -> float:
-        return self.sensing.sigma2
-
-
 def _as_context(obj) -> SimulationContext:
     if isinstance(obj, SimulationContext):
         return obj
@@ -175,19 +169,18 @@ def _as_context(obj) -> SimulationContext:
     raise TypeError(f"expected ScenarioConfig or SimulationContext, got {type(obj).__name__}")
 
 
-def _point_physics(ctx: SimulationContext, power_watts: float, rho: float) -> _Physics:
-    sensing = ctx.sensing_at(power_watts, rho)
-    beams = sensing.beams
+def _link_sinrs(ctx: SimulationContext, beams: BeamformerSet):
+    """(gamma_direct, gamma_relayed) for one beam set or a stack of them."""
     gain = af_gain(ctx.channels.h_sr, beams, ctx.channels.noise_var_relay, ctx.relay_budget)
     gamma_direct = sinr_direct(ctx.channels.h_sd, beams, ctx.channels.noise_var_dest)
-    gamma_relayed = sinr_relayed(ctx.channels, gain, beams)
-    return _Physics(sensing, gamma_direct, gamma_relayed)
+    return gamma_direct, sinr_relayed(ctx.channels, gain, beams)
 
 
-def threshold_grid(mu1_abs: float, sigma2: float, points: int) -> np.ndarray:
-    """Detector thresholds spanning sure-alarm to sure-silence for this point."""
+def threshold_grid(mu1_abs, sigma2, points: int) -> np.ndarray:
+    """Detector thresholds spanning sure-alarm to sure-silence for this point;
+    arrays of mu1_abs and sigma2 give one row of thresholds per entry."""
     scale = sigma2 + mu1_abs * mu1_abs
-    return np.linspace(-_KAPPA_SPAN, _KAPPA_SPAN, points) * scale
+    return np.multiply.outer(scale, np.linspace(-_KAPPA_SPAN, _KAPPA_SPAN, points))
 
 
 def _rho_grid(opt) -> np.ndarray:
@@ -197,11 +190,18 @@ def _rho_grid(opt) -> np.ndarray:
     return np.linspace(0.0, 1.0, opt.rho_points)
 
 
-def _detection_curves(mu1_abs: float, sigma2: float, kappas: np.ndarray):
-    scale = mu1_abs * np.sqrt(2.0 * sigma2)
-    pfa = q_function(kappas / scale)
-    pd = q_function((kappas - 2.0 * mu1_abs * mu1_abs) / scale)
-    return pfa, pd
+def _split_grid(ctx: SimulationContext, power_watts: float, rhos: np.ndarray, kappa_points: int):
+    """What the split search reads at one power, one row per split: both link
+    SINRs, which rows are live, and the (split, kappa) thresholds, P_FA and P_D.
+    A row is live when |mu_1| > 0; the curves of other rows are undefined and
+    no search picks them."""
+    beams, mu1_abs, sigma2 = ctx.sensing_over_splits(power_watts, rhos)
+    kappas = threshold_grid(mu1_abs, sigma2, kappa_points)
+    mu, scale = mu1_abs[:, None], (mu1_abs * np.sqrt(2.0 * sigma2))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pfa = q_function(kappas / scale)
+        pd = q_function((kappas - 2.0 * mu * mu) / scale)
+    return (*_link_sinrs(ctx, beams), mu1_abs > 0.0, kappas, pfa, pd)
 
 
 def _first_feasible(
@@ -211,21 +211,16 @@ def _first_feasible(
     rhos: np.ndarray,
     kappa_points: int,
 ) -> tuple[tuple[float, float] | None, int]:
-    """Smallest (rho, kappa) meeting rate and detection constraints, if any."""
-    evals = 0
-    for rho in rhos:
-        ph = _point_physics(ctx, power_watts, float(rho))
-        evals += 1
-        if ph.gamma_direct + ph.gamma_relayed < targets.gamma_min:
-            continue
-        if ph.mu1_abs <= 0.0:
-            continue
-        kappas = threshold_grid(ph.mu1_abs, ph.sigma2, kappa_points)
-        pfa, pd = _detection_curves(ph.mu1_abs, ph.sigma2, kappas)
-        ok = (pfa <= targets.pfa_max) & (pd >= targets.pd_min)
-        if ok.any():
-            return (float(rho), float(kappas[int(np.argmax(ok))])), evals
-    return None, evals
+    """Smallest (rho, kappa) meeting rate and detection constraints, if any, and
+    the number of splits up to and including it (all of them when none is)."""
+    gamma_direct, gamma_relayed, live, kappas, pfa, pd = _split_grid(ctx, power_watts, rhos, kappa_points)
+    ok = (pfa <= targets.pfa_max) & (pd >= targets.pd_min)
+    ok &= ((gamma_direct + gamma_relayed >= targets.gamma_min) & live)[:, None]
+    feasible_rows = ok.any(axis=1)
+    if not feasible_rows.any():
+        return None, len(rhos)
+    i = int(np.argmax(feasible_rows))
+    return (float(rhos[i]), float(kappas[i, np.argmax(ok[i])])), i + 1
 
 
 def first_feasible_split(
@@ -277,13 +272,13 @@ def evaluate_point(
             feasible=False,
             degenerate=True,
         )
-    ph = _point_physics(ctx, power_watts, rho)
-    sensing = ph.sensing
-    rate = mrc_rate(ph.gamma_direct, ph.gamma_relayed)
+    sensing = ctx.sensing_at(power_watts, rho)
+    gamma_direct, gamma_relayed = (float(g) for g in _link_sinrs(ctx, sensing.beams))
+    rate = mrc_rate(gamma_direct, gamma_relayed)
     params = with_threshold(sensing.params, kappa)
     pfa = false_alarm_probability(params)
     pd = detection_probability(params)
-    meets_rate = ph.gamma_direct + ph.gamma_relayed >= targets.gamma_min
+    meets_rate = gamma_direct + gamma_relayed >= targets.gamma_min
     meets_pfa = pfa <= targets.pfa_max
     meets_pd = pd >= targets.pd_min
     within_budget = sensing.beams.total_power <= power_watts + _BUDGET_SLACK * max(1.0, power_watts)
@@ -296,12 +291,12 @@ def evaluate_point(
         rho=rho,
         kappa=kappa,
         rate_bps_hz=rate,
-        gamma_direct=ph.gamma_direct,
-        gamma_relayed=ph.gamma_relayed,
+        gamma_direct=gamma_direct,
+        gamma_relayed=gamma_relayed,
         pfa=pfa,
         pd=pd,
-        mu1_abs=ph.mu1_abs,
-        sigma2=ph.sigma2,
+        mu1_abs=sensing.mu1_abs,
+        sigma2=sensing.sigma2,
         scnr_opt=float(scnr_opt),
         scnr_avg=float(scnr_avg),
         meets_rate=meets_rate,
@@ -362,6 +357,8 @@ def minimize_power(
         hi = p_star
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # the bracket is as narrow as floats allow
             best, n = _first_feasible(ctx, targets, mid, rhos, opt.kappa_points)
             evaluations += n
             if best is not None:
@@ -391,42 +388,25 @@ def _tradeoff_record(
     rhos: np.ndarray,
     kappa_points: int,
 ) -> TradeoffRecord:
-    best_rate = 0.0
-    best: tuple[float, float, float, float] | None = None  # (pd, rho, kappa, pfa)
-    fallback: tuple[float, float, float, float] | None = None
-    jointly_feasible = False
-    for rho in rhos:
-        ph = _point_physics(ctx, power_watts, float(rho))
-        rate = mrc_rate(ph.gamma_direct, ph.gamma_relayed)
-        if rate > best_rate:
-            best_rate = rate
-        if ph.mu1_abs <= 0.0:
-            continue
-        kappas = threshold_grid(ph.mu1_abs, ph.sigma2, kappa_points)
-        pfa, pd = _detection_curves(ph.mu1_abs, ph.sigma2, kappas)
-        if fallback is None:
-            fallback = (float(pd[-1]), float(rho), float(kappas[-1]), float(pfa[-1]))
-        allowed = pfa <= targets.pfa_max
-        if not allowed.any():
-            continue
-        j = int(np.argmax(allowed))  # pd is decreasing in kappa, so first allowed is best
-        if best is None or pd[j] > best[0]:
-            best = (float(pd[j]), float(rho), float(kappas[j]), float(pfa[j]))
-        meets_rate = ph.gamma_direct + ph.gamma_relayed >= targets.gamma_min
-        if meets_rate and (allowed & (pd >= targets.pd_min)).any():
-            jointly_feasible = True
-    if best is None:
-        best = fallback if fallback is not None else (0.0, float(rhos[0]), 0.0, 0.0)
-    pd_best, rho_best, kappa_best, pfa_best = best
-    return TradeoffRecord(
-        power_watts=power_watts,
-        rho=rho_best,
-        kappa=kappa_best,
-        rate_bps_hz=best_rate,
-        pd=pd_best,
-        pfa=pfa_best,
-        feasible=jointly_feasible,
-    )
+    gamma_direct, gamma_relayed, live, kappas, pfa, pd = _split_grid(ctx, power_watts, rhos, kappa_points)
+    # the rate is log2(1 + gamma_sum), so the best rate sits at the largest sum
+    i = int(np.argmax(1.0 + gamma_direct + gamma_relayed))
+    best_rate = mrc_rate(gamma_direct[i], gamma_relayed[i])
+    allowed = (pfa <= targets.pfa_max) & live[:, None]
+    meets_rate = gamma_direct + gamma_relayed >= targets.gamma_min
+    feasible = bool(np.any(allowed & (pd >= targets.pd_min) & meets_rate[:, None]))
+    if allowed.any():
+        # pd falls with kappa, so a row's first allowed threshold is its best;
+        # argmax takes the first maximum, so ties go to the smallest rho
+        first = np.argmax(allowed, axis=1)
+        i = int(np.argmax(np.where(allowed.any(axis=1), pd[np.arange(len(rhos)), first], -np.inf)))
+        j = first[i]
+    elif live.any():
+        i, j = int(np.argmax(live)), -1  # no threshold meets the cap: the strictest one
+    else:
+        return TradeoffRecord(power_watts, float(rhos[0]), 0.0, best_rate, 0.0, 0.0, feasible)
+    kappa, pd_best, pfa_best = (float(m[i, j]) for m in (kappas, pd, pfa))
+    return TradeoffRecord(power_watts, float(rhos[i]), kappa, best_rate, pd_best, pfa_best, feasible)
 
 
 def tradeoff_sweep(

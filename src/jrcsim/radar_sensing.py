@@ -71,13 +71,16 @@ class ClutterSteering:
         )
 
     def gains(self, beams: np.ndarray) -> np.ndarray:
-        """g_l = sigma_l^2 sum_k |a_l^T b_k|^2 over the transmit beams b_k (rows)."""
-        return self.scale**2 * np.sum(np.abs(beams @ self.matrix) ** 2, axis=0)
+        """g_l = sigma_l^2 sum_k |a_l^T b_k|^2 over the transmit beams b_k (rows of
+        a (K, N) set, or of each set in a (..., K, N) stack)."""
+        return self.scale**2 * np.sum(np.abs(beams @ self.matrix) ** 2, axis=-2)
 
-    def projected_power(self, w: np.ndarray, x: np.ndarray) -> float:
-        """sum_l sigma_l^2 |w^H a_l|^2 |a_l^T x|^2: clutter power behind receive beamformer w."""
-        per_scatterer = np.abs(w.conj() @ self.matrix) ** 2 * np.abs(x @ self.matrix) ** 2
-        return float(np.sum(self.scale**2 * per_scatterer))
+    def projected_power(self, w: np.ndarray, x: np.ndarray):
+        """sum_l sigma_l^2 |w^H a_l|^2 |a_l^T x|^2: clutter power behind receive
+        beamformer w, for one (w, x) pair or a stack of them (leading axes)."""
+        received = np.abs(_rows_times(w.conj(), self.matrix)) ** 2
+        per_scatterer = received * np.abs(_rows_times(x, self.matrix)) ** 2
+        return np.sum(self.scale**2 * per_scatterer, axis=-1)
 
     def echoes(self, x: np.ndarray) -> np.ndarray:
         """(L, N) rows sigma_l a_l (a_l^T x): each scatterer's return per unit amplitude."""
@@ -94,26 +97,43 @@ class InterferenceKernel:
     than the eps ||M|| an eigendecomposition of M would leave on its small
     eigenvalues, so the result stays accurate however ill-conditioned W is.
     Without clutter power W is I exactly.
+
+    Gains (..., L) give a stack of kernels from one stacked SVD, and solve takes
+    a matching (..., N) stack; each product runs per matrix, so every kernel in
+    the stack matches the kernel built from its gains alone, bit for bit. A row
+    without clutter power in such a stack is decomposed as a zero matrix, whose
+    SVD gives U = I, so its W is I as well.
     """
 
     def __init__(self, clutter: ClutterSteering, gains: np.ndarray):
         n = clutter.matrix.shape[0]
-        self._lam = np.zeros(n)
+        self._lam = np.zeros(gains.shape[:-1] + (n,))
         if np.any(gains > 0.0):
-            self._vecs, s, _ = np.linalg.svd(clutter.matrix * np.sqrt(gains))
-            self._lam[: s.size] = s**2
+            self._vecs, s, _ = np.linalg.svd(clutter.matrix * np.sqrt(gains[..., None, :]))
+            self._lam[..., : s.shape[-1]] = s**2
         else:
             self._vecs = np.eye(n)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """W(1)^-1 y."""
-        return self._vecs @ ((self._vecs.conj().T @ y) / (1.0 + self._lam))
+        z = _matvec(self._vecs.conj().swapaxes(-1, -2), y) / (1.0 + self._lam)
+        return _matvec(self._vecs, z)
 
     def quadratic(self, y: np.ndarray, scales=1.0) -> np.ndarray:
-        """y^H W(s)^-1 y for each scale s (a scalar or an array of scales)."""
+        """y^H W(s)^-1 y of one kernel for each scale s (a scalar or an array of scales)."""
         z = self._vecs.conj().T @ y
         energy = z.real**2 + z.imag**2
         return np.sum(energy / (1.0 + np.multiply.outer(scales, self._lam)), axis=-1)
+
+
+def _rows_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v @ m for a vector v or each row of a stack: one BLAS vector-matrix product per row."""
+    return (v[..., None, :] @ m)[..., 0, :]
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for one matrix and vector or for matching stacks of them, one product per pair."""
+    return (m @ v[..., None])[..., 0]
 
 
 def response_matrix(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:

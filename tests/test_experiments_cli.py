@@ -30,7 +30,8 @@ from jrcsim.experiments import (
     run_tradeoff,
     run_validation,
 )
-from jrcsim.scenario import ScenarioConfig, config_hash, watts_to_dbm
+from jrcsim.power_allocation import evaluate_point
+from jrcsim.scenario import ScenarioConfig, config_hash, load_scenario, watts_to_dbm
 
 
 @pytest.fixture(scope="module")
@@ -496,6 +497,20 @@ class TestCli:
         assert "infeasible" in text
         records = parse_table_csv(str(out / "optimum.csv"), OPTIMUM_COLUMNS)
         assert records[0]["feasible"] is False
+
+    def test_tolerance_below_float_spacing_still_finishes(self, tmp_path, capsys):
+        # the bisection stops once the bracket cannot be split any further
+        config = dict(CLI_CONFIG, optimizer={**CLI_CONFIG["optimizer"], "tol_factor": 1e-20})
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        row = parse_table_csv(str(out / "optimum.csv"), OPTIMUM_COLUMNS)[0]
+        point = evaluate_point(
+            load_scenario(str(path)), row["p_star_watts"], row["rho"], row["kappa"]
+        )
+        assert point.feasible
 
     @pytest.mark.parametrize("command", ["scnr-sweep", "tradeoff"])
     def test_extreme_powers_give_finite_tables(self, command, tmp_path, capsys):

@@ -9,8 +9,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jrcsim.comm_link import mrc_rate, rate_threshold
+from jrcsim.comm_link import af_gain, mrc_rate, rate_threshold, sinr_direct, sinr_relayed
 from jrcsim.context import build_context
 from jrcsim.detection import (
     detection_probability,
@@ -20,6 +22,10 @@ from jrcsim.detection import (
 )
 from jrcsim.power_allocation import (
     ConstraintTargets,
+    TradeoffRecord,
+    _first_feasible,
+    _rho_grid,
+    _tradeoff_record,
     evaluate_point,
     first_feasible_split,
     minimize_power,
@@ -358,3 +364,150 @@ class TestTradeoffSweep:
         )
         result = tradeoff_sweep(scenario)
         assert all(rec.rho == 0.9 for rec in result.records)
+
+
+# The split search evaluates every split of a power in one batch. The oracle
+# below is the split-by-split scan it replaced, built from the one-point path
+# (ctx.sensing_at and the scalar link formulas); the two must agree exactly.
+
+
+def _oracle_physics(ctx, power, rho):
+    sensing = ctx.sensing_at(power, float(rho))
+    beams = sensing.beams
+    gain = af_gain(ctx.channels.h_sr, beams, ctx.channels.noise_var_relay, ctx.relay_budget)
+    gamma_direct = sinr_direct(ctx.channels.h_sd, beams, ctx.channels.noise_var_dest)
+    gamma_relayed = sinr_relayed(ctx.channels, gain, beams)
+    return sensing.mu1_abs, sensing.sigma2, gamma_direct, gamma_relayed
+
+
+def _oracle_curves(mu1_abs, sigma2, kappa_points):
+    kappas = threshold_grid(mu1_abs, sigma2, kappa_points)
+    scale = mu1_abs * np.sqrt(2.0 * sigma2)
+    pfa = q_function(kappas / scale)
+    pd = q_function((kappas - 2.0 * mu1_abs * mu1_abs) / scale)
+    return kappas, pfa, pd
+
+
+def _oracle_first_feasible(ctx, targets, power, rhos, kappa_points):
+    evals = 0
+    for rho in rhos:
+        mu1_abs, sigma2, gamma_direct, gamma_relayed = _oracle_physics(ctx, power, rho)
+        evals += 1
+        if gamma_direct + gamma_relayed < targets.gamma_min or mu1_abs <= 0.0:
+            continue
+        kappas, pfa, pd = _oracle_curves(mu1_abs, sigma2, kappa_points)
+        ok = (pfa <= targets.pfa_max) & (pd >= targets.pd_min)
+        if ok.any():
+            return (float(rho), float(kappas[int(np.argmax(ok))])), evals
+    return None, evals
+
+
+def _oracle_tradeoff_record(ctx, targets, power, rhos, kappa_points):
+    best_rate = 0.0
+    best = fallback = None  # (pd, rho, kappa, pfa)
+    jointly_feasible = False
+    for rho in rhos:
+        mu1_abs, sigma2, gamma_direct, gamma_relayed = _oracle_physics(ctx, power, rho)
+        best_rate = max(best_rate, mrc_rate(gamma_direct, gamma_relayed))
+        if mu1_abs <= 0.0:
+            continue
+        kappas, pfa, pd = _oracle_curves(mu1_abs, sigma2, kappa_points)
+        if fallback is None:
+            fallback = (float(pd[-1]), float(rho), float(kappas[-1]), float(pfa[-1]))
+        allowed = pfa <= targets.pfa_max
+        if not allowed.any():
+            continue
+        j = int(np.argmax(allowed))
+        if best is None or pd[j] > best[0]:
+            best = (float(pd[j]), float(rho), float(kappas[j]), float(pfa[j]))
+        if gamma_direct + gamma_relayed >= targets.gamma_min and (allowed & (pd >= targets.pd_min)).any():
+            jointly_feasible = True
+    if best is None:
+        best = fallback if fallback is not None else (0.0, float(rhos[0]), 0.0, 0.0)
+    pd_best, rho_best, kappa_best, pfa_best = best
+    return TradeoffRecord(power, rho_best, kappa_best, best_rate, pd_best, pfa_best, jointly_feasible)
+
+
+def _uniform(lo, hi):
+    # sampled_from spreads draws evenly; st.floats favours its bounds
+    return st.sampled_from(np.linspace(lo, hi, 1001).tolist())
+
+
+@st.composite
+def split_searches(draw):
+    """A random valid scene, targets and split grid, and a power from 1e-4 W to 300 dBm."""
+    sc = ScenarioConfig()
+    sc = dataclasses.replace(
+        sc,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        array=dataclasses.replace(
+            sc.array,
+            n_antennas=draw(st.sampled_from(range(1, 13))),
+            carrier_ghz=draw(st.sampled_from([2.8, 28.0])),
+        ),
+        clutter=dataclasses.replace(
+            sc.clutter,
+            count=draw(st.sampled_from(range(9))),
+            sigma=draw(st.one_of(st.just(0.0), _uniform(0.0, 1.5), _uniform(0.0, 1.5))),
+        ),
+        comm=dataclasses.replace(sc.comm, fading=draw(st.sampled_from(["los", "rayleigh"]))),
+        optimizer=dataclasses.replace(
+            sc.optimizer,
+            rho_points=draw(st.sampled_from(range(2, 22))),
+            kappa_points=draw(st.sampled_from(range(3, 102))),
+            fixed_rho=draw(st.sampled_from([None, None, None, 0.0, 1.0])),
+        ),
+    )
+    targets = ConstraintTargets(
+        gamma_min=rate_threshold(draw(_uniform(0.0, 12.0))),
+        # below ~1e-45 no threshold in the window meets the cap
+        pfa_max=10.0 ** draw(st.one_of(_uniform(-12.0, 0.0), _uniform(-60.0, 0.0))),
+        pd_min=draw(_uniform(0.0, 1.0)),
+        p_max_watts=dbm_to_watts(300.0),
+    )
+    # half the draws stay below 1 MW, where the first feasible split moves
+    power = 10.0 ** draw(st.one_of(_uniform(-4.0, 6.0), _uniform(-4.0, 27.0)))
+    return sc, targets, power
+
+
+class TestBatchedSplitSearch:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(split_searches())
+    def test_matches_the_split_by_split_scan(self, search):
+        sc, targets, power = search
+        ctx = build_context(sc)
+        rhos = _rho_grid(sc.optimizer)
+        k = sc.optimizer.kappa_points
+        assert _first_feasible(ctx, targets, power, rhos, k) == _oracle_first_feasible(
+            ctx, targets, power, rhos, k
+        )
+        assert _tradeoff_record(ctx, targets, power, rhos, k) == _oracle_tradeoff_record(
+            ctx, targets, power, rhos, k
+        )
+
+    def test_a_silent_target_leaves_no_split_live(self, fast_context):
+        ctx = dataclasses.replace(fast_context, alpha0=0.0)
+        targets = ConstraintTargets.from_scenario(ctx.scenario)
+        rhos = np.linspace(0.0, 1.0, 4)
+        assert _first_feasible(ctx, targets, 2.0, rhos, 11) == (None, 4)
+        record = _tradeoff_record(ctx, targets, 2.0, rhos, 11)
+        assert record == _oracle_tradeoff_record(ctx, targets, 2.0, rhos, 11)
+        assert (record.rho, record.kappa, record.pd, record.pfa) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_an_unreachable_cap_falls_back_to_the_strictest_threshold(self, fast_context):
+        targets = ConstraintTargets(gamma_min=0.0, pfa_max=1e-300, pd_min=0.0, p_max_watts=1e3)
+        rhos = np.linspace(0.0, 1.0, 4)
+        record = _tradeoff_record(fast_context, targets, 2.0, rhos, 11)
+        assert record == _oracle_tradeoff_record(fast_context, targets, 2.0, rhos, 11)
+        assert record.rho == 0.0 and record.pfa > targets.pfa_max
+
+    def test_ties_go_to_the_smallest_split(self, fast_context):
+        # vacuous targets make every split feasible at its first threshold, and
+        # a cap of 1 lets every row reach pd = 1 at the bottom of its window
+        targets = ConstraintTargets(gamma_min=0.0, pfa_max=1.0, pd_min=0.0, p_max_watts=1e3)
+        rhos = np.linspace(0.0, 1.0, 5)
+        best, evaluations = _first_feasible(fast_context, targets, 2.0, rhos, 11)
+        assert best[0] == 0.0 and evaluations == 1
+        record = _tradeoff_record(fast_context, targets, 2.0, rhos, 11)
+        assert record.pd == 1.0
+        assert record.rho == 0.0
