@@ -23,7 +23,7 @@ gains, one stacked SVD, w, mu_1, sigma^2 and both SINRs carry a leading
 split axis, and the (split, kappa) P_FA and P_D matrices follow. The first
 feasible split and the best guarded detection are first-index argmaxes over
 those, so the tie-breaks are a split-by-split scan's, and every entry equals,
-bit for bit, what the one-point path (evaluate_point) computes.
+bit for bit, what that split gives alone (sensing_at and the link formulas).
 """
 
 from __future__ import annotations
