@@ -97,7 +97,6 @@ class SimulationContext:
     target: PolarPosition
     alpha0: complex
     target_steering: np.ndarray
-    target_response: np.ndarray
     scene: Scene
     clutter: ClutterSteering
     channels: ChannelSet
@@ -235,7 +234,6 @@ def build_context(
         target=target,
         alpha0=alpha0,
         target_steering=a_target,
-        target_response=np.outer(a_target, a_target),
         scene=scene,
         clutter=ClutterSteering.of(array, scene),
         channels=channels,

@@ -41,7 +41,7 @@ from .power_allocation import (
     minimize_power,
     tradeoff_sweep,
 )
-from .radar_sensing import average_scnr_curve
+from .radar_sensing import ClutterSteering, average_scnr_curve
 from .scenario import (
     ScenarioConfig,
     config_hash,
@@ -201,36 +201,42 @@ def _level_sigma_pairs(levels) -> list[tuple[str, float]]:
     return [(level, sigma_for_level(level)) for level in levels]
 
 
+def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: int, powers_w) -> list:
+    """(level, SCNR curves (realizations, powers)) for each clutter level of one (N, carrier) pair.
+
+    The levels share each realization's placements, channels and steering and
+    differ only in the clutter amplitude scale sigma, so every realization is
+    built once and each level scores all of them in one stacked kernel pass.
+    """
+    ctxs = [
+        build_context(scenario, n_antennas=n, carrier_ghz=f_ghz, scene_key=(pair_index << 24) | r)
+        for r in range(scenario.sweep.realizations)
+    ]
+    matrices = np.stack([ctx.clutter.matrix for ctx in ctxs])
+    alpha0 = np.array([ctx.alpha0 for ctx in ctxs])
+    a_target = np.stack([ctx.target_steering for ctx in ctxs])
+    beams = np.stack([ctx.unit_beams(scenario.power.rho) for ctx in ctxs])
+    curves = []
+    for level, sigma in _level_sigma_pairs(scenario.sweep.clutter_levels):
+        clutter = ClutterSteering(matrices, np.full(matrices.shape[-1], sigma))
+        curves.append((level, average_scnr_curve(clutter, alpha0, a_target, beams, powers_w)))
+    return curves
+
+
 def run_scnr_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
     """SCNR versus power per (antennas, carrier, clutter) cell, plus summary."""
     prov = _provenance(scenario)
     powers_dbm = scenario.power_grid_dbm()
     powers_w = np.array([dbm_to_watts(p) for p in powers_dbm])
-    rho = scenario.power.rho
     realizations = scenario.sweep.realizations
-    levels = _level_sigma_pairs(scenario.sweep.clutter_levels)
 
     rows = []
     cell_means: dict[tuple[float, int, str], float] = {}
     pair_index = 0
     for n in scenario.sweep.antennas:
         for f_ghz in scenario.sweep.carriers_ghz:
-            for level, sigma in levels:
-                # same scene_key across levels: placements shared, only the
-                # clutter amplitude scale changes
-                db = np.empty((realizations, len(powers_w)))
-                for r in range(realizations):
-                    ctx = build_context(
-                        scenario,
-                        n_antennas=n,
-                        carrier_ghz=f_ghz,
-                        sigma=sigma,
-                        scene_key=(pair_index << 24) | r,
-                    )
-                    s = average_scnr_curve(
-                        ctx.clutter, ctx.alpha0, ctx.target_steering, ctx.unit_beams(rho), powers_w
-                    )
-                    db[r] = 10.0 * np.log10(s)
+            for level, scnr in _level_curves(scenario, n, f_ghz, pair_index, powers_w):
+                db = 10.0 * np.log10(scnr)
                 for j, p_dbm in enumerate(powers_dbm):
                     mean = float(np.mean(db[:, j]))
                     std = float(np.std(db[:, j], ddof=1)) if realizations > 1 else 0.0

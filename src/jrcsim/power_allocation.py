@@ -285,7 +285,7 @@ def evaluate_point(
     a = ctx.target_steering
     # |alpha_0|^2 y^H W^-1 y with y = A x and w = W^-1 y
     scnr_opt = abs(ctx.alpha0) ** 2 * np.vdot(a * np.dot(a, sensing.x), sensing.w).real
-    scnr_avg = average_scnr_curve(ctx.clutter, ctx.alpha0, a, ctx.unit_beams(rho), power_watts)
+    scnr_avg = average_scnr_curve(ctx.clutter, ctx.alpha0, a, ctx.unit_beams(rho), [power_watts])[0]
     return EvaluatedPoint(
         power_watts=power_watts,
         rho=rho,

@@ -72,7 +72,8 @@ class ClutterSteering:
 
     def gains(self, beams: np.ndarray) -> np.ndarray:
         """g_l = sigma_l^2 sum_k |a_l^T b_k|^2 over the transmit beams b_k (rows of
-        a (K, N) set, or of each set in a (..., K, N) stack)."""
+        a (K, N) set, or of each set in a (..., K, N) stack; a (..., N, L) stack of
+        steering matrices pairs with it entry by entry)."""
         return self.scale**2 * np.sum(np.abs(beams @ self.matrix) ** 2, axis=-2)
 
     def projected_power(self, w: np.ndarray, x: np.ndarray):
@@ -98,15 +99,16 @@ class InterferenceKernel:
     eigenvalues, so the result stays accurate however ill-conditioned W is.
     Without clutter power W is I exactly.
 
-    Gains (..., L) give a stack of kernels from one stacked SVD, and solve takes
-    a matching (..., N) stack; each product runs per matrix, so every kernel in
-    the stack matches the kernel built from its gains alone, bit for bit. A row
+    Gains (..., L), with one steering matrix (N, L) or a matching (..., N, L)
+    stack, give a stack of kernels from one stacked SVD, and solve and quadratic
+    take a matching (..., N) stack; each product runs per matrix, so every kernel
+    in the stack matches the kernel built from its gains alone, bit for bit. A row
     without clutter power in such a stack is decomposed as a zero matrix, whose
     SVD gives U = I, so its W is I as well.
     """
 
     def __init__(self, clutter: ClutterSteering, gains: np.ndarray):
-        n = clutter.matrix.shape[0]
+        n = clutter.matrix.shape[-2]
         self._lam = np.zeros(gains.shape[:-1] + (n,))
         if np.any(gains > 0.0):
             self._vecs, s, _ = np.linalg.svd(clutter.matrix * np.sqrt(gains[..., None, :]))
@@ -119,11 +121,11 @@ class InterferenceKernel:
         z = _matvec(self._vecs.conj().swapaxes(-1, -2), y) / (1.0 + self._lam)
         return _matvec(self._vecs, z)
 
-    def quadratic(self, y: np.ndarray, scales=1.0) -> np.ndarray:
-        """y^H W(s)^-1 y of one kernel for each scale s (a scalar or an array of scales)."""
-        z = self._vecs.conj().T @ y
-        energy = z.real**2 + z.imag**2
-        return np.sum(energy / (1.0 + np.multiply.outer(scales, self._lam)), axis=-1)
+    def quadratic(self, y: np.ndarray, scales=(1.0,)) -> np.ndarray:
+        """y^H W(s)^-1 y for each scale s of a 1-D sequence: shape (..., len(scales))."""
+        z = _matvec(self._vecs.conj().swapaxes(-1, -2), y)
+        energy = (z.real**2 + z.imag**2)[..., None, :]
+        return np.sum(energy / (1.0 + np.asarray(scales)[:, None] * self._lam[..., None, :]), axis=-1)
 
 
 def _rows_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -198,15 +200,19 @@ def average_scnr_curve(
     beams: np.ndarray,
     powers,
 ) -> np.ndarray:
-    """Symbol-averaged optimal SCNR at each total power P for transmit beams sqrt(P) b_k.
+    """Symbol-averaged optimal SCNR at each total power P (1-D) for transmit beams sqrt(P) b_k.
 
     |alpha_0|^2 (a^H W(P)^-1 a) P sum_k |a^T b_k|^2, with the beams b_k as rows;
-    one decomposition serves every power.
+    one decomposition serves every power. Stacked realizations (clutter matrices
+    (R, N, L), alpha_0 (R,), a (R, N), beams (R, K, N)) give (R, P) curves, each
+    row bit for bit the curve of that realization alone.
     """
     powers = np.asarray(powers, dtype=float)
     kernel = InterferenceKernel(clutter, clutter.gains(beams))
-    loading = np.sum(np.abs(beams @ a_target) ** 2)
-    return abs(alpha0) ** 2 * kernel.quadratic(a_target, powers) * powers * loading
+    # abs(alpha_0) ** 2 rounded as the scalar is, hypot then pow, for one or a stack
+    reflectivity = np.float_power(np.hypot(np.real(alpha0), np.imag(alpha0)), 2)[..., None]
+    loading = np.sum(np.abs(_matvec(beams, a_target)) ** 2, axis=-1)[..., None]
+    return reflectivity * kernel.quadratic(a_target, powers) * powers * loading
 
 
 def average_scnr(
@@ -221,7 +227,7 @@ def average_scnr(
     With A = a a^T the trace factors into (a^H W^-1 a)(a^T R_x conj(a)).
     """
     clutter = ClutterSteering.of(cfg, scene)
-    return float(average_scnr_curve(clutter, alpha0, a_target, beams.stacked, 1.0))
+    return float(average_scnr_curve(clutter, alpha0, a_target, beams.stacked, [1.0])[0])
 
 
 def draw_symbols(n_beams: int, rng: np.random.Generator) -> np.ndarray:

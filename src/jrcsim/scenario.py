@@ -183,7 +183,6 @@ class PowerSection(_Section):
     min_dbm: float = _setting(-10.0, **_DBM)
     max_dbm: float = _setting(40.0, above="min_dbm", **_DBM)
     points: int = _setting(21, lo=2)
-    nominal_dbm: float = _setting(30.0, **_DBM)
     rho: float = _setting(0.5, **_UNIT)
 
 

@@ -49,6 +49,7 @@ class TestBuildContext:
         assert np.array_equal(a.symbols, b.symbols)
         assert np.array_equal(a.channels.h_sd, b.channels.h_sd)
         assert [el.position for el in a.scene.clutter] == [el.position for el in b.scene.clutter]
+        assert a.relay_budget == default_scenario.comm.relay_power_w == 0.01
 
     def test_scene_key_selects_the_realization(self, default_scenario):
         a = build_context(default_scenario, scene_key=0)
@@ -67,6 +68,11 @@ class TestBuildContext:
         ]
         assert all(el.amplitude_scale == 0.1 for el in light.scene.clutter)
         assert all(el.amplitude_scale == 0.8 for el in intense.scene.clutter)
+        # sigma reaches the context only through the clutter amplitude scales
+        assert np.array_equal(light.clutter.matrix, intense.clutter.matrix)
+        assert light.alpha0 == intense.alpha0
+        assert np.array_equal(light.symbols, intense.symbols)
+        assert np.array_equal(light.comm_direction, intense.comm_direction)
 
     def test_cell_overrides_change_the_array(self, default_scenario):
         ctx = build_context(default_scenario, n_antennas=10, carrier_ghz=2.8)
@@ -89,11 +95,6 @@ class TestBuildContext:
         expected = sc.target.rcs_scale * 10.0 ** (-2.0 * pl_db / 20.0)
         assert ctx.alpha0 == pytest.approx(expected, rel=1e-12)
         assert ctx.alpha0.imag == 0.0
-
-    def test_target_response_is_rank_one(self, default_context):
-        a = default_context.target_steering
-        assert default_context.target_response == pytest.approx(np.outer(a, a), rel=1e-12)
-        assert default_context.relay_budget == 0.01
 
 
 class TestBeamsAndWaveform:

@@ -11,9 +11,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jrcsim
 from jrcsim.cli import main
+from jrcsim.context import build_context, sigma_for_level
 from jrcsim.experiments import (
     DETECTION_COLUMNS,
     OPTIMUM_COLUMNS,
@@ -21,6 +24,7 @@ from jrcsim.experiments import (
     SCNR_TABLE_COLUMNS,
     TRADEOFF_COLUMNS,
     VALIDATE_COLUMNS,
+    _level_curves,
     canonical_float,
     emit_outputs,
     parse_table_csv,
@@ -31,6 +35,7 @@ from jrcsim.experiments import (
     run_validation,
 )
 from jrcsim.power_allocation import evaluate_point
+from jrcsim.radar_sensing import average_scnr_curve
 from jrcsim.scenario import ScenarioConfig, config_hash, load_scenario, watts_to_dbm
 
 
@@ -158,6 +163,62 @@ class TestScnrSweep:
         sweep, summary = run_scnr_sweep(partial)
         assert len(sweep.rows) > 0
         assert summary.rows == ()
+
+
+@st.composite
+def sweep_pairs(draw):
+    """A random valid scene for one (N, carrier) sweep pair and powers from 1e-4 W to 300 dBm."""
+    sc = ScenarioConfig()
+    n = draw(st.sampled_from(range(1, 13)))
+    f_ghz = draw(st.sampled_from([2.8, 28.0]))
+    levels = draw(st.lists(st.sampled_from(["none", "light", "intense"]), min_size=1, max_size=4))
+    sc = dataclasses.replace(
+        sc,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        sweep=dataclasses.replace(
+            sc.sweep,
+            antennas=(n,),
+            carriers_ghz=(f_ghz,),
+            clutter_levels=tuple(levels),
+            realizations=draw(st.sampled_from(range(1, 7))),
+        ),
+        clutter=dataclasses.replace(sc.clutter, count=draw(st.sampled_from(range(9)))),
+        comm=dataclasses.replace(sc.comm, fading=draw(st.sampled_from(["los", "rayleigh"]))),
+        power=dataclasses.replace(sc.power, rho=draw(st.sampled_from([0.0, 0.5, 1.0]))),
+    )
+    exponents = draw(st.lists(st.floats(-4.0, 27.0, allow_nan=False), min_size=1, max_size=8))
+    return sc, n, f_ghz, draw(st.integers(0, 255)), 10.0 ** np.array(exponents)
+
+
+def _oracle_level_curves(sc, n, f_ghz, pair_index, powers_w):
+    """One context built with the level's sigma and one lone curve per (level, realization)."""
+    out = []
+    for level in sc.sweep.clutter_levels:
+        curves = []
+        for r in range(sc.sweep.realizations):
+            ctx = build_context(
+                sc,
+                n_antennas=n,
+                carrier_ghz=f_ghz,
+                sigma=sigma_for_level(level),
+                scene_key=(pair_index << 24) | r,
+            )
+            beams = ctx.unit_beams(sc.power.rho)
+            curves.append(average_scnr_curve(ctx.clutter, ctx.alpha0, ctx.target_steering, beams, powers_w))
+        out.append((level, np.array(curves)))
+    return out
+
+
+class TestStackedLevels:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sweep_pairs())
+    def test_matches_the_per_realization_loop(self, pair):
+        stacked = _level_curves(*pair)
+        oracle = _oracle_level_curves(*pair)
+        assert [level for level, _ in stacked] == [level for level, _ in oracle]
+        for (_, got), (_, want) in zip(stacked, oracle):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestDetectionSweep:

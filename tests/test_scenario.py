@@ -66,9 +66,7 @@ class TestDefaults:
         assert sc.comm.noise_var_relay_w == 4.0e-13
         assert sc.comm.relay_power_w == 0.01
         assert sc.comm.fading == "los"
-        assert (sc.power.min_dbm, sc.power.max_dbm, sc.power.points) == (-10.0, 40.0, 21)
-        assert sc.power.nominal_dbm == 30.0
-        assert sc.power.rho == 0.5
+        assert dataclasses.asdict(sc.power) == {"min_dbm": -10.0, "max_dbm": 40.0, "points": 21, "rho": 0.5}
 
     def test_detection_targets_and_grids(self):
         sc = ScenarioConfig()
@@ -141,6 +139,8 @@ class TestValidation:
             scenario_from_dict({"array": {"n_antenas": 5}})
         with pytest.raises(ConfigError, match=r"output\.path: unknown field"):
             scenario_from_dict({"output": {"path": "x"}})
+        with pytest.raises(ConfigError, match=r"power\.nominal_dbm: unknown field"):
+            scenario_from_dict({"power": {"nominal_dbm": 30.0}})
 
     def test_sections_must_be_objects(self):
         with pytest.raises(ConfigError, match="array: expected an object"):
@@ -187,7 +187,7 @@ class TestValidation:
             # powers outside [-300, 300] dBm, non-finite entries, overflowing literals
             ({"power": {"max_dbm": 1e300}}, "power.max_dbm: must be <= 300.0"),
             ({"power": {"min_dbm": -1e300}}, "power.min_dbm: must be >= -300.0"),
-            ({"power": {"nominal_dbm": float("inf")}}, "power.nominal_dbm: must be finite"),
+            ({"power": {"min_dbm": float("inf")}}, "power.min_dbm: must be finite"),
             ({"power": {"max_dbm": 10**400}}, "power.max_dbm: must be finite"),
             ({"targets": {"p_max_dbm": 1e300}}, "targets.p_max_dbm: must be <= 300.0"),
             ({"detection": {"powers_dbm": [float("nan")]}}, "detection.powers_dbm[0]: must be finite"),
@@ -290,10 +290,10 @@ class TestFingerprint:
 class TestLoadScenario:
     def test_loads_partial_file(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"seed": 9, "power": {"nominal_dbm": 20.0}}))
+        path.write_text(json.dumps({"seed": 9, "power": {"rho": 0.25}}))
         sc = load_scenario(str(path))
         assert sc.seed == 9
-        assert sc.power.nominal_dbm == 20.0
+        assert sc.power.rho == 0.25
         assert sc.array == ScenarioConfig().array
 
     def test_empty_file_means_defaults(self, tmp_path):
