@@ -1,6 +1,6 @@
 """Cooperative amplify-and-forward communication link.
 
-The source transmits x = sum_k u_k s_k + v s_0 (data beams u_k, radar beam v,
+The source transmits x = u s_1 + v s_0 (data beam u, radar beam v,
 unit-power symbols). All receive combining uses plain-transpose channel
 products h^T u, matching the transmit-side conjugation convention of the
 channel synthesis. The destination combines the direct and relayed copies by
@@ -20,7 +20,6 @@ from .propagation import ChannelSet
 
 __all__ = [
     "BeamformerSet",
-    "RelayGain",
     "af_gain",
     "sinr_direct",
     "sinr_relayed",
@@ -31,42 +30,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BeamformerSet:
-    """Transmit beamformers: one or more data beams plus the radar beam, each
-    an (N,) vector or an (..., N) stack of them."""
+    """Transmit beamformers: the data beam and the radar beam, each an (N,)
+    vector or an (..., N) stack of them."""
 
-    comm_beams: tuple[np.ndarray, ...]
+    comm_beam: np.ndarray
     radar_beam: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.comm_beams) < 1:
-            raise ValueError("at least one communication beam is required")
-        n = np.shape(self.radar_beam)
-        for k, u in enumerate(self.comm_beams):
-            if np.shape(u) != n:
-                raise ValueError(f"comm beam {k} shape {np.shape(u)} != radar beam shape {n}")
-        vecs = list(self.comm_beams) + [self.radar_beam]
-        if not all(np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag)) for v in vecs):
+        u, v = self.comm_beam, self.radar_beam
+        if np.shape(u) != np.shape(v):
+            raise ValueError(f"comm beam shape {np.shape(u)} != radar beam shape {np.shape(v)}")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise ValueError("beamformer entries must be finite")
 
     @property
     def stacked(self) -> np.ndarray:
-        """(..., K + 1, N) array: the data beams, then the radar beam, as rows."""
-        return np.stack((*self.comm_beams, self.radar_beam), axis=-2)
+        """(..., 2, N) array: the data beam, then the radar beam, as rows."""
+        return np.stack((self.comm_beam, self.radar_beam), axis=-2)
 
     @property
     def total_power(self) -> float:
-        return float(
-            sum(np.vdot(u, u).real for u in self.comm_beams)
-            + np.vdot(self.radar_beam, self.radar_beam).real
-        )
-
-
-@dataclass(frozen=True)
-class RelayGain:
-    """Amplify-and-forward gain, normalized to the relay power budget."""
-
-    gain: float
-    budget: float
+        u, v = self.comm_beam, self.radar_beam
+        return float(np.vdot(u, u).real + np.vdot(v, v).real)
 
 
 def _beam_gain(h: np.ndarray, beam: np.ndarray):
@@ -76,38 +61,36 @@ def _beam_gain(h: np.ndarray, beam: np.ndarray):
     return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
-def af_gain(h_sr: np.ndarray, beams: BeamformerSet, noise_var_relay: float, budget: float) -> RelayGain:
+def af_gain(h_sr: np.ndarray, beams: BeamformerSet, noise_var_relay: float, budget: float):
     """Relay gain f_rd = sqrt(budget / (received signal power + relay noise)).
 
-    The received power sums |h_sr^T u_k|^2 over the data beams plus
-    |h_sr^T v|^2, so |f_rd|^2 times (received + noise) meets the budget exactly.
+    The received power is |h_sr^T u|^2 + |h_sr^T v|^2, so |f_rd|^2 times
+    (received + noise) meets the budget exactly.
     """
     if budget < 0.0:
         raise ValueError(f"relay power budget must be >= 0, got {budget}")
     if noise_var_relay <= 0.0:
         raise ValueError(f"noise_var_relay must be positive, got {noise_var_relay}")
-    received = sum(_beam_gain(h_sr, u) for u in beams.comm_beams)
-    received += _beam_gain(h_sr, beams.radar_beam)
-    return RelayGain(gain=np.sqrt(budget / (received + noise_var_relay)), budget=budget)
+    received = _beam_gain(h_sr, beams.comm_beam) + _beam_gain(h_sr, beams.radar_beam)
+    return np.sqrt(budget / (received + noise_var_relay))
 
 
 def sinr_direct(h_sd: np.ndarray, beams: BeamformerSet, noise_var_dest: float):
-    """Direct-link SINR: the first data beam against radar leakage plus noise."""
+    """Direct-link SINR: the data beam against radar leakage plus noise."""
     if noise_var_dest <= 0.0:
         raise ValueError(f"noise_var_dest must be positive, got {noise_var_dest}")
-    signal = _beam_gain(h_sd, beams.comm_beams[0])
+    signal = _beam_gain(h_sd, beams.comm_beam)
     interference = _beam_gain(h_sd, beams.radar_beam)
     return signal / (interference + noise_var_dest)
 
 
-def sinr_relayed(channels: ChannelSet, gain: RelayGain, beams: BeamformerSet):
-    """Relayed-path SINR at the destination for the first data beam u.
+def sinr_relayed(channels: ChannelSet, gain, beams: BeamformerSet):
+    """Relayed-path SINR at the destination for the data beam u and relay gain f = gain.
 
     gamma_rd = |h_rd f h_sr^T u|^2 / (|h_rd f|^2 N_r + N_d).
     """
-    f = gain.gain
-    through = abs(channels.h_rd) ** 2 * f * f
-    signal = through * _beam_gain(channels.h_sr, beams.comm_beams[0])
+    through = abs(channels.h_rd) ** 2 * gain * gain
+    signal = through * _beam_gain(channels.h_sr, beams.comm_beam)
     denom = through * channels.noise_var_relay + channels.noise_var_dest
     return signal / denom
 

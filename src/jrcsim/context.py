@@ -5,8 +5,9 @@ streams, so two contexts built from the same configuration are identical and
 sweep cells never share or reorder draws. The context freezes one unit-power
 symbol vector; beamformers at a given (power, split) reuse it, which keeps the
 transmit waveform fixed across Monte Carlo trials and operating points. The
-clutter steering matrix is computed once per context; every sensing quantity
-at an operating point reads it.
+radar scene is the clutter steering matrix B and its amplitude scales sigma_l,
+built once per context from the clutter placements; every sensing quantity at
+an operating point, and every Monte Carlo trial, reads it.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, PolarPosition, steering_vector
+from .array_geometry import ArrayConfig, PolarPosition, steering_matrix, steering_vector
 from .comm_link import BeamformerSet
 from .propagation import (
     Fading,
     PathLossKind,
     PathLossModel,
-    Scene,
     ChannelSet,
     make_clutter_scene,
     synthesize_comm_channel,
@@ -49,7 +49,6 @@ KIND_CHANNEL = 3
 KIND_SYMBOLS = 4
 KIND_DETECTION = 5
 KIND_VALIDATE = 6
-KIND_SNAPSHOT = 7
 
 _INDEX_BITS = 48
 
@@ -94,10 +93,8 @@ class SimulationContext:
     scenario: ScenarioConfig
     array: ArrayConfig
     path_loss: PathLossModel
-    target: PolarPosition
     alpha0: complex
     target_steering: np.ndarray
-    scene: Scene
     clutter: ClutterSteering
     channels: ChannelSet
     comm_direction: np.ndarray
@@ -118,7 +115,7 @@ class SimulationContext:
             raise ValueError(f"power split must lie in [0, 1], got {rho}")
         u = np.sqrt((1.0 - rho) * power_watts)[..., None] * self.comm_direction
         v = np.sqrt(rho * power_watts)[..., None] * self.radar_direction
-        return BeamformerSet(comm_beams=(u,), radar_beam=v)
+        return BeamformerSet(comm_beam=u, radar_beam=v)
 
     def unit_beams(self, rho: float) -> np.ndarray:
         """(2, N) data and radar beams at unit total power; power P scales both by sqrt(P)."""
@@ -159,14 +156,12 @@ def build_context(
     n_antennas: int | None = None,
     carrier_ghz: float | None = None,
     sigma: float | None = None,
-    clutter_count: int | None = None,
     scene_key: int = 0,
 ) -> SimulationContext:
     """Realize one scene; overrides select a sweep cell, scene_key a realization."""
     n = scenario.array.n_antennas if n_antennas is None else n_antennas
     f_ghz = scenario.array.carrier_ghz if carrier_ghz is None else carrier_ghz
     sigma_c = scenario.clutter.sigma if sigma is None else sigma
-    count = scenario.clutter.count if clutter_count is None else clutter_count
 
     array = ArrayConfig(
         n_antennas=n,
@@ -190,19 +185,17 @@ def build_context(
     )
     a_target = steering_vector(array, target)
 
-    if count > 0:
-        clutter = make_clutter_scene(
+    placements = ()
+    if scenario.clutter.count > 0:
+        placements = make_clutter_scene(
             derive_stream(scenario.seed, stream_id(KIND_SCENE, scene_key)),
-            count=count,
+            count=scenario.clutter.count,
             max_range=scenario.clutter.max_range_m,
-            sigma_c=sigma_c,
             angle_exclusion=scenario.clutter.angle_exclusion_rad,
             target_angle=target.angle_rad,
             min_range=scenario.clutter.min_range_m,
         )
-    else:
-        clutter = ()
-    scene = Scene(target=target, alpha0=alpha0, clutter=clutter)
+    clutter = ClutterSteering(steering_matrix(array, placements), np.full(len(placements), float(sigma_c)))
 
     fading = _FADINGS[scenario.comm.fading]
     channel_rng = derive_stream(scenario.seed, stream_id(KIND_CHANNEL, scene_key))
@@ -231,11 +224,9 @@ def build_context(
         scenario=scenario,
         array=array,
         path_loss=path_loss,
-        target=target,
         alpha0=alpha0,
         target_steering=a_target,
-        scene=scene,
-        clutter=ClutterSteering.of(array, scene),
+        clutter=clutter,
         channels=channels,
         comm_direction=comm_direction,
         radar_direction=radar_direction,

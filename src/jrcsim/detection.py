@@ -14,10 +14,11 @@ kappa = sigma^2 ln(eta) + |mu_1|^2, giving
     P_FA = Q( kappa / (|mu_1| sqrt(2 sigma^2)) ),
     P_D  = Q( (kappa - 2 |mu_1|^2) / (|mu_1| sqrt(2 sigma^2)) ).
 
-Monte Carlo trials freeze the waveform x (it is known to the receiver) and
-redraw clutter amplitudes and noise each trial; trial randomness is forked
-off the caller's stream in fixed-size blocks so counts are reproducible
-bit-for-bit regardless of execution schedule.
+Monte Carlo trials read a context and one of its sensing points: the frozen
+waveform x (it is known to the receiver), w and the moments all come from the
+point, and each trial redraws clutter amplitudes and noise; trial randomness
+is forked off the caller's stream in fixed-size blocks so counts are
+reproducible bit-for-bit regardless of execution schedule.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, steering_vector
-from .comm_link import BeamformerSet
-from .propagation import Scene
-from .radar_sensing import ClutterSteering, transmit_waveform
+from .radar_sensing import ClutterSteering
 from .stats import ConfidenceInterval, binomial_ci, q_function
+
+if TYPE_CHECKING:
+    from .context import SensingPoint, SimulationContext
 
 __all__ = [
     "DetectionStatisticParams",
@@ -43,7 +45,6 @@ __all__ = [
     "false_alarm_probability",
     "detection_probability",
     "sample_test_statistics",
-    "simulate_detection",
     "roc_sweep",
 ]
 
@@ -145,36 +146,28 @@ def detection_probability(params: DetectionStatisticParams) -> float:
 
 
 def sample_test_statistics(
-    cfg: ArrayConfig,
-    scene: Scene,
-    beams: BeamformerSet,
-    w: np.ndarray,
+    ctx: SimulationContext,
+    point: SensingPoint,
+    *,
     trials: int,
     rng: np.random.Generator,
-    x: np.ndarray | None = None,
-):
-    """Monte Carlo draws of T under H0 and H1 at a frozen waveform.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo draws (t_h0, t_h1) of T under H0 and H1 at one sensing point.
 
-    If ``x`` is not given, one symbol realization is drawn from ``rng`` and
-    frozen across all trials. Returns (t_h0, t_h1, params) where ``params``
-    carries mu_1 and sigma^2 for the same (w, x); its threshold is the
-    likelihood-ratio value for eta = 1 and is typically replaced by the
-    caller. Each block of trials uses a jumped copy of ``rng``'s bit
-    generator, so results depend only on the stream state and trial index.
+    The point's frozen waveform x and receive beamformer w hold across all
+    trials, and T = 2 Re(y_s conj(mu_1)) uses the point's mu_1. Each block of
+    trials uses a jumped copy of ``rng``'s bit generator, so results depend
+    only on the stream state and trial index.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if x is None:
-        x = transmit_waveform(beams, rng)
-    n = cfg.n_antennas
-    a_t = steering_vector(cfg, scene.target)
-    clutter = ClutterSteering.of(cfg, scene)
-    params = statistic_params(w, scene.alpha0, a_t, clutter, x, eta=1.0)
-    target_vec = scene.alpha0 * a_t * np.dot(a_t, x)
-    clutter_vecs = clutter.echoes(x)
-    n_clutter = len(clutter.scale)
-    w_conj = w.conj()
-    mu_conj = np.conj(params.mu1)
+    n = ctx.n_antennas
+    a_t, x = ctx.target_steering, point.x
+    target_vec = ctx.alpha0 * a_t * np.dot(a_t, x)
+    clutter_vecs = ctx.clutter.echoes(x)
+    n_clutter = len(ctx.clutter.scale)
+    w_conj = point.w.conj()
+    mu_conj = np.conj(point.params.mu1)
     base = rng.bit_generator
     t_out = [np.empty(trials), np.empty(trials)]
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
@@ -191,7 +184,7 @@ def sample_test_statistics(
             y = s @ w_conj
             t_out[hyp][done : done + m] = 2.0 * (y * mu_conj).real
             done += m
-    return t_out[0], t_out[1], params
+    return t_out[0], t_out[1]
 
 
 def _operating_point(
@@ -222,47 +215,25 @@ def _operating_point(
     )
 
 
-def simulate_detection(
-    cfg: ArrayConfig,
-    scene: Scene,
-    beams: BeamformerSet,
-    w: np.ndarray,
-    kappa: float,
-    trials: int,
-    rng: np.random.Generator,
-    x: np.ndarray | None = None,
-) -> DetectionOperatingPoint:
-    """Empirical false-alarm and detection rates at one threshold.
-
-    Runs ``trials`` H0 draws (target amplitude forced to zero) and ``trials``
-    H1 draws, forms y_s = w^H s per trial, thresholds T, and reports exact
-    integer-count rates with Wilson confidence intervals alongside the
-    closed-form values.
-    """
-    t_h0, t_h1, params = sample_test_statistics(cfg, scene, beams, w, trials, rng, x=x)
-    return _operating_point(kappa, t_h0, t_h1, params)
-
-
 def roc_sweep(
-    cfg: ArrayConfig,
-    scene: Scene,
-    beams: BeamformerSet,
-    w: np.ndarray,
+    ctx: SimulationContext,
+    point: SensingPoint,
     kappa_grid,
+    *,
     trials: int,
     rng: np.random.Generator,
-    x: np.ndarray | None = None,
 ) -> list[DetectionOperatingPoint]:
     """Operating points over a threshold grid, sorted by ascending kappa.
 
     All thresholds share one set of Monte Carlo draws (common random numbers),
-    so a single-point grid reduces exactly to ``simulate_detection`` and the
-    empirical curves inherit the analytic monotonicity in kappa.
+    so a single-point grid gives exactly that threshold's point of any larger
+    grid on the same stream, and the empirical curves inherit the analytic
+    monotonicity in kappa.
     """
     kappas = np.sort(np.asarray(kappa_grid, dtype=float))
     if kappas.size == 0:
         raise ValueError("kappa_grid must be non-empty")
     if not np.all(np.isfinite(kappas)):
         raise ValueError("kappa_grid must be finite")
-    t_h0, t_h1, params = sample_test_statistics(cfg, scene, beams, w, trials, rng, x=x)
-    return [_operating_point(k, t_h0, t_h1, params) for k in kappas]
+    t_h0, t_h1 = sample_test_statistics(ctx, point, trials=trials, rng=rng)
+    return [_operating_point(k, t_h0, t_h1, point.params) for k in kappas]

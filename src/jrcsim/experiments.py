@@ -280,10 +280,11 @@ class _DetectionCell:
 
 
 def _detection_cells(scenario: ScenarioConfig) -> list[_DetectionCell]:
+    """One (level, power) cell per operating point; a level's powers share its context."""
     cells = []
     for level, sigma in _level_sigma_pairs(scenario.detection.clutter_levels):
+        ctx = build_context(scenario, sigma=sigma)
         for p_dbm in scenario.detection.powers_dbm:
-            ctx = build_context(scenario, sigma=sigma)
             sensing = ctx.sensing_at(dbm_to_watts(p_dbm), scenario.power.rho)
             cells.append(_DetectionCell(level, p_dbm, ctx, sensing))
     return cells
@@ -308,10 +309,7 @@ def run_detection_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
     rows = []
     for idx, cell in enumerate(cells):
         rng = derive_stream(scenario.seed, stream_id(KIND_DETECTION, idx))
-        points = roc_sweep(
-            cell.ctx.array, cell.ctx.scene, cell.sensing.beams, cell.sensing.w, kappas,
-            trials=det.trials, rng=rng, x=cell.sensing.x,
-        )
+        points = roc_sweep(cell.ctx, cell.sensing, kappas, trials=det.trials, rng=rng)
         for op in points:
             rows.append(_make_row(DETECTION_COLUMNS, {
                 "kappa": op.kappa,
@@ -369,9 +367,8 @@ def run_tradeoff(scenario: ScenarioConfig) -> tuple[list[SweepTable], Optimizati
     prov = _provenance(scenario)
     ctx = build_context(scenario)
     targets = ConstraintTargets.from_scenario(scenario)
-    sweep = tradeoff_sweep(ctx, targets)
     rows = []
-    for rec in sweep.records:
+    for rec in tradeoff_sweep(ctx, targets):
         rows.append(_make_row(TRADEOFF_COLUMNS, {
             "power_dbm": watts_to_dbm(rec.power_watts),
             "rho": rec.rho,
@@ -410,10 +407,7 @@ def run_validation(scenario: ScenarioConfig) -> list[SweepTable]:
             kappa_max = _auto_kappa_max([cell])
         kappas = np.linspace(det.kappa_min, kappa_max, det.kappa_points)
         rng = derive_stream(scenario.seed, stream_id(KIND_VALIDATE, idx))
-        points = roc_sweep(
-            cell.ctx.array, cell.ctx.scene, cell.sensing.beams, cell.sensing.w, kappas,
-            trials=det.trials, rng=rng, x=cell.sensing.x,
-        )
+        points = roc_sweep(cell.ctx, cell.sensing, kappas, trials=det.trials, rng=rng)
         for op in points:
             for metric, analytic, mc, ci in (
                 ("pfa", op.pfa_analytic, op.pfa_mc, op.pfa_ci),

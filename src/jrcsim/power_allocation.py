@@ -55,9 +55,7 @@ __all__ = [
     "EvaluatedPoint",
     "OptimizationResult",
     "TradeoffRecord",
-    "TradeoffResult",
     "evaluate_point",
-    "first_feasible_split",
     "minimize_power",
     "threshold_grid",
     "tradeoff_sweep",
@@ -138,18 +136,6 @@ class TradeoffRecord:
 
 
 @dataclass(frozen=True)
-class TradeoffResult:
-    records: tuple[TradeoffRecord, ...]
-    marked_index: int | None
-
-    @property
-    def marked(self) -> TradeoffRecord | None:
-        if self.marked_index is None:
-            return None
-        return self.records[self.marked_index]
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
     feasible: bool
     p_star_watts: float | None
@@ -221,20 +207,6 @@ def _first_feasible(
         return None, len(rhos)
     i = int(np.argmax(feasible_rows))
     return (float(rhos[i]), float(kappas[i, np.argmax(ok[i])])), i + 1
-
-
-def first_feasible_split(
-    scenario: ScenarioConfig | SimulationContext,
-    power_watts: float,
-    targets: ConstraintTargets | None = None,
-) -> tuple[float, float] | None:
-    """Re-optimize (rho, kappa) at one power; None when no grid point is feasible."""
-    ctx = _as_context(scenario)
-    if targets is None:
-        targets = ConstraintTargets.from_scenario(ctx.scenario)
-    opt = ctx.scenario.optimizer
-    best, _ = _first_feasible(ctx, targets, power_watts, _rho_grid(opt), opt.kappa_points)
-    return best
 
 
 def evaluate_point(
@@ -413,8 +385,8 @@ def tradeoff_sweep(
     scenario: ScenarioConfig | SimulationContext,
     targets: ConstraintTargets | None = None,
     power_grid_watts: np.ndarray | None = None,
-) -> TradeoffResult:
-    """Rate and guarded detection versus power, with the first feasible power marked."""
+) -> tuple[TradeoffRecord, ...]:
+    """One record per grid power: best rate, best guarded detection, joint feasibility."""
     ctx = _as_context(scenario)
     if targets is None:
         targets = ConstraintTargets.from_scenario(ctx.scenario)
@@ -435,8 +407,4 @@ def tradeoff_sweep(
 
     opt = ctx.scenario.optimizer
     rhos = _rho_grid(opt)
-    records = tuple(
-        _tradeoff_record(ctx, targets, float(p), rhos, opt.kappa_points) for p in grid
-    )
-    marked_index = next((i for i, rec in enumerate(records) if rec.feasible), None)
-    return TradeoffResult(records=records, marked_index=marked_index)
+    return tuple(_tradeoff_record(ctx, targets, float(p), rhos, opt.kappa_points) for p in grid)

@@ -1,4 +1,4 @@
-"""Path loss, channel synthesis, target reflectivity, and clutter scenes.
+"""Path loss, channel synthesis, target reflectivity, and clutter placements.
 
 Conventions: path loss is returned in dB; amplitude gains are 10^(-PL/20).
 The radar receive noise is unit variance by convention, so absolute levels are
@@ -20,8 +20,6 @@ __all__ = [
     "PathLossModel",
     "Fading",
     "TargetPhase",
-    "ClutterElement",
-    "Scene",
     "ChannelSet",
     "path_loss_db",
     "amplitude_gain",
@@ -65,27 +63,6 @@ class PathLossModel:
         if self.kind is PathLossKind.TR38901_UMI_LOS:
             if self.h_bs_m <= 1.0 or self.h_ut_m <= 1.0:
                 raise ValueError("TR 38.901 UMi heights must exceed 1 m")
-
-
-@dataclass(frozen=True)
-class ClutterElement:
-    """One clutter scatterer: position and amplitude scale sigma_l (>= 0)."""
-
-    position: PolarPosition
-    amplitude_scale: float
-
-    def __post_init__(self) -> None:
-        if self.amplitude_scale < 0.0:
-            raise ValueError(f"amplitude_scale must be >= 0, got {self.amplitude_scale}")
-
-
-@dataclass(frozen=True)
-class Scene:
-    """Radar scene: the target (position + complex reflectivity) and clutter."""
-
-    target: PolarPosition
-    alpha0: complex
-    clutter: tuple[ClutterElement, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -211,24 +188,21 @@ def make_clutter_scene(
     rng: np.random.Generator,
     count: int,
     max_range: float,
-    sigma_c: float,
     angle_exclusion: float,
     target_angle: float,
     min_range: float = 0.5,
-) -> tuple[ClutterElement, ...]:
+) -> tuple[PolarPosition, ...]:
     """Random clutter placements around (but never on top of) the target bearing.
 
     Ranges are uniform on (min_range, max_range]; angles are uniform on (0, pi)
     minus the +- angle_exclusion window about the target angle. Draw order is
     fixed (range then angle, per element) so a given stream always yields the
-    same scene.
+    same placements.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if max_range <= min_range:
         raise ValueError(f"max_range must exceed {min_range}, got {max_range}")
-    if sigma_c < 0.0:
-        raise ValueError(f"sigma_c must be >= 0, got {sigma_c}")
     if angle_exclusion < 0.0:
         raise ValueError(f"angle_exclusion must be >= 0, got {angle_exclusion}")
     lo = max(0.0, target_angle - angle_exclusion)
@@ -236,7 +210,7 @@ def make_clutter_scene(
     mass = lo + (np.pi - hi)
     if mass <= 0.0:
         raise ValueError("angle exclusion window covers all of (0, pi)")
-    elements = []
+    placements = []
     for _ in range(count):
         # map u in [0, 1) to (min, max] so the lower endpoint stays open
         r = max_range - rng.uniform() * (max_range - min_range)
@@ -245,7 +219,5 @@ def make_clutter_scene(
             angle = t if t < lo else hi + (t - lo)
             if 0.0 < angle < np.pi:
                 break
-        elements.append(
-            ClutterElement(position=PolarPosition(r, angle), amplitude_scale=sigma_c)
-        )
-    return tuple(elements)
+        placements.append(PolarPosition(r, angle))
+    return tuple(placements)

@@ -20,11 +20,8 @@ sqrt(P) b_k give g = P g_1, and the SCNR loading term sum_k |a_t^T b_k|^2 scales
 by P too. InterferenceKernel decomposes the PSD part M = B diag(g_1) B^H once,
 through the SVD of B diag(g_1)^(1/2), so a^H W^-1 a, W^-1 y and y^H W^-1 y
 follow for one operating point or for a whole vector of powers without ever
-forming or factoring I + P M.
-
-clutter_covariance, optimal_receive_beamformer and scnr_at_optimum form W
-densely and solve through its Cholesky factor. They are the reference the
-kernel is tested against, not a production path.
+forming or factoring I + P M. The tests hold a dense oracle that forms W and
+solves through its Cholesky factor; the kernel is checked against it.
 """
 
 from __future__ import annotations
@@ -32,27 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .array_geometry import ArrayConfig, PolarPosition, steering_matrix, steering_vector
 from .comm_link import BeamformerSet
-from .propagation import Scene
 
 __all__ = [
     "ClutterSteering",
     "InterferenceKernel",
-    "response_matrix",
-    "transmit_covariance",
-    "clutter_covariance",
-    "scnr",
-    "optimal_receive_beamformer",
-    "scnr_at_optimum",
-    "average_scnr",
     "average_scnr_curve",
     "draw_symbols",
     "waveform_from_symbols",
-    "transmit_waveform",
-    "radar_snapshot_batch",
 ]
 
 
@@ -62,13 +47,6 @@ class ClutterSteering:
 
     matrix: np.ndarray
     scale: np.ndarray
-
-    @classmethod
-    def of(cls, cfg: ArrayConfig, scene: Scene) -> "ClutterSteering":
-        return cls(
-            matrix=steering_matrix(cfg, [el.position for el in scene.clutter]),
-            scale=np.array([el.amplitude_scale for el in scene.clutter], dtype=float),
-        )
 
     def gains(self, beams: np.ndarray) -> np.ndarray:
         """g_l = sigma_l^2 sum_k |a_l^T b_k|^2 over the transmit beams b_k (rows of
@@ -138,61 +116,6 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v[..., None])[..., 0]
 
 
-def response_matrix(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
-    """Two-way array response A = a a^T (symmetric, rank one)."""
-    a = steering_vector(cfg, pos)
-    return np.outer(a, a)
-
-
-def transmit_covariance(beams: BeamformerSet) -> np.ndarray:
-    """Waveform covariance R_x = sum_k u_k u_k^H + v v^H for unit-power symbols."""
-    r = np.outer(beams.radar_beam, beams.radar_beam.conj())
-    for u in beams.comm_beams:
-        r = r + np.outer(u, u.conj())
-    return r
-
-
-def clutter_covariance(cfg: ArrayConfig, scene: Scene, r_x: np.ndarray) -> np.ndarray:
-    """Dense W = sum_l sigma_l^2 A_l R_x A_l^H + I from the full response matrices."""
-    n = cfg.n_antennas
-    if r_x.shape != (n, n):
-        raise ValueError(f"R_x shape {r_x.shape} does not match the {n}-element array")
-    clutter = ClutterSteering.of(cfg, scene)
-    columns = clutter.matrix.T
-    responses = columns[:, :, None] * columns[:, None, :]  # (L, N, N) stack of A_l
-    terms = responses @ r_x @ responses.conj().transpose(0, 2, 1)
-    w = np.eye(n, dtype=complex) + np.tensordot(clutter.scale**2, terms, axes=1)
-    # the sum is Hermitian in exact arithmetic; symmetrize away rounding skew
-    return (w + w.conj().T) / 2.0
-
-
-def scnr(w: np.ndarray, alpha0: complex, a_target: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:
-    """Output SCNR |alpha_0|^2 |w^H A x|^2 / (w^H W w) for a receive beamformer w.
-
-    a_target is the target steering vector; A = a a^T collapses the numerator
-    to (w^H a)(a^T x).
-    """
-    denom = np.vdot(w, cov @ w).real
-    if denom <= 0.0:
-        raise ValueError("receive beamformer must be nonzero")
-    signal = abs(alpha0) ** 2 * abs(np.vdot(w, a_target) * np.dot(a_target, x)) ** 2
-    return float(signal / denom)
-
-
-def optimal_receive_beamformer(a_target: np.ndarray, cov: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """SCNR-optimal receive beamformer w* = W^-1 (A x), unnormalized."""
-    y = a_target * np.dot(a_target, x)
-    cho = scipy.linalg.cho_factor(cov)
-    return scipy.linalg.cho_solve(cho, y)
-
-
-def scnr_at_optimum(alpha0: complex, a_target: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:
-    """SCNR attained by w*: |alpha_0|^2 (A x)^H W^-1 (A x)."""
-    y = a_target * np.dot(a_target, x)
-    cho = scipy.linalg.cho_factor(cov)
-    return float(abs(alpha0) ** 2 * np.vdot(y, scipy.linalg.cho_solve(cho, y)).real)
-
-
 def average_scnr_curve(
     clutter: ClutterSteering,
     alpha0: complex,
@@ -215,65 +138,13 @@ def average_scnr_curve(
     return reflectivity * kernel.quadratic(a_target, powers) * powers * loading
 
 
-def average_scnr(
-    cfg: ArrayConfig,
-    beams: BeamformerSet,
-    alpha0: complex,
-    a_target: np.ndarray,
-    scene: Scene,
-) -> float:
-    """Symbol-averaged optimal SCNR |alpha_0|^2 tr(A^H W^-1 A R_x).
-
-    With A = a a^T the trace factors into (a^H W^-1 a)(a^T R_x conj(a)).
-    """
-    clutter = ClutterSteering.of(cfg, scene)
-    return float(average_scnr_curve(clutter, alpha0, a_target, beams.stacked, [1.0])[0])
-
-
 def draw_symbols(n_beams: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-power complex Gaussian symbols, one per beam (data beams then radar)."""
+    """Unit-power complex Gaussian symbols, one per beam (data beam then radar)."""
     return (rng.standard_normal(n_beams) + 1j * rng.standard_normal(n_beams)) / np.sqrt(2.0)
 
 
 def waveform_from_symbols(beams: BeamformerSet, symbols: np.ndarray) -> np.ndarray:
-    """Transmit snapshot x = sum_k u_k s_k + v s_0 for the given symbol draw."""
-    if len(symbols) != len(beams.comm_beams) + 1:
-        raise ValueError("need one symbol per data beam plus one for the radar beam")
-    x = symbols[-1] * beams.radar_beam
-    for u, s in zip(beams.comm_beams, symbols[:-1]):
-        x = x + s * u
-    return x
-
-
-def transmit_waveform(beams: BeamformerSet, rng: np.random.Generator) -> np.ndarray:
-    """One random transmit snapshot (fresh symbols)."""
-    return waveform_from_symbols(beams, draw_symbols(len(beams.comm_beams) + 1, rng))
-
-
-def radar_snapshot_batch(
-    cfg: ArrayConfig,
-    scene: Scene,
-    beams: BeamformerSet,
-    rng: np.random.Generator,
-    count: int,
-) -> np.ndarray:
-    """(count, N) receive snapshots with fresh symbols, clutter draws, and noise.
-
-    Draw order is fixed — symbols, clutter amplitudes, noise — so a given
-    stream yields the same batch on every platform.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    n = cfg.n_antennas
-    n_beams = len(beams.comm_beams) + 1
-    symbols = (rng.standard_normal((count, n_beams)) + 1j * rng.standard_normal((count, n_beams))) / np.sqrt(2.0)
-    x = symbols @ beams.stacked  # (count, N)
-    a_t = steering_vector(cfg, scene.target)
-    s = scene.alpha0 * (x @ a_t)[:, None] * a_t[None, :]
-    if scene.clutter:
-        clutter = ClutterSteering.of(cfg, scene)
-        shape = (count, len(clutter.scale))
-        amps = clutter.scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        s = s + (amps * (x @ clutter.matrix)) @ clutter.matrix.T
-    noise = (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) / np.sqrt(2.0)
-    return s + noise
+    """Transmit snapshot x = u s_1 + v s_0 for the symbol draw (s_1, s_0)."""
+    if len(symbols) != 2:
+        raise ValueError("need one symbol for the data beam and one for the radar beam")
+    return symbols[1] * beams.radar_beam + symbols[0] * beams.comm_beam

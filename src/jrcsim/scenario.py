@@ -28,7 +28,6 @@ __all__ = [
     "ScenarioConfig",
     "load_scenario",
     "scenario_from_dict",
-    "canonical_json",
     "config_hash",
     "dbm_to_watts",
     "watts_to_dbm",
@@ -253,6 +252,20 @@ class ScenarioConfig:
                 f"targets.p_max_dbm: must exceed power.min_dbm={self.power.min_dbm}, "
                 f"got {self.targets.p_max_dbm}"
             )
+        # the clutter placement draw needs bearings left outside the window,
+        # tested with the same arithmetic as the draw
+        angle, window = self.target.angle_rad, self.clutter.angle_exclusion_rad
+        if self.clutter.count > 0 and angle - window <= 0.0 and angle + window >= np.pi:
+            raise ConfigError(
+                f"clutter.angle_exclusion_rad: must leave part of (0, pi) outside the window "
+                f"about target.angle_rad={angle}, got {window}"
+            )
+        if self.path_loss.kind == "tr38901_umi_los":
+            # below 1 m the TR 38.901 breakpoint distance is not positive
+            for name in ("h_bs_m", "h_ut_m"):
+                height = getattr(self.path_loss, name)
+                if height <= 1.0:
+                    raise ConfigError(f"path_loss.{name}: must exceed 1.0 for tr38901_umi_los, got {height}")
 
     def power_grid_dbm(self) -> np.ndarray:
         return np.linspace(self.power.min_dbm, self.power.max_dbm, self.power.points)
@@ -269,11 +282,6 @@ _SECTION_NAMES = {
     for f in dataclasses.fields(ScenarioConfig)
     if f.default_factory is not dataclasses.MISSING
 }
-
-
-def canonical_json(config: ScenarioConfig) -> str:
-    """Key-sorted, whitespace-free JSON; the round-trip identity anchor."""
-    return json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(config: ScenarioConfig) -> str:

@@ -1,0 +1,120 @@
+"""Dense reference implementations of the radar model, and the random scenes fed to them.
+
+The simulator never forms the clutter-plus-noise covariance W: it works through
+the rank-one kernel in jrcsim.radar_sensing. The functions here form W and the
+response matrices A = a a^T densely and solve through a Cholesky factor, so the
+kernel, the detector moments and the acceptance gates have an independent
+reference to be checked against. A radar scene is the context's own
+ClutterSteering (steering matrix B and amplitude scales sigma_l).
+"""
+
+import numpy as np
+import scipy.linalg
+
+from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_matrix, steering_vector
+from jrcsim.comm_link import BeamformerSet
+from jrcsim.radar_sensing import ClutterSteering, average_scnr_curve
+
+
+def random_positions(rng, count=3) -> list[PolarPosition]:
+    """Scatterers at random ranges in (0.5, 5) m and bearings in (0.2, 2.9) rad."""
+    return [PolarPosition(float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.2, 2.9))) for _ in range(count)]
+
+
+def clutter_at(cfg: ArrayConfig, positions, sigma=0.8) -> ClutterSteering:
+    """The radar scene of scatterers at the given positions, all at amplitude scale sigma."""
+    return ClutterSteering(steering_matrix(cfg, positions), np.full(len(positions), float(sigma)))
+
+
+def make_beams(rng, n=5, power=1.0) -> BeamformerSet:
+    """Random data and radar beams sharing the power equally."""
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    u *= np.sqrt(power / 2.0) / np.linalg.norm(u)
+    v *= np.sqrt(power / 2.0) / np.linalg.norm(v)
+    return BeamformerSet(comm_beam=u, radar_beam=v)
+
+
+def response_matrix(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
+    """Two-way array response A = a a^T (symmetric, rank one)."""
+    a = steering_vector(cfg, pos)
+    return np.outer(a, a)
+
+
+def transmit_covariance(beams: BeamformerSet) -> np.ndarray:
+    """Waveform covariance R_x = v v^H + u u^H for unit-power symbols."""
+    r = np.outer(beams.radar_beam, beams.radar_beam.conj())
+    return r + np.outer(beams.comm_beam, beams.comm_beam.conj())
+
+
+def clutter_covariance(clutter: ClutterSteering, r_x: np.ndarray) -> np.ndarray:
+    """Dense W = sum_l sigma_l^2 A_l R_x A_l^H + I from the full response matrices."""
+    n = clutter.matrix.shape[0]
+    if r_x.shape != (n, n):
+        raise ValueError(f"R_x shape {r_x.shape} does not match the {n}-element array")
+    columns = clutter.matrix.T
+    responses = columns[:, :, None] * columns[:, None, :]  # (L, N, N) stack of A_l
+    terms = responses @ r_x @ responses.conj().transpose(0, 2, 1)
+    w = np.eye(n, dtype=complex) + np.tensordot(clutter.scale**2, terms, axes=1)
+    # the sum is Hermitian in exact arithmetic; symmetrize away rounding skew
+    return (w + w.conj().T) / 2.0
+
+
+def scnr(w: np.ndarray, alpha0: complex, a_target: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:
+    """Output SCNR |alpha_0|^2 |w^H A x|^2 / (w^H W w) for a receive beamformer w.
+
+    a_target is the target steering vector; A = a a^T collapses the numerator
+    to (w^H a)(a^T x).
+    """
+    denom = np.vdot(w, cov @ w).real
+    if denom <= 0.0:
+        raise ValueError("receive beamformer must be nonzero")
+    signal = abs(alpha0) ** 2 * abs(np.vdot(w, a_target) * np.dot(a_target, x)) ** 2
+    return float(signal / denom)
+
+
+def optimal_receive_beamformer(a_target: np.ndarray, cov: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """SCNR-optimal receive beamformer w* = W^-1 (A x), unnormalized."""
+    y = a_target * np.dot(a_target, x)
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(cov), y)
+
+
+def scnr_at_optimum(alpha0: complex, a_target: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:
+    """SCNR attained by w*: |alpha_0|^2 (A x)^H W^-1 (A x)."""
+    y = a_target * np.dot(a_target, x)
+    return float(abs(alpha0) ** 2 * np.vdot(y, scipy.linalg.cho_solve(scipy.linalg.cho_factor(cov), y)).real)
+
+
+def average_scnr(clutter: ClutterSteering, beams: BeamformerSet, alpha0: complex, a_target: np.ndarray) -> float:
+    """Symbol-averaged optimal SCNR |alpha_0|^2 tr(A^H W^-1 A R_x) at one beam set.
+
+    With A = a a^T the trace factors into (a^H W^-1 a)(a^T R_x conj(a)).
+    """
+    return float(average_scnr_curve(clutter, alpha0, a_target, beams.stacked, [1.0])[0])
+
+
+def radar_snapshot_batch(
+    clutter: ClutterSteering,
+    alpha0: complex,
+    a_target: np.ndarray,
+    beams: BeamformerSet,
+    rng: np.random.Generator,
+    count: int,
+) -> np.ndarray:
+    """(count, N) receive snapshots with fresh symbols, clutter draws, and noise.
+
+    Draw order is fixed — symbols, clutter amplitudes, noise — so a given
+    stream yields the same batch on every platform.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    n = clutter.matrix.shape[0]
+    symbols = (rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))) / np.sqrt(2.0)
+    x = symbols @ beams.stacked  # (count, N)
+    s = alpha0 * (x @ a_target)[:, None] * a_target[None, :]
+    if clutter.scale.size:
+        shape = (count, clutter.scale.size)
+        amps = clutter.scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        s = s + (amps * (x @ clutter.matrix)) @ clutter.matrix.T
+    noise = (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) / np.sqrt(2.0)
+    return s + noise

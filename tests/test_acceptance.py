@@ -44,11 +44,14 @@ from jrcsim.experiments import (
 )
 from jrcsim.power_allocation import (
     ConstraintTargets,
+    _first_feasible,
+    _rho_grid,
     evaluate_point,
-    first_feasible_split,
     minimize_power,
 )
-from jrcsim.radar_sensing import (
+from jrcsim.scenario import dbm_to_watts
+from jrcsim.stats import inverse_q, q_function
+from oracles import (
     average_scnr,
     clutter_covariance,
     optimal_receive_beamformer,
@@ -56,8 +59,10 @@ from jrcsim.radar_sensing import (
     scnr,
     transmit_covariance,
 )
-from jrcsim.scenario import dbm_to_watts
-from jrcsim.stats import inverse_q, q_function
+
+
+def with_clutter_count(scenario, count):
+    return dataclasses.replace(scenario, clutter=dataclasses.replace(scenario.clutter, count=count))
 
 
 def report(gate: str, ok: bool, detail: str = "") -> None:
@@ -79,17 +84,16 @@ class TestAcceptance:
         worst_oracle = 0.0
         for n_ant, n_clutter, sigma, key in cases:
             ctx = build_context(
-                default_scenario,
+                with_clutter_count(default_scenario, n_clutter),
                 n_antennas=n_ant,
                 sigma=sigma,
-                clutter_count=n_clutter,
                 scene_key=key,
             )
             power = float(rng.uniform(0.05, 10.0))
             rho = float(rng.uniform(0.0, 1.0))
             beams = ctx.beams_at(power, rho)
             x = ctx.waveform_at(beams)
-            cov = clutter_covariance(ctx.array, ctx.scene, transmit_covariance(beams))
+            cov = clutter_covariance(ctx.clutter, transmit_covariance(beams))
             w_star = optimal_receive_beamformer(ctx.target_steering, cov, x)
             s_star = scnr(w_star, ctx.alpha0, ctx.target_steering, cov, x)
 
@@ -116,10 +120,9 @@ class TestAcceptance:
         start = time.perf_counter()
         ctx = default_context
         beams = ctx.beams_at(1.0, ctx.scenario.power.rho)
-        cov = clutter_covariance(ctx.array, ctx.scene, transmit_covariance(beams))
-        silent_target = dataclasses.replace(ctx.scene, alpha0=0j)
+        cov = clutter_covariance(ctx.clutter, transmit_covariance(beams))
         snaps = radar_snapshot_batch(
-            ctx.array, silent_target, beams, np.random.default_rng(20260817), 100_000
+            ctx.clutter, 0j, ctx.target_steering, beams, np.random.default_rng(20260817), 100_000
         )
         sampled = snaps.T @ snaps.conj() / len(snaps)
         rel_err = np.linalg.norm(sampled - cov) / np.linalg.norm(cov)
@@ -158,11 +161,10 @@ class TestAcceptance:
                 10.0
                 * np.log10(
                     average_scnr(
-                        clean.array,
+                        clean.clutter,
                         clean.beams_at(dbm_to_watts(p), rho),
                         clean.alpha0,
                         clean.target_steering,
-                        clean.scene,
                     )
                 )
                 for p in powers_dbm
@@ -171,18 +173,17 @@ class TestAcceptance:
         slopes = np.diff(clean_db) / np.diff(powers_dbm)
         slope_err = float(np.max(np.abs(slopes - 1.0)))
 
-        dense = build_context(default_scenario, sigma=0.8, clutter_count=8)
+        dense = build_context(with_clutter_count(default_scenario, 8), sigma=0.8)
         high_dbm = np.linspace(-10.0, 70.0, 17)
         dense_db = np.array(
             [
                 10.0
                 * np.log10(
                     average_scnr(
-                        dense.array,
+                        dense.clutter,
                         dense.beams_at(dbm_to_watts(p), rho),
                         dense.alpha0,
                         dense.target_steering,
-                        dense.scene,
                     )
                 )
                 for p in high_dbm
@@ -193,21 +194,19 @@ class TestAcceptance:
         unit_rx = transmit_covariance(dense.beams_at(1.0, rho))
         a = dense.target_steering
         limit_cov = np.zeros((dense.n_antennas, dense.n_antennas), dtype=complex)
-        for el in dense.scene.clutter:
-            a_l = steering_vector(dense.array, el.position)
+        for a_l, sigma_l in zip(dense.clutter.matrix.T, dense.clutter.scale):
             gain = np.vdot(np.conj(a_l), unit_rx @ np.conj(a_l)).real
-            limit_cov += el.amplitude_scale**2 * gain * np.outer(a_l, a_l.conj())
+            limit_cov += sigma_l**2 * gain * np.outer(a_l, a_l.conj())
         ceiling = float(
             abs(dense.alpha0) ** 2
             * np.vdot(a, np.linalg.solve(limit_cov, a)).real
             * np.vdot(np.conj(a), unit_rx @ np.conj(a)).real
         )
         at_million = average_scnr(
-            dense.array,
+            dense.clutter,
             dense.beams_at(1e6, rho),
             dense.alpha0,
             dense.target_steering,
-            dense.scene,
         )
         gap = abs(at_million - ceiling) / ceiling
         report(
@@ -290,7 +289,10 @@ class TestAcceptance:
         powers = np.geomspace(
             dbm_to_watts(ctx.scenario.power.min_dbm), targets.p_max_watts, opt.power_points
         )
-        flags = [first_feasible_split(ctx, float(p)) is not None for p in powers]
+        rhos = _rho_grid(opt)
+        flags = [
+            _first_feasible(ctx, targets, float(p), rhos, opt.kappa_points)[0] is not None for p in powers
+        ]
         first = flags.index(True)
         bracketed = (
             flags == sorted(flags)
@@ -299,7 +301,7 @@ class TestAcceptance:
         )
 
         tol = opt.tol_factor * targets.p_max_watts
-        below = first_feasible_split(ctx, result.p_star_watts - 10.0 * tol) is None
+        below = _first_feasible(ctx, targets, result.p_star_watts - 10.0 * tol, rhos, opt.kappa_points)[0] is None
         elapsed = time.perf_counter() - start
         report(
             "minimum transmit power is feasible, re-validates, brackets the exhaustive "

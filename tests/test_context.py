@@ -48,7 +48,7 @@ class TestBuildContext:
         assert a.alpha0 == b.alpha0
         assert np.array_equal(a.symbols, b.symbols)
         assert np.array_equal(a.channels.h_sd, b.channels.h_sd)
-        assert [el.position for el in a.scene.clutter] == [el.position for el in b.scene.clutter]
+        assert np.array_equal(a.clutter.matrix, b.clutter.matrix)
         assert a.relay_budget == default_scenario.comm.relay_power_w == 0.01
 
     def test_scene_key_selects_the_realization(self, default_scenario):
@@ -56,18 +56,15 @@ class TestBuildContext:
         b = build_context(default_scenario, scene_key=1)
         assert a.alpha0 != b.alpha0  # drawn phase differs
         assert abs(a.alpha0) == pytest.approx(abs(b.alpha0), rel=1e-12)
-        assert [el.position for el in a.scene.clutter] != [el.position for el in b.scene.clutter]
+        assert not np.array_equal(a.clutter.matrix, b.clutter.matrix)
         # line-of-sight channels are geometric, so they do not change
         assert np.array_equal(a.channels.h_sd, b.channels.h_sd)
 
     def test_sigma_override_keeps_placements(self, default_scenario):
         light = build_context(default_scenario, sigma=0.1)
         intense = build_context(default_scenario, sigma=0.8)
-        assert [el.position for el in light.scene.clutter] == [
-            el.position for el in intense.scene.clutter
-        ]
-        assert all(el.amplitude_scale == 0.1 for el in light.scene.clutter)
-        assert all(el.amplitude_scale == 0.8 for el in intense.scene.clutter)
+        assert np.all(light.clutter.scale == 0.1)
+        assert np.all(intense.clutter.scale == 0.8)
         # sigma reaches the context only through the clutter amplitude scales
         assert np.array_equal(light.clutter.matrix, intense.clutter.matrix)
         assert light.alpha0 == intense.alpha0
@@ -82,8 +79,10 @@ class TestBuildContext:
         assert len(ctx.target_steering) == 10
 
     def test_no_clutter_override(self, default_scenario):
-        ctx = build_context(default_scenario, clutter_count=0)
-        assert ctx.scene.clutter == ()
+        sc = dataclasses.replace(default_scenario, clutter=dataclasses.replace(default_scenario.clutter, count=0))
+        ctx = build_context(sc)
+        assert ctx.clutter.matrix.shape == (ctx.n_antennas, 0)
+        assert ctx.clutter.scale.shape == (0,)
 
     def test_reflectivity_follows_the_two_way_law(self, default_scenario):
         sc = dataclasses.replace(
@@ -107,12 +106,12 @@ class TestBeamsAndWaveform:
         comm_only = default_context.beams_at(2.0, 0.0)
         radar_only = default_context.beams_at(2.0, 1.0)
         assert np.linalg.norm(comm_only.radar_beam) == 0.0
-        assert np.linalg.norm(radar_only.comm_beams[0]) == 0.0
+        assert np.linalg.norm(radar_only.comm_beam) == 0.0
 
     def test_beams_point_along_matched_directions(self, default_context):
         ctx = default_context
         beams = ctx.beams_at(4.0, 0.25)
-        assert beams.comm_beams[0] == pytest.approx(np.sqrt(3.0) * ctx.comm_direction, rel=1e-12)
+        assert beams.comm_beam == pytest.approx(np.sqrt(3.0) * ctx.comm_direction, rel=1e-12)
         assert beams.radar_beam == pytest.approx(1.0 * ctx.radar_direction, rel=1e-12)
         assert ctx.comm_direction == pytest.approx(
             np.conj(ctx.channels.h_sd) / np.linalg.norm(ctx.channels.h_sd), rel=1e-12
@@ -129,7 +128,7 @@ class TestBeamsAndWaveform:
         ctx = default_context
         beams = ctx.beams_at(dbm_to_watts(30.0), 0.5)
         x = ctx.waveform_at(beams)
-        expected = beams.comm_beams[0] * ctx.symbols[0] + beams.radar_beam * ctx.symbols[1]
+        expected = beams.comm_beam * ctx.symbols[0] + beams.radar_beam * ctx.symbols[1]
         assert x == pytest.approx(expected, rel=1e-12)
         assert np.array_equal(x, ctx.waveform_at(beams))
         assert np.array_equal(x, waveform_from_symbols(beams, ctx.symbols))

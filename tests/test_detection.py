@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_vector
-from jrcsim.comm_link import BeamformerSet
 from jrcsim.context import build_context
 from jrcsim.detection import (
     DetectionStatisticParams,
@@ -21,24 +20,24 @@ from jrcsim.detection import (
     false_alarm_probability,
     roc_sweep,
     sample_test_statistics,
-    simulate_detection,
     statistic_params,
     with_threshold,
 )
-from jrcsim.propagation import ClutterElement, Scene
-from jrcsim.radar_sensing import (
-    ClutterSteering,
+from jrcsim.scenario import ScenarioConfig, dbm_to_watts
+from jrcsim.stats import inverse_q
+from oracles import (
+    clutter_at,
     clutter_covariance,
     optimal_receive_beamformer,
+    random_positions,
     response_matrix,
     transmit_covariance,
 )
-from jrcsim.scenario import ScenarioConfig, dbm_to_watts
-from jrcsim.stats import inverse_q
 
 CFG = ArrayConfig(n_antennas=5, carrier_freq=28e9)
 TARGET = PolarPosition(5.0, np.pi / 3)
-_FROZEN = object()  # default sentinel: reuse the cell's own frozen waveform
+A_TARGET = steering_vector(CFG, TARGET)
+ALPHA0 = 0.5 + 0.2j
 
 
 def tail_oracle(z):
@@ -46,45 +45,21 @@ def tail_oracle(z):
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def make_scene(rng, n_clutter=3, sigma=0.8, alpha0=0.5 + 0.2j):
-    clutter = tuple(
-        ClutterElement(
-            position=PolarPosition(float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.2, 2.9))),
-            amplitude_scale=sigma,
-        )
-        for _ in range(n_clutter)
-    )
-    return Scene(target=TARGET, alpha0=alpha0, clutter=clutter)
-
-
-def make_beams(rng, n=5, power=1.0):
-    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    u *= np.sqrt(power / 2.0) / np.linalg.norm(u)
-    v *= np.sqrt(power / 2.0) / np.linalg.norm(v)
-    return BeamformerSet(comm_beams=(u,), radar_beam=v)
-
-
 class OperatingCell:
-    """One end-to-end receive chain: beams, frozen waveform, beamformer, moments."""
+    """One end-to-end receive chain: the default context and its sensing point at one power."""
 
     def __init__(self, sigma, power_dbm=30.0):
         scenario = ScenarioConfig()
         self.ctx = build_context(scenario, sigma=sigma)
-        self.beams = self.ctx.beams_at(dbm_to_watts(power_dbm), scenario.power.rho)
-        self.x = self.ctx.waveform_at(self.beams)
-        cov = clutter_covariance(self.ctx.array, self.ctx.scene, transmit_covariance(self.beams))
-        self.w = optimal_receive_beamformer(self.ctx.target_steering, cov, self.x)
-        self.params = statistic_params(
-            self.w, self.ctx.alpha0, self.ctx.target_steering, self.ctx.clutter, self.x, eta=1.0
-        )
+        self.point = self.ctx.sensing_at(dbm_to_watts(power_dbm), scenario.power.rho)
+        self.params = self.point.params
 
-    def sample(self, trials, seed, x=_FROZEN):
+    def sample(self, trials, seed, point=None):
         rng = np.random.default_rng(seed)
-        waveform = self.x if x is _FROZEN else x
-        return sample_test_statistics(
-            self.ctx.array, self.ctx.scene, self.beams, self.w, trials, rng, x=waveform
-        )
+        return sample_test_statistics(self.ctx, point or self.point, trials=trials, rng=rng)
+
+    def sweep(self, kappas, trials, seed):
+        return roc_sweep(self.ctx, self.point, kappas, trials=trials, rng=np.random.default_rng(seed))
 
 
 @functools.lru_cache(maxsize=None)
@@ -96,17 +71,17 @@ class TestStatisticParams:
     def test_matches_dense_matrix_form(self):
         # mu_1 = alpha_0 w^H A x, sigma^2 = ||w||^2 + sum sigma_l^2 |w^H A_l x|^2
         rng = np.random.default_rng(0)
-        scene = make_scene(rng)
+        positions = random_positions(rng)
+        clutter = clutter_at(CFG, positions)
         mat = response_matrix(CFG, TARGET)
-        clutter_mats = [response_matrix(CFG, el.position) for el in scene.clutter]
+        clutter_mats = [response_matrix(CFG, pos) for pos in positions]
         for _ in range(50):
             w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            got = statistic_params(w, scene.alpha0, steering_vector(CFG, TARGET), ClutterSteering.of(CFG, scene), x, eta=1.0)
-            mu_expected = scene.alpha0 * (w.conj() @ mat @ x)
+            got = statistic_params(w, ALPHA0, A_TARGET, clutter, x, eta=1.0)
+            mu_expected = ALPHA0 * (w.conj() @ mat @ x)
             var_expected = float(np.vdot(w, w).real) + sum(
-                el.amplitude_scale**2 * abs(w.conj() @ m @ x) ** 2
-                for el, m in zip(scene.clutter, clutter_mats)
+                sigma**2 * abs(w.conj() @ m @ x) ** 2 for sigma, m in zip(clutter.scale, clutter_mats)
             )
             assert got.mu1 == pytest.approx(mu_expected, rel=1e-12)
             assert got.sigma2 == pytest.approx(var_expected, rel=1e-12)
@@ -114,39 +89,38 @@ class TestStatisticParams:
     def test_unit_ratio_threshold_is_signal_energy(self):
         # at eta = 1 the log term vanishes and kappa = |mu_1|^2
         rng = np.random.default_rng(1)
-        scene = make_scene(rng)
+        clutter = clutter_at(CFG, random_positions(rng))
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        got = statistic_params(w, scene.alpha0, steering_vector(CFG, TARGET), ClutterSteering.of(CFG, scene), x, eta=1.0)
+        got = statistic_params(w, ALPHA0, A_TARGET, clutter, x, eta=1.0)
         assert got.kappa == pytest.approx(abs(got.mu1) ** 2, rel=1e-12)
         assert got.eta == 1.0
 
     def test_threshold_combines_variance_and_signal_terms(self):
         rng = np.random.default_rng(2)
-        scene = make_scene(rng)
+        clutter = clutter_at(CFG, random_positions(rng))
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        got = statistic_params(w, scene.alpha0, steering_vector(CFG, TARGET), ClutterSteering.of(CFG, scene), x, eta=1e-6)
+        got = statistic_params(w, ALPHA0, A_TARGET, clutter, x, eta=1e-6)
         assert got.kappa == pytest.approx(got.sigma2 * math.log(1e-6) + abs(got.mu1) ** 2, rel=1e-12)
 
     def test_weak_target_gives_negative_threshold(self):
         # when the variance term dominates, ln(eta) < 0 drags kappa below zero
         rng = np.random.default_rng(3)
-        scene = make_scene(rng, alpha0=1e-6 + 0j)
+        clutter = clutter_at(CFG, random_positions(rng))
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        got = statistic_params(w, scene.alpha0, steering_vector(CFG, TARGET), ClutterSteering.of(CFG, scene), x, eta=1e-6)
+        got = statistic_params(w, 1e-6 + 0j, A_TARGET, clutter, x, eta=1e-6)
         assert got.kappa < 0.0
 
     def test_rejects_non_positive_ratio(self):
         rng = np.random.default_rng(4)
-        scene = make_scene(rng)
+        clutter = clutter_at(CFG, random_positions(rng))
         w = np.ones(5, dtype=complex)
         x = np.ones(5, dtype=complex)
-        a = steering_vector(CFG, TARGET)
         for eta in (0.0, -1.0):
             with pytest.raises(ValueError):
-                statistic_params(w, scene.alpha0, a, ClutterSteering.of(CFG, scene), x, eta=eta)
+                statistic_params(w, ALPHA0, A_TARGET, clutter, x, eta=eta)
 
     def test_rejects_non_positive_variance(self):
         with pytest.raises(ValueError):
@@ -235,7 +209,8 @@ class TestSampledStatistics:
     def test_empirical_moments_match_parameters(self):
         trials = 200_000
         run = cell(0.8)
-        t_h0, t_h1, params = run.sample(trials, seed=11)
+        t_h0, t_h1 = run.sample(trials, seed=11)
+        params = run.params
         mu_sq = abs(params.mu1) ** 2
         var_expected = 2.0 * mu_sq * params.sigma2
         se_mean = math.sqrt(var_expected / trials)
@@ -248,37 +223,44 @@ class TestSampledStatistics:
         # T is linear in the Gaussian clutter amplitudes and noise, so the
         # standardized null sample should show no skew
         trials = 200_000
-        t_h0, _, _ = cell(0.8).sample(trials, seed=12)
+        t_h0, _ = cell(0.8).sample(trials, seed=12)
         z = (t_h0 - np.mean(t_h0)) / np.std(t_h0)
         assert abs(float(np.mean(z**3))) < 0.05
         assert float(np.mean(z**4)) == pytest.approx(3.0, abs=0.2)
 
     def test_moments_agree_with_reported_parameters(self):
+        # the point's moments match those of the dense Cholesky beamformer
         run = cell(0.1)
-        _, _, params = run.sample(4, seed=13)
-        direct = statistic_params(
-            run.w, run.ctx.alpha0, run.ctx.target_steering, run.ctx.clutter, run.x, eta=1.0
-        )
-        assert params.mu1 == pytest.approx(direct.mu1, rel=1e-12)
-        assert params.sigma2 == pytest.approx(direct.sigma2, rel=1e-12)
+        ctx, point = run.ctx, run.point
+        cov = clutter_covariance(ctx.clutter, transmit_covariance(point.beams))
+        w = optimal_receive_beamformer(ctx.target_steering, cov, point.x)
+        direct = statistic_params(w, ctx.alpha0, ctx.target_steering, ctx.clutter, point.x, eta=1.0)
+        assert run.params.mu1 == pytest.approx(direct.mu1, rel=1e-12)
+        assert run.params.sigma2 == pytest.approx(direct.sigma2, rel=1e-12)
 
     def test_waveform_stays_frozen_across_trials(self):
-        # a different frozen snapshot changes the moments; the same one does not
-        run = cell(0.1)
-        rng = np.random.default_rng(14)
-        _, _, params_base = run.sample(1000, seed=15)
-        _, _, params_repeat = run.sample(1000, seed=16)
-        assert params_repeat.mu1 == params_base.mu1
-        scrambled = run.x * np.exp(2j * np.pi * rng.uniform(size=run.x.shape))
-        _, _, params_other = run.sample(1000, seed=17, x=scrambled)
-        assert params_other.mu1 != params_base.mu1
+        # every trial transmits the point's x, so the H1 mean sits at 2|mu_1|^2
+        # of that x; a point with another frozen x moves it to its own value
+        run = cell(0.8)
+        ctx, trials = run.ctx, 50_000
+        x = run.point.x * np.exp(2j * np.pi * np.random.default_rng(14).uniform(size=run.point.x.shape))
+        params = statistic_params(run.point.w, ctx.alpha0, ctx.target_steering, ctx.clutter, x, eta=1.0)
+        other = dataclasses.replace(run.point, x=x, params=params)
+        means = []
+        for point in (run.point, other):
+            _, t_h1 = run.sample(trials, seed=15, point=point)
+            mu_sq = abs(point.params.mu1) ** 2
+            se = math.sqrt(2.0 * mu_sq * point.params.sigma2 / trials)
+            assert float(np.mean(t_h1)) == pytest.approx(2.0 * mu_sq, abs=5.0 * se)
+            means.append((2.0 * mu_sq, se))
+        assert abs(means[0][0] - means[1][0]) > 20.0 * max(means[0][1], means[1][1])
 
     def test_leading_block_is_schedule_independent(self):
         # trials are drawn in fixed-size blocks from jumped streams, so the
         # first block does not depend on how many trials follow it
         run = cell(0.8)
-        long_h0, long_h1, _ = run.sample(40_000, seed=18)
-        short_h0, short_h1, _ = run.sample(20_000, seed=18)
+        long_h0, long_h1 = run.sample(40_000, seed=18)
+        short_h0, short_h1 = run.sample(20_000, seed=18)
         block = 16_384
         assert np.array_equal(long_h0[:block], short_h0[:block])
         assert np.array_equal(long_h1[:block], short_h1[:block])
@@ -304,10 +286,7 @@ class TestSimulatedRates:
         for sigma in (0.1, 0.8):
             run = cell(sigma)
             kappas = self.probe_thresholds(run.params)
-            points = roc_sweep(
-                run.ctx.array, run.ctx.scene, run.beams, run.w, kappas, trials,
-                np.random.default_rng(20), x=run.x,
-            )
+            points = run.sweep(kappas, trials, seed=20)
             for pt in points:
                 for analytic, empirical in ((pt.pfa_analytic, pt.pfa_mc), (pt.pd_analytic, pt.pd_mc)):
                     if not 1e-3 <= analytic <= 1.0 - 1e-3:
@@ -320,10 +299,7 @@ class TestSimulatedRates:
     def test_intervals_bracket_estimates_with_binomial_width(self):
         trials = 100_000
         run = cell(0.8)
-        points = roc_sweep(
-            run.ctx.array, run.ctx.scene, run.beams, run.w,
-            self.probe_thresholds(run.params), trials, np.random.default_rng(21), x=run.x,
-        )
+        points = run.sweep(self.probe_thresholds(run.params), trials, seed=21)
         for pt in points:
             assert pt.trials == trials
             for analytic, empirical, ci in (
@@ -348,10 +324,7 @@ class TestSimulatedRates:
         covered_fa = 0
         covered_d = 0
         for rep in range(replicates):
-            points = roc_sweep(
-                run.ctx.array, run.ctx.scene, run.beams, run.w,
-                [kappa_fa, kappa_d], 2000, np.random.default_rng(1000 + rep), x=run.x,
-            )
+            points = run.sweep([kappa_fa, kappa_d], 2000, seed=1000 + rep)
             low, high = points
             covered_fa += int(low.pfa_ci.lo <= low.pfa_analytic <= low.pfa_ci.hi)
             covered_d += int(high.pd_ci.lo <= high.pd_analytic <= high.pd_ci.hi)
@@ -362,43 +335,28 @@ class TestSimulatedRates:
     def test_repeat_runs_are_identical(self):
         run = cell(0.1)
         kappa = abs(run.params.mu1) ** 2
-        first = simulate_detection(
-            run.ctx.array, run.ctx.scene, run.beams, run.w, kappa, 20_000,
-            np.random.default_rng(22), x=run.x,
-        )
-        second = simulate_detection(
-            run.ctx.array, run.ctx.scene, run.beams, run.w, kappa, 20_000,
-            np.random.default_rng(22), x=run.x,
-        )
+        (first,) = run.sweep([kappa], 20_000, seed=22)
+        (second,) = run.sweep([kappa], 20_000, seed=22)
         assert first == second
-        third = simulate_detection(
-            run.ctx.array, run.ctx.scene, run.beams, run.w, kappa, 20_000,
-            np.random.default_rng(23), x=run.x,
-        )
+        (third,) = run.sweep([kappa], 20_000, seed=23)
         assert (third.pfa_mc, third.pd_mc) != (first.pfa_mc, first.pd_mc)
 
     def test_single_point_sweep_equals_direct_simulation(self):
         run = cell(0.8)
+        # one threshold applied by hand to the sampled statistic, and the same
+        # threshold inside a larger grid on the same stream
         kappa = 0.5 * abs(run.params.mu1) ** 2
-        swept = roc_sweep(
-            run.ctx.array, run.ctx.scene, run.beams, run.w, [kappa], 20_000,
-            np.random.default_rng(24), x=run.x,
-        )
-        direct = simulate_detection(
-            run.ctx.array, run.ctx.scene, run.beams, run.w, kappa, 20_000,
-            np.random.default_rng(24), x=run.x,
-        )
-        assert swept == [direct]
+        (swept,) = run.sweep([kappa], 20_000, seed=24)
+        t_h0, t_h1 = run.sample(20_000, seed=24)
+        assert (swept.pfa_mc, swept.pd_mc) == (np.mean(t_h0 >= kappa), np.mean(t_h1 >= kappa))
+        assert run.sweep([-kappa, kappa, 3.0 * kappa], 20_000, seed=24)[1] == swept
 
     def test_shared_draws_give_monotone_sorted_curves(self):
         run = cell(0.8)
         mu_sq = abs(run.params.mu1) ** 2
         grid = np.linspace(-0.5 * mu_sq, 3.0 * mu_sq, 15)
         shuffled = np.random.default_rng(25).permutation(grid)
-        points = roc_sweep(
-            run.ctx.array, run.ctx.scene, run.beams, run.w, shuffled, 20_000,
-            np.random.default_rng(26), x=run.x,
-        )
+        points = run.sweep(shuffled, 20_000, seed=26)
         kappas = [pt.kappa for pt in points]
         assert kappas == sorted(kappas)
         assert kappas == pytest.approx(list(grid))
@@ -413,18 +371,12 @@ class TestSimulatedRates:
         run = cell(0.1)
         for grid in ([], [np.nan], [0.0, np.inf]):
             with pytest.raises(ValueError):
-                roc_sweep(
-                    run.ctx.array, run.ctx.scene, run.beams, run.w, grid, 100,
-                    np.random.default_rng(27), x=run.x,
-                )
+                run.sweep(grid, 100, seed=27)
 
     def test_absent_target_reports_nan_closed_forms(self):
-        run = cell(0.1)
-        silent = dataclasses.replace(run.ctx.scene, alpha0=0.0 + 0.0j)
-        point = simulate_detection(
-            run.ctx.array, silent, run.beams, run.w, 0.0, 20_000,
-            np.random.default_rng(28), x=run.x,
-        )
+        silent = dataclasses.replace(cell(0.1).ctx, alpha0=0.0 + 0.0j)
+        sensing = silent.sensing_at(dbm_to_watts(30.0), 0.5)
+        (point,) = roc_sweep(silent, sensing, [0.0], trials=20_000, rng=np.random.default_rng(28))
         assert math.isnan(point.pfa_analytic)
         assert math.isnan(point.pd_analytic)
         assert 0.0 <= point.pfa_mc <= 1.0

@@ -546,6 +546,21 @@ class TestCli:
             assert rc == 1
             assert "error:" in err
 
+    def test_scenes_that_cannot_be_built_are_config_errors(self, tmp_path, capsys):
+        # each passed validation once and then raised from the scene build
+        for field, config in (
+            ("clutter.angle_exclusion_rad", {"clutter": {"angle_exclusion_rad": 3.0}, "target": {"angle_rad": 1.5}}),
+            ("path_loss.h_bs_m", {"path_loss": {"kind": "tr38901_umi_los", "h_bs_m": 0.5}}),
+        ):
+            path = tmp_path / f"{field}.json"
+            path.write_text(json.dumps(config))
+            for command in ("scnr-sweep", "detection-sweep", "tradeoff", "optimize", "validate"):
+                rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+                err = capsys.readouterr().err
+                assert rc == 1
+                assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+                assert "Traceback" not in err
+
     def test_infeasible_budget_exits_two_but_reports(self, tmp_path, capsys):
         config = dict(CLI_CONFIG)
         config["targets"] = {"p_max_dbm": 10.0}

@@ -27,25 +27,34 @@ from jrcsim.power_allocation import (
     _rho_grid,
     _tradeoff_record,
     evaluate_point,
-    first_feasible_split,
     minimize_power,
     threshold_grid,
     tradeoff_sweep,
 )
-from jrcsim.radar_sensing import (
+from jrcsim.scenario import ConfigError, ScenarioConfig, dbm_to_watts, watts_to_dbm
+from jrcsim.stats import q_function
+from oracles import (
     average_scnr,
     clutter_covariance,
     optimal_receive_beamformer,
     scnr_at_optimum,
     transmit_covariance,
 )
-from jrcsim.scenario import ConfigError, ScenarioConfig, dbm_to_watts, watts_to_dbm
-from jrcsim.stats import q_function
 
 
 @pytest.fixture(scope="module")
 def fast_context(fast_scenario):
     return build_context(fast_scenario)
+
+
+def feasible_split(ctx, power_watts):
+    """The split search at one power on the scenario's own targets and grids."""
+    opt, targets = ctx.scenario.optimizer, ConstraintTargets.from_scenario(ctx.scenario)
+    return _first_feasible(ctx, targets, power_watts, _rho_grid(opt), opt.kappa_points)[0]
+
+
+def first_feasible_index(records):
+    return next((i for i, rec in enumerate(records) if rec.feasible), None)
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +132,7 @@ class TestEvaluatePoint:
         power, rho = 2.0, 0.5
         beams = ctx.beams_at(power, rho)
         x = ctx.waveform_at(beams)
-        cov = clutter_covariance(ctx.array, ctx.scene, transmit_covariance(beams))
+        cov = clutter_covariance(ctx.clutter, transmit_covariance(beams))
         w = optimal_receive_beamformer(ctx.target_steering, cov, x)
         params = statistic_params(
             w, ctx.alpha0, ctx.target_steering, ctx.clutter, x, eta=1.0
@@ -142,7 +151,7 @@ class TestEvaluatePoint:
             scnr_at_optimum(ctx.alpha0, ctx.target_steering, cov, x), rel=1e-12
         )
         assert point.scnr_avg == pytest.approx(
-            average_scnr(ctx.array, beams, ctx.alpha0, ctx.target_steering, ctx.scene), rel=1e-12
+            average_scnr(ctx.clutter, beams, ctx.alpha0, ctx.target_steering), rel=1e-12
         )
 
     def test_budget_holds_by_construction(self, default_context):
@@ -202,7 +211,7 @@ class TestMinimizePower:
         )
         probe = result.p_star_watts - result.tolerance_watts
         assert probe > 0.0
-        assert first_feasible_split(fast_context, probe) is None
+        assert feasible_split(fast_context, probe) is None
 
     def test_matches_direct_scan_of_the_coarse_grid(self, fast_context, solved):
         # feasibility along the power axis is monotone, and the reported
@@ -211,7 +220,7 @@ class TestMinimizePower:
         powers = np.geomspace(
             dbm_to_watts(sc.power.min_dbm), dbm_to_watts(sc.targets.p_max_dbm), sc.optimizer.power_points
         )
-        flags = [first_feasible_split(fast_context, float(p)) is not None for p in powers]
+        flags = [feasible_split(fast_context, float(p)) is not None for p in powers]
         assert flags == sorted(flags)  # infeasible powers all precede feasible ones
         assert any(flags)
         i = flags.index(True)
@@ -220,7 +229,7 @@ class TestMinimizePower:
 
     def test_feasibility_persists_above_the_optimum(self, fast_context, solved):
         for p in np.geomspace(solved.p_star_watts, solved.p_ceiling_watts, 4):
-            assert first_feasible_split(fast_context, float(p)) is not None
+            assert feasible_split(fast_context, float(p)) is not None
 
     def test_infeasible_ceiling_reports_cleanly(self, fast_context):
         targets = ConstraintTargets(
@@ -296,52 +305,51 @@ def swept(fast_context):
 class TestTradeoffSweep:
     def test_default_grid_spans_floor_to_ceiling(self, fast_context, swept):
         sc = fast_context.scenario
-        assert len(swept.records) == sc.power.points
-        powers = [rec.power_watts for rec in swept.records]
+        assert len(swept) == sc.power.points
+        powers = [rec.power_watts for rec in swept]
         assert powers == sorted(powers)
         assert powers[0] == pytest.approx(dbm_to_watts(sc.power.min_dbm), rel=1e-12)
         assert powers[-1] == pytest.approx(dbm_to_watts(sc.targets.p_max_dbm), rel=1e-12)
 
     def test_feasibility_is_monotone_along_the_grid(self, swept):
-        flags = [rec.feasible for rec in swept.records]
+        flags = [rec.feasible for rec in swept]
         assert flags == sorted(flags)
         assert not flags[0]
         assert flags[-1]
 
-    def test_marked_record_is_the_first_feasible_one(self, swept):
-        idx = swept.marked_index
-        assert idx is not None
-        assert swept.records[idx].feasible
-        assert all(not rec.feasible for rec in swept.records[:idx])
-        assert swept.marked == swept.records[idx]
+    def test_marked_record_is_the_first_feasible_one(self, fast_context, swept):
+        # the first feasible grid power is where the split search first succeeds
+        idx = first_feasible_index(swept)
+        assert feasible_split(fast_context, swept[idx].power_watts) is not None
+        assert idx == 0 or feasible_split(fast_context, swept[idx - 1].power_watts) is None
 
     def test_marked_record_meets_both_service_targets(self, fast_context, swept):
-        marked = swept.marked
+        marked = swept[first_feasible_index(swept)]
         assert marked.rate_bps_hz >= fast_context.scenario.targets.rate_bps_hz
         assert marked.pd >= fast_context.scenario.targets.pd_min
         assert marked.pfa <= fast_context.scenario.targets.pfa_max
 
     def test_starved_end_fails_both_services(self, swept):
-        low = swept.records[0]
+        low = swept[0]
         assert low.rate_bps_hz < 5.0
         assert low.pd < 0.6
 
     def test_rate_grows_with_power(self, swept):
-        rates = [rec.rate_bps_hz for rec in swept.records]
+        rates = [rec.rate_bps_hz for rec in swept]
         assert np.all(np.diff(rates) >= 0.0)
         assert rates[-1] > rates[0]
 
     def test_consistent_with_the_minimizer(self, swept, solved):
         # the marked grid power brackets the bisected optimum from above
-        idx = swept.marked_index
-        assert solved.p_star_watts <= swept.records[idx].power_watts + solved.tolerance_watts
+        idx = first_feasible_index(swept)
+        assert solved.p_star_watts <= swept[idx].power_watts + solved.tolerance_watts
         if idx > 0:
-            assert solved.p_star_watts > swept.records[idx - 1].power_watts
+            assert solved.p_star_watts > swept[idx - 1].power_watts
 
     def test_custom_grid_is_used_verbatim(self, fast_context):
         grid = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
         result = tradeoff_sweep(fast_context, power_grid_watts=grid)
-        assert [rec.power_watts for rec in result.records] == pytest.approx(list(grid))
+        assert [rec.power_watts for rec in result] == pytest.approx(list(grid))
 
     def test_rejects_malformed_grids(self, fast_context):
         for grid in ([], [[1.0, 2.0]], [0.0, 1.0], [2.0, 1.0], [1.0, 1.0]):
@@ -353,9 +361,7 @@ class TestTradeoffSweep:
             gamma_min=1e12, pfa_max=1e-6, pd_min=0.6, p_max_watts=dbm_to_watts(46.0)
         )
         result = tradeoff_sweep(fast_context, targets=targets)
-        assert result.marked_index is None
-        assert result.marked is None
-        assert all(not rec.feasible for rec in result.records)
+        assert first_feasible_index(result) is None
 
     def test_fixed_split_pins_every_record(self, fast_scenario):
         scenario = dataclasses.replace(
@@ -363,7 +369,7 @@ class TestTradeoffSweep:
             optimizer=dataclasses.replace(fast_scenario.optimizer, fixed_rho=0.9),
         )
         result = tradeoff_sweep(scenario)
-        assert all(rec.rho == 0.9 for rec in result.records)
+        assert all(rec.rho == 0.9 for rec in result)
 
 
 # The split search evaluates every split of a power in one batch. The oracle

@@ -6,11 +6,9 @@ import pytest
 from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_vector
 from jrcsim.propagation import (
     ChannelSet,
-    ClutterElement,
     Fading,
     PathLossKind,
     PathLossModel,
-    Scene,
     TargetPhase,
     amplitude_gain,
     make_clutter_scene,
@@ -184,67 +182,45 @@ class TestTargetReflectivity:
 class TestClutterScene:
     def test_count_scale_and_ranges(self):
         rng = np.random.default_rng(5)
-        scene = make_clutter_scene(
-            rng, count=3, max_range=5.0, sigma_c=0.8, angle_exclusion=0.05, target_angle=np.pi / 3
-        )
-        assert len(scene) == 3
-        assert all(isinstance(el, ClutterElement) for el in scene)
-        assert all(el.amplitude_scale == 0.8 for el in scene)
-        assert all(0.5 < el.position.range_m <= 5.0 for el in scene)
+        placements = make_clutter_scene(rng, count=3, max_range=5.0, angle_exclusion=0.05, target_angle=np.pi / 3)
+        assert len(placements) == 3
+        assert all(isinstance(pos, PolarPosition) for pos in placements)
+        assert all(0.5 < pos.range_m <= 5.0 for pos in placements)
 
     def test_exclusion_window_respected(self):
         target = 1.1
         rng = np.random.default_rng(17)
         for _ in range(10_000):
-            scene = make_clutter_scene(
-                rng, count=1, max_range=5.0, sigma_c=0.8,
-                angle_exclusion=0.1, target_angle=target,
-            )
-            assert abs(scene[0].position.angle_rad - target) >= 0.1
+            (pos,) = make_clutter_scene(rng, count=1, max_range=5.0, angle_exclusion=0.1, target_angle=target)
+            assert abs(pos.angle_rad - target) >= 0.1
 
     def test_angles_cover_both_sides(self):
         target = np.pi / 2
         rng = np.random.default_rng(23)
         angles = [
-            make_clutter_scene(
-                rng, count=1, max_range=5.0, sigma_c=0.5,
-                angle_exclusion=0.3, target_angle=target,
-            )[0].position.angle_rad
+            make_clutter_scene(rng, count=1, max_range=5.0, angle_exclusion=0.3, target_angle=target)[0].angle_rad
             for _ in range(500)
         ]
         assert any(a < target for a in angles) and any(a > target for a in angles)
 
     def test_deterministic_given_stream(self):
-        a = make_clutter_scene(
-            np.random.default_rng(9), 3, 5.0, 0.8, 0.05, np.pi / 3
-        )
-        b = make_clutter_scene(
-            np.random.default_rng(9), 3, 5.0, 0.8, 0.05, np.pi / 3
-        )
+        a = make_clutter_scene(np.random.default_rng(9), 3, 5.0, 0.05, np.pi / 3)
+        b = make_clutter_scene(np.random.default_rng(9), 3, 5.0, 0.05, np.pi / 3)
         assert a == b
 
     def test_zero_count(self):
-        assert make_clutter_scene(np.random.default_rng(1), 0, 5.0, 0.8, 0.05, 1.0) == ()
+        assert make_clutter_scene(np.random.default_rng(1), 0, 5.0, 0.05, 1.0) == ()
 
     def test_exclusion_covering_everything_rejected(self):
         with pytest.raises(ValueError):
-            make_clutter_scene(
-                np.random.default_rng(1), 1, 5.0, 0.8,
-                angle_exclusion=4.0, target_angle=np.pi / 2,
-            )
+            make_clutter_scene(np.random.default_rng(1), 1, 5.0, angle_exclusion=4.0, target_angle=np.pi / 2)
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
-            make_clutter_scene(np.random.default_rng(1), 1, 0.4, 0.8, 0.05, 1.0)
+            make_clutter_scene(np.random.default_rng(1), 1, 0.4, 0.05, 1.0)
 
 
 class TestSceneAndChannelSet:
-    def test_scene_holds_reflectivity_and_clutter(self):
-        target = PolarPosition(5.0, np.pi / 3)
-        scene = Scene(target=target, alpha0=0.5 + 0.1j, clutter=())
-        assert scene.alpha0 == 0.5 + 0.1j
-        assert scene.clutter == ()
-
     def test_channel_set_rejects_bad_noise(self):
         h = np.ones(4, dtype=complex)
         with pytest.raises(ValueError):

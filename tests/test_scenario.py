@@ -10,13 +10,17 @@ from jrcsim.scenario import (
     CLUTTER_LEVELS,
     ConfigError,
     ScenarioConfig,
-    canonical_json,
     config_hash,
     dbm_to_watts,
     load_scenario,
     scenario_from_dict,
     watts_to_dbm,
 )
+
+
+def canonical_json(config: ScenarioConfig) -> str:
+    """Key-sorted, whitespace-free JSON; the round-trip identity anchor."""
+    return json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 class TestUnitConversions:
@@ -195,11 +199,28 @@ class TestValidation:
             ({"detection": {"powers_dbm": [301.0]}}, "detection.powers_dbm[0]: must be <= 300.0"),
             ({"sweep": {"carriers_ghz": [float("nan")]}}, "sweep.carriers_ghz[0]: must be finite"),
             ({"sweep": {"carriers_ghz": [float("inf")]}}, "sweep.carriers_ghz[0]: must be finite"),
+            # cross-field rules: placements need bearings outside the exclusion
+            # window, and the TR 38.901 law needs heights above 1 m
+            (
+                {"clutter": {"angle_exclusion_rad": 3.0}, "target": {"angle_rad": 1.5}},
+                "clutter.angle_exclusion_rad: must leave part of (0, pi) outside the window "
+                "about target.angle_rad=1.5, got 3.0",
+            ),
+            (
+                {"path_loss": {"kind": "tr38901_umi_los", "h_bs_m": 0.5}},
+                "path_loss.h_bs_m: must exceed 1.0 for tr38901_umi_los, got 0.5",
+            ),
+            (
+                {"path_loss": {"kind": "tr38901_umi_los", "h_ut_m": 1.0}},
+                "path_loss.h_ut_m: must exceed 1.0 for tr38901_umi_los, got 1.0",
+            ),
         ]
         for raw, needle in cases:
             with pytest.raises(ConfigError) as err:
                 scenario_from_dict(raw)
             assert needle in str(err.value)
+        # without clutter there are no placements to draw, so any window is valid
+        scenario_from_dict({"clutter": {"count": 0, "angle_exclusion_rad": 3.0}, "target": {"angle_rad": 1.5}})
 
     def test_list_entries_are_named_by_index(self):
         with pytest.raises(ConfigError, match=r"detection\.clutter_levels\[1\]"):

@@ -1,0 +1,77 @@
+"""The package surface: every function in src/jrcsim runs in some CLI command.
+
+All five commands run on the reduced scenario (and one of them in JSON form)
+under sys.setprofile, which records the code object of every Python frame
+entered. A module-level function or method that no command enters is code
+only tests reach, and belongs in tests/ or nowhere; the few exceptions are
+named below with their reason.
+"""
+
+import contextlib
+import importlib
+import inspect
+import io
+import json
+import pkgutil
+import sys
+
+import jrcsim
+from conftest import reduced_scenario
+from jrcsim.cli import main
+from jrcsim.scenario import ScenarioConfig
+
+NOT_ON_A_COMMAND_PATH = {
+    "jrcsim.array_geometry.exact_distance": "near-field geometry helper for library users (README layout)",
+    "jrcsim.array_geometry.fresnel_distance": "near-field geometry helper for library users (README layout)",
+    "jrcsim.array_geometry.fraunhofer_distance": "near-field geometry helper for library users (README layout)",
+    "jrcsim.array_geometry.ArrayConfig.aperture": "the array length fraunhofer_distance reads",
+    "jrcsim.experiments.parse_table_csv": "reads an emitted table back (README output section)",
+    "jrcsim.cli._Parser.error": "runs only on a usage error",
+    "jrcsim.scenario._setting": "runs once at import, when the scenario fields are declared",
+}
+
+MODULES = [importlib.import_module(f"jrcsim.{m.name}") for m in pkgutil.iter_modules(jrcsim.__path__)]
+
+
+def defined_functions(module):
+    """(dotted name, function) for each function and method written in the module's file."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            yield f"{module.__name__}.{value.__qualname__}", value
+        elif inspect.isclass(value):
+            for attr in vars(value).values():
+                fn = getattr(attr, "fget", None) or getattr(attr, "__func__", None) or attr
+                if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
+                    yield f"{module.__name__}.{fn.__qualname__}", fn
+
+
+def test_every_function_runs_in_some_command(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(reduced_scenario(ScenarioConfig()).to_dict()))
+    runs = [[c] for c in ("scnr-sweep", "detection-sweep", "tradeoff", "optimize", "validate")]
+    runs.append(["optimize", "--format", "json"])
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main([*run, "--config", str(path), "--out", str(tmp_path / str(i))]) for i, run in enumerate(runs)]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(runs)
+    names = {name: fn for module in MODULES for name, fn in defined_functions(module)}
+    assert set(NOT_ON_A_COMMAND_PATH) <= set(names)
+    never = sorted(name for name, fn in names.items() if fn.__code__ not in entered)
+    assert never == sorted(NOT_ON_A_COMMAND_PATH)
+
+
+def test_every_exported_name_resolves():
+    for module in [jrcsim, *MODULES]:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
