@@ -92,7 +92,6 @@ class SimulationContext:
 
     scenario: ScenarioConfig
     array: ArrayConfig
-    path_loss: PathLossModel
     alpha0: complex
     target_steering: np.ndarray
     clutter: ClutterSteering
@@ -138,7 +137,7 @@ class SimulationContext:
     def sensing_at(self, power_watts: float, rho: float) -> SensingPoint:
         """Optimal receive beamformer and detector moments at one operating point."""
         beams, x, w = self._receive(power_watts, rho)
-        params = statistic_params(w, self.alpha0, self.target_steering, self.clutter, x, eta=1.0)
+        params = statistic_params(w, self.alpha0, self.target_steering, self.clutter, x)
         return SensingPoint(beams, x, w, params)
 
     def sensing_over_splits(self, power_watts: float, rhos: np.ndarray):
@@ -223,7 +222,6 @@ def build_context(
     return SimulationContext(
         scenario=scenario,
         array=array,
-        path_loss=path_loss,
         alpha0=alpha0,
         target_steering=a_target,
         clutter=clutter,

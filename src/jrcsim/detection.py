@@ -8,11 +8,14 @@ w^H A x under H1 (0 under H0) and variance
 
 where the clutter sum is one product with the scene's steering matrix
 (ClutterSteering.projected_power). The log likelihood ratio reduces
-(affinely) to T = 2 Re(y_s conj(mu_1)) compared against
-kappa = sigma^2 ln(eta) + |mu_1|^2, giving
+(affinely) to T = 2 Re(y_s conj(mu_1)) compared against a threshold kappa,
+giving
 
     P_FA = Q( kappa / (|mu_1| sqrt(2 sigma^2)) ),
-    P_D  = Q( (kappa - 2 |mu_1|^2) / (|mu_1| sqrt(2 sigma^2)) ).
+    P_D  = Q( (kappa - 2 |mu_1|^2) / (|mu_1| sqrt(2 sigma^2)) ),
+
+so the Neyman-Pearson threshold for a cap P_FA,max is
+kappa_fa = |mu_1| sqrt(2 sigma^2) Q^-1(P_FA,max) (Kay, Vol. II, ch. 3).
 
 Monte Carlo trials read a context and one of its sensing points: the frozen
 waveform x (it is known to the receiver), w and the moments all come from the
@@ -23,7 +26,6 @@ reproducible bit-for-bit regardless of execution schedule.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .radar_sensing import ClutterSteering
-from .stats import ConfidenceInterval, binomial_ci, q_function
+from .stats import ConfidenceInterval, binomial_ci, inverse_q, q_function
 
 if TYPE_CHECKING:
     from .context import SensingPoint, SimulationContext
@@ -41,9 +43,9 @@ __all__ = [
     "DetectionOperatingPoint",
     "statistic_params",
     "statistic_moments",
-    "with_threshold",
     "false_alarm_probability",
     "detection_probability",
+    "false_alarm_threshold",
     "sample_test_statistics",
     "roc_sweep",
 ]
@@ -53,16 +55,11 @@ _BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class DetectionStatisticParams:
-    """Sufficient statistics of the detection problem at a fixed (w, x).
-
-    ``eta`` is the likelihood-ratio threshold that generated ``kappa``; it is
-    None when the threshold was set directly.
-    """
+    """Sufficient statistics of the detection problem at a fixed (w, x): the
+    mean mu_1 of y_s = w^H s under H1 and its variance sigma^2."""
 
     mu1: complex
     sigma2: float
-    kappa: float
-    eta: float | None = None
 
     def __post_init__(self) -> None:
         if self.sigma2 <= 0.0:
@@ -89,15 +86,10 @@ def statistic_params(
     a_target: np.ndarray,
     clutter: ClutterSteering,
     x: np.ndarray,
-    eta: float,
 ) -> DetectionStatisticParams:
-    """Moments of y_s = w^H s and the threshold kappa = sigma^2 ln(eta) + |mu_1|^2."""
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    """Moments of y_s = w^H s at one (w, x) pair."""
     mu1, sigma2 = statistic_moments(w, alpha0, a_target, clutter, x)
-    sigma2 = float(sigma2)
-    kappa = sigma2 * math.log(eta) + abs(mu1) ** 2
-    return DetectionStatisticParams(mu1=complex(mu1), sigma2=sigma2, kappa=kappa, eta=eta)
+    return DetectionStatisticParams(mu1=complex(mu1), sigma2=float(sigma2))
 
 
 def statistic_moments(
@@ -122,27 +114,35 @@ def _complex_product(p, q):
     return (p.real * q.real - p.imag * q.imag) + 1j * (p.real * q.imag + p.imag * q.real)
 
 
-def with_threshold(params: DetectionStatisticParams, kappa: float) -> DetectionStatisticParams:
-    """Same statistic moments with the threshold replaced directly."""
-    return dataclasses.replace(params, kappa=float(kappa), eta=None)
-
-
-def _deflection(params: DetectionStatisticParams) -> float:
+def _statistic_std(params: DetectionStatisticParams) -> float:
     mu = abs(params.mu1)
     if mu == 0.0:
         raise ValueError("|mu1| = 0: the statistic is degenerate and the closed forms do not apply")
     return mu * np.sqrt(2.0 * params.sigma2)
 
 
-def false_alarm_probability(params: DetectionStatisticParams) -> float:
+def false_alarm_probability(params: DetectionStatisticParams, kappa: float) -> float:
     """P(T >= kappa | H0) = Q(kappa / (|mu_1| sqrt(2 sigma^2)))."""
-    return float(q_function(params.kappa / _deflection(params)))
+    return float(q_function(kappa / _statistic_std(params)))
 
 
-def detection_probability(params: DetectionStatisticParams) -> float:
+def detection_probability(params: DetectionStatisticParams, kappa: float) -> float:
     """P(T >= kappa | H1) = Q((kappa - 2 |mu_1|^2) / (|mu_1| sqrt(2 sigma^2)))."""
-    scale = _deflection(params)
-    return float(q_function((params.kappa - 2.0 * abs(params.mu1) ** 2) / scale))
+    scale = _statistic_std(params)
+    return float(q_function((kappa - 2.0 * abs(params.mu1) ** 2) / scale))
+
+
+def false_alarm_threshold(params: DetectionStatisticParams, pfa_max: float) -> float:
+    """The smallest threshold at or above kappa_fa whose computed P_FA is at
+    most pfa_max, in (0, 1): kappa_fa itself can miss the cap by rounding, so
+    a step doubling from one ulp climbs past it and the last step is bisected."""
+    lo = hi = _statistic_std(params) * inverse_q(pfa_max)
+    step = math.ulp(lo)
+    while false_alarm_probability(params, hi) > pfa_max:
+        lo, hi, step = hi, hi + step, 2.0 * step
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        lo, hi = (mid, hi) if false_alarm_probability(params, mid) > pfa_max else (lo, mid)
+    return hi
 
 
 def sample_test_statistics(
@@ -196,10 +196,9 @@ def _operating_point(
     trials = len(t_h0)
     n_fa = int(np.count_nonzero(t_h0 >= kappa))
     n_d = int(np.count_nonzero(t_h1 >= kappa))
-    at_kappa = with_threshold(params, kappa)
     if abs(params.mu1) > 0.0:
-        pfa_a = false_alarm_probability(at_kappa)
-        pd_a = detection_probability(at_kappa)
+        pfa_a = false_alarm_probability(params, kappa)
+        pd_a = detection_probability(params, kappa)
     else:
         pfa_a = float("nan")
         pd_a = float("nan")

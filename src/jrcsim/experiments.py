@@ -48,7 +48,7 @@ from .scenario import (
     dbm_to_watts,
     watts_to_dbm,
 )
-from .stats import derive_stream
+from .stats import canonical_float, derive_stream, float_text
 
 __all__ = [
     "SweepTable",
@@ -150,18 +150,6 @@ class SweepTable:
     columns: tuple[tuple[str, type], ...]
     rows: tuple[dict, ...]
     provenance: dict
-
-
-def _float_text(x: float) -> str:
-    """x at 9 significant digits, the precision every emission carries."""
-    return np.format_float_positional(
-        float(x), precision=9, unique=False, fractional=False, trim="-"
-    )
-
-
-def canonical_float(x: float) -> float:
-    """Round to 9 significant digits, as the emitted text reads."""
-    return float(_float_text(x))
 
 
 def _make_row(columns, values: dict) -> dict:
@@ -330,36 +318,18 @@ def run_detection_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
 
 
 def _optimum_table(scenario: ScenarioConfig, result: OptimizationResult) -> SweepTable:
-    prov = _provenance(scenario)
-    if result.feasible:
-        pt = result.point
-        values = {
-            "feasible": True,
-            "p_star_dbm": watts_to_dbm(result.p_star_watts),
-            "p_star_watts": result.p_star_watts,
-            "rho": result.rho_star,
-            "kappa": result.kappa_star,
-            "rate_bps_hz": pt.rate_bps_hz,
-            "pd": pt.pd,
-            "pfa": pt.pfa,
-            "scnr_avg": pt.scnr_avg,
-            "evaluations": result.evaluations,
-        }
-    else:
-        values = {
-            "feasible": False,
-            "p_star_dbm": None,
-            "p_star_watts": None,
-            "rho": None,
-            "kappa": None,
-            "rate_bps_hz": None,
-            "pd": None,
-            "pfa": None,
-            "scnr_avg": None,
-            "evaluations": result.evaluations,
-        }
+    """The certificate row: the evaluated point, every entry of which already
+    sits on the emission grid, or all-empty values when none is feasible."""
+    values = dict.fromkeys((name for name, _ in OPTIMUM_COLUMNS), None)
+    values.update(feasible=result.feasible, evaluations=result.evaluations)
+    pt = result.point
+    if pt is not None:
+        values.update(
+            p_star_dbm=watts_to_dbm(pt.power_watts), p_star_watts=pt.power_watts, rho=pt.rho,
+            kappa=pt.kappa, rate_bps_hz=pt.rate_bps_hz, pd=pt.pd, pfa=pt.pfa, scnr_avg=pt.scnr_avg,
+        )
     row = _make_row(OPTIMUM_COLUMNS, values)
-    return SweepTable("optimum", OPTIMUM_COLUMNS, (row,), prov)
+    return SweepTable("optimum", OPTIMUM_COLUMNS, (row,), _provenance(scenario))
 
 
 def run_tradeoff(scenario: ScenarioConfig) -> tuple[list[SweepTable], OptimizationResult]:
@@ -440,7 +410,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _float_text(value)
+        return float_text(value)
     return str(value)
 
 

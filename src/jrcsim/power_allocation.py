@@ -9,25 +9,30 @@ relay-combined rate must reach its target, the false-alarm probability must
 not exceed its limit, the detection probability must reach its floor, and
 the spent power must stay within the ceiling.
 
+At a fixed (P, rho) both detector targets hold exactly when the deflection
+sqrt(2)|mu_1|/sigma reaches Q^-1(P_FA,max) - Q^-1(P_D,min), and then at the
+false-alarm threshold kappa_fa, the smallest that meets the cap.
+
 minimize_power walks an ascending coarse power grid to the first feasible
-point, then bisects the bracketing interval until it is within tolerance or
-cannot be split further, re-optimizing (rho, kappa) at every probe. Ties
-prefer smaller P, then smaller rho, then smaller kappa. The result carries a
-certificate point re-evaluated from scratch at the winning triple.
-tradeoff_sweep reports, per grid power, the best achievable rate, the best
+point, then bisects the bracketing interval at its geometric midpoint until
+hi <= lo (1 + tol_factor) or it cannot be split further, re-optimizing
+(rho, kappa) at every probe. Ties prefer smaller P, then smaller rho, then
+smaller kappa. The certificate is the triple the tables print, re-evaluated
+from scratch. tradeoff_sweep reports, per grid power, the best achievable rate, the best
 detection probability subject to the false-alarm limit, and whether the
 constraint set is jointly satisfiable there.
 
 A probe evaluates the whole split grid at once: beams, waveforms, clutter
-gains, one stacked SVD, w, mu_1, sigma^2 and both SINRs carry a leading
-split axis, and the (split, kappa) P_FA and P_D matrices follow. The first
-feasible split and the best guarded detection are first-index argmaxes over
-those, so the tie-breaks are a split-by-split scan's, and every entry equals,
-bit for bit, what that split gives alone (sensing_at and the link formulas).
+gains, one stacked SVD, w, mu_1, sigma^2, the deflection and both SINRs carry
+a leading split axis. The first feasible split and the split of best guarded
+detection are first-index argmaxes over those, so the tie-breaks are a
+split-by-split scan's, and every entry equals, bit for bit, what that split
+gives alone (sensing_at and the link formulas).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +47,14 @@ from .comm_link import (
 )
 from .context import SimulationContext, build_context
 from .detection import (
+    DetectionStatisticParams,
     detection_probability,
     false_alarm_probability,
-    with_threshold,
+    false_alarm_threshold,
 )
 from .radar_sensing import average_scnr_curve
 from .scenario import ScenarioConfig, dbm_to_watts, watts_to_dbm
-from .stats import q_function
+from .stats import canonical_ceil, canonical_float, inverse_q
 
 __all__ = [
     "ConstraintTargets",
@@ -57,12 +63,8 @@ __all__ = [
     "TradeoffRecord",
     "evaluate_point",
     "minimize_power",
-    "threshold_grid",
     "tradeoff_sweep",
 ]
-
-# threshold grid spans [-span, +span] scaled by (sigma2 + |mu1|^2)
-_KAPPA_SPAN = 10.0
 
 # slack for the by-construction budget identity ||u||^2 + ||v||^2 = P
 _BUDGET_SLACK = 1.0e-9
@@ -80,8 +82,8 @@ class ConstraintTargets:
     def __post_init__(self) -> None:
         if self.gamma_min < 0.0:
             raise ValueError(f"SINR threshold must be nonnegative, got {self.gamma_min}")
-        if not 0.0 < self.pfa_max <= 1.0:
-            raise ValueError(f"false-alarm limit must lie in (0, 1], got {self.pfa_max}")
+        if not 0.0 < self.pfa_max < 1.0:
+            raise ValueError(f"false-alarm limit must lie in (0, 1), got {self.pfa_max}")
         if not 0.0 <= self.pd_min <= 1.0:
             raise ValueError(f"detection floor must lie in [0, 1], got {self.pd_min}")
         if self.p_max_watts <= 0.0:
@@ -96,6 +98,13 @@ class ConstraintTargets:
             pd_min=t.pd_min,
             p_max_watts=dbm_to_watts(t.p_max_dbm),
         )
+
+    @property
+    def deflection_floor(self) -> float:
+        """Q^-1(pfa_max) - Q^-1(pd_min): a split meets both detector targets
+        exactly when its deflection reaches this (-inf when pd_min = 0, +inf
+        when pd_min = 1)."""
+        return inverse_q(self.pfa_max) - inverse_q(self.pd_min)
 
 
 @dataclass(frozen=True)
@@ -143,7 +152,6 @@ class OptimizationResult:
     kappa_star: float | None
     point: EvaluatedPoint | None
     p_ceiling_watts: float
-    tolerance_watts: float
     evaluations: int
 
 
@@ -162,13 +170,6 @@ def _link_sinrs(ctx: SimulationContext, beams: BeamformerSet):
     return gamma_direct, sinr_relayed(ctx.channels, gain, beams)
 
 
-def threshold_grid(mu1_abs, sigma2, points: int) -> np.ndarray:
-    """Detector thresholds spanning sure-alarm to sure-silence for this point;
-    arrays of mu1_abs and sigma2 give one row of thresholds per entry."""
-    scale = sigma2 + mu1_abs * mu1_abs
-    return np.multiply.outer(scale, np.linspace(-_KAPPA_SPAN, _KAPPA_SPAN, points))
-
-
 def _rho_grid(opt) -> np.ndarray:
     """Inner split grid; a configured fixed split collapses it to one point."""
     if opt.fixed_rho is not None:
@@ -176,18 +177,15 @@ def _rho_grid(opt) -> np.ndarray:
     return np.linspace(0.0, 1.0, opt.rho_points)
 
 
-def _split_grid(ctx: SimulationContext, power_watts: float, rhos: np.ndarray, kappa_points: int):
+def _split_grid(ctx: SimulationContext, power_watts: float, rhos: np.ndarray):
     """What the split search reads at one power, one row per split: both link
-    SINRs, which rows are live, and the (split, kappa) thresholds, P_FA and P_D.
-    A row is live when |mu_1| > 0; the curves of other rows are undefined and
-    no search picks them."""
+    SINRs, |mu_1|, sigma^2 and the deflection sqrt(2)|mu_1|/sigma. A row is
+    live when |mu_1| > 0; the detector of another row is undefined and no
+    search picks it."""
     beams, mu1_abs, sigma2 = ctx.sensing_over_splits(power_watts, rhos)
-    kappas = threshold_grid(mu1_abs, sigma2, kappa_points)
-    mu, scale = mu1_abs[:, None], (mu1_abs * np.sqrt(2.0 * sigma2))[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        pfa = q_function(kappas / scale)
-        pd = q_function((kappas - 2.0 * mu * mu) / scale)
-    return (*_link_sinrs(ctx, beams), mu1_abs > 0.0, kappas, pfa, pd)
+        deflection = np.sqrt(2.0) * mu1_abs / np.sqrt(sigma2)
+    return (*_link_sinrs(ctx, beams), mu1_abs, sigma2, deflection)
 
 
 def _first_feasible(
@@ -195,18 +193,18 @@ def _first_feasible(
     targets: ConstraintTargets,
     power_watts: float,
     rhos: np.ndarray,
-    kappa_points: int,
 ) -> tuple[tuple[float, float] | None, int]:
     """Smallest (rho, kappa) meeting rate and detection constraints, if any, and
     the number of splits up to and including it (all of them when none is)."""
-    gamma_direct, gamma_relayed, live, kappas, pfa, pd = _split_grid(ctx, power_watts, rhos, kappa_points)
-    ok = (pfa <= targets.pfa_max) & (pd >= targets.pd_min)
-    ok &= ((gamma_direct + gamma_relayed >= targets.gamma_min) & live)[:, None]
-    feasible_rows = ok.any(axis=1)
-    if not feasible_rows.any():
+    gamma_direct, gamma_relayed, mu1_abs, sigma2, deflection = _split_grid(ctx, power_watts, rhos)
+    ok = (gamma_direct + gamma_relayed >= targets.gamma_min) & (mu1_abs > 0.0)
+    ok &= deflection >= targets.deflection_floor
+    if not ok.any():
         return None, len(rhos)
-    i = int(np.argmax(feasible_rows))
-    return (float(rhos[i]), float(kappas[i, np.argmax(ok[i])])), i + 1
+    i = int(np.argmax(ok))
+    params = DetectionStatisticParams(complex(mu1_abs[i]), float(sigma2[i]))  # |mu_1| is all it reads
+    kappa = false_alarm_threshold(params, targets.pfa_max)
+    return (float(rhos[i]), kappa), i + 1
 
 
 def evaluate_point(
@@ -247,9 +245,8 @@ def evaluate_point(
     sensing = ctx.sensing_at(power_watts, rho)
     gamma_direct, gamma_relayed = (float(g) for g in _link_sinrs(ctx, sensing.beams))
     rate = mrc_rate(gamma_direct, gamma_relayed)
-    params = with_threshold(sensing.params, kappa)
-    pfa = false_alarm_probability(params)
-    pd = detection_probability(params)
+    pfa = false_alarm_probability(sensing.params, kappa)
+    pd = detection_probability(sensing.params, kappa)
     meets_rate = gamma_direct + gamma_relayed >= targets.gamma_min
     meets_pfa = pfa <= targets.pfa_max
     meets_pd = pd >= targets.pd_min
@@ -280,6 +277,30 @@ def evaluate_point(
     )
 
 
+def _certificate(
+    ctx: SimulationContext,
+    targets: ConstraintTargets,
+    power_watts: float,
+    rho: float,
+) -> tuple[EvaluatedPoint | None, int]:
+    """The evaluated triple on the 9-significant-digit emission grid that
+    evaluate_point accepts at the least power from power_watts up, and the
+    evaluations spent; None past the ceiling. Power and kappa_fa round up onto
+    the grid; rounding kappa up can drop P_D below its floor, and the power
+    then steps up the grid, the step doubling from one unit, until it does not."""
+    rho = canonical_float(rho)
+    p, units, evaluations = canonical_ceil(power_watts), 1, 0
+    while p <= targets.p_max_watts:
+        kappa = canonical_ceil(false_alarm_threshold(ctx.sensing_at(p, rho).params, targets.pfa_max))
+        point = evaluate_point(ctx, p, rho, kappa, targets)
+        evaluations += 1
+        if point.feasible:
+            return point, evaluations
+        unit = 10.0 ** (math.floor(math.log10(p)) - 8)
+        p, units = canonical_ceil(math.nextafter(p + (units - 1) * unit, math.inf)), 2 * units
+    return None, evaluations
+
+
 def minimize_power(
     scenario: ScenarioConfig | SimulationContext,
     targets: ConstraintTargets | None = None,
@@ -297,59 +318,38 @@ def minimize_power(
         )
     powers = np.geomspace(p_floor, p_max, opt.power_points)
     rhos = _rho_grid(opt)
-    tol = opt.tol_factor * p_max
 
-    evaluations = 0
-    found: tuple[float, float] | None = None
-    first_index = -1
+    evaluations, point = 0, None
     for i, p in enumerate(powers):
-        best, n = _first_feasible(ctx, targets, float(p), rhos, opt.kappa_points)
+        best, n = _first_feasible(ctx, targets, float(p), rhos)
         evaluations += n
         if best is not None:
-            found = best
-            first_index = i
             break
-    if found is None:
-        return OptimizationResult(
-            feasible=False,
-            p_star_watts=None,
-            rho_star=None,
-            kappa_star=None,
-            point=None,
-            p_ceiling_watts=p_max,
-            tolerance_watts=tol,
-            evaluations=evaluations,
-        )
-
-    rho_star, kappa_star = found
-    p_star = float(powers[first_index])
-    if first_index > 0:
-        # bracket: powers[first_index - 1] infeasible, p_star feasible
-        lo = float(powers[first_index - 1])
-        hi = p_star
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break  # the bracket is as narrow as floats allow
-            best, n = _first_feasible(ctx, targets, mid, rhos, opt.kappa_points)
-            evaluations += n
-            if best is not None:
-                hi = mid
-                rho_star, kappa_star = best
-            else:
-                lo = mid
-        p_star = hi
-
-    point = evaluate_point(ctx, p_star, rho_star, kappa_star, targets)
+    if best is not None:
+        rho_star, hi = best[0], float(powers[i])
+        if i > 0:
+            # bracket: powers[i - 1] infeasible, hi feasible
+            lo = float(powers[i - 1])
+            while hi > lo * (1.0 + opt.tol_factor):
+                mid = math.sqrt(lo * hi)
+                if not lo < mid < hi:
+                    break  # the bracket is as narrow as floats allow
+                best, n = _first_feasible(ctx, targets, mid, rhos)
+                evaluations += n
+                if best is not None:
+                    hi, rho_star = mid, best[0]
+                else:
+                    lo = mid
+        point, n = _certificate(ctx, targets, hi, rho_star)
+        evaluations += n
     return OptimizationResult(
-        feasible=True,
-        p_star_watts=p_star,
-        rho_star=rho_star,
-        kappa_star=kappa_star,
+        feasible=point is not None,
+        p_star_watts=None if point is None else point.power_watts,
+        rho_star=None if point is None else point.rho,
+        kappa_star=None if point is None else point.kappa,
         point=point,
         p_ceiling_watts=p_max,
-        tolerance_watts=tol,
-        evaluations=evaluations + 1,
+        evaluations=evaluations,
     )
 
 
@@ -358,27 +358,23 @@ def _tradeoff_record(
     targets: ConstraintTargets,
     power_watts: float,
     rhos: np.ndarray,
-    kappa_points: int,
 ) -> TradeoffRecord:
-    gamma_direct, gamma_relayed, live, kappas, pfa, pd = _split_grid(ctx, power_watts, rhos, kappa_points)
+    gamma_direct, gamma_relayed, mu1_abs, sigma2, deflection = _split_grid(ctx, power_watts, rhos)
     # the rate is log2(1 + gamma_sum), so the best rate sits at the largest sum
     i = int(np.argmax(1.0 + gamma_direct + gamma_relayed))
     best_rate = mrc_rate(gamma_direct[i], gamma_relayed[i])
-    allowed = (pfa <= targets.pfa_max) & live[:, None]
+    live = mu1_abs > 0.0
     meets_rate = gamma_direct + gamma_relayed >= targets.gamma_min
-    feasible = bool(np.any(allowed & (pd >= targets.pd_min) & meets_rate[:, None]))
-    if allowed.any():
-        # pd falls with kappa, so a row's first allowed threshold is its best;
-        # argmax takes the first maximum, so ties go to the smallest rho
-        first = np.argmax(allowed, axis=1)
-        i = int(np.argmax(np.where(allowed.any(axis=1), pd[np.arange(len(rhos)), first], -np.inf)))
-        j = first[i]
-    elif live.any():
-        i, j = int(np.argmax(live)), -1  # no threshold meets the cap: the strictest one
-    else:
+    feasible = bool(np.any(live & meets_rate & (deflection >= targets.deflection_floor)))
+    if not live.any():
         return TradeoffRecord(power_watts, float(rhos[0]), 0.0, best_rate, 0.0, 0.0, feasible)
-    kappa, pd_best, pfa_best = (float(m[i, j]) for m in (kappas, pd, pfa))
-    return TradeoffRecord(power_watts, float(rhos[i]), kappa, best_rate, pd_best, pfa_best, feasible)
+    # P_D at the false-alarm threshold grows with the deflection; argmax takes
+    # the first maximum, so ties go to the smallest rho
+    i = int(np.argmax(np.where(live, deflection, -np.inf)))
+    params = DetectionStatisticParams(complex(mu1_abs[i]), float(sigma2[i]))
+    kappa = false_alarm_threshold(params, targets.pfa_max)
+    pd, pfa = detection_probability(params, kappa), false_alarm_probability(params, kappa)
+    return TradeoffRecord(power_watts, float(rhos[i]), kappa, best_rate, pd, pfa, feasible)
 
 
 def tradeoff_sweep(
@@ -407,4 +403,4 @@ def tradeoff_sweep(
 
     opt = ctx.scenario.optimizer
     rhos = _rho_grid(opt)
-    return tuple(_tradeoff_record(ctx, targets, float(p), rhos, opt.kappa_points) for p in grid)
+    return tuple(_tradeoff_record(ctx, targets, float(p), rhos) for p in grid)

@@ -4,8 +4,8 @@ A scenario file is a JSON object; every key is optional and unknown keys are
 rejected with the offending dotted path. The defaults describe the reference
 evaluation setup: a 5-element half-wavelength array at 28 GHz, a target at
 5 m, three clutter scatterers inside the target range, intense clutter
-sigma 0.8 (light 0.1), likelihood-ratio threshold eta = 1e-6, and a sweep
-family over N in {5, 10} and carriers {2.8, 28} GHz.
+sigma 0.8 (light 0.1), a false-alarm cap of 1e-6 with a detection floor of
+0.6, and a sweep family over N in {5, 10} and carriers {2.8, 28} GHz.
 
 Each field is declared once, with its default and the rule its values must
 meet; every section validates itself when it is built, so a ScenarioConfig
@@ -56,17 +56,20 @@ def watts_to_dbm(p_watts: float) -> float:
 _POSITIVE = {"lo": 0.0, "lo_open": True}
 _NONNEGATIVE = {"lo": 0.0}
 _UNIT = {"lo": 0.0, "hi": 1.0}
-_ANGLE = {"lo": 0.0, "lo_open": True, "hi": np.pi, "below_pi": True}
+_ANGLE = {"lo": 0.0, "lo_open": True, "hi": np.pi, "hi_open": True}
 # 10^27 W at the top, far past any physical budget; every command gives finite
 # tables at both ends (the CLI's extreme-power test runs them)
 _DBM = {"lo": -300.0, "hi": 300.0}
+# magnitudes far past physical ones that still keep every product of powers,
+# reflectivity and clutter scale finite at both dBm ends (same test)
+_MAGNITUDE = {"lo": 1.0e-30, "hi": 1.0e40}
 
 
 def _setting(default, kind=None, **rule):
     """A field with its default and the rule every value must meet.
 
-    The rule is a kind (float, int or str) plus lo/hi bounds (lo_open
-    excludes lo), choices, or `above` an earlier field of the section. A
+    The rule is a kind (float, int or str) plus lo/hi bounds (lo_open and
+    hi_open exclude them), choices, or `above` an earlier field of the section. A
     tuple default makes a non-empty list whose entries each meet the rule; a
     None default makes the field optional.
     """
@@ -96,13 +99,12 @@ def _value(value, path: str, rule: dict):
             value = math.inf
         if not math.isfinite(value):
             raise ConfigError(f"{path}: must be finite")
-    lo, hi, lo_open = rule.get("lo"), rule.get("hi"), rule.get("lo_open", False)
+    lo, hi = rule.get("lo"), rule.get("hi")
+    lo_open, hi_open = rule.get("lo_open", False), rule.get("hi_open", False)
     if lo is not None and (value <= lo if lo_open else value < lo):
         raise ConfigError(f"{path}: must be {'>' if lo_open else '>='} {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{path}: must be <= {hi}, got {value}")
-    if rule.get("below_pi") and value >= np.pi:
-        raise ConfigError(f"{path}: must be < pi, got {value}")
+    if hi is not None and (value >= hi if hi_open else value > hi):
+        raise ConfigError(f"{path}: must be {'<' if hi_open else '<='} {hi}, got {value}")
     return value
 
 
@@ -145,14 +147,14 @@ class ArraySection(_Section):
 class TargetSection(_Section):
     range_m: float = _setting(5.0, **_POSITIVE)
     angle_rad: float = _setting(np.pi / 3.0, **_ANGLE)
-    rcs_scale: float = _setting(3.0e7, **_POSITIVE)
+    rcs_scale: float = _setting(3.0e7, **_MAGNITUDE)
     phase: str = _setting("uniform", choices=("zero", "uniform"))
 
 
 @dataclass(frozen=True)
 class ClutterSection(_Section):
     count: int = _setting(3, lo=0)
-    sigma: float = _setting(0.8, **_NONNEGATIVE)
+    sigma: float = _setting(0.8, lo=0.0, hi=_MAGNITUDE["hi"])
     min_range_m: float = _setting(0.5, **_POSITIVE)
     max_range_m: float = _setting(5.0, above="min_range_m", **_POSITIVE)
     angle_exclusion_rad: float = _setting(0.05, **_NONNEGATIVE)
@@ -187,7 +189,6 @@ class PowerSection(_Section):
 
 @dataclass(frozen=True)
 class DetectionSection(_Section):
-    eta: float = _setting(1.0e-6, **_POSITIVE)
     trials: int = _setting(100_000, lo=1)
     powers_dbm: tuple[float, ...] = _setting((30.0, 36.0), **_DBM)
     clutter_levels: tuple[str, ...] = _setting(("light", "intense"), choices=tuple(CLUTTER_LEVELS))
@@ -199,7 +200,8 @@ class DetectionSection(_Section):
 @dataclass(frozen=True)
 class TargetsSection(_Section):
     rate_bps_hz: float = _setting(5.0, **_NONNEGATIVE)
-    pfa_max: float = _setting(1.0e-6, lo=0.0, lo_open=True, hi=1.0)
+    # a cap of 1 has no finite smallest threshold
+    pfa_max: float = _setting(1.0e-6, lo=0.0, lo_open=True, hi=1.0, hi_open=True)
     pd_min: float = _setting(0.6, **_UNIT)
     p_max_dbm: float = _setting(46.0, **_DBM)
 
@@ -208,7 +210,6 @@ class TargetsSection(_Section):
 class OptimizerSection(_Section):
     power_points: int = _setting(64, lo=2)
     rho_points: int = _setting(21, lo=2)
-    kappa_points: int = _setting(101, lo=3)
     tol_factor: float = _setting(1.0e-3, **_POSITIVE)
     fixed_rho: float | None = _setting(None, float, **_UNIT)
 

@@ -1,8 +1,10 @@
-"""Gaussian tail utilities, binomial confidence intervals, and seeded stream derivation."""
+"""Gaussian tail utilities, binomial confidence intervals, seeded stream
+derivation, and the 9-significant-digit grid every emitted float sits on."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal
 
 import numpy as np
 import scipy.special
@@ -13,6 +15,9 @@ __all__ = [
     "inverse_q",
     "binomial_ci",
     "derive_stream",
+    "float_text",
+    "canonical_float",
+    "canonical_ceil",
 ]
 
 _TWO64 = 1 << 64
@@ -43,10 +48,11 @@ def q_function(x):
 
 
 def inverse_q(p: float) -> float:
-    """Inverse of ``q_function`` on (0, 1): returns x with Q(x) = p."""
+    """Inverse of ``q_function`` on [0, 1]: returns x with Q(x) = p, and +inf
+    at p = 0 and -inf at p = 1, the limits of that inverse."""
     p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"tail probability must lie strictly in (0, 1), got {p}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"tail probability must lie in [0, 1], got {p}")
     return float(np.sqrt(2.0) * scipy.special.erfcinv(2.0 * p))
 
 
@@ -83,3 +89,24 @@ def derive_stream(master_seed: int, stream_id: int) -> np.random.Generator:
     """
     key = np.array([int(master_seed) % _TWO64, int(stream_id) % _TWO64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def float_text(x: float) -> str:
+    """x at 9 significant digits, the precision every emission carries."""
+    return np.format_float_positional(
+        float(x), precision=9, unique=False, fractional=False, trim="-"
+    )
+
+
+def canonical_float(x: float) -> float:
+    """Round to 9 significant digits, as the emitted text reads."""
+    return float(float_text(x))
+
+
+def canonical_ceil(x: float) -> float:
+    """The smallest 9-significant-digit value at or above x; canonical_float
+    leaves it as it is (the nearest float to that decimal prints as it)."""
+    d = Decimal(x)
+    if not d:
+        return 0.0
+    return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 8), rounding=ROUND_CEILING))

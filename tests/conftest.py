@@ -25,9 +25,7 @@ def reduced_scenario(sc: ScenarioConfig) -> ScenarioConfig:
         detection=dataclasses.replace(sc.detection, trials=5000, kappa_points=9),
         sweep=dataclasses.replace(sc.sweep, realizations=5),
         power=dataclasses.replace(sc.power, points=7),
-        optimizer=dataclasses.replace(
-            sc.optimizer, power_points=24, rho_points=11, kappa_points=51
-        ),
+        optimizer=dataclasses.replace(sc.optimizer, power_points=24, rho_points=11),
     )
 
 

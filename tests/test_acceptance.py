@@ -291,7 +291,7 @@ class TestAcceptance:
         )
         rhos = _rho_grid(opt)
         flags = [
-            _first_feasible(ctx, targets, float(p), rhos, opt.kappa_points)[0] is not None for p in powers
+            _first_feasible(ctx, targets, float(p), rhos)[0] is not None for p in powers
         ]
         first = flags.index(True)
         bracketed = (
@@ -301,7 +301,7 @@ class TestAcceptance:
         )
 
         tol = opt.tol_factor * targets.p_max_watts
-        below = _first_feasible(ctx, targets, result.p_star_watts - 10.0 * tol, rhos, opt.kappa_points)[0] is None
+        below = _first_feasible(ctx, targets, result.p_star_watts - 10.0 * tol, rhos)[0] is None
         elapsed = time.perf_counter() - start
         report(
             "minimum transmit power is feasible, re-validates, brackets the exhaustive "
@@ -326,7 +326,7 @@ class TestAcceptance:
                 "powers_dbm": [30.0],
                 "clutter_levels": ["intense"],
             },
-            "optimizer": {"power_points": 16, "rho_points": 7, "kappa_points": 41},
+            "optimizer": {"power_points": 16, "rho_points": 7},
         }
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(config))

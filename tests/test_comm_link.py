@@ -193,7 +193,7 @@ class TestRateThreshold:
 
 
 def rate_targets(gamma_min: float) -> ConstraintTargets:
-    return ConstraintTargets(gamma_min=gamma_min, pfa_max=1.0, pd_min=0.0, p_max_watts=1.0)
+    return ConstraintTargets(gamma_min=gamma_min, pfa_max=0.5, pd_min=0.0, p_max_watts=1.0)
 
 
 class TestRateConstraint:

@@ -11,7 +11,7 @@ from jrcsim.context import (
     sigma_for_level,
     stream_id,
 )
-from jrcsim.propagation import PathLossModel, path_loss_db
+from jrcsim.propagation import PathLossKind, PathLossModel, path_loss_db
 from jrcsim.radar_sensing import waveform_from_symbols
 from jrcsim.scenario import ScenarioConfig, dbm_to_watts
 
@@ -90,7 +90,8 @@ class TestBuildContext:
             target=dataclasses.replace(default_scenario.target, phase="zero"),
         )
         ctx = build_context(sc)
-        pl_db = path_loss_db(ctx.path_loss, ctx.array.carrier_freq, sc.target.range_m)
+        path_loss = PathLossModel(PathLossKind(sc.path_loss.kind), sc.path_loss.h_bs_m, sc.path_loss.h_ut_m)
+        pl_db = path_loss_db(path_loss, ctx.array.carrier_freq, sc.target.range_m)
         expected = sc.target.rcs_scale * 10.0 ** (-2.0 * pl_db / 20.0)
         assert ctx.alpha0 == pytest.approx(expected, rel=1e-12)
         assert ctx.alpha0.imag == 0.0

@@ -18,10 +18,10 @@ from jrcsim.detection import (
     DetectionStatisticParams,
     detection_probability,
     false_alarm_probability,
+    false_alarm_threshold,
     roc_sweep,
     sample_test_statistics,
     statistic_params,
-    with_threshold,
 )
 from jrcsim.scenario import ScenarioConfig, dbm_to_watts
 from jrcsim.stats import inverse_q
@@ -78,7 +78,7 @@ class TestStatisticParams:
         for _ in range(50):
             w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            got = statistic_params(w, ALPHA0, A_TARGET, clutter, x, eta=1.0)
+            got = statistic_params(w, ALPHA0, A_TARGET, clutter, x)
             mu_expected = ALPHA0 * (w.conj() @ mat @ x)
             var_expected = float(np.vdot(w, w).real) + sum(
                 sigma**2 * abs(w.conj() @ m @ x) ** 2 for sigma, m in zip(clutter.scale, clutter_mats)
@@ -86,57 +86,12 @@ class TestStatisticParams:
             assert got.mu1 == pytest.approx(mu_expected, rel=1e-12)
             assert got.sigma2 == pytest.approx(var_expected, rel=1e-12)
 
-    def test_unit_ratio_threshold_is_signal_energy(self):
-        # at eta = 1 the log term vanishes and kappa = |mu_1|^2
-        rng = np.random.default_rng(1)
-        clutter = clutter_at(CFG, random_positions(rng))
-        w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        got = statistic_params(w, ALPHA0, A_TARGET, clutter, x, eta=1.0)
-        assert got.kappa == pytest.approx(abs(got.mu1) ** 2, rel=1e-12)
-        assert got.eta == 1.0
-
-    def test_threshold_combines_variance_and_signal_terms(self):
-        rng = np.random.default_rng(2)
-        clutter = clutter_at(CFG, random_positions(rng))
-        w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        got = statistic_params(w, ALPHA0, A_TARGET, clutter, x, eta=1e-6)
-        assert got.kappa == pytest.approx(got.sigma2 * math.log(1e-6) + abs(got.mu1) ** 2, rel=1e-12)
-
-    def test_weak_target_gives_negative_threshold(self):
-        # when the variance term dominates, ln(eta) < 0 drags kappa below zero
-        rng = np.random.default_rng(3)
-        clutter = clutter_at(CFG, random_positions(rng))
-        w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        got = statistic_params(w, 1e-6 + 0j, A_TARGET, clutter, x, eta=1e-6)
-        assert got.kappa < 0.0
-
-    def test_rejects_non_positive_ratio(self):
-        rng = np.random.default_rng(4)
-        clutter = clutter_at(CFG, random_positions(rng))
-        w = np.ones(5, dtype=complex)
-        x = np.ones(5, dtype=complex)
-        for eta in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                statistic_params(w, ALPHA0, A_TARGET, clutter, x, eta=eta)
-
     def test_rejects_non_positive_variance(self):
         with pytest.raises(ValueError):
-            DetectionStatisticParams(mu1=1.0 + 0j, sigma2=0.0, kappa=0.0)
-
-    def test_with_threshold_keeps_moments(self):
-        params = DetectionStatisticParams(mu1=2.0 + 1j, sigma2=3.0, kappa=5.0, eta=1.0)
-        moved = with_threshold(params, -7.5)
-        assert moved.kappa == -7.5
-        assert moved.eta is None
-        assert moved.mu1 == params.mu1
-        assert moved.sigma2 == params.sigma2
-
+            DetectionStatisticParams(mu1=1.0 + 0j, sigma2=0.0)
 
 class TestClosedForms:
-    PARAMS = DetectionStatisticParams(mu1=1.5 - 0.5j, sigma2=4.0, kappa=0.0)
+    PARAMS = DetectionStatisticParams(mu1=1.5 - 0.5j, sigma2=4.0)
 
     def scale(self, params):
         return abs(params.mu1) * math.sqrt(2.0 * params.sigma2)
@@ -147,10 +102,10 @@ class TestClosedForms:
             params = DetectionStatisticParams(
                 mu1=complex(rng.standard_normal(), rng.standard_normal()),
                 sigma2=float(rng.uniform(0.1, 10.0)),
-                kappa=float(rng.uniform(-20.0, 20.0)),
             )
-            expected = tail_oracle(params.kappa / self.scale(params))
-            assert false_alarm_probability(params) == pytest.approx(expected, rel=1e-13, abs=1e-300)
+            kappa = float(rng.uniform(-20.0, 20.0))
+            expected = tail_oracle(kappa / self.scale(params))
+            assert false_alarm_probability(params, kappa) == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
     def test_detection_matches_tail_oracle(self):
         rng = np.random.default_rng(6)
@@ -158,51 +113,80 @@ class TestClosedForms:
             params = DetectionStatisticParams(
                 mu1=complex(rng.standard_normal(), rng.standard_normal()),
                 sigma2=float(rng.uniform(0.1, 10.0)),
-                kappa=float(rng.uniform(-20.0, 20.0)),
             )
+            kappa = float(rng.uniform(-20.0, 20.0))
             mu_sq = abs(params.mu1) ** 2
-            expected = tail_oracle((params.kappa - 2.0 * mu_sq) / self.scale(params))
-            assert detection_probability(params) == pytest.approx(expected, rel=1e-13, abs=1e-300)
+            expected = tail_oracle((kappa - 2.0 * mu_sq) / self.scale(params))
+            assert detection_probability(params, kappa) == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
     def test_zero_threshold_false_alarm_is_half(self):
-        assert false_alarm_probability(self.PARAMS) == 0.5
+        assert false_alarm_probability(self.PARAMS, 0.0) == 0.5
 
     def test_detection_is_half_at_twice_signal_energy(self):
         mu_sq = abs(self.PARAMS.mu1) ** 2
-        at_center = with_threshold(self.PARAMS, 2.0 * mu_sq)
-        assert detection_probability(at_center) == 0.5
+        assert detection_probability(self.PARAMS, 2.0 * mu_sq) == 0.5
 
     def test_threshold_limits(self):
-        low = with_threshold(self.PARAMS, -1e9)
-        high = with_threshold(self.PARAMS, 1e9)
-        assert false_alarm_probability(low) == pytest.approx(1.0, abs=1e-12)
-        assert detection_probability(low) == pytest.approx(1.0, abs=1e-12)
-        assert false_alarm_probability(high) == pytest.approx(0.0, abs=1e-12)
-        assert detection_probability(high) == pytest.approx(0.0, abs=1e-12)
+        low, high = -1e9, 1e9
+        assert false_alarm_probability(self.PARAMS, low) == pytest.approx(1.0, abs=1e-12)
+        assert detection_probability(self.PARAMS, low) == pytest.approx(1.0, abs=1e-12)
+        assert false_alarm_probability(self.PARAMS, high) == pytest.approx(0.0, abs=1e-12)
+        assert detection_probability(self.PARAMS, high) == pytest.approx(0.0, abs=1e-12)
 
     def test_detection_dominates_false_alarm(self):
         # the H1 mean shift 2|mu_1|^2 > 0 moves mass above any threshold
         for kappa in np.linspace(-30.0, 30.0, 41):
-            at = with_threshold(self.PARAMS, float(kappa))
-            assert detection_probability(at) >= false_alarm_probability(at)
-        mid = with_threshold(self.PARAMS, abs(self.PARAMS.mu1) ** 2)
-        assert detection_probability(mid) > false_alarm_probability(mid)
+            assert detection_probability(self.PARAMS, kappa) >= false_alarm_probability(self.PARAMS, kappa)
+        mid = abs(self.PARAMS.mu1) ** 2
+        assert detection_probability(self.PARAMS, mid) > false_alarm_probability(self.PARAMS, mid)
 
     def test_rates_non_increasing_in_threshold(self):
         kappas = np.linspace(-30.0, 30.0, 61)
-        pfa = [false_alarm_probability(with_threshold(self.PARAMS, float(k))) for k in kappas]
-        pd = [detection_probability(with_threshold(self.PARAMS, float(k))) for k in kappas]
+        pfa = [false_alarm_probability(self.PARAMS, k) for k in kappas]
+        pd = [detection_probability(self.PARAMS, k) for k in kappas]
         assert np.all(np.diff(pfa) <= 0.0)
         assert np.all(np.diff(pd) <= 0.0)
         assert pfa[0] > pfa[-1]
         assert pd[0] > pd[-1]
 
     def test_zero_signal_rejected(self):
-        degenerate = DetectionStatisticParams(mu1=0.0 + 0j, sigma2=1.0, kappa=0.0)
+        degenerate = DetectionStatisticParams(mu1=0.0 + 0j, sigma2=1.0)
         with pytest.raises(ValueError):
-            false_alarm_probability(degenerate)
+            false_alarm_probability(degenerate, 0.0)
         with pytest.raises(ValueError):
-            detection_probability(degenerate)
+            detection_probability(degenerate, 0.0)
+        with pytest.raises(ValueError):
+            false_alarm_threshold(degenerate, 1e-6)
+
+
+class TestFalseAlarmThreshold:
+    def test_smallest_threshold_meeting_the_cap(self):
+        # kappa_fa = |mu_1| sqrt(2 sigma^2) Q^-1(cap) can miss the cap by
+        # rounding; the returned threshold meets it, and the float below it
+        # does not unless it is kappa_fa itself
+        rng = np.random.default_rng(7)
+        nudged = 0
+        for _ in range(400):
+            params = DetectionStatisticParams(
+                mu1=complex(*rng.uniform(-1e3, 1e3, size=2)), sigma2=float(10.0 ** rng.uniform(-6.0, 6.0))
+            )
+            cap = float(10.0 ** rng.uniform(-300.0, -1e-3))
+            kappa = false_alarm_threshold(params, cap)
+            kappa_fa = abs(params.mu1) * math.sqrt(2.0 * params.sigma2) * inverse_q(cap)
+            assert kappa >= kappa_fa
+            assert false_alarm_probability(params, kappa) <= cap
+            if kappa > kappa_fa:
+                nudged += 1
+                assert false_alarm_probability(params, math.nextafter(kappa, -math.inf)) > cap
+        assert nudged > 0
+
+    def test_caps_close_to_one_and_one_half(self):
+        params = DetectionStatisticParams(mu1=1.5 - 0.5j, sigma2=4.0)
+        assert false_alarm_threshold(params, 0.5) == 0.0
+        for cap in (0.9999999999, 1.0 - 2.0**-53, 0.7):
+            kappa = false_alarm_threshold(params, cap)
+            assert kappa < 0.0
+            assert false_alarm_probability(params, kappa) <= cap
 
 
 class TestSampledStatistics:
@@ -234,7 +218,7 @@ class TestSampledStatistics:
         ctx, point = run.ctx, run.point
         cov = clutter_covariance(ctx.clutter, transmit_covariance(point.beams))
         w = optimal_receive_beamformer(ctx.target_steering, cov, point.x)
-        direct = statistic_params(w, ctx.alpha0, ctx.target_steering, ctx.clutter, point.x, eta=1.0)
+        direct = statistic_params(w, ctx.alpha0, ctx.target_steering, ctx.clutter, point.x)
         assert run.params.mu1 == pytest.approx(direct.mu1, rel=1e-12)
         assert run.params.sigma2 == pytest.approx(direct.sigma2, rel=1e-12)
 
@@ -244,7 +228,7 @@ class TestSampledStatistics:
         run = cell(0.8)
         ctx, trials = run.ctx, 50_000
         x = run.point.x * np.exp(2j * np.pi * np.random.default_rng(14).uniform(size=run.point.x.shape))
-        params = statistic_params(run.point.w, ctx.alpha0, ctx.target_steering, ctx.clutter, x, eta=1.0)
+        params = statistic_params(run.point.w, ctx.alpha0, ctx.target_steering, ctx.clutter, x)
         other = dataclasses.replace(run.point, x=x, params=params)
         means = []
         for point in (run.point, other):
@@ -391,8 +375,8 @@ class TestOperatingOrderings:
         mu_sq = abs(intense.params.mu1) ** 2
         scale = abs(intense.params.mu1) * math.sqrt(2.0 * intense.params.sigma2)
         for kappa in np.linspace(0.0, 2.0 * mu_sq + 4.0 * scale, 21):
-            pd_light = detection_probability(with_threshold(light.params, float(kappa)))
-            pd_intense = detection_probability(with_threshold(intense.params, float(kappa)))
+            pd_light = detection_probability(light.params, kappa)
+            pd_intense = detection_probability(intense.params, kappa)
             assert pd_light > pd_intense
 
     def test_more_transmit_power_improves_detection(self):
@@ -401,6 +385,6 @@ class TestOperatingOrderings:
         mu_sq = abs(low.params.mu1) ** 2
         scale = abs(low.params.mu1) * math.sqrt(2.0 * low.params.sigma2)
         for kappa in np.linspace(0.0, 2.0 * mu_sq + 4.0 * scale, 15):
-            pd_low = detection_probability(with_threshold(low.params, float(kappa)))
-            pd_high = detection_probability(with_threshold(high.params, float(kappa)))
+            pd_low = detection_probability(low.params, kappa)
+            pd_high = detection_probability(high.params, kappa)
             assert pd_high > pd_low

@@ -37,6 +37,7 @@ from jrcsim.experiments import (
 from jrcsim.power_allocation import evaluate_point
 from jrcsim.radar_sensing import average_scnr_curve
 from jrcsim.scenario import ScenarioConfig, config_hash, load_scenario, watts_to_dbm
+from jrcsim.stats import canonical_ceil
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +81,18 @@ class TestCanonicalFloat:
             x = float(rng.standard_normal() * 10.0 ** rng.integers(-12, 12))
             once = canonical_float(x)
             assert canonical_float(once) == once
+
+    def test_ceiling_is_the_next_grid_value_up(self):
+        assert canonical_ceil(1.0 / 3.0) == 0.333333334
+        assert canonical_ceil(-1.0 / 3.0) == -0.333333333
+        assert canonical_ceil(999999999.5) == 1e9
+        assert canonical_ceil(0.0) == 0.0
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            x = float(rng.standard_normal() * 10.0 ** rng.integers(-30, 30))
+            up = canonical_ceil(x)
+            assert up >= x and canonical_float(up) == up
+            assert up == canonical_float(x) or canonical_float(x) < x
 
 
 class TestScnrSweep:
@@ -458,7 +471,7 @@ CLI_CONFIG = {
         "powers_dbm": [30.0],
         "clutter_levels": ["light"],
     },
-    "optimizer": {"power_points": 12, "rho_points": 5, "kappa_points": 31},
+    "optimizer": {"power_points": 12, "rho_points": 5},
 }
 
 
@@ -561,6 +574,30 @@ class TestCli:
                 assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
                 assert "Traceback" not in err
 
+    def test_removed_and_out_of_range_fields_are_one_line_errors(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        for config, message in (
+            ({"optimizer": {"kappa_points": 101}}, "optimizer.kappa_points: unknown field"),
+            ({"detection": {"eta": 1e-6}}, "detection.eta: unknown field"),
+            ({"targets": {"pfa_max": 1.0}}, "targets.pfa_max: must be < 1.0, got 1.0"),
+            ({"target": {"rcs_scale": 1e200}}, "target.rcs_scale: must be <= 1e+40, got 1e+200"),
+            ({"clutter": {"sigma": 1e200}}, "clutter.sigma: must be <= 1e+40, got 1e+200"),
+        ):
+            path.write_text(json.dumps(config))
+            for command in ("scnr-sweep", "detection-sweep", "tradeoff", "optimize", "validate"):
+                rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+                assert rc == 1
+                assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unit_detection_floor_exits_two(self, tmp_path, capsys):
+        # P_D = 1 needs an infinite deflection, which no power gives
+        path = tmp_path / "certain.json"
+        path.write_text(json.dumps(dict(CLI_CONFIG, targets={"pd_min": 1.0})))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 2
+        capsys.readouterr()
+        assert parse_table_csv(str(out / "optimum.csv"), OPTIMUM_COLUMNS)[0]["feasible"] is False
+
     def test_infeasible_budget_exits_two_but_reports(self, tmp_path, capsys):
         config = dict(CLI_CONFIG)
         config["targets"] = {"p_max_dbm": 10.0}
@@ -588,37 +625,53 @@ class TestCli:
         )
         assert point.feasible
 
-    @pytest.mark.parametrize("command", ["scnr-sweep", "tradeoff"])
+    @pytest.mark.parametrize("command", ["scnr-sweep", "tradeoff", "detection-sweep", "optimize", "validate"])
     def test_extreme_powers_give_finite_tables(self, command, tmp_path, capsys):
         # past ~178 dBm I + P M is no longer numerically positive definite,
         # which once crashed a Cholesky factorization with a traceback; the
-        # schema admits powers out to +-300 dBm, so both ends must run too
+        # schema admits powers out to +-300 dBm and reflectivity and clutter
+        # scales out to their bounds, so every command must run at those ends
+        # (optimize may find the target out of reach and exit 2)
         schemas = {
             "scnr_sweep": SCNR_SWEEP_COLUMNS,
             "scnr_table": SCNR_TABLE_COLUMNS,
+            "detection_sweep": DETECTION_COLUMNS,
             "tradeoff": TRADEOFF_COLUMNS,
             "optimum": OPTIMUM_COLUMNS,
+            "validate": VALIDATE_COLUMNS,
         }
-        for min_dbm, max_dbm, p_max_dbm in ((150.0, 200.0, 210.0), (250.0, 300.0, 300.0),
-                                            (-300.0, -240.0, -240.0)):
+        windows = [(150.0, 200.0, 210.0), (250.0, 300.0, 300.0), (-300.0, -240.0, -240.0)]
+        cases = [(window, {}) for window in windows] + [
+            (window, magnitudes)
+            for window in windows[1:]
+            for magnitudes in (
+                {"target": {"rcs_scale": 1e40}},
+                {"target": {"rcs_scale": 1e40}, "clutter": {"sigma": 1e40}},
+                {"target": {"rcs_scale": 1e-30}, "clutter": {"sigma": 1e40}},
+            )
+        ]
+        for k, ((min_dbm, max_dbm, p_max_dbm), magnitudes) in enumerate(cases):
             config = {
                 "power": {"min_dbm": min_dbm, "max_dbm": max_dbm, "points": 6},
                 "targets": {"p_max_dbm": p_max_dbm},
+                "detection": {"powers_dbm": [min_dbm, max_dbm], "trials": 400, "kappa_points": 5},
                 "sweep": {"realizations": 3},
-                "optimizer": {"power_points": 12, "rho_points": 5, "kappa_points": 31},
+                "optimizer": {"power_points": 12, "rho_points": 5},
+                **magnitudes,
             }
-            path = tmp_path / f"extreme_{min_dbm:g}.json"
+            path = tmp_path / f"extreme_{k}.json"
             path.write_text(json.dumps(config))
-            out = tmp_path / f"out_{min_dbm:g}"
-            assert main([command, "--config", str(path), "--out", str(out)]) == 0, config
+            out = tmp_path / f"out_{k}"
+            rc = main([command, "--config", str(path), "--out", str(out)])
             capsys.readouterr()
+            assert rc == 0 or (command == "optimize" and rc == 2), config
             manifest = json.loads((out / "manifest.json").read_text())
             for name, filename in manifest["files"].items():
                 columns = schemas[name]
                 for row in parse_table_csv(str(out / filename), columns):
                     for col, kind in columns:
                         if kind is float and row[col] is not None:
-                            assert np.isfinite(row[col]), (min_dbm, name, col, row)
+                            assert np.isfinite(row[col]), (config, name, col, row)
 
     def test_unwritable_output_exits_three(self, cli_config, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -2,10 +2,12 @@
 
 The minimizer is checked against a direct scan of its own coarse grid plus a
 below-tolerance infeasibility probe, so the reported power is certified
-minimal to within the bisection tolerance.
+minimal to within the bisection tolerance, and over random valid scenarios
+its emitted certificate is read back from CSV and re-evaluated.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,22 +19,23 @@ from jrcsim.context import build_context
 from jrcsim.detection import (
     detection_probability,
     false_alarm_probability,
+    false_alarm_threshold,
     statistic_params,
-    with_threshold,
 )
+from jrcsim.experiments import OPTIMUM_COLUMNS, emit_outputs, parse_table_csv, run_optimize
 from jrcsim.power_allocation import (
     ConstraintTargets,
     TradeoffRecord,
     _first_feasible,
     _rho_grid,
+    _split_grid,
     _tradeoff_record,
     evaluate_point,
     minimize_power,
-    threshold_grid,
     tradeoff_sweep,
 )
 from jrcsim.scenario import ConfigError, ScenarioConfig, dbm_to_watts, watts_to_dbm
-from jrcsim.stats import q_function
+from jrcsim.stats import canonical_ceil, canonical_float, inverse_q, q_function
 from oracles import (
     average_scnr,
     clutter_covariance,
@@ -50,7 +53,7 @@ def fast_context(fast_scenario):
 def feasible_split(ctx, power_watts):
     """The split search at one power on the scenario's own targets and grids."""
     opt, targets = ctx.scenario.optimizer, ConstraintTargets.from_scenario(ctx.scenario)
-    return _first_feasible(ctx, targets, power_watts, _rho_grid(opt), opt.kappa_points)[0]
+    return _first_feasible(ctx, targets, power_watts, _rho_grid(opt))[0]
 
 
 def first_feasible_index(records):
@@ -76,6 +79,7 @@ class TestConstraintTargets:
         for bad in (
             dict(gamma_min=-1.0),
             dict(pfa_max=0.0),
+            dict(pfa_max=1.0),
             dict(pfa_max=1.5),
             dict(pd_min=-0.1),
             dict(pd_min=1.1),
@@ -84,24 +88,14 @@ class TestConstraintTargets:
             with pytest.raises(ValueError):
                 ConstraintTargets(**{**good, **bad})
 
-
-class TestThresholdGrid:
-    def test_symmetric_span_scaled_by_statistic_size(self):
-        grid = threshold_grid(1.0, 2.0, 101)
-        assert len(grid) == 101
-        assert grid[0] == pytest.approx(-grid[-1], rel=1e-12)
-        assert grid[-1] == pytest.approx(10.0 * (2.0 + 1.0), rel=1e-12)
-        assert np.all(np.diff(grid) > 0.0)
-
-    def test_grid_covers_the_whole_operating_curve(self):
-        # both probabilities saturate at the ends of the window
-        mu, sigma2 = 1.0, 2.0
-        grid = threshold_grid(mu, sigma2, 51)
-        scale = mu * np.sqrt(2.0 * sigma2)
-        assert q_function(grid[0] / scale) == pytest.approx(1.0, abs=1e-12)
-        assert q_function(grid[-1] / scale) == pytest.approx(0.0, abs=1e-12)
-        assert q_function((grid[0] - 2.0 * mu**2) / scale) == pytest.approx(1.0, abs=1e-12)
-        assert q_function((grid[-1] - 2.0 * mu**2) / scale) == pytest.approx(0.0, abs=1e-12)
+    def test_deflection_floor_at_the_detection_extremes(self):
+        good = dict(gamma_min=31.0, pfa_max=1e-6, p_max_watts=39.8)
+        assert ConstraintTargets(pd_min=0.6, **good).deflection_floor == pytest.approx(
+            inverse_q(1e-6) - inverse_q(0.6), rel=1e-15
+        )
+        # a floor of 0 holds at any threshold, and one of 1 at none
+        assert ConstraintTargets(pd_min=0.0, **good).deflection_floor == -np.inf
+        assert ConstraintTargets(pd_min=1.0, **good).deflection_floor == np.inf
 
 
 class TestEvaluatePoint:
@@ -134,16 +128,13 @@ class TestEvaluatePoint:
         x = ctx.waveform_at(beams)
         cov = clutter_covariance(ctx.clutter, transmit_covariance(beams))
         w = optimal_receive_beamformer(ctx.target_steering, cov, x)
-        params = statistic_params(
-            w, ctx.alpha0, ctx.target_steering, ctx.clutter, x, eta=1.0
-        )
+        params = statistic_params(w, ctx.alpha0, ctx.target_steering, ctx.clutter, x)
         kappa = abs(params.mu1) ** 2
         point = evaluate_point(ctx, power, rho, kappa)
         assert point.mu1_abs == pytest.approx(abs(params.mu1), rel=1e-12)
         assert point.sigma2 == pytest.approx(params.sigma2, rel=1e-12)
-        at = with_threshold(params, kappa)
-        assert point.pfa == pytest.approx(false_alarm_probability(at), rel=1e-12)
-        assert point.pd == pytest.approx(detection_probability(at), rel=1e-12)
+        assert point.pfa == pytest.approx(false_alarm_probability(params, kappa), rel=1e-12)
+        assert point.pd == pytest.approx(detection_probability(params, kappa), rel=1e-12)
         assert point.rate_bps_hz == pytest.approx(
             mrc_rate(point.gamma_direct, point.gamma_relayed), rel=1e-12
         )
@@ -205,13 +196,32 @@ class TestMinimizePower:
         assert again == point
 
     def test_tolerance_below_optimum_is_infeasible(self, fast_context, solved):
-        result = solved
-        assert result.tolerance_watts == pytest.approx(
-            fast_context.scenario.optimizer.tol_factor * result.p_ceiling_watts, rel=1e-12
-        )
-        probe = result.p_star_watts - result.tolerance_watts
-        assert probe > 0.0
+        # the tolerance is relative: p* / (1 + tol_factor) lies below the optimum
+        probe = solved.p_star_watts / (1.0 + fast_context.scenario.optimizer.tol_factor)
         assert feasible_split(fast_context, probe) is None
+
+    def test_certificate_is_the_emitted_triple(self, fast_context, solved):
+        # power, split and threshold print as they are at 9 significant
+        # digits, so re-reading the table gives back the certified point
+        for value in (solved.p_star_watts, solved.rho_star, solved.kappa_star):
+            assert canonical_float(value) == value
+        sensing = fast_context.sensing_at(solved.p_star_watts, solved.rho_star)
+        assert solved.kappa_star == canonical_ceil(false_alarm_threshold(sensing.params, 1e-6))
+        assert solved.point.pfa <= 1e-6 and solved.point.pd >= 0.6
+
+    def test_default_optimum_is_the_closed_form_minimum(self, default_context):
+        # bisected to 1e-12 on the default split grid, the closed-form
+        # minimum is 1.7808 W at rho = 0.9; the default tolerance of 1e-3 is
+        # relative and the certificate lies within it, above the minimum
+        tight = dataclasses.replace(
+            default_context.scenario,
+            optimizer=dataclasses.replace(default_context.scenario.optimizer, tol_factor=1e-12),
+        )
+        exact = minimize_power(dataclasses.replace(default_context, scenario=tight))
+        assert exact.p_star_watts == pytest.approx(1.7808, abs=5e-5)
+        assert exact.rho_star == 0.9
+        result = minimize_power(default_context)
+        assert exact.p_star_watts <= result.p_star_watts <= exact.p_star_watts * (1.0 + 1e-3)
 
     def test_matches_direct_scan_of_the_coarse_grid(self, fast_context, solved):
         # feasibility along the power axis is monotone, and the reported
@@ -246,7 +256,7 @@ class TestMinimizePower:
 
     def test_vacuous_targets_stop_at_the_grid_floor(self, fast_context):
         targets = ConstraintTargets(
-            gamma_min=0.0, pfa_max=1.0, pd_min=0.0, p_max_watts=dbm_to_watts(46.0)
+            gamma_min=0.0, pfa_max=0.5, pd_min=0.0, p_max_watts=dbm_to_watts(46.0)
         )
         result = minimize_power(fast_context, targets=targets)
         assert result.feasible
@@ -254,12 +264,33 @@ class TestMinimizePower:
             dbm_to_watts(fast_context.scenario.power.min_dbm), rel=1e-12
         )
         assert result.rho_star == 0.0
-        # first allowed threshold is the bottom of the window
-        expected_kappa = threshold_grid(
-            result.point.mu1_abs, result.point.sigma2, fast_context.scenario.optimizer.kappa_points
-        )[0]
-        assert result.kappa_star == pytest.approx(expected_kappa, rel=1e-12)
+        # a cap of one half puts the smallest allowed threshold at Q^-1(1/2) = 0
+        assert result.kappa_star == 0.0
         assert result.evaluations == 2  # one probe plus the certificate
+
+    def test_a_saturated_deflection_still_certifies(self, default_scenario):
+        # with one antenna the clutter caps the deflection as power grows; a
+        # floor 1e-7 below that cap leaves kappa's rounding almost no room, and
+        # one grid unit at a time the certificate would climb for over 20,000
+        # evaluations; doubling steps reach a certifiable power in a few
+        sc = dataclasses.replace(
+            default_scenario,
+            array=dataclasses.replace(default_scenario.array, n_antennas=1),
+            optimizer=dataclasses.replace(default_scenario.optimizer, fixed_rho=1.0, tol_factor=1e-12),
+        )
+        ctx = build_context(sc)
+        cap = float(_split_grid(ctx, 1e12, np.array([1.0]))[-1][0])
+        floor = cap * (1.0 - 1e-7)
+        pd_min = float(q_function(inverse_q(1e-6) - floor))
+        targets = ConstraintTargets(gamma_min=0.0, pfa_max=1e-6, pd_min=pd_min, p_max_watts=1e20)
+        result = minimize_power(ctx, targets)
+        assert result.feasible and result.point.pd >= pd_min
+        assert result.evaluations < 200
+
+    def test_unit_detection_floor_is_infeasible(self, fast_context):
+        targets = ConstraintTargets(gamma_min=0.0, pfa_max=0.5, pd_min=1.0, p_max_watts=dbm_to_watts(46.0))
+        assert not minimize_power(fast_context, targets=targets).feasible
+        assert not any(rec.feasible for rec in tradeoff_sweep(fast_context, targets=targets))
 
     def test_unreachable_rate_floor_is_infeasible(self, fast_context):
         targets = ConstraintTargets(
@@ -281,7 +312,6 @@ class TestMinimizePower:
         for field, value in (
             ("power_points", 1),
             ("rho_points", 0),
-            ("kappa_points", 2),
             ("tol_factor", 0.0),
             ("fixed_rho", 1.5),
         ):
@@ -339,10 +369,11 @@ class TestTradeoffSweep:
         assert np.all(np.diff(rates) >= 0.0)
         assert rates[-1] > rates[0]
 
-    def test_consistent_with_the_minimizer(self, swept, solved):
+    def test_consistent_with_the_minimizer(self, fast_context, swept, solved):
         # the marked grid power brackets the bisected optimum from above
         idx = first_feasible_index(swept)
-        assert solved.p_star_watts <= swept[idx].power_watts + solved.tolerance_watts
+        tol_factor = fast_context.scenario.optimizer.tol_factor
+        assert solved.p_star_watts <= swept[idx].power_watts * (1.0 + tol_factor)
         if idx > 0:
             assert solved.p_star_watts > swept[idx - 1].power_watts
 
@@ -374,7 +405,8 @@ class TestTradeoffSweep:
 
 # The split search evaluates every split of a power in one batch. The oracle
 # below is the split-by-split scan it replaced, built from the one-point path
-# (ctx.sensing_at and the scalar link formulas); the two must agree exactly.
+# (ctx.sensing_at and the scalar link formulas) and the closed-form detector
+# test; the two must agree exactly.
 
 
 def _oracle_physics(ctx, power, rho):
@@ -383,55 +415,44 @@ def _oracle_physics(ctx, power, rho):
     gain = af_gain(ctx.channels.h_sr, beams, ctx.channels.noise_var_relay, ctx.relay_budget)
     gamma_direct = sinr_direct(ctx.channels.h_sd, beams, ctx.channels.noise_var_dest)
     gamma_relayed = sinr_relayed(ctx.channels, gain, beams)
-    return sensing.mu1_abs, sensing.sigma2, gamma_direct, gamma_relayed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deflection = np.sqrt(2.0) * sensing.mu1_abs / np.sqrt(sensing.sigma2)
+    return sensing.params, deflection, gamma_direct, gamma_relayed
 
 
-def _oracle_curves(mu1_abs, sigma2, kappa_points):
-    kappas = threshold_grid(mu1_abs, sigma2, kappa_points)
-    scale = mu1_abs * np.sqrt(2.0 * sigma2)
-    pfa = q_function(kappas / scale)
-    pd = q_function((kappas - 2.0 * mu1_abs * mu1_abs) / scale)
-    return kappas, pfa, pd
-
-
-def _oracle_first_feasible(ctx, targets, power, rhos, kappa_points):
+def _oracle_first_feasible(ctx, targets, power, rhos):
     evals = 0
+    floor = inverse_q(targets.pfa_max) - inverse_q(targets.pd_min)
     for rho in rhos:
-        mu1_abs, sigma2, gamma_direct, gamma_relayed = _oracle_physics(ctx, power, rho)
+        params, deflection, gamma_direct, gamma_relayed = _oracle_physics(ctx, power, rho)
         evals += 1
-        if gamma_direct + gamma_relayed < targets.gamma_min or mu1_abs <= 0.0:
+        if gamma_direct + gamma_relayed < targets.gamma_min or abs(params.mu1) <= 0.0:
             continue
-        kappas, pfa, pd = _oracle_curves(mu1_abs, sigma2, kappa_points)
-        ok = (pfa <= targets.pfa_max) & (pd >= targets.pd_min)
-        if ok.any():
-            return (float(rho), float(kappas[int(np.argmax(ok))])), evals
+        if deflection >= floor:
+            return (float(rho), false_alarm_threshold(params, targets.pfa_max)), evals
     return None, evals
 
 
-def _oracle_tradeoff_record(ctx, targets, power, rhos, kappa_points):
+def _oracle_tradeoff_record(ctx, targets, power, rhos):
     best_rate = 0.0
-    best = fallback = None  # (pd, rho, kappa, pfa)
+    best = None  # (deflection, rho, params)
     jointly_feasible = False
+    floor = inverse_q(targets.pfa_max) - inverse_q(targets.pd_min)
     for rho in rhos:
-        mu1_abs, sigma2, gamma_direct, gamma_relayed = _oracle_physics(ctx, power, rho)
+        params, deflection, gamma_direct, gamma_relayed = _oracle_physics(ctx, power, rho)
         best_rate = max(best_rate, mrc_rate(gamma_direct, gamma_relayed))
-        if mu1_abs <= 0.0:
+        if abs(params.mu1) <= 0.0:
             continue
-        kappas, pfa, pd = _oracle_curves(mu1_abs, sigma2, kappa_points)
-        if fallback is None:
-            fallback = (float(pd[-1]), float(rho), float(kappas[-1]), float(pfa[-1]))
-        allowed = pfa <= targets.pfa_max
-        if not allowed.any():
-            continue
-        j = int(np.argmax(allowed))
-        if best is None or pd[j] > best[0]:
-            best = (float(pd[j]), float(rho), float(kappas[j]), float(pfa[j]))
-        if gamma_direct + gamma_relayed >= targets.gamma_min and (allowed & (pd >= targets.pd_min)).any():
+        if best is None or deflection > best[0]:
+            best = (deflection, float(rho), params)
+        if gamma_direct + gamma_relayed >= targets.gamma_min and deflection >= floor:
             jointly_feasible = True
     if best is None:
-        best = fallback if fallback is not None else (0.0, float(rhos[0]), 0.0, 0.0)
-    pd_best, rho_best, kappa_best, pfa_best = best
-    return TradeoffRecord(power, rho_best, kappa_best, best_rate, pd_best, pfa_best, jointly_feasible)
+        return TradeoffRecord(power, float(rhos[0]), 0.0, best_rate, 0.0, 0.0, jointly_feasible)
+    _, rho_best, params = best
+    kappa = false_alarm_threshold(params, targets.pfa_max)
+    pd, pfa = detection_probability(params, kappa), false_alarm_probability(params, kappa)
+    return TradeoffRecord(power, rho_best, kappa, best_rate, pd, pfa, jointly_feasible)
 
 
 def _uniform(lo, hi):
@@ -439,11 +460,9 @@ def _uniform(lo, hi):
     return st.sampled_from(np.linspace(lo, hi, 1001).tolist())
 
 
-@st.composite
-def split_searches(draw):
-    """A random valid scene, targets and split grid, and a power from 1e-4 W to 300 dBm."""
-    sc = ScenarioConfig()
-    sc = dataclasses.replace(
+def _scenes(draw, sc):
+    """A random valid scene and split grid on top of sc."""
+    return dataclasses.replace(
         sc,
         seed=draw(st.integers(0, 2**32 - 1)),
         array=dataclasses.replace(
@@ -460,14 +479,18 @@ def split_searches(draw):
         optimizer=dataclasses.replace(
             sc.optimizer,
             rho_points=draw(st.sampled_from(range(2, 22))),
-            kappa_points=draw(st.sampled_from(range(3, 102))),
             fixed_rho=draw(st.sampled_from([None, None, None, 0.0, 1.0])),
         ),
     )
+
+
+@st.composite
+def split_searches(draw):
+    """A random valid scene, targets and split grid, and a power from 1e-4 W to 300 dBm."""
+    sc = _scenes(draw, ScenarioConfig())
     targets = ConstraintTargets(
         gamma_min=rate_threshold(draw(_uniform(0.0, 12.0))),
-        # below ~1e-45 no threshold in the window meets the cap
-        pfa_max=10.0 ** draw(st.one_of(_uniform(-12.0, 0.0), _uniform(-60.0, 0.0))),
+        pfa_max=10.0 ** draw(st.one_of(_uniform(-12.0, -1e-3), _uniform(-300.0, -1e-3))),
         pd_min=draw(_uniform(0.0, 1.0)),
         p_max_watts=dbm_to_watts(300.0),
     )
@@ -483,37 +506,116 @@ class TestBatchedSplitSearch:
         sc, targets, power = search
         ctx = build_context(sc)
         rhos = _rho_grid(sc.optimizer)
-        k = sc.optimizer.kappa_points
-        assert _first_feasible(ctx, targets, power, rhos, k) == _oracle_first_feasible(
-            ctx, targets, power, rhos, k
-        )
-        assert _tradeoff_record(ctx, targets, power, rhos, k) == _oracle_tradeoff_record(
-            ctx, targets, power, rhos, k
-        )
+        assert _first_feasible(ctx, targets, power, rhos) == _oracle_first_feasible(ctx, targets, power, rhos)
+        assert _tradeoff_record(ctx, targets, power, rhos) == _oracle_tradeoff_record(ctx, targets, power, rhos)
 
     def test_a_silent_target_leaves_no_split_live(self, fast_context):
         ctx = dataclasses.replace(fast_context, alpha0=0.0)
         targets = ConstraintTargets.from_scenario(ctx.scenario)
         rhos = np.linspace(0.0, 1.0, 4)
-        assert _first_feasible(ctx, targets, 2.0, rhos, 11) == (None, 4)
-        record = _tradeoff_record(ctx, targets, 2.0, rhos, 11)
-        assert record == _oracle_tradeoff_record(ctx, targets, 2.0, rhos, 11)
+        assert _first_feasible(ctx, targets, 2.0, rhos) == (None, 4)
+        record = _tradeoff_record(ctx, targets, 2.0, rhos)
+        assert record == _oracle_tradeoff_record(ctx, targets, 2.0, rhos)
         assert (record.rho, record.kappa, record.pd, record.pfa) == (0.0, 0.0, 0.0, 0.0)
 
-    def test_an_unreachable_cap_falls_back_to_the_strictest_threshold(self, fast_context):
+    def test_a_tiny_cap_still_meets_its_threshold(self, fast_context):
+        # every live split has a smallest threshold meeting any cap in (0, 1)
         targets = ConstraintTargets(gamma_min=0.0, pfa_max=1e-300, pd_min=0.0, p_max_watts=1e3)
         rhos = np.linspace(0.0, 1.0, 4)
-        record = _tradeoff_record(fast_context, targets, 2.0, rhos, 11)
-        assert record == _oracle_tradeoff_record(fast_context, targets, 2.0, rhos, 11)
-        assert record.rho == 0.0 and record.pfa > targets.pfa_max
+        record = _tradeoff_record(fast_context, targets, 2.0, rhos)
+        assert record == _oracle_tradeoff_record(fast_context, targets, 2.0, rhos)
+        assert 0.0 < record.pfa <= targets.pfa_max
+        assert record.feasible
 
     def test_ties_go_to_the_smallest_split(self, fast_context):
-        # vacuous targets make every split feasible at its first threshold, and
-        # a cap of 1 lets every row reach pd = 1 at the bottom of its window
-        targets = ConstraintTargets(gamma_min=0.0, pfa_max=1.0, pd_min=0.0, p_max_watts=1e3)
+        # vacuous targets make every split feasible at its threshold
+        targets = ConstraintTargets(gamma_min=0.0, pfa_max=0.5, pd_min=0.0, p_max_watts=1e3)
         rhos = np.linspace(0.0, 1.0, 5)
-        best, evaluations = _first_feasible(fast_context, targets, 2.0, rhos, 11)
-        assert best[0] == 0.0 and evaluations == 1
-        record = _tradeoff_record(fast_context, targets, 2.0, rhos, 11)
-        assert record.pd == 1.0
-        assert record.rho == 0.0
+        best, evaluations = _first_feasible(fast_context, targets, 2.0, rhos)
+        assert best == (0.0, 0.0) and evaluations == 1
+        # a repeated split ties with itself; the first copy is reported
+        twice = np.array([0.5, 0.5, 0.25])
+        _, _, _, _, deflection = _split_grid(fast_context, 2.0, twice)
+        assert deflection[0] == deflection[1] > deflection[2]
+        record = _tradeoff_record(fast_context, targets, 2.0, twice)
+        assert record == _oracle_tradeoff_record(fast_context, targets, 2.0, twice)
+        assert record.rho == 0.5
+
+    def test_a_deflection_on_the_floor_is_feasible(self, fast_context):
+        # pd_min = 1/2 puts Q^-1(pd_min) at 0, so the floor is Q^-1(pfa_max);
+        # a cap whose floor equals a split's deflection exactly meets both targets
+        rho = np.array([0.9])
+        for power in (1.0, 2.0, 3.0, 5.0, 8.0):
+            deflection = float(_split_grid(fast_context, power, rho)[-1][0])
+            cap = float(q_function(deflection))
+            for _ in range(200):
+                floor = inverse_q(cap)
+                if floor == deflection:
+                    break
+                cap = math.nextafter(cap, math.inf if floor > deflection else -math.inf)
+            if floor == deflection:
+                break
+        assert floor == deflection
+        targets = ConstraintTargets(gamma_min=0.0, pfa_max=cap, pd_min=0.5, p_max_watts=1e3)
+        assert targets.deflection_floor == deflection
+        assert _first_feasible(fast_context, targets, power, rho)[0] is not None
+        assert _tradeoff_record(fast_context, targets, power, rho).feasible
+
+
+@st.composite
+def optimizer_scenarios(draw, tol_factors):
+    """A random valid scenario with its own targets, power grid and tolerance."""
+    sc = _scenes(draw, ScenarioConfig())
+    # a wide window with targets on the paper's scale puts most optima inside it
+    min_dbm = draw(_uniform(-40.0, 0.0))
+    return dataclasses.replace(
+        sc,
+        power=dataclasses.replace(sc.power, min_dbm=min_dbm, max_dbm=min_dbm + 10.0),
+        targets=dataclasses.replace(
+            sc.targets,
+            rate_bps_hz=draw(_uniform(1.0, 8.0)),
+            pfa_max=10.0 ** draw(_uniform(-12.0, -1.0)),
+            pd_min=draw(_uniform(0.05, 0.99)),
+            p_max_dbm=draw(_uniform(40.0, 80.0)),
+        ),
+        optimizer=dataclasses.replace(
+            sc.optimizer,
+            power_points=draw(st.sampled_from(range(2, 17))),
+            rho_points=draw(st.sampled_from(range(2, 8))),
+            tol_factor=draw(st.sampled_from(tol_factors)),
+        ),
+    )
+
+
+class TestOptimizerProperties:
+    """The premises and promises of minimize_power over random valid scenarios."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(optimizer_scenarios([1e-3]), st.lists(_uniform(-30.0, 80.0), min_size=2, max_size=8))
+    def test_feasibility_is_monotone_in_power(self, sc, powers_dbm):
+        ctx = build_context(sc)
+        flags = [feasible_split(ctx, dbm_to_watts(p)) is not None for p in sorted(powers_dbm)]
+        assert flags == sorted(flags)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(optimizer_scenarios([1e-20, 1e-9, 1e-6, 1e-3, 1e-1]))
+    def test_emitted_certificate_revalidates(self, tmp_path_factory, sc):
+        tables, result = run_optimize(sc)
+        out = str(tmp_path_factory.mktemp("optimum"))
+        (row,) = parse_table_csv(emit_outputs(tables, sc, out)["optimum"], OPTIMUM_COLUMNS)
+        assert row["feasible"] is result.feasible
+        if result.feasible:
+            point = evaluate_point(sc, row["p_star_watts"], row["rho"], row["kappa"])
+            assert point.feasible
+            assert point == result.point
+            assert row["p_star_watts"] <= result.p_ceiling_watts
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(optimizer_scenarios([1e-5, 1e-3, 1e-1]))
+    def test_optimum_is_tight_from_below(self, sc):
+        # p* / (1 + tol_factor) is infeasible unless p* is the grid floor;
+        # the tolerances stay well above the 9-digit grid p* is rounded onto
+        ctx = build_context(sc)
+        result = minimize_power(ctx)
+        if result.feasible and result.p_star_watts > canonical_ceil(dbm_to_watts(sc.power.min_dbm)):
+            assert feasible_split(ctx, result.p_star_watts / (1.0 + sc.optimizer.tol_factor)) is None

@@ -74,7 +74,6 @@ class TestDefaults:
 
     def test_detection_targets_and_grids(self):
         sc = ScenarioConfig()
-        assert sc.detection.eta == 1.0e-6
         assert sc.detection.trials == 100_000
         assert sc.detection.powers_dbm == (30.0, 36.0)
         assert sc.detection.clutter_levels == ("light", "intense")
@@ -85,7 +84,7 @@ class TestDefaults:
         assert sc.targets.pfa_max == 1.0e-6
         assert sc.targets.pd_min == 0.6
         assert sc.targets.p_max_dbm == 46.0
-        assert (sc.optimizer.power_points, sc.optimizer.rho_points, sc.optimizer.kappa_points) == (64, 21, 101)
+        assert (sc.optimizer.power_points, sc.optimizer.rho_points) == (64, 21)
         assert sc.optimizer.tol_factor == 1.0e-3
         assert sc.optimizer.fixed_rho is None
         assert sc.sweep.antennas == (5, 10)
@@ -143,8 +142,10 @@ class TestValidation:
             scenario_from_dict({"array": {"n_antenas": 5}})
         with pytest.raises(ConfigError, match=r"output\.path: unknown field"):
             scenario_from_dict({"output": {"path": "x"}})
-        with pytest.raises(ConfigError, match=r"power\.nominal_dbm: unknown field"):
-            scenario_from_dict({"power": {"nominal_dbm": 30.0}})
+        # keys that were once part of the schema are unknown like any other
+        for section, key in (("power", "nominal_dbm"), ("optimizer", "kappa_points"), ("detection", "eta")):
+            with pytest.raises(ConfigError, match=rf"^{section}\.{key}: unknown field$"):
+                scenario_from_dict({section: {key: 1.0}})
 
     def test_sections_must_be_objects(self):
         with pytest.raises(ConfigError, match="array: expected an object"):
@@ -168,23 +169,25 @@ class TestValidation:
             ({"array": {"carrier_ghz": -1.0}}, "array.carrier_ghz: must be > 0.0, got -1.0"),
             (
                 {"target": {"angle_rad": 3.5}},
-                "target.angle_rad: must be <= 3.141592653589793, got 3.5",
+                "target.angle_rad: must be < 3.141592653589793, got 3.5",
             ),
             (
                 {"target": {"angle_rad": float(np.pi)}},
-                "target.angle_rad: must be < pi, got 3.141592653589793",
+                "target.angle_rad: must be < 3.141592653589793, got 3.141592653589793",
             ),
-            ({"target": {"rcs_scale": 0.0}}, "target.rcs_scale: must be > 0.0, got 0.0"),
+            ({"target": {"rcs_scale": 0.0}}, "target.rcs_scale: must be >= 1e-30, got 0.0"),
+            ({"target": {"rcs_scale": 1e200}}, "target.rcs_scale: must be <= 1e+40, got 1e+200"),
+            ({"clutter": {"sigma": 1e200}}, "clutter.sigma: must be <= 1e+40, got 1e+200"),
+            ({"clutter": {"sigma": -0.1}}, "clutter.sigma: must be >= 0.0, got -0.1"),
             ({"comm": {"noise_var_dest_w": 0.0}}, "comm.noise_var_dest_w: must be > 0.0, got 0.0"),
             ({"power": {"rho": 1.5}}, "power.rho: must be <= 1.0, got 1.5"),
             ({"power": {"points": 1}}, "power.points: must be >= 2, got 1"),
-            ({"detection": {"eta": 0.0}}, "detection.eta: must be > 0.0, got 0.0"),
             ({"detection": {"trials": 0}}, "detection.trials: must be >= 1, got 0"),
             ({"targets": {"pfa_max": 0.0}}, "targets.pfa_max: must be > 0.0, got 0.0"),
-            ({"targets": {"pfa_max": 1.5}}, "targets.pfa_max: must be <= 1.0, got 1.5"),
+            ({"targets": {"pfa_max": 1.5}}, "targets.pfa_max: must be < 1.0, got 1.5"),
+            ({"targets": {"pfa_max": 1.0}}, "targets.pfa_max: must be < 1.0, got 1.0"),
             ({"targets": {"pd_min": -0.1}}, "targets.pd_min: must be >= 0.0, got -0.1"),
             ({"optimizer": {"rho_points": 1}}, "optimizer.rho_points: must be >= 2, got 1"),
-            ({"optimizer": {"kappa_points": 2}}, "optimizer.kappa_points: must be >= 3, got 2"),
             ({"optimizer": {"tol_factor": 0.0}}, "optimizer.tol_factor: must be > 0.0, got 0.0"),
             ({"optimizer": {"fixed_rho": 1.5}}, "optimizer.fixed_rho: must be <= 1.0, got 1.5"),
             ({"sweep": {"realizations": 0}}, "sweep.realizations: must be >= 1, got 0"),
@@ -235,8 +238,8 @@ class TestValidation:
             scenario_from_dict({"detection": {"powers_dbm": []}})
 
     def test_every_construction_is_validated(self):
-        with pytest.raises(ConfigError, match=r"^optimizer\.kappa_points: must be >= 3, got 2$"):
-            dataclasses.replace(ScenarioConfig().optimizer, kappa_points=2)
+        with pytest.raises(ConfigError, match=r"^optimizer\.rho_points: must be >= 2, got 1$"):
+            dataclasses.replace(ScenarioConfig().optimizer, rho_points=1)
         with pytest.raises(ConfigError, match=r"^config\.seed: must be >= 0, got -1$"):
             ScenarioConfig(seed=-1)
         with pytest.raises(ConfigError, match=r"^detection\.powers_dbm\[0\]: must be finite$"):

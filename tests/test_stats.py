@@ -80,7 +80,10 @@ class TestInverseQ:
         assert inverse_q(0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_out_of_range(self):
-        for p in (0.0, 1.0, -0.1, 1.1):
+        # the ends of [0, 1] are the limits of the inverse, not errors
+        assert inverse_q(0.0) == np.inf
+        assert inverse_q(1.0) == -np.inf
+        for p in (-0.1, 1.1, -1e-300, 1.0 + 1e-15):
             with pytest.raises(ValueError):
                 inverse_q(p)
 
