@@ -6,8 +6,11 @@ sweep cells never share or reorder draws. The context freezes one unit-power
 symbol vector; beamformers at a given (power, split) reuse it, which keeps the
 transmit waveform fixed across Monte Carlo trials and operating points. The
 radar scene is the clutter steering matrix B and its amplitude scales sigma_l,
-built once per context from the clutter placements; every sensing quantity at
-an operating point, and every Monte Carlo trial, reads it.
+built once per context from the clutter placements; a clutter level is the
+same matrix with another scale. SimulationContext.operating_point turns a
+(power, split), or a power and a whole split grid, into the one record every
+reader takes: beams, waveform, receive beamformer, detector moments and link
+SINRs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_geometry import ArrayConfig, PolarPosition, steering_matrix, steering_vector
-from .comm_link import BeamformerSet
+from .comm_link import BeamformerSet, af_gain, sinr_direct, sinr_relayed
 from .propagation import (
     Fading,
     PathLossKind,
@@ -30,17 +33,17 @@ from .propagation import (
     target_reflectivity,
     TargetPhase,
 )
-from .detection import DetectionStatisticParams, statistic_moments, statistic_params
+from .detection import DetectionStatisticParams, statistic_moments
 from .radar_sensing import (
     ClutterSteering,
     InterferenceKernel,
     draw_symbols,
     waveform_from_symbols,
 )
-from .scenario import CLUTTER_LEVELS, ScenarioConfig
+from .scenario import ScenarioConfig
 from .stats import derive_stream
 
-__all__ = ["SensingPoint", "SimulationContext", "build_context", "stream_id"]
+__all__ = ["OperatingPoint", "SimulationContext", "build_context", "stream_id"]
 
 # stream kinds; the index payload distinguishes sweep cells and realizations
 KIND_TARGET_PHASE = 1
@@ -68,22 +71,34 @@ def stream_id(kind: int, index: int = 0) -> int:
 
 
 @dataclass(frozen=True)
-class SensingPoint:
-    """Radar side of one (power, split): beams, frozen waveform x, the
-    SCNR-optimal receive beamformer w = W^-1 A x and the detector moments."""
+class OperatingPoint:
+    """Everything one transmit configuration (power P, split rho) gives: the
+    beams, the frozen waveform x, the SCNR-optimal receive beamformer
+    w = W^-1 A x, the detector moments mu_1 and sigma^2, and both link SINRs.
+    A 1-D array of splits gives every field a leading split axis, each row
+    bit for bit the point of that split alone."""
 
     beams: BeamformerSet
     x: np.ndarray
     w: np.ndarray
-    params: DetectionStatisticParams
+    mu1: complex | np.ndarray
+    sigma2: float | np.ndarray
+    gamma_direct: float | np.ndarray
+    gamma_relayed: float | np.ndarray
 
     @property
-    def mu1_abs(self) -> float:
-        return abs(self.params.mu1)
+    def mu1_abs(self):
+        return np.hypot(self.mu1.real, self.mu1.imag)
 
     @property
-    def sigma2(self) -> float:
-        return self.params.sigma2
+    def deflection(self):
+        """sqrt(2)|mu_1|/sigma; the detector is defined only where |mu_1| > 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.sqrt(2.0) * self.mu1_abs / np.sqrt(self.sigma2)
+
+    def params(self, i=()) -> DetectionStatisticParams:
+        """The moments of a single point, or of row i of a stack, as the closed-form rates read them."""
+        return DetectionStatisticParams(complex(self.mu1[i]), float(self.sigma2[i]))
 
 
 @dataclass(frozen=True)
@@ -122,31 +137,18 @@ class SimulationContext:
             raise ValueError(f"power split must lie in [0, 1], got {rho}")
         return np.vstack((np.sqrt(1.0 - rho) * self.comm_direction, np.sqrt(rho) * self.radar_direction))
 
-    def waveform_at(self, beams: BeamformerSet) -> np.ndarray:
-        return waveform_from_symbols(beams, self.symbols)
-
-    def _receive(self, power_watts: float, rho):
-        """Beams, frozen waveform x and w = W^-1 A x; rho may be an array of splits."""
+    def operating_point(self, power_watts: float, rho) -> OperatingPoint:
+        """The record of power_watts at split rho, a float or a 1-D array of splits."""
         beams = self.beams_at(power_watts, rho)
-        x = self.waveform_at(beams)
+        x = waveform_from_symbols(beams, self.symbols)
         a = self.target_steering
         kernel = InterferenceKernel(self.clutter, self.clutter.gains(beams.stacked))
         w = kernel.solve(a * np.vecdot(a.conj(), x)[..., None])
-        return beams, x, w
-
-    def sensing_at(self, power_watts: float, rho: float) -> SensingPoint:
-        """Optimal receive beamformer and detector moments at one operating point."""
-        beams, x, w = self._receive(power_watts, rho)
-        params = statistic_params(w, self.alpha0, self.target_steering, self.clutter, x)
-        return SensingPoint(beams, x, w, params)
-
-    def sensing_over_splits(self, power_watts: float, rhos: np.ndarray):
-        """sensing_at for every split in rhos at once: the beams (with a leading
-        split axis) and arrays of |mu_1| and sigma^2, each entry bit for bit what
-        sensing_at gives for that split alone."""
-        beams, x, w = self._receive(power_watts, np.asarray(rhos, dtype=float))
-        mu1, sigma2 = statistic_moments(w, self.alpha0, self.target_steering, self.clutter, x)
-        return beams, np.hypot(mu1.real, mu1.imag), sigma2
+        mu1, sigma2 = statistic_moments(w, self.alpha0, a, self.clutter, x)
+        ch = self.channels
+        gain = af_gain(ch.h_sr, beams, ch.noise_var_relay, self.relay_budget)
+        gamma_direct = sinr_direct(ch.h_sd, beams, ch.noise_var_dest)
+        return OperatingPoint(beams, x, w, mu1, sigma2, gamma_direct, sinr_relayed(ch, gain, beams))
 
 
 def build_context(
@@ -154,13 +156,11 @@ def build_context(
     *,
     n_antennas: int | None = None,
     carrier_ghz: float | None = None,
-    sigma: float | None = None,
     scene_key: int = 0,
 ) -> SimulationContext:
     """Realize one scene; overrides select a sweep cell, scene_key a realization."""
     n = scenario.array.n_antennas if n_antennas is None else n_antennas
     f_ghz = scenario.array.carrier_ghz if carrier_ghz is None else carrier_ghz
-    sigma_c = scenario.clutter.sigma if sigma is None else sigma
 
     array = ArrayConfig(
         n_antennas=n,
@@ -194,7 +194,7 @@ def build_context(
             target_angle=target.angle_rad,
             min_range=scenario.clutter.min_range_m,
         )
-    clutter = ClutterSteering(steering_matrix(array, placements), np.full(len(placements), float(sigma_c)))
+    clutter = ClutterSteering.at_sigma(steering_matrix(array, placements), scenario.clutter.sigma)
 
     fading = _FADINGS[scenario.comm.fading]
     channel_rng = derive_stream(scenario.seed, stream_id(KIND_CHANNEL, scene_key))
@@ -232,10 +232,3 @@ def build_context(
         relay_budget=scenario.comm.relay_power_w,
     )
 
-
-def sigma_for_level(level: str) -> float:
-    """Clutter amplitude scale for a named intensity level."""
-    try:
-        return CLUTTER_LEVELS[level]
-    except KeyError:
-        raise ValueError(f"unknown clutter level {level!r}") from None

@@ -17,7 +17,7 @@ giving
 so the Neyman-Pearson threshold for a cap P_FA,max is
 kappa_fa = |mu_1| sqrt(2 sigma^2) Q^-1(P_FA,max) (Kay, Vol. II, ch. 3).
 
-Monte Carlo trials read a context and one of its sensing points: the frozen
+Monte Carlo trials read a context and one of its operating points: the frozen
 waveform x (it is known to the receiver), w and the moments all come from the
 point, and each trial redraws clutter amplitudes and noise; trial randomness
 is forked off the caller's stream in fixed-size blocks so counts are
@@ -36,12 +36,11 @@ from .radar_sensing import ClutterSteering
 from .stats import ConfidenceInterval, binomial_ci, inverse_q, q_function
 
 if TYPE_CHECKING:
-    from .context import SensingPoint, SimulationContext
+    from .context import OperatingPoint, SimulationContext
 
 __all__ = [
     "DetectionStatisticParams",
     "DetectionOperatingPoint",
-    "statistic_params",
     "statistic_moments",
     "false_alarm_probability",
     "detection_probability",
@@ -78,18 +77,6 @@ class DetectionOperatingPoint:
     pd_mc: float
     pd_ci: ConfidenceInterval
     trials: int
-
-
-def statistic_params(
-    w: np.ndarray,
-    alpha0: complex,
-    a_target: np.ndarray,
-    clutter: ClutterSteering,
-    x: np.ndarray,
-) -> DetectionStatisticParams:
-    """Moments of y_s = w^H s at one (w, x) pair."""
-    mu1, sigma2 = statistic_moments(w, alpha0, a_target, clutter, x)
-    return DetectionStatisticParams(mu1=complex(mu1), sigma2=float(sigma2))
 
 
 def statistic_moments(
@@ -147,12 +134,12 @@ def false_alarm_threshold(params: DetectionStatisticParams, pfa_max: float) -> f
 
 def sample_test_statistics(
     ctx: SimulationContext,
-    point: SensingPoint,
+    point: OperatingPoint,
     *,
     trials: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo draws (t_h0, t_h1) of T under H0 and H1 at one sensing point.
+    """Monte Carlo draws (t_h0, t_h1) of T under H0 and H1 at one operating point.
 
     The point's frozen waveform x and receive beamformer w hold across all
     trials, and T = 2 Re(y_s conj(mu_1)) uses the point's mu_1. Each block of
@@ -167,7 +154,7 @@ def sample_test_statistics(
     clutter_vecs = ctx.clutter.echoes(x)
     n_clutter = len(ctx.clutter.scale)
     w_conj = point.w.conj()
-    mu_conj = np.conj(point.params.mu1)
+    mu_conj = np.conj(point.mu1)
     base = rng.bit_generator
     t_out = [np.empty(trials), np.empty(trials)]
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
@@ -216,7 +203,7 @@ def _operating_point(
 
 def roc_sweep(
     ctx: SimulationContext,
-    point: SensingPoint,
+    point: OperatingPoint,
     kappa_grid,
     *,
     trials: int,
@@ -235,4 +222,4 @@ def roc_sweep(
     if not np.all(np.isfinite(kappas)):
         raise ValueError("kappa_grid must be finite")
     t_h0, t_h1 = sample_test_statistics(ctx, point, trials=trials, rng=rng)
-    return [_operating_point(k, t_h0, t_h1, point.params) for k in kappas]
+    return [_operating_point(k, t_h0, t_h1, point.params()) for k in kappas]

@@ -17,6 +17,7 @@ independent variables, never by completion order.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -28,10 +29,9 @@ from . import __version__
 from .context import (
     KIND_DETECTION,
     KIND_VALIDATE,
-    SensingPoint,
+    OperatingPoint,
     SimulationContext,
     build_context,
-    sigma_for_level,
     stream_id,
 )
 from .detection import roc_sweep
@@ -43,6 +43,7 @@ from .power_allocation import (
 )
 from .radar_sensing import ClutterSteering, average_scnr_curve
 from .scenario import (
+    CLUTTER_LEVELS,
     ScenarioConfig,
     config_hash,
     dbm_to_watts,
@@ -185,10 +186,6 @@ def _resolved_spread(std: float, mean: float) -> float:
     return 0.0 if std < half_unit else std
 
 
-def _level_sigma_pairs(levels) -> list[tuple[str, float]]:
-    return [(level, sigma_for_level(level)) for level in levels]
-
-
 def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: int, powers_w) -> list:
     """(level, SCNR curves (realizations, powers)) for each clutter level of one (N, carrier) pair.
 
@@ -205,8 +202,8 @@ def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: in
     a_target = np.stack([ctx.target_steering for ctx in ctxs])
     beams = np.stack([ctx.unit_beams(scenario.power.rho) for ctx in ctxs])
     curves = []
-    for level, sigma in _level_sigma_pairs(scenario.sweep.clutter_levels):
-        clutter = ClutterSteering(matrices, np.full(matrices.shape[-1], sigma))
+    for level in scenario.sweep.clutter_levels:
+        clutter = ClutterSteering.at_sigma(matrices, CLUTTER_LEVELS[level])
         curves.append((level, average_scnr_curve(clutter, alpha0, a_target, beams, powers_w)))
     return curves
 
@@ -264,24 +261,27 @@ class _DetectionCell:
     level: str
     power_dbm: float
     ctx: SimulationContext
-    sensing: SensingPoint
+    point: OperatingPoint
 
 
 def _detection_cells(scenario: ScenarioConfig) -> list[_DetectionCell]:
-    """One (level, power) cell per operating point; a level's powers share its context."""
+    """One (level, power) cell per operating point. The scene is built once;
+    each level reads its steering matrix with the level's own sigma."""
+    scene = build_context(scenario)
     cells = []
-    for level, sigma in _level_sigma_pairs(scenario.detection.clutter_levels):
-        ctx = build_context(scenario, sigma=sigma)
+    for level in scenario.detection.clutter_levels:
+        clutter = ClutterSteering.at_sigma(scene.clutter.matrix, CLUTTER_LEVELS[level])
+        ctx = dataclasses.replace(scene, clutter=clutter)
         for p_dbm in scenario.detection.powers_dbm:
-            sensing = ctx.sensing_at(dbm_to_watts(p_dbm), scenario.power.rho)
-            cells.append(_DetectionCell(level, p_dbm, ctx, sensing))
+            point = ctx.operating_point(dbm_to_watts(p_dbm), scenario.power.rho)
+            cells.append(_DetectionCell(level, p_dbm, ctx, point))
     return cells
 
 
 def _auto_kappa_max(cells) -> float:
     # past 2|mu1|^2 + 6 sigma_T the detection probability is numerically zero
     return 1.05 * max(
-        2.0 * c.sensing.mu1_abs**2 + 6.0 * c.sensing.mu1_abs * np.sqrt(2.0 * c.sensing.sigma2)
+        2.0 * c.point.mu1_abs**2 + 6.0 * c.point.mu1_abs * np.sqrt(2.0 * c.point.sigma2)
         for c in cells
     )
 
@@ -297,7 +297,7 @@ def run_detection_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
     rows = []
     for idx, cell in enumerate(cells):
         rng = derive_stream(scenario.seed, stream_id(KIND_DETECTION, idx))
-        points = roc_sweep(cell.ctx, cell.sensing, kappas, trials=det.trials, rng=rng)
+        points = roc_sweep(cell.ctx, cell.point, kappas, trials=det.trials, rng=rng)
         for op in points:
             rows.append(_make_row(DETECTION_COLUMNS, {
                 "kappa": op.kappa,
@@ -377,7 +377,7 @@ def run_validation(scenario: ScenarioConfig) -> list[SweepTable]:
             kappa_max = _auto_kappa_max([cell])
         kappas = np.linspace(det.kappa_min, kappa_max, det.kappa_points)
         rng = derive_stream(scenario.seed, stream_id(KIND_VALIDATE, idx))
-        points = roc_sweep(cell.ctx, cell.sensing, kappas, trials=det.trials, rng=rng)
+        points = roc_sweep(cell.ctx, cell.point, kappas, trials=det.trials, rng=rng)
         for op in points:
             for metric, analytic, mc, ci in (
                 ("pfa", op.pfa_analytic, op.pfa_mc, op.pfa_ci),

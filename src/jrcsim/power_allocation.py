@@ -17,17 +17,17 @@ minimize_power walks an ascending coarse power grid to the first feasible
 point, then bisects the bracketing interval at its geometric midpoint until
 hi <= lo (1 + tol_factor) or it cannot be split further, re-optimizing
 (rho, kappa) at every probe. Ties prefer smaller P, then smaller rho, then
-smaller kappa. The certificate is the triple the tables print, re-evaluated
-from scratch. tradeoff_sweep reports, per grid power, the best achievable rate, the best
-detection probability subject to the false-alarm limit, and whether the
-constraint set is jointly satisfiable there.
+smaller kappa. The certificate is the triple the tables print, audited by
+evaluate_point. tradeoff_sweep reports, per grid power, the best achievable
+rate, the best detection probability subject to the false-alarm limit, and
+whether the constraint set is jointly satisfiable there.
 
-A probe evaluates the whole split grid at once: beams, waveforms, clutter
-gains, one stacked SVD, w, mu_1, sigma^2, the deflection and both SINRs carry
-a leading split axis. The first feasible split and the split of best guarded
-detection are first-index argmaxes over those, so the tie-breaks are a
-split-by-split scan's, and every entry equals, bit for bit, what that split
-gives alone (sensing_at and the link formulas).
+A probe evaluates the whole split grid at once: its OperatingPoint carries
+beams, waveforms, w, mu_1, sigma^2, the deflection and both SINRs along a
+leading split axis, from one stacked SVD. The first feasible split and the
+split of best guarded detection are first-index argmaxes over those, so the
+tie-breaks are a split-by-split scan's, and every entry equals, bit for bit,
+the record of that split alone.
 """
 
 from __future__ import annotations
@@ -37,17 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm_link import (
-    BeamformerSet,
-    af_gain,
-    mrc_rate,
-    rate_threshold,
-    sinr_direct,
-    sinr_relayed,
-)
+from .comm_link import mrc_rate, rate_threshold
 from .context import SimulationContext, build_context
 from .detection import (
-    DetectionStatisticParams,
     detection_probability,
     false_alarm_probability,
     false_alarm_threshold,
@@ -128,7 +120,6 @@ class EvaluatedPoint:
     meets_pd: bool
     within_budget: bool
     feasible: bool
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -163,29 +154,11 @@ def _as_context(obj) -> SimulationContext:
     raise TypeError(f"expected ScenarioConfig or SimulationContext, got {type(obj).__name__}")
 
 
-def _link_sinrs(ctx: SimulationContext, beams: BeamformerSet):
-    """(gamma_direct, gamma_relayed) for one beam set or a stack of them."""
-    gain = af_gain(ctx.channels.h_sr, beams, ctx.channels.noise_var_relay, ctx.relay_budget)
-    gamma_direct = sinr_direct(ctx.channels.h_sd, beams, ctx.channels.noise_var_dest)
-    return gamma_direct, sinr_relayed(ctx.channels, gain, beams)
-
-
 def _rho_grid(opt) -> np.ndarray:
     """Inner split grid; a configured fixed split collapses it to one point."""
     if opt.fixed_rho is not None:
         return np.array([float(opt.fixed_rho)])
     return np.linspace(0.0, 1.0, opt.rho_points)
-
-
-def _split_grid(ctx: SimulationContext, power_watts: float, rhos: np.ndarray):
-    """What the split search reads at one power, one row per split: both link
-    SINRs, |mu_1|, sigma^2 and the deflection sqrt(2)|mu_1|/sigma. A row is
-    live when |mu_1| > 0; the detector of another row is undefined and no
-    search picks it."""
-    beams, mu1_abs, sigma2 = ctx.sensing_over_splits(power_watts, rhos)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        deflection = np.sqrt(2.0) * mu1_abs / np.sqrt(sigma2)
-    return (*_link_sinrs(ctx, beams), mu1_abs, sigma2, deflection)
 
 
 def _first_feasible(
@@ -196,76 +169,57 @@ def _first_feasible(
 ) -> tuple[tuple[float, float] | None, int]:
     """Smallest (rho, kappa) meeting rate and detection constraints, if any, and
     the number of splits up to and including it (all of them when none is)."""
-    gamma_direct, gamma_relayed, mu1_abs, sigma2, deflection = _split_grid(ctx, power_watts, rhos)
-    ok = (gamma_direct + gamma_relayed >= targets.gamma_min) & (mu1_abs > 0.0)
-    ok &= deflection >= targets.deflection_floor
+    point = ctx.operating_point(power_watts, rhos)
+    ok = (point.gamma_direct + point.gamma_relayed >= targets.gamma_min) & (point.mu1_abs > 0.0)
+    ok &= point.deflection >= targets.deflection_floor
     if not ok.any():
         return None, len(rhos)
     i = int(np.argmax(ok))
-    params = DetectionStatisticParams(complex(mu1_abs[i]), float(sigma2[i]))  # |mu_1| is all it reads
-    kappa = false_alarm_threshold(params, targets.pfa_max)
-    return (float(rhos[i]), kappa), i + 1
+    return (float(rhos[i]), false_alarm_threshold(point.params(i), targets.pfa_max)), i + 1
 
 
 def evaluate_point(
     scenario: ScenarioConfig | SimulationContext,
     power_watts: float,
     rho: float,
-    kappa: float,
+    kappa: float | None,
     targets: ConstraintTargets | None = None,
 ) -> EvaluatedPoint:
-    """Audit one operating triple; zero power short-circuits to a degenerate point."""
+    """Audit one operating triple at a positive power: build its record, then
+    check every target. A kappa of None takes the record's false-alarm
+    threshold rounded up onto the 9-significant-digit emission grid, the
+    threshold a certificate prints."""
     ctx = _as_context(scenario)
     if targets is None:
         targets = ConstraintTargets.from_scenario(ctx.scenario)
-    if power_watts < 0.0:
-        raise ValueError(f"power must be nonnegative, got {power_watts}")
-    if power_watts == 0.0:
-        silent = 1.0 if kappa <= 0.0 else 0.0
-        return EvaluatedPoint(
-            power_watts=0.0,
-            rho=rho,
-            kappa=kappa,
-            rate_bps_hz=0.0,
-            gamma_direct=0.0,
-            gamma_relayed=0.0,
-            pfa=silent,
-            pd=silent,
-            mu1_abs=0.0,
-            sigma2=0.0,
-            scnr_opt=0.0,
-            scnr_avg=0.0,
-            meets_rate=0.0 >= targets.gamma_min,
-            meets_pfa=silent <= targets.pfa_max,
-            meets_pd=silent >= targets.pd_min,
-            within_budget=True,
-            feasible=False,
-            degenerate=True,
-        )
-    sensing = ctx.sensing_at(power_watts, rho)
-    gamma_direct, gamma_relayed = (float(g) for g in _link_sinrs(ctx, sensing.beams))
-    rate = mrc_rate(gamma_direct, gamma_relayed)
-    pfa = false_alarm_probability(sensing.params, kappa)
-    pd = detection_probability(sensing.params, kappa)
+    if not power_watts > 0.0:
+        raise ValueError(f"power must be positive, got {power_watts}")
+    point = ctx.operating_point(power_watts, rho)
+    params = point.params()
+    if kappa is None:
+        kappa = canonical_ceil(false_alarm_threshold(params, targets.pfa_max))
+    gamma_direct, gamma_relayed = float(point.gamma_direct), float(point.gamma_relayed)
+    pfa = false_alarm_probability(params, kappa)
+    pd = detection_probability(params, kappa)
     meets_rate = gamma_direct + gamma_relayed >= targets.gamma_min
     meets_pfa = pfa <= targets.pfa_max
     meets_pd = pd >= targets.pd_min
-    within_budget = sensing.beams.total_power <= power_watts + _BUDGET_SLACK * max(1.0, power_watts)
+    within_budget = point.beams.total_power <= power_watts + _BUDGET_SLACK * max(1.0, power_watts)
     a = ctx.target_steering
     # |alpha_0|^2 y^H W^-1 y with y = A x and w = W^-1 y
-    scnr_opt = abs(ctx.alpha0) ** 2 * np.vdot(a * np.dot(a, sensing.x), sensing.w).real
+    scnr_opt = abs(ctx.alpha0) ** 2 * np.vdot(a * np.dot(a, point.x), point.w).real
     scnr_avg = average_scnr_curve(ctx.clutter, ctx.alpha0, a, ctx.unit_beams(rho), [power_watts])[0]
     return EvaluatedPoint(
         power_watts=power_watts,
         rho=rho,
         kappa=kappa,
-        rate_bps_hz=rate,
+        rate_bps_hz=mrc_rate(gamma_direct, gamma_relayed),
         gamma_direct=gamma_direct,
         gamma_relayed=gamma_relayed,
         pfa=pfa,
         pd=pd,
-        mu1_abs=sensing.mu1_abs,
-        sigma2=sensing.sigma2,
+        mu1_abs=abs(params.mu1),
+        sigma2=params.sigma2,
         scnr_opt=float(scnr_opt),
         scnr_avg=float(scnr_avg),
         meets_rate=meets_rate,
@@ -273,7 +227,6 @@ def evaluate_point(
         meets_pd=meets_pd,
         within_budget=within_budget,
         feasible=meets_rate and meets_pfa and meets_pd and within_budget,
-        degenerate=False,
     )
 
 
@@ -285,14 +238,15 @@ def _certificate(
 ) -> tuple[EvaluatedPoint | None, int]:
     """The evaluated triple on the 9-significant-digit emission grid that
     evaluate_point accepts at the least power from power_watts up, and the
-    evaluations spent; None past the ceiling. Power and kappa_fa round up onto
-    the grid; rounding kappa up can drop P_D below its floor, and the power
-    then steps up the grid, the step doubling from one unit, until it does not."""
+    evaluations spent; None past the ceiling. Power rounds up onto the grid,
+    and each candidate is one evaluate_point whose record gives kappa_fa,
+    rounded up onto the grid too, and is audited at it; rounding kappa up can
+    drop P_D below its floor, and the power then steps up the grid, the step
+    doubling from one unit, until it does not."""
     rho = canonical_float(rho)
     p, units, evaluations = canonical_ceil(power_watts), 1, 0
     while p <= targets.p_max_watts:
-        kappa = canonical_ceil(false_alarm_threshold(ctx.sensing_at(p, rho).params, targets.pfa_max))
-        point = evaluate_point(ctx, p, rho, kappa, targets)
+        point = evaluate_point(ctx, p, rho, None, targets)
         evaluations += 1
         if point.feasible:
             return point, evaluations
@@ -359,19 +313,20 @@ def _tradeoff_record(
     power_watts: float,
     rhos: np.ndarray,
 ) -> TradeoffRecord:
-    gamma_direct, gamma_relayed, mu1_abs, sigma2, deflection = _split_grid(ctx, power_watts, rhos)
+    point = ctx.operating_point(power_watts, rhos)
+    gamma_sum = point.gamma_direct + point.gamma_relayed
     # the rate is log2(1 + gamma_sum), so the best rate sits at the largest sum
-    i = int(np.argmax(1.0 + gamma_direct + gamma_relayed))
-    best_rate = mrc_rate(gamma_direct[i], gamma_relayed[i])
-    live = mu1_abs > 0.0
-    meets_rate = gamma_direct + gamma_relayed >= targets.gamma_min
-    feasible = bool(np.any(live & meets_rate & (deflection >= targets.deflection_floor)))
+    i = int(np.argmax(1.0 + gamma_sum))
+    best_rate = mrc_rate(point.gamma_direct[i], point.gamma_relayed[i])
+    live, deflection = point.mu1_abs > 0.0, point.deflection
+    meets = (gamma_sum >= targets.gamma_min) & (deflection >= targets.deflection_floor)
+    feasible = bool(np.any(live & meets))
     if not live.any():
         return TradeoffRecord(power_watts, float(rhos[0]), 0.0, best_rate, 0.0, 0.0, feasible)
     # P_D at the false-alarm threshold grows with the deflection; argmax takes
     # the first maximum, so ties go to the smallest rho
     i = int(np.argmax(np.where(live, deflection, -np.inf)))
-    params = DetectionStatisticParams(complex(mu1_abs[i]), float(sigma2[i]))
+    params = point.params(i)
     kappa = false_alarm_threshold(params, targets.pfa_max)
     pd, pfa = detection_probability(params, kappa), false_alarm_probability(params, kappa)
     return TradeoffRecord(power_watts, float(rhos[i]), kappa, best_rate, pd, pfa, feasible)
@@ -380,27 +335,14 @@ def _tradeoff_record(
 def tradeoff_sweep(
     scenario: ScenarioConfig | SimulationContext,
     targets: ConstraintTargets | None = None,
-    power_grid_watts: np.ndarray | None = None,
 ) -> tuple[TradeoffRecord, ...]:
-    """One record per grid power: best rate, best guarded detection, joint feasibility."""
+    """One record per power of the scenario's dBm grid, from its floor to the
+    ceiling: best rate, best guarded detection, joint feasibility."""
     ctx = _as_context(scenario)
     if targets is None:
         targets = ConstraintTargets.from_scenario(ctx.scenario)
-    if power_grid_watts is None:
-        grid_dbm = np.linspace(
-            ctx.scenario.power.min_dbm,
-            watts_to_dbm(targets.p_max_watts),
-            ctx.scenario.power.points,
-        )
-        power_grid_watts = np.array([dbm_to_watts(p) for p in grid_dbm])
-    grid = np.asarray(power_grid_watts, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("power grid must be a non-empty 1-D array")
-    if not np.all(grid > 0.0):
-        raise ValueError("power grid entries must be positive")
-    if not np.all(np.diff(grid) > 0.0):
-        raise ValueError("power grid must be strictly increasing")
-
-    opt = ctx.scenario.optimizer
-    rhos = _rho_grid(opt)
-    return tuple(_tradeoff_record(ctx, targets, float(p), rhos) for p in grid)
+    grid_dbm = np.linspace(
+        ctx.scenario.power.min_dbm, watts_to_dbm(targets.p_max_watts), ctx.scenario.power.points
+    )
+    rhos = _rho_grid(ctx.scenario.optimizer)
+    return tuple(_tradeoff_record(ctx, targets, float(dbm_to_watts(p)), rhos) for p in grid_dbm)

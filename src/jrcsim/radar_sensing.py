@@ -48,6 +48,12 @@ class ClutterSteering:
     matrix: np.ndarray
     scale: np.ndarray
 
+    @classmethod
+    def at_sigma(cls, matrix: np.ndarray, sigma: float) -> "ClutterSteering":
+        """Steering matrix (N, L), or a (..., N, L) stack, with every amplitude
+        scale sigma: a scene's clutter levels differ only in this scale."""
+        return cls(matrix, np.full(matrix.shape[-1], float(sigma)))
+
     def gains(self, beams: np.ndarray) -> np.ndarray:
         """g_l = sigma_l^2 sum_k |a_l^T b_k|^2 over the transmit beams b_k (rows of
         a (K, N) set, or of each set in a (..., K, N) stack; a (..., N, L) stack of

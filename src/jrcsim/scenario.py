@@ -61,8 +61,11 @@ _ANGLE = {"lo": 0.0, "lo_open": True, "hi": np.pi, "hi_open": True}
 # tables at both ends (the CLI's extreme-power test runs them)
 _DBM = {"lo": -300.0, "hi": 300.0}
 # magnitudes far past physical ones that still keep every product of powers,
-# reflectivity and clutter scale finite at both dBm ends (same test)
+# reflectivity, clutter scale, noise, lengths (m) and carriers (GHz) finite at
+# both dBm ends, each bound also with the reflectivity and clutter ones (same test)
 _MAGNITUDE = {"lo": 1.0e-30, "hi": 1.0e40}
+_LENGTH = {"lo": 1.0e-6, "hi": 1.0e9}
+_CARRIER = {"lo": 1.0e-6, "hi": 1.0e6}
 
 
 def _setting(default, kind=None, **rule):
@@ -139,13 +142,13 @@ class _Section:
 @dataclass(frozen=True)
 class ArraySection(_Section):
     n_antennas: int = _setting(5, lo=1)
-    carrier_ghz: float = _setting(28.0, **_POSITIVE)
-    spacing_m: float | None = _setting(None, float, **_POSITIVE)
+    carrier_ghz: float = _setting(28.0, **_CARRIER)
+    spacing_m: float | None = _setting(None, float, **_LENGTH)
 
 
 @dataclass(frozen=True)
 class TargetSection(_Section):
-    range_m: float = _setting(5.0, **_POSITIVE)
+    range_m: float = _setting(5.0, **_LENGTH)
     angle_rad: float = _setting(np.pi / 3.0, **_ANGLE)
     rcs_scale: float = _setting(3.0e7, **_MAGNITUDE)
     phase: str = _setting("uniform", choices=("zero", "uniform"))
@@ -155,27 +158,27 @@ class TargetSection(_Section):
 class ClutterSection(_Section):
     count: int = _setting(3, lo=0)
     sigma: float = _setting(0.8, lo=0.0, hi=_MAGNITUDE["hi"])
-    min_range_m: float = _setting(0.5, **_POSITIVE)
-    max_range_m: float = _setting(5.0, above="min_range_m", **_POSITIVE)
+    min_range_m: float = _setting(0.5, **_LENGTH)
+    max_range_m: float = _setting(5.0, above="min_range_m", **_LENGTH)
     angle_exclusion_rad: float = _setting(0.05, **_NONNEGATIVE)
 
 
 @dataclass(frozen=True)
 class PathLossSection(_Section):
     kind: str = _setting("free_space", choices=("free_space", "tr38901_umi_los"))
-    h_bs_m: float = _setting(10.0, **_POSITIVE)
-    h_ut_m: float = _setting(1.5, **_POSITIVE)
+    h_bs_m: float = _setting(10.0, **_LENGTH)
+    h_ut_m: float = _setting(1.5, **_LENGTH)
 
 
 @dataclass(frozen=True)
 class CommSection(_Section):
-    destination_range_m: float = _setting(20.0, **_POSITIVE)
+    destination_range_m: float = _setting(20.0, **_LENGTH)
     destination_angle_rad: float = _setting(1.7, **_ANGLE)
-    relay_range_m: float = _setting(10.0, **_POSITIVE)
+    relay_range_m: float = _setting(10.0, **_LENGTH)
     relay_angle_rad: float = _setting(1.4, **_ANGLE)
-    noise_var_dest_w: float = _setting(4.0e-13, **_POSITIVE)
-    noise_var_relay_w: float = _setting(4.0e-13, **_POSITIVE)
-    relay_power_w: float = _setting(0.01, **_NONNEGATIVE)
+    noise_var_dest_w: float = _setting(4.0e-13, **_MAGNITUDE)
+    noise_var_relay_w: float = _setting(4.0e-13, **_MAGNITUDE)
+    relay_power_w: float = _setting(0.01, lo=0.0, hi=_MAGNITUDE["hi"])
     fading: str = _setting("los", choices=("los", "rayleigh"))
 
 
@@ -199,7 +202,8 @@ class DetectionSection(_Section):
 
 @dataclass(frozen=True)
 class TargetsSection(_Section):
-    rate_bps_hz: float = _setting(5.0, **_NONNEGATIVE)
+    # past ~1000 the SINR floor 2^r - 1 leaves the float range
+    rate_bps_hz: float = _setting(5.0, lo=0.0, hi=1000.0)
     # a cap of 1 has no finite smallest threshold
     pfa_max: float = _setting(1.0e-6, lo=0.0, lo_open=True, hi=1.0, hi_open=True)
     pd_min: float = _setting(0.6, **_UNIT)
@@ -217,7 +221,7 @@ class OptimizerSection(_Section):
 @dataclass(frozen=True)
 class SweepSection(_Section):
     antennas: tuple[int, ...] = _setting((5, 10), lo=1)
-    carriers_ghz: tuple[float, ...] = _setting((2.8, 28.0), **_POSITIVE)
+    carriers_ghz: tuple[float, ...] = _setting((2.8, 28.0), **_CARRIER)
     clutter_levels: tuple[str, ...] = _setting(
         ("none", "light", "intense"), choices=tuple(CLUTTER_LEVELS)
     )

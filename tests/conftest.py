@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from jrcsim.context import build_context
+from jrcsim.radar_sensing import ClutterSteering
 from jrcsim.scenario import ScenarioConfig
 
 
@@ -16,6 +17,11 @@ def default_scenario():
 @pytest.fixture(scope="session")
 def default_context(default_scenario):
     return build_context(default_scenario)
+
+
+def at_sigma(ctx, sigma):
+    """The context's scene with every clutter amplitude scale set to sigma."""
+    return dataclasses.replace(ctx, clutter=ClutterSteering.at_sigma(ctx.clutter.matrix, sigma))
 
 
 def reduced_scenario(sc: ScenarioConfig) -> ScenarioConfig:

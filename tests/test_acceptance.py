@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import at_sigma
 from jrcsim.array_geometry import (
     ArrayConfig,
     PolarPosition,
@@ -83,16 +84,12 @@ class TestAcceptance:
         worst_margin = np.inf
         worst_oracle = 0.0
         for n_ant, n_clutter, sigma, key in cases:
-            ctx = build_context(
-                with_clutter_count(default_scenario, n_clutter),
-                n_antennas=n_ant,
-                sigma=sigma,
-                scene_key=key,
-            )
+            scene = build_context(with_clutter_count(default_scenario, n_clutter), n_antennas=n_ant, scene_key=key)
+            ctx = at_sigma(scene, sigma)
             power = float(rng.uniform(0.05, 10.0))
             rho = float(rng.uniform(0.0, 1.0))
-            beams = ctx.beams_at(power, rho)
-            x = ctx.waveform_at(beams)
+            point = ctx.operating_point(power, rho)
+            beams, x = point.beams, point.x
             cov = clutter_covariance(ctx.clutter, transmit_covariance(beams))
             w_star = optimal_receive_beamformer(ctx.target_steering, cov, x)
             s_star = scnr(w_star, ctx.alpha0, ctx.target_steering, cov, x)
@@ -153,7 +150,7 @@ class TestAcceptance:
         )
 
     def test_04_power_curve_is_linear_then_clutter_limited(self, default_scenario):
-        clean = build_context(default_scenario, sigma=0.0)
+        clean = at_sigma(build_context(default_scenario), 0.0)
         rho = default_scenario.power.rho
         powers_dbm = np.linspace(-10.0, 40.0, 11)
         clean_db = np.array(
@@ -173,7 +170,7 @@ class TestAcceptance:
         slopes = np.diff(clean_db) / np.diff(powers_dbm)
         slope_err = float(np.max(np.abs(slopes - 1.0)))
 
-        dense = build_context(with_clutter_count(default_scenario, 8), sigma=0.8)
+        dense = at_sigma(build_context(with_clutter_count(default_scenario, 8)), 0.8)
         high_dbm = np.linspace(-10.0, 70.0, 17)
         dense_db = np.array(
             [

@@ -5,15 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import at_sigma
 from jrcsim.context import (
     KIND_SCENE,
     build_context,
-    sigma_for_level,
     stream_id,
 )
 from jrcsim.propagation import PathLossKind, PathLossModel, path_loss_db
 from jrcsim.radar_sensing import waveform_from_symbols
-from jrcsim.scenario import ScenarioConfig, dbm_to_watts
+from jrcsim.scenario import CLUTTER_LEVELS, ConfigError, ScenarioConfig, dbm_to_watts, scenario_from_dict
 
 
 class TestStreamIds:
@@ -32,13 +32,13 @@ class TestStreamIds:
 
 class TestLevelMapping:
     def test_named_levels(self):
-        assert sigma_for_level("none") == 0.0
-        assert sigma_for_level("light") == 0.1
-        assert sigma_for_level("intense") == 0.8
+        assert CLUTTER_LEVELS == {"none": 0.0, "light": 0.1, "intense": 0.8}
 
     def test_unknown_level_rejected(self):
-        with pytest.raises(ValueError):
-            sigma_for_level("medium")
+        # a level reaches the runners only as a validated choice of CLUTTER_LEVELS
+        for section in ("sweep", "detection"):
+            with pytest.raises(ConfigError, match=rf"^{section}\.clutter_levels\[0\]: "):
+                scenario_from_dict({section: {"clutter_levels": ["medium"]}})
 
 
 class TestBuildContext:
@@ -61,8 +61,8 @@ class TestBuildContext:
         assert np.array_equal(a.channels.h_sd, b.channels.h_sd)
 
     def test_sigma_override_keeps_placements(self, default_scenario):
-        light = build_context(default_scenario, sigma=0.1)
-        intense = build_context(default_scenario, sigma=0.8)
+        light = at_sigma(build_context(default_scenario), 0.1)
+        intense = at_sigma(build_context(default_scenario), 0.8)
         assert np.all(light.clutter.scale == 0.1)
         assert np.all(intense.clutter.scale == 0.8)
         # sigma reaches the context only through the clutter amplitude scales
@@ -127,9 +127,9 @@ class TestBeamsAndWaveform:
 
     def test_waveform_is_the_fixed_symbol_combination(self, default_context):
         ctx = default_context
-        beams = ctx.beams_at(dbm_to_watts(30.0), 0.5)
-        x = ctx.waveform_at(beams)
+        point = ctx.operating_point(dbm_to_watts(30.0), 0.5)
+        beams, x = point.beams, point.x
         expected = beams.comm_beam * ctx.symbols[0] + beams.radar_beam * ctx.symbols[1]
         assert x == pytest.approx(expected, rel=1e-12)
-        assert np.array_equal(x, ctx.waveform_at(beams))
+        assert np.array_equal(x, ctx.operating_point(dbm_to_watts(30.0), 0.5).x)
         assert np.array_equal(x, waveform_from_symbols(beams, ctx.symbols))

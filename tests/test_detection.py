@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import at_sigma
 from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_vector
 from jrcsim.context import build_context
 from jrcsim.detection import (
@@ -21,7 +22,7 @@ from jrcsim.detection import (
     false_alarm_threshold,
     roc_sweep,
     sample_test_statistics,
-    statistic_params,
+    statistic_moments,
 )
 from jrcsim.scenario import ScenarioConfig, dbm_to_watts
 from jrcsim.stats import inverse_q
@@ -46,13 +47,13 @@ def tail_oracle(z):
 
 
 class OperatingCell:
-    """One end-to-end receive chain: the default context and its sensing point at one power."""
+    """One end-to-end receive chain: the default context and its operating point at one power."""
 
     def __init__(self, sigma, power_dbm=30.0):
         scenario = ScenarioConfig()
-        self.ctx = build_context(scenario, sigma=sigma)
-        self.point = self.ctx.sensing_at(dbm_to_watts(power_dbm), scenario.power.rho)
-        self.params = self.point.params
+        self.ctx = at_sigma(build_context(scenario), sigma)
+        self.point = self.ctx.operating_point(dbm_to_watts(power_dbm), scenario.power.rho)
+        self.params = self.point.params()
 
     def sample(self, trials, seed, point=None):
         rng = np.random.default_rng(seed)
@@ -78,13 +79,13 @@ class TestStatisticParams:
         for _ in range(50):
             w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            got = statistic_params(w, ALPHA0, A_TARGET, clutter, x)
+            mu1, sigma2 = statistic_moments(w, ALPHA0, A_TARGET, clutter, x)
             mu_expected = ALPHA0 * (w.conj() @ mat @ x)
             var_expected = float(np.vdot(w, w).real) + sum(
                 sigma**2 * abs(w.conj() @ m @ x) ** 2 for sigma, m in zip(clutter.scale, clutter_mats)
             )
-            assert got.mu1 == pytest.approx(mu_expected, rel=1e-12)
-            assert got.sigma2 == pytest.approx(var_expected, rel=1e-12)
+            assert mu1 == pytest.approx(mu_expected, rel=1e-12)
+            assert sigma2 == pytest.approx(var_expected, rel=1e-12)
 
     def test_rejects_non_positive_variance(self):
         with pytest.raises(ValueError):
@@ -218,9 +219,9 @@ class TestSampledStatistics:
         ctx, point = run.ctx, run.point
         cov = clutter_covariance(ctx.clutter, transmit_covariance(point.beams))
         w = optimal_receive_beamformer(ctx.target_steering, cov, point.x)
-        direct = statistic_params(w, ctx.alpha0, ctx.target_steering, ctx.clutter, point.x)
-        assert run.params.mu1 == pytest.approx(direct.mu1, rel=1e-12)
-        assert run.params.sigma2 == pytest.approx(direct.sigma2, rel=1e-12)
+        mu1, sigma2 = statistic_moments(w, ctx.alpha0, ctx.target_steering, ctx.clutter, point.x)
+        assert run.params.mu1 == pytest.approx(mu1, rel=1e-12)
+        assert run.params.sigma2 == pytest.approx(sigma2, rel=1e-12)
 
     def test_waveform_stays_frozen_across_trials(self):
         # every trial transmits the point's x, so the H1 mean sits at 2|mu_1|^2
@@ -228,13 +229,13 @@ class TestSampledStatistics:
         run = cell(0.8)
         ctx, trials = run.ctx, 50_000
         x = run.point.x * np.exp(2j * np.pi * np.random.default_rng(14).uniform(size=run.point.x.shape))
-        params = statistic_params(run.point.w, ctx.alpha0, ctx.target_steering, ctx.clutter, x)
-        other = dataclasses.replace(run.point, x=x, params=params)
+        mu1, sigma2 = statistic_moments(run.point.w, ctx.alpha0, ctx.target_steering, ctx.clutter, x)
+        other = dataclasses.replace(run.point, x=x, mu1=mu1, sigma2=sigma2)
         means = []
         for point in (run.point, other):
             _, t_h1 = run.sample(trials, seed=15, point=point)
-            mu_sq = abs(point.params.mu1) ** 2
-            se = math.sqrt(2.0 * mu_sq * point.params.sigma2 / trials)
+            mu_sq = abs(point.mu1) ** 2
+            se = math.sqrt(2.0 * mu_sq * point.sigma2 / trials)
             assert float(np.mean(t_h1)) == pytest.approx(2.0 * mu_sq, abs=5.0 * se)
             means.append((2.0 * mu_sq, se))
         assert abs(means[0][0] - means[1][0]) > 20.0 * max(means[0][1], means[1][1])
@@ -359,8 +360,8 @@ class TestSimulatedRates:
 
     def test_absent_target_reports_nan_closed_forms(self):
         silent = dataclasses.replace(cell(0.1).ctx, alpha0=0.0 + 0.0j)
-        sensing = silent.sensing_at(dbm_to_watts(30.0), 0.5)
-        (point,) = roc_sweep(silent, sensing, [0.0], trials=20_000, rng=np.random.default_rng(28))
+        silent_point = silent.operating_point(dbm_to_watts(30.0), 0.5)
+        (point,) = roc_sweep(silent, silent_point, [0.0], trials=20_000, rng=np.random.default_rng(28))
         assert math.isnan(point.pfa_analytic)
         assert math.isnan(point.pd_analytic)
         assert 0.0 <= point.pfa_mc <= 1.0

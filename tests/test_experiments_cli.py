@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jrcsim
+from conftest import at_sigma
 from jrcsim.cli import main
-from jrcsim.context import build_context, sigma_for_level
+from jrcsim.context import build_context
 from jrcsim.experiments import (
     DETECTION_COLUMNS,
     OPTIMUM_COLUMNS,
@@ -36,7 +37,7 @@ from jrcsim.experiments import (
 )
 from jrcsim.power_allocation import evaluate_point
 from jrcsim.radar_sensing import average_scnr_curve
-from jrcsim.scenario import ScenarioConfig, config_hash, load_scenario, watts_to_dbm
+from jrcsim.scenario import CLUTTER_LEVELS, ScenarioConfig, config_hash, load_scenario, watts_to_dbm
 from jrcsim.stats import canonical_ceil
 
 
@@ -204,18 +205,13 @@ def sweep_pairs(draw):
 
 
 def _oracle_level_curves(sc, n, f_ghz, pair_index, powers_w):
-    """One context built with the level's sigma and one lone curve per (level, realization)."""
+    """One context at the level's sigma and one lone curve per (level, realization)."""
     out = []
     for level in sc.sweep.clutter_levels:
         curves = []
         for r in range(sc.sweep.realizations):
-            ctx = build_context(
-                sc,
-                n_antennas=n,
-                carrier_ghz=f_ghz,
-                sigma=sigma_for_level(level),
-                scene_key=(pair_index << 24) | r,
-            )
+            scene = build_context(sc, n_antennas=n, carrier_ghz=f_ghz, scene_key=(pair_index << 24) | r)
+            ctx = at_sigma(scene, CLUTTER_LEVELS[level])
             beams = ctx.unit_beams(sc.power.rho)
             curves.append(average_scnr_curve(ctx.clutter, ctx.alpha0, ctx.target_steering, beams, powers_w))
         out.append((level, np.array(curves)))
@@ -582,6 +578,11 @@ class TestCli:
             ({"targets": {"pfa_max": 1.0}}, "targets.pfa_max: must be < 1.0, got 1.0"),
             ({"target": {"rcs_scale": 1e200}}, "target.rcs_scale: must be <= 1e+40, got 1e+200"),
             ({"clutter": {"sigma": 1e200}}, "clutter.sigma: must be <= 1e+40, got 1e+200"),
+            ({"target": {"range_m": 1e-300}}, "target.range_m: must be >= 1e-06, got 1e-300"),
+            ({"array": {"carrier_ghz": 1e-300}}, "array.carrier_ghz: must be >= 1e-06, got 1e-300"),
+            ({"comm": {"noise_var_dest_w": 1e-300}}, "comm.noise_var_dest_w: must be >= 1e-30, got 1e-300"),
+            ({"sweep": {"carriers_ghz": [28.0, 1e7]}}, "sweep.carriers_ghz[1]: must be <= 1000000.0, got 10000000.0"),
+            ({"targets": {"rate_bps_hz": 1e6}}, "targets.rate_bps_hz: must be <= 1000.0, got 1000000.0"),
         ):
             path.write_text(json.dumps(config))
             for command in ("scnr-sweep", "detection-sweep", "tradeoff", "optimize", "validate"):
@@ -625,13 +626,17 @@ class TestCli:
         )
         assert point.feasible
 
-    @pytest.mark.parametrize("command", ["scnr-sweep", "tradeoff", "detection-sweep", "optimize", "validate"])
+    @pytest.mark.parametrize(
+        "command", ["scnr-sweep", "tradeoff", "detection-sweep", "optimize", "validate", "optimize --format json"]
+    )
     def test_extreme_powers_give_finite_tables(self, command, tmp_path, capsys):
         # past ~178 dBm I + P M is no longer numerically positive definite,
         # which once crashed a Cholesky factorization with a traceback; the
-        # schema admits powers out to +-300 dBm and reflectivity and clutter
-        # scales out to their bounds, so every command must run at those ends
-        # (optimize may find the target out of reach and exit 2)
+        # schema admits powers out to +-300 dBm, reflectivity and clutter
+        # scales, lengths, carriers, noise variances, relay power and rate
+        # target out to their bounds, so every command must run at those ends,
+        # each bound at both dBm ends and with the largest reflectivity and
+        # clutter scale (optimize may find the target out of reach and exit 2)
         schemas = {
             "scnr_sweep": SCNR_SWEEP_COLUMNS,
             "scnr_table": SCNR_TABLE_COLUMNS,
@@ -641,34 +646,63 @@ class TestCli:
             "validate": VALIDATE_COLUMNS,
         }
         windows = [(150.0, 200.0, 210.0), (250.0, 300.0, 300.0), (-300.0, -240.0, -240.0)]
-        cases = [(window, {}) for window in windows] + [
-            (window, magnitudes)
-            for window in windows[1:]
-            for magnitudes in (
-                {"target": {"rcs_scale": 1e40}},
-                {"target": {"rcs_scale": 1e40}, "clutter": {"sigma": 1e40}},
-                {"target": {"rcs_scale": 1e-30}, "clutter": {"sigma": 1e40}},
-            )
+        strongest = {"target": {"rcs_scale": 1e40}, "clutter": {"sigma": 1e40}}
+        magnitudes = [
+            {"target": {"rcs_scale": 1e40}},
+            strongest,
+            {"target": {"rcs_scale": 1e-30}, "clutter": {"sigma": 1e40}},
         ]
-        for k, ((min_dbm, max_dbm, p_max_dbm), magnitudes) in enumerate(cases):
+        bounds = [
+            {section: {name: value}}
+            for section, name, values in (
+                ("target", "range_m", (1e-6, 1e9)),
+                ("comm", "destination_range_m", (1e-6, 1e9)),
+                ("comm", "relay_range_m", (1e-6, 1e9)),
+                ("array", "spacing_m", (1e-6, 1e9)),
+                ("array", "carrier_ghz", (1e-6, 1e6)),
+                ("comm", "noise_var_dest_w", (1e-30, 1e40)),
+                ("comm", "noise_var_relay_w", (1e-30, 1e40)),
+                ("comm", "relay_power_w", (0.0, 1e40)),
+                ("targets", "rate_bps_hz", (1000.0,)),
+                ("sweep", "carriers_ghz", ([1e-6, 1e6],)),
+            )
+            for value in values
+        ] + [
+            {"clutter": {"min_range_m": 1e-6, "max_range_m": 2e-6}},
+            {"clutter": {"min_range_m": 5e8, "max_range_m": 1e9}},
+            {"path_loss": {"kind": "tr38901_umi_los", "h_bs_m": 1e9, "h_ut_m": 1e9}},
+        ]
+        cases = (
+            [(window, ()) for window in windows]
+            + [(window, (m,)) for window in windows[1:] for m in magnitudes]
+            + [(window, (b,)) for window in windows[1:] for b in bounds]
+            + [(windows[1], (b, strongest)) for b in bounds]
+        )
+        for k, ((min_dbm, max_dbm, p_max_dbm), extremes) in enumerate(cases):
             config = {
                 "power": {"min_dbm": min_dbm, "max_dbm": max_dbm, "points": 6},
                 "targets": {"p_max_dbm": p_max_dbm},
                 "detection": {"powers_dbm": [min_dbm, max_dbm], "trials": 400, "kappa_points": 5},
                 "sweep": {"realizations": 3},
                 "optimizer": {"power_points": 12, "rho_points": 5},
-                **magnitudes,
             }
+            for extreme in extremes:
+                for section, values in extreme.items():
+                    config.setdefault(section, {}).update(values)
             path = tmp_path / f"extreme_{k}.json"
             path.write_text(json.dumps(config))
             out = tmp_path / f"out_{k}"
-            rc = main([command, "--config", str(path), "--out", str(out)])
+            rc = main([*command.split(), "--config", str(path), "--out", str(out)])
             capsys.readouterr()
-            assert rc == 0 or (command == "optimize" and rc == 2), config
+            assert rc == 0 or (command.startswith("optimize") and rc == 2), config
             manifest = json.loads((out / "manifest.json").read_text())
             for name, filename in manifest["files"].items():
                 columns = schemas[name]
-                for row in parse_table_csv(str(out / filename), columns):
+                if manifest["format"] == "json":
+                    rows = json.loads((out / filename).read_text())["records"]
+                else:
+                    rows = parse_table_csv(str(out / filename), columns)
+                for row in rows:
                     for col, kind in columns:
                         if kind is float and row[col] is not None:
                             assert np.isfinite(row[col]), (config, name, col, row)

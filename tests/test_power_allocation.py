@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jrcsim.comm_link import af_gain, mrc_rate, rate_threshold, sinr_direct, sinr_relayed
+from jrcsim.comm_link import mrc_rate, rate_threshold
 from jrcsim.context import build_context
 from jrcsim.detection import (
+    DetectionStatisticParams,
     detection_probability,
     false_alarm_probability,
     false_alarm_threshold,
-    statistic_params,
+    statistic_moments,
 )
 from jrcsim.experiments import OPTIMUM_COLUMNS, emit_outputs, parse_table_csv, run_optimize
 from jrcsim.power_allocation import (
@@ -28,12 +29,12 @@ from jrcsim.power_allocation import (
     TradeoffRecord,
     _first_feasible,
     _rho_grid,
-    _split_grid,
     _tradeoff_record,
     evaluate_point,
     minimize_power,
     tradeoff_sweep,
 )
+from jrcsim.radar_sensing import waveform_from_symbols
 from jrcsim.scenario import ConfigError, ScenarioConfig, dbm_to_watts, watts_to_dbm
 from jrcsim.stats import canonical_ceil, canonical_float, inverse_q, q_function
 from oracles import (
@@ -100,21 +101,14 @@ class TestConstraintTargets:
 
 class TestEvaluatePoint:
     def test_zero_power_with_positive_threshold(self, default_context):
-        point = evaluate_point(default_context, 0.0, 0.5, 1.0)
-        assert point.degenerate
-        assert point.rate_bps_hz == 0.0
-        assert point.pfa == 0.0 and point.pd == 0.0
-        assert point.meets_pfa and not point.meets_pd
-        assert not point.meets_rate
-        assert point.within_budget
-        assert not point.feasible
+        # no command audits zero power: the minimizer and the tradeoff grid start above it
+        with pytest.raises(ValueError, match="power must be positive"):
+            evaluate_point(default_context, 0.0, 0.5, 1.0)
 
     def test_zero_power_with_non_positive_threshold_always_alarms(self, default_context):
-        point = evaluate_point(default_context, 0.0, 0.5, -1.0)
-        assert point.degenerate
-        assert point.pfa == 1.0 and point.pd == 1.0
-        assert not point.meets_pfa
-        assert not point.feasible
+        # the threshold does not matter: zero power is rejected before any audit
+        with pytest.raises(ValueError, match="power must be positive"):
+            evaluate_point(default_context, 0.0, 0.5, -1.0)
 
     def test_rejects_negative_power(self, default_context):
         with pytest.raises(ValueError):
@@ -125,10 +119,10 @@ class TestEvaluatePoint:
         ctx = default_context
         power, rho = 2.0, 0.5
         beams = ctx.beams_at(power, rho)
-        x = ctx.waveform_at(beams)
+        x = waveform_from_symbols(beams, ctx.symbols)
         cov = clutter_covariance(ctx.clutter, transmit_covariance(beams))
         w = optimal_receive_beamformer(ctx.target_steering, cov, x)
-        params = statistic_params(w, ctx.alpha0, ctx.target_steering, ctx.clutter, x)
+        params = DetectionStatisticParams(*statistic_moments(w, ctx.alpha0, ctx.target_steering, ctx.clutter, x))
         kappa = abs(params.mu1) ** 2
         point = evaluate_point(ctx, power, rho, kappa)
         assert point.mu1_abs == pytest.approx(abs(params.mu1), rel=1e-12)
@@ -205,8 +199,8 @@ class TestMinimizePower:
         # digits, so re-reading the table gives back the certified point
         for value in (solved.p_star_watts, solved.rho_star, solved.kappa_star):
             assert canonical_float(value) == value
-        sensing = fast_context.sensing_at(solved.p_star_watts, solved.rho_star)
-        assert solved.kappa_star == canonical_ceil(false_alarm_threshold(sensing.params, 1e-6))
+        point = fast_context.operating_point(solved.p_star_watts, solved.rho_star)
+        assert solved.kappa_star == canonical_ceil(false_alarm_threshold(point.params(), 1e-6))
         assert solved.point.pfa <= 1e-6 and solved.point.pd >= 0.6
 
     def test_default_optimum_is_the_closed_form_minimum(self, default_context):
@@ -279,7 +273,7 @@ class TestMinimizePower:
             optimizer=dataclasses.replace(default_scenario.optimizer, fixed_rho=1.0, tol_factor=1e-12),
         )
         ctx = build_context(sc)
-        cap = float(_split_grid(ctx, 1e12, np.array([1.0]))[-1][0])
+        cap = float(ctx.operating_point(1e12, 1.0).deflection)
         floor = cap * (1.0 - 1e-7)
         pd_min = float(q_function(inverse_q(1e-6) - floor))
         targets = ConstraintTargets(gamma_min=0.0, pfa_max=1e-6, pd_min=pd_min, p_max_watts=1e20)
@@ -377,16 +371,6 @@ class TestTradeoffSweep:
         if idx > 0:
             assert solved.p_star_watts > swept[idx - 1].power_watts
 
-    def test_custom_grid_is_used_verbatim(self, fast_context):
-        grid = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
-        result = tradeoff_sweep(fast_context, power_grid_watts=grid)
-        assert [rec.power_watts for rec in result] == pytest.approx(list(grid))
-
-    def test_rejects_malformed_grids(self, fast_context):
-        for grid in ([], [[1.0, 2.0]], [0.0, 1.0], [2.0, 1.0], [1.0, 1.0]):
-            with pytest.raises(ValueError):
-                tradeoff_sweep(fast_context, power_grid_watts=np.array(grid))
-
     def test_impossible_targets_leave_nothing_marked(self, fast_context):
         targets = ConstraintTargets(
             gamma_min=1e12, pfa_max=1e-6, pd_min=0.6, p_max_watts=dbm_to_watts(46.0)
@@ -404,20 +388,17 @@ class TestTradeoffSweep:
 
 
 # The split search evaluates every split of a power in one batch. The oracle
-# below is the split-by-split scan it replaced, built from the one-point path
-# (ctx.sensing_at and the scalar link formulas) and the closed-form detector
-# test; the two must agree exactly.
+# below is the split-by-split scan it replaced: the record of each split
+# alone, its deflection written out from the moments, and the closed-form
+# detector test; the two must agree exactly.
 
 
 def _oracle_physics(ctx, power, rho):
-    sensing = ctx.sensing_at(power, float(rho))
-    beams = sensing.beams
-    gain = af_gain(ctx.channels.h_sr, beams, ctx.channels.noise_var_relay, ctx.relay_budget)
-    gamma_direct = sinr_direct(ctx.channels.h_sd, beams, ctx.channels.noise_var_dest)
-    gamma_relayed = sinr_relayed(ctx.channels, gain, beams)
+    point = ctx.operating_point(power, float(rho))
+    params = DetectionStatisticParams(complex(point.mu1), float(point.sigma2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        deflection = np.sqrt(2.0) * sensing.mu1_abs / np.sqrt(sensing.sigma2)
-    return sensing.params, deflection, gamma_direct, gamma_relayed
+        deflection = np.sqrt(2.0) * abs(params.mu1) / np.sqrt(params.sigma2)
+    return params, deflection, float(point.gamma_direct), float(point.gamma_relayed)
 
 
 def _oracle_first_feasible(ctx, targets, power, rhos):
@@ -535,7 +516,7 @@ class TestBatchedSplitSearch:
         assert best == (0.0, 0.0) and evaluations == 1
         # a repeated split ties with itself; the first copy is reported
         twice = np.array([0.5, 0.5, 0.25])
-        _, _, _, _, deflection = _split_grid(fast_context, 2.0, twice)
+        deflection = fast_context.operating_point(2.0, twice).deflection
         assert deflection[0] == deflection[1] > deflection[2]
         record = _tradeoff_record(fast_context, targets, 2.0, twice)
         assert record == _oracle_tradeoff_record(fast_context, targets, 2.0, twice)
@@ -546,7 +527,7 @@ class TestBatchedSplitSearch:
         # a cap whose floor equals a split's deflection exactly meets both targets
         rho = np.array([0.9])
         for power in (1.0, 2.0, 3.0, 5.0, 8.0):
-            deflection = float(_split_grid(fast_context, power, rho)[-1][0])
+            deflection = float(fast_context.operating_point(power, rho).deflection[0])
             cap = float(q_function(deflection))
             for _ in range(200):
                 floor = inverse_q(cap)

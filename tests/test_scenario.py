@@ -166,7 +166,15 @@ class TestValidation:
         cases = [
             ({"seed": -1}, "config.seed: must be >= 0, got -1"),
             ({"array": {"n_antennas": 0}}, "array.n_antennas: must be >= 1, got 0"),
-            ({"array": {"carrier_ghz": -1.0}}, "array.carrier_ghz: must be > 0.0, got -1.0"),
+            ({"array": {"carrier_ghz": -1.0}}, "array.carrier_ghz: must be >= 1e-06, got -1.0"),
+            ({"array": {"carrier_ghz": 1e7}}, "array.carrier_ghz: must be <= 1000000.0, got 10000000.0"),
+            ({"array": {"spacing_m": 1e10}}, "array.spacing_m: must be <= 1000000000.0, got 10000000000.0"),
+            ({"target": {"range_m": 1e-300}}, "target.range_m: must be >= 1e-06, got 1e-300"),
+            ({"clutter": {"max_range_m": 1e10}}, "clutter.max_range_m: must be <= 1000000000.0, got 10000000000.0"),
+            ({"path_loss": {"h_bs_m": 1e10}}, "path_loss.h_bs_m: must be <= 1000000000.0, got 10000000000.0"),
+            ({"comm": {"relay_range_m": 1e300}}, "comm.relay_range_m: must be <= 1000000000.0, got 1e+300"),
+            ({"comm": {"relay_power_w": 1e300}}, "comm.relay_power_w: must be <= 1e+40, got 1e+300"),
+            ({"targets": {"rate_bps_hz": 1001.0}}, "targets.rate_bps_hz: must be <= 1000.0, got 1001.0"),
             (
                 {"target": {"angle_rad": 3.5}},
                 "target.angle_rad: must be < 3.141592653589793, got 3.5",
@@ -179,7 +187,8 @@ class TestValidation:
             ({"target": {"rcs_scale": 1e200}}, "target.rcs_scale: must be <= 1e+40, got 1e+200"),
             ({"clutter": {"sigma": 1e200}}, "clutter.sigma: must be <= 1e+40, got 1e+200"),
             ({"clutter": {"sigma": -0.1}}, "clutter.sigma: must be >= 0.0, got -0.1"),
-            ({"comm": {"noise_var_dest_w": 0.0}}, "comm.noise_var_dest_w: must be > 0.0, got 0.0"),
+            ({"comm": {"noise_var_dest_w": 0.0}}, "comm.noise_var_dest_w: must be >= 1e-30, got 0.0"),
+            ({"comm": {"noise_var_relay_w": 1e41}}, "comm.noise_var_relay_w: must be <= 1e+40, got 1e+41"),
             ({"power": {"rho": 1.5}}, "power.rho: must be <= 1.0, got 1.5"),
             ({"power": {"points": 1}}, "power.points: must be >= 2, got 1"),
             ({"detection": {"trials": 0}}, "detection.trials: must be >= 1, got 0"),
