@@ -30,13 +30,74 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 
-_COMMANDS = (
-    ("scnr-sweep", "average SCNR versus transmit power across antennas, carriers, clutter"),
-    ("detection-sweep", "analytic and Monte Carlo detector curves over a threshold grid"),
-    ("tradeoff", "rate and guarded detection versus power with minimal feasible power marked"),
-    ("optimize", "minimize transmit power subject to rate, false-alarm, and detection targets"),
-    ("validate", "analytic-versus-Monte-Carlo agreement report"),
-)
+
+def _sweep_summary(tables, scenario: ScenarioConfig) -> str:
+    return f"scnr-sweep: {len(tables[0].rows)} records, {len(tables[1].rows)} summary rows"
+
+
+def _detection_summary(tables, scenario: ScenarioConfig) -> str:
+    return f"detection-sweep: {len(tables[0].rows)} records, {scenario.detection.trials} trials each"
+
+
+def _tradeoff_summary(tables, scenario: ScenarioConfig) -> str:
+    (row,) = tables[1].rows
+    if not row["feasible"]:
+        return f"tradeoff: no feasible power at ceiling {scenario.targets.p_max_dbm:.3f} dBm"
+    return (
+        f"tradeoff: minimal feasible power {watts_to_dbm(row['p_star_watts']):.3f} dBm "
+        f"(rho = {row['rho']:.3f})"
+    )
+
+
+def _optimize_summary(tables, scenario: ScenarioConfig) -> str:
+    (row,) = tables[0].rows
+    if not row["feasible"]:
+        return (
+            f"optimize: infeasible at ceiling {scenario.targets.p_max_dbm:.3f} dBm "
+            f"({row['evaluations']} evaluations)"
+        )
+    return (
+        f"optimize: p* = {watts_to_dbm(row['p_star_watts']):.3f} dBm "
+        f"(rho = {row['rho']:.3f}, kappa = {row['kappa']:.6g}); "
+        f"rate = {row['rate_bps_hz']:.3f} b/s/Hz, pd = {row['pd']:.4f}, pfa = {row['pfa']:.3g}"
+    )
+
+
+def _validate_summary(tables, scenario: ScenarioConfig) -> str:
+    rows = tables[0].rows
+    checked = [r for r in rows if r["checked"]]
+    agreeing = [r for r in checked if r["ok"]]
+    return (
+        f"validate: {len(agreeing)}/{len(checked)} checked probabilities within "
+        f"3 standard errors ({len(rows)} rows, {scenario.detection.trials} trials)"
+    )
+
+
+# name -> (help, runner, summary line); each summary reads the tables as
+# emitted, so stdout reports what the files hold
+_COMMANDS = {
+    "scnr-sweep": (
+        "average SCNR versus transmit power across antennas, carriers, clutter",
+        run_scnr_sweep,
+        _sweep_summary,
+    ),
+    "detection-sweep": (
+        "analytic and Monte Carlo detector curves over a threshold grid",
+        run_detection_sweep,
+        _detection_summary,
+    ),
+    "tradeoff": (
+        "rate and guarded detection versus power with minimal feasible power marked",
+        run_tradeoff,
+        _tradeoff_summary,
+    ),
+    "optimize": (
+        "minimize transmit power subject to rate, false-alarm, and detection targets",
+        run_optimize,
+        _optimize_summary,
+    ),
+    "validate": ("analytic-versus-Monte-Carlo agreement report", run_validation, _validate_summary),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,7 +118,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="jrcsim", description="near-field joint radar and communication link simulator")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar="COMMAND")
-    for name, help_text in _COMMANDS:
+    for name, (help_text, _, _) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text, description=help_text)
     return parser
 
@@ -77,80 +138,17 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     )
 
 
-def _report_files(written: dict[str, str]) -> None:
-    for name in written:
-        print(f"wrote {written[name]}")
-
-
 def _run(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    out_dir = scenario.output.dir
-    fmt = scenario.output.format
-    command = args.command
-
-    if command == "scnr-sweep":
-        tables = run_scnr_sweep(scenario)
-        written = emit_outputs(tables, scenario, out_dir, fmt, command=command)
-        _report_files(written)
-        print(f"scnr-sweep: {len(tables[0].rows)} records, {len(tables[1].rows)} summary rows")
-        return EXIT_OK
-
-    if command == "detection-sweep":
-        tables = run_detection_sweep(scenario)
-        written = emit_outputs(tables, scenario, out_dir, fmt, command=command)
-        _report_files(written)
-        print(f"detection-sweep: {len(tables[0].rows)} records, {scenario.detection.trials} trials each")
-        return EXIT_OK
-
-    if command == "tradeoff":
-        tables, result = run_tradeoff(scenario)
-        written = emit_outputs(tables, scenario, out_dir, fmt, command=command)
-        _report_files(written)
-        if result.feasible:
-            print(
-                f"tradeoff: minimal feasible power {watts_to_dbm(result.p_star_watts):.3f} dBm "
-                f"(rho = {result.rho_star:.3f})"
-            )
-        else:
-            print(
-                "tradeoff: no feasible power at ceiling "
-                f"{watts_to_dbm(result.p_ceiling_watts):.3f} dBm"
-            )
-        return EXIT_OK
-
-    if command == "optimize":
-        tables, result = run_optimize(scenario)
-        written = emit_outputs(tables, scenario, out_dir, fmt, command=command)
-        _report_files(written)
-        if not result.feasible:
-            print(
-                "optimize: infeasible at ceiling "
-                f"{watts_to_dbm(result.p_ceiling_watts):.3f} dBm "
-                f"({result.evaluations} evaluations)"
-            )
-            return EXIT_INFEASIBLE
-        pt = result.point
-        print(
-            f"optimize: p* = {watts_to_dbm(result.p_star_watts):.3f} dBm "
-            f"(rho = {result.rho_star:.3f}, kappa = {result.kappa_star:.6g}); "
-            f"rate = {pt.rate_bps_hz:.3f} b/s/Hz, pd = {pt.pd:.4f}, pfa = {pt.pfa:.3g}"
-        )
-        return EXIT_OK
-
-    if command == "validate":
-        tables = run_validation(scenario)
-        written = emit_outputs(tables, scenario, out_dir, fmt, command=command)
-        _report_files(written)
-        rows = tables[0].rows
-        checked = [r for r in rows if r["checked"]]
-        agreeing = [r for r in checked if r["ok"]]
-        print(
-            f"validate: {len(agreeing)}/{len(checked)} checked probabilities within "
-            f"3 standard errors ({len(rows)} rows, {scenario.detection.trials} trials)"
-        )
-        return EXIT_OK
-
-    raise ConfigError(f"unknown command {command!r}")
+    _, runner, summary = _COMMANDS[args.command]
+    tables = runner(scenario)
+    for path in emit_outputs(tables, scenario, command=args.command).values():
+        print(f"wrote {path}")
+    print(summary(tables, scenario))
+    # the certificate row the file holds decides optimize's exit code
+    if args.command == "optimize" and not tables[0].rows[0]["feasible"]:
+        return EXIT_INFEASIBLE
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

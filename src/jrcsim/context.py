@@ -22,16 +22,12 @@ import numpy as np
 from .array_geometry import ArrayConfig, PolarPosition, steering_matrix, steering_vector
 from .comm_link import BeamformerSet, af_gain, sinr_direct, sinr_relayed
 from .propagation import (
-    Fading,
-    PathLossKind,
-    PathLossModel,
     ChannelSet,
     make_clutter_scene,
     synthesize_comm_channel,
     synthesize_scalar_channel,
     separation,
     target_reflectivity,
-    TargetPhase,
 )
 from .detection import DetectionStatisticParams, statistic_moments
 from .radar_sensing import (
@@ -54,13 +50,6 @@ KIND_DETECTION = 5
 KIND_VALIDATE = 6
 
 _INDEX_BITS = 48
-
-_PATH_LOSS_KINDS = {
-    "free_space": PathLossKind.FREE_SPACE,
-    "tr38901_umi_los": PathLossKind.TR38901_UMI_LOS,
-}
-_FADINGS = {"los": Fading.LOS, "rayleigh": Fading.RAYLEIGH}
-_PHASES = {"zero": TargetPhase.ZERO, "uniform": TargetPhase.UNIFORM}
 
 
 def stream_id(kind: int, index: int = 0) -> int:
@@ -114,7 +103,6 @@ class SimulationContext:
     comm_direction: np.ndarray
     radar_direction: np.ndarray
     symbols: np.ndarray
-    relay_budget: float
 
     @property
     def n_antennas(self) -> int:
@@ -131,12 +119,6 @@ class SimulationContext:
         v = np.sqrt(rho * power_watts)[..., None] * self.radar_direction
         return BeamformerSet(comm_beam=u, radar_beam=v)
 
-    def unit_beams(self, rho: float) -> np.ndarray:
-        """(2, N) data and radar beams at unit total power; power P scales both by sqrt(P)."""
-        if not 0.0 <= rho <= 1.0:
-            raise ValueError(f"power split must lie in [0, 1], got {rho}")
-        return np.vstack((np.sqrt(1.0 - rho) * self.comm_direction, np.sqrt(rho) * self.radar_direction))
-
     def operating_point(self, power_watts: float, rho) -> OperatingPoint:
         """The record of power_watts at split rho, a float or a 1-D array of splits."""
         beams = self.beams_at(power_watts, rho)
@@ -146,7 +128,7 @@ class SimulationContext:
         w = kernel.solve(a * np.vecdot(a.conj(), x)[..., None])
         mu1, sigma2 = statistic_moments(w, self.alpha0, a, self.clutter, x)
         ch = self.channels
-        gain = af_gain(ch.h_sr, beams, ch.noise_var_relay, self.relay_budget)
+        gain = af_gain(ch.h_sr, beams, ch.noise_var_relay, self.scenario.comm.relay_power_w)
         gamma_direct = sinr_direct(ch.h_sd, beams, ch.noise_var_dest)
         return OperatingPoint(beams, x, w, mu1, sigma2, gamma_direct, sinr_relayed(ch, gain, beams))
 
@@ -167,19 +149,14 @@ def build_context(
         carrier_freq=f_ghz * 1.0e9,
         spacing=scenario.array.spacing_m,
     )
-    path_loss = PathLossModel(
-        kind=_PATH_LOSS_KINDS[scenario.path_loss.kind],
-        h_bs_m=scenario.path_loss.h_bs_m,
-        h_ut_m=scenario.path_loss.h_ut_m,
-    )
     target = PolarPosition(scenario.target.range_m, scenario.target.angle_rad)
 
     alpha0 = target_reflectivity(
-        path_loss,
+        scenario.path_loss,
         array.carrier_freq,
         target.range_m,
         rcs_scale=scenario.target.rcs_scale,
-        phase=_PHASES[scenario.target.phase],
+        phase=scenario.target.phase,
         rng=derive_stream(scenario.seed, stream_id(KIND_TARGET_PHASE, scene_key)),
     )
     a_target = steering_vector(array, target)
@@ -196,23 +173,21 @@ def build_context(
         )
     clutter = ClutterSteering.at_sigma(steering_matrix(array, placements), scenario.clutter.sigma)
 
-    fading = _FADINGS[scenario.comm.fading]
+    comm = scenario.comm
     channel_rng = derive_stream(scenario.seed, stream_id(KIND_CHANNEL, scene_key))
-    destination = PolarPosition(
-        scenario.comm.destination_range_m, scenario.comm.destination_angle_rad
-    )
-    relay = PolarPosition(scenario.comm.relay_range_m, scenario.comm.relay_angle_rad)
-    h_sd = synthesize_comm_channel(array, path_loss, destination, fading=fading, rng=channel_rng)
-    h_sr = synthesize_comm_channel(array, path_loss, relay, fading=fading, rng=channel_rng)
+    destination = PolarPosition(comm.destination_range_m, comm.destination_angle_rad)
+    relay = PolarPosition(comm.relay_range_m, comm.relay_angle_rad)
+    h_sd = synthesize_comm_channel(array, scenario.path_loss, destination, comm.fading, channel_rng)
+    h_sr = synthesize_comm_channel(array, scenario.path_loss, relay, comm.fading, channel_rng)
     h_rd = synthesize_scalar_channel(
-        array, path_loss, separation(relay, destination), fading=fading, rng=channel_rng
+        array, scenario.path_loss, separation(relay, destination), comm.fading, channel_rng
     )
     channels = ChannelSet(
         h_sd=h_sd,
         h_sr=h_sr,
         h_rd=h_rd,
-        noise_var_dest=scenario.comm.noise_var_dest_w,
-        noise_var_relay=scenario.comm.noise_var_relay_w,
+        noise_var_dest=comm.noise_var_dest_w,
+        noise_var_relay=comm.noise_var_relay_w,
     )
 
     comm_direction = np.conj(h_sd) / np.linalg.norm(h_sd)
@@ -229,6 +204,5 @@ def build_context(
         comm_direction=comm_direction,
         radar_direction=radar_direction,
         symbols=symbols,
-        relay_budget=scenario.comm.relay_power_w,
     )
 

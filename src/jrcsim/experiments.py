@@ -1,12 +1,13 @@
 """Experiment sweeps and tabular emission.
 
-Four runners cover the reporting surface: run_scnr_sweep (SCNR versus power
-across antenna counts, carriers, and clutter levels, plus a summary table
-with the clutter-free-versus-intense error column), run_detection_sweep
-(analytic and Monte Carlo detector operating curves on a shared threshold
-grid), run_tradeoff (rate and guarded detection versus power with the
-minimal feasible power marked and the optimizer certificate attached), and
-run_validation (analytic-versus-Monte-Carlo agreement report).
+One runner per CLI command returns that command's tables: run_scnr_sweep
+(SCNR versus power across antenna counts, carriers, and clutter levels, plus
+a summary table with the clutter-free-versus-intense error column),
+run_detection_sweep (analytic and Monte Carlo detector operating curves on a
+shared threshold grid), run_tradeoff (rate and guarded detection versus
+power, plus the optimizer certificate), run_optimize (the certificate alone)
+and run_validation (analytic-versus-Monte-Carlo agreement report).
+emit_outputs writes them where and as scenario.output says.
 
 Every float is canonicalized to 9 significant digits before it enters a
 record, so CSV and JSON emissions carry identical values and reruns with the
@@ -59,7 +60,6 @@ __all__ = [
     "TRADEOFF_COLUMNS",
     "OPTIMUM_COLUMNS",
     "VALIDATE_COLUMNS",
-    "canonical_float",
     "emit_outputs",
     "parse_table_csv",
     "run_detection_sweep",
@@ -200,7 +200,7 @@ def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: in
     matrices = np.stack([ctx.clutter.matrix for ctx in ctxs])
     alpha0 = np.array([ctx.alpha0 for ctx in ctxs])
     a_target = np.stack([ctx.target_steering for ctx in ctxs])
-    beams = np.stack([ctx.unit_beams(scenario.power.rho) for ctx in ctxs])
+    beams = np.stack([ctx.beams_at(1.0, scenario.power.rho).stacked for ctx in ctxs])
     curves = []
     for level in scenario.sweep.clutter_levels:
         clutter = ClutterSteering.at_sigma(matrices, CLUTTER_LEVELS[level])
@@ -332,7 +332,7 @@ def _optimum_table(scenario: ScenarioConfig, result: OptimizationResult) -> Swee
     return SweepTable("optimum", OPTIMUM_COLUMNS, (row,), _provenance(scenario))
 
 
-def run_tradeoff(scenario: ScenarioConfig) -> tuple[list[SweepTable], OptimizationResult]:
+def run_tradeoff(scenario: ScenarioConfig) -> list[SweepTable]:
     """Tradeoff sweep plus the power-minimization certificate."""
     prov = _provenance(scenario)
     ctx = build_context(scenario)
@@ -349,18 +349,15 @@ def run_tradeoff(scenario: ScenarioConfig) -> tuple[list[SweepTable], Optimizati
             "feasible": rec.feasible,
         }))
     rows.sort(key=lambda r: r["power_dbm"])
-    result = minimize_power(ctx, targets)
-    tables = [
+    return [
         SweepTable("tradeoff", TRADEOFF_COLUMNS, tuple(rows), prov),
-        _optimum_table(scenario, result),
+        _optimum_table(scenario, minimize_power(ctx, targets)),
     ]
-    return tables, result
 
 
-def run_optimize(scenario: ScenarioConfig) -> tuple[list[SweepTable], OptimizationResult]:
+def run_optimize(scenario: ScenarioConfig) -> list[SweepTable]:
     """Power minimization alone, emitted as a one-row certificate table."""
-    result = minimize_power(scenario)
-    return [_optimum_table(scenario, result)], result
+    return [_optimum_table(scenario, minimize_power(scenario))]
 
 
 def run_validation(scenario: ScenarioConfig) -> list[SweepTable]:
@@ -371,10 +368,7 @@ def run_validation(scenario: ScenarioConfig) -> list[SweepTable]:
     rows = []
     for idx, cell in enumerate(cells):
         # per-cell grid so each curve is probed across its own transition
-        if det.kappa_max is not None:
-            kappa_max = det.kappa_max
-        else:
-            kappa_max = _auto_kappa_max([cell])
+        kappa_max = det.kappa_max if det.kappa_max is not None else _auto_kappa_max([cell])
         kappas = np.linspace(det.kappa_min, kappa_max, det.kappa_points)
         rng = derive_stream(scenario.seed, stream_id(KIND_VALIDATE, idx))
         points = roc_sweep(cell.ctx, cell.point, kappas, trials=det.trials, rng=rng)
@@ -461,27 +455,16 @@ def parse_table_csv(path: str, columns) -> list[dict]:
     return records
 
 
-def emit_outputs(
-    tables: list[SweepTable],
-    scenario: ScenarioConfig,
-    out_dir: str,
-    fmt: str | None = None,
-    command: str = "",
-) -> dict[str, str]:
-    """Write one file per table plus a run manifest; returns name -> path."""
-    if fmt is None:
-        fmt = scenario.output.format
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"output format must be csv or json, got {fmt!r}")
+def emit_outputs(tables: list[SweepTable], scenario: ScenarioConfig, *, command: str) -> dict[str, str]:
+    """Write one file per table plus a run manifest into scenario.output.dir,
+    in scenario.output.format; returns name -> path."""
+    out_dir, fmt = scenario.output.dir, scenario.output.format
     os.makedirs(out_dir, exist_ok=True)
-    ext = "csv" if fmt == "csv" else "json"
+    write = _write_csv if fmt == "csv" else _write_json
     written: dict[str, str] = {}
     for table in tables:
-        path = os.path.join(out_dir, f"{table.name}.{ext}")
-        if fmt == "csv":
-            _write_csv(table, path)
-        else:
-            _write_json(table, path)
+        path = os.path.join(out_dir, f"{table.name}.{fmt}")
+        write(table, path)
         written[table.name] = path
     manifest = {
         "command": command,

@@ -208,7 +208,8 @@ def evaluate_point(
     a = ctx.target_steering
     # |alpha_0|^2 y^H W^-1 y with y = A x and w = W^-1 y
     scnr_opt = abs(ctx.alpha0) ** 2 * np.vdot(a * np.dot(a, point.x), point.w).real
-    scnr_avg = average_scnr_curve(ctx.clutter, ctx.alpha0, a, ctx.unit_beams(rho), [power_watts])[0]
+    unit_power_beams = ctx.beams_at(1.0, rho).stacked
+    scnr_avg = average_scnr_curve(ctx.clutter, ctx.alpha0, a, unit_power_beams, [power_watts])[0]
     return EvaluatedPoint(
         power_watts=power_watts,
         rho=rho,

@@ -7,19 +7,15 @@ carried entirely by channel gains and the reflectivity scale.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from .array_geometry import ArrayConfig, PolarPosition, steering_vector
+from .scenario import PathLossSection
 
 __all__ = [
-    "PathLossKind",
-    "PathLossModel",
-    "Fading",
-    "TargetPhase",
     "ChannelSet",
     "path_loss_db",
     "amplitude_gain",
@@ -29,40 +25,6 @@ __all__ = [
     "target_reflectivity",
     "make_clutter_scene",
 ]
-
-
-class PathLossKind(enum.Enum):
-    FREE_SPACE = "free_space"
-    TR38901_UMI_LOS = "tr38901_umi_los"
-
-
-class Fading(enum.Enum):
-    LOS = "los"
-    RAYLEIGH = "rayleigh"
-
-
-class TargetPhase(enum.Enum):
-    ZERO = "zero"
-    UNIFORM = "uniform"
-
-
-@dataclass(frozen=True)
-class PathLossModel:
-    """Path-loss law selector plus the constants the selected law needs.
-
-    The TR 38.901 UMi street-canyon LoS law takes the input distance as ground
-    distance and folds in the antenna-height offset; heights below 1 m would
-    put the breakpoint at zero, so both must exceed it.
-    """
-
-    kind: PathLossKind = PathLossKind.FREE_SPACE
-    h_bs_m: float = 10.0
-    h_ut_m: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.kind is PathLossKind.TR38901_UMI_LOS:
-            if self.h_bs_m <= 1.0 or self.h_ut_m <= 1.0:
-                raise ValueError("TR 38.901 UMi heights must exceed 1 m")
 
 
 @dataclass(frozen=True)
@@ -83,16 +45,19 @@ class ChannelSet:
             raise ValueError("noise variances must be positive")
 
 
-def path_loss_db(model: PathLossModel, carrier_freq: float, distance: float) -> float:
+def path_loss_db(model: PathLossSection, carrier_freq: float, distance: float) -> float:
     """One-way path loss in dB at the given carrier frequency (Hz) and distance (m)."""
     if distance <= 0.0:
         raise ValueError(f"distance must be positive, got {distance}")
     if carrier_freq <= 0.0:
         raise ValueError(f"carrier_freq must be positive, got {carrier_freq}")
-    if model.kind is PathLossKind.FREE_SPACE:
+    if model.kind == "free_space":
         return 20.0 * np.log10(4.0 * np.pi * distance * carrier_freq / SPEED_OF_LIGHT)
-    # TR 38.901 Table 7.4.1-1, UMi street canyon LoS, dual slope around the
-    # effective breakpoint d_bp = 4 (h_bs - 1)(h_ut - 1) f / c.
+    if model.kind != "tr38901_umi_los":
+        raise ValueError(f"unknown path-loss law {model.kind!r}")
+    # TR 38.901 Table 7.4.1-1, UMi street canyon LoS: the distance is the ground
+    # distance, the antenna-height offset is folded in, and the law is dual slope
+    # around the effective breakpoint d_bp = 4 (h_bs - 1)(h_ut - 1) f / c.
     f_ghz = carrier_freq / 1e9
     dh = model.h_bs_m - model.h_ut_m
     d3d = np.hypot(distance, dh)
@@ -107,7 +72,7 @@ def path_loss_db(model: PathLossModel, carrier_freq: float, distance: float) -> 
     )
 
 
-def amplitude_gain(model: PathLossModel, carrier_freq: float, distance: float) -> float:
+def amplitude_gain(model: PathLossSection, carrier_freq: float, distance: float) -> float:
     """One-way amplitude gain 10^(-PL/20)."""
     return 10.0 ** (-path_loss_db(model, carrier_freq, distance) / 20.0)
 
@@ -125,9 +90,9 @@ def separation(a: PolarPosition, b: PolarPosition) -> float:
 
 def synthesize_comm_channel(
     cfg: ArrayConfig,
-    model: PathLossModel,
+    model: PathLossSection,
     pos: PolarPosition,
-    fading: Fading = Fading.LOS,
+    fading: str,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Array channel toward a terminal at ``pos``.
@@ -137,8 +102,10 @@ def synthesize_comm_channel(
     mean squared norm.
     """
     g = amplitude_gain(model, cfg.carrier_freq, pos.range_m)
-    if fading is Fading.LOS:
+    if fading == "los":
         return g * steering_vector(cfg, pos)
+    if fading != "rayleigh":
+        raise ValueError(f"unknown fading {fading!r}")
     if rng is None:
         raise ValueError("Rayleigh fading requires an rng")
     n = cfg.n_antennas
@@ -147,26 +114,28 @@ def synthesize_comm_channel(
 
 def synthesize_scalar_channel(
     cfg: ArrayConfig,
-    model: PathLossModel,
+    model: PathLossSection,
     distance: float,
-    fading: Fading = Fading.LOS,
+    fading: str,
     rng: np.random.Generator | None = None,
 ) -> complex:
     """Single-antenna channel over the given link distance."""
     g = amplitude_gain(model, cfg.carrier_freq, distance)
-    if fading is Fading.LOS:
+    if fading == "los":
         return complex(g * np.exp(-2j * np.pi * distance / cfg.wavelength))
+    if fading != "rayleigh":
+        raise ValueError(f"unknown fading {fading!r}")
     if rng is None:
         raise ValueError("Rayleigh fading requires an rng")
     return complex(g * (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0))
 
 
 def target_reflectivity(
-    model: PathLossModel,
+    model: PathLossSection,
     carrier_freq: float,
     target_range: float,
     rcs_scale: float = 1.0,
-    phase: TargetPhase = TargetPhase.ZERO,
+    phase: str = "zero",
     rng: np.random.Generator | None = None,
 ) -> complex:
     """Two-way target reflectivity alpha_0.
@@ -177,8 +146,10 @@ def target_reflectivity(
     if rcs_scale < 0.0:
         raise ValueError(f"rcs_scale must be >= 0, got {rcs_scale}")
     mag = rcs_scale * 10.0 ** (-2.0 * path_loss_db(model, carrier_freq, target_range) / 20.0)
-    if phase is TargetPhase.ZERO:
+    if phase == "zero":
         return complex(mag)
+    if phase != "uniform":
+        raise ValueError(f"unknown target phase {phase!r}")
     if rng is None:
         raise ValueError("uniform phase requires an rng")
     return complex(mag * np.exp(2j * np.pi * rng.uniform()))
@@ -190,7 +161,7 @@ def make_clutter_scene(
     max_range: float,
     angle_exclusion: float,
     target_angle: float,
-    min_range: float = 0.5,
+    min_range: float,
 ) -> tuple[PolarPosition, ...]:
     """Random clutter placements around (but never on top of) the target bearing.
 

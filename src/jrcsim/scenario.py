@@ -169,6 +169,15 @@ class PathLossSection(_Section):
     h_bs_m: float = _setting(10.0, **_LENGTH)
     h_ut_m: float = _setting(1.5, **_LENGTH)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.kind == "tr38901_umi_los":
+            # below 1 m the TR 38.901 breakpoint distance is not positive
+            for name in ("h_bs_m", "h_ut_m"):
+                height = getattr(self, name)
+                if height <= 1.0:
+                    raise ConfigError(f"path_loss.{name}: must exceed 1.0 for tr38901_umi_los, got {height}")
+
 
 @dataclass(frozen=True)
 class CommSection(_Section):
@@ -265,12 +274,6 @@ class ScenarioConfig:
                 f"clutter.angle_exclusion_rad: must leave part of (0, pi) outside the window "
                 f"about target.angle_rad={angle}, got {window}"
             )
-        if self.path_loss.kind == "tr38901_umi_los":
-            # below 1 m the TR 38.901 breakpoint distance is not positive
-            for name in ("h_bs_m", "h_ut_m"):
-                height = getattr(self.path_loss, name)
-                if height <= 1.0:
-                    raise ConfigError(f"path_loss.{name}: must exceed 1.0 for tr38901_umi_los, got {height}")
 
     def power_grid_dbm(self) -> np.ndarray:
         return np.linspace(self.power.min_dbm, self.power.max_dbm, self.power.points)

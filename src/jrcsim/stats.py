@@ -29,11 +29,8 @@ class ConfidenceInterval:
 
     lo: float
     hi: float
-    level: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"confidence level must lie in (0, 1), got {self.level}")
         if not 0.0 <= self.lo <= self.hi <= 1.0:
             raise ValueError(f"interval [{self.lo}, {self.hi}] is not ordered within [0, 1]")
 
@@ -56,8 +53,12 @@ def inverse_q(p: float) -> float:
     return float(np.sqrt(2.0) * scipy.special.erfcinv(2.0 * p))
 
 
-def binomial_ci(successes: int, trials: int, level: float = 0.95) -> ConfidenceInterval:
-    """Wilson score interval for a binomial proportion.
+# two-sided 95 % normal quantile of every emitted interval
+_Z95 = inverse_q((1.0 - 0.95) / 2.0)
+
+
+def binomial_ci(successes: int, trials: int) -> ConfidenceInterval:
+    """Wilson score interval at 95 % confidence for a binomial proportion.
 
     The Wilson interval stays inside [0, 1] by construction and collapses to a
     point only at (0, n) low edge / (n, n) high edge.
@@ -66,9 +67,7 @@ def binomial_ci(successes: int, trials: int, level: float = 0.95) -> ConfidenceI
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {level}")
-    z = inverse_q((1.0 - level) / 2.0)
+    z = _Z95
     n = float(trials)
     phat = successes / n
     denom = 1.0 + z * z / n
@@ -76,7 +75,7 @@ def binomial_ci(successes: int, trials: int, level: float = 0.95) -> ConfidenceI
     half = z * np.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
     lo = max(0.0, centre - half)
     hi = min(1.0, centre + half)
-    return ConfidenceInterval(lo=lo, hi=hi, level=level)
+    return ConfidenceInterval(lo=lo, hi=hi)
 
 
 def derive_stream(master_seed: int, stream_id: int) -> np.random.Generator:

@@ -11,7 +11,7 @@ from jrcsim.context import (
     build_context,
     stream_id,
 )
-from jrcsim.propagation import PathLossKind, PathLossModel, path_loss_db
+from jrcsim.propagation import path_loss_db
 from jrcsim.radar_sensing import waveform_from_symbols
 from jrcsim.scenario import CLUTTER_LEVELS, ConfigError, ScenarioConfig, dbm_to_watts, scenario_from_dict
 
@@ -49,7 +49,13 @@ class TestBuildContext:
         assert np.array_equal(a.symbols, b.symbols)
         assert np.array_equal(a.channels.h_sd, b.channels.h_sd)
         assert np.array_equal(a.clutter.matrix, b.clutter.matrix)
-        assert a.relay_budget == default_scenario.comm.relay_power_w == 0.01
+
+    def test_relay_power_reaches_the_relayed_link(self, default_scenario):
+        silent = dataclasses.replace(
+            default_scenario, comm=dataclasses.replace(default_scenario.comm, relay_power_w=0.0)
+        )
+        assert build_context(silent).operating_point(1.0, 0.5).gamma_relayed == 0.0
+        assert build_context(default_scenario).operating_point(1.0, 0.5).gamma_relayed > 0.0
 
     def test_scene_key_selects_the_realization(self, default_scenario):
         a = build_context(default_scenario, scene_key=0)
@@ -90,8 +96,7 @@ class TestBuildContext:
             target=dataclasses.replace(default_scenario.target, phase="zero"),
         )
         ctx = build_context(sc)
-        path_loss = PathLossModel(PathLossKind(sc.path_loss.kind), sc.path_loss.h_bs_m, sc.path_loss.h_ut_m)
-        pl_db = path_loss_db(path_loss, ctx.array.carrier_freq, sc.target.range_m)
+        pl_db = path_loss_db(sc.path_loss, ctx.array.carrier_freq, sc.target.range_m)
         expected = sc.target.rcs_scale * 10.0 ** (-2.0 * pl_db / 20.0)
         assert ctx.alpha0 == pytest.approx(expected, rel=1e-12)
         assert ctx.alpha0.imag == 0.0

@@ -5,7 +5,9 @@ records, JSON carries the same records, and re-running a scenario writes
 byte-identical files wherever the output lands.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 
@@ -26,7 +28,6 @@ from jrcsim.experiments import (
     TRADEOFF_COLUMNS,
     VALIDATE_COLUMNS,
     _level_curves,
-    canonical_float,
     emit_outputs,
     parse_table_csv,
     run_detection_sweep,
@@ -35,10 +36,17 @@ from jrcsim.experiments import (
     run_tradeoff,
     run_validation,
 )
-from jrcsim.power_allocation import evaluate_point
+from jrcsim.power_allocation import evaluate_point, minimize_power
 from jrcsim.radar_sensing import average_scnr_curve
-from jrcsim.scenario import CLUTTER_LEVELS, ScenarioConfig, config_hash, load_scenario, watts_to_dbm
-from jrcsim.stats import canonical_ceil
+from jrcsim.scenario import (
+    CLUTTER_LEVELS,
+    ScenarioConfig,
+    config_hash,
+    load_scenario,
+    scenario_from_dict,
+    watts_to_dbm,
+)
+from jrcsim.stats import canonical_ceil, canonical_float
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +67,12 @@ def tradeoff_run(fast_scenario):
 @pytest.fixture(scope="module")
 def validation_run(fast_scenario):
     return run_validation(fast_scenario)
+
+
+def emit_into(tables, sc, out_dir, fmt="csv", command="test"):
+    """emit_outputs with the scenario's output section set to out_dir and fmt."""
+    output = dataclasses.replace(sc.output, dir=str(out_dir), format=fmt)
+    return emit_outputs(tables, dataclasses.replace(sc, output=output), command=command)
 
 
 def cell_values(rows, keys, value):
@@ -212,7 +226,7 @@ def _oracle_level_curves(sc, n, f_ghz, pair_index, powers_w):
         for r in range(sc.sweep.realizations):
             scene = build_context(sc, n_antennas=n, carrier_ghz=f_ghz, scene_key=(pair_index << 24) | r)
             ctx = at_sigma(scene, CLUTTER_LEVELS[level])
-            beams = ctx.unit_beams(sc.power.rho)
+            beams = ctx.beams_at(1.0, sc.power.rho).stacked
             curves.append(average_scnr_curve(ctx.clutter, ctx.alpha0, ctx.target_steering, beams, powers_w))
         out.append((level, np.array(curves)))
     return out
@@ -287,8 +301,7 @@ class TestDetectionSweep:
 
 class TestTradeoffAndOptimize:
     def test_tables_and_certificate(self, fast_scenario, tradeoff_run):
-        tables, result = tradeoff_run
-        sweep, optimum = tables
+        sweep, optimum = tradeoff_run
         assert sweep.name == "tradeoff"
         assert optimum.name == "optimum"
         assert [name for name, _ in sweep.columns] == [name for name, _ in TRADEOFF_COLUMNS]
@@ -297,11 +310,11 @@ class TestTradeoffAndOptimize:
         assert powers == sorted(powers)
         flags = [r["feasible"] for r in sweep.rows]
         assert flags == sorted(flags) and not flags[0] and flags[-1]
-        assert result.feasible
+        assert optimum.rows[0]["feasible"] is True
 
     def test_optimum_row_reflects_the_result(self, fast_scenario, tradeoff_run):
-        tables, result = tradeoff_run
-        (row,) = tables[1].rows
+        result = minimize_power(fast_scenario)
+        (row,) = tradeoff_run[1].rows
         assert row["feasible"] is True
         assert row["p_star_watts"] == pytest.approx(result.p_star_watts, rel=1e-8)
         assert row["p_star_dbm"] == pytest.approx(watts_to_dbm(result.p_star_watts), rel=1e-8)
@@ -319,8 +332,7 @@ class TestTradeoffAndOptimize:
             fast_scenario,
             targets=dataclasses.replace(fast_scenario.targets, p_max_dbm=10.0),
         )
-        tables, result = run_optimize(pinched)
-        assert not result.feasible
+        tables = run_optimize(pinched)
         (row,) = tables[0].rows
         assert [name for name, _ in tables[0].columns] == [name for name, _ in OPTIMUM_COLUMNS]
         assert row["feasible"] is False
@@ -374,13 +386,13 @@ class TestValidation:
 
 class TestEmission:
     def test_csv_round_trips_exactly(self, fast_scenario, detection_run, tmp_path):
-        written = emit_outputs(detection_run, fast_scenario, str(tmp_path / "a"), fmt="csv")
+        written = emit_into(detection_run, fast_scenario, tmp_path / "a")
         records = parse_table_csv(written["detection_sweep"], DETECTION_COLUMNS)
         assert records == list(detection_run[0].rows)
 
     def test_json_carries_the_same_records(self, fast_scenario, detection_run, tmp_path):
-        csv_files = emit_outputs(detection_run, fast_scenario, str(tmp_path / "c"), fmt="csv")
-        json_files = emit_outputs(detection_run, fast_scenario, str(tmp_path / "j"), fmt="json")
+        csv_files = emit_into(detection_run, fast_scenario, tmp_path / "c")
+        json_files = emit_into(detection_run, fast_scenario, tmp_path / "j", "json")
         with open(json_files["detection_sweep"], encoding="ascii") as fh:
             doc = json.load(fh)
         assert doc["name"] == "detection_sweep"
@@ -393,9 +405,9 @@ class TestEmission:
             fast_scenario,
             targets=dataclasses.replace(fast_scenario.targets, p_max_dbm=10.0),
         )
-        tables, _ = run_optimize(pinched)
-        csv_files = emit_outputs(tables, pinched, str(tmp_path / "c"), fmt="csv")
-        json_files = emit_outputs(tables, pinched, str(tmp_path / "j"), fmt="json")
+        tables = run_optimize(pinched)
+        csv_files = emit_into(tables, pinched, tmp_path / "c")
+        json_files = emit_into(tables, pinched, tmp_path / "j", "json")
         (record,) = parse_table_csv(csv_files["optimum"], OPTIMUM_COLUMNS)
         assert record["p_star_dbm"] is None
         assert record["feasible"] is False
@@ -408,9 +420,7 @@ class TestEmission:
 
     def test_manifest_names_the_run_without_timestamps(self, fast_scenario, detection_run, tmp_path):
         out = tmp_path / "m"
-        written = emit_outputs(
-            detection_run, fast_scenario, str(out), fmt="csv", command="detection-sweep"
-        )
+        written = emit_into(detection_run, fast_scenario, out, command="detection-sweep")
         with open(written["manifest"], encoding="ascii") as fh:
             manifest = json.load(fh)
         assert sorted(manifest) == ["command", "config_hash", "files", "format", "seed", "version"]
@@ -422,8 +432,8 @@ class TestEmission:
         assert manifest["version"] == jrcsim.__version__
 
     def test_reruns_are_byte_identical_anywhere(self, fast_scenario, detection_run, tmp_path):
-        first = emit_outputs(detection_run, fast_scenario, str(tmp_path / "x"), fmt="csv")
-        second = emit_outputs(detection_run, fast_scenario, str(tmp_path / "y"), fmt="csv")
+        first = emit_into(detection_run, fast_scenario, tmp_path / "x")
+        second = emit_into(detection_run, fast_scenario, tmp_path / "y")
         for name in first:
             with open(first[name], "rb") as fh:
                 a = fh.read()
@@ -431,18 +441,22 @@ class TestEmission:
                 b = fh.read()
             assert a == b
 
-    def test_rejects_unknown_format(self, fast_scenario, detection_run, tmp_path):
-        with pytest.raises(ValueError):
-            emit_outputs(detection_run, fast_scenario, str(tmp_path), fmt="xml")
+    def test_writes_where_the_scenario_says_and_nowhere_else(self, fast_scenario, detection_run, tmp_path):
+        written = emit_into(detection_run, fast_scenario, tmp_path / "s", "json")
+        assert written["detection_sweep"] == str(tmp_path / "s" / "detection_sweep.json")
+        # the directory is the scenario's, so a stale positional one is an error, not ignored
+        with pytest.raises(TypeError):
+            emit_outputs(detection_run, fast_scenario, str(tmp_path / "stale"))
+        assert not (tmp_path / "stale").exists()
 
     def test_blocked_output_path_raises_os_error(self, fast_scenario, detection_run, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         with pytest.raises(OSError):
-            emit_outputs(detection_run, fast_scenario, str(blocker), fmt="csv")
+            emit_into(detection_run, fast_scenario, blocker)
 
     def test_parser_rejects_foreign_headers(self, fast_scenario, detection_run, tmp_path):
-        written = emit_outputs(detection_run, fast_scenario, str(tmp_path / "h"), fmt="csv")
+        written = emit_into(detection_run, fast_scenario, tmp_path / "h")
         path = written["detection_sweep"]
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -719,3 +733,85 @@ class TestCli:
             main(["--version"])
         assert exc.value.code == 0
         assert jrcsim.__version__ in capsys.readouterr().out
+
+
+_UNIT_OPEN = st.floats(0.01, 0.99, allow_nan=False)
+
+
+@st.composite
+def valid_configs(draw):
+    """A raw scenario file that validates: small N, few scatterers, every law,
+    degenerate sigma and splits, pd_min up to 0.999, tiny trial counts and grids."""
+    kind = draw(st.sampled_from(["free_space", "tr38901_umi_los"]))
+    heights = st.floats(1.1, 30.0) if kind == "tr38901_umi_los" else st.floats(0.1, 30.0)
+    min_dbm = draw(st.floats(-40.0, 20.0))
+    levels = st.lists(st.sampled_from(sorted(CLUTTER_LEVELS)), min_size=1, max_size=3)
+    raw = {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "array": {"n_antennas": draw(st.integers(1, 8))},
+        "target": {"phase": draw(st.sampled_from(["zero", "uniform"]))},
+        "clutter": {
+            "count": draw(st.integers(0, 8)),
+            "sigma": draw(st.sampled_from([0.0, 0.1, 0.8, 5.0])),
+        },
+        "path_loss": {"kind": kind, "h_bs_m": draw(heights), "h_ut_m": draw(heights)},
+        "comm": {
+            "fading": draw(st.sampled_from(["los", "rayleigh"])),
+            "relay_power_w": draw(st.sampled_from([0.0, 0.01, 1.0])),
+        },
+        "power": {
+            "min_dbm": min_dbm,
+            "max_dbm": min_dbm + draw(st.floats(1.0, 60.0)),
+            "points": draw(st.integers(2, 4)),
+            "rho": draw(st.one_of(st.sampled_from([0.0, 1.0]), _UNIT_OPEN)),
+        },
+        "detection": {
+            "trials": draw(st.integers(1, 40)),
+            "powers_dbm": draw(st.lists(st.floats(-10.0, 60.0), min_size=1, max_size=2)),
+            "clutter_levels": draw(levels),
+            "kappa_points": draw(st.integers(1, 4)),
+        },
+        "targets": {
+            "rate_bps_hz": draw(st.floats(0.0, 10.0)),
+            "pfa_max": 10.0 ** draw(st.floats(-9.0, -1.0)),
+            "pd_min": draw(st.one_of(st.sampled_from([0.0, 0.999]), st.floats(0.0, 0.999))),
+            "p_max_dbm": min_dbm + draw(st.floats(1.0, 70.0)),
+        },
+        "optimizer": {
+            "power_points": draw(st.integers(2, 6)),
+            "rho_points": draw(st.integers(2, 4)),
+            "fixed_rho": draw(st.one_of(st.none(), st.sampled_from([0.0, 1.0]), _UNIT_OPEN)),
+        },
+        "sweep": {
+            "antennas": draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)),
+            "carriers_ghz": draw(st.lists(st.sampled_from([2.8, 28.0]), min_size=1, max_size=2)),
+            "clutter_levels": draw(levels),
+            "realizations": draw(st.integers(1, 2)),
+        },
+    }
+    scenario_from_dict(raw)  # every drawn file passes validation
+    return raw
+
+
+class TestEveryValidConfig:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(valid_configs())
+    def test_every_command_exits_cleanly(self, tmp_path_factory, raw):
+        # a validated scenario gives tables (optimize may exit 2 when the
+        # targets are out of reach) or one error line, never a traceback
+        root = tmp_path_factory.mktemp("fuzz")
+        path = root / "scenario.json"
+        path.write_text(json.dumps(raw))
+        for command in ("scnr-sweep", "detection-sweep", "tradeoff", "optimize", "validate"):
+            for fmt in ("csv", "json"):
+                out = root / f"{command}-{fmt}"
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    rc = main([command, "--config", str(path), "--out", str(out), "--format", fmt])
+                if rc == 1:
+                    err = stderr.getvalue()
+                    assert err.startswith("error: ") and err.count("\n") == 1, err
+                    continue
+                assert rc == 0 or (command == "optimize" and rc == 2), (rc, stderr.getvalue())
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert manifest["files"] and all((out / f).is_file() for f in manifest["files"].values())

@@ -23,7 +23,7 @@ from jrcsim.detection import (
     false_alarm_threshold,
     statistic_moments,
 )
-from jrcsim.experiments import OPTIMUM_COLUMNS, emit_outputs, parse_table_csv, run_optimize
+from jrcsim.experiments import OPTIMUM_COLUMNS, _optimum_table, emit_outputs, parse_table_csv
 from jrcsim.power_allocation import (
     ConstraintTargets,
     TradeoffRecord,
@@ -581,9 +581,10 @@ class TestOptimizerProperties:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(optimizer_scenarios([1e-20, 1e-9, 1e-6, 1e-3, 1e-1]))
     def test_emitted_certificate_revalidates(self, tmp_path_factory, sc):
-        tables, result = run_optimize(sc)
-        out = str(tmp_path_factory.mktemp("optimum"))
-        (row,) = parse_table_csv(emit_outputs(tables, sc, out)["optimum"], OPTIMUM_COLUMNS)
+        result = minimize_power(sc)
+        sc = dataclasses.replace(sc, output=dataclasses.replace(sc.output, dir=str(tmp_path_factory.mktemp("optimum"))))
+        written = emit_outputs([_optimum_table(sc, result)], sc, command="optimize")
+        (row,) = parse_table_csv(written["optimum"], OPTIMUM_COLUMNS)
         assert row["feasible"] is result.feasible
         if result.feasible:
             point = evaluate_point(sc, row["p_star_watts"], row["rho"], row["kappa"])

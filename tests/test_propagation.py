@@ -1,15 +1,13 @@
 """Path loss, channel synthesis, target reflectivity, clutter placement."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_vector
 from jrcsim.propagation import (
     ChannelSet,
-    Fading,
-    PathLossKind,
-    PathLossModel,
-    TargetPhase,
     amplitude_gain,
     make_clutter_scene,
     path_loss_db,
@@ -18,10 +16,11 @@ from jrcsim.propagation import (
     synthesize_scalar_channel,
     target_reflectivity,
 )
+from jrcsim.scenario import PathLossSection
 
 C_LIGHT = 299_792_458.0
-FREE = PathLossModel(kind=PathLossKind.FREE_SPACE)
-UMI = PathLossModel(kind=PathLossKind.TR38901_UMI_LOS)
+FREE = PathLossSection()
+UMI = PathLossSection(kind="tr38901_umi_los")
 
 
 class TestFreeSpacePathLoss:
@@ -48,6 +47,13 @@ class TestFreeSpacePathLoss:
             path_loss_db(FREE, 2.8e9, 0.0)
         with pytest.raises(ValueError):
             path_loss_db(FREE, 0.0, 5.0)
+
+    def test_unknown_law_is_rejected_not_read_as_the_other(self):
+        with pytest.raises(ValueError):
+            PathLossSection(kind="free-space")
+        for kind in ("free-space", "tr38901_uma_los"):
+            with pytest.raises(ValueError, match="unknown path-loss law"):
+                path_loss_db(SimpleNamespace(kind=kind, h_bs_m=10.0, h_ut_m=1.5), 28e9, 5.0)
 
     def test_amplitude_gain_consistent(self):
         g = amplitude_gain(FREE, 28e9, 5.0)
@@ -105,14 +111,14 @@ class TestChannelSynthesis:
     def test_los_is_gain_times_steering(self):
         cfg = ArrayConfig(n_antennas=5, carrier_freq=28e9)
         pos = PolarPosition(20.0, 1.7)
-        h = synthesize_comm_channel(cfg, FREE, pos)
+        h = synthesize_comm_channel(cfg, FREE, pos, "los")
         g = amplitude_gain(FREE, 28e9, 20.0)
         assert h == pytest.approx(g * steering_vector(cfg, pos), rel=1e-14)
 
     def test_los_scales_linearly_with_gain(self):
         cfg = ArrayConfig(n_antennas=5, carrier_freq=28e9)
-        near = synthesize_comm_channel(cfg, FREE, PolarPosition(10.0, 1.0))
-        far = synthesize_comm_channel(cfg, FREE, PolarPosition(100.0, 1.0))
+        near = synthesize_comm_channel(cfg, FREE, PolarPosition(10.0, 1.0), "los")
+        far = synthesize_comm_channel(cfg, FREE, PolarPosition(100.0, 1.0), "los")
         assert np.linalg.norm(near) == pytest.approx(10.0 * np.linalg.norm(far), rel=1e-12)
 
     def test_rayleigh_mean_power(self):
@@ -125,7 +131,7 @@ class TestChannelSynthesis:
         acc = 0.0
         for _ in range(draws // 400):
             for _ in range(400):
-                h = synthesize_comm_channel(cfg, FREE, pos, fading=Fading.RAYLEIGH, rng=rng)
+                h = synthesize_comm_channel(cfg, FREE, pos, fading="rayleigh", rng=rng)
                 acc += float(np.vdot(h, h).real)
         mean = acc / (draws * cfg.n_antennas * g * g)
         assert abs(mean - 1.0) < 0.02
@@ -133,18 +139,29 @@ class TestChannelSynthesis:
     def test_rayleigh_requires_rng(self):
         cfg = ArrayConfig(n_antennas=4, carrier_freq=2.8e9)
         with pytest.raises(ValueError):
-            synthesize_comm_channel(cfg, FREE, PolarPosition(30.0, 1.2), fading=Fading.RAYLEIGH)
+            synthesize_comm_channel(cfg, FREE, PolarPosition(30.0, 1.2), fading="rayleigh")
+
+    def test_unknown_fading_is_rejected(self):
+        cfg = ArrayConfig(n_antennas=4, carrier_freq=2.8e9)
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="unknown fading"):
+            synthesize_comm_channel(cfg, FREE, PolarPosition(30.0, 1.2), "LoS", rng)
 
     def test_scalar_channel_magnitude(self):
         cfg = ArrayConfig(n_antennas=4, carrier_freq=28e9)
-        h = synthesize_scalar_channel(cfg, FREE, 11.0)
+        h = synthesize_scalar_channel(cfg, FREE, 11.0, "los")
         assert abs(h) == pytest.approx(amplitude_gain(FREE, 28e9, 11.0), rel=1e-12)
 
     def test_scalar_rayleigh_deterministic_per_stream(self):
         cfg = ArrayConfig(n_antennas=4, carrier_freq=28e9)
-        a = synthesize_scalar_channel(cfg, FREE, 11.0, Fading.RAYLEIGH, np.random.default_rng(3))
-        b = synthesize_scalar_channel(cfg, FREE, 11.0, Fading.RAYLEIGH, np.random.default_rng(3))
+        a = synthesize_scalar_channel(cfg, FREE, 11.0, "rayleigh", np.random.default_rng(3))
+        b = synthesize_scalar_channel(cfg, FREE, 11.0, "rayleigh", np.random.default_rng(3))
         assert a == b
+
+    def test_scalar_unknown_fading_is_rejected(self):
+        cfg = ArrayConfig(n_antennas=4, carrier_freq=28e9)
+        with pytest.raises(ValueError, match="unknown fading"):
+            synthesize_scalar_channel(cfg, FREE, 11.0, "rician", np.random.default_rng(3))
 
 
 class TestTargetReflectivity:
@@ -167,7 +184,7 @@ class TestTargetReflectivity:
         phases = []
         for _ in range(200):
             a0 = target_reflectivity(
-                FREE, 28e9, 5.0, rcs_scale=3.0e7, phase=TargetPhase.UNIFORM, rng=rng
+                FREE, 28e9, 5.0, rcs_scale=3.0e7, phase="uniform", rng=rng
             )
             mags.add(round(abs(a0), 15))
             phases.append(np.angle(a0))
@@ -176,13 +193,19 @@ class TestTargetReflectivity:
 
     def test_uniform_phase_requires_rng(self):
         with pytest.raises(ValueError):
-            target_reflectivity(FREE, 28e9, 5.0, phase=TargetPhase.UNIFORM)
+            target_reflectivity(FREE, 28e9, 5.0, phase="uniform")
+
+    def test_unknown_phase_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown target phase"):
+            target_reflectivity(FREE, 28e9, 5.0, phase="random", rng=np.random.default_rng(2))
 
 
 class TestClutterScene:
     def test_count_scale_and_ranges(self):
         rng = np.random.default_rng(5)
-        placements = make_clutter_scene(rng, count=3, max_range=5.0, angle_exclusion=0.05, target_angle=np.pi / 3)
+        placements = make_clutter_scene(
+            rng, count=3, max_range=5.0, angle_exclusion=0.05, target_angle=np.pi / 3, min_range=0.5
+        )
         assert len(placements) == 3
         assert all(isinstance(pos, PolarPosition) for pos in placements)
         assert all(0.5 < pos.range_m <= 5.0 for pos in placements)
@@ -191,33 +214,35 @@ class TestClutterScene:
         target = 1.1
         rng = np.random.default_rng(17)
         for _ in range(10_000):
-            (pos,) = make_clutter_scene(rng, count=1, max_range=5.0, angle_exclusion=0.1, target_angle=target)
+            (pos,) = make_clutter_scene(
+                rng, count=1, max_range=5.0, angle_exclusion=0.1, target_angle=target, min_range=0.5
+            )
             assert abs(pos.angle_rad - target) >= 0.1
 
     def test_angles_cover_both_sides(self):
         target = np.pi / 2
         rng = np.random.default_rng(23)
         angles = [
-            make_clutter_scene(rng, count=1, max_range=5.0, angle_exclusion=0.3, target_angle=target)[0].angle_rad
+            make_clutter_scene(rng, 1, 5.0, angle_exclusion=0.3, target_angle=target, min_range=0.5)[0].angle_rad
             for _ in range(500)
         ]
         assert any(a < target for a in angles) and any(a > target for a in angles)
 
     def test_deterministic_given_stream(self):
-        a = make_clutter_scene(np.random.default_rng(9), 3, 5.0, 0.05, np.pi / 3)
-        b = make_clutter_scene(np.random.default_rng(9), 3, 5.0, 0.05, np.pi / 3)
+        a = make_clutter_scene(np.random.default_rng(9), 3, 5.0, 0.05, np.pi / 3, 0.5)
+        b = make_clutter_scene(np.random.default_rng(9), 3, 5.0, 0.05, np.pi / 3, 0.5)
         assert a == b
 
     def test_zero_count(self):
-        assert make_clutter_scene(np.random.default_rng(1), 0, 5.0, 0.05, 1.0) == ()
+        assert make_clutter_scene(np.random.default_rng(1), 0, 5.0, 0.05, 1.0, 0.5) == ()
 
     def test_exclusion_covering_everything_rejected(self):
         with pytest.raises(ValueError):
-            make_clutter_scene(np.random.default_rng(1), 1, 5.0, angle_exclusion=4.0, target_angle=np.pi / 2)
+            make_clutter_scene(np.random.default_rng(1), 1, 5.0, 4.0, np.pi / 2, 0.5)
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
-            make_clutter_scene(np.random.default_rng(1), 1, 0.4, 0.05, 1.0)
+            make_clutter_scene(np.random.default_rng(1), 1, 0.4, 0.05, 1.0, 0.5)
 
 
 class TestSceneAndChannelSet:

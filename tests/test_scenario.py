@@ -9,6 +9,7 @@ import pytest
 from jrcsim.scenario import (
     CLUTTER_LEVELS,
     ConfigError,
+    PathLossSection,
     ScenarioConfig,
     config_hash,
     dbm_to_watts,
@@ -258,6 +259,11 @@ class TestValidation:
             ScenarioConfig(targets=low)
         with pytest.raises(ConfigError, match=r"^array: expected an object"):
             ScenarioConfig(array={"n_antennas": 5})
+        # the TR 38.901 height rule belongs to the section, so a lone section is checked too
+        with pytest.raises(ConfigError, match=r"^path_loss\.h_ut_m: must exceed 1\.0 for tr38901_umi_los"):
+            PathLossSection(kind="tr38901_umi_los", h_ut_m=1.0)
+        with pytest.raises(ConfigError, match=r"^path_loss\.h_bs_m: must exceed 1\.0 for tr38901_umi_los"):
+            dataclasses.replace(ScenarioConfig().path_loss, kind="tr38901_umi_los", h_bs_m=0.5)
 
     def test_construction_normalizes_like_parsing(self):
         sc = ScenarioConfig()

@@ -120,7 +120,6 @@ class TestBinomialCI:
     def test_interval_type(self):
         ci = binomial_ci(3, 10)
         assert isinstance(ci, ConfidenceInterval)
-        assert ci.level == pytest.approx(0.95)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
