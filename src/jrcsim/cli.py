@@ -113,7 +113,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, metavar="INT", help="override the master seed")
     common.add_argument("--trials", type=int, metavar="INT", help="override Monte Carlo trials per operating point")
     common.add_argument("--out", metavar="DIR", help="output directory (default from the scenario)")
-    common.add_argument("--format", choices=("csv", "json"), help="output file format (default from the scenario)")
+    common.add_argument("--format", help="output file format (default from the scenario)")
 
     parser = _Parser(prog="jrcsim", description="near-field joint radar and communication link simulator")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

@@ -6,52 +6,24 @@ products h^T u, matching the transmit-side conjugation convention of the
 channel synthesis. The destination combines the direct and relayed copies by
 maximum ratio, so the SINRs add before the log.
 
-A BeamformerSet may hold stacks of beams (rows, say one per power split); the
-gain and SINR formulas then give each row's value, bit for bit.
+The beams are the rows of a (2, N) array, the data beam u then the radar beam
+v, or of each entry of a (..., 2, N) stack, whose gain and SINRs are then each
+entry's own, bit for bit. Noise and relay budget come from the CommSection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .propagation import ChannelSet
+from .scenario import CommSection
 
 __all__ = [
-    "BeamformerSet",
     "af_gain",
     "sinr_direct",
     "sinr_relayed",
     "mrc_rate",
     "rate_threshold",
 ]
-
-
-@dataclass(frozen=True)
-class BeamformerSet:
-    """Transmit beamformers: the data beam and the radar beam, each an (N,)
-    vector or an (..., N) stack of them."""
-
-    comm_beam: np.ndarray
-    radar_beam: np.ndarray
-
-    def __post_init__(self) -> None:
-        u, v = self.comm_beam, self.radar_beam
-        if np.shape(u) != np.shape(v):
-            raise ValueError(f"comm beam shape {np.shape(u)} != radar beam shape {np.shape(v)}")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise ValueError("beamformer entries must be finite")
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """(..., 2, N) array: the data beam, then the radar beam, as rows."""
-        return np.stack((self.comm_beam, self.radar_beam), axis=-2)
-
-    @property
-    def total_power(self) -> float:
-        u, v = self.comm_beam, self.radar_beam
-        return float(np.vdot(u, u).real + np.vdot(v, v).real)
 
 
 def _beam_gain(h: np.ndarray, beam: np.ndarray):
@@ -61,37 +33,31 @@ def _beam_gain(h: np.ndarray, beam: np.ndarray):
     return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
-def af_gain(h_sr: np.ndarray, beams: BeamformerSet, noise_var_relay: float, budget: float):
+def af_gain(h_sr: np.ndarray, beams: np.ndarray, comm: CommSection):
     """Relay gain f_rd = sqrt(budget / (received signal power + relay noise)).
 
     The received power is |h_sr^T u|^2 + |h_sr^T v|^2, so |f_rd|^2 times
     (received + noise) meets the budget exactly.
     """
-    if budget < 0.0:
-        raise ValueError(f"relay power budget must be >= 0, got {budget}")
-    if noise_var_relay <= 0.0:
-        raise ValueError(f"noise_var_relay must be positive, got {noise_var_relay}")
-    received = _beam_gain(h_sr, beams.comm_beam) + _beam_gain(h_sr, beams.radar_beam)
-    return np.sqrt(budget / (received + noise_var_relay))
+    received = _beam_gain(h_sr, beams[..., 0, :]) + _beam_gain(h_sr, beams[..., 1, :])
+    return np.sqrt(comm.relay_power_w / (received + comm.noise_var_relay_w))
 
 
-def sinr_direct(h_sd: np.ndarray, beams: BeamformerSet, noise_var_dest: float):
+def sinr_direct(h_sd: np.ndarray, beams: np.ndarray, comm: CommSection):
     """Direct-link SINR: the data beam against radar leakage plus noise."""
-    if noise_var_dest <= 0.0:
-        raise ValueError(f"noise_var_dest must be positive, got {noise_var_dest}")
-    signal = _beam_gain(h_sd, beams.comm_beam)
-    interference = _beam_gain(h_sd, beams.radar_beam)
-    return signal / (interference + noise_var_dest)
+    signal = _beam_gain(h_sd, beams[..., 0, :])
+    interference = _beam_gain(h_sd, beams[..., 1, :])
+    return signal / (interference + comm.noise_var_dest_w)
 
 
-def sinr_relayed(channels: ChannelSet, gain, beams: BeamformerSet):
+def sinr_relayed(h_sr: np.ndarray, h_rd: complex, gain, beams: np.ndarray, comm: CommSection):
     """Relayed-path SINR at the destination for the data beam u and relay gain f = gain.
 
     gamma_rd = |h_rd f h_sr^T u|^2 / (|h_rd f|^2 N_r + N_d).
     """
-    through = abs(channels.h_rd) ** 2 * gain * gain
-    signal = through * _beam_gain(channels.h_sr, beams.comm_beam)
-    denom = through * channels.noise_var_relay + channels.noise_var_dest
+    through = abs(h_rd) ** 2 * gain * gain
+    signal = through * _beam_gain(h_sr, beams[..., 0, :])
+    denom = through * comm.noise_var_relay_w + comm.noise_var_dest_w
     return signal / denom
 
 

@@ -10,7 +10,7 @@ built once per context from the clutter placements; a clutter level is the
 same matrix with another scale. SimulationContext.operating_point turns a
 (power, split), or a power and a whole split grid, into the one record every
 reader takes: beams, waveform, receive beamformer, detector moments and link
-SINRs.
+SINRs. Beams are one array: row 0 the data beam, row 1 the radar beam.
 """
 
 from __future__ import annotations
@@ -20,16 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_geometry import ArrayConfig, PolarPosition, steering_matrix, steering_vector
-from .comm_link import BeamformerSet, af_gain, sinr_direct, sinr_relayed
+from .comm_link import af_gain, sinr_direct, sinr_relayed
 from .propagation import (
-    ChannelSet,
     make_clutter_scene,
     synthesize_comm_channel,
     synthesize_scalar_channel,
     separation,
     target_reflectivity,
 )
-from .detection import DetectionStatisticParams, statistic_moments
+from .detection import statistic_moments
 from .radar_sensing import (
     ClutterSteering,
     InterferenceKernel,
@@ -67,7 +66,7 @@ class OperatingPoint:
     A 1-D array of splits gives every field a leading split axis, each row
     bit for bit the point of that split alone."""
 
-    beams: BeamformerSet
+    beams: np.ndarray
     x: np.ndarray
     w: np.ndarray
     mu1: complex | np.ndarray
@@ -85,10 +84,6 @@ class OperatingPoint:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.sqrt(2.0) * self.mu1_abs / np.sqrt(self.sigma2)
 
-    def params(self, i=()) -> DetectionStatisticParams:
-        """The moments of a single point, or of row i of a stack, as the closed-form rates read them."""
-        return DetectionStatisticParams(complex(self.mu1[i]), float(self.sigma2[i]))
-
 
 @dataclass(frozen=True)
 class SimulationContext:
@@ -99,7 +94,9 @@ class SimulationContext:
     alpha0: complex
     target_steering: np.ndarray
     clutter: ClutterSteering
-    channels: ChannelSet
+    h_sd: np.ndarray
+    h_sr: np.ndarray
+    h_rd: complex
     comm_direction: np.ndarray
     radar_direction: np.ndarray
     symbols: np.ndarray
@@ -108,29 +105,29 @@ class SimulationContext:
     def n_antennas(self) -> int:
         return self.array.n_antennas
 
-    def beams_at(self, power_watts: float, rho) -> BeamformerSet:
-        """Split a power budget between the matched data and radar directions;
-        an array of splits gives each beam a leading split axis."""
-        if power_watts < 0.0:
-            raise ValueError(f"power must be nonnegative, got {power_watts}")
+    def beams_at(self, power_watts: float, rho) -> np.ndarray:
+        """Split a power budget between the matched data and radar directions: rows
+        (data beam, radar beam) of a (2, N) array, or (..., 2, N) for an array of splits."""
+        if not 0.0 <= power_watts < np.inf:
+            raise ValueError(f"power must lie in [0, inf), got {power_watts}")
         if not np.all((0.0 <= rho) & (rho <= 1.0)):
             raise ValueError(f"power split must lie in [0, 1], got {rho}")
         u = np.sqrt((1.0 - rho) * power_watts)[..., None] * self.comm_direction
         v = np.sqrt(rho * power_watts)[..., None] * self.radar_direction
-        return BeamformerSet(comm_beam=u, radar_beam=v)
+        return np.stack((u, v), axis=-2)
 
     def operating_point(self, power_watts: float, rho) -> OperatingPoint:
         """The record of power_watts at split rho, a float or a 1-D array of splits."""
         beams = self.beams_at(power_watts, rho)
         x = waveform_from_symbols(beams, self.symbols)
         a = self.target_steering
-        kernel = InterferenceKernel(self.clutter, self.clutter.gains(beams.stacked))
+        kernel = InterferenceKernel(self.clutter, self.clutter.gains(beams))
         w = kernel.solve(a * np.vecdot(a.conj(), x)[..., None])
         mu1, sigma2 = statistic_moments(w, self.alpha0, a, self.clutter, x)
-        ch = self.channels
-        gain = af_gain(ch.h_sr, beams, ch.noise_var_relay, self.scenario.comm.relay_power_w)
-        gamma_direct = sinr_direct(ch.h_sd, beams, ch.noise_var_dest)
-        return OperatingPoint(beams, x, w, mu1, sigma2, gamma_direct, sinr_relayed(ch, gain, beams))
+        comm = self.scenario.comm
+        gain = af_gain(self.h_sr, beams, comm)
+        gamma_relayed = sinr_relayed(self.h_sr, self.h_rd, gain, beams, comm)
+        return OperatingPoint(beams, x, w, mu1, sigma2, sinr_direct(self.h_sd, beams, comm), gamma_relayed)
 
 
 def build_context(
@@ -182,13 +179,6 @@ def build_context(
     h_rd = synthesize_scalar_channel(
         array, scenario.path_loss, separation(relay, destination), comm.fading, channel_rng
     )
-    channels = ChannelSet(
-        h_sd=h_sd,
-        h_sr=h_sr,
-        h_rd=h_rd,
-        noise_var_dest=comm.noise_var_dest_w,
-        noise_var_relay=comm.noise_var_relay_w,
-    )
 
     comm_direction = np.conj(h_sd) / np.linalg.norm(h_sd)
     radar_direction = np.conj(a_target) / np.linalg.norm(a_target)
@@ -200,7 +190,9 @@ def build_context(
         alpha0=alpha0,
         target_steering=a_target,
         clutter=clutter,
-        channels=channels,
+        h_sd=h_sd,
+        h_sr=h_sr,
+        h_rd=h_rd,
         comm_direction=comm_direction,
         radar_direction=radar_direction,
         symbols=symbols,

@@ -39,7 +39,6 @@ if TYPE_CHECKING:
     from .context import OperatingPoint, SimulationContext
 
 __all__ = [
-    "DetectionStatisticParams",
     "DetectionOperatingPoint",
     "statistic_moments",
     "false_alarm_probability",
@@ -50,19 +49,6 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 14
-
-
-@dataclass(frozen=True)
-class DetectionStatisticParams:
-    """Sufficient statistics of the detection problem at a fixed (w, x): the
-    mean mu_1 of y_s = w^H s under H1 and its variance sigma^2."""
-
-    mu1: complex
-    sigma2: float
-
-    def __post_init__(self) -> None:
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
 
 
 @dataclass(frozen=True)
@@ -101,34 +87,36 @@ def _complex_product(p, q):
     return (p.real * q.real - p.imag * q.imag) + 1j * (p.real * q.imag + p.imag * q.real)
 
 
-def _statistic_std(params: DetectionStatisticParams) -> float:
-    mu = abs(params.mu1)
-    if mu == 0.0:
+def _statistic_std(mu1_abs: float, sigma2: float) -> float:
+    """|mu_1| sqrt(2 sigma^2): the standard deviation of T, from the moments of y_s."""
+    if mu1_abs == 0.0:
         raise ValueError("|mu1| = 0: the statistic is degenerate and the closed forms do not apply")
-    return mu * np.sqrt(2.0 * params.sigma2)
+    if sigma2 <= 0.0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    return mu1_abs * np.sqrt(2.0 * sigma2)
 
 
-def false_alarm_probability(params: DetectionStatisticParams, kappa: float) -> float:
+def false_alarm_probability(mu1_abs: float, sigma2: float, kappa: float) -> float:
     """P(T >= kappa | H0) = Q(kappa / (|mu_1| sqrt(2 sigma^2)))."""
-    return float(q_function(kappa / _statistic_std(params)))
+    return float(q_function(kappa / _statistic_std(mu1_abs, sigma2)))
 
 
-def detection_probability(params: DetectionStatisticParams, kappa: float) -> float:
+def detection_probability(mu1_abs: float, sigma2: float, kappa: float) -> float:
     """P(T >= kappa | H1) = Q((kappa - 2 |mu_1|^2) / (|mu_1| sqrt(2 sigma^2)))."""
-    scale = _statistic_std(params)
-    return float(q_function((kappa - 2.0 * abs(params.mu1) ** 2) / scale))
+    scale = _statistic_std(mu1_abs, sigma2)
+    return float(q_function((kappa - 2.0 * float(mu1_abs) ** 2) / scale))
 
 
-def false_alarm_threshold(params: DetectionStatisticParams, pfa_max: float) -> float:
+def false_alarm_threshold(mu1_abs: float, sigma2: float, pfa_max: float) -> float:
     """The smallest threshold at or above kappa_fa whose computed P_FA is at
     most pfa_max, in (0, 1): kappa_fa itself can miss the cap by rounding, so
     a step doubling from one ulp climbs past it and the last step is bisected."""
-    lo = hi = _statistic_std(params) * inverse_q(pfa_max)
+    lo = hi = _statistic_std(mu1_abs, sigma2) * inverse_q(pfa_max)
     step = math.ulp(lo)
-    while false_alarm_probability(params, hi) > pfa_max:
+    while false_alarm_probability(mu1_abs, sigma2, hi) > pfa_max:
         lo, hi, step = hi, hi + step, 2.0 * step
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
-        lo, hi = (mid, hi) if false_alarm_probability(params, mid) > pfa_max else (lo, mid)
+        lo, hi = (mid, hi) if false_alarm_probability(mu1_abs, sigma2, mid) > pfa_max else (lo, mid)
     return hi
 
 
@@ -178,14 +166,15 @@ def _operating_point(
     kappa: float,
     t_h0: np.ndarray,
     t_h1: np.ndarray,
-    params: DetectionStatisticParams,
+    mu1_abs: float,
+    sigma2: float,
 ) -> DetectionOperatingPoint:
     trials = len(t_h0)
     n_fa = int(np.count_nonzero(t_h0 >= kappa))
     n_d = int(np.count_nonzero(t_h1 >= kappa))
-    if abs(params.mu1) > 0.0:
-        pfa_a = false_alarm_probability(params, kappa)
-        pd_a = detection_probability(params, kappa)
+    if mu1_abs > 0.0:
+        pfa_a = false_alarm_probability(mu1_abs, sigma2, kappa)
+        pd_a = detection_probability(mu1_abs, sigma2, kappa)
     else:
         pfa_a = float("nan")
         pd_a = float("nan")
@@ -222,4 +211,4 @@ def roc_sweep(
     if not np.all(np.isfinite(kappas)):
         raise ValueError("kappa_grid must be finite")
     t_h0, t_h1 = sample_test_statistics(ctx, point, trials=trials, rng=rng)
-    return [_operating_point(k, t_h0, t_h1, point.params()) for k in kappas]
+    return [_operating_point(k, t_h0, t_h1, float(point.mu1_abs), float(point.sigma2)) for k in kappas]

@@ -200,7 +200,7 @@ def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: in
     matrices = np.stack([ctx.clutter.matrix for ctx in ctxs])
     alpha0 = np.array([ctx.alpha0 for ctx in ctxs])
     a_target = np.stack([ctx.target_steering for ctx in ctxs])
-    beams = np.stack([ctx.beams_at(1.0, scenario.power.rho).stacked for ctx in ctxs])
+    beams = np.stack([ctx.beams_at(1.0, scenario.power.rho) for ctx in ctxs])
     curves = []
     for level in scenario.sweep.clutter_levels:
         clutter = ClutterSteering.at_sigma(matrices, CLUTTER_LEVELS[level])

@@ -175,7 +175,8 @@ def _first_feasible(
     if not ok.any():
         return None, len(rhos)
     i = int(np.argmax(ok))
-    return (float(rhos[i]), false_alarm_threshold(point.params(i), targets.pfa_max)), i + 1
+    kappa = false_alarm_threshold(float(point.mu1_abs[i]), float(point.sigma2[i]), targets.pfa_max)
+    return (float(rhos[i]), kappa), i + 1
 
 
 def evaluate_point(
@@ -195,21 +196,21 @@ def evaluate_point(
     if not power_watts > 0.0:
         raise ValueError(f"power must be positive, got {power_watts}")
     point = ctx.operating_point(power_watts, rho)
-    params = point.params()
+    mu1_abs, sigma2 = float(point.mu1_abs), float(point.sigma2)
     if kappa is None:
-        kappa = canonical_ceil(false_alarm_threshold(params, targets.pfa_max))
+        kappa = canonical_ceil(false_alarm_threshold(mu1_abs, sigma2, targets.pfa_max))
     gamma_direct, gamma_relayed = float(point.gamma_direct), float(point.gamma_relayed)
-    pfa = false_alarm_probability(params, kappa)
-    pd = detection_probability(params, kappa)
+    pfa = false_alarm_probability(mu1_abs, sigma2, kappa)
+    pd = detection_probability(mu1_abs, sigma2, kappa)
     meets_rate = gamma_direct + gamma_relayed >= targets.gamma_min
     meets_pfa = pfa <= targets.pfa_max
     meets_pd = pd >= targets.pd_min
-    within_budget = point.beams.total_power <= power_watts + _BUDGET_SLACK * max(1.0, power_watts)
+    spent = float(sum(np.vdot(beam, beam).real for beam in point.beams))
+    within_budget = spent <= power_watts + _BUDGET_SLACK * max(1.0, power_watts)
     a = ctx.target_steering
     # |alpha_0|^2 y^H W^-1 y with y = A x and w = W^-1 y
     scnr_opt = abs(ctx.alpha0) ** 2 * np.vdot(a * np.dot(a, point.x), point.w).real
-    unit_power_beams = ctx.beams_at(1.0, rho).stacked
-    scnr_avg = average_scnr_curve(ctx.clutter, ctx.alpha0, a, unit_power_beams, [power_watts])[0]
+    scnr_avg = average_scnr_curve(ctx.clutter, ctx.alpha0, a, ctx.beams_at(1.0, rho), [power_watts])[0]
     return EvaluatedPoint(
         power_watts=power_watts,
         rho=rho,
@@ -219,8 +220,8 @@ def evaluate_point(
         gamma_relayed=gamma_relayed,
         pfa=pfa,
         pd=pd,
-        mu1_abs=abs(params.mu1),
-        sigma2=params.sigma2,
+        mu1_abs=mu1_abs,
+        sigma2=sigma2,
         scnr_opt=float(scnr_opt),
         scnr_avg=float(scnr_avg),
         meets_rate=meets_rate,
@@ -327,9 +328,9 @@ def _tradeoff_record(
     # P_D at the false-alarm threshold grows with the deflection; argmax takes
     # the first maximum, so ties go to the smallest rho
     i = int(np.argmax(np.where(live, deflection, -np.inf)))
-    params = point.params(i)
-    kappa = false_alarm_threshold(params, targets.pfa_max)
-    pd, pfa = detection_probability(params, kappa), false_alarm_probability(params, kappa)
+    mu1_abs, sigma2 = float(point.mu1_abs[i]), float(point.sigma2[i])
+    kappa = false_alarm_threshold(mu1_abs, sigma2, targets.pfa_max)
+    pd, pfa = detection_probability(mu1_abs, sigma2, kappa), false_alarm_probability(mu1_abs, sigma2, kappa)
     return TradeoffRecord(power_watts, float(rhos[i]), kappa, best_rate, pd, pfa, feasible)
 
 

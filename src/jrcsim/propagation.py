@@ -7,8 +7,6 @@ carried entirely by channel gains and the reflectivity scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
@@ -16,7 +14,6 @@ from .array_geometry import ArrayConfig, PolarPosition, steering_vector
 from .scenario import PathLossSection
 
 __all__ = [
-    "ChannelSet",
     "path_loss_db",
     "amplitude_gain",
     "separation",
@@ -25,24 +22,6 @@ __all__ = [
     "target_reflectivity",
     "make_clutter_scene",
 ]
-
-
-@dataclass(frozen=True)
-class ChannelSet:
-    """Communication channels: source->destination and source->relay vectors,
-    scalar relay->destination link, and the receiver noise variances."""
-
-    h_sd: np.ndarray
-    h_sr: np.ndarray
-    h_rd: complex
-    noise_var_dest: float
-    noise_var_relay: float
-
-    def __post_init__(self) -> None:
-        if np.shape(self.h_sd) != np.shape(self.h_sr):
-            raise ValueError("h_sd and h_sr must have the same shape")
-        if self.noise_var_dest <= 0.0 or self.noise_var_relay <= 0.0:
-            raise ValueError("noise variances must be positive")
 
 
 def path_loss_db(model: PathLossSection, carrier_freq: float, distance: float) -> float:

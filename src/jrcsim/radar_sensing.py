@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm_link import BeamformerSet
-
 __all__ = [
     "ClutterSteering",
     "InterferenceKernel",
@@ -149,8 +147,8 @@ def draw_symbols(n_beams: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal(n_beams) + 1j * rng.standard_normal(n_beams)) / np.sqrt(2.0)
 
 
-def waveform_from_symbols(beams: BeamformerSet, symbols: np.ndarray) -> np.ndarray:
-    """Transmit snapshot x = u s_1 + v s_0 for the symbol draw (s_1, s_0)."""
+def waveform_from_symbols(beams: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Transmit snapshot x = u s_1 + v s_0 for the symbol draw (s_1, s_0) and beam rows (u, v)."""
     if len(symbols) != 2:
         raise ValueError("need one symbol for the data beam and one for the radar beam")
-    return symbols[1] * beams.radar_beam + symbols[0] * beams.comm_beam
+    return symbols[1] * beams[..., 1, :] + symbols[0] * beams[..., 0, :]

@@ -66,6 +66,8 @@ _DBM = {"lo": -300.0, "hi": 300.0}
 _MAGNITUDE = {"lo": 1.0e-30, "hi": 1.0e40}
 _LENGTH = {"lo": 1.0e-6, "hi": 1.0e9}
 _CARRIER = {"lo": 1.0e-6, "hi": 1.0e6}
+# thresholds whose grid span (at most 2e300) stays finite
+_THRESHOLD = {"lo": -1.0e300, "hi": 1.0e300}
 
 
 def _setting(default, kind=None, **rule):
@@ -204,8 +206,8 @@ class DetectionSection(_Section):
     trials: int = _setting(100_000, lo=1)
     powers_dbm: tuple[float, ...] = _setting((30.0, 36.0), **_DBM)
     clutter_levels: tuple[str, ...] = _setting(("light", "intense"), choices=tuple(CLUTTER_LEVELS))
-    kappa_min: float = _setting(0.0)
-    kappa_max: float | None = _setting(None, float, above="kappa_min")
+    kappa_min: float = _setting(0.0, **_THRESHOLD)
+    kappa_max: float | None = _setting(None, float, above="kappa_min", **_THRESHOLD)
     kappa_points: int = _setting(21, lo=1)
 
 

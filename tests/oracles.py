@@ -12,7 +12,6 @@ import numpy as np
 import scipy.linalg
 
 from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_matrix, steering_vector
-from jrcsim.comm_link import BeamformerSet
 from jrcsim.radar_sensing import ClutterSteering, average_scnr_curve
 
 
@@ -26,13 +25,13 @@ def clutter_at(cfg: ArrayConfig, positions, sigma=0.8) -> ClutterSteering:
     return ClutterSteering(steering_matrix(cfg, positions), np.full(len(positions), float(sigma)))
 
 
-def make_beams(rng, n=5, power=1.0) -> BeamformerSet:
-    """Random data and radar beams sharing the power equally."""
+def make_beams(rng, n=5, power=1.0) -> np.ndarray:
+    """Random data and radar beams sharing the power equally, as the rows of a (2, N) array."""
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     u *= np.sqrt(power / 2.0) / np.linalg.norm(u)
     v *= np.sqrt(power / 2.0) / np.linalg.norm(v)
-    return BeamformerSet(comm_beam=u, radar_beam=v)
+    return np.stack((u, v))
 
 
 def response_matrix(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
@@ -41,10 +40,11 @@ def response_matrix(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
     return np.outer(a, a)
 
 
-def transmit_covariance(beams: BeamformerSet) -> np.ndarray:
-    """Waveform covariance R_x = v v^H + u u^H for unit-power symbols."""
-    r = np.outer(beams.radar_beam, beams.radar_beam.conj())
-    return r + np.outer(beams.comm_beam, beams.comm_beam.conj())
+def transmit_covariance(beams: np.ndarray) -> np.ndarray:
+    """Waveform covariance R_x = v v^H + u u^H for unit-power symbols and beams (u, v) as rows."""
+    u, v = beams
+    r = np.outer(v, v.conj())
+    return r + np.outer(u, u.conj())
 
 
 def clutter_covariance(clutter: ClutterSteering, r_x: np.ndarray) -> np.ndarray:
@@ -85,19 +85,19 @@ def scnr_at_optimum(alpha0: complex, a_target: np.ndarray, cov: np.ndarray, x: n
     return float(abs(alpha0) ** 2 * np.vdot(y, scipy.linalg.cho_solve(scipy.linalg.cho_factor(cov), y)).real)
 
 
-def average_scnr(clutter: ClutterSteering, beams: BeamformerSet, alpha0: complex, a_target: np.ndarray) -> float:
+def average_scnr(clutter: ClutterSteering, beams: np.ndarray, alpha0: complex, a_target: np.ndarray) -> float:
     """Symbol-averaged optimal SCNR |alpha_0|^2 tr(A^H W^-1 A R_x) at one beam set.
 
     With A = a a^T the trace factors into (a^H W^-1 a)(a^T R_x conj(a)).
     """
-    return float(average_scnr_curve(clutter, alpha0, a_target, beams.stacked, [1.0])[0])
+    return float(average_scnr_curve(clutter, alpha0, a_target, beams, [1.0])[0])
 
 
 def radar_snapshot_batch(
     clutter: ClutterSteering,
     alpha0: complex,
     a_target: np.ndarray,
-    beams: BeamformerSet,
+    beams: np.ndarray,
     rng: np.random.Generator,
     count: int,
 ) -> np.ndarray:
@@ -110,7 +110,7 @@ def radar_snapshot_batch(
         raise ValueError(f"count must be >= 1, got {count}")
     n = clutter.matrix.shape[0]
     symbols = (rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))) / np.sqrt(2.0)
-    x = symbols @ beams.stacked  # (count, N)
+    x = symbols @ beams  # (count, N)
     s = alpha0 * (x @ a_target)[:, None] * a_target[None, :]
     if clutter.scale.size:
         shape = (count, clutter.scale.size)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from jrcsim.comm_link import (
-    BeamformerSet,
     af_gain,
     mrc_rate,
     rate_threshold,
@@ -12,63 +11,42 @@ from jrcsim.comm_link import (
     sinr_relayed,
 )
 from jrcsim.power_allocation import ConstraintTargets, evaluate_point
-from jrcsim.propagation import ChannelSet
+from jrcsim.scenario import CommSection
 
 N_R = 4e-13
 N_D = 4e-13
 
 
+def link(budget=0.01, noise_var_dest=N_D):
+    """The comm settings the link reads: noise variances and relay budget."""
+    return CommSection(noise_var_dest_w=noise_var_dest, noise_var_relay_w=N_R, relay_power_w=budget)
+
+
 def random_beams(rng, n, scale=1.0):
+    """(2, N) beams: the data beam u in row 0, the radar beam v in row 1."""
     u = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     v = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return BeamformerSet(comm_beam=u, radar_beam=v)
+    return np.stack((u, v))
 
 
 def random_channels(rng, n, scale=1e-4):
+    """(h_sd, h_sr, h_rd)."""
     h = lambda: scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return ChannelSet(
-        h_sd=h(),
-        h_sr=h(),
-        h_rd=complex(scale * (rng.standard_normal() + 1j * rng.standard_normal())),
-        noise_var_dest=N_D,
-        noise_var_relay=N_R,
-    )
-
-
-class TestBeamformerSet:
-    def test_total_power(self):
-        u = np.array([1.0, 1j, 0.0])
-        v = np.array([0.0, 2.0, 0.0])
-        beams = BeamformerSet(comm_beam=u, radar_beam=v)
-        assert beams.total_power == pytest.approx(2.0 + 4.0, rel=1e-15)
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            BeamformerSet(comm_beam=np.ones(3, complex), radar_beam=np.ones(4, complex))
-
-    def test_rejects_nonfinite(self):
-        bad = np.array([1.0, np.inf, 0.0], dtype=complex)
-        with pytest.raises(ValueError):
-            BeamformerSet(comm_beam=bad, radar_beam=np.ones(3, complex))
-
-    def test_zero_beams_allowed(self):
-        z = np.zeros(3, dtype=complex)
-        assert BeamformerSet(comm_beam=z, radar_beam=z).total_power == 0.0
+    return h(), h(), complex(scale * (rng.standard_normal() + 1j * rng.standard_normal()))
 
 
 class TestAfGain:
     def test_noise_only_normalization(self):
-        z = np.zeros(4, dtype=complex)
-        beams = BeamformerSet(comm_beam=z, radar_beam=z)
-        g = af_gain(np.ones(4, complex), beams, N_R, budget=0.01)
+        beams = np.zeros((2, 4), dtype=complex)
+        g = af_gain(np.ones(4, complex), beams, link(budget=0.01))
         assert g == pytest.approx(np.sqrt(0.01 / N_R), rel=1e-12)
 
     def test_budget_scaling(self):
         rng = np.random.default_rng(0)
         h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         beams = random_beams(rng, 4)
-        g1 = af_gain(h, beams, N_R, budget=0.01)
-        g2 = af_gain(h, beams, N_R, budget=0.02)
+        g1 = af_gain(h, beams, link(budget=0.01))
+        g2 = af_gain(h, beams, link(budget=0.02))
         assert g2 == pytest.approx(np.sqrt(2.0) * g1, rel=1e-12)
 
     def test_power_identity_on_random_draws(self):
@@ -78,17 +56,17 @@ class TestAfGain:
             h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             beams = random_beams(rng, 5)
             budget = float(rng.uniform(1e-4, 1.0))
-            g = af_gain(h, beams, N_R, budget)
+            g = af_gain(h, beams, link(budget))
             received = (
-                abs(np.dot(h, beams.comm_beam)) ** 2
-                + abs(np.dot(h, beams.radar_beam)) ** 2
+                abs(np.dot(h, beams[0])) ** 2
+                + abs(np.dot(h, beams[1])) ** 2
                 + N_R
             )
             assert g**2 * received == pytest.approx(budget, rel=1e-12)
 
     def test_gain_is_real_positive(self):
         rng = np.random.default_rng(1)
-        g = af_gain(rng.standard_normal(4) + 0j, random_beams(rng, 4), N_R, 0.01)
+        g = af_gain(rng.standard_normal(4) + 0j, random_beams(rng, 4), link())
         assert np.isrealobj(g)
         assert g > 0.0
 
@@ -98,65 +76,64 @@ class TestSinrDirect:
         rng = np.random.default_rng(2)
         h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        beams = BeamformerSet(comm_beam=u, radar_beam=np.zeros(4, complex))
-        assert sinr_direct(h, beams, N_D) == pytest.approx(abs(np.dot(h, u)) ** 2 / N_D, rel=1e-12)
+        beams = np.stack((u, np.zeros(4, complex)))
+        assert sinr_direct(h, beams, link()) == pytest.approx(abs(np.dot(h, u)) ** 2 / N_D, rel=1e-12)
 
     def test_orthogonal_beam_gives_zero(self):
         h = np.array([1.0, 1.0, 0.0], dtype=complex)
         u = np.array([1.0, -1.0, 0.0], dtype=complex)  # h^T u = 0
-        beams = BeamformerSet(comm_beam=u, radar_beam=np.zeros(3, complex))
-        assert sinr_direct(h, beams, N_D) == 0.0
+        beams = np.stack((u, np.zeros(3, complex)))
+        assert sinr_direct(h, beams, link()) == 0.0
 
     def test_quadratic_in_beam_scale(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v = np.zeros(4, complex)
-        base = sinr_direct(h, BeamformerSet(u, v), N_D)
-        scaled = sinr_direct(h, BeamformerSet(3.0 * u, v), N_D)
+        base = sinr_direct(h, np.stack((u, v)), link())
+        scaled = sinr_direct(h, np.stack((3.0 * u, v)), link())
         assert scaled == pytest.approx(9.0 * base, rel=1e-12)
 
-    def test_radar_beam_degrades(self):
+    def test_radar_row_degrades(self):
+        # row 1 is the radar beam: it only leaks into the data link
         rng = np.random.default_rng(4)
         h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        quiet = sinr_direct(h, BeamformerSet(u, np.zeros(4, complex)), N_D)
-        loud = sinr_direct(h, BeamformerSet(u, u.copy()), N_D)
-        assert loud < quiet
+        quiet = sinr_direct(h, np.stack((u, np.zeros(4, complex))), link())
+        loud = sinr_direct(h, np.stack((u, u)), link())
+        swapped = sinr_direct(h, np.stack((np.zeros(4, complex), u)), link())
+        assert swapped == 0.0 < loud < quiet
 
 
 class TestSinrRelayed:
     def test_silent_relay(self):
         rng = np.random.default_rng(5)
-        ch = random_channels(rng, 4)
+        _, h_sr, h_rd = random_channels(rng, 4)
         beams = random_beams(rng, 4)
-        assert sinr_relayed(ch, 0.0, beams) == 0.0
+        assert sinr_relayed(h_sr, h_rd, 0.0, beams, link()) == 0.0
 
     def test_vanishing_destination_noise_limit(self):
         rng = np.random.default_rng(6)
         n = 4
         h_sr = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         beams = random_beams(rng, n)
-        ch = ChannelSet(
-            h_sd=np.ones(n, complex), h_sr=h_sr, h_rd=0.3 - 0.2j,
-            noise_var_dest=1e-30, noise_var_relay=N_R,
-        )
-        gain = af_gain(h_sr, beams, N_R, budget=0.01)
-        limit = abs(np.dot(h_sr, beams.comm_beam)) ** 2 / N_R
-        assert sinr_relayed(ch, gain, beams) == pytest.approx(limit, rel=1e-6)
+        comm = link(budget=0.01, noise_var_dest=1e-30)
+        gain = af_gain(h_sr, beams, comm)
+        limit = abs(np.dot(h_sr, beams[0])) ** 2 / N_R
+        assert sinr_relayed(h_sr, 0.3 - 0.2j, gain, beams, comm) == pytest.approx(limit, rel=1e-6)
 
     def test_matches_signal_chain_oracle(self):
         # independent evaluation of the two-hop power ratio
         rng = np.random.default_rng(7)
         for _ in range(200):
-            ch = random_channels(rng, 5)
+            _, h_sr, h_rd = random_channels(rng, 5)
             beams = random_beams(rng, 5, scale=0.1)
-            gain = af_gain(ch.h_sr, beams, N_R, budget=0.01)
-            through = abs(ch.h_rd * gain) ** 2
-            expected = (through * abs(np.dot(ch.h_sr, beams.comm_beam)) ** 2) / (
+            gain = af_gain(h_sr, beams, link(budget=0.01))
+            through = abs(h_rd * gain) ** 2
+            expected = (through * abs(np.dot(h_sr, beams[0])) ** 2) / (
                 through * N_R + N_D
             )
-            assert sinr_relayed(ch, gain, beams) == pytest.approx(expected, rel=1e-12)
+            assert sinr_relayed(h_sr, h_rd, gain, beams, link()) == pytest.approx(expected, rel=1e-12)
 
 
 class TestMrcRate:

@@ -1,6 +1,7 @@
 """Scene realization: stream keying, level mapping, matched beams, waveforms."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from jrcsim.context import (
     build_context,
     stream_id,
 )
+from jrcsim.power_allocation import evaluate_point
 from jrcsim.propagation import path_loss_db
 from jrcsim.radar_sensing import waveform_from_symbols
 from jrcsim.scenario import CLUTTER_LEVELS, ConfigError, ScenarioConfig, dbm_to_watts, scenario_from_dict
@@ -47,7 +49,7 @@ class TestBuildContext:
         b = build_context(default_scenario)
         assert a.alpha0 == b.alpha0
         assert np.array_equal(a.symbols, b.symbols)
-        assert np.array_equal(a.channels.h_sd, b.channels.h_sd)
+        assert np.array_equal(a.h_sd, b.h_sd)
         assert np.array_equal(a.clutter.matrix, b.clutter.matrix)
 
     def test_relay_power_reaches_the_relayed_link(self, default_scenario):
@@ -64,7 +66,8 @@ class TestBuildContext:
         assert abs(a.alpha0) == pytest.approx(abs(b.alpha0), rel=1e-12)
         assert not np.array_equal(a.clutter.matrix, b.clutter.matrix)
         # line-of-sight channels are geometric, so they do not change
-        assert np.array_equal(a.channels.h_sd, b.channels.h_sd)
+        assert np.array_equal(a.h_sd, b.h_sd)
+        assert np.array_equal(a.h_sr, b.h_sr) and a.h_rd == b.h_rd
 
     def test_sigma_override_keeps_placements(self, default_scenario):
         light = at_sigma(build_context(default_scenario), 0.1)
@@ -106,35 +109,54 @@ class TestBeamsAndWaveform:
     def test_split_conserves_power(self, default_context):
         for rho in (0.0, 0.25, 0.5, 1.0):
             beams = default_context.beams_at(2.0, rho)
-            assert beams.total_power == pytest.approx(2.0, rel=1e-12)
+            assert np.sum(np.abs(beams) ** 2) == pytest.approx(2.0, rel=1e-12)
 
     def test_extreme_splits_silence_one_beam(self, default_context):
         comm_only = default_context.beams_at(2.0, 0.0)
         radar_only = default_context.beams_at(2.0, 1.0)
-        assert np.linalg.norm(comm_only.radar_beam) == 0.0
-        assert np.linalg.norm(radar_only.comm_beam) == 0.0
+        assert np.linalg.norm(comm_only[1]) == 0.0
+        assert np.linalg.norm(radar_only[0]) == 0.0
 
     def test_beams_point_along_matched_directions(self, default_context):
+        # row 0 is the data beam, (1 - rho) P along the destination channel;
+        # row 1 is the radar beam, rho P along the target; a split grid stacks
+        # one such pair per split
         ctx = default_context
         beams = ctx.beams_at(4.0, 0.25)
-        assert beams.comm_beam == pytest.approx(np.sqrt(3.0) * ctx.comm_direction, rel=1e-12)
-        assert beams.radar_beam == pytest.approx(1.0 * ctx.radar_direction, rel=1e-12)
-        assert ctx.comm_direction == pytest.approx(
-            np.conj(ctx.channels.h_sd) / np.linalg.norm(ctx.channels.h_sd), rel=1e-12
-        )
+        assert beams.shape == (2, ctx.n_antennas)
+        assert beams[0] == pytest.approx(np.sqrt(3.0) * ctx.comm_direction, rel=1e-12)
+        assert beams[1] == pytest.approx(1.0 * ctx.radar_direction, rel=1e-12)
+        assert ctx.comm_direction == pytest.approx(np.conj(ctx.h_sd) / np.linalg.norm(ctx.h_sd), rel=1e-12)
+        a = ctx.target_steering
+        assert ctx.radar_direction == pytest.approx(np.conj(a) / np.linalg.norm(a), rel=1e-12)
+        stacked = ctx.beams_at(4.0, np.array([0.0, 0.25]))
+        assert stacked.shape == (2, 2, ctx.n_antennas)
+        assert np.array_equal(stacked[1], beams)
 
     def test_rejects_bad_split_arguments(self, default_context):
         with pytest.raises(ValueError):
             default_context.beams_at(-1.0, 0.5)
-        for rho in (-0.1, 1.1):
+        for rho in (-0.1, 1.1, np.nan):
             with pytest.raises(ValueError):
                 default_context.beams_at(1.0, rho)
+
+    def test_rejects_nonfinite_power(self, default_context):
+        for power in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"power must lie in \[0, inf\)"):
+                default_context.beams_at(power, 0.5)
+        with pytest.raises(ValueError, match=r"power must lie in \[0, inf\)"):
+            evaluate_point(default_context, math.inf, 0.5, 0.0)
+
+    def test_zero_power_gives_zero_beams(self, default_context):
+        beams = default_context.beams_at(0.0, 0.5)
+        assert beams.shape == (2, default_context.n_antennas)
+        assert not np.any(beams)
 
     def test_waveform_is_the_fixed_symbol_combination(self, default_context):
         ctx = default_context
         point = ctx.operating_point(dbm_to_watts(30.0), 0.5)
         beams, x = point.beams, point.x
-        expected = beams.comm_beam * ctx.symbols[0] + beams.radar_beam * ctx.symbols[1]
+        expected = beams[0] * ctx.symbols[0] + beams[1] * ctx.symbols[1]
         assert x == pytest.approx(expected, rel=1e-12)
         assert np.array_equal(x, ctx.operating_point(dbm_to_watts(30.0), 0.5).x)
         assert np.array_equal(x, waveform_from_symbols(beams, ctx.symbols))

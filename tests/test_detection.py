@@ -16,7 +16,6 @@ from conftest import at_sigma
 from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_vector
 from jrcsim.context import build_context
 from jrcsim.detection import (
-    DetectionStatisticParams,
     detection_probability,
     false_alarm_probability,
     false_alarm_threshold,
@@ -53,7 +52,8 @@ class OperatingCell:
         scenario = ScenarioConfig()
         self.ctx = at_sigma(build_context(scenario), sigma)
         self.point = self.ctx.operating_point(dbm_to_watts(power_dbm), scenario.power.rho)
-        self.params = self.point.params()
+        # |mu_1| and sigma^2, as the closed-form rates read them
+        self.params = (float(self.point.mu1_abs), float(self.point.sigma2))
 
     def sample(self, trials, seed, point=None):
         rng = np.random.default_rng(seed)
@@ -88,76 +88,75 @@ class TestStatisticParams:
             assert sigma2 == pytest.approx(var_expected, rel=1e-12)
 
     def test_rejects_non_positive_variance(self):
-        with pytest.raises(ValueError):
-            DetectionStatisticParams(mu1=1.0 + 0j, sigma2=0.0)
+        for sigma2 in (0.0, -1.0):
+            for closed_form in (false_alarm_probability, detection_probability, false_alarm_threshold):
+                with pytest.raises(ValueError, match="sigma2 must be positive"):
+                    closed_form(1.0, sigma2, 1e-6)
+
 
 class TestClosedForms:
-    PARAMS = DetectionStatisticParams(mu1=1.5 - 0.5j, sigma2=4.0)
+    # |mu_1| = |1.5 - 0.5j| and sigma^2
+    PARAMS = (abs(1.5 - 0.5j), 4.0)
 
     def scale(self, params):
-        return abs(params.mu1) * math.sqrt(2.0 * params.sigma2)
+        mu1_abs, sigma2 = params
+        return mu1_abs * math.sqrt(2.0 * sigma2)
 
     def test_false_alarm_matches_tail_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            params = DetectionStatisticParams(
-                mu1=complex(rng.standard_normal(), rng.standard_normal()),
-                sigma2=float(rng.uniform(0.1, 10.0)),
-            )
+            params = (abs(complex(rng.standard_normal(), rng.standard_normal())), float(rng.uniform(0.1, 10.0)))
             kappa = float(rng.uniform(-20.0, 20.0))
             expected = tail_oracle(kappa / self.scale(params))
-            assert false_alarm_probability(params, kappa) == pytest.approx(expected, rel=1e-13, abs=1e-300)
+            assert false_alarm_probability(*params, kappa) == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
     def test_detection_matches_tail_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
-            params = DetectionStatisticParams(
-                mu1=complex(rng.standard_normal(), rng.standard_normal()),
-                sigma2=float(rng.uniform(0.1, 10.0)),
-            )
+            params = (abs(complex(rng.standard_normal(), rng.standard_normal())), float(rng.uniform(0.1, 10.0)))
             kappa = float(rng.uniform(-20.0, 20.0))
-            mu_sq = abs(params.mu1) ** 2
+            mu_sq = params[0] ** 2
             expected = tail_oracle((kappa - 2.0 * mu_sq) / self.scale(params))
-            assert detection_probability(params, kappa) == pytest.approx(expected, rel=1e-13, abs=1e-300)
+            assert detection_probability(*params, kappa) == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
     def test_zero_threshold_false_alarm_is_half(self):
-        assert false_alarm_probability(self.PARAMS, 0.0) == 0.5
+        assert false_alarm_probability(*self.PARAMS, 0.0) == 0.5
 
     def test_detection_is_half_at_twice_signal_energy(self):
-        mu_sq = abs(self.PARAMS.mu1) ** 2
-        assert detection_probability(self.PARAMS, 2.0 * mu_sq) == 0.5
+        mu_sq = self.PARAMS[0] ** 2
+        assert detection_probability(*self.PARAMS, 2.0 * mu_sq) == 0.5
 
     def test_threshold_limits(self):
         low, high = -1e9, 1e9
-        assert false_alarm_probability(self.PARAMS, low) == pytest.approx(1.0, abs=1e-12)
-        assert detection_probability(self.PARAMS, low) == pytest.approx(1.0, abs=1e-12)
-        assert false_alarm_probability(self.PARAMS, high) == pytest.approx(0.0, abs=1e-12)
-        assert detection_probability(self.PARAMS, high) == pytest.approx(0.0, abs=1e-12)
+        assert false_alarm_probability(*self.PARAMS, low) == pytest.approx(1.0, abs=1e-12)
+        assert detection_probability(*self.PARAMS, low) == pytest.approx(1.0, abs=1e-12)
+        assert false_alarm_probability(*self.PARAMS, high) == pytest.approx(0.0, abs=1e-12)
+        assert detection_probability(*self.PARAMS, high) == pytest.approx(0.0, abs=1e-12)
 
     def test_detection_dominates_false_alarm(self):
         # the H1 mean shift 2|mu_1|^2 > 0 moves mass above any threshold
         for kappa in np.linspace(-30.0, 30.0, 41):
-            assert detection_probability(self.PARAMS, kappa) >= false_alarm_probability(self.PARAMS, kappa)
-        mid = abs(self.PARAMS.mu1) ** 2
-        assert detection_probability(self.PARAMS, mid) > false_alarm_probability(self.PARAMS, mid)
+            assert detection_probability(*self.PARAMS, kappa) >= false_alarm_probability(*self.PARAMS, kappa)
+        mid = self.PARAMS[0] ** 2
+        assert detection_probability(*self.PARAMS, mid) > false_alarm_probability(*self.PARAMS, mid)
 
     def test_rates_non_increasing_in_threshold(self):
         kappas = np.linspace(-30.0, 30.0, 61)
-        pfa = [false_alarm_probability(self.PARAMS, k) for k in kappas]
-        pd = [detection_probability(self.PARAMS, k) for k in kappas]
+        pfa = [false_alarm_probability(*self.PARAMS, k) for k in kappas]
+        pd = [detection_probability(*self.PARAMS, k) for k in kappas]
         assert np.all(np.diff(pfa) <= 0.0)
         assert np.all(np.diff(pd) <= 0.0)
         assert pfa[0] > pfa[-1]
         assert pd[0] > pd[-1]
 
     def test_zero_signal_rejected(self):
-        degenerate = DetectionStatisticParams(mu1=0.0 + 0j, sigma2=1.0)
+        degenerate = (0.0, 1.0)
         with pytest.raises(ValueError):
-            false_alarm_probability(degenerate, 0.0)
+            false_alarm_probability(*degenerate, 0.0)
         with pytest.raises(ValueError):
-            detection_probability(degenerate, 0.0)
+            detection_probability(*degenerate, 0.0)
         with pytest.raises(ValueError):
-            false_alarm_threshold(degenerate, 1e-6)
+            false_alarm_threshold(*degenerate, 1e-6)
 
 
 class TestFalseAlarmThreshold:
@@ -168,26 +167,25 @@ class TestFalseAlarmThreshold:
         rng = np.random.default_rng(7)
         nudged = 0
         for _ in range(400):
-            params = DetectionStatisticParams(
-                mu1=complex(*rng.uniform(-1e3, 1e3, size=2)), sigma2=float(10.0 ** rng.uniform(-6.0, 6.0))
-            )
+            mu1_abs = abs(complex(*rng.uniform(-1e3, 1e3, size=2)))
+            sigma2 = float(10.0 ** rng.uniform(-6.0, 6.0))
             cap = float(10.0 ** rng.uniform(-300.0, -1e-3))
-            kappa = false_alarm_threshold(params, cap)
-            kappa_fa = abs(params.mu1) * math.sqrt(2.0 * params.sigma2) * inverse_q(cap)
+            kappa = false_alarm_threshold(mu1_abs, sigma2, cap)
+            kappa_fa = mu1_abs * math.sqrt(2.0 * sigma2) * inverse_q(cap)
             assert kappa >= kappa_fa
-            assert false_alarm_probability(params, kappa) <= cap
+            assert false_alarm_probability(mu1_abs, sigma2, kappa) <= cap
             if kappa > kappa_fa:
                 nudged += 1
-                assert false_alarm_probability(params, math.nextafter(kappa, -math.inf)) > cap
+                assert false_alarm_probability(mu1_abs, sigma2, math.nextafter(kappa, -math.inf)) > cap
         assert nudged > 0
 
     def test_caps_close_to_one_and_one_half(self):
-        params = DetectionStatisticParams(mu1=1.5 - 0.5j, sigma2=4.0)
-        assert false_alarm_threshold(params, 0.5) == 0.0
+        params = (abs(1.5 - 0.5j), 4.0)
+        assert false_alarm_threshold(*params, 0.5) == 0.0
         for cap in (0.9999999999, 1.0 - 2.0**-53, 0.7):
-            kappa = false_alarm_threshold(params, cap)
+            kappa = false_alarm_threshold(*params, cap)
             assert kappa < 0.0
-            assert false_alarm_probability(params, kappa) <= cap
+            assert false_alarm_probability(*params, kappa) <= cap
 
 
 class TestSampledStatistics:
@@ -195,9 +193,9 @@ class TestSampledStatistics:
         trials = 200_000
         run = cell(0.8)
         t_h0, t_h1 = run.sample(trials, seed=11)
-        params = run.params
-        mu_sq = abs(params.mu1) ** 2
-        var_expected = 2.0 * mu_sq * params.sigma2
+        mu1_abs, sigma2 = run.params
+        mu_sq = mu1_abs**2
+        var_expected = 2.0 * mu_sq * sigma2
         se_mean = math.sqrt(var_expected / trials)
         assert abs(float(np.mean(t_h0))) < 5.0 * se_mean
         assert float(np.mean(t_h1)) == pytest.approx(2.0 * mu_sq, abs=5.0 * se_mean)
@@ -220,8 +218,8 @@ class TestSampledStatistics:
         cov = clutter_covariance(ctx.clutter, transmit_covariance(point.beams))
         w = optimal_receive_beamformer(ctx.target_steering, cov, point.x)
         mu1, sigma2 = statistic_moments(w, ctx.alpha0, ctx.target_steering, ctx.clutter, point.x)
-        assert run.params.mu1 == pytest.approx(mu1, rel=1e-12)
-        assert run.params.sigma2 == pytest.approx(sigma2, rel=1e-12)
+        assert run.point.mu1 == pytest.approx(mu1, rel=1e-12)
+        assert run.params == pytest.approx((abs(mu1), sigma2), rel=1e-12)
 
     def test_waveform_stays_frozen_across_trials(self):
         # every trial transmits the point's x, so the H1 mean sits at 2|mu_1|^2
@@ -259,8 +257,9 @@ class TestSampledStatistics:
 class TestSimulatedRates:
     def probe_thresholds(self, params):
         # place thresholds where both probabilities are well inside (0, 1)
-        scale = abs(params.mu1) * math.sqrt(2.0 * params.sigma2)
-        mu_sq = abs(params.mu1) ** 2
+        mu1_abs, sigma2 = params
+        scale = mu1_abs * math.sqrt(2.0 * sigma2)
+        mu_sq = mu1_abs**2
         from_pfa = [inverse_q(p) * scale for p in (0.3, 0.05, 0.01)]
         from_pd = [2.0 * mu_sq + inverse_q(p) * scale for p in (0.9, 0.5, 0.1)]
         return sorted(from_pfa + from_pd)
@@ -301,8 +300,9 @@ class TestSimulatedRates:
         # time; points within one sweep share draws, so calibration has to be
         # measured across independently seeded runs
         run = cell(0.8)
-        scale = abs(run.params.mu1) * math.sqrt(2.0 * run.params.sigma2)
-        mu_sq = abs(run.params.mu1) ** 2
+        mu1_abs, sigma2 = run.params
+        scale = mu1_abs * math.sqrt(2.0 * sigma2)
+        mu_sq = mu1_abs**2
         kappa_fa = inverse_q(0.2) * scale
         kappa_d = 2.0 * mu_sq + inverse_q(0.5) * scale
         replicates = 150
@@ -319,7 +319,7 @@ class TestSimulatedRates:
 
     def test_repeat_runs_are_identical(self):
         run = cell(0.1)
-        kappa = abs(run.params.mu1) ** 2
+        kappa = run.params[0] ** 2
         (first,) = run.sweep([kappa], 20_000, seed=22)
         (second,) = run.sweep([kappa], 20_000, seed=22)
         assert first == second
@@ -330,7 +330,7 @@ class TestSimulatedRates:
         run = cell(0.8)
         # one threshold applied by hand to the sampled statistic, and the same
         # threshold inside a larger grid on the same stream
-        kappa = 0.5 * abs(run.params.mu1) ** 2
+        kappa = 0.5 * run.params[0] ** 2
         (swept,) = run.sweep([kappa], 20_000, seed=24)
         t_h0, t_h1 = run.sample(20_000, seed=24)
         assert (swept.pfa_mc, swept.pd_mc) == (np.mean(t_h0 >= kappa), np.mean(t_h1 >= kappa))
@@ -338,7 +338,7 @@ class TestSimulatedRates:
 
     def test_shared_draws_give_monotone_sorted_curves(self):
         run = cell(0.8)
-        mu_sq = abs(run.params.mu1) ** 2
+        mu_sq = run.params[0] ** 2
         grid = np.linspace(-0.5 * mu_sq, 3.0 * mu_sq, 15)
         shuffled = np.random.default_rng(25).permutation(grid)
         points = run.sweep(shuffled, 20_000, seed=26)
@@ -373,19 +373,19 @@ class TestOperatingOrderings:
         # same clutter placements, amplitude scale 0.1 versus 0.8
         light = cell(0.1)
         intense = cell(0.8)
-        mu_sq = abs(intense.params.mu1) ** 2
-        scale = abs(intense.params.mu1) * math.sqrt(2.0 * intense.params.sigma2)
+        mu1_abs, sigma2 = intense.params
+        mu_sq, scale = mu1_abs**2, mu1_abs * math.sqrt(2.0 * sigma2)
         for kappa in np.linspace(0.0, 2.0 * mu_sq + 4.0 * scale, 21):
-            pd_light = detection_probability(light.params, kappa)
-            pd_intense = detection_probability(intense.params, kappa)
+            pd_light = detection_probability(*light.params, kappa)
+            pd_intense = detection_probability(*intense.params, kappa)
             assert pd_light > pd_intense
 
     def test_more_transmit_power_improves_detection(self):
         low = cell(0.8, power_dbm=30.0)
         high = cell(0.8, power_dbm=36.0)
-        mu_sq = abs(low.params.mu1) ** 2
-        scale = abs(low.params.mu1) * math.sqrt(2.0 * low.params.sigma2)
+        mu1_abs, sigma2 = low.params
+        mu_sq, scale = mu1_abs**2, mu1_abs * math.sqrt(2.0 * sigma2)
         for kappa in np.linspace(0.0, 2.0 * mu_sq + 4.0 * scale, 15):
-            pd_low = detection_probability(low.params, kappa)
-            pd_high = detection_probability(high.params, kappa)
+            pd_low = detection_probability(*low.params, kappa)
+            pd_high = detection_probability(*high.params, kappa)
             assert pd_high > pd_low

@@ -226,7 +226,7 @@ def _oracle_level_curves(sc, n, f_ghz, pair_index, powers_w):
         for r in range(sc.sweep.realizations):
             scene = build_context(sc, n_antennas=n, carrier_ghz=f_ghz, scene_key=(pair_index << 24) | r)
             ctx = at_sigma(scene, CLUTTER_LEVELS[level])
-            beams = ctx.beams_at(1.0, sc.power.rho).stacked
+            beams = ctx.beams_at(1.0, sc.power.rho)
             curves.append(average_scnr_curve(ctx.clutter, ctx.alpha0, ctx.target_steering, beams, powers_w))
         out.append((level, np.array(curves)))
     return out
@@ -569,6 +569,14 @@ class TestCli:
             assert rc == 1
             assert "error:" in err
 
+    def test_format_flag_is_checked_by_the_output_section(self, cli_config, tmp_path, capsys):
+        # the scenario's output section holds the one format rule
+        out = tmp_path / "out"
+        rc = main(["optimize", "--config", cli_config, "--out", str(out), "--format", "xml"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: output.format: must be one of ['csv', 'json'], got 'xml'\n"
+        assert not out.exists()
+
     def test_scenes_that_cannot_be_built_are_config_errors(self, tmp_path, capsys):
         # each passed validation once and then raised from the scene build
         for field, config in (
@@ -597,6 +605,12 @@ class TestCli:
             ({"comm": {"noise_var_dest_w": 1e-300}}, "comm.noise_var_dest_w: must be >= 1e-30, got 1e-300"),
             ({"sweep": {"carriers_ghz": [28.0, 1e7]}}, "sweep.carriers_ghz[1]: must be <= 1000000.0, got 10000000.0"),
             ({"targets": {"rate_bps_hz": 1e6}}, "targets.rate_bps_hz: must be <= 1000.0, got 1000000.0"),
+            # a threshold span past the float range once overflowed the kappa grid
+            (
+                {"detection": {"kappa_min": -1e308, "kappa_max": 1e308}},
+                "detection.kappa_min: must be >= -1e+300, got -1e+308",
+            ),
+            ({"detection": {"kappa_max": 1e308}}, "detection.kappa_max: must be <= 1e+300, got 1e+308"),
         ):
             path.write_text(json.dumps(config))
             for command in ("scnr-sweep", "detection-sweep", "tradeoff", "optimize", "validate"):
@@ -679,12 +693,14 @@ class TestCli:
                 ("comm", "relay_power_w", (0.0, 1e40)),
                 ("targets", "rate_bps_hz", (1000.0,)),
                 ("sweep", "carriers_ghz", ([1e-6, 1e6],)),
+                ("detection", "kappa_min", (-1e300,)),
             )
             for value in values
         ] + [
             {"clutter": {"min_range_m": 1e-6, "max_range_m": 2e-6}},
             {"clutter": {"min_range_m": 5e8, "max_range_m": 1e9}},
             {"path_loss": {"kind": "tr38901_umi_los", "h_bs_m": 1e9, "h_ut_m": 1e9}},
+            {"detection": {"kappa_min": -1e300, "kappa_max": 1e300}},
         ]
         cases = (
             [(window, ()) for window in windows]
@@ -741,11 +757,16 @@ _UNIT_OPEN = st.floats(0.01, 0.99, allow_nan=False)
 @st.composite
 def valid_configs(draw):
     """A raw scenario file that validates: small N, few scatterers, every law,
-    degenerate sigma and splits, pd_min up to 0.999, tiny trial counts and grids."""
+    degenerate sigma and splits, pd_min up to 0.999, thresholds out to their
+    bounds, tiny trial counts and grids."""
     kind = draw(st.sampled_from(["free_space", "tr38901_umi_los"]))
     heights = st.floats(1.1, 30.0) if kind == "tr38901_umi_los" else st.floats(0.1, 30.0)
     min_dbm = draw(st.floats(-40.0, 20.0))
     levels = st.lists(st.sampled_from(sorted(CLUTTER_LEVELS)), min_size=1, max_size=3)
+    kappa_min = draw(st.one_of(st.sampled_from([-1e300, 0.0, 1e300]), st.floats(-1e300, 1e300)))
+    above = [st.none()]  # a kappa_max of None sizes the grid from the operating points
+    if kappa_min < 1e300:
+        above += [st.just(1e300), st.floats(kappa_min, 1e300, exclude_min=True)]
     raw = {
         "seed": draw(st.integers(0, 2**32 - 1)),
         "array": {"n_antennas": draw(st.integers(1, 8))},
@@ -770,6 +791,8 @@ def valid_configs(draw):
             "powers_dbm": draw(st.lists(st.floats(-10.0, 60.0), min_size=1, max_size=2)),
             "clutter_levels": draw(levels),
             "kappa_points": draw(st.integers(1, 4)),
+            "kappa_min": kappa_min,
+            "kappa_max": draw(st.one_of(*above)),
         },
         "targets": {
             "rate_bps_hz": draw(st.floats(0.0, 10.0)),

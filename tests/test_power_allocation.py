@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from jrcsim.comm_link import mrc_rate, rate_threshold
 from jrcsim.context import build_context
 from jrcsim.detection import (
-    DetectionStatisticParams,
     detection_probability,
     false_alarm_probability,
     false_alarm_threshold,
@@ -122,13 +121,13 @@ class TestEvaluatePoint:
         x = waveform_from_symbols(beams, ctx.symbols)
         cov = clutter_covariance(ctx.clutter, transmit_covariance(beams))
         w = optimal_receive_beamformer(ctx.target_steering, cov, x)
-        params = DetectionStatisticParams(*statistic_moments(w, ctx.alpha0, ctx.target_steering, ctx.clutter, x))
-        kappa = abs(params.mu1) ** 2
+        mu1, sigma2 = statistic_moments(w, ctx.alpha0, ctx.target_steering, ctx.clutter, x)
+        kappa = abs(mu1) ** 2
         point = evaluate_point(ctx, power, rho, kappa)
-        assert point.mu1_abs == pytest.approx(abs(params.mu1), rel=1e-12)
-        assert point.sigma2 == pytest.approx(params.sigma2, rel=1e-12)
-        assert point.pfa == pytest.approx(false_alarm_probability(params, kappa), rel=1e-12)
-        assert point.pd == pytest.approx(detection_probability(params, kappa), rel=1e-12)
+        assert point.mu1_abs == pytest.approx(abs(mu1), rel=1e-12)
+        assert point.sigma2 == pytest.approx(sigma2, rel=1e-12)
+        assert point.pfa == pytest.approx(false_alarm_probability(abs(mu1), sigma2, kappa), rel=1e-12)
+        assert point.pd == pytest.approx(detection_probability(abs(mu1), sigma2, kappa), rel=1e-12)
         assert point.rate_bps_hz == pytest.approx(
             mrc_rate(point.gamma_direct, point.gamma_relayed), rel=1e-12
         )
@@ -200,7 +199,8 @@ class TestMinimizePower:
         for value in (solved.p_star_watts, solved.rho_star, solved.kappa_star):
             assert canonical_float(value) == value
         point = fast_context.operating_point(solved.p_star_watts, solved.rho_star)
-        assert solved.kappa_star == canonical_ceil(false_alarm_threshold(point.params(), 1e-6))
+        kappa_fa = false_alarm_threshold(float(point.mu1_abs), float(point.sigma2), 1e-6)
+        assert solved.kappa_star == canonical_ceil(kappa_fa)
         assert solved.point.pfa <= 1e-6 and solved.point.pd >= 0.6
 
     def test_default_optimum_is_the_closed_form_minimum(self, default_context):
@@ -395,9 +395,9 @@ class TestTradeoffSweep:
 
 def _oracle_physics(ctx, power, rho):
     point = ctx.operating_point(power, float(rho))
-    params = DetectionStatisticParams(complex(point.mu1), float(point.sigma2))
+    params = (abs(complex(point.mu1)), float(point.sigma2))  # (|mu_1|, sigma^2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        deflection = np.sqrt(2.0) * abs(params.mu1) / np.sqrt(params.sigma2)
+        deflection = np.sqrt(2.0) * params[0] / np.sqrt(params[1])
     return params, deflection, float(point.gamma_direct), float(point.gamma_relayed)
 
 
@@ -407,10 +407,10 @@ def _oracle_first_feasible(ctx, targets, power, rhos):
     for rho in rhos:
         params, deflection, gamma_direct, gamma_relayed = _oracle_physics(ctx, power, rho)
         evals += 1
-        if gamma_direct + gamma_relayed < targets.gamma_min or abs(params.mu1) <= 0.0:
+        if gamma_direct + gamma_relayed < targets.gamma_min or params[0] <= 0.0:
             continue
         if deflection >= floor:
-            return (float(rho), false_alarm_threshold(params, targets.pfa_max)), evals
+            return (float(rho), false_alarm_threshold(*params, targets.pfa_max)), evals
     return None, evals
 
 
@@ -422,7 +422,7 @@ def _oracle_tradeoff_record(ctx, targets, power, rhos):
     for rho in rhos:
         params, deflection, gamma_direct, gamma_relayed = _oracle_physics(ctx, power, rho)
         best_rate = max(best_rate, mrc_rate(gamma_direct, gamma_relayed))
-        if abs(params.mu1) <= 0.0:
+        if params[0] <= 0.0:
             continue
         if best is None or deflection > best[0]:
             best = (deflection, float(rho), params)
@@ -431,8 +431,8 @@ def _oracle_tradeoff_record(ctx, targets, power, rhos):
     if best is None:
         return TradeoffRecord(power, float(rhos[0]), 0.0, best_rate, 0.0, 0.0, jointly_feasible)
     _, rho_best, params = best
-    kappa = false_alarm_threshold(params, targets.pfa_max)
-    pd, pfa = detection_probability(params, kappa), false_alarm_probability(params, kappa)
+    kappa = false_alarm_threshold(*params, targets.pfa_max)
+    pd, pfa = detection_probability(*params, kappa), false_alarm_probability(*params, kappa)
     return TradeoffRecord(power, rho_best, kappa, best_rate, pd, pfa, jointly_feasible)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_vector
 from jrcsim.propagation import (
-    ChannelSet,
     amplitude_gain,
     make_clutter_scene,
     path_loss_db,
@@ -244,9 +243,3 @@ class TestClutterScene:
         with pytest.raises(ValueError):
             make_clutter_scene(np.random.default_rng(1), 1, 0.4, 0.05, 1.0, 0.5)
 
-
-class TestSceneAndChannelSet:
-    def test_channel_set_rejects_bad_noise(self):
-        h = np.ones(4, dtype=complex)
-        with pytest.raises(ValueError):
-            ChannelSet(h_sd=h, h_sr=h, h_rd=1.0 + 0j, noise_var_dest=0.0, noise_var_relay=1e-13)

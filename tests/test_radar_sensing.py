@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_vector
-from jrcsim.comm_link import BeamformerSet
 from jrcsim.radar_sensing import InterferenceKernel, average_scnr_curve, draw_symbols, waveform_from_symbols
 from oracles import (
     average_scnr,
@@ -62,12 +61,12 @@ class TestTransmitCovariance:
         assert r == pytest.approx(r.conj().T, rel=1e-14)
         assert np.all(np.linalg.eigvalsh(r) > -1e-12)
 
-    def test_trace_equals_total_power(self):
+    def test_trace_equals_beam_power(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            beams = make_beams(rng, power=float(rng.uniform(0.1, 10.0)))
-            assert np.trace(transmit_covariance(beams)).real == pytest.approx(
-                beams.total_power, rel=1e-12
+            power = float(rng.uniform(0.1, 10.0))
+            assert np.trace(transmit_covariance(make_beams(rng, power=power))).real == pytest.approx(
+                power, rel=1e-12
             )
 
     def test_rank_bounded_by_beam_count(self):
@@ -188,7 +187,7 @@ class TestAverageScnr:
         # order of successive draw_symbols(2, rng) calls, so the same symbols
         parts = np.random.default_rng(12).standard_normal((draws, 2, 2))
         symbols = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
-        x = symbols[:, 1:] * beams.radar_beam + symbols[:, :1] * beams.comm_beam
+        x = symbols[:, 1:] * beams[1] + symbols[:, :1] * beams[0]
         y = a * (x @ a)[:, None]  # A x per draw, as rows
         # W does not depend on the symbols: one factorization serves every draw
         w = scipy.linalg.cho_solve(scipy.linalg.cho_factor(cov), y.T)
@@ -232,7 +231,7 @@ def operating_points(draw):
 
 
 def split_beams(comm, radar, rho, power):
-    return BeamformerSet(comm_beam=np.sqrt((1.0 - rho) * power) * comm, radar_beam=np.sqrt(rho * power) * radar)
+    return np.stack((np.sqrt((1.0 - rho) * power) * comm, np.sqrt(rho * power) * radar))
 
 
 class TestInterferenceKernel:
@@ -246,7 +245,7 @@ class TestInterferenceKernel:
         x = waveform_from_symbols(beams, draw_symbols(2, np.random.default_rng(symbol_seed)))
         y = a * np.dot(a, x)
         cov = clutter_covariance(clutter, transmit_covariance(beams))
-        gains = clutter.gains(beams.stacked)
+        gains = clutter.gains(beams)
         kernel = InterferenceKernel(clutter, gains)
         w = kernel.solve(y)
 
@@ -291,7 +290,7 @@ class TestWaveform:
         beams = make_beams(rng)
         s = draw_symbols(2, rng)
         x = waveform_from_symbols(beams, s)
-        assert x == pytest.approx(s[0] * beams.comm_beam + s[1] * beams.radar_beam, rel=1e-14)
+        assert x == pytest.approx(s[0] * beams[0] + s[1] * beams[1], rel=1e-14)
 
     def test_symbol_count_must_match(self):
         rng = np.random.default_rng(17)
@@ -302,8 +301,7 @@ class TestWaveform:
 class TestSnapshots:
     def test_pure_noise_covariance(self):
         # alpha0 = 0, no clutter, silent beams: snapshots are CN(0, I)
-        zeros = np.zeros(5, dtype=complex)
-        beams = BeamformerSet(comm_beam=zeros, radar_beam=zeros)
+        beams = np.zeros((2, 5), dtype=complex)
         snaps = radar_snapshot_batch(clutter_at(CFG, []), 0.0, A_TARGET, beams, np.random.default_rng(19), 100_000)
         sample = snaps.T @ snaps.conj() / snaps.shape[0]
         assert np.linalg.norm(sample - np.eye(5)) / np.linalg.norm(np.eye(5)) < 0.02

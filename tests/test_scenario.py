@@ -175,6 +175,7 @@ class TestValidation:
             ({"path_loss": {"h_bs_m": 1e10}}, "path_loss.h_bs_m: must be <= 1000000000.0, got 10000000000.0"),
             ({"comm": {"relay_range_m": 1e300}}, "comm.relay_range_m: must be <= 1000000000.0, got 1e+300"),
             ({"comm": {"relay_power_w": 1e300}}, "comm.relay_power_w: must be <= 1e+40, got 1e+300"),
+            ({"comm": {"relay_power_w": -1.0}}, "comm.relay_power_w: must be >= 0.0, got -1.0"),
             ({"targets": {"rate_bps_hz": 1001.0}}, "targets.rate_bps_hz: must be <= 1000.0, got 1001.0"),
             (
                 {"target": {"angle_rad": 3.5}},
@@ -193,6 +194,9 @@ class TestValidation:
             ({"power": {"rho": 1.5}}, "power.rho: must be <= 1.0, got 1.5"),
             ({"power": {"points": 1}}, "power.points: must be >= 2, got 1"),
             ({"detection": {"trials": 0}}, "detection.trials: must be >= 1, got 0"),
+            # thresholds within +-1e300, so the grid's span stays finite
+            ({"detection": {"kappa_min": -1e301}}, "detection.kappa_min: must be >= -1e+300, got -1e+301"),
+            ({"detection": {"kappa_max": 1e301}}, "detection.kappa_max: must be <= 1e+300, got 1e+301"),
             ({"targets": {"pfa_max": 0.0}}, "targets.pfa_max: must be > 0.0, got 0.0"),
             ({"targets": {"pfa_max": 1.5}}, "targets.pfa_max: must be < 1.0, got 1.5"),
             ({"targets": {"pfa_max": 1.0}}, "targets.pfa_max: must be < 1.0, got 1.0"),
@@ -232,6 +236,7 @@ class TestValidation:
             with pytest.raises(ConfigError) as err:
                 scenario_from_dict(raw)
             assert needle in str(err.value)
+        scenario_from_dict({"detection": {"kappa_min": -1e300, "kappa_max": 1e300}})
         # without clutter there are no placements to draw, so any window is valid
         scenario_from_dict({"clutter": {"count": 0, "angle_exclusion_rad": 3.0}, "target": {"angle_rad": 1.5}})
 
