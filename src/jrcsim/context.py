@@ -101,10 +101,6 @@ class SimulationContext:
     radar_direction: np.ndarray
     symbols: np.ndarray
 
-    @property
-    def n_antennas(self) -> int:
-        return self.array.n_antennas
-
     def beams_at(self, power_watts: float, rho) -> np.ndarray:
         """Split a power budget between the matched data and radar directions: rows
         (data beam, radar beam) of a (2, N) array, or (..., 2, N) for an array of splits."""

@@ -19,27 +19,32 @@ kappa_fa = |mu_1| sqrt(2 sigma^2) Q^-1(P_FA,max) (Kay, Vol. II, ch. 3).
 
 Monte Carlo trials read a context and one of its operating points: the frozen
 waveform x (it is known to the receiver), w and the moments all come from the
-point, and each trial redraws clutter amplitudes and noise; trial randomness
-is forked off the caller's stream in fixed-size blocks so counts are
-reproducible bit-for-bit regardless of execution schedule.
+point. One set of draws per cell serves both hypotheses and every threshold
+(common random numbers). Each trial draws one CN(0, 1) amplitude per clutter
+scatterer, on its projected echo c_l = w^H (sigma_l a_l a_l^T x), and one for
+the noise projected onto w, since w^H n ~ CN(0, ||w||^2): 2(L + 1) normals per
+trial. The target echo is deterministic, so T_1 = T_0 + 2 |mu_1|^2 trial by
+trial. Each empirical rate is still an exact binomial estimate, and the P_FA
+and P_D columns of a cell are correlated, as its thresholds already were.
+Trial randomness is forked off the caller's stream in fixed-size blocks, so
+counts are reproducible bit-for-bit regardless of execution schedule and
+memory stays bounded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .radar_sensing import ClutterSteering
-from .stats import ConfidenceInterval, binomial_ci, inverse_q, q_function
+from .stats import binomial_ci, inverse_q, q_function
 
 if TYPE_CHECKING:
     from .context import OperatingPoint, SimulationContext
 
 __all__ = [
-    "DetectionOperatingPoint",
     "statistic_moments",
     "false_alarm_probability",
     "detection_probability",
@@ -49,20 +54,6 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 14
-
-
-@dataclass(frozen=True)
-class DetectionOperatingPoint:
-    """Closed-form and empirical rates at one threshold."""
-
-    kappa: float
-    pfa_analytic: float
-    pd_analytic: float
-    pfa_mc: float
-    pfa_ci: ConfidenceInterval
-    pd_mc: float
-    pd_ci: ConfidenceInterval
-    trials: int
 
 
 def statistic_moments(
@@ -93,18 +84,38 @@ def _statistic_std(mu1_abs: float, sigma2: float) -> float:
         raise ValueError("|mu1| = 0: the statistic is degenerate and the closed forms do not apply")
     if sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    return mu1_abs * np.sqrt(2.0 * sigma2)
+    return float(mu1_abs) * math.sqrt(2.0 * float(sigma2))
 
 
-def false_alarm_probability(mu1_abs: float, sigma2: float, kappa: float) -> float:
-    """P(T >= kappa | H0) = Q(kappa / (|mu_1| sqrt(2 sigma^2)))."""
-    return float(q_function(kappa / _statistic_std(mu1_abs, sigma2)))
+def _h1_shift(mu1_abs: float) -> float:
+    """2 |mu_1|^2: the mean of T under H1, and T_1 - T_0 on shared draws."""
+    return 2.0 * float(mu1_abs) ** 2
 
 
-def detection_probability(mu1_abs: float, sigma2: float, kappa: float) -> float:
-    """P(T >= kappa | H1) = Q((kappa - 2 |mu_1|^2) / (|mu_1| sqrt(2 sigma^2)))."""
+def _tail(excess: float | np.ndarray, mu1_abs: float, sigma2: float):
+    """Q(excess / (|mu_1| sqrt(2 sigma^2))) for a float or an array of excesses.
+
+    A ratio past the float range is +-inf and reads Q(+-inf) = 0 or 1 without
+    an overflow warning: a float divides as a Python float, which overflows
+    quietly, and an array under errstate.
+    """
     scale = _statistic_std(mu1_abs, sigma2)
-    return float(q_function((kappa - 2.0 * float(mu1_abs) ** 2) / scale))
+    if isinstance(excess, np.ndarray):
+        with np.errstate(over="ignore"):
+            return q_function(excess / scale)
+    return float(q_function(float(excess) / scale))
+
+
+def false_alarm_probability(mu1_abs: float, sigma2: float, kappa: float | np.ndarray):
+    """P(T >= kappa | H0) = Q(kappa / (|mu_1| sqrt(2 sigma^2))), at a float
+    threshold or at each of an array of them."""
+    return _tail(kappa, mu1_abs, sigma2)
+
+
+def detection_probability(mu1_abs: float, sigma2: float, kappa: float | np.ndarray):
+    """P(T >= kappa | H1) = Q((kappa - 2 |mu_1|^2) / (|mu_1| sqrt(2 sigma^2))),
+    at a float threshold or at each of an array of them."""
+    return _tail(kappa - _h1_shift(mu1_abs), mu1_abs, sigma2)
 
 
 def false_alarm_threshold(mu1_abs: float, sigma2: float, pfa_max: float) -> float:
@@ -130,64 +141,27 @@ def sample_test_statistics(
     """Monte Carlo draws (t_h0, t_h1) of T under H0 and H1 at one operating point.
 
     The point's frozen waveform x and receive beamformer w hold across all
-    trials, and T = 2 Re(y_s conj(mu_1)) uses the point's mu_1. Each block of
+    trials, and T = 2 Re(y_s conj(mu_1)) uses the point's mu_1. Both
+    hypotheses read one set of 2(L + 1) normals per trial (see the module
+    docstring), so t_h1 = t_h0 + 2 |mu_1|^2 trial by trial. Each block of
     trials uses a jumped copy of ``rng``'s bit generator, so results depend
     only on the stream state and trial index.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    n = ctx.n_antennas
-    a_t, x = ctx.target_steering, point.x
-    target_vec = ctx.alpha0 * a_t * np.dot(a_t, x)
-    clutter_vecs = ctx.clutter.echoes(x)
-    n_clutter = len(ctx.clutter.scale)
-    w_conj = point.w.conj()
-    mu_conj = np.conj(point.mu1)
+    w = point.w
+    coeffs = np.append(ctx.clutter.echoes(point.x) @ w.conj(), np.linalg.norm(w))
+    # T = 2 Re(y conj(mu_1)) with y = z . coeffs and z = (u + i v) / sqrt(2)
+    # is [u, v] . [Re d, -Im d] for d = sqrt(2) coeffs conj(mu_1)
+    d = np.sqrt(2.0) * coeffs * np.conj(point.mu1)
+    weights = np.concatenate([d.real, -d.imag])
     base = rng.bit_generator
-    t_out = [np.empty(trials), np.empty(trials)]
-    n_blocks = (trials + _BLOCK - 1) // _BLOCK
-    for hyp in (0, 1):
-        done = 0
-        for b in range(n_blocks):
-            m = min(_BLOCK, trials - done)
-            g = np.random.Generator(base.jumped(1 + 2 * b + hyp))
-            amps = (g.standard_normal((m, n_clutter)) + 1j * g.standard_normal((m, n_clutter))) / np.sqrt(2.0)
-            noise = (g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))) / np.sqrt(2.0)
-            s = amps @ clutter_vecs + noise
-            if hyp == 1:
-                s = s + target_vec[None, :]
-            y = s @ w_conj
-            t_out[hyp][done : done + m] = 2.0 * (y * mu_conj).real
-            done += m
-    return t_out[0], t_out[1]
-
-
-def _operating_point(
-    kappa: float,
-    t_h0: np.ndarray,
-    t_h1: np.ndarray,
-    mu1_abs: float,
-    sigma2: float,
-) -> DetectionOperatingPoint:
-    trials = len(t_h0)
-    n_fa = int(np.count_nonzero(t_h0 >= kappa))
-    n_d = int(np.count_nonzero(t_h1 >= kappa))
-    if mu1_abs > 0.0:
-        pfa_a = false_alarm_probability(mu1_abs, sigma2, kappa)
-        pd_a = detection_probability(mu1_abs, sigma2, kappa)
-    else:
-        pfa_a = float("nan")
-        pd_a = float("nan")
-    return DetectionOperatingPoint(
-        kappa=float(kappa),
-        pfa_analytic=pfa_a,
-        pd_analytic=pd_a,
-        pfa_mc=n_fa / trials,
-        pfa_ci=binomial_ci(n_fa, trials),
-        pd_mc=n_d / trials,
-        pd_ci=binomial_ci(n_d, trials),
-        trials=trials,
-    )
+    t_h0 = np.empty(trials)
+    for b, done in enumerate(range(0, trials, _BLOCK)):
+        m = min(_BLOCK, trials - done)
+        g = np.random.Generator(base.jumped(1 + b))
+        t_h0[done : done + m] = g.standard_normal((m, weights.size)) @ weights
+    return t_h0, t_h0 + _h1_shift(point.mu1_abs)
 
 
 def roc_sweep(
@@ -197,18 +171,37 @@ def roc_sweep(
     *,
     trials: int,
     rng: np.random.Generator,
-) -> list[DetectionOperatingPoint]:
-    """Operating points over a threshold grid, sorted by ascending kappa.
+) -> dict[str, np.ndarray]:
+    """Closed-form and Monte Carlo rates over a threshold grid, as arrays over
+    ascending kappa, keyed by the detection table's columns: kappa,
+    pfa_analytic, pd_analytic, pfa_mc, pfa_ci_lo, pfa_ci_hi, pd_mc, pd_ci_lo
+    and pd_ci_hi.
 
-    All thresholds share one set of Monte Carlo draws (common random numbers),
-    so a single-point grid gives exactly that threshold's point of any larger
-    grid on the same stream, and the empirical curves inherit the analytic
-    monotonicity in kappa.
+    All thresholds and both hypotheses share one set of Monte Carlo draws
+    (common random numbers), so a single-point grid gives exactly that
+    threshold's entries of any larger grid on the same stream, and the
+    empirical curves inherit the analytic monotonicity in kappa. T_0 is sorted
+    once; T_1 sorted is that plus 2 |mu_1|^2, and one binary search per rate
+    counts the trials at or above every threshold. The closed forms are NaN
+    where mu_1 = 0.
     """
     kappas = np.sort(np.asarray(kappa_grid, dtype=float))
     if kappas.size == 0:
         raise ValueError("kappa_grid must be non-empty")
     if not np.all(np.isfinite(kappas)):
         raise ValueError("kappa_grid must be finite")
-    t_h0, t_h1 = sample_test_statistics(ctx, point, trials=trials, rng=rng)
-    return [_operating_point(k, t_h0, t_h1, float(point.mu1_abs), float(point.sigma2)) for k in kappas]
+    t_h0, _ = sample_test_statistics(ctx, point, trials=trials, rng=rng)
+    sorted_h0 = np.sort(t_h0)
+    mu1_abs, sigma2 = float(point.mu1_abs), float(point.sigma2)
+    curve = {"kappa": kappas}
+    for rate, closed_form, sorted_t in (
+        ("pfa", false_alarm_probability, sorted_h0),
+        ("pd", detection_probability, sorted_h0 + _h1_shift(mu1_abs)),
+    ):
+        curve[f"{rate}_analytic"] = (
+            closed_form(mu1_abs, sigma2, kappas) if mu1_abs > 0.0 else np.full(kappas.shape, np.nan)
+        )
+        hits = trials - np.searchsorted(sorted_t, kappas, side="left")
+        curve[f"{rate}_mc"] = hits / trials
+        curve[f"{rate}_ci_lo"], curve[f"{rate}_ci_hi"] = binomial_ci(hits, trials)
+    return curve

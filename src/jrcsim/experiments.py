@@ -286,6 +286,44 @@ def _auto_kappa_max(cells) -> float:
     )
 
 
+def _detection_rows(cell: _DetectionCell, curve: dict, trials: int) -> list[dict]:
+    """One detection_sweep row per threshold of a cell's roc_sweep arrays."""
+    shared = {"power_dbm": cell.power_dbm, "clutter": cell.level, "trials": trials}
+    return [
+        _make_row(DETECTION_COLUMNS, {**shared, **{name: column[i] for name, column in curve.items()}})
+        for i in range(curve["kappa"].size)
+    ]
+
+
+def _validation_rows(cell: _DetectionCell, curve: dict, trials: int) -> list[dict]:
+    """Two validate rows (pfa, pd) per threshold of a cell's roc_sweep arrays:
+    the closed form against the Monte Carlo rate, checked within three
+    binomial standard errors where the rate is resolvable."""
+    rows = []
+    for metric in ("pfa", "pd"):
+        analytic, mc = curve[f"{metric}_analytic"], curve[f"{metric}_mc"]
+        tol_3se = 3.0 * np.sqrt(analytic * (1.0 - analytic) / trials)
+        checked = (_CHECK_BAND <= analytic) & (analytic <= 1.0 - _CHECK_BAND)
+        abs_err = np.abs(analytic - mc)
+        ok = ~checked | (abs_err <= tol_3se)
+        for i, kappa in enumerate(curve["kappa"]):
+            rows.append(_make_row(VALIDATE_COLUMNS, {
+                "power_dbm": cell.power_dbm,
+                "clutter": cell.level,
+                "kappa": kappa,
+                "metric": metric,
+                "analytic": analytic[i],
+                "mc": mc[i],
+                "ci_lo": curve[f"{metric}_ci_lo"][i],
+                "ci_hi": curve[f"{metric}_ci_hi"][i],
+                "abs_err": abs_err[i],
+                "tol_3se": tol_3se[i],
+                "checked": checked[i],
+                "ok": ok[i],
+            }))
+    return rows
+
+
 def run_detection_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
     """Operating curves on one shared threshold grid across powers and levels."""
     prov = _provenance(scenario)
@@ -297,22 +335,8 @@ def run_detection_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
     rows = []
     for idx, cell in enumerate(cells):
         rng = derive_stream(scenario.seed, stream_id(KIND_DETECTION, idx))
-        points = roc_sweep(cell.ctx, cell.point, kappas, trials=det.trials, rng=rng)
-        for op in points:
-            rows.append(_make_row(DETECTION_COLUMNS, {
-                "kappa": op.kappa,
-                "power_dbm": cell.power_dbm,
-                "clutter": cell.level,
-                "pfa_analytic": op.pfa_analytic,
-                "pd_analytic": op.pd_analytic,
-                "pfa_mc": op.pfa_mc,
-                "pfa_ci_lo": op.pfa_ci.lo,
-                "pfa_ci_hi": op.pfa_ci.hi,
-                "pd_mc": op.pd_mc,
-                "pd_ci_lo": op.pd_ci.lo,
-                "pd_ci_hi": op.pd_ci.hi,
-                "trials": op.trials,
-            }))
+        curve = roc_sweep(cell.ctx, cell.point, kappas, trials=det.trials, rng=rng)
+        rows.extend(_detection_rows(cell, curve, det.trials))
     rows.sort(key=lambda r: (r["kappa"], r["power_dbm"], r["clutter"]))
     return [SweepTable("detection_sweep", DETECTION_COLUMNS, tuple(rows), prov)]
 
@@ -371,29 +395,8 @@ def run_validation(scenario: ScenarioConfig) -> list[SweepTable]:
         kappa_max = det.kappa_max if det.kappa_max is not None else _auto_kappa_max([cell])
         kappas = np.linspace(det.kappa_min, kappa_max, det.kappa_points)
         rng = derive_stream(scenario.seed, stream_id(KIND_VALIDATE, idx))
-        points = roc_sweep(cell.ctx, cell.point, kappas, trials=det.trials, rng=rng)
-        for op in points:
-            for metric, analytic, mc, ci in (
-                ("pfa", op.pfa_analytic, op.pfa_mc, op.pfa_ci),
-                ("pd", op.pd_analytic, op.pd_mc, op.pd_ci),
-            ):
-                se = float(np.sqrt(analytic * (1.0 - analytic) / op.trials))
-                checked = _CHECK_BAND <= analytic <= 1.0 - _CHECK_BAND
-                abs_err = abs(analytic - mc)
-                rows.append(_make_row(VALIDATE_COLUMNS, {
-                    "power_dbm": cell.power_dbm,
-                    "clutter": cell.level,
-                    "kappa": op.kappa,
-                    "metric": metric,
-                    "analytic": analytic,
-                    "mc": mc,
-                    "ci_lo": ci.lo,
-                    "ci_hi": ci.hi,
-                    "abs_err": abs_err,
-                    "tol_3se": 3.0 * se,
-                    "checked": checked,
-                    "ok": (not checked) or abs_err <= 3.0 * se,
-                }))
+        curve = roc_sweep(cell.ctx, cell.point, kappas, trials=det.trials, rng=rng)
+        rows.extend(_validation_rows(cell, curve, det.trials))
     rows.sort(key=lambda r: (r["power_dbm"], r["clutter"], r["kappa"], r["metric"]))
     return [SweepTable("validate", VALIDATE_COLUMNS, tuple(rows), prov)]
 

@@ -3,14 +3,13 @@ derivation, and the 9-significant-digit grid every emitted float sits on."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from decimal import ROUND_CEILING, Decimal
 
 import numpy as np
 import scipy.special
 
 __all__ = [
-    "ConfidenceInterval",
     "q_function",
     "inverse_q",
     "binomial_ci",
@@ -21,27 +20,16 @@ __all__ = [
 ]
 
 _TWO64 = 1 << 64
-
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    """Two-sided confidence interval for a probability estimate."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lo <= self.hi <= 1.0:
-            raise ValueError(f"interval [{self.lo}, {self.hi}] is not ordered within [0, 1]")
+_SQRT2 = math.sqrt(2.0)
 
 
 def q_function(x):
     """Upper tail probability Q(x) of the standard normal distribution.
 
     Computed as erfc(x / sqrt(2)) / 2, which stays accurate deep into the tail.
-    Accepts scalars or arrays.
+    Accepts a float or an array.
     """
-    return 0.5 * scipy.special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    return 0.5 * scipy.special.erfc(x / _SQRT2)
 
 
 def inverse_q(p: float) -> float:
@@ -57,15 +45,18 @@ def inverse_q(p: float) -> float:
 _Z95 = inverse_q((1.0 - 0.95) / 2.0)
 
 
-def binomial_ci(successes: int, trials: int) -> ConfidenceInterval:
-    """Wilson score interval at 95 % confidence for a binomial proportion.
+def binomial_ci(successes, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wilson score interval (lo, hi) at 95 % confidence for binomial
+    proportions: one success count or an array of them, out of ``trials``.
 
-    The Wilson interval stays inside [0, 1] by construction and collapses to a
-    point only at (0, n) low edge / (n, n) high edge.
+    The Wilson interval stays inside [0, 1] and always holds the estimate
+    k / n: its low edge is 0 exactly at k = 0 and its high edge 1 exactly at
+    k = n, where the formula leaves a rounding residue.
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
-    if not 0 <= successes <= trials:
+    successes = np.asarray(successes)
+    if not np.all((0 <= successes) & (successes <= trials)):
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
     z = _Z95
     n = float(trials)
@@ -73,9 +64,9 @@ def binomial_ci(successes: int, trials: int) -> ConfidenceInterval:
     denom = 1.0 + z * z / n
     centre = (phat + z * z / (2.0 * n)) / denom
     half = z * np.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
-    lo = max(0.0, centre - half)
-    hi = min(1.0, centre + half)
-    return ConfidenceInterval(lo=lo, hi=hi)
+    lo = np.where(successes == 0, 0.0, np.maximum(0.0, centre - half))
+    hi = np.where(successes == trials, 1.0, np.minimum(1.0, centre + half))
+    return lo, hi
 
 
 def derive_stream(master_seed: int, stream_id: int) -> np.random.Generator:

@@ -190,7 +190,7 @@ class TestAcceptance:
 
         unit_rx = transmit_covariance(dense.beams_at(1.0, rho))
         a = dense.target_steering
-        limit_cov = np.zeros((dense.n_antennas, dense.n_antennas), dtype=complex)
+        limit_cov = np.zeros((dense.array.n_antennas, dense.array.n_antennas), dtype=complex)
         for a_l, sigma_l in zip(dense.clutter.matrix.T, dense.clutter.scale):
             gain = np.vdot(np.conj(a_l), unit_rx @ np.conj(a_l)).real
             limit_cov += sigma_l**2 * gain * np.outer(a_l, a_l.conj())

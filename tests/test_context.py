@@ -82,7 +82,7 @@ class TestBuildContext:
 
     def test_cell_overrides_change_the_array(self, default_scenario):
         ctx = build_context(default_scenario, n_antennas=10, carrier_ghz=2.8)
-        assert ctx.n_antennas == 10
+        assert ctx.array.n_antennas == 10
         assert ctx.array.carrier_freq == pytest.approx(2.8e9)
         assert ctx.array.spacing == pytest.approx(ctx.array.wavelength / 2.0, rel=1e-12)
         assert len(ctx.target_steering) == 10
@@ -90,7 +90,7 @@ class TestBuildContext:
     def test_no_clutter_override(self, default_scenario):
         sc = dataclasses.replace(default_scenario, clutter=dataclasses.replace(default_scenario.clutter, count=0))
         ctx = build_context(sc)
-        assert ctx.clutter.matrix.shape == (ctx.n_antennas, 0)
+        assert ctx.clutter.matrix.shape == (ctx.array.n_antennas, 0)
         assert ctx.clutter.scale.shape == (0,)
 
     def test_reflectivity_follows_the_two_way_law(self, default_scenario):
@@ -123,14 +123,14 @@ class TestBeamsAndWaveform:
         # one such pair per split
         ctx = default_context
         beams = ctx.beams_at(4.0, 0.25)
-        assert beams.shape == (2, ctx.n_antennas)
+        assert beams.shape == (2, ctx.array.n_antennas)
         assert beams[0] == pytest.approx(np.sqrt(3.0) * ctx.comm_direction, rel=1e-12)
         assert beams[1] == pytest.approx(1.0 * ctx.radar_direction, rel=1e-12)
         assert ctx.comm_direction == pytest.approx(np.conj(ctx.h_sd) / np.linalg.norm(ctx.h_sd), rel=1e-12)
         a = ctx.target_steering
         assert ctx.radar_direction == pytest.approx(np.conj(a) / np.linalg.norm(a), rel=1e-12)
         stacked = ctx.beams_at(4.0, np.array([0.0, 0.25]))
-        assert stacked.shape == (2, 2, ctx.n_antennas)
+        assert stacked.shape == (2, 2, ctx.array.n_antennas)
         assert np.array_equal(stacked[1], beams)
 
     def test_rejects_bad_split_arguments(self, default_context):
@@ -149,7 +149,7 @@ class TestBeamsAndWaveform:
 
     def test_zero_power_gives_zero_beams(self, default_context):
         beams = default_context.beams_at(0.0, 0.5)
-        assert beams.shape == (2, default_context.n_antennas)
+        assert beams.shape == (2, default_context.array.n_antennas)
         assert not np.any(beams)
 
     def test_waveform_is_the_fixed_symbol_combination(self, default_context):

@@ -8,6 +8,7 @@ and the empirical rates against three-binomial-standard-error bands.
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,13 @@ from jrcsim.detection import (
     roc_sweep,
     sample_test_statistics,
     statistic_moments,
+)
+from jrcsim.experiments import (
+    _detection_rows,
+    _DetectionCell,
+    _validation_rows,
+    run_detection_sweep,
+    run_validation,
 )
 from jrcsim.scenario import ScenarioConfig, dbm_to_watts
 from jrcsim.stats import inverse_q
@@ -133,6 +141,20 @@ class TestClosedForms:
         assert false_alarm_probability(*self.PARAMS, high) == pytest.approx(0.0, abs=1e-12)
         assert detection_probability(*self.PARAMS, high) == pytest.approx(0.0, abs=1e-12)
 
+    def test_thresholds_past_the_float_range_read_the_limits_quietly(self):
+        # kappa / (|mu_1| sqrt(2 sigma^2)) overflows to +-inf; Q(+-inf) is the
+        # right limit, on the float path and the array path alike, and
+        # neither may warn
+        tiny = (1e-160, 1e-160)
+        kappas = np.array([-1e300, -1e-200, 1e-200, 1e300])
+        expected = [1.0, 1.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for closed_form in (false_alarm_probability, detection_probability):
+                assert [closed_form(*tiny, float(k)) for k in kappas] == expected
+                assert [closed_form(*tiny, k) for k in kappas] == expected
+                assert list(closed_form(*tiny, kappas)) == expected
+
     def test_detection_dominates_false_alarm(self):
         # the H1 mean shift 2|mu_1|^2 > 0 moves mass above any threshold
         for kappa in np.linspace(-30.0, 30.0, 41):
@@ -202,6 +224,40 @@ class TestSampledStatistics:
         assert float(np.var(t_h0)) == pytest.approx(var_expected, rel=0.03)
         assert float(np.var(t_h1)) == pytest.approx(var_expected, rel=0.03)
 
+    def test_h1_is_h0_shifted_by_twice_signal_energy(self):
+        # both hypotheses read one set of draws and the target echo is
+        # deterministic, so trial by trial T_1 = T_0 + 2|mu_1|^2
+        run = cell(0.8)
+        t_h0, t_h1 = run.sample(50_000, seed=30)
+        shift = 2.0 * abs(complex(run.point.mu1)) ** 2
+        assert shift > 1.0
+        assert np.array_equal(t_h1, t_h0 + shift)
+
+    def test_noise_only_variance_carries_the_beamformer_norm(self):
+        # without clutter, w^H n ~ CN(0, ||w||^2), so var T = 2|mu_1|^2 ||w||^2;
+        # ||w||^2 is far from 1 here, so a unit-scale noise draw misses by far
+        run = cell(0.0)
+        w_norm2 = float(np.vdot(run.point.w, run.point.w).real)
+        assert w_norm2 > 10.0
+        mu1_abs, sigma2 = run.params
+        assert sigma2 == pytest.approx(w_norm2, rel=1e-12)
+        t_h0, _ = run.sample(200_000, seed=31)
+        assert float(np.var(t_h0)) == pytest.approx(2.0 * mu1_abs**2 * w_norm2, rel=0.015)
+
+    def test_every_scatterer_adds_its_own_variance(self):
+        # steering w at each scatterer in turn gives that scatterer a large
+        # share of sigma^2 (at least 9 % here), so the sampled variance only
+        # matches 2|mu_1|^2 sigma^2 if every scatterer has its own amplitude
+        run = cell(0.8)
+        ctx = run.ctx
+        for l, a_l in enumerate(ctx.clutter.matrix.T):
+            mu1, sigma2 = statistic_moments(a_l, ctx.alpha0, ctx.target_steering, ctx.clutter, run.point.x)
+            share = abs(np.vdot(a_l, ctx.clutter.echoes(run.point.x)[l])) ** 2 / sigma2
+            assert share > 0.05
+            steered = dataclasses.replace(run.point, w=a_l, mu1=mu1, sigma2=sigma2)
+            t_h0, _ = run.sample(200_000, seed=32 + l, point=steered)
+            assert float(np.var(t_h0)) == pytest.approx(2.0 * abs(mu1) ** 2 * sigma2, rel=0.015)
+
     def test_null_statistic_is_symmetric_and_light_tailed(self):
         # T is linear in the Gaussian clutter amplitudes and noise, so the
         # standardized null sample should show no skew
@@ -269,10 +325,9 @@ class TestSimulatedRates:
         checked = 0
         for sigma in (0.1, 0.8):
             run = cell(sigma)
-            kappas = self.probe_thresholds(run.params)
-            points = run.sweep(kappas, trials, seed=20)
-            for pt in points:
-                for analytic, empirical in ((pt.pfa_analytic, pt.pfa_mc), (pt.pd_analytic, pt.pd_mc)):
+            curve = run.sweep(self.probe_thresholds(run.params), trials, seed=20)
+            for rate in ("pfa", "pd"):
+                for analytic, empirical in zip(curve[f"{rate}_analytic"], curve[f"{rate}_mc"]):
                     if not 1e-3 <= analytic <= 1.0 - 1e-3:
                         continue
                     se = math.sqrt(analytic * (1.0 - analytic) / trials)
@@ -283,17 +338,15 @@ class TestSimulatedRates:
     def test_intervals_bracket_estimates_with_binomial_width(self):
         trials = 100_000
         run = cell(0.8)
-        points = run.sweep(self.probe_thresholds(run.params), trials, seed=21)
-        for pt in points:
-            assert pt.trials == trials
-            for analytic, empirical, ci in (
-                (pt.pfa_analytic, pt.pfa_mc, pt.pfa_ci),
-                (pt.pd_analytic, pt.pd_mc, pt.pd_ci),
+        curve = run.sweep(self.probe_thresholds(run.params), trials, seed=21)
+        for rate in ("pfa", "pd"):
+            for analytic, empirical, lo, hi in zip(
+                *(curve[f"{rate}_{column}"] for column in ("analytic", "mc", "ci_lo", "ci_hi"))
             ):
-                assert ci.lo <= empirical <= ci.hi
+                assert lo <= empirical <= hi
                 if 1e-3 <= analytic <= 1.0 - 1e-3:
                     expected_width = 2.0 * 1.959963984540054 * math.sqrt(empirical * (1.0 - empirical) / trials)
-                    assert ci.hi - ci.lo == pytest.approx(expected_width, rel=0.05)
+                    assert hi - lo == pytest.approx(expected_width, rel=0.05)
 
     def test_interval_coverage_over_independent_replicates(self):
         # a 95% interval should cover the closed-form rate about 95% of the
@@ -309,10 +362,9 @@ class TestSimulatedRates:
         covered_fa = 0
         covered_d = 0
         for rep in range(replicates):
-            points = run.sweep([kappa_fa, kappa_d], 2000, seed=1000 + rep)
-            low, high = points
-            covered_fa += int(low.pfa_ci.lo <= low.pfa_analytic <= low.pfa_ci.hi)
-            covered_d += int(high.pd_ci.lo <= high.pd_analytic <= high.pd_ci.hi)
+            c = run.sweep([kappa_fa, kappa_d], 2000, seed=1000 + rep)
+            covered_fa += int(c["pfa_ci_lo"][0] <= c["pfa_analytic"][0] <= c["pfa_ci_hi"][0])
+            covered_d += int(c["pd_ci_lo"][1] <= c["pd_analytic"][1] <= c["pd_ci_hi"][1])
         assert covered_fa >= 0.88 * replicates
         assert covered_d >= 0.88 * replicates
         assert covered_fa < replicates or covered_d < replicates
@@ -320,37 +372,46 @@ class TestSimulatedRates:
     def test_repeat_runs_are_identical(self):
         run = cell(0.1)
         kappa = run.params[0] ** 2
-        (first,) = run.sweep([kappa], 20_000, seed=22)
-        (second,) = run.sweep([kappa], 20_000, seed=22)
-        assert first == second
-        (third,) = run.sweep([kappa], 20_000, seed=23)
-        assert (third.pfa_mc, third.pd_mc) != (first.pfa_mc, first.pd_mc)
+        first = run.sweep([kappa], 20_000, seed=22)
+        second = run.sweep([kappa], 20_000, seed=22)
+        assert first.keys() == second.keys()
+        assert all(np.array_equal(first[k], second[k]) for k in first)
+        third = run.sweep([kappa], 20_000, seed=23)
+        assert (third["pfa_mc"], third["pd_mc"]) != (first["pfa_mc"], first["pd_mc"])
 
     def test_single_point_sweep_equals_direct_simulation(self):
         run = cell(0.8)
         # one threshold applied by hand to the sampled statistic, and the same
         # threshold inside a larger grid on the same stream
         kappa = 0.5 * run.params[0] ** 2
-        (swept,) = run.sweep([kappa], 20_000, seed=24)
+        swept = run.sweep([kappa], 20_000, seed=24)
         t_h0, t_h1 = run.sample(20_000, seed=24)
-        assert (swept.pfa_mc, swept.pd_mc) == (np.mean(t_h0 >= kappa), np.mean(t_h1 >= kappa))
-        assert run.sweep([-kappa, kappa, 3.0 * kappa], 20_000, seed=24)[1] == swept
+        assert (swept["pfa_mc"][0], swept["pd_mc"][0]) == (np.mean(t_h0 >= kappa), np.mean(t_h1 >= kappa))
+        wider = run.sweep([-kappa, kappa, 3.0 * kappa], 20_000, seed=24)
+        assert swept.keys() == wider.keys()
+        assert all(wider[k][1] == swept[k][0] for k in swept)
 
     def test_shared_draws_give_monotone_sorted_curves(self):
         run = cell(0.8)
         mu_sq = run.params[0] ** 2
         grid = np.linspace(-0.5 * mu_sq, 3.0 * mu_sq, 15)
         shuffled = np.random.default_rng(25).permutation(grid)
-        points = run.sweep(shuffled, 20_000, seed=26)
-        kappas = [pt.kappa for pt in points]
+        curve = run.sweep(shuffled, 20_000, seed=26)
+        kappas = list(curve["kappa"])
         assert kappas == sorted(kappas)
         assert kappas == pytest.approx(list(grid))
-        pfa = [pt.pfa_mc for pt in points]
-        pd = [pt.pd_mc for pt in points]
-        assert np.all(np.diff(pfa) <= 0.0)
-        assert np.all(np.diff(pd) <= 0.0)
-        for pt in points:
-            assert pt.pd_mc >= pt.pfa_mc
+        assert np.all(np.diff(curve["pfa_mc"]) <= 0.0)
+        assert np.all(np.diff(curve["pd_mc"]) <= 0.0)
+        assert np.all(curve["pd_mc"] >= curve["pfa_mc"])
+
+    def test_closed_forms_are_the_scalar_closed_forms(self):
+        # the kappa arrays hold, entry by entry, the bits of the scalar calls
+        run = cell(0.8)
+        mu_sq = run.params[0] ** 2
+        curve = run.sweep(np.linspace(-mu_sq, 4.0 * mu_sq, 11), 1_000, seed=29)
+        for kappa, pfa, pd in zip(curve["kappa"], curve["pfa_analytic"], curve["pd_analytic"]):
+            assert pfa == false_alarm_probability(*run.params, kappa)
+            assert pd == detection_probability(*run.params, kappa)
 
     def test_sweep_rejects_bad_grids(self):
         run = cell(0.1)
@@ -361,11 +422,89 @@ class TestSimulatedRates:
     def test_absent_target_reports_nan_closed_forms(self):
         silent = dataclasses.replace(cell(0.1).ctx, alpha0=0.0 + 0.0j)
         silent_point = silent.operating_point(dbm_to_watts(30.0), 0.5)
-        (point,) = roc_sweep(silent, silent_point, [0.0], trials=20_000, rng=np.random.default_rng(28))
-        assert math.isnan(point.pfa_analytic)
-        assert math.isnan(point.pd_analytic)
-        assert 0.0 <= point.pfa_mc <= 1.0
-        assert 0.0 <= point.pd_mc <= 1.0
+        curve = roc_sweep(silent, silent_point, [0.0], trials=20_000, rng=np.random.default_rng(28))
+        assert math.isnan(curve["pfa_analytic"][0])
+        assert math.isnan(curve["pd_analytic"][0])
+        assert 0.0 <= curve["pfa_mc"][0] <= 1.0
+        assert 0.0 <= curve["pd_mc"][0] <= 1.0
+
+
+def degenerate_cell(name):
+    """A detection cell at 30 dBm on a scene at the edge of the model."""
+    scenario = ScenarioConfig()
+    if name == "no clutter":
+        scenario = dataclasses.replace(scenario, clutter=dataclasses.replace(scenario.clutter, count=0))
+    elif name == "one antenna":
+        scenario = dataclasses.replace(scenario, array=dataclasses.replace(scenario.array, n_antennas=1))
+    ctx = build_context(scenario)
+    if name == "absent target":
+        ctx = dataclasses.replace(ctx, alpha0=0.0 + 0.0j)
+    return _DetectionCell("intense", 30.0, ctx, ctx.operating_point(dbm_to_watts(30.0), scenario.power.rho))
+
+
+class TestDegenerateCells:
+    TRIALS = 5_000
+
+    @pytest.mark.parametrize("name", ["no clutter", "one antenna", "absent target"])
+    def test_finite_counts_valid_intervals_and_one_row_for_both_tables(self, name):
+        c = degenerate_cell(name)
+        assert c.ctx.clutter.matrix.shape == (c.ctx.array.n_antennas, 0 if name == "no clutter" else 3)
+        assert c.ctx.array.n_antennas == (1 if name == "one antenna" else 5)
+        live = name != "absent target"
+        scale = float(c.point.mu1_abs) * math.sqrt(2.0 * float(c.point.sigma2)) if live else 1.0
+        kappas = np.linspace(-3.0 * scale, 2.0 * float(c.point.mu1_abs) ** 2 + 3.0 * scale, 9)
+        kappas = np.unique(np.append(kappas, [0.0, 1e-300]))
+        curve = roc_sweep(c.ctx, c.point, kappas, trials=self.TRIALS, rng=np.random.default_rng(40))
+        for rate in ("pfa", "pd"):
+            hits = curve[f"{rate}_mc"] * self.TRIALS
+            assert np.all(np.isfinite(hits)) and np.allclose(hits, np.round(hits), rtol=0.0, atol=1e-9)
+            assert np.all((0.0 <= curve[f"{rate}_ci_lo"]) & (curve[f"{rate}_ci_lo"] <= curve[f"{rate}_mc"]))
+            assert np.all((curve[f"{rate}_mc"] <= curve[f"{rate}_ci_hi"]) & (curve[f"{rate}_ci_hi"] <= 1.0))
+            assert np.all(np.isfinite(curve[f"{rate}_analytic"])) == live
+        if not live:
+            # mu_1 = 0 gives T = 0 in every trial: both rates are 1 up to
+            # kappa = 0 and 0 above it, and the closed forms do not apply
+            expected = (curve["kappa"] <= 0.0).astype(float)
+            assert np.array_equal(curve["pfa_mc"], expected)
+            assert np.array_equal(curve["pd_mc"], expected)
+        # the detection-sweep row and the validate rows of one threshold
+        # report the same numbers
+        detection = _detection_rows(c, curve, self.TRIALS)
+        validate = {(r["kappa"], r["metric"]): r for r in _validation_rows(c, curve, self.TRIALS)}
+        assert len(detection) == kappas.size and len(validate) == 2 * kappas.size
+        for row in detection:
+            assert row["trials"] == self.TRIALS
+            for rate in ("pfa", "pd"):
+                other = validate[(row["kappa"], rate)]
+                got = (row[f"{rate}_mc"], row[f"{rate}_ci_lo"], row[f"{rate}_ci_hi"])
+                assert got == (other["mc"], other["ci_lo"], other["ci_hi"])
+                if live:
+                    assert row[f"{rate}_analytic"] == other["analytic"]
+                else:
+                    assert math.isnan(row[f"{rate}_analytic"]) and math.isnan(other["analytic"])
+                    assert other["checked"] is False and other["ok"] is True
+
+    @pytest.mark.parametrize("section,field,value", [("clutter", "count", 0), ("array", "n_antennas", 1)])
+    def test_both_commands_agree_on_a_shared_grid(self, section, field, value):
+        base = ScenarioConfig()
+        scenario = dataclasses.replace(
+            base,
+            **{section: dataclasses.replace(getattr(base, section), **{field: value})},
+            detection=dataclasses.replace(base.detection, trials=2_000, kappa_min=-5.0, kappa_max=50.0, kappa_points=7),
+        )
+        (sweep,) = run_detection_sweep(scenario)
+        (report,) = run_validation(scenario)
+        assert len(report.rows) == 2 * len(sweep.rows) == 2 * 2 * 2 * 7
+        validate = {(r["power_dbm"], r["clutter"], r["kappa"], r["metric"]): r for r in report.rows}
+        for row in sweep.rows:
+            for rate in ("pfa", "pd"):
+                other = validate[(row["power_dbm"], row["clutter"], row["kappa"], rate)]
+                assert math.isfinite(row[f"{rate}_analytic"])
+                assert row[f"{rate}_analytic"] == other["analytic"]
+                for r, mc, lo, hi in ((row, f"{rate}_mc", f"{rate}_ci_lo", f"{rate}_ci_hi"), (other, "mc", "ci_lo", "ci_hi")):
+                    assert 0.0 <= r[lo] <= r[mc] <= r[hi] <= 1.0
+                    assert r[mc] * 2_000 == pytest.approx(round(r[mc] * 2_000), rel=0.0, abs=1e-9)
+        assert all(r["ok"] for r in report.rows)
 
 
 class TestOperatingOrderings:

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from jrcsim.stats import (
-    ConfidenceInterval,
     binomial_ci,
     derive_stream,
     inverse_q,
@@ -99,27 +98,40 @@ class TestBinomialCI:
     def test_matches_wilson_formula(self):
         z = 1.959963984540054  # two-sided 95% normal quantile
         for k, n in ((0, 100), (1, 100), (50, 100), (99, 100), (100, 100), (7, 22)):
-            ci = binomial_ci(k, n)
+            ci_lo, ci_hi = binomial_ci(k, n)
             lo, hi = wilson_oracle(k, n, z)
-            assert ci.lo == pytest.approx(max(0.0, lo), abs=1e-12)
-            assert ci.hi == pytest.approx(min(1.0, hi), abs=1e-12)
+            assert ci_lo == pytest.approx(max(0.0, lo), abs=1e-12)
+            assert ci_hi == pytest.approx(min(1.0, hi), abs=1e-12)
 
     def test_bounds_and_coverage_of_point_estimate(self):
         for k, n in ((0, 10), (3, 10), (10, 10), (500, 1000)):
-            ci = binomial_ci(k, n)
-            assert 0.0 <= ci.lo <= k / n <= ci.hi <= 1.0
+            lo, hi = binomial_ci(k, n)
+            assert 0.0 <= lo <= k / n <= hi <= 1.0
 
     def test_half_successes_symmetric(self):
-        ci = binomial_ci(5000, 10000)
-        assert ci.lo + ci.hi == pytest.approx(1.0, abs=1e-12)
+        lo, hi = binomial_ci(5000, 10000)
+        assert lo + hi == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_edges(self):
-        assert binomial_ci(0, 100).lo == 0.0
-        assert binomial_ci(100, 100).hi == 1.0
+        assert binomial_ci(0, 100)[0] == 0.0
+        assert binomial_ci(100, 100)[1] == 1.0
+
+    def test_edges_hold_the_estimate_exactly(self):
+        # at k = 0 and k = n the formula leaves a rounding residue for about
+        # half of all n (lo = 1.1e-19 at 0 of 2,000); the interval still
+        # holds the estimate 0 or 1
+        for trials in range(1, 3001):
+            assert binomial_ci(0, trials)[0] == 0.0
+            assert binomial_ci(trials, trials)[1] == 1.0
 
     def test_interval_type(self):
-        ci = binomial_ci(3, 10)
-        assert isinstance(ci, ConfidenceInterval)
+        # an array of counts gives arrays of bounds, each entry bit for bit
+        # the interval of that count alone
+        counts = np.array([0, 3, 7, 10])
+        lo, hi = binomial_ci(counts, 10)
+        assert lo.shape == hi.shape == counts.shape
+        for k, k_lo, k_hi in zip(counts, lo, hi):
+            assert (k_lo, k_hi) == binomial_ci(int(k), 10)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -128,6 +140,8 @@ class TestBinomialCI:
             binomial_ci(11, 10)
         with pytest.raises(ValueError):
             binomial_ci(0, 0)
+        with pytest.raises(ValueError):
+            binomial_ci(np.array([0, 11]), 10)
 
 
 class TestDeriveStream:
