@@ -45,7 +45,6 @@ if TYPE_CHECKING:
     from .context import OperatingPoint, SimulationContext
 
 __all__ = [
-    "statistic_moments",
     "false_alarm_probability",
     "detection_probability",
     "false_alarm_threshold",

@@ -9,16 +9,19 @@ power, plus the optimizer certificate), run_optimize (the certificate alone)
 and run_validation (analytic-versus-Monte-Carlo agreement report).
 emit_outputs writes them where and as scenario.output says.
 
-Every float is canonicalized to 9 significant digits before it enters a
-record, so CSV and JSON emissions carry identical values and reruns with the
-same configuration and seed are byte-identical. Rows are sorted by their
-independent variables, never by completion order.
+Every runner hands its results to one table builder as blocks of whole
+columns, each one value shared by its rows or one entry per row. The builder
+gives every value its column's Python kind, with floats canonicalized to 9
+significant digits, so CSV and JSON emissions carry identical values and reruns
+with the same configuration and seed are byte-identical. Rows are sorted
+stably by their independent variables, never by completion order.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -27,17 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .context import (
-    KIND_DETECTION,
-    KIND_VALIDATE,
-    OperatingPoint,
-    SimulationContext,
-    build_context,
-    stream_id,
-)
+from .context import KIND_DETECTION, KIND_VALIDATE, build_context, stream_id
 from .detection import roc_sweep
 from .power_allocation import (
-    ConstraintTargets,
     OptimizationResult,
     minimize_power,
     tradeoff_sweep,
@@ -153,25 +148,33 @@ class SweepTable:
     provenance: dict
 
 
-def _make_row(columns, values: dict) -> dict:
-    row = {}
-    for name, kind in columns:
-        value = values[name]
-        if value is None:
-            row[name] = None
-        elif kind is float:
-            row[name] = canonical_float(value)
-        elif kind is int:
-            row[name] = int(value)
-        elif kind is bool:
-            row[name] = bool(value)
-        else:
-            row[name] = str(value)
-    return row
+def _canonical(kind: type, value):
+    if value is None:
+        return None
+    return canonical_float(value) if kind is float else kind(value)
 
 
-def _provenance(scenario: ScenarioConfig) -> dict:
-    return {"seed": scenario.seed, "config_hash": config_hash(scenario)}
+def _table(name: str, columns, scenario: ScenarioConfig, blocks, order) -> SweepTable:
+    """One emitted table from blocks of whole columns.
+
+    A block maps each column to one value shared by all of its rows or to a
+    sequence with one entry per row. Every value is canonicalized by its
+    column's kind (None stays empty), rows keep block order, and they are then
+    sorted stably by the `order` columns.
+    """
+    names = [column for column, _ in columns]
+    rows = []
+    for block in blocks:
+        values = [block[column] for column in names]
+        n = max((len(v) for v in values if np.ndim(v)), default=1)
+        cells = [
+            [_canonical(kind, v) for v in value] if np.ndim(value) else [_canonical(kind, value)] * n
+            for (_, kind), value in zip(columns, values)
+        ]
+        rows.extend(dict(zip(names, row)) for row in zip(*cells, strict=True))
+    rows.sort(key=lambda row: [row[column] for column in order])
+    provenance = {"seed": scenario.seed, "config_hash": config_hash(scenario)}
+    return SweepTable(name, columns, tuple(rows), provenance)
 
 
 def _resolved_spread(std: float, mean: float) -> float:
@@ -210,135 +213,113 @@ def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: in
 
 def run_scnr_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
     """SCNR versus power per (antennas, carrier, clutter) cell, plus summary."""
-    prov = _provenance(scenario)
     powers_dbm = scenario.power_grid_dbm()
     powers_w = np.array([dbm_to_watts(p) for p in powers_dbm])
     realizations = scenario.sweep.realizations
 
-    rows = []
-    cell_means: dict[tuple[float, int, str], float] = {}
-    pair_index = 0
-    for n in scenario.sweep.antennas:
-        for f_ghz in scenario.sweep.carriers_ghz:
-            for level, scnr in _level_curves(scenario, n, f_ghz, pair_index, powers_w):
-                db = 10.0 * np.log10(scnr)
-                for j, p_dbm in enumerate(powers_dbm):
-                    mean = float(np.mean(db[:, j]))
-                    std = float(np.std(db[:, j], ddof=1)) if realizations > 1 else 0.0
-                    rows.append(_make_row(SCNR_SWEEP_COLUMNS, {
-                        "power_dbm": p_dbm,
-                        "n_antennas": n,
-                        "carrier_ghz": f_ghz,
-                        "clutter": level,
-                        "scnr_db_mean": mean,
-                        "scnr_db_std": _resolved_spread(std, mean),
-                        "realizations": realizations,
-                    }))
-                cell_means[(f_ghz, n, level)] = float(np.mean(db))
-            pair_index += 1
-
-    rows.sort(key=lambda r: (r["power_dbm"], r["n_antennas"], r["carrier_ghz"], r["clutter"]))
-    sweep = SweepTable("scnr_sweep", SCNR_SWEEP_COLUMNS, tuple(rows), prov)
-
-    table_rows = []
-    have = set(scenario.sweep.clutter_levels)
-    if {"none", "intense"} <= have:
-        for f_ghz in scenario.sweep.carriers_ghz:
-            for n in scenario.sweep.antennas:
-                table_rows.append(_make_row(SCNR_TABLE_COLUMNS, {
-                    "carrier_ghz": f_ghz,
-                    "n_antennas": n,
-                    "mean_scnr_db": cell_means[(f_ghz, n, "none")],
-                    "error_db": cell_means[(f_ghz, n, "none")] - cell_means[(f_ghz, n, "intense")],
-                }))
-        table_rows.sort(key=lambda r: (r["carrier_ghz"], r["n_antennas"]))
-    summary = SweepTable("scnr_table", SCNR_TABLE_COLUMNS, tuple(table_rows), prov)
-    return [sweep, summary]
-
-
-@dataclass(frozen=True)
-class _DetectionCell:
-    level: str
-    power_dbm: float
-    ctx: SimulationContext
-    point: OperatingPoint
-
-
-def _detection_cells(scenario: ScenarioConfig) -> list[_DetectionCell]:
-    """One (level, power) cell per operating point. The scene is built once;
-    each level reads its steering matrix with the level's own sigma."""
-    scene = build_context(scenario)
-    cells = []
-    for level in scenario.detection.clutter_levels:
-        clutter = ClutterSteering.at_sigma(scene.clutter.matrix, CLUTTER_LEVELS[level])
-        ctx = dataclasses.replace(scene, clutter=clutter)
-        for p_dbm in scenario.detection.powers_dbm:
-            point = ctx.operating_point(dbm_to_watts(p_dbm), scenario.power.rho)
-            cells.append(_DetectionCell(level, p_dbm, ctx, point))
-    return cells
-
-
-def _auto_kappa_max(cells) -> float:
-    # past 2|mu1|^2 + 6 sigma_T the detection probability is numerically zero
-    return 1.05 * max(
-        2.0 * c.point.mu1_abs**2 + 6.0 * c.point.mu1_abs * np.sqrt(2.0 * c.point.sigma2)
-        for c in cells
-    )
-
-
-def _detection_rows(cell: _DetectionCell, curve: dict, trials: int) -> list[dict]:
-    """One detection_sweep row per threshold of a cell's roc_sweep arrays."""
-    shared = {"power_dbm": cell.power_dbm, "clutter": cell.level, "trials": trials}
+    blocks, summary = [], []
+    pairs = itertools.product(scenario.sweep.antennas, scenario.sweep.carriers_ghz)
+    for pair_index, (n, f_ghz) in enumerate(pairs):
+        level_means = {}
+        for level, scnr in _level_curves(scenario, n, f_ghz, pair_index, powers_w):
+            db = 10.0 * np.log10(scnr)
+            means = [float(np.mean(column)) for column in db.T]
+            stds = [float(np.std(column, ddof=1)) if realizations > 1 else 0.0 for column in db.T]
+            blocks.append({
+                "power_dbm": powers_dbm,
+                "n_antennas": n,
+                "carrier_ghz": f_ghz,
+                "clutter": level,
+                "scnr_db_mean": means,
+                "scnr_db_std": [_resolved_spread(std, mean) for std, mean in zip(stds, means)],
+                "realizations": realizations,
+            })
+            level_means[level] = float(np.mean(db))
+        if {"none", "intense"} <= level_means.keys():
+            clear, error = level_means["none"], level_means["none"] - level_means["intense"]
+            summary.append({"carrier_ghz": f_ghz, "n_antennas": n, "mean_scnr_db": clear, "error_db": error})
+    order = ("power_dbm", "n_antennas", "carrier_ghz", "clutter")
     return [
-        _make_row(DETECTION_COLUMNS, {**shared, **{name: column[i] for name, column in curve.items()}})
-        for i in range(curve["kappa"].size)
+        _table("scnr_sweep", SCNR_SWEEP_COLUMNS, scenario, blocks, order),
+        _table("scnr_table", SCNR_TABLE_COLUMNS, scenario, summary, ("carrier_ghz", "n_antennas")),
     ]
 
 
-def _validation_rows(cell: _DetectionCell, curve: dict, trials: int) -> list[dict]:
-    """Two validate rows (pfa, pd) per threshold of a cell's roc_sweep arrays:
-    the closed form against the Monte Carlo rate, checked within three
-    binomial standard errors where the rate is resolvable."""
-    rows = []
+def _auto_kappa_max(points) -> float:
+    # past 2|mu1|^2 + 6 sigma_T the detection probability is numerically zero
+    return 1.05 * max(
+        2.0 * pt.mu1_abs**2 + 6.0 * pt.mu1_abs * np.sqrt(2.0 * pt.sigma2)
+        for pt in points
+    )
+
+
+def _cell_curves(scenario: ScenarioConfig, stream_kind: int, shared_grid: bool):
+    """(key columns, roc_sweep arrays) for each (level, power) cell, on the
+    cell's own stream of `stream_kind`. The scene is built once; each level reads its
+    steering matrix with the level's own sigma. Without a configured kappa_max
+    the grid top spans every cell's transition when the grid is shared, else
+    the cell's own."""
+    det = scenario.detection
+    scene = build_context(scenario)
+    cells, rho = [], scenario.power.rho
+    for level in det.clutter_levels:
+        clutter = ClutterSteering.at_sigma(scene.clutter.matrix, CLUTTER_LEVELS[level])
+        ctx = dataclasses.replace(scene, clutter=clutter)
+        for p_dbm in det.powers_dbm:
+            point = ctx.operating_point(dbm_to_watts(p_dbm), rho)
+            cells.append(({"power_dbm": p_dbm, "clutter": level}, ctx, point))
+    points = [point for _, _, point in cells]
+    for idx, (keys, ctx, point) in enumerate(cells):
+        scope = points if shared_grid else [point]
+        kappa_max = det.kappa_max if det.kappa_max is not None else _auto_kappa_max(scope)
+        kappas = np.linspace(det.kappa_min, kappa_max, det.kappa_points)
+        rng = derive_stream(scenario.seed, stream_id(stream_kind, idx))
+        yield keys, roc_sweep(ctx, point, kappas, trials=det.trials, rng=rng)
+
+
+def _validation_blocks(keys: dict, curve: dict, trials: int) -> list[dict]:
+    """The validate columns of one cell, one block per rate (pfa, pd): the
+    closed form against the Monte Carlo rate, checked within three binomial
+    standard errors where the rate is resolvable."""
+    blocks = []
     for metric in ("pfa", "pd"):
         analytic, mc = curve[f"{metric}_analytic"], curve[f"{metric}_mc"]
         tol_3se = 3.0 * np.sqrt(analytic * (1.0 - analytic) / trials)
         checked = (_CHECK_BAND <= analytic) & (analytic <= 1.0 - _CHECK_BAND)
         abs_err = np.abs(analytic - mc)
-        ok = ~checked | (abs_err <= tol_3se)
-        for i, kappa in enumerate(curve["kappa"]):
-            rows.append(_make_row(VALIDATE_COLUMNS, {
-                "power_dbm": cell.power_dbm,
-                "clutter": cell.level,
-                "kappa": kappa,
-                "metric": metric,
-                "analytic": analytic[i],
-                "mc": mc[i],
-                "ci_lo": curve[f"{metric}_ci_lo"][i],
-                "ci_hi": curve[f"{metric}_ci_hi"][i],
-                "abs_err": abs_err[i],
-                "tol_3se": tol_3se[i],
-                "checked": checked[i],
-                "ok": ok[i],
-            }))
-    return rows
+        blocks.append({
+            **keys,
+            "kappa": curve["kappa"],
+            "metric": metric,
+            **{name: curve[f"{metric}_{name}"] for name in ("analytic", "mc", "ci_lo", "ci_hi")},
+            "abs_err": abs_err,
+            "tol_3se": tol_3se,
+            "checked": checked,
+            "ok": ~checked | (abs_err <= tol_3se),
+        })
+    return blocks
 
 
 def run_detection_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
     """Operating curves on one shared threshold grid across powers and levels."""
-    prov = _provenance(scenario)
-    det = scenario.detection
-    cells = _detection_cells(scenario)
-    kappa_max = det.kappa_max if det.kappa_max is not None else _auto_kappa_max(cells)
-    kappas = np.linspace(det.kappa_min, kappa_max, det.kappa_points)
+    trials = scenario.detection.trials
+    curves = _cell_curves(scenario, KIND_DETECTION, shared_grid=True)
+    blocks = [{**curve, **keys, "trials": trials} for keys, curve in curves]
+    order = ("kappa", "power_dbm", "clutter")
+    return [_table("detection_sweep", DETECTION_COLUMNS, scenario, blocks, order)]
 
-    rows = []
-    for idx, cell in enumerate(cells):
-        rng = derive_stream(scenario.seed, stream_id(KIND_DETECTION, idx))
-        curve = roc_sweep(cell.ctx, cell.point, kappas, trials=det.trials, rng=rng)
-        rows.extend(_detection_rows(cell, curve, det.trials))
-    rows.sort(key=lambda r: (r["kappa"], r["power_dbm"], r["clutter"]))
-    return [SweepTable("detection_sweep", DETECTION_COLUMNS, tuple(rows), prov)]
+
+def run_validation(scenario: ScenarioConfig) -> list[SweepTable]:
+    """Analytic-versus-Monte-Carlo agreement report, one row per probability,
+    each cell probed across its own transition."""
+    trials = scenario.detection.trials
+    blocks = [
+        block
+        for keys, curve in _cell_curves(scenario, KIND_VALIDATE, shared_grid=False)
+        for block in _validation_blocks(keys, curve, trials)
+    ]
+    order = ("power_dbm", "clutter", "kappa", "metric")
+    return [_table("validate", VALIDATE_COLUMNS, scenario, blocks, order)]
 
 
 def _optimum_table(scenario: ScenarioConfig, result: OptimizationResult) -> SweepTable:
@@ -352,53 +333,23 @@ def _optimum_table(scenario: ScenarioConfig, result: OptimizationResult) -> Swee
             p_star_dbm=watts_to_dbm(pt.power_watts), p_star_watts=pt.power_watts, rho=pt.rho,
             kappa=pt.kappa, rate_bps_hz=pt.rate_bps_hz, pd=pt.pd, pfa=pt.pfa, scnr_avg=pt.scnr_avg,
         )
-    row = _make_row(OPTIMUM_COLUMNS, values)
-    return SweepTable("optimum", OPTIMUM_COLUMNS, (row,), _provenance(scenario))
+    return _table("optimum", OPTIMUM_COLUMNS, scenario, [values], ())
 
 
 def run_tradeoff(scenario: ScenarioConfig) -> list[SweepTable]:
     """Tradeoff sweep plus the power-minimization certificate."""
-    prov = _provenance(scenario)
     ctx = build_context(scenario)
-    targets = ConstraintTargets.from_scenario(scenario)
-    rows = []
-    for rec in tradeoff_sweep(ctx, targets):
-        rows.append(_make_row(TRADEOFF_COLUMNS, {
-            "power_dbm": watts_to_dbm(rec.power_watts),
-            "rho": rec.rho,
-            "kappa": rec.kappa,
-            "rate_bps_hz": rec.rate_bps_hz,
-            "pd": rec.pd,
-            "pfa": rec.pfa,
-            "feasible": rec.feasible,
-        }))
-    rows.sort(key=lambda r: r["power_dbm"])
+    curve = tradeoff_sweep(ctx)
+    block = {**curve, "power_dbm": [watts_to_dbm(p) for p in curve["power_watts"]]}
     return [
-        SweepTable("tradeoff", TRADEOFF_COLUMNS, tuple(rows), prov),
-        _optimum_table(scenario, minimize_power(ctx, targets)),
+        _table("tradeoff", TRADEOFF_COLUMNS, scenario, [block], ("power_dbm",)),
+        _optimum_table(scenario, minimize_power(ctx)),
     ]
 
 
 def run_optimize(scenario: ScenarioConfig) -> list[SweepTable]:
     """Power minimization alone, emitted as a one-row certificate table."""
-    return [_optimum_table(scenario, minimize_power(scenario))]
-
-
-def run_validation(scenario: ScenarioConfig) -> list[SweepTable]:
-    """Analytic-versus-Monte-Carlo agreement report, one row per probability."""
-    prov = _provenance(scenario)
-    det = scenario.detection
-    cells = _detection_cells(scenario)
-    rows = []
-    for idx, cell in enumerate(cells):
-        # per-cell grid so each curve is probed across its own transition
-        kappa_max = det.kappa_max if det.kappa_max is not None else _auto_kappa_max([cell])
-        kappas = np.linspace(det.kappa_min, kappa_max, det.kappa_points)
-        rng = derive_stream(scenario.seed, stream_id(KIND_VALIDATE, idx))
-        curve = roc_sweep(cell.ctx, cell.point, kappas, trials=det.trials, rng=rng)
-        rows.extend(_validation_rows(cell, curve, det.trials))
-    rows.sort(key=lambda r: (r["power_dbm"], r["clutter"], r["kappa"], r["metric"]))
-    return [SweepTable("validate", VALIDATE_COLUMNS, tuple(rows), prov)]
+    return [_optimum_table(scenario, minimize_power(build_context(scenario)))]
 
 
 def _csv_cell(value) -> str:
@@ -446,14 +397,10 @@ def parse_table_csv(path: str, columns) -> list[dict]:
             for name, cell in zip(expected, cells):
                 if cell == "":
                     row[name] = None
-                elif kinds[name] is float:
-                    row[name] = float(cell)
-                elif kinds[name] is int:
-                    row[name] = int(cell)
                 elif kinds[name] is bool:
                     row[name] = cell == "true"
                 else:
-                    row[name] = cell
+                    row[name] = kinds[name](cell)
             records.append(row)
     return records
 

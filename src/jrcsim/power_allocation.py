@@ -18,9 +18,11 @@ point, then bisects the bracketing interval at its geometric midpoint until
 hi <= lo (1 + tol_factor) or it cannot be split further, re-optimizing
 (rho, kappa) at every probe. Ties prefer smaller P, then smaller rho, then
 smaller kappa. The certificate is the triple the tables print, audited by
-evaluate_point. tradeoff_sweep reports, per grid power, the best achievable
-rate, the best detection probability subject to the false-alarm limit, and
-whether the constraint set is jointly satisfiable there.
+evaluate_point; the result is that evaluated point, or None past the ceiling,
+and the evaluations spent. tradeoff_sweep returns, as arrays over the grid
+powers, the best achievable rate, the best detection probability subject to
+the false-alarm limit, and whether the constraint set is jointly satisfiable
+there. Both take a context; evaluate_point also builds one from a scenario.
 
 A probe evaluates the whole split grid at once: its OperatingPoint carries
 beams, waveforms, w, mu_1, sigma^2, the deflection and both SINRs along a
@@ -52,7 +54,6 @@ __all__ = [
     "ConstraintTargets",
     "EvaluatedPoint",
     "OptimizationResult",
-    "TradeoffRecord",
     "evaluate_point",
     "minimize_power",
     "tradeoff_sweep",
@@ -113,7 +114,6 @@ class EvaluatedPoint:
     pd: float
     mu1_abs: float
     sigma2: float
-    scnr_opt: float
     scnr_avg: float
     meets_rate: bool
     meets_pfa: bool
@@ -123,35 +123,16 @@ class EvaluatedPoint:
 
 
 @dataclass(frozen=True)
-class TradeoffRecord:
-    """Per-power summary: best rate, best guarded detection, joint feasibility."""
-
-    power_watts: float
-    rho: float
-    kappa: float
-    rate_bps_hz: float
-    pd: float
-    pfa: float
-    feasible: bool
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
-    feasible: bool
-    p_star_watts: float | None
-    rho_star: float | None
-    kappa_star: float | None
+    """The certified point, None when no power up to the ceiling is feasible,
+    and the evaluations spent finding it."""
+
     point: EvaluatedPoint | None
-    p_ceiling_watts: float
     evaluations: int
 
-
-def _as_context(obj) -> SimulationContext:
-    if isinstance(obj, SimulationContext):
-        return obj
-    if isinstance(obj, ScenarioConfig):
-        return build_context(obj)
-    raise TypeError(f"expected ScenarioConfig or SimulationContext, got {type(obj).__name__}")
+    @property
+    def feasible(self) -> bool:
+        return self.point is not None
 
 
 def _rho_grid(opt) -> np.ndarray:
@@ -190,7 +171,7 @@ def evaluate_point(
     check every target. A kappa of None takes the record's false-alarm
     threshold rounded up onto the 9-significant-digit emission grid, the
     threshold a certificate prints."""
-    ctx = _as_context(scenario)
+    ctx = scenario if isinstance(scenario, SimulationContext) else build_context(scenario)
     if targets is None:
         targets = ConstraintTargets.from_scenario(ctx.scenario)
     if not power_watts > 0.0:
@@ -208,8 +189,6 @@ def evaluate_point(
     spent = float(sum(np.vdot(beam, beam).real for beam in point.beams))
     within_budget = spent <= power_watts + _BUDGET_SLACK * max(1.0, power_watts)
     a = ctx.target_steering
-    # |alpha_0|^2 y^H W^-1 y with y = A x and w = W^-1 y
-    scnr_opt = abs(ctx.alpha0) ** 2 * np.vdot(a * np.dot(a, point.x), point.w).real
     scnr_avg = average_scnr_curve(ctx.clutter, ctx.alpha0, a, ctx.beams_at(1.0, rho), [power_watts])[0]
     return EvaluatedPoint(
         power_watts=power_watts,
@@ -222,7 +201,6 @@ def evaluate_point(
         pd=pd,
         mu1_abs=mu1_abs,
         sigma2=sigma2,
-        scnr_opt=float(scnr_opt),
         scnr_avg=float(scnr_avg),
         meets_rate=meets_rate,
         meets_pfa=meets_pfa,
@@ -258,11 +236,10 @@ def _certificate(
 
 
 def minimize_power(
-    scenario: ScenarioConfig | SimulationContext,
+    ctx: SimulationContext,
     targets: ConstraintTargets | None = None,
 ) -> OptimizationResult:
     """Smallest power whose best (rho, kappa) satisfies every constraint."""
-    ctx = _as_context(scenario)
     if targets is None:
         targets = ConstraintTargets.from_scenario(ctx.scenario)
     opt = ctx.scenario.optimizer
@@ -298,15 +275,7 @@ def minimize_power(
                     lo = mid
         point, n = _certificate(ctx, targets, hi, rho_star)
         evaluations += n
-    return OptimizationResult(
-        feasible=point is not None,
-        p_star_watts=None if point is None else point.power_watts,
-        rho_star=None if point is None else point.rho,
-        kappa_star=None if point is None else point.kappa,
-        point=point,
-        p_ceiling_watts=p_max,
-        evaluations=evaluations,
-    )
+    return OptimizationResult(point, evaluations)
 
 
 def _tradeoff_record(
@@ -314,7 +283,8 @@ def _tradeoff_record(
     targets: ConstraintTargets,
     power_watts: float,
     rhos: np.ndarray,
-) -> TradeoffRecord:
+) -> dict:
+    """The tradeoff row of one power, keyed by tradeoff_sweep's columns."""
     point = ctx.operating_point(power_watts, rhos)
     gamma_sum = point.gamma_direct + point.gamma_relayed
     # the rate is log2(1 + gamma_sum), so the best rate sits at the largest sum
@@ -323,28 +293,33 @@ def _tradeoff_record(
     live, deflection = point.mu1_abs > 0.0, point.deflection
     meets = (gamma_sum >= targets.gamma_min) & (deflection >= targets.deflection_floor)
     feasible = bool(np.any(live & meets))
-    if not live.any():
-        return TradeoffRecord(power_watts, float(rhos[0]), 0.0, best_rate, 0.0, 0.0, feasible)
-    # P_D at the false-alarm threshold grows with the deflection; argmax takes
-    # the first maximum, so ties go to the smallest rho
-    i = int(np.argmax(np.where(live, deflection, -np.inf)))
-    mu1_abs, sigma2 = float(point.mu1_abs[i]), float(point.sigma2[i])
-    kappa = false_alarm_threshold(mu1_abs, sigma2, targets.pfa_max)
-    pd, pfa = detection_probability(mu1_abs, sigma2, kappa), false_alarm_probability(mu1_abs, sigma2, kappa)
-    return TradeoffRecord(power_watts, float(rhos[i]), kappa, best_rate, pd, pfa, feasible)
+    rho, kappa, pd, pfa = float(rhos[0]), 0.0, 0.0, 0.0
+    if live.any():
+        # P_D at the false-alarm threshold grows with the deflection; argmax
+        # takes the first maximum, so ties go to the smallest rho
+        i = int(np.argmax(np.where(live, deflection, -np.inf)))
+        mu1_abs, sigma2 = float(point.mu1_abs[i]), float(point.sigma2[i])
+        rho, kappa = float(rhos[i]), false_alarm_threshold(mu1_abs, sigma2, targets.pfa_max)
+        pd, pfa = detection_probability(mu1_abs, sigma2, kappa), false_alarm_probability(mu1_abs, sigma2, kappa)
+    return {
+        "power_watts": power_watts, "rho": rho, "kappa": kappa, "rate_bps_hz": best_rate,
+        "pd": pd, "pfa": pfa, "feasible": feasible,
+    }
 
 
 def tradeoff_sweep(
-    scenario: ScenarioConfig | SimulationContext,
+    ctx: SimulationContext,
     targets: ConstraintTargets | None = None,
-) -> tuple[TradeoffRecord, ...]:
-    """One record per power of the scenario's dBm grid, from its floor to the
-    ceiling: best rate, best guarded detection, joint feasibility."""
-    ctx = _as_context(scenario)
+) -> dict[str, np.ndarray]:
+    """Best rate, best guarded detection and joint feasibility at each power of
+    the scenario's dBm grid, from its floor to the ceiling, as arrays over
+    ascending power keyed power_watts, rho, kappa, rate_bps_hz, pd, pfa and
+    feasible."""
     if targets is None:
         targets = ConstraintTargets.from_scenario(ctx.scenario)
     grid_dbm = np.linspace(
         ctx.scenario.power.min_dbm, watts_to_dbm(targets.p_max_watts), ctx.scenario.power.points
     )
     rhos = _rho_grid(ctx.scenario.optimizer)
-    return tuple(_tradeoff_record(ctx, targets, float(dbm_to_watts(p)), rhos) for p in grid_dbm)
+    rows = [_tradeoff_record(ctx, targets, float(dbm_to_watts(p)), rhos) for p in grid_dbm]
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}

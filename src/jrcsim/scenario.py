@@ -75,8 +75,8 @@ def _setting(default, kind=None, **rule):
 
     The rule is a kind (float, int or str) plus lo/hi bounds (lo_open and
     hi_open exclude them), choices, or `above` an earlier field of the section. A
-    tuple default makes a non-empty list whose entries each meet the rule; a
-    None default makes the field optional.
+    tuple default makes a non-empty list of distinct entries that each meet the
+    rule; a None default makes the field optional.
     """
     if kind is None:
         kind = type(default[0]) if isinstance(default, tuple) else type(default)
@@ -126,6 +126,9 @@ def _check(obj, prefix: str) -> None:
                 noun = {float: " of numbers", int: " of integers"}.get(rule["kind"], "")
                 raise ConfigError(f"{path}: expected a non-empty list{noun}")
             value = tuple(_value(v, f"{path}[{i}]", rule) for i, v in enumerate(value))
+            # each entry keys its own rows, so a repeat would give tied table keys
+            if len(set(value)) < len(value):
+                raise ConfigError(f"{path}: entries must be distinct, got {list(value)}")
         elif value is not None or f.default is not None:
             value = _value(value, path, rule)
         object.__setattr__(obj, f.name, value)

@@ -274,7 +274,8 @@ class TestAcceptance:
         assert targets.pd_min == 0.6
 
         result = minimize_power(ctx)
-        certificate = evaluate_point(ctx, result.p_star_watts, result.rho_star, result.kappa_star)
+        p_star = result.point.power_watts
+        certificate = evaluate_point(ctx, p_star, result.point.rho, result.point.kappa)
         revalidates = (
             result.feasible
             and certificate.feasible
@@ -293,18 +294,18 @@ class TestAcceptance:
         first = flags.index(True)
         bracketed = (
             flags == sorted(flags)
-            and result.p_star_watts <= powers[first] * (1.0 + 1e-12)
-            and (first == 0 or result.p_star_watts > powers[first - 1])
+            and p_star <= powers[first] * (1.0 + 1e-12)
+            and (first == 0 or p_star > powers[first - 1])
         )
 
         tol = opt.tol_factor * targets.p_max_watts
-        below = _first_feasible(ctx, targets, result.p_star_watts - 10.0 * tol, rhos)[0] is None
+        below = _first_feasible(ctx, targets, p_star - 10.0 * tol, rhos)[0] is None
         elapsed = time.perf_counter() - start
         report(
             "minimum transmit power is feasible, re-validates, brackets the exhaustive "
             "grid optimum, and is tight from below",
             revalidates and bracketed and below and elapsed < 60.0,
-            f"p* = {result.p_star_watts:.3f} W, grid step [{powers[max(first - 1, 0)]:.3f}, "
+            f"p* = {p_star:.3f} W, grid step [{powers[max(first - 1, 0)]:.3f}, "
             f"{powers[first]:.3f}] W, {elapsed:.1f}s",
         )
 

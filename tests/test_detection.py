@@ -25,9 +25,10 @@ from jrcsim.detection import (
     statistic_moments,
 )
 from jrcsim.experiments import (
-    _detection_rows,
-    _DetectionCell,
-    _validation_rows,
+    DETECTION_COLUMNS,
+    VALIDATE_COLUMNS,
+    _table,
+    _validation_blocks,
     run_detection_sweep,
     run_validation,
 )
@@ -430,7 +431,8 @@ class TestSimulatedRates:
 
 
 def degenerate_cell(name):
-    """A detection cell at 30 dBm on a scene at the edge of the model."""
+    """The context and operating point of a detection cell at 30 dBm on a
+    scene at the edge of the model."""
     scenario = ScenarioConfig()
     if name == "no clutter":
         scenario = dataclasses.replace(scenario, clutter=dataclasses.replace(scenario.clutter, count=0))
@@ -439,7 +441,7 @@ def degenerate_cell(name):
     ctx = build_context(scenario)
     if name == "absent target":
         ctx = dataclasses.replace(ctx, alpha0=0.0 + 0.0j)
-    return _DetectionCell("intense", 30.0, ctx, ctx.operating_point(dbm_to_watts(30.0), scenario.power.rho))
+    return ctx, ctx.operating_point(dbm_to_watts(30.0), scenario.power.rho)
 
 
 class TestDegenerateCells:
@@ -447,14 +449,14 @@ class TestDegenerateCells:
 
     @pytest.mark.parametrize("name", ["no clutter", "one antenna", "absent target"])
     def test_finite_counts_valid_intervals_and_one_row_for_both_tables(self, name):
-        c = degenerate_cell(name)
-        assert c.ctx.clutter.matrix.shape == (c.ctx.array.n_antennas, 0 if name == "no clutter" else 3)
-        assert c.ctx.array.n_antennas == (1 if name == "one antenna" else 5)
+        ctx, point = degenerate_cell(name)
+        assert ctx.clutter.matrix.shape == (ctx.array.n_antennas, 0 if name == "no clutter" else 3)
+        assert ctx.array.n_antennas == (1 if name == "one antenna" else 5)
         live = name != "absent target"
-        scale = float(c.point.mu1_abs) * math.sqrt(2.0 * float(c.point.sigma2)) if live else 1.0
-        kappas = np.linspace(-3.0 * scale, 2.0 * float(c.point.mu1_abs) ** 2 + 3.0 * scale, 9)
+        scale = float(point.mu1_abs) * math.sqrt(2.0 * float(point.sigma2)) if live else 1.0
+        kappas = np.linspace(-3.0 * scale, 2.0 * float(point.mu1_abs) ** 2 + 3.0 * scale, 9)
         kappas = np.unique(np.append(kappas, [0.0, 1e-300]))
-        curve = roc_sweep(c.ctx, c.point, kappas, trials=self.TRIALS, rng=np.random.default_rng(40))
+        curve = roc_sweep(ctx, point, kappas, trials=self.TRIALS, rng=np.random.default_rng(40))
         for rate in ("pfa", "pd"):
             hits = curve[f"{rate}_mc"] * self.TRIALS
             assert np.all(np.isfinite(hits)) and np.allclose(hits, np.round(hits), rtol=0.0, atol=1e-9)
@@ -469,8 +471,10 @@ class TestDegenerateCells:
             assert np.array_equal(curve["pd_mc"], expected)
         # the detection-sweep row and the validate rows of one threshold
         # report the same numbers
-        detection = _detection_rows(c, curve, self.TRIALS)
-        validate = {(r["kappa"], r["metric"]): r for r in _validation_rows(c, curve, self.TRIALS)}
+        sc, keys = ctx.scenario, {"power_dbm": 30.0, "clutter": "intense"}
+        detection = _table("d", DETECTION_COLUMNS, sc, [{**curve, **keys, "trials": self.TRIALS}], ()).rows
+        report = _table("v", VALIDATE_COLUMNS, sc, _validation_blocks(keys, curve, self.TRIALS), ())
+        validate = {(r["kappa"], r["metric"]): r for r in report.rows}
         assert len(detection) == kappas.size and len(validate) == 2 * kappas.size
         for row in detection:
             assert row["trials"] == self.TRIALS

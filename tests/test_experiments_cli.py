@@ -28,6 +28,7 @@ from jrcsim.experiments import (
     TRADEOFF_COLUMNS,
     VALIDATE_COLUMNS,
     _level_curves,
+    _table,
     emit_outputs,
     parse_table_csv,
     run_detection_sweep,
@@ -199,7 +200,7 @@ def sweep_pairs(draw):
     sc = ScenarioConfig()
     n = draw(st.sampled_from(range(1, 13)))
     f_ghz = draw(st.sampled_from([2.8, 28.0]))
-    levels = draw(st.lists(st.sampled_from(["none", "light", "intense"]), min_size=1, max_size=4))
+    levels = draw(st.lists(st.sampled_from(["none", "light", "intense"]), min_size=1, max_size=3, unique=True))
     sc = dataclasses.replace(
         sc,
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -313,13 +314,13 @@ class TestTradeoffAndOptimize:
         assert optimum.rows[0]["feasible"] is True
 
     def test_optimum_row_reflects_the_result(self, fast_scenario, tradeoff_run):
-        result = minimize_power(fast_scenario)
+        result = minimize_power(build_context(fast_scenario))
         (row,) = tradeoff_run[1].rows
         assert row["feasible"] is True
-        assert row["p_star_watts"] == pytest.approx(result.p_star_watts, rel=1e-8)
-        assert row["p_star_dbm"] == pytest.approx(watts_to_dbm(result.p_star_watts), rel=1e-8)
-        assert row["rho"] == pytest.approx(result.rho_star, rel=1e-8)
-        assert row["kappa"] == pytest.approx(result.kappa_star, rel=1e-8)
+        assert row["p_star_watts"] == pytest.approx(result.point.power_watts, rel=1e-8)
+        assert row["p_star_dbm"] == pytest.approx(watts_to_dbm(result.point.power_watts), rel=1e-8)
+        assert row["rho"] == pytest.approx(result.point.rho, rel=1e-8)
+        assert row["kappa"] == pytest.approx(result.point.kappa, rel=1e-8)
         assert row["evaluations"] == result.evaluations
         targets = fast_scenario.targets
         assert row["rate_bps_hz"] >= targets.rate_bps_hz - 1e-9
@@ -339,6 +340,31 @@ class TestTradeoffAndOptimize:
         for key in ("p_star_dbm", "p_star_watts", "rho", "kappa", "rate_bps_hz", "pd", "pfa", "scnr_avg"):
             assert row[key] is None
         assert isinstance(row["evaluations"], int) and row["evaluations"] > 0
+
+
+class TestTableTypes:
+    def test_every_value_is_empty_or_its_column_kind(
+        self, fast_scenario, scnr_run, detection_run, tradeoff_run, validation_run
+    ):
+        # a NumPy bool_ would print True in the CSV, not true, and a NumPy
+        # int64 would break json.dump; an infeasible optimum row holds None
+        pinched = dataclasses.replace(
+            fast_scenario, targets=dataclasses.replace(fast_scenario.targets, p_max_dbm=10.0)
+        )
+        tables = [*scnr_run, *detection_run, *tradeoff_run, *run_optimize(pinched), *validation_run]
+        names = ["scnr_sweep", "scnr_table", "detection_sweep", "tradeoff", "optimum", "optimum", "validate"]
+        assert [table.name for table in tables] == names
+        for table in tables:
+            kinds = dict(table.columns)
+            assert table.rows
+            for row in table.rows:
+                for name, value in row.items():
+                    assert value is None or type(value) is kinds[name], (table.name, name, type(value))
+        # NumPy scalars of every kind, shared or per row, become Python values
+        columns = (("x", float), ("n", int), ("flag", bool), ("label", str))
+        block = {"x": np.float32(0.5), "n": np.arange(2), "flag": np.array([True, False]), "label": np.str_("a")}
+        rows = _table("kinds", columns, fast_scenario, [block], ()).rows
+        assert [[type(v) for v in row.values()] for row in rows] == [[float, int, bool, str]] * 2
 
 
 class TestValidation:
@@ -605,6 +631,11 @@ class TestCli:
             ({"comm": {"noise_var_dest_w": 1e-300}}, "comm.noise_var_dest_w: must be >= 1e-30, got 1e-300"),
             ({"sweep": {"carriers_ghz": [28.0, 1e7]}}, "sweep.carriers_ghz[1]: must be <= 1000000.0, got 10000000.0"),
             ({"targets": {"rate_bps_hz": 1e6}}, "targets.rate_bps_hz: must be <= 1000.0, got 1000000.0"),
+            # repeated entries once wrote rows with tied keys and a summary of the last pair only
+            (
+                {"sweep": {"antennas": [5, 5], "carriers_ghz": [2.8, 2.8]}},
+                "sweep.antennas: entries must be distinct, got [5, 5]",
+            ),
             # a threshold span past the float range once overflowed the kappa grid
             (
                 {"detection": {"kappa_min": -1e308, "kappa_max": 1e308}},
@@ -757,12 +788,12 @@ _UNIT_OPEN = st.floats(0.01, 0.99, allow_nan=False)
 @st.composite
 def valid_configs(draw):
     """A raw scenario file that validates: small N, few scatterers, every law,
-    degenerate sigma and splits, pd_min up to 0.999, thresholds out to their
-    bounds, tiny trial counts and grids."""
+    distinct list entries, degenerate sigma and splits, pd_min up to 0.999,
+    thresholds out to their bounds, tiny trial counts and grids."""
     kind = draw(st.sampled_from(["free_space", "tr38901_umi_los"]))
     heights = st.floats(1.1, 30.0) if kind == "tr38901_umi_los" else st.floats(0.1, 30.0)
     min_dbm = draw(st.floats(-40.0, 20.0))
-    levels = st.lists(st.sampled_from(sorted(CLUTTER_LEVELS)), min_size=1, max_size=3)
+    levels = st.lists(st.sampled_from(sorted(CLUTTER_LEVELS)), min_size=1, max_size=3, unique=True)
     kappa_min = draw(st.one_of(st.sampled_from([-1e300, 0.0, 1e300]), st.floats(-1e300, 1e300)))
     above = [st.none()]  # a kappa_max of None sizes the grid from the operating points
     if kappa_min < 1e300:
@@ -788,7 +819,7 @@ def valid_configs(draw):
         },
         "detection": {
             "trials": draw(st.integers(1, 40)),
-            "powers_dbm": draw(st.lists(st.floats(-10.0, 60.0), min_size=1, max_size=2)),
+            "powers_dbm": draw(st.lists(st.floats(-10.0, 60.0), min_size=1, max_size=2, unique=True)),
             "clutter_levels": draw(levels),
             "kappa_points": draw(st.integers(1, 4)),
             "kappa_min": kappa_min,
@@ -806,8 +837,8 @@ def valid_configs(draw):
             "fixed_rho": draw(st.one_of(st.none(), st.sampled_from([0.0, 1.0]), _UNIT_OPEN)),
         },
         "sweep": {
-            "antennas": draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)),
-            "carriers_ghz": draw(st.lists(st.sampled_from([2.8, 28.0]), min_size=1, max_size=2)),
+            "antennas": draw(st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True)),
+            "carriers_ghz": draw(st.lists(st.sampled_from([2.8, 28.0]), min_size=1, max_size=2, unique=True)),
             "clutter_levels": draw(levels),
             "realizations": draw(st.integers(1, 2)),
         },

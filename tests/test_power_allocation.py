@@ -25,7 +25,6 @@ from jrcsim.detection import (
 from jrcsim.experiments import OPTIMUM_COLUMNS, _optimum_table, emit_outputs, parse_table_csv
 from jrcsim.power_allocation import (
     ConstraintTargets,
-    TradeoffRecord,
     _first_feasible,
     _rho_grid,
     _tradeoff_record,
@@ -40,7 +39,6 @@ from oracles import (
     average_scnr,
     clutter_covariance,
     optimal_receive_beamformer,
-    scnr_at_optimum,
     transmit_covariance,
 )
 
@@ -56,8 +54,8 @@ def feasible_split(ctx, power_watts):
     return _first_feasible(ctx, targets, power_watts, _rho_grid(opt))[0]
 
 
-def first_feasible_index(records):
-    return next((i for i, rec in enumerate(records) if rec.feasible), None)
+def first_feasible_index(columns):
+    return next((i for i, feasible in enumerate(columns["feasible"]) if feasible), None)
 
 
 @pytest.fixture(scope="module")
@@ -131,9 +129,6 @@ class TestEvaluatePoint:
         assert point.rate_bps_hz == pytest.approx(
             mrc_rate(point.gamma_direct, point.gamma_relayed), rel=1e-12
         )
-        assert point.scnr_opt == pytest.approx(
-            scnr_at_optimum(ctx.alpha0, ctx.target_steering, cov, x), rel=1e-12
-        )
         assert point.scnr_avg == pytest.approx(
             average_scnr(ctx.clutter, beams, ctx.alpha0, ctx.target_steering), rel=1e-12
         )
@@ -168,39 +163,36 @@ class TestEvaluatePoint:
 
 
 class TestMinimizePower:
-    def test_default_targets_are_reachable(self, solved):
+    def test_default_targets_are_reachable(self, fast_context, solved):
         result = solved
+        targets = ConstraintTargets.from_scenario(fast_context.scenario)
         assert result.feasible
-        assert 0.0 < result.p_star_watts <= result.p_ceiling_watts
-        assert 0.0 <= result.rho_star <= 1.0
+        assert 0.0 < result.point.power_watts <= targets.p_max_watts
+        assert 0.0 <= result.point.rho <= 1.0
         assert result.evaluations > 0
-        assert result.p_ceiling_watts == pytest.approx(dbm_to_watts(46.0), rel=1e-12)
+        assert targets.p_max_watts == pytest.approx(dbm_to_watts(46.0), rel=1e-12)
 
     def test_certificate_point_revalidates(self, fast_context, solved):
         result = solved
         point = result.point
         assert point.feasible
-        assert point.power_watts == result.p_star_watts
-        assert point.rho == result.rho_star
-        assert point.kappa == result.kappa_star
-        again = evaluate_point(
-            fast_context, result.p_star_watts, result.rho_star, result.kappa_star
-        )
+        again = evaluate_point(fast_context, point.power_watts, point.rho, point.kappa)
         assert again == point
 
     def test_tolerance_below_optimum_is_infeasible(self, fast_context, solved):
         # the tolerance is relative: p* / (1 + tol_factor) lies below the optimum
-        probe = solved.p_star_watts / (1.0 + fast_context.scenario.optimizer.tol_factor)
+        probe = solved.point.power_watts / (1.0 + fast_context.scenario.optimizer.tol_factor)
         assert feasible_split(fast_context, probe) is None
 
     def test_certificate_is_the_emitted_triple(self, fast_context, solved):
         # power, split and threshold print as they are at 9 significant
         # digits, so re-reading the table gives back the certified point
-        for value in (solved.p_star_watts, solved.rho_star, solved.kappa_star):
+        certificate = solved.point
+        for value in (certificate.power_watts, certificate.rho, certificate.kappa):
             assert canonical_float(value) == value
-        point = fast_context.operating_point(solved.p_star_watts, solved.rho_star)
+        point = fast_context.operating_point(certificate.power_watts, certificate.rho)
         kappa_fa = false_alarm_threshold(float(point.mu1_abs), float(point.sigma2), 1e-6)
-        assert solved.kappa_star == canonical_ceil(kappa_fa)
+        assert certificate.kappa == canonical_ceil(kappa_fa)
         assert solved.point.pfa <= 1e-6 and solved.point.pd >= 0.6
 
     def test_default_optimum_is_the_closed_form_minimum(self, default_context):
@@ -211,11 +203,11 @@ class TestMinimizePower:
             default_context.scenario,
             optimizer=dataclasses.replace(default_context.scenario.optimizer, tol_factor=1e-12),
         )
-        exact = minimize_power(dataclasses.replace(default_context, scenario=tight))
-        assert exact.p_star_watts == pytest.approx(1.7808, abs=5e-5)
-        assert exact.rho_star == 0.9
-        result = minimize_power(default_context)
-        assert exact.p_star_watts <= result.p_star_watts <= exact.p_star_watts * (1.0 + 1e-3)
+        exact = minimize_power(dataclasses.replace(default_context, scenario=tight)).point
+        assert exact.power_watts == pytest.approx(1.7808, abs=5e-5)
+        assert exact.rho == 0.9
+        result = minimize_power(default_context).point
+        assert exact.power_watts <= result.power_watts <= exact.power_watts * (1.0 + 1e-3)
 
     def test_matches_direct_scan_of_the_coarse_grid(self, fast_context, solved):
         # feasibility along the power axis is monotone, and the reported
@@ -229,10 +221,11 @@ class TestMinimizePower:
         assert any(flags)
         i = flags.index(True)
         assert i > 0
-        assert powers[i - 1] < solved.p_star_watts <= powers[i] * (1.0 + 1e-12)
+        assert powers[i - 1] < solved.point.power_watts <= powers[i] * (1.0 + 1e-12)
 
     def test_feasibility_persists_above_the_optimum(self, fast_context, solved):
-        for p in np.geomspace(solved.p_star_watts, solved.p_ceiling_watts, 4):
+        ceiling = ConstraintTargets.from_scenario(fast_context.scenario).p_max_watts
+        for p in np.geomspace(solved.point.power_watts, ceiling, 4):
             assert feasible_split(fast_context, float(p)) is not None
 
     def test_infeasible_ceiling_reports_cleanly(self, fast_context):
@@ -241,11 +234,8 @@ class TestMinimizePower:
         )
         result = minimize_power(fast_context, targets=targets)
         assert not result.feasible
-        assert result.p_star_watts is None
-        assert result.rho_star is None
-        assert result.kappa_star is None
         assert result.point is None
-        assert result.p_ceiling_watts == pytest.approx(dbm_to_watts(10.0), rel=1e-12)
+        assert targets.p_max_watts == pytest.approx(dbm_to_watts(10.0), rel=1e-12)
         assert result.evaluations > 0
 
     def test_vacuous_targets_stop_at_the_grid_floor(self, fast_context):
@@ -254,12 +244,12 @@ class TestMinimizePower:
         )
         result = minimize_power(fast_context, targets=targets)
         assert result.feasible
-        assert result.p_star_watts == pytest.approx(
+        assert result.point.power_watts == pytest.approx(
             dbm_to_watts(fast_context.scenario.power.min_dbm), rel=1e-12
         )
-        assert result.rho_star == 0.0
+        assert result.point.rho == 0.0
         # a cap of one half puts the smallest allowed threshold at Q^-1(1/2) = 0
-        assert result.kappa_star == 0.0
+        assert result.point.kappa == 0.0
         assert result.evaluations == 2  # one probe plus the certificate
 
     def test_a_saturated_deflection_still_certifies(self, default_scenario):
@@ -284,7 +274,7 @@ class TestMinimizePower:
     def test_unit_detection_floor_is_infeasible(self, fast_context):
         targets = ConstraintTargets(gamma_min=0.0, pfa_max=0.5, pd_min=1.0, p_max_watts=dbm_to_watts(46.0))
         assert not minimize_power(fast_context, targets=targets).feasible
-        assert not any(rec.feasible for rec in tradeoff_sweep(fast_context, targets=targets))
+        assert not tradeoff_sweep(fast_context, targets=targets)["feasible"].any()
 
     def test_unreachable_rate_floor_is_infeasible(self, fast_context):
         targets = ConstraintTargets(
@@ -315,9 +305,8 @@ class TestMinimizePower:
     def test_fixed_split_is_respected(self, fast_context):
         sc = fast_context.scenario
         fixed = dataclasses.replace(sc, optimizer=dataclasses.replace(sc.optimizer, fixed_rho=0.9))
-        result = minimize_power(fixed)
+        result = minimize_power(build_context(fixed))
         assert result.feasible
-        assert result.rho_star == 0.9
         assert result.point.rho == 0.9
 
 
@@ -329,14 +318,14 @@ def swept(fast_context):
 class TestTradeoffSweep:
     def test_default_grid_spans_floor_to_ceiling(self, fast_context, swept):
         sc = fast_context.scenario
-        assert len(swept) == sc.power.points
-        powers = [rec.power_watts for rec in swept]
+        powers = swept["power_watts"].tolist()
+        assert len(powers) == sc.power.points
         assert powers == sorted(powers)
         assert powers[0] == pytest.approx(dbm_to_watts(sc.power.min_dbm), rel=1e-12)
         assert powers[-1] == pytest.approx(dbm_to_watts(sc.targets.p_max_dbm), rel=1e-12)
 
     def test_feasibility_is_monotone_along_the_grid(self, swept):
-        flags = [rec.feasible for rec in swept]
+        flags = swept["feasible"].tolist()
         assert flags == sorted(flags)
         assert not flags[0]
         assert flags[-1]
@@ -344,22 +333,22 @@ class TestTradeoffSweep:
     def test_marked_record_is_the_first_feasible_one(self, fast_context, swept):
         # the first feasible grid power is where the split search first succeeds
         idx = first_feasible_index(swept)
-        assert feasible_split(fast_context, swept[idx].power_watts) is not None
-        assert idx == 0 or feasible_split(fast_context, swept[idx - 1].power_watts) is None
+        powers = swept["power_watts"]
+        assert feasible_split(fast_context, powers[idx]) is not None
+        assert idx == 0 or feasible_split(fast_context, powers[idx - 1]) is None
 
     def test_marked_record_meets_both_service_targets(self, fast_context, swept):
-        marked = swept[first_feasible_index(swept)]
-        assert marked.rate_bps_hz >= fast_context.scenario.targets.rate_bps_hz
-        assert marked.pd >= fast_context.scenario.targets.pd_min
-        assert marked.pfa <= fast_context.scenario.targets.pfa_max
+        idx = first_feasible_index(swept)
+        assert swept["rate_bps_hz"][idx] >= fast_context.scenario.targets.rate_bps_hz
+        assert swept["pd"][idx] >= fast_context.scenario.targets.pd_min
+        assert swept["pfa"][idx] <= fast_context.scenario.targets.pfa_max
 
     def test_starved_end_fails_both_services(self, swept):
-        low = swept[0]
-        assert low.rate_bps_hz < 5.0
-        assert low.pd < 0.6
+        assert swept["rate_bps_hz"][0] < 5.0
+        assert swept["pd"][0] < 0.6
 
     def test_rate_grows_with_power(self, swept):
-        rates = [rec.rate_bps_hz for rec in swept]
+        rates = swept["rate_bps_hz"]
         assert np.all(np.diff(rates) >= 0.0)
         assert rates[-1] > rates[0]
 
@@ -367,9 +356,10 @@ class TestTradeoffSweep:
         # the marked grid power brackets the bisected optimum from above
         idx = first_feasible_index(swept)
         tol_factor = fast_context.scenario.optimizer.tol_factor
-        assert solved.p_star_watts <= swept[idx].power_watts * (1.0 + tol_factor)
+        powers = swept["power_watts"]
+        assert solved.point.power_watts <= powers[idx] * (1.0 + tol_factor)
         if idx > 0:
-            assert solved.p_star_watts > swept[idx - 1].power_watts
+            assert solved.point.power_watts > powers[idx - 1]
 
     def test_impossible_targets_leave_nothing_marked(self, fast_context):
         targets = ConstraintTargets(
@@ -383,8 +373,16 @@ class TestTradeoffSweep:
             fast_scenario,
             optimizer=dataclasses.replace(fast_scenario.optimizer, fixed_rho=0.9),
         )
-        result = tradeoff_sweep(scenario)
-        assert all(rec.rho == 0.9 for rec in result)
+        result = tradeoff_sweep(build_context(scenario))
+        assert np.all(result["rho"] == 0.9)
+
+    def test_columns_match_the_split_by_split_scan(self, fast_context, swept):
+        targets = ConstraintTargets.from_scenario(fast_context.scenario)
+        rhos = _rho_grid(fast_context.scenario.optimizer)
+        rows = [_oracle_tradeoff_record(fast_context, targets, p, rhos) for p in swept["power_watts"].tolist()]
+        assert list(swept) == list(rows[0])
+        for name, column in swept.items():
+            assert column.tolist() == [row[name] for row in rows], name
 
 
 # The split search evaluates every split of a power in one batch. The oracle
@@ -428,12 +426,15 @@ def _oracle_tradeoff_record(ctx, targets, power, rhos):
             best = (deflection, float(rho), params)
         if gamma_direct + gamma_relayed >= targets.gamma_min and deflection >= floor:
             jointly_feasible = True
-    if best is None:
-        return TradeoffRecord(power, float(rhos[0]), 0.0, best_rate, 0.0, 0.0, jointly_feasible)
-    _, rho_best, params = best
-    kappa = false_alarm_threshold(*params, targets.pfa_max)
-    pd, pfa = detection_probability(*params, kappa), false_alarm_probability(*params, kappa)
-    return TradeoffRecord(power, rho_best, kappa, best_rate, pd, pfa, jointly_feasible)
+    rho, kappa, pd, pfa = float(rhos[0]), 0.0, 0.0, 0.0
+    if best is not None:
+        _, rho, params = best
+        kappa = false_alarm_threshold(*params, targets.pfa_max)
+        pd, pfa = detection_probability(*params, kappa), false_alarm_probability(*params, kappa)
+    return {
+        "power_watts": power, "rho": rho, "kappa": kappa, "rate_bps_hz": best_rate,
+        "pd": pd, "pfa": pfa, "feasible": jointly_feasible,
+    }
 
 
 def _uniform(lo, hi):
@@ -497,7 +498,7 @@ class TestBatchedSplitSearch:
         assert _first_feasible(ctx, targets, 2.0, rhos) == (None, 4)
         record = _tradeoff_record(ctx, targets, 2.0, rhos)
         assert record == _oracle_tradeoff_record(ctx, targets, 2.0, rhos)
-        assert (record.rho, record.kappa, record.pd, record.pfa) == (0.0, 0.0, 0.0, 0.0)
+        assert (record["rho"], record["kappa"], record["pd"], record["pfa"]) == (0.0, 0.0, 0.0, 0.0)
 
     def test_a_tiny_cap_still_meets_its_threshold(self, fast_context):
         # every live split has a smallest threshold meeting any cap in (0, 1)
@@ -505,8 +506,8 @@ class TestBatchedSplitSearch:
         rhos = np.linspace(0.0, 1.0, 4)
         record = _tradeoff_record(fast_context, targets, 2.0, rhos)
         assert record == _oracle_tradeoff_record(fast_context, targets, 2.0, rhos)
-        assert 0.0 < record.pfa <= targets.pfa_max
-        assert record.feasible
+        assert 0.0 < record["pfa"] <= targets.pfa_max
+        assert record["feasible"]
 
     def test_ties_go_to_the_smallest_split(self, fast_context):
         # vacuous targets make every split feasible at its threshold
@@ -520,7 +521,7 @@ class TestBatchedSplitSearch:
         assert deflection[0] == deflection[1] > deflection[2]
         record = _tradeoff_record(fast_context, targets, 2.0, twice)
         assert record == _oracle_tradeoff_record(fast_context, targets, 2.0, twice)
-        assert record.rho == 0.5
+        assert record["rho"] == 0.5
 
     def test_a_deflection_on_the_floor_is_feasible(self, fast_context):
         # pd_min = 1/2 puts Q^-1(pd_min) at 0, so the floor is Q^-1(pfa_max);
@@ -540,7 +541,7 @@ class TestBatchedSplitSearch:
         targets = ConstraintTargets(gamma_min=0.0, pfa_max=cap, pd_min=0.5, p_max_watts=1e3)
         assert targets.deflection_floor == deflection
         assert _first_feasible(fast_context, targets, power, rho)[0] is not None
-        assert _tradeoff_record(fast_context, targets, power, rho).feasible
+        assert _tradeoff_record(fast_context, targets, power, rho)["feasible"]
 
 
 @st.composite
@@ -581,7 +582,7 @@ class TestOptimizerProperties:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(optimizer_scenarios([1e-20, 1e-9, 1e-6, 1e-3, 1e-1]))
     def test_emitted_certificate_revalidates(self, tmp_path_factory, sc):
-        result = minimize_power(sc)
+        result = minimize_power(build_context(sc))
         sc = dataclasses.replace(sc, output=dataclasses.replace(sc.output, dir=str(tmp_path_factory.mktemp("optimum"))))
         written = emit_outputs([_optimum_table(sc, result)], sc, command="optimize")
         (row,) = parse_table_csv(written["optimum"], OPTIMUM_COLUMNS)
@@ -590,7 +591,7 @@ class TestOptimizerProperties:
             point = evaluate_point(sc, row["p_star_watts"], row["rho"], row["kappa"])
             assert point.feasible
             assert point == result.point
-            assert row["p_star_watts"] <= result.p_ceiling_watts
+            assert row["p_star_watts"] <= ConstraintTargets.from_scenario(sc).p_max_watts
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(optimizer_scenarios([1e-5, 1e-3, 1e-1]))
@@ -599,5 +600,5 @@ class TestOptimizerProperties:
         # the tolerances stay well above the 9-digit grid p* is rounded onto
         ctx = build_context(sc)
         result = minimize_power(ctx)
-        if result.feasible and result.p_star_watts > canonical_ceil(dbm_to_watts(sc.power.min_dbm)):
-            assert feasible_split(ctx, result.p_star_watts / (1.0 + sc.optimizer.tol_factor)) is None
+        if result.feasible and result.point.power_watts > canonical_ceil(dbm_to_watts(sc.power.min_dbm)):
+            assert feasible_split(ctx, result.point.power_watts / (1.0 + sc.optimizer.tol_factor)) is None

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +252,21 @@ class TestValidation:
             scenario_from_dict({"sweep": {"carriers_ghz": [-2.8]}})
         with pytest.raises(ConfigError):
             scenario_from_dict({"detection": {"powers_dbm": []}})
+
+    def test_list_entries_must_be_distinct(self):
+        # each entry keys its own table rows, so a repeat is rejected, also
+        # one that repeats only once an integer is read as a float
+        for section, name, value, shown in (
+            ("sweep", "antennas", [5, 10, 5], "[5, 10, 5]"),
+            ("sweep", "carriers_ghz", [28, 28.0], "[28.0, 28.0]"),
+            ("sweep", "clutter_levels", ["none", "none"], "['none', 'none']"),
+            ("detection", "powers_dbm", [30.0, 36.0, 30.0], "[30.0, 36.0, 30.0]"),
+            ("detection", "clutter_levels", ["light", "intense", "light"], "['light', 'intense', 'light']"),
+        ):
+            message = f"{section}.{name}: entries must be distinct, got {shown}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                scenario_from_dict({section: {name: value}})
+            scenario_from_dict({section: {name: list(dict.fromkeys(value))}})
 
     def test_every_construction_is_validated(self):
         with pytest.raises(ConfigError, match=r"^optimizer\.rho_points: must be >= 2, got 1$"):
