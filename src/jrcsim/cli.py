@@ -23,7 +23,7 @@ from .experiments import (
     run_tradeoff,
     run_validation,
 )
-from .scenario import ConfigError, ScenarioConfig, load_scenario, watts_to_dbm
+from .scenario import ConfigError, ScenarioConfig, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -44,7 +44,7 @@ def _tradeoff_summary(tables, scenario: ScenarioConfig) -> str:
     if not row["feasible"]:
         return f"tradeoff: no feasible power at ceiling {scenario.targets.p_max_dbm:.3f} dBm"
     return (
-        f"tradeoff: minimal feasible power {watts_to_dbm(row['p_star_watts']):.3f} dBm "
+        f"tradeoff: minimal feasible power {row['p_star_dbm']:.3f} dBm "
         f"(rho = {row['rho']:.3f})"
     )
 
@@ -57,7 +57,7 @@ def _optimize_summary(tables, scenario: ScenarioConfig) -> str:
             f"({row['evaluations']} evaluations)"
         )
     return (
-        f"optimize: p* = {watts_to_dbm(row['p_star_watts']):.3f} dBm "
+        f"optimize: p* = {row['p_star_dbm']:.3f} dBm "
         f"(rho = {row['rho']:.3f}, kappa = {row['kappa']:.6g}); "
         f"rate = {row['rate_bps_hz']:.3f} b/s/Hz, pd = {row['pd']:.4f}, pfa = {row['pfa']:.3g}"
     )

@@ -8,9 +8,12 @@ transmit waveform fixed across Monte Carlo trials and operating points. The
 radar scene is the clutter steering matrix B and its amplitude scales sigma_l,
 built once per context from the clutter placements; a clutter level is the
 same matrix with another scale. SimulationContext.operating_point turns a
-(power, split), or a power and a whole split grid, into the one record every
+(power, split), or arrays of powers and splits, into the one record every
 reader takes: beams, waveform, receive beamformer, detector moments and link
-SINRs. Beams are one array: row 0 the data beam, row 1 the radar beam.
+SINRs. Beams are one array: row 0 the data beam, row 1 the radar beam. Power
+enters the clutter covariance as one scale, W(P) = I + P M(rho), so a split
+grid is decomposed once at unit power (SimulationContext.unit_kernel) and that
+one kernel serves every power probed on it.
 """
 
 from __future__ import annotations
@@ -58,13 +61,20 @@ def stream_id(kind: int, index: int = 0) -> int:
     return (kind << _INDEX_BITS) | index
 
 
+def _all(mask) -> bool:
+    """np.all of a bool or a boolean array, without np.all's call cost on a
+    Python bool: the sweep checks float beams_at arguments once per context."""
+    return mask if isinstance(mask, bool) else bool(mask.all())
+
+
 @dataclass(frozen=True)
 class OperatingPoint:
     """Everything one transmit configuration (power P, split rho) gives: the
     beams, the frozen waveform x, the SCNR-optimal receive beamformer
     w = W^-1 A x, the detector moments mu_1 and sigma^2, and both link SINRs.
-    A 1-D array of splits gives every field a leading split axis, each row
-    bit for bit the point of that split alone."""
+    A 1-D array of splits gives every field a leading split axis, and a
+    column of powers (M, 1) against it a leading (M, S) pair of axes; each
+    entry is bit for bit the point of that power and split alone."""
 
     beams: np.ndarray
     x: np.ndarray
@@ -101,24 +111,35 @@ class SimulationContext:
     radar_direction: np.ndarray
     symbols: np.ndarray
 
-    def beams_at(self, power_watts: float, rho) -> np.ndarray:
+    def beams_at(self, power_watts, rho) -> np.ndarray:
         """Split a power budget between the matched data and radar directions: rows
-        (data beam, radar beam) of a (2, N) array, or (..., 2, N) for an array of splits."""
-        if not 0.0 <= power_watts < np.inf:
+        (data beam, radar beam) of a (2, N) array, or (..., 2, N) for arrays of
+        powers and splits, broadcast against each other."""
+        if not _all((0.0 <= power_watts) & (power_watts < np.inf)):
             raise ValueError(f"power must lie in [0, inf), got {power_watts}")
-        if not np.all((0.0 <= rho) & (rho <= 1.0)):
+        if not _all((0.0 <= rho) & (rho <= 1.0)):
             raise ValueError(f"power split must lie in [0, 1], got {rho}")
         u = np.sqrt((1.0 - rho) * power_watts)[..., None] * self.comm_direction
         v = np.sqrt(rho * power_watts)[..., None] * self.radar_direction
         return np.stack((u, v), axis=-2)
 
-    def operating_point(self, power_watts: float, rho) -> OperatingPoint:
-        """The record of power_watts at split rho, a float or a 1-D array of splits."""
+    def unit_kernel(self, rho) -> InterferenceKernel:
+        """The interference kernel of split rho (a float or a 1-D array) at unit
+        power: one decomposition that gives W(P) at every power P."""
+        return InterferenceKernel(self.clutter, self.clutter.gains(self.beams_at(1.0, rho)))
+
+    def operating_point(self, power_watts, rho, kernel: InterferenceKernel | None = None) -> OperatingPoint:
+        """The record of power_watts at split rho: a float or a 1-D array of
+        splits, and a float power or an array of powers broadcasting against
+        them, such as an (M, 1) column. The kernel is unit_kernel(rho), built
+        here unless a caller probing one split grid at many powers hands it
+        in; handing it in changes no number."""
         beams = self.beams_at(power_watts, rho)
         x = waveform_from_symbols(beams, self.symbols)
         a = self.target_steering
-        kernel = InterferenceKernel(self.clutter, self.clutter.gains(beams))
-        w = kernel.solve(a * np.vecdot(a.conj(), x)[..., None])
+        if kernel is None:
+            kernel = self.unit_kernel(rho)
+        w = kernel.solve(a * np.vecdot(a.conj(), x)[..., None], power_watts)
         mu1, sigma2 = statistic_moments(w, self.alpha0, a, self.clutter, x)
         comm = self.scenario.comm
         gain = af_gain(self.h_sr, beams, comm)

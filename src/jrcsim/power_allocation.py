@@ -24,12 +24,17 @@ powers, the best achievable rate, the best detection probability subject to
 the false-alarm limit, and whether the constraint set is jointly satisfiable
 there. Both take a context; evaluate_point also builds one from a scenario.
 
-A probe evaluates the whole split grid at once: its OperatingPoint carries
-beams, waveforms, w, mu_1, sigma^2, the deflection and both SINRs along a
-leading split axis, from one stacked SVD. The first feasible split and the
-split of best guarded detection are first-index argmaxes over those, so the
-tie-breaks are a split-by-split scan's, and every entry equals, bit for bit,
-the record of that split alone.
+Power enters the interference covariance as one scale, W(P) = I + P M(rho),
+so each call decomposes its split grid once, at unit power, and every power
+it probes scales that one kernel. A probe evaluates the whole split grid at
+once: its OperatingPoint carries beams, waveforms, w, mu_1, sigma^2, the
+deflection and both SINRs along a leading split axis. The coarse walk stacks
+its powers too, _POWER_BLOCK at a time, and stops at the first block that
+holds a feasible point; tradeoff_sweep stacks all of its powers in one
+record. The first feasible split and the split of best guarded detection are
+first-index argmaxes over those, so the tie-breaks are a power-by-power,
+split-by-split scan's, and every entry equals, bit for bit, the record of that
+power and split alone.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .detection import (
     false_alarm_probability,
     false_alarm_threshold,
 )
-from .radar_sensing import average_scnr_curve
+from .radar_sensing import InterferenceKernel, average_scnr_curve
 from .scenario import ScenarioConfig, dbm_to_watts, watts_to_dbm
 from .stats import canonical_ceil, canonical_float, inverse_q
 
@@ -61,6 +66,10 @@ __all__ = [
 
 # slack for the by-construction budget identity ||u||^2 + ||v||^2 = P
 _BUDGET_SLACK = 1.0e-9
+
+# coarse grid powers stacked per record: enough to amortize the per-call cost,
+# few enough that a walk stopping early evaluates little past its stop
+_POWER_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -108,12 +117,8 @@ class EvaluatedPoint:
     rho: float
     kappa: float
     rate_bps_hz: float
-    gamma_direct: float
-    gamma_relayed: float
     pfa: float
     pd: float
-    mu1_abs: float
-    sigma2: float
     scnr_avg: float
     meets_rate: bool
     meets_pfa: bool
@@ -145,19 +150,25 @@ def _rho_grid(opt) -> np.ndarray:
 def _first_feasible(
     ctx: SimulationContext,
     targets: ConstraintTargets,
-    power_watts: float,
+    power_watts,
     rhos: np.ndarray,
+    kernel: InterferenceKernel | None = None,
 ) -> tuple[tuple[float, float] | None, int]:
     """Smallest (rho, kappa) meeting rate and detection constraints, if any, and
-    the number of splits up to and including it (all of them when none is)."""
-    point = ctx.operating_point(power_watts, rhos)
-    ok = (point.gamma_direct + point.gamma_relayed >= targets.gamma_min) & (point.mu1_abs > 0.0)
-    ok &= point.deflection >= targets.deflection_floor
+    the number of splits up to and including it (all of them when none is).
+    An (M, 1) column of ascending powers is scanned power by power, in one
+    record: the first feasible point, and the splits scanned up to it over
+    all those powers. The kernel is ctx.unit_kernel(rhos), built here unless
+    handed in."""
+    point = ctx.operating_point(power_watts, rhos, kernel)
+    mu1_abs = point.mu1_abs
+    ok = (point.gamma_direct + point.gamma_relayed >= targets.gamma_min) & (mu1_abs > 0.0)
+    ok = (ok & (point.deflection >= targets.deflection_floor)).ravel()
     if not ok.any():
-        return None, len(rhos)
+        return None, ok.size
     i = int(np.argmax(ok))
-    kappa = false_alarm_threshold(float(point.mu1_abs[i]), float(point.sigma2[i]), targets.pfa_max)
-    return (float(rhos[i]), kappa), i + 1
+    kappa = false_alarm_threshold(float(mu1_abs.flat[i]), float(point.sigma2.flat[i]), targets.pfa_max)
+    return (float(rhos[i % len(rhos)]), kappa), i + 1
 
 
 def evaluate_point(
@@ -170,13 +181,15 @@ def evaluate_point(
     """Audit one operating triple at a positive power: build its record, then
     check every target. A kappa of None takes the record's false-alarm
     threshold rounded up onto the 9-significant-digit emission grid, the
-    threshold a certificate prints."""
+    threshold a certificate prints. One unit-power decomposition of the split
+    serves both the record and the averaged SCNR."""
     ctx = scenario if isinstance(scenario, SimulationContext) else build_context(scenario)
     if targets is None:
         targets = ConstraintTargets.from_scenario(ctx.scenario)
     if not power_watts > 0.0:
         raise ValueError(f"power must be positive, got {power_watts}")
-    point = ctx.operating_point(power_watts, rho)
+    kernel = ctx.unit_kernel(rho)
+    point = ctx.operating_point(power_watts, rho, kernel)
     mu1_abs, sigma2 = float(point.mu1_abs), float(point.sigma2)
     if kappa is None:
         kappa = canonical_ceil(false_alarm_threshold(mu1_abs, sigma2, targets.pfa_max))
@@ -188,19 +201,15 @@ def evaluate_point(
     meets_pd = pd >= targets.pd_min
     spent = float(sum(np.vdot(beam, beam).real for beam in point.beams))
     within_budget = spent <= power_watts + _BUDGET_SLACK * max(1.0, power_watts)
-    a = ctx.target_steering
-    scnr_avg = average_scnr_curve(ctx.clutter, ctx.alpha0, a, ctx.beams_at(1.0, rho), [power_watts])[0]
+    a, unit_beams = ctx.target_steering, ctx.beams_at(1.0, rho)
+    scnr_avg = average_scnr_curve(ctx.clutter, ctx.alpha0, a, unit_beams, [power_watts], kernel)[0]
     return EvaluatedPoint(
         power_watts=power_watts,
         rho=rho,
         kappa=kappa,
         rate_bps_hz=mrc_rate(gamma_direct, gamma_relayed),
-        gamma_direct=gamma_direct,
-        gamma_relayed=gamma_relayed,
         pfa=pfa,
         pd=pd,
-        mu1_abs=mu1_abs,
-        sigma2=sigma2,
         scnr_avg=float(scnr_avg),
         meets_rate=meets_rate,
         meets_pfa=meets_pfa,
@@ -235,6 +244,27 @@ def _certificate(
     return None, evaluations
 
 
+def _coarse_walk(
+    ctx: SimulationContext,
+    targets: ConstraintTargets,
+    powers: np.ndarray,
+    rhos: np.ndarray,
+    kernel: InterferenceKernel,
+) -> tuple[int | None, tuple[float, float] | None, int]:
+    """The first power of an ascending grid with a feasible split: its index
+    and _first_feasible's (rho, kappa), or (None, None), and the evaluations a
+    power-by-power walk of _first_feasible spends to get there. The powers are
+    stacked _POWER_BLOCK to a record, and the walk stops at the first block
+    holding a feasible point."""
+    evaluations = 0
+    for start in range(0, len(powers), _POWER_BLOCK):
+        best, n = _first_feasible(ctx, targets, powers[start : start + _POWER_BLOCK, None], rhos, kernel)
+        evaluations += n
+        if best is not None:
+            return start + (n - 1) // len(rhos), best, evaluations
+    return None, None, evaluations
+
+
 def minimize_power(
     ctx: SimulationContext,
     targets: ConstraintTargets | None = None,
@@ -251,13 +281,10 @@ def minimize_power(
         )
     powers = np.geomspace(p_floor, p_max, opt.power_points)
     rhos = _rho_grid(opt)
+    kernel = ctx.unit_kernel(rhos)
 
-    evaluations, point = 0, None
-    for i, p in enumerate(powers):
-        best, n = _first_feasible(ctx, targets, float(p), rhos)
-        evaluations += n
-        if best is not None:
-            break
+    i, best, evaluations = _coarse_walk(ctx, targets, powers, rhos, kernel)
+    point = None
     if best is not None:
         rho_star, hi = best[0], float(powers[i])
         if i > 0:
@@ -267,7 +294,7 @@ def minimize_power(
                 mid = math.sqrt(lo * hi)
                 if not lo < mid < hi:
                     break  # the bracket is as narrow as floats allow
-                best, n = _first_feasible(ctx, targets, mid, rhos)
+                best, n = _first_feasible(ctx, targets, mid, rhos, kernel)
                 evaluations += n
                 if best is not None:
                     hi, rho_star = mid, best[0]
@@ -281,30 +308,40 @@ def minimize_power(
 def _tradeoff_record(
     ctx: SimulationContext,
     targets: ConstraintTargets,
-    power_watts: float,
+    power_watts,
     rhos: np.ndarray,
 ) -> dict:
-    """The tradeoff row of one power, keyed by tradeoff_sweep's columns."""
-    point = ctx.operating_point(power_watts, rhos)
+    """The tradeoff rows of a 1-D array of powers, as arrays keyed by
+    tradeoff_sweep's columns, from one record over powers x splits; a float
+    power gives its one row as floats. Only the scalar closed forms of each
+    row's chosen split run per power."""
+    powers = np.reshape(power_watts, (-1, 1))
+    point = ctx.operating_point(powers, rhos)
+    mu1_abs, deflection = point.mu1_abs, point.deflection
     gamma_sum = point.gamma_direct + point.gamma_relayed
-    # the rate is log2(1 + gamma_sum), so the best rate sits at the largest sum
-    i = int(np.argmax(1.0 + gamma_sum))
-    best_rate = mrc_rate(point.gamma_direct[i], point.gamma_relayed[i])
-    live, deflection = point.mu1_abs > 0.0, point.deflection
+    live = mu1_abs > 0.0
     meets = (gamma_sum >= targets.gamma_min) & (deflection >= targets.deflection_floor)
-    feasible = bool(np.any(live & meets))
-    rho, kappa, pd, pfa = float(rhos[0]), 0.0, 0.0, 0.0
-    if live.any():
-        # P_D at the false-alarm threshold grows with the deflection; argmax
-        # takes the first maximum, so ties go to the smallest rho
-        i = int(np.argmax(np.where(live, deflection, -np.inf)))
-        mu1_abs, sigma2 = float(point.mu1_abs[i]), float(point.sigma2[i])
-        rho, kappa = float(rhos[i]), false_alarm_threshold(mu1_abs, sigma2, targets.pfa_max)
-        pd, pfa = detection_probability(mu1_abs, sigma2, kappa), false_alarm_probability(mu1_abs, sigma2, kappa)
-    return {
-        "power_watts": power_watts, "rho": rho, "kappa": kappa, "rate_bps_hz": best_rate,
-        "pd": pd, "pfa": pfa, "feasible": feasible,
+    # the rate is log2(1 + gamma_sum), so the best rate sits at the largest sum;
+    # P_D at the false-alarm threshold grows with the deflection; argmax takes
+    # the first maximum, so ties go to the smallest rho
+    fastest = np.argmax(1.0 + gamma_sum, axis=-1)
+    sharpest = np.argmax(np.where(live, deflection, -np.inf), axis=-1)
+    rows = []
+    for r, (i, j) in enumerate(zip(fastest, sharpest)):
+        rho, kappa, pd, pfa = float(rhos[0]), 0.0, 0.0, 0.0
+        if live[r].any():
+            params = float(mu1_abs[r, j]), float(point.sigma2[r, j])
+            rho, kappa = float(rhos[j]), false_alarm_threshold(*params, targets.pfa_max)
+            pd, pfa = detection_probability(*params, kappa), false_alarm_probability(*params, kappa)
+        rows.append((rho, kappa, mrc_rate(point.gamma_direct[r, i], point.gamma_relayed[r, i]), pd, pfa))
+    rho, kappa, rate, pd, pfa = (np.array(column) for column in zip(*rows))
+    columns = {
+        "power_watts": powers[:, 0], "rho": rho, "kappa": kappa, "rate_bps_hz": rate,
+        "pd": pd, "pfa": pfa, "feasible": np.any(live & meets, axis=-1),
     }
+    if np.ndim(power_watts) == 0:
+        return {name: column[0].item() for name, column in columns.items()}
+    return columns
 
 
 def tradeoff_sweep(
@@ -320,6 +357,5 @@ def tradeoff_sweep(
     grid_dbm = np.linspace(
         ctx.scenario.power.min_dbm, watts_to_dbm(targets.p_max_watts), ctx.scenario.power.points
     )
-    rhos = _rho_grid(ctx.scenario.optimizer)
-    rows = [_tradeoff_record(ctx, targets, float(dbm_to_watts(p)), rhos) for p in grid_dbm]
-    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    powers = np.array([float(dbm_to_watts(p)) for p in grid_dbm])
+    return _tradeoff_record(ctx, targets, powers, _rho_grid(ctx.scenario.optimizer))

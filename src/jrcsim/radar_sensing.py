@@ -98,9 +98,12 @@ class InterferenceKernel:
         else:
             self._vecs = np.eye(n)
 
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        """W(1)^-1 y."""
-        z = _matvec(self._vecs.conj().swapaxes(-1, -2), y) / (1.0 + self._lam)
+    def solve(self, y: np.ndarray, scale=1.0) -> np.ndarray:
+        """W(s)^-1 y, with the power scale s a float or an array broadcasting over
+        y's leading axes: a (P, 1) column of scales against a (S, N) kernel stack
+        gives a (P, S, N) result, each entry bit for bit its own (s, y) pair's."""
+        scale = np.asarray(scale)[..., None]
+        z = _matvec(self._vecs.conj().swapaxes(-1, -2), y) / (1.0 + scale * self._lam)
         return _matvec(self._vecs, z)
 
     def quadratic(self, y: np.ndarray, scales=(1.0,)) -> np.ndarray:
@@ -126,16 +129,20 @@ def average_scnr_curve(
     a_target: np.ndarray,
     beams: np.ndarray,
     powers,
+    kernel: InterferenceKernel | None = None,
 ) -> np.ndarray:
     """Symbol-averaged optimal SCNR at each total power P (1-D) for transmit beams sqrt(P) b_k.
 
     |alpha_0|^2 (a^H W(P)^-1 a) P sum_k |a^T b_k|^2, with the beams b_k as rows;
     one decomposition serves every power. Stacked realizations (clutter matrices
     (R, N, L), alpha_0 (R,), a (R, N), beams (R, K, N)) give (R, P) curves, each
-    row bit for bit the curve of that realization alone.
+    row bit for bit the curve of that realization alone. A caller that already
+    holds the kernel of these unit-power beams hands it in instead of a second
+    decomposition.
     """
     powers = np.asarray(powers, dtype=float)
-    kernel = InterferenceKernel(clutter, clutter.gains(beams))
+    if kernel is None:
+        kernel = InterferenceKernel(clutter, clutter.gains(beams))
     # abs(alpha_0) ** 2 rounded as the scalar is, hypot then pow, for one or a stack
     reflectivity = np.float_power(np.hypot(np.real(alpha0), np.imag(alpha0)), 2)[..., None]
     loading = np.sum(np.abs(_matvec(beams, a_target)) ** 2, axis=-1)[..., None]

@@ -176,13 +176,13 @@ def rate_targets(gamma_min: float) -> ConstraintTargets:
 class TestRateConstraint:
     # the optimizer's rate test: gamma_direct + gamma_relayed >= gamma_min
     def test_boundary_inclusive(self, default_context):
-        pt = evaluate_point(default_context, 1.0, 0.5, 0.0)
-        at_boundary = rate_targets(pt.gamma_direct + pt.gamma_relayed)
+        pt = default_context.operating_point(1.0, 0.5)
+        at_boundary = rate_targets(float(pt.gamma_direct) + float(pt.gamma_relayed))
         assert evaluate_point(default_context, 1.0, 0.5, 0.0, at_boundary).meets_rate
 
     def test_below_threshold(self, default_context):
-        pt = evaluate_point(default_context, 1.0, 0.5, 0.0)
-        just_above = rate_targets(np.nextafter(pt.gamma_direct + pt.gamma_relayed, np.inf))
+        pt = default_context.operating_point(1.0, 0.5)
+        just_above = rate_targets(np.nextafter(float(pt.gamma_direct) + float(pt.gamma_relayed), np.inf))
         assert not evaluate_point(default_context, 1.0, 0.5, 0.0, just_above).meets_rate
 
     def test_consistent_with_rate(self):

@@ -132,6 +132,10 @@ class TestBeamsAndWaveform:
         stacked = ctx.beams_at(4.0, np.array([0.0, 0.25]))
         assert stacked.shape == (2, 2, ctx.array.n_antennas)
         assert np.array_equal(stacked[1], beams)
+        # a column of powers against the split grid adds a leading power axis
+        grid = ctx.beams_at(np.array([[1.0], [4.0]]), np.array([0.0, 0.25]))
+        assert grid.shape == (2, 2, 2, ctx.array.n_antennas)
+        assert np.array_equal(grid[1, 1], beams)
 
     def test_rejects_bad_split_arguments(self, default_context):
         with pytest.raises(ValueError):
@@ -141,9 +145,12 @@ class TestBeamsAndWaveform:
                 default_context.beams_at(1.0, rho)
 
     def test_rejects_nonfinite_power(self, default_context):
-        for power in (np.inf, np.nan):
+        # a column of powers is rejected when any one of them is out of range
+        for power in (np.inf, np.nan, np.array([[1.0], [np.inf]]), np.array([[-1.0], [1.0]])):
             with pytest.raises(ValueError, match=r"power must lie in \[0, inf\)"):
                 default_context.beams_at(power, 0.5)
+        with pytest.raises(ValueError, match=r"power must lie in \[0, inf\)"):
+            default_context.beams_at(np.array([[1.0], [np.nan]]), np.array([0.0, 0.5]))
         with pytest.raises(ValueError, match=r"power must lie in \[0, inf\)"):
             evaluate_point(default_context, math.inf, 0.5, 0.0)
 

@@ -25,6 +25,7 @@ from jrcsim.detection import (
 from jrcsim.experiments import OPTIMUM_COLUMNS, _optimum_table, emit_outputs, parse_table_csv
 from jrcsim.power_allocation import (
     ConstraintTargets,
+    _coarse_walk,
     _first_feasible,
     _rho_grid,
     _tradeoff_record,
@@ -122,12 +123,13 @@ class TestEvaluatePoint:
         mu1, sigma2 = statistic_moments(w, ctx.alpha0, ctx.target_steering, ctx.clutter, x)
         kappa = abs(mu1) ** 2
         point = evaluate_point(ctx, power, rho, kappa)
-        assert point.mu1_abs == pytest.approx(abs(mu1), rel=1e-12)
-        assert point.sigma2 == pytest.approx(sigma2, rel=1e-12)
+        record = ctx.operating_point(power, rho)
+        assert float(record.mu1_abs) == pytest.approx(abs(mu1), rel=1e-12)
+        assert float(record.sigma2) == pytest.approx(sigma2, rel=1e-12)
         assert point.pfa == pytest.approx(false_alarm_probability(abs(mu1), sigma2, kappa), rel=1e-12)
         assert point.pd == pytest.approx(detection_probability(abs(mu1), sigma2, kappa), rel=1e-12)
         assert point.rate_bps_hz == pytest.approx(
-            mrc_rate(point.gamma_direct, point.gamma_relayed), rel=1e-12
+            mrc_rate(float(record.gamma_direct), float(record.gamma_relayed)), rel=1e-12
         )
         assert point.scnr_avg == pytest.approx(
             average_scnr(ctx.clutter, beams, ctx.alpha0, ctx.target_steering), rel=1e-12
@@ -149,8 +151,9 @@ class TestEvaluatePoint:
         # rho = 1 silences the communication beam entirely
         ctx = default_context
         point = evaluate_point(ctx, 2.0, 1.0, 0.0)
-        assert point.gamma_direct == 0.0
-        assert point.gamma_relayed == 0.0
+        record = ctx.operating_point(2.0, 1.0)
+        assert record.gamma_direct == 0.0
+        assert record.gamma_relayed == 0.0
         assert point.rate_bps_hz == 0.0
         assert not point.meets_rate
 
@@ -542,6 +545,132 @@ class TestBatchedSplitSearch:
         assert targets.deflection_floor == deflection
         assert _first_feasible(fast_context, targets, power, rho)[0] is not None
         assert _tradeoff_record(fast_context, targets, power, rho)["feasible"]
+
+
+# Power enters W(P) = I + P M(rho) as one scale, so one unit-power kernel per
+# split grid serves every power. The stacked (powers x splits) record must be,
+# bit for bit, the record of each (P, rho) alone, and the coarse walk over
+# stacked blocks must stop where the power-by-power walk below, the loop it
+# replaced, stops.
+
+_RECORD_FIELDS = ("beams", "x", "w", "mu1", "sigma2", "gamma_direct", "gamma_relayed")
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _oracle_coarse_walk(ctx, targets, powers, rhos):
+    evaluations = 0
+    for i, p in enumerate(powers):
+        best, n = _first_feasible(ctx, targets, float(p), rhos)
+        evaluations += n
+        if best is not None:
+            return i, best, evaluations
+    return None, None, evaluations
+
+
+@st.composite
+def power_stacks(draw):
+    """A random valid scene and split grid, and powers from 1e-4 W to 300 dBm."""
+    sc = _scenes(draw, ScenarioConfig())
+    exponents = draw(st.lists(st.one_of(_uniform(-4.0, 6.0), _uniform(-4.0, 27.0)), min_size=1, max_size=6))
+    return sc, 10.0 ** np.array(exponents)
+
+
+@st.composite
+def coarse_walks(draw):
+    """A split search with an ascending power grid of 1 to 40 points up to 300 dBm."""
+    sc, targets, _ = draw(split_searches())
+    floor = 10.0 ** draw(_uniform(-4.0, 3.0))
+    powers = np.geomspace(floor, 10.0 ** draw(_uniform(4.0, 27.0)), draw(st.sampled_from(range(1, 41))))
+    return sc, targets, powers
+
+
+class TestStackedPowers:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(power_stacks())
+    def test_stacked_record_matches_each_power_and_split(self, stack):
+        sc, powers = stack
+        ctx = build_context(sc)
+        rhos = _rho_grid(sc.optimizer)
+        stacked = ctx.operating_point(powers[:, None], rhos)
+        assert stacked.beams.shape == (len(powers), len(rhos), 2, sc.array.n_antennas)
+        for m, p in enumerate(powers.tolist()):
+            for k, rho in enumerate(rhos.tolist()):
+                alone = ctx.operating_point(p, rho)
+                for name in _RECORD_FIELDS:
+                    assert _same_bits(getattr(stacked, name)[m, k], getattr(alone, name)), (p, rho, name)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(power_stacks())
+    def test_a_handed_in_kernel_changes_no_number(self, stack):
+        sc, powers = stack
+        ctx = build_context(sc)
+        rhos = _rho_grid(sc.optimizer)
+        kernel = ctx.unit_kernel(rhos)
+        for p in (powers[:, None], float(powers[0])):
+            built, handed = ctx.operating_point(p, rhos), ctx.operating_point(p, rhos, kernel)
+            for name in _RECORD_FIELDS:
+                assert _same_bits(getattr(built, name), getattr(handed, name)), name
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(coarse_walks())
+    def test_coarse_walk_matches_the_power_by_power_walk(self, walk):
+        sc, targets, powers = walk
+        ctx = build_context(sc)
+        rhos = _rho_grid(sc.optimizer)
+        walked = _coarse_walk(ctx, targets, powers, rhos, ctx.unit_kernel(rhos))
+        assert walked == _oracle_coarse_walk(ctx, targets, powers, rhos)
+
+    def test_coarse_walk_stops_in_a_later_block(self, fast_context):
+        # the fast scenario's 24-point grid first turns feasible past the first block
+        targets = ConstraintTargets.from_scenario(fast_context.scenario)
+        sc = fast_context.scenario
+        powers = np.geomspace(dbm_to_watts(sc.power.min_dbm), targets.p_max_watts, sc.optimizer.power_points)
+        rhos = _rho_grid(sc.optimizer)
+        walked = _coarse_walk(fast_context, targets, powers, rhos, fast_context.unit_kernel(rhos))
+        assert walked == _oracle_coarse_walk(fast_context, targets, powers, rhos)
+        assert walked[0] >= 8
+
+
+class TestOneDecompositionPerSplitGrid:
+    """The optimizer decomposes its split grid once and scales that kernel at
+    every power; only each certificate candidate decomposes its own split."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import jrcsim.power_allocation as power_allocation
+        import jrcsim.radar_sensing as radar_sensing
+
+        counts = {"svd": 0, "evaluate_point": 0}
+        svd, audit = radar_sensing.np.linalg.svd, power_allocation.evaluate_point
+
+        def counted_svd(*args, **kwargs):
+            counts["svd"] += 1
+            return svd(*args, **kwargs)
+
+        def counted_audit(*args, **kwargs):
+            counts["evaluate_point"] += 1
+            return audit(*args, **kwargs)
+
+        monkeypatch.setattr(radar_sensing.np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(power_allocation, "evaluate_point", counted_audit)
+        return counts
+
+    def test_minimize_power(self, default_context, counts):
+        result = minimize_power(default_context)
+        assert result.feasible and counts["evaluate_point"] >= 1
+        assert counts["svd"] == 1 + counts["evaluate_point"]
+
+    def test_tradeoff_sweep(self, default_context, counts):
+        tradeoff_sweep(default_context)
+        assert counts["svd"] == 1
+
+    def test_evaluate_point(self, default_context, counts):
+        evaluate_point(default_context, 2.0, 0.5, None)
+        assert counts["svd"] == 1
 
 
 @st.composite
