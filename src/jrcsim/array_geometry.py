@@ -124,11 +124,11 @@ def steering_vector(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
     return _fresnel_steering(cfg, n, pos.range_m, pos.angle_rad)
 
 
-def steering_matrix(cfg: ArrayConfig, positions) -> np.ndarray:
-    """(N, L) matrix whose column l is the steering vector of positions[l]."""
+def steering_matrix(cfg: ArrayConfig, ranges, angles) -> np.ndarray:
+    """(..., N, L) matrices whose column l is the steering vector at (ranges[..., l], angles[..., l])."""
     n = element_index_offsets(cfg.n_antennas)[:, None]
-    r = np.array([p.range_m for p in positions], dtype=float)
-    theta = np.array([p.angle_rad for p in positions], dtype=float)
+    r = np.asarray(ranges, dtype=float)[..., None, :]
+    theta = np.asarray(angles, dtype=float)[..., None, :]
     return _fresnel_steering(cfg, n, r, theta)
 
 

@@ -1,24 +1,24 @@
-"""Deterministic simulation context built from a scenario configuration.
+"""Deterministic scenes and simulation contexts built from a scenario configuration.
 
 All randomness is keyed off the scenario seed through independent counter-based
-streams, so two contexts built from the same configuration are identical and
-sweep cells never share or reorder draws. The context freezes one unit-power
-symbol vector; beamformers at a given (power, split) reuse it, which keeps the
-transmit waveform fixed across Monte Carlo trials and operating points. The
-radar scene is the clutter steering matrix B and its amplitude scales sigma_l,
-built once per context from the clutter placements; a clutter level is the
-same matrix with another scale. SimulationContext.operating_point turns a
-(power, split), or arrays of powers and splits, into the one record every
-reader takes: beams, waveform, receive beamformer, detector moments and link
-SINRs. Beams are one array: row 0 the data beam, row 1 the radar beam. Power
-enters the clutter covariance as one scale, W(P) = I + P M(rho), so a split
-grid is decomposed once at unit power (SimulationContext.unit_kernel) and that
-one kernel serves every power probed on it.
+streams, one per (kind, realization), so a rebuilt scene is identical and sweep
+cells never share or reorder draws. build_scene draws the radar side of R
+realizations as one stacked SensingScene: reflectivity, the clutter steering
+matrix B with its amplitude scales sigma_l (a clutter level is the same matrix
+with another scale), and the matched data and radar beam directions. A
+SimulationContext is one realization of it plus the relay channels and one
+frozen unit-power symbol vector, which keeps the transmit waveform fixed across
+Monte Carlo trials and operating points. SimulationContext.operating_point
+turns a (power, split), or arrays of them, into the one record every reader
+takes: beams (row 0 data, row 1 radar), waveform, receive beamformer, detector
+moments and link SINRs. Power enters the clutter covariance as one scale,
+W(P) = I + P M(rho), so a split grid is decomposed once at unit power
+(unit_kernel) and that one kernel serves every power probed on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,7 +63,8 @@ def stream_id(kind: int, index: int = 0) -> int:
 
 def _all(mask) -> bool:
     """np.all of a bool or a boolean array, without np.all's call cost on a
-    Python bool: the sweep checks float beams_at arguments once per context."""
+    Python bool: beams_at checks a float power and split on every call, and
+    the optimizer makes hundreds of those calls per search."""
     return mask if isinstance(mask, bool) else bool(mask.all())
 
 
@@ -71,7 +72,9 @@ def _all(mask) -> bool:
 class OperatingPoint:
     """Everything one transmit configuration (power P, split rho) gives: the
     beams, the frozen waveform x, the SCNR-optimal receive beamformer
-    w = W^-1 A x, the detector moments mu_1 and sigma^2, and both link SINRs.
+    w = W^-1 A x, the detector moments mu_1 and sigma^2, and both link SINRs;
+    |mu_1| and the deflection sqrt(2)|mu_1|/sigma (defined only where
+    |mu_1| > 0) follow from the moments, once per record.
     A 1-D array of splits gives every field a leading split axis, and a
     column of powers (M, 1) against it a leading (M, S) pair of axes; each
     entry is bit for bit the point of that power and split alone."""
@@ -83,38 +86,35 @@ class OperatingPoint:
     sigma2: float | np.ndarray
     gamma_direct: float | np.ndarray
     gamma_relayed: float | np.ndarray
+    mu1_abs: float | np.ndarray = field(init=False)
+    deflection: float | np.ndarray = field(init=False)
 
-    @property
-    def mu1_abs(self):
-        return np.hypot(self.mu1.real, self.mu1.imag)
-
-    @property
-    def deflection(self):
-        """sqrt(2)|mu_1|/sigma; the detector is defined only where |mu_1| > 0."""
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mu1_abs", np.hypot(self.mu1.real, self.mu1.imag))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.sqrt(2.0) * self.mu1_abs / np.sqrt(self.sigma2)
+            object.__setattr__(self, "deflection", np.sqrt(2.0) * self.mu1_abs / np.sqrt(self.sigma2))
 
 
 @dataclass(frozen=True)
-class SimulationContext:
-    """Frozen inputs for one operating scene: geometry, channels, waveform."""
+class SensingScene:
+    """The radar side of R realizations of a scene on one array, stacked on a
+    leading axis: reflectivities alpha_0 (R,), clutter steering (R, N, L) at
+    the scenario's sigma, direct channels h_sd (R, N) and the matched data and
+    radar beam directions (R, N); all share the target steering a (N,). A
+    SimulationContext is one realization, without the leading axis."""
 
-    scenario: ScenarioConfig
     array: ArrayConfig
-    alpha0: complex
+    alpha0: complex | np.ndarray
     target_steering: np.ndarray
     clutter: ClutterSteering
     h_sd: np.ndarray
-    h_sr: np.ndarray
-    h_rd: complex
     comm_direction: np.ndarray
     radar_direction: np.ndarray
-    symbols: np.ndarray
 
     def beams_at(self, power_watts, rho) -> np.ndarray:
         """Split a power budget between the matched data and radar directions: rows
         (data beam, radar beam) of a (2, N) array, or (..., 2, N) for arrays of
-        powers and splits, broadcast against each other."""
+        powers and splits, broadcast against each other, or for stacked realizations."""
         if not _all((0.0 <= power_watts) & (power_watts < np.inf)):
             raise ValueError(f"power must lie in [0, inf), got {power_watts}")
         if not _all((0.0 <= rho) & (rho <= 1.0)):
@@ -127,6 +127,17 @@ class SimulationContext:
         """The interference kernel of split rho (a float or a 1-D array) at unit
         power: one decomposition that gives W(P) at every power P."""
         return InterferenceKernel(self.clutter, self.clutter.gains(self.beams_at(1.0, rho)))
+
+
+@dataclass(frozen=True)
+class SimulationContext(SensingScene):
+    """Frozen inputs for one operating scene: its sensing scene, the relay
+    channels h_sr and h_rd, and the symbols of the frozen waveform."""
+
+    scenario: ScenarioConfig
+    h_sr: np.ndarray
+    h_rd: complex
+    symbols: np.ndarray
 
     def operating_point(self, power_watts, rho, kernel: InterferenceKernel | None = None) -> OperatingPoint:
         """The record of power_watts at split rho: a float or a 1-D array of
@@ -147,6 +158,45 @@ class SimulationContext:
         return OperatingPoint(beams, x, w, mu1, sigma2, sinr_direct(self.h_sd, beams, comm), gamma_relayed)
 
 
+def build_scene(
+    scenario: ScenarioConfig, *, scene_keys, n_antennas: int | None = None, carrier_ghz: float | None = None
+) -> tuple[SensingScene, list]:
+    """The sensing scenes of realizations scene_keys, stacked in that order, and
+    each one's channel stream, left just past its h_sd draw (None under LoS,
+    where every channel is deterministic); overrides select a sweep cell."""
+    n = scenario.array.n_antennas if n_antennas is None else n_antennas
+    f_ghz = scenario.array.carrier_ghz if carrier_ghz is None else carrier_ghz
+    array = ArrayConfig(n_antennas=n, carrier_freq=f_ghz * 1.0e9, spacing=scenario.array.spacing_m)
+    target, clutter, comm, model = scenario.target, scenario.clutter, scenario.comm, scenario.path_loss
+    rayleigh = comm.fading == "rayleigh"
+    # the streams a realization draws from, and so the only ones it derives
+    drawn = {KIND_TARGET_PHASE: target.phase == "uniform", KIND_SCENE: clutter.count > 0, KIND_CHANNEL: rayleigh}
+    alpha0, placements, channels = [], [], []
+    for key in scene_keys:
+        streams = {kind: derive_stream(scenario.seed, stream_id(kind, key)) for kind, used in drawn.items() if used}
+        alpha0.append(target_reflectivity(
+            model, array.carrier_freq, target.range_m, target.rcs_scale, target.phase, streams.get(KIND_TARGET_PHASE)
+        ))
+        placements.append(make_clutter_scene(
+            streams[KIND_SCENE], clutter.count, clutter.max_range_m, clutter.angle_exclusion_rad,
+            target.angle_rad, clutter.min_range_m,
+        ) if KIND_SCENE in streams else ([], []))
+        channels.append(streams.get(KIND_CHANNEL))
+    destination = PolarPosition(comm.destination_range_m, comm.destination_angle_rad)
+    # h_sd is a channel stream's first draw; under LoS one deterministic h_sd serves all
+    draws = channels if rayleigh else [None]
+    h_sd = [synthesize_comm_channel(array, model, destination, comm.fading, rng) for rng in draws]
+    copies = len(channels) // len(h_sd)
+    a = steering_vector(array, PolarPosition(target.range_m, target.angle_rad))
+    return SensingScene(
+        array=array, alpha0=np.array(alpha0), target_steering=a,
+        clutter=ClutterSteering.at_sigma(steering_matrix(array, *zip(*placements)), clutter.sigma),
+        h_sd=np.array(h_sd * copies),
+        comm_direction=np.array([np.conj(h) / np.linalg.norm(h) for h in h_sd] * copies),
+        radar_direction=np.array([np.conj(a) / np.linalg.norm(a)] * len(channels)),
+    ), channels
+
+
 def build_context(
     scenario: ScenarioConfig,
     *,
@@ -154,64 +204,18 @@ def build_context(
     carrier_ghz: float | None = None,
     scene_key: int = 0,
 ) -> SimulationContext:
-    """Realize one scene; overrides select a sweep cell, scene_key a realization."""
-    n = scenario.array.n_antennas if n_antennas is None else n_antennas
-    f_ghz = scenario.array.carrier_ghz if carrier_ghz is None else carrier_ghz
-
-    array = ArrayConfig(
-        n_antennas=n,
-        carrier_freq=f_ghz * 1.0e9,
-        spacing=scenario.array.spacing_m,
-    )
-    target = PolarPosition(scenario.target.range_m, scenario.target.angle_rad)
-
-    alpha0 = target_reflectivity(
-        scenario.path_loss,
-        array.carrier_freq,
-        target.range_m,
-        rcs_scale=scenario.target.rcs_scale,
-        phase=scenario.target.phase,
-        rng=derive_stream(scenario.seed, stream_id(KIND_TARGET_PHASE, scene_key)),
-    )
-    a_target = steering_vector(array, target)
-
-    placements = ()
-    if scenario.clutter.count > 0:
-        placements = make_clutter_scene(
-            derive_stream(scenario.seed, stream_id(KIND_SCENE, scene_key)),
-            count=scenario.clutter.count,
-            max_range=scenario.clutter.max_range_m,
-            angle_exclusion=scenario.clutter.angle_exclusion_rad,
-            target_angle=target.angle_rad,
-            min_range=scenario.clutter.min_range_m,
-        )
-    clutter = ClutterSteering.at_sigma(steering_matrix(array, placements), scenario.clutter.sigma)
-
-    comm = scenario.comm
-    channel_rng = derive_stream(scenario.seed, stream_id(KIND_CHANNEL, scene_key))
-    destination = PolarPosition(comm.destination_range_m, comm.destination_angle_rad)
+    """Realize one scene; overrides select a sweep cell, scene_key a realization.
+    Its sensing scene is build_scene's at that key alone; h_sr and h_rd follow
+    h_sd on its channel stream, and the symbols have a stream of their own."""
+    scene, (channel,) = build_scene(scenario, n_antennas=n_antennas, carrier_ghz=carrier_ghz, scene_keys=(scene_key,))
+    comm, array, model = scenario.comm, scene.array, scenario.path_loss
     relay = PolarPosition(comm.relay_range_m, comm.relay_angle_rad)
-    h_sd = synthesize_comm_channel(array, scenario.path_loss, destination, comm.fading, channel_rng)
-    h_sr = synthesize_comm_channel(array, scenario.path_loss, relay, comm.fading, channel_rng)
-    h_rd = synthesize_scalar_channel(
-        array, scenario.path_loss, separation(relay, destination), comm.fading, channel_rng
-    )
-
-    comm_direction = np.conj(h_sd) / np.linalg.norm(h_sd)
-    radar_direction = np.conj(a_target) / np.linalg.norm(a_target)
-    symbols = draw_symbols(2, derive_stream(scenario.seed, stream_id(KIND_SYMBOLS, scene_key)))
-
+    link = separation(relay, PolarPosition(comm.destination_range_m, comm.destination_angle_rad))
+    h_sr = synthesize_comm_channel(array, model, relay, comm.fading, channel)
     return SimulationContext(
-        scenario=scenario,
-        array=array,
-        alpha0=alpha0,
-        target_steering=a_target,
-        clutter=clutter,
-        h_sd=h_sd,
-        h_sr=h_sr,
-        h_rd=h_rd,
-        comm_direction=comm_direction,
-        radar_direction=radar_direction,
-        symbols=symbols,
+        array=array, alpha0=complex(scene.alpha0[0]), target_steering=scene.target_steering,
+        clutter=ClutterSteering(scene.clutter.matrix[0], scene.clutter.scale),
+        h_sd=scene.h_sd[0], comm_direction=scene.comm_direction[0], radar_direction=scene.radar_direction[0],
+        scenario=scenario, h_sr=h_sr, h_rd=synthesize_scalar_channel(array, model, link, comm.fading, channel),
+        symbols=draw_symbols(2, derive_stream(scenario.seed, stream_id(KIND_SYMBOLS, scene_key))),
     )
-

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .context import KIND_DETECTION, KIND_VALIDATE, build_context, stream_id
+from .context import KIND_DETECTION, KIND_VALIDATE, build_context, build_scene, stream_id
 from .detection import roc_sweep
 from .power_allocation import (
     OptimizationResult,
@@ -192,22 +192,17 @@ def _resolved_spread(std: float, mean: float) -> float:
 def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: int, powers_w) -> list:
     """(level, SCNR curves (realizations, powers)) for each clutter level of one (N, carrier) pair.
 
-    The levels share each realization's placements, channels and steering and
-    differ only in the clutter amplitude scale sigma, so every realization is
-    built once and each level scores all of them in one stacked kernel pass.
+    The pair's realizations are one stacked sensing scene, with none of the
+    relay channels or symbols of a full context. The levels differ only in the
+    clutter amplitude scale sigma, so each scores every realization at once.
     """
-    ctxs = [
-        build_context(scenario, n_antennas=n, carrier_ghz=f_ghz, scene_key=(pair_index << 24) | r)
-        for r in range(scenario.sweep.realizations)
-    ]
-    matrices = np.stack([ctx.clutter.matrix for ctx in ctxs])
-    alpha0 = np.array([ctx.alpha0 for ctx in ctxs])
-    a_target = np.stack([ctx.target_steering for ctx in ctxs])
-    beams = np.stack([ctx.beams_at(1.0, scenario.power.rho) for ctx in ctxs])
+    keys = [(pair_index << 24) | r for r in range(scenario.sweep.realizations)]
+    scene, _ = build_scene(scenario, n_antennas=n, carrier_ghz=f_ghz, scene_keys=keys)
+    beams = scene.beams_at(1.0, scenario.power.rho)
     curves = []
     for level in scenario.sweep.clutter_levels:
-        clutter = ClutterSteering.at_sigma(matrices, CLUTTER_LEVELS[level])
-        curves.append((level, average_scnr_curve(clutter, alpha0, a_target, beams, powers_w)))
+        clutter = ClutterSteering.at_sigma(scene.clutter.matrix, CLUTTER_LEVELS[level])
+        curves.append((level, average_scnr_curve(clutter, scene.alpha0, scene.target_steering, beams, powers_w)))
     return curves
 
 

@@ -161,13 +161,12 @@ def _first_feasible(
     all those powers. The kernel is ctx.unit_kernel(rhos), built here unless
     handed in."""
     point = ctx.operating_point(power_watts, rhos, kernel)
-    mu1_abs = point.mu1_abs
-    ok = (point.gamma_direct + point.gamma_relayed >= targets.gamma_min) & (mu1_abs > 0.0)
+    ok = (point.gamma_direct + point.gamma_relayed >= targets.gamma_min) & (point.mu1_abs > 0.0)
     ok = (ok & (point.deflection >= targets.deflection_floor)).ravel()
     if not ok.any():
         return None, ok.size
     i = int(np.argmax(ok))
-    kappa = false_alarm_threshold(float(mu1_abs.flat[i]), float(point.sigma2.flat[i]), targets.pfa_max)
+    kappa = false_alarm_threshold(float(point.mu1_abs.flat[i]), float(point.sigma2.flat[i]), targets.pfa_max)
     return (float(rhos[i % len(rhos)]), kappa), i + 1
 
 
@@ -317,20 +316,19 @@ def _tradeoff_record(
     row's chosen split run per power."""
     powers = np.reshape(power_watts, (-1, 1))
     point = ctx.operating_point(powers, rhos)
-    mu1_abs, deflection = point.mu1_abs, point.deflection
     gamma_sum = point.gamma_direct + point.gamma_relayed
-    live = mu1_abs > 0.0
-    meets = (gamma_sum >= targets.gamma_min) & (deflection >= targets.deflection_floor)
+    live = point.mu1_abs > 0.0
+    meets = (gamma_sum >= targets.gamma_min) & (point.deflection >= targets.deflection_floor)
     # the rate is log2(1 + gamma_sum), so the best rate sits at the largest sum;
     # P_D at the false-alarm threshold grows with the deflection; argmax takes
     # the first maximum, so ties go to the smallest rho
     fastest = np.argmax(1.0 + gamma_sum, axis=-1)
-    sharpest = np.argmax(np.where(live, deflection, -np.inf), axis=-1)
+    sharpest = np.argmax(np.where(live, point.deflection, -np.inf), axis=-1)
     rows = []
     for r, (i, j) in enumerate(zip(fastest, sharpest)):
         rho, kappa, pd, pfa = float(rhos[0]), 0.0, 0.0, 0.0
         if live[r].any():
-            params = float(mu1_abs[r, j]), float(point.sigma2[r, j])
+            params = float(point.mu1_abs[r, j]), float(point.sigma2[r, j])
             rho, kappa = float(rhos[j]), false_alarm_threshold(*params, targets.pfa_max)
             pd, pfa = detection_probability(*params, kappa), false_alarm_probability(*params, kappa)
         rows.append((rho, kappa, mrc_rate(point.gamma_direct[r, i], point.gamma_relayed[r, i]), pd, pfa))

@@ -141,8 +141,8 @@ def make_clutter_scene(
     angle_exclusion: float,
     target_angle: float,
     min_range: float,
-) -> tuple[PolarPosition, ...]:
-    """Random clutter placements around (but never on top of) the target bearing.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ranges and angles of random clutter placements around (but never on top of) the target bearing.
 
     Ranges are uniform on (min_range, max_range]; angles are uniform on (0, pi)
     minus the +- angle_exclusion window about the target angle. Draw order is
@@ -151,8 +151,8 @@ def make_clutter_scene(
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if max_range <= min_range:
-        raise ValueError(f"max_range must exceed {min_range}, got {max_range}")
+    if not 0.0 <= min_range < max_range:
+        raise ValueError(f"need 0 <= min_range < max_range, got {min_range} and {max_range}")
     if angle_exclusion < 0.0:
         raise ValueError(f"angle_exclusion must be >= 0, got {angle_exclusion}")
     lo = max(0.0, target_angle - angle_exclusion)
@@ -160,14 +160,13 @@ def make_clutter_scene(
     mass = lo + (np.pi - hi)
     if mass <= 0.0:
         raise ValueError("angle exclusion window covers all of (0, pi)")
-    placements = []
-    for _ in range(count):
+    ranges, angles = np.empty(count), np.empty(count)
+    for i in range(count):
         # map u in [0, 1) to (min, max] so the lower endpoint stays open
-        r = max_range - rng.uniform() * (max_range - min_range)
+        ranges[i] = max_range - rng.uniform() * (max_range - min_range)
         while True:
             t = rng.uniform() * mass
-            angle = t if t < lo else hi + (t - lo)
-            if 0.0 < angle < np.pi:
+            angles[i] = t if t < lo else hi + (t - lo)
+            if 0.0 < angles[i] < np.pi:
                 break
-        placements.append(PolarPosition(r, angle))
-    return tuple(placements)
+    return ranges, angles

@@ -135,8 +135,8 @@ def average_scnr_curve(
 
     |alpha_0|^2 (a^H W(P)^-1 a) P sum_k |a^T b_k|^2, with the beams b_k as rows;
     one decomposition serves every power. Stacked realizations (clutter matrices
-    (R, N, L), alpha_0 (R,), a (R, N), beams (R, K, N)) give (R, P) curves, each
-    row bit for bit the curve of that realization alone. A caller that already
+    (R, N, L), alpha_0 (R,), beams (R, K, N), and a (N,) shared or (R, N)) give
+    (R, P) curves, each row bit for bit that realization's alone. A caller that already
     holds the kernel of these unit-power beams hands it in instead of a second
     decomposition.
     """

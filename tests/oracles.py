@@ -22,7 +22,8 @@ def random_positions(rng, count=3) -> list[PolarPosition]:
 
 def clutter_at(cfg: ArrayConfig, positions, sigma=0.8) -> ClutterSteering:
     """The radar scene of scatterers at the given positions, all at amplitude scale sigma."""
-    return ClutterSteering(steering_matrix(cfg, positions), np.full(len(positions), float(sigma)))
+    ranges, angles = [p.range_m for p in positions], [p.angle_rad for p in positions]
+    return ClutterSteering(steering_matrix(cfg, ranges, angles), np.full(len(positions), float(sigma)))
 
 
 def make_beams(rng, n=5, power=1.0) -> np.ndarray:

@@ -5,11 +5,13 @@ records, JSON carries the same records, and re-running a scenario writes
 byte-identical files wherever the output lands.
 """
 
+import collections
 import contextlib
 import dataclasses
 import io
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 import jrcsim
 from conftest import at_sigma
 from jrcsim.cli import main
-from jrcsim.context import build_context
+from jrcsim.context import KIND_CHANNEL, KIND_SCENE, KIND_TARGET_PHASE, build_context
 from jrcsim.experiments import (
     DETECTION_COLUMNS,
     OPTIMUM_COLUMNS,
@@ -47,7 +49,7 @@ from jrcsim.scenario import (
     scenario_from_dict,
     watts_to_dbm,
 )
-from jrcsim.stats import canonical_ceil, canonical_float
+from jrcsim.stats import canonical_ceil, canonical_float, derive_stream
 
 
 @pytest.fixture(scope="module")
@@ -196,11 +198,17 @@ class TestScnrSweep:
 
 @st.composite
 def sweep_pairs(draw):
-    """A random valid scene for one (N, carrier) sweep pair and powers from 1e-4 W to 300 dBm."""
+    """A random valid scene for one (N, carrier) sweep pair and powers from 1e-4 W to 300 dBm.
+
+    The clutter exclusion window is a multiple of the target's distance to the
+    nearer end of (0, pi): at 1 it touches that end exactly, and at 1.5 it
+    covers it, never both ends."""
     sc = ScenarioConfig()
     n = draw(st.sampled_from(range(1, 13)))
     f_ghz = draw(st.sampled_from([2.8, 28.0]))
     levels = draw(st.lists(st.sampled_from(["none", "light", "intense"]), min_size=1, max_size=3, unique=True))
+    angle = draw(st.sampled_from([0.3, np.pi / 3, 2.0, 2.8]))
+    window = draw(st.sampled_from([0.0, 0.05, 1.0, 1.5])) * min(angle, np.pi - angle)
     sc = dataclasses.replace(
         sc,
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -211,7 +219,12 @@ def sweep_pairs(draw):
             clutter_levels=tuple(levels),
             realizations=draw(st.sampled_from(range(1, 7))),
         ),
-        clutter=dataclasses.replace(sc.clutter, count=draw(st.sampled_from(range(9)))),
+        array=dataclasses.replace(sc.array, spacing_m=draw(st.sampled_from([None, 0.004, 0.05]))),
+        target=dataclasses.replace(sc.target, angle_rad=angle, phase=draw(st.sampled_from(["zero", "uniform"]))),
+        clutter=dataclasses.replace(
+            sc.clutter, count=draw(st.sampled_from(range(9))), angle_exclusion_rad=window
+        ),
+        path_loss=dataclasses.replace(sc.path_loss, kind=draw(st.sampled_from(["free_space", "tr38901_umi_los"]))),
         comm=dataclasses.replace(sc.comm, fading=draw(st.sampled_from(["los", "rayleigh"]))),
         power=dataclasses.replace(sc.power, rho=draw(st.sampled_from([0.0, 0.5, 1.0]))),
     )
@@ -243,6 +256,39 @@ class TestStackedLevels:
         for (_, got), (_, want) in zip(stacked, oracle):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+
+class TestSweepDrawsOnlyTheScene:
+    @pytest.mark.parametrize("fading, phase", [("los", "uniform"), ("rayleigh", "zero")])
+    def test_no_context_and_only_the_drawn_streams(self, fast_scenario, fading, phase):
+        sc = dataclasses.replace(
+            fast_scenario,
+            comm=dataclasses.replace(fast_scenario.comm, fading=fading),
+            target=dataclasses.replace(fast_scenario.target, phase=phase),
+        )
+        contexts, kinds = 0, collections.Counter()
+
+        def record(frame, event, arg):
+            nonlocal contexts
+            if event == "call" and frame.f_code is build_context.__code__:
+                contexts += 1
+            elif event == "call" and frame.f_code is derive_stream.__code__:
+                kinds[frame.f_locals["stream_id"] >> 48] += 1
+
+        sys.setprofile(record)
+        try:
+            run_scnr_sweep(sc)
+        finally:
+            sys.setprofile(None)
+        # the reduced scene has clutter; a phase or channel stream is derived only where drawn
+        realizations = len(sc.sweep.antennas) * len(sc.sweep.carriers_ghz) * sc.sweep.realizations
+        drawn = {KIND_SCENE: realizations}
+        if phase == "uniform":
+            drawn[KIND_TARGET_PHASE] = realizations
+        if fading == "rayleigh":
+            drawn[KIND_CHANNEL] = realizations
+        assert contexts == 0
+        assert kinds == drawn
 
 
 class TestDetectionSweep:

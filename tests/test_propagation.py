@@ -202,27 +202,27 @@ class TestTargetReflectivity:
 class TestClutterScene:
     def test_count_scale_and_ranges(self):
         rng = np.random.default_rng(5)
-        placements = make_clutter_scene(
+        ranges, angles = make_clutter_scene(
             rng, count=3, max_range=5.0, angle_exclusion=0.05, target_angle=np.pi / 3, min_range=0.5
         )
-        assert len(placements) == 3
-        assert all(isinstance(pos, PolarPosition) for pos in placements)
-        assert all(0.5 < pos.range_m <= 5.0 for pos in placements)
+        assert ranges.shape == angles.shape == (3,)
+        assert np.all((0.5 < ranges) & (ranges <= 5.0))
+        assert np.all((0.0 < angles) & (angles < np.pi))
 
     def test_exclusion_window_respected(self):
         target = 1.1
         rng = np.random.default_rng(17)
         for _ in range(10_000):
-            (pos,) = make_clutter_scene(
+            _, (angle,) = make_clutter_scene(
                 rng, count=1, max_range=5.0, angle_exclusion=0.1, target_angle=target, min_range=0.5
             )
-            assert abs(pos.angle_rad - target) >= 0.1
+            assert abs(angle - target) >= 0.1
 
     def test_angles_cover_both_sides(self):
         target = np.pi / 2
         rng = np.random.default_rng(23)
         angles = [
-            make_clutter_scene(rng, 1, 5.0, angle_exclusion=0.3, target_angle=target, min_range=0.5)[0].angle_rad
+            make_clutter_scene(rng, 1, 5.0, angle_exclusion=0.3, target_angle=target, min_range=0.5)[1][0]
             for _ in range(500)
         ]
         assert any(a < target for a in angles) and any(a > target for a in angles)
@@ -230,16 +230,17 @@ class TestClutterScene:
     def test_deterministic_given_stream(self):
         a = make_clutter_scene(np.random.default_rng(9), 3, 5.0, 0.05, np.pi / 3, 0.5)
         b = make_clutter_scene(np.random.default_rng(9), 3, 5.0, 0.05, np.pi / 3, 0.5)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_zero_count(self):
-        assert make_clutter_scene(np.random.default_rng(1), 0, 5.0, 0.05, 1.0, 0.5) == ()
+        ranges, angles = make_clutter_scene(np.random.default_rng(1), 0, 5.0, 0.05, 1.0, 0.5)
+        assert ranges.shape == angles.shape == (0,)
 
     def test_exclusion_covering_everything_rejected(self):
         with pytest.raises(ValueError):
             make_clutter_scene(np.random.default_rng(1), 1, 5.0, 4.0, np.pi / 2, 0.5)
 
     def test_bad_ranges_rejected(self):
-        with pytest.raises(ValueError):
-            make_clutter_scene(np.random.default_rng(1), 1, 0.4, 0.05, 1.0, 0.5)
-
+        for max_range, min_range in ((0.4, 0.5), (5.0, -0.5)):
+            with pytest.raises(ValueError):
+                make_clutter_scene(np.random.default_rng(1), 1, max_range, 0.05, 1.0, min_range)
