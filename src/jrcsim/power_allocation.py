@@ -4,37 +4,38 @@ The transmitter splits a budget P between a data beam matched to the
 destination channel and a radar beam matched to the target steering
 direction: u = sqrt((1 - rho) P) u_hat, v = sqrt(rho P) v_hat. With the
 directions fixed, an operating point is the triple (P, rho, kappa) where
-kappa is the detector threshold. Four constraints gate feasibility: the
-relay-combined rate must reach its target, the false-alarm probability must
-not exceed its limit, the detection probability must reach its floor, and
-the spent power must stay within the ceiling.
+kappa is the detector threshold. Four constraints, read from the scenario's
+targets section, gate feasibility: the relay-combined rate must reach its
+target, the false-alarm probability must not exceed its limit, the detection
+probability must reach its floor, and the spent power must stay within the
+ceiling.
 
 At a fixed (P, rho) both detector targets hold exactly when the deflection
 sqrt(2)|mu_1|/sigma reaches Q^-1(P_FA,max) - Q^-1(P_D,min), and then at the
 false-alarm threshold kappa_fa, the smallest that meets the cap.
 
-minimize_power walks an ascending coarse power grid to the first feasible
-point, then bisects the bracketing interval at its geometric midpoint until
-hi <= lo (1 + tol_factor) or it cannot be split further, re-optimizing
-(rho, kappa) at every probe. Ties prefer smaller P, then smaller rho, then
-smaller kappa. The certificate is the triple the tables print, audited by
-evaluate_point; the result is that evaluated point, or None past the ceiling,
-and the evaluations spent. tradeoff_sweep returns, as arrays over the grid
-powers, the best achievable rate, the best detection probability subject to
-the false-alarm limit, and whether the constraint set is jointly satisfiable
-there. Both take a context; evaluate_point also builds one from a scenario.
+minimize_power finds the first feasible point of an ascending coarse power
+grid, then bisects the bracketing interval at its geometric midpoint until
+hi <= lo (1 + tol_factor) or it cannot be split further, re-optimizing rho at
+every probe. Ties prefer smaller P, then smaller rho, then smaller kappa. The
+certificate is the triple the tables print, audited by evaluate_point; the
+result is that evaluated point, or None past the ceiling, and the evaluations
+spent. tradeoff_sweep returns, as arrays over the grid powers, the best
+achievable rate, the best detection probability subject to the false-alarm
+limit, and whether the constraint set is jointly satisfiable there. Both take
+a context; evaluate_point also builds one from a scenario.
 
 Power enters the interference covariance as one scale, W(P) = I + P M(rho),
 so each call decomposes its split grid once, at unit power, and every power
 it probes scales that one kernel. A probe evaluates the whole split grid at
 once: its OperatingPoint carries beams, waveforms, w, mu_1, sigma^2, the
 deflection and both SINRs along a leading split axis. The coarse walk stacks
-its powers too, _POWER_BLOCK at a time, and stops at the first block that
-holds a feasible point; tradeoff_sweep stacks all of its powers in one
-record. The first feasible split and the split of best guarded detection are
-first-index argmaxes over those, so the tie-breaks are a power-by-power,
-split-by-split scan's, and every entry equals, bit for bit, the record of that
-power and split alone.
+every grid power in one record, as tradeoff_sweep does, and counts the
+evaluations a power-by-power walk would spend up to its stop. The first
+feasible split and the split of best guarded detection are first-index
+argmaxes over those, so the tie-breaks are a power-by-power, split-by-split
+scan's, and every entry equals, bit for bit, the record of that power and
+split alone.
 """
 
 from __future__ import annotations
@@ -45,18 +46,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm_link import mrc_rate, rate_threshold
-from .context import SimulationContext, build_context
+from .context import OperatingPoint, SimulationContext, build_context
 from .detection import (
     detection_probability,
     false_alarm_probability,
     false_alarm_threshold,
 )
 from .radar_sensing import InterferenceKernel, average_scnr_curve
-from .scenario import ScenarioConfig, dbm_to_watts, watts_to_dbm
+from .scenario import ScenarioConfig, TargetsSection, dbm_to_watts, watts_to_dbm
 from .stats import canonical_ceil, canonical_float, inverse_q
 
 __all__ = [
-    "ConstraintTargets",
     "EvaluatedPoint",
     "OptimizationResult",
     "evaluate_point",
@@ -66,47 +66,6 @@ __all__ = [
 
 # slack for the by-construction budget identity ||u||^2 + ||v||^2 = P
 _BUDGET_SLACK = 1.0e-9
-
-# coarse grid powers stacked per record: enough to amortize the per-call cost,
-# few enough that a walk stopping early evaluates little past its stop
-_POWER_BLOCK = 8
-
-
-@dataclass(frozen=True)
-class ConstraintTargets:
-    """Feasibility targets: SINR-sum floor, false-alarm cap, detection floor, budget."""
-
-    gamma_min: float
-    pfa_max: float
-    pd_min: float
-    p_max_watts: float
-
-    def __post_init__(self) -> None:
-        if self.gamma_min < 0.0:
-            raise ValueError(f"SINR threshold must be nonnegative, got {self.gamma_min}")
-        if not 0.0 < self.pfa_max < 1.0:
-            raise ValueError(f"false-alarm limit must lie in (0, 1), got {self.pfa_max}")
-        if not 0.0 <= self.pd_min <= 1.0:
-            raise ValueError(f"detection floor must lie in [0, 1], got {self.pd_min}")
-        if self.p_max_watts <= 0.0:
-            raise ValueError(f"power ceiling must be positive, got {self.p_max_watts}")
-
-    @classmethod
-    def from_scenario(cls, scenario: ScenarioConfig) -> "ConstraintTargets":
-        t = scenario.targets
-        return cls(
-            gamma_min=rate_threshold(t.rate_bps_hz),
-            pfa_max=t.pfa_max,
-            pd_min=t.pd_min,
-            p_max_watts=dbm_to_watts(t.p_max_dbm),
-        )
-
-    @property
-    def deflection_floor(self) -> float:
-        """Q^-1(pfa_max) - Q^-1(pd_min): a split meets both detector targets
-        exactly when its deflection reaches this (-inf when pd_min = 0, +inf
-        when pd_min = 1)."""
-        return inverse_q(self.pfa_max) - inverse_q(self.pd_min)
 
 
 @dataclass(frozen=True)
@@ -147,27 +106,32 @@ def _rho_grid(opt) -> np.ndarray:
     return np.linspace(0.0, 1.0, opt.rho_points)
 
 
+def _feasible(point: OperatingPoint, targets: TargetsSection) -> np.ndarray:
+    """Where a record meets the rate target and, at its false-alarm threshold,
+    both detector targets: the SINR sum reaches 2^r - 1, mu_1 is live, and the
+    deflection reaches Q^-1(pfa_max) - Q^-1(pd_min) (-inf when pd_min = 0,
+    +inf when pd_min = 1)."""
+    floor = inverse_q(targets.pfa_max) - inverse_q(targets.pd_min)
+    meets_rate = point.gamma_direct + point.gamma_relayed >= rate_threshold(targets.rate_bps_hz)
+    return meets_rate & (point.mu1_abs > 0.0) & (point.deflection >= floor)
+
+
 def _first_feasible(
     ctx: SimulationContext,
-    targets: ConstraintTargets,
     power_watts,
     rhos: np.ndarray,
     kernel: InterferenceKernel | None = None,
-) -> tuple[tuple[float, float] | None, int]:
-    """Smallest (rho, kappa) meeting rate and detection constraints, if any, and
-    the number of splits up to and including it (all of them when none is).
-    An (M, 1) column of ascending powers is scanned power by power, in one
-    record: the first feasible point, and the splits scanned up to it over
-    all those powers. The kernel is ctx.unit_kernel(rhos), built here unless
-    handed in."""
-    point = ctx.operating_point(power_watts, rhos, kernel)
-    ok = (point.gamma_direct + point.gamma_relayed >= targets.gamma_min) & (point.mu1_abs > 0.0)
-    ok = (ok & (point.deflection >= targets.deflection_floor)).ravel()
+) -> tuple[int | None, int]:
+    """The flat index of the first feasible entry of the record at
+    power_watts over rhos, if any, and the entries scanned up to and
+    including it (all of them when none is). An (M, 1) column of ascending
+    powers is scanned power by power, so the index is power-major. The
+    kernel is ctx.unit_kernel(rhos), built here unless handed in."""
+    ok = _feasible(ctx.operating_point(power_watts, rhos, kernel), ctx.scenario.targets).ravel()
     if not ok.any():
         return None, ok.size
     i = int(np.argmax(ok))
-    kappa = false_alarm_threshold(float(point.mu1_abs.flat[i]), float(point.sigma2.flat[i]), targets.pfa_max)
-    return (float(rhos[i % len(rhos)]), kappa), i + 1
+    return i, i + 1
 
 
 def evaluate_point(
@@ -175,16 +139,14 @@ def evaluate_point(
     power_watts: float,
     rho: float,
     kappa: float | None,
-    targets: ConstraintTargets | None = None,
 ) -> EvaluatedPoint:
-    """Audit one operating triple at a positive power: build its record, then
-    check every target. A kappa of None takes the record's false-alarm
-    threshold rounded up onto the 9-significant-digit emission grid, the
-    threshold a certificate prints. One unit-power decomposition of the split
-    serves both the record and the averaged SCNR."""
+    """Audit one operating triple at a positive power against the scenario's
+    targets: build its record, then check every target. A kappa of None takes
+    the record's false-alarm threshold rounded up onto the 9-significant-digit
+    emission grid, the threshold a certificate prints. One unit-power
+    decomposition of the split serves both the record and the averaged SCNR."""
     ctx = scenario if isinstance(scenario, SimulationContext) else build_context(scenario)
-    if targets is None:
-        targets = ConstraintTargets.from_scenario(ctx.scenario)
+    targets = ctx.scenario.targets
     if not power_watts > 0.0:
         raise ValueError(f"power must be positive, got {power_watts}")
     kernel = ctx.unit_kernel(rho)
@@ -195,7 +157,7 @@ def evaluate_point(
     gamma_direct, gamma_relayed = float(point.gamma_direct), float(point.gamma_relayed)
     pfa = false_alarm_probability(mu1_abs, sigma2, kappa)
     pd = detection_probability(mu1_abs, sigma2, kappa)
-    meets_rate = gamma_direct + gamma_relayed >= targets.gamma_min
+    meets_rate = gamma_direct + gamma_relayed >= rate_threshold(targets.rate_bps_hz)
     meets_pfa = pfa <= targets.pfa_max
     meets_pd = pd >= targets.pd_min
     spent = float(sum(np.vdot(beam, beam).real for beam in point.beams))
@@ -220,7 +182,6 @@ def evaluate_point(
 
 def _certificate(
     ctx: SimulationContext,
-    targets: ConstraintTargets,
     power_watts: float,
     rho: float,
 ) -> tuple[EvaluatedPoint | None, int]:
@@ -231,10 +192,10 @@ def _certificate(
     rounded up onto the grid too, and is audited at it; rounding kappa up can
     drop P_D below its floor, and the power then steps up the grid, the step
     doubling from one unit, until it does not."""
-    rho = canonical_float(rho)
+    rho, p_max = canonical_float(rho), dbm_to_watts(ctx.scenario.targets.p_max_dbm)
     p, units, evaluations = canonical_ceil(power_watts), 1, 0
-    while p <= targets.p_max_watts:
-        point = evaluate_point(ctx, p, rho, None, targets)
+    while p <= p_max:
+        point = evaluate_point(ctx, p, rho, None)
         evaluations += 1
         if point.feasible:
             return point, evaluations
@@ -243,82 +204,46 @@ def _certificate(
     return None, evaluations
 
 
-def _coarse_walk(
-    ctx: SimulationContext,
-    targets: ConstraintTargets,
-    powers: np.ndarray,
-    rhos: np.ndarray,
-    kernel: InterferenceKernel,
-) -> tuple[int | None, tuple[float, float] | None, int]:
-    """The first power of an ascending grid with a feasible split: its index
-    and _first_feasible's (rho, kappa), or (None, None), and the evaluations a
-    power-by-power walk of _first_feasible spends to get there. The powers are
-    stacked _POWER_BLOCK to a record, and the walk stops at the first block
-    holding a feasible point."""
-    evaluations = 0
-    for start in range(0, len(powers), _POWER_BLOCK):
-        best, n = _first_feasible(ctx, targets, powers[start : start + _POWER_BLOCK, None], rhos, kernel)
-        evaluations += n
-        if best is not None:
-            return start + (n - 1) // len(rhos), best, evaluations
-    return None, None, evaluations
-
-
-def minimize_power(
-    ctx: SimulationContext,
-    targets: ConstraintTargets | None = None,
-) -> OptimizationResult:
-    """Smallest power whose best (rho, kappa) satisfies every constraint."""
-    if targets is None:
-        targets = ConstraintTargets.from_scenario(ctx.scenario)
-    opt = ctx.scenario.optimizer
-    p_floor = dbm_to_watts(ctx.scenario.power.min_dbm)
-    p_max = targets.p_max_watts
-    if p_floor >= p_max:
-        raise ValueError(
-            f"power grid floor {p_floor} W must lie below the budget ceiling {p_max} W"
-        )
-    powers = np.geomspace(p_floor, p_max, opt.power_points)
+def minimize_power(ctx: SimulationContext) -> OptimizationResult:
+    """Smallest power whose best (rho, kappa) satisfies every target of the
+    context's scenario."""
+    scenario, opt = ctx.scenario, ctx.scenario.optimizer
+    powers = np.geomspace(
+        dbm_to_watts(scenario.power.min_dbm), dbm_to_watts(scenario.targets.p_max_dbm), opt.power_points
+    )
     rhos = _rho_grid(opt)
     kernel = ctx.unit_kernel(rhos)
 
-    i, best, evaluations = _coarse_walk(ctx, targets, powers, rhos, kernel)
-    point = None
-    if best is not None:
-        rho_star, hi = best[0], float(powers[i])
-        if i > 0:
-            # bracket: powers[i - 1] infeasible, hi feasible
-            lo = float(powers[i - 1])
-            while hi > lo * (1.0 + opt.tol_factor):
-                mid = math.sqrt(lo * hi)
-                if not lo < mid < hi:
-                    break  # the bracket is as narrow as floats allow
-                best, n = _first_feasible(ctx, targets, mid, rhos, kernel)
-                evaluations += n
-                if best is not None:
-                    hi, rho_star = mid, best[0]
-                else:
-                    lo = mid
-        point, n = _certificate(ctx, targets, hi, rho_star)
-        evaluations += n
-    return OptimizationResult(point, evaluations)
+    first, evaluations = _first_feasible(ctx, powers[:, None], rhos, kernel)
+    if first is None:
+        return OptimizationResult(None, evaluations)
+    i, k = divmod(first, len(rhos))
+    rho_star, hi = float(rhos[k]), float(powers[i])
+    if i > 0:
+        # bracket: powers[i - 1] infeasible, hi feasible
+        lo = float(powers[i - 1])
+        while hi > lo * (1.0 + opt.tol_factor):
+            mid = math.sqrt(lo * hi)
+            if not lo < mid < hi:
+                break  # the bracket is as narrow as floats allow
+            k, n = _first_feasible(ctx, mid, rhos, kernel)
+            evaluations += n
+            if k is not None:
+                hi, rho_star = mid, float(rhos[k])
+            else:
+                lo = mid
+    point, n = _certificate(ctx, hi, rho_star)
+    return OptimizationResult(point, evaluations + n)
 
 
-def _tradeoff_record(
-    ctx: SimulationContext,
-    targets: ConstraintTargets,
-    power_watts,
-    rhos: np.ndarray,
-) -> dict:
+def _tradeoff_record(ctx: SimulationContext, powers: np.ndarray, rhos: np.ndarray) -> dict:
     """The tradeoff rows of a 1-D array of powers, as arrays keyed by
-    tradeoff_sweep's columns, from one record over powers x splits; a float
-    power gives its one row as floats. Only the scalar closed forms of each
-    row's chosen split run per power."""
-    powers = np.reshape(power_watts, (-1, 1))
-    point = ctx.operating_point(powers, rhos)
+    tradeoff_sweep's columns, from one record over powers x splits. Only the
+    scalar closed forms of each row's chosen split run per power."""
+    targets = ctx.scenario.targets
+    point = ctx.operating_point(powers[:, None], rhos)
     gamma_sum = point.gamma_direct + point.gamma_relayed
     live = point.mu1_abs > 0.0
-    meets = (gamma_sum >= targets.gamma_min) & (point.deflection >= targets.deflection_floor)
     # the rate is log2(1 + gamma_sum), so the best rate sits at the largest sum;
     # P_D at the false-alarm threshold grows with the deflection; argmax takes
     # the first maximum, so ties go to the smallest rho
@@ -333,27 +258,21 @@ def _tradeoff_record(
             pd, pfa = detection_probability(*params, kappa), false_alarm_probability(*params, kappa)
         rows.append((rho, kappa, mrc_rate(point.gamma_direct[r, i], point.gamma_relayed[r, i]), pd, pfa))
     rho, kappa, rate, pd, pfa = (np.array(column) for column in zip(*rows))
-    columns = {
-        "power_watts": powers[:, 0], "rho": rho, "kappa": kappa, "rate_bps_hz": rate,
-        "pd": pd, "pfa": pfa, "feasible": np.any(live & meets, axis=-1),
+    return {
+        "power_watts": powers, "rho": rho, "kappa": kappa, "rate_bps_hz": rate,
+        "pd": pd, "pfa": pfa, "feasible": _feasible(point, targets).any(axis=-1),
     }
-    if np.ndim(power_watts) == 0:
-        return {name: column[0].item() for name, column in columns.items()}
-    return columns
 
 
-def tradeoff_sweep(
-    ctx: SimulationContext,
-    targets: ConstraintTargets | None = None,
-) -> dict[str, np.ndarray]:
+def tradeoff_sweep(ctx: SimulationContext) -> dict[str, np.ndarray]:
     """Best rate, best guarded detection and joint feasibility at each power of
     the scenario's dBm grid, from its floor to the ceiling, as arrays over
     ascending power keyed power_watts, rho, kappa, rate_bps_hz, pd, pfa and
     feasible."""
-    if targets is None:
-        targets = ConstraintTargets.from_scenario(ctx.scenario)
-    grid_dbm = np.linspace(
-        ctx.scenario.power.min_dbm, watts_to_dbm(targets.p_max_watts), ctx.scenario.power.points
-    )
+    sc = ctx.scenario
+    # the grid tops out at the ceiling read back from watts, which can differ
+    # from p_max_dbm in the last bit; the tables are built on that grid
+    p_max_dbm = watts_to_dbm(dbm_to_watts(sc.targets.p_max_dbm))
+    grid_dbm = np.linspace(sc.power.min_dbm, p_max_dbm, sc.power.points)
     powers = np.array([float(dbm_to_watts(p)) for p in grid_dbm])
-    return _tradeoff_record(ctx, targets, powers, _rho_grid(ctx.scenario.optimizer))
+    return _tradeoff_record(ctx, powers, _rho_grid(sc.optimizer))

@@ -37,6 +37,7 @@ from jrcsim.array_geometry import (
     steering_vector,
 )
 from jrcsim.cli import main
+from jrcsim.comm_link import rate_threshold
 from jrcsim.context import build_context
 from jrcsim.experiments import (
     run_detection_sweep,
@@ -44,7 +45,6 @@ from jrcsim.experiments import (
     run_validation,
 )
 from jrcsim.power_allocation import (
-    ConstraintTargets,
     _first_feasible,
     _rho_grid,
     evaluate_point,
@@ -269,9 +269,10 @@ class TestAcceptance:
     def test_07_power_minimizer_matches_exhaustive_search(self, default_context):
         start = time.perf_counter()
         ctx = default_context
-        targets = ConstraintTargets.from_scenario(ctx.scenario)
-        assert targets.gamma_min == pytest.approx(31.0)
+        targets = ctx.scenario.targets
+        assert rate_threshold(targets.rate_bps_hz) == pytest.approx(31.0)
         assert targets.pd_min == 0.6
+        p_max = dbm_to_watts(targets.p_max_dbm)
 
         result = minimize_power(ctx)
         p_star = result.point.power_watts
@@ -285,11 +286,11 @@ class TestAcceptance:
 
         opt = ctx.scenario.optimizer
         powers = np.geomspace(
-            dbm_to_watts(ctx.scenario.power.min_dbm), targets.p_max_watts, opt.power_points
+            dbm_to_watts(ctx.scenario.power.min_dbm), p_max, opt.power_points
         )
         rhos = _rho_grid(opt)
         flags = [
-            _first_feasible(ctx, targets, float(p), rhos)[0] is not None for p in powers
+            _first_feasible(ctx, float(p), rhos)[0] is not None for p in powers
         ]
         first = flags.index(True)
         bracketed = (
@@ -298,8 +299,8 @@ class TestAcceptance:
             and (first == 0 or p_star > powers[first - 1])
         )
 
-        tol = opt.tol_factor * targets.p_max_watts
-        below = _first_feasible(ctx, targets, p_star - 10.0 * tol, rhos)[0] is None
+        tol = opt.tol_factor * p_max
+        below = _first_feasible(ctx, p_star - 10.0 * tol, rhos)[0] is None
         elapsed = time.perf_counter() - start
         report(
             "minimum transmit power is feasible, re-validates, brackets the exhaustive "

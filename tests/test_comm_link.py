@@ -1,5 +1,7 @@
 """Amplify-and-forward relay link: gain normalization, SINRs, combined rate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from jrcsim.comm_link import (
     sinr_direct,
     sinr_relayed,
 )
-from jrcsim.power_allocation import ConstraintTargets, evaluate_point
+from jrcsim.power_allocation import evaluate_point
 from jrcsim.scenario import CommSection
 
 N_R = 4e-13
@@ -169,21 +171,24 @@ class TestRateThreshold:
             rate_threshold(-1.0)
 
 
-def rate_targets(gamma_min: float) -> ConstraintTargets:
-    return ConstraintTargets(gamma_min=gamma_min, pfa_max=0.5, pd_min=0.0, p_max_watts=1.0)
+def with_rate_target(ctx, rate_bps_hz: float):
+    """The context with its scenario's rate target changed."""
+    targets = dataclasses.replace(ctx.scenario.targets, rate_bps_hz=rate_bps_hz)
+    return dataclasses.replace(ctx, scenario=dataclasses.replace(ctx.scenario, targets=targets))
 
 
 class TestRateConstraint:
-    # the optimizer's rate test: gamma_direct + gamma_relayed >= gamma_min
+    # the optimizer's rate test: gamma_direct + gamma_relayed >= 2^r - 1; at
+    # rho = 1 the data beam is zero, so the sum is exactly 0
     def test_boundary_inclusive(self, default_context):
-        pt = default_context.operating_point(1.0, 0.5)
-        at_boundary = rate_targets(float(pt.gamma_direct) + float(pt.gamma_relayed))
-        assert evaluate_point(default_context, 1.0, 0.5, 0.0, at_boundary).meets_rate
+        pt = default_context.operating_point(1.0, 1.0)
+        assert float(pt.gamma_direct) + float(pt.gamma_relayed) == 0.0
+        assert evaluate_point(with_rate_target(default_context, 0.0), 1.0, 1.0, 0.0).meets_rate
 
     def test_below_threshold(self, default_context):
-        pt = default_context.operating_point(1.0, 0.5)
-        just_above = rate_targets(np.nextafter(float(pt.gamma_direct) + float(pt.gamma_relayed), np.inf))
-        assert not evaluate_point(default_context, 1.0, 0.5, 0.0, just_above).meets_rate
+        # 2^(2e-16) rounds up to 1 + 2^-52, the least threshold above 0
+        assert rate_threshold(2e-16) == 2.0**-52
+        assert not evaluate_point(with_rate_target(default_context, 2e-16), 1.0, 1.0, 0.0).meets_rate
 
     def test_consistent_with_rate(self):
         # sum >= rate_threshold(r) exactly when the combined rate meets r

@@ -1,4 +1,4 @@
-"""Constraint targets, point audits, power minimization, and the tradeoff sweep.
+"""The feasibility rule, point audits, power minimization, and the tradeoff sweep.
 
 The minimizer is checked against a direct scan of its own coarse grid plus a
 below-tolerance infeasibility probe, so the reported power is certified
@@ -24,8 +24,7 @@ from jrcsim.detection import (
 )
 from jrcsim.experiments import OPTIMUM_COLUMNS, _optimum_table, emit_outputs, parse_table_csv
 from jrcsim.power_allocation import (
-    ConstraintTargets,
-    _coarse_walk,
+    _feasible,
     _first_feasible,
     _rho_grid,
     _tradeoff_record,
@@ -34,7 +33,7 @@ from jrcsim.power_allocation import (
     tradeoff_sweep,
 )
 from jrcsim.radar_sensing import waveform_from_symbols
-from jrcsim.scenario import ConfigError, ScenarioConfig, dbm_to_watts, watts_to_dbm
+from jrcsim.scenario import ConfigError, ScenarioConfig, TargetsSection, dbm_to_watts
 from jrcsim.stats import canonical_ceil, canonical_float, inverse_q, q_function
 from oracles import (
     average_scnr,
@@ -51,8 +50,18 @@ def fast_context(fast_scenario):
 
 def feasible_split(ctx, power_watts):
     """The split search at one power on the scenario's own targets and grids."""
-    opt, targets = ctx.scenario.optimizer, ConstraintTargets.from_scenario(ctx.scenario)
-    return _first_feasible(ctx, targets, power_watts, _rho_grid(opt))[0]
+    return _first_feasible(ctx, power_watts, _rho_grid(ctx.scenario.optimizer))[0]
+
+
+def with_targets(ctx, **targets):
+    """The context with its scenario's targets section changed."""
+    scenario = dataclasses.replace(ctx.scenario, targets=dataclasses.replace(ctx.scenario.targets, **targets))
+    return dataclasses.replace(ctx, scenario=scenario)
+
+
+def first_row(record):
+    """Row 0 of a tradeoff record, as floats and bools."""
+    return {name: column[0].item() for name, column in record.items()}
 
 
 def first_feasible_index(columns):
@@ -64,37 +73,35 @@ def solved(fast_context):
     return minimize_power(fast_context)
 
 
-class TestConstraintTargets:
-    def test_from_scenario_uses_linear_sinr_threshold(self):
-        targets = ConstraintTargets.from_scenario(ScenarioConfig())
-        assert targets.gamma_min == rate_threshold(5.0)
-        assert targets.gamma_min == pytest.approx(31.0, rel=1e-12)
-        assert targets.pfa_max == 1e-6
-        assert targets.pd_min == 0.6
-        assert targets.p_max_watts == pytest.approx(dbm_to_watts(46.0), rel=1e-12)
+@pytest.fixture(scope="module")
+def stacked(fast_context):
+    """A record over 7 powers from 1 mW to 1 kW and 5 splits, and where mu_1 is live."""
+    point = fast_context.operating_point(np.geomspace(1e-3, 1e3, 7)[:, None], np.linspace(0.0, 1.0, 5))
+    live = point.mu1_abs > 0.0
+    assert live.any()
+    return point, live
 
-    def test_rejects_out_of_range_targets(self):
-        good = dict(gamma_min=31.0, pfa_max=1e-6, pd_min=0.6, p_max_watts=39.8)
-        for bad in (
-            dict(gamma_min=-1.0),
-            dict(pfa_max=0.0),
-            dict(pfa_max=1.0),
-            dict(pfa_max=1.5),
-            dict(pd_min=-0.1),
-            dict(pd_min=1.1),
-            dict(p_max_watts=0.0),
-        ):
-            with pytest.raises(ValueError):
-                ConstraintTargets(**{**good, **bad})
 
-    def test_deflection_floor_at_the_detection_extremes(self):
-        good = dict(gamma_min=31.0, pfa_max=1e-6, p_max_watts=39.8)
-        assert ConstraintTargets(pd_min=0.6, **good).deflection_floor == pytest.approx(
-            inverse_q(1e-6) - inverse_q(0.6), rel=1e-15
-        )
-        # a floor of 0 holds at any threshold, and one of 1 at none
-        assert ConstraintTargets(pd_min=0.0, **good).deflection_floor == -np.inf
-        assert ConstraintTargets(pd_min=1.0, **good).deflection_floor == np.inf
+class TestFeasible:
+    def test_deflection_floor_at_the_detection_extremes(self, fast_context, stacked):
+        # a floor of 0 holds at any threshold, so every live split passes
+        point, live = stacked
+        vacuous = dataclasses.replace(fast_context.scenario.targets, rate_bps_hz=0.0, pd_min=0.0)
+        assert np.array_equal(_feasible(point, vacuous), live)
+
+    def test_a_unit_detection_floor_holds_nowhere(self, fast_context, stacked):
+        point, _ = stacked
+        unit = dataclasses.replace(fast_context.scenario.targets, rate_bps_hz=0.0, pd_min=1.0)
+        assert not _feasible(point, unit).any()
+
+    def test_between_the_extremes_every_target_binds(self, fast_context, stacked):
+        # the rate target is the SINR sum 2^5 - 1 = 31, and the deflection
+        # floor is Q^-1(pfa_max) - Q^-1(pd_min)
+        point, live = stacked
+        floor = inverse_q(1e-6) - inverse_q(0.6)
+        expected = (point.gamma_direct + point.gamma_relayed >= 31.0) & live & (point.deflection >= floor)
+        assert expected.any() and not expected.all()
+        assert np.array_equal(_feasible(point, fast_context.scenario.targets), expected)
 
 
 class TestEvaluatePoint:
@@ -168,12 +175,12 @@ class TestEvaluatePoint:
 class TestMinimizePower:
     def test_default_targets_are_reachable(self, fast_context, solved):
         result = solved
-        targets = ConstraintTargets.from_scenario(fast_context.scenario)
+        ceiling = dbm_to_watts(fast_context.scenario.targets.p_max_dbm)
         assert result.feasible
-        assert 0.0 < result.point.power_watts <= targets.p_max_watts
+        assert 0.0 < result.point.power_watts <= ceiling
         assert 0.0 <= result.point.rho <= 1.0
         assert result.evaluations > 0
-        assert targets.p_max_watts == pytest.approx(dbm_to_watts(46.0), rel=1e-12)
+        assert ceiling == pytest.approx(dbm_to_watts(46.0), rel=1e-12)
 
     def test_certificate_point_revalidates(self, fast_context, solved):
         result = solved
@@ -227,25 +234,21 @@ class TestMinimizePower:
         assert powers[i - 1] < solved.point.power_watts <= powers[i] * (1.0 + 1e-12)
 
     def test_feasibility_persists_above_the_optimum(self, fast_context, solved):
-        ceiling = ConstraintTargets.from_scenario(fast_context.scenario).p_max_watts
+        ceiling = dbm_to_watts(fast_context.scenario.targets.p_max_dbm)
         for p in np.geomspace(solved.point.power_watts, ceiling, 4):
             assert feasible_split(fast_context, float(p)) is not None
 
     def test_infeasible_ceiling_reports_cleanly(self, fast_context):
-        targets = ConstraintTargets(
-            gamma_min=31.0, pfa_max=1e-6, pd_min=0.6, p_max_watts=dbm_to_watts(10.0)
-        )
-        result = minimize_power(fast_context, targets=targets)
+        ctx = with_targets(fast_context, p_max_dbm=10.0)
+        assert rate_threshold(ctx.scenario.targets.rate_bps_hz) == 31.0
+        result = minimize_power(ctx)
         assert not result.feasible
         assert result.point is None
-        assert targets.p_max_watts == pytest.approx(dbm_to_watts(10.0), rel=1e-12)
-        assert result.evaluations > 0
+        assert result.evaluations == 24 * 11  # the whole coarse grid, then no certificate
 
     def test_vacuous_targets_stop_at_the_grid_floor(self, fast_context):
-        targets = ConstraintTargets(
-            gamma_min=0.0, pfa_max=0.5, pd_min=0.0, p_max_watts=dbm_to_watts(46.0)
-        )
-        result = minimize_power(fast_context, targets=targets)
+        ctx = with_targets(fast_context, rate_bps_hz=0.0, pfa_max=0.5, pd_min=0.0)
+        result = minimize_power(ctx)
         assert result.feasible
         assert result.point.power_watts == pytest.approx(
             dbm_to_watts(fast_context.scenario.power.min_dbm), rel=1e-12
@@ -269,29 +272,25 @@ class TestMinimizePower:
         cap = float(ctx.operating_point(1e12, 1.0).deflection)
         floor = cap * (1.0 - 1e-7)
         pd_min = float(q_function(inverse_q(1e-6) - floor))
-        targets = ConstraintTargets(gamma_min=0.0, pfa_max=1e-6, pd_min=pd_min, p_max_watts=1e20)
-        result = minimize_power(ctx, targets)
+        ctx = with_targets(ctx, rate_bps_hz=0.0, pfa_max=1e-6, pd_min=pd_min, p_max_dbm=230.0)
+        result = minimize_power(ctx)
         assert result.feasible and result.point.pd >= pd_min
         assert result.evaluations < 200
 
     def test_unit_detection_floor_is_infeasible(self, fast_context):
-        targets = ConstraintTargets(gamma_min=0.0, pfa_max=0.5, pd_min=1.0, p_max_watts=dbm_to_watts(46.0))
-        assert not minimize_power(fast_context, targets=targets).feasible
-        assert not tradeoff_sweep(fast_context, targets=targets)["feasible"].any()
+        ctx = with_targets(fast_context, rate_bps_hz=0.0, pfa_max=0.5, pd_min=1.0)
+        assert not minimize_power(ctx).feasible
+        assert not tradeoff_sweep(ctx)["feasible"].any()
 
     def test_unreachable_rate_floor_is_infeasible(self, fast_context):
-        targets = ConstraintTargets(
-            gamma_min=1e12, pfa_max=1e-6, pd_min=0.6, p_max_watts=dbm_to_watts(46.0)
-        )
-        result = minimize_power(fast_context, targets=targets)
+        result = minimize_power(with_targets(fast_context, rate_bps_hz=40.0))
         assert not result.feasible
 
     def test_floor_above_ceiling_is_rejected(self, fast_context):
-        targets = ConstraintTargets(
-            gamma_min=31.0, pfa_max=1e-6, pd_min=0.6, p_max_watts=dbm_to_watts(-20.0)
-        )
-        with pytest.raises(ValueError):
-            minimize_power(fast_context, targets=targets)
+        # a grid floor at or above the ceiling cannot reach the optimizer: the
+        # scenario refuses to be built
+        with pytest.raises(ConfigError, match=r"^targets\.p_max_dbm: must exceed power\.min_dbm"):
+            with_targets(fast_context, p_max_dbm=-20.0)
 
     def test_rejects_bad_grids_and_tolerances(self, fast_context):
         # a bad grid cannot reach the optimizer: the section refuses to be built
@@ -364,11 +363,13 @@ class TestTradeoffSweep:
         if idx > 0:
             assert solved.point.power_watts > powers[idx - 1]
 
+    def test_feasible_column_is_the_split_search_at_every_power(self, fast_context, swept):
+        # the column and the minimizer's walk apply one rule
+        flags = [feasible_split(fast_context, p) is not None for p in swept["power_watts"].tolist()]
+        assert swept["feasible"].tolist() == flags
+
     def test_impossible_targets_leave_nothing_marked(self, fast_context):
-        targets = ConstraintTargets(
-            gamma_min=1e12, pfa_max=1e-6, pd_min=0.6, p_max_watts=dbm_to_watts(46.0)
-        )
-        result = tradeoff_sweep(fast_context, targets=targets)
+        result = tradeoff_sweep(with_targets(fast_context, rate_bps_hz=40.0))
         assert first_feasible_index(result) is None
 
     def test_fixed_split_pins_every_record(self, fast_scenario):
@@ -380,9 +381,8 @@ class TestTradeoffSweep:
         assert np.all(result["rho"] == 0.9)
 
     def test_columns_match_the_split_by_split_scan(self, fast_context, swept):
-        targets = ConstraintTargets.from_scenario(fast_context.scenario)
         rhos = _rho_grid(fast_context.scenario.optimizer)
-        rows = [_oracle_tradeoff_record(fast_context, targets, p, rhos) for p in swept["power_watts"].tolist()]
+        rows = [_oracle_tradeoff_record(fast_context, p, rhos) for p in swept["power_watts"].tolist()]
         assert list(swept) == list(rows[0])
         for name, column in swept.items():
             assert column.tolist() == [row[name] for row in rows], name
@@ -402,20 +402,21 @@ def _oracle_physics(ctx, power, rho):
     return params, deflection, float(point.gamma_direct), float(point.gamma_relayed)
 
 
-def _oracle_first_feasible(ctx, targets, power, rhos):
-    evals = 0
+def _oracle_first_feasible(ctx, power, rhos):
+    targets, evals = ctx.scenario.targets, 0
     floor = inverse_q(targets.pfa_max) - inverse_q(targets.pd_min)
-    for rho in rhos:
+    for k, rho in enumerate(rhos):
         params, deflection, gamma_direct, gamma_relayed = _oracle_physics(ctx, power, rho)
         evals += 1
-        if gamma_direct + gamma_relayed < targets.gamma_min or params[0] <= 0.0:
+        if gamma_direct + gamma_relayed < rate_threshold(targets.rate_bps_hz) or params[0] <= 0.0:
             continue
         if deflection >= floor:
-            return (float(rho), false_alarm_threshold(*params, targets.pfa_max)), evals
+            return k, evals
     return None, evals
 
 
-def _oracle_tradeoff_record(ctx, targets, power, rhos):
+def _oracle_tradeoff_record(ctx, power, rhos):
+    targets = ctx.scenario.targets
     best_rate = 0.0
     best = None  # (deflection, rho, params)
     jointly_feasible = False
@@ -427,7 +428,7 @@ def _oracle_tradeoff_record(ctx, targets, power, rhos):
             continue
         if best is None or deflection > best[0]:
             best = (deflection, float(rho), params)
-        if gamma_direct + gamma_relayed >= targets.gamma_min and deflection >= floor:
+        if gamma_direct + gamma_relayed >= rate_threshold(targets.rate_bps_hz) and deflection >= floor:
             jointly_feasible = True
     rho, kappa, pd, pfa = float(rhos[0]), 0.0, 0.0, 0.0
     if best is not None:
@@ -473,57 +474,56 @@ def _scenes(draw, sc):
 def split_searches(draw):
     """A random valid scene, targets and split grid, and a power from 1e-4 W to 300 dBm."""
     sc = _scenes(draw, ScenarioConfig())
-    targets = ConstraintTargets(
-        gamma_min=rate_threshold(draw(_uniform(0.0, 12.0))),
+    targets = TargetsSection(
+        rate_bps_hz=draw(_uniform(0.0, 12.0)),
         pfa_max=10.0 ** draw(st.one_of(_uniform(-12.0, -1e-3), _uniform(-300.0, -1e-3))),
         pd_min=draw(_uniform(0.0, 1.0)),
-        p_max_watts=dbm_to_watts(300.0),
+        p_max_dbm=300.0,
     )
     # half the draws stay below 1 MW, where the first feasible split moves
     power = 10.0 ** draw(st.one_of(_uniform(-4.0, 6.0), _uniform(-4.0, 27.0)))
-    return sc, targets, power
+    return dataclasses.replace(sc, targets=targets), power
 
 
 class TestBatchedSplitSearch:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(split_searches())
     def test_matches_the_split_by_split_scan(self, search):
-        sc, targets, power = search
+        sc, power = search
         ctx = build_context(sc)
         rhos = _rho_grid(sc.optimizer)
-        assert _first_feasible(ctx, targets, power, rhos) == _oracle_first_feasible(ctx, targets, power, rhos)
-        assert _tradeoff_record(ctx, targets, power, rhos) == _oracle_tradeoff_record(ctx, targets, power, rhos)
+        assert _first_feasible(ctx, power, rhos) == _oracle_first_feasible(ctx, power, rhos)
+        record = first_row(_tradeoff_record(ctx, np.array([power]), rhos))
+        assert record == _oracle_tradeoff_record(ctx, power, rhos)
 
     def test_a_silent_target_leaves_no_split_live(self, fast_context):
         ctx = dataclasses.replace(fast_context, alpha0=0.0)
-        targets = ConstraintTargets.from_scenario(ctx.scenario)
         rhos = np.linspace(0.0, 1.0, 4)
-        assert _first_feasible(ctx, targets, 2.0, rhos) == (None, 4)
-        record = _tradeoff_record(ctx, targets, 2.0, rhos)
-        assert record == _oracle_tradeoff_record(ctx, targets, 2.0, rhos)
+        assert _first_feasible(ctx, 2.0, rhos) == (None, 4)
+        record = first_row(_tradeoff_record(ctx, np.array([2.0]), rhos))
+        assert record == _oracle_tradeoff_record(ctx, 2.0, rhos)
         assert (record["rho"], record["kappa"], record["pd"], record["pfa"]) == (0.0, 0.0, 0.0, 0.0)
 
     def test_a_tiny_cap_still_meets_its_threshold(self, fast_context):
         # every live split has a smallest threshold meeting any cap in (0, 1)
-        targets = ConstraintTargets(gamma_min=0.0, pfa_max=1e-300, pd_min=0.0, p_max_watts=1e3)
+        ctx = with_targets(fast_context, rate_bps_hz=0.0, pfa_max=1e-300, pd_min=0.0, p_max_dbm=60.0)
         rhos = np.linspace(0.0, 1.0, 4)
-        record = _tradeoff_record(fast_context, targets, 2.0, rhos)
-        assert record == _oracle_tradeoff_record(fast_context, targets, 2.0, rhos)
-        assert 0.0 < record["pfa"] <= targets.pfa_max
+        record = first_row(_tradeoff_record(ctx, np.array([2.0]), rhos))
+        assert record == _oracle_tradeoff_record(ctx, 2.0, rhos)
+        assert 0.0 < record["pfa"] <= 1e-300
         assert record["feasible"]
 
     def test_ties_go_to_the_smallest_split(self, fast_context):
         # vacuous targets make every split feasible at its threshold
-        targets = ConstraintTargets(gamma_min=0.0, pfa_max=0.5, pd_min=0.0, p_max_watts=1e3)
+        ctx = with_targets(fast_context, rate_bps_hz=0.0, pfa_max=0.5, pd_min=0.0, p_max_dbm=60.0)
         rhos = np.linspace(0.0, 1.0, 5)
-        best, evaluations = _first_feasible(fast_context, targets, 2.0, rhos)
-        assert best == (0.0, 0.0) and evaluations == 1
+        assert _first_feasible(ctx, 2.0, rhos) == (0, 1)
         # a repeated split ties with itself; the first copy is reported
         twice = np.array([0.5, 0.5, 0.25])
         deflection = fast_context.operating_point(2.0, twice).deflection
         assert deflection[0] == deflection[1] > deflection[2]
-        record = _tradeoff_record(fast_context, targets, 2.0, twice)
-        assert record == _oracle_tradeoff_record(fast_context, targets, 2.0, twice)
+        record = first_row(_tradeoff_record(ctx, np.array([2.0]), twice))
+        assert record == _oracle_tradeoff_record(ctx, 2.0, twice)
         assert record["rho"] == 0.5
 
     def test_a_deflection_on_the_floor_is_feasible(self, fast_context):
@@ -541,16 +541,16 @@ class TestBatchedSplitSearch:
             if floor == deflection:
                 break
         assert floor == deflection
-        targets = ConstraintTargets(gamma_min=0.0, pfa_max=cap, pd_min=0.5, p_max_watts=1e3)
-        assert targets.deflection_floor == deflection
-        assert _first_feasible(fast_context, targets, power, rho)[0] is not None
-        assert _tradeoff_record(fast_context, targets, power, rho)["feasible"]
+        ctx = with_targets(fast_context, rate_bps_hz=0.0, pfa_max=cap, pd_min=0.5, p_max_dbm=60.0)
+        assert inverse_q(cap) - inverse_q(0.5) == deflection
+        assert _first_feasible(ctx, power, rho)[0] is not None
+        assert _tradeoff_record(ctx, np.array([power]), rho)["feasible"][0]
 
 
 # Power enters W(P) = I + P M(rho) as one scale, so one unit-power kernel per
 # split grid serves every power. The stacked (powers x splits) record must be,
-# bit for bit, the record of each (P, rho) alone, and the coarse walk over
-# stacked blocks must stop where the power-by-power walk below, the loop it
+# bit for bit, the record of each (P, rho) alone, and the coarse walk over the
+# whole stacked grid must stop where the power-by-power walk below, the loop it
 # replaced, stops.
 
 _RECORD_FIELDS = ("beams", "x", "w", "mu1", "sigma2", "gamma_direct", "gamma_relayed")
@@ -561,14 +561,14 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _oracle_coarse_walk(ctx, targets, powers, rhos):
+def _oracle_coarse_walk(ctx, powers, rhos):
     evaluations = 0
     for i, p in enumerate(powers):
-        best, n = _first_feasible(ctx, targets, float(p), rhos)
+        k, n = _first_feasible(ctx, float(p), rhos)
         evaluations += n
-        if best is not None:
-            return i, best, evaluations
-    return None, None, evaluations
+        if k is not None:
+            return i * len(rhos) + k, evaluations
+    return None, evaluations
 
 
 @st.composite
@@ -582,10 +582,10 @@ def power_stacks(draw):
 @st.composite
 def coarse_walks(draw):
     """A split search with an ascending power grid of 1 to 40 points up to 300 dBm."""
-    sc, targets, _ = draw(split_searches())
+    sc, _ = draw(split_searches())
     floor = 10.0 ** draw(_uniform(-4.0, 3.0))
     powers = np.geomspace(floor, 10.0 ** draw(_uniform(4.0, 27.0)), draw(st.sampled_from(range(1, 41))))
-    return sc, targets, powers
+    return sc, powers
 
 
 class TestStackedPowers:
@@ -618,21 +618,11 @@ class TestStackedPowers:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(coarse_walks())
     def test_coarse_walk_matches_the_power_by_power_walk(self, walk):
-        sc, targets, powers = walk
+        sc, powers = walk
         ctx = build_context(sc)
         rhos = _rho_grid(sc.optimizer)
-        walked = _coarse_walk(ctx, targets, powers, rhos, ctx.unit_kernel(rhos))
-        assert walked == _oracle_coarse_walk(ctx, targets, powers, rhos)
-
-    def test_coarse_walk_stops_in_a_later_block(self, fast_context):
-        # the fast scenario's 24-point grid first turns feasible past the first block
-        targets = ConstraintTargets.from_scenario(fast_context.scenario)
-        sc = fast_context.scenario
-        powers = np.geomspace(dbm_to_watts(sc.power.min_dbm), targets.p_max_watts, sc.optimizer.power_points)
-        rhos = _rho_grid(sc.optimizer)
-        walked = _coarse_walk(fast_context, targets, powers, rhos, fast_context.unit_kernel(rhos))
-        assert walked == _oracle_coarse_walk(fast_context, targets, powers, rhos)
-        assert walked[0] >= 8
+        walked = _first_feasible(ctx, powers[:, None], rhos, ctx.unit_kernel(rhos))
+        assert walked == _oracle_coarse_walk(ctx, powers, rhos)
 
 
 class TestOneDecompositionPerSplitGrid:
@@ -720,7 +710,7 @@ class TestOptimizerProperties:
             point = evaluate_point(sc, row["p_star_watts"], row["rho"], row["kappa"])
             assert point.feasible
             assert point == result.point
-            assert row["p_star_watts"] <= ConstraintTargets.from_scenario(sc).p_max_watts
+            assert row["p_star_watts"] <= dbm_to_watts(sc.targets.p_max_dbm)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(optimizer_scenarios([1e-5, 1e-3, 1e-1]))

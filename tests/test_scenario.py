@@ -202,6 +202,8 @@ class TestValidation:
             ({"targets": {"pfa_max": 1.5}}, "targets.pfa_max: must be < 1.0, got 1.5"),
             ({"targets": {"pfa_max": 1.0}}, "targets.pfa_max: must be < 1.0, got 1.0"),
             ({"targets": {"pd_min": -0.1}}, "targets.pd_min: must be >= 0.0, got -0.1"),
+            ({"targets": {"pd_min": 1.1}}, "targets.pd_min: must be <= 1.0, got 1.1"),
+            ({"targets": {"rate_bps_hz": -1.0}}, "targets.rate_bps_hz: must be >= 0.0, got -1.0"),
             ({"optimizer": {"rho_points": 1}}, "optimizer.rho_points: must be >= 2, got 1"),
             ({"optimizer": {"tol_factor": 0.0}}, "optimizer.tol_factor: must be > 0.0, got 0.0"),
             ({"optimizer": {"fixed_rho": 1.5}}, "optimizer.fixed_rho: must be <= 1.0, got 1.5"),
