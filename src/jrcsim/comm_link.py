@@ -61,11 +61,12 @@ def sinr_relayed(h_sr: np.ndarray, h_rd: complex, gain, beams: np.ndarray, comm:
     return signal / denom
 
 
-def mrc_rate(gamma_direct: float, gamma_relayed: float) -> float:
-    """Spectral efficiency log2(1 + gamma_sd + gamma_rd) after maximum ratio combining."""
-    if gamma_direct < 0.0 or gamma_relayed < 0.0:
+def mrc_rate(gamma_direct, gamma_relayed):
+    """Spectral efficiency log2(1 + gamma_sd + gamma_rd) after maximum ratio
+    combining, at every entry of a pair of SINR arrays; floats give a 0-d result."""
+    if np.any(gamma_direct < 0.0) or np.any(gamma_relayed < 0.0):
         raise ValueError("SINRs must be >= 0")
-    return float(np.log2(1.0 + gamma_direct + gamma_relayed))
+    return np.log2(1.0 + gamma_direct + gamma_relayed)
 
 
 def rate_threshold(rate_target: float) -> float:

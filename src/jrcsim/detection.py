@@ -33,7 +33,6 @@ memory stays bounded.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -77,57 +76,59 @@ def _complex_product(p, q):
     return (p.real * q.real - p.imag * q.imag) + 1j * (p.real * q.imag + p.imag * q.real)
 
 
-def _statistic_std(mu1_abs: float, sigma2: float) -> float:
-    """|mu_1| sqrt(2 sigma^2): the standard deviation of T, from the moments of y_s."""
-    if mu1_abs == 0.0:
+def _statistic_std(mu1_abs, sigma2):
+    """|mu_1| sqrt(2 sigma^2): the standard deviation of T, from the moments of
+    y_s, at every entry of a pair of moment arrays (or floats)."""
+    if np.count_nonzero(mu1_abs == 0.0):
         raise ValueError("|mu1| = 0: the statistic is degenerate and the closed forms do not apply")
-    if sigma2 <= 0.0:
+    if np.count_nonzero(sigma2 <= 0.0):
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    return float(mu1_abs) * math.sqrt(2.0 * float(sigma2))
+    return mu1_abs * np.sqrt(2.0 * sigma2)
 
 
-def _h1_shift(mu1_abs: float) -> float:
-    """2 |mu_1|^2: the mean of T under H1, and T_1 - T_0 on shared draws."""
-    return 2.0 * float(mu1_abs) ** 2
+def _h1_shift(mu1_abs):
+    """2 |mu_1|^2, squared by pow as a float's ** 2 is: the mean of T under H1."""
+    return 2.0 * np.float_power(mu1_abs, 2.0)
 
 
-def _tail(excess: float | np.ndarray, mu1_abs: float, sigma2: float):
-    """Q(excess / (|mu_1| sqrt(2 sigma^2))) for a float or an array of excesses.
-
-    A ratio past the float range is +-inf and reads Q(+-inf) = 0 or 1 without
-    an overflow warning: a float divides as a Python float, which overflows
-    quietly, and an array under errstate.
-    """
-    scale = _statistic_std(mu1_abs, sigma2)
-    if isinstance(excess, np.ndarray):
-        with np.errstate(over="ignore"):
-            return q_function(excess / scale)
-    return float(q_function(float(excess) / scale))
+def _tail(excess, scale):
+    """Q(excess / scale) at every entry; a ratio past the float range is +-inf
+    and reads Q(+-inf) = 0 or 1 without an overflow warning."""
+    with np.errstate(over="ignore"):
+        ratio = excess / scale
+    return q_function(ratio)
 
 
-def false_alarm_probability(mu1_abs: float, sigma2: float, kappa: float | np.ndarray):
-    """P(T >= kappa | H0) = Q(kappa / (|mu_1| sqrt(2 sigma^2))), at a float
-    threshold or at each of an array of them."""
-    return _tail(kappa, mu1_abs, sigma2)
+def false_alarm_probability(mu1_abs, sigma2, kappa):
+    """P(T >= kappa | H0) = Q(kappa / (|mu_1| sqrt(2 sigma^2))), broadcast over
+    arrays of moments and thresholds; floats give a 0-d result."""
+    return _tail(kappa, _statistic_std(mu1_abs, sigma2))
 
 
-def detection_probability(mu1_abs: float, sigma2: float, kappa: float | np.ndarray):
+def detection_probability(mu1_abs, sigma2, kappa):
     """P(T >= kappa | H1) = Q((kappa - 2 |mu_1|^2) / (|mu_1| sqrt(2 sigma^2))),
-    at a float threshold or at each of an array of them."""
-    return _tail(kappa - _h1_shift(mu1_abs), mu1_abs, sigma2)
+    broadcast over arrays of moments and thresholds; floats give a 0-d result."""
+    return _tail(kappa - _h1_shift(mu1_abs), _statistic_std(mu1_abs, sigma2))
 
 
-def false_alarm_threshold(mu1_abs: float, sigma2: float, pfa_max: float) -> float:
+def false_alarm_threshold(mu1_abs, sigma2, pfa_max: float):
     """The smallest threshold at or above kappa_fa whose computed P_FA is at
-    most pfa_max, in (0, 1): kappa_fa itself can miss the cap by rounding, so
-    a step doubling from one ulp climbs past it and the last step is bisected."""
-    lo = hi = _statistic_std(mu1_abs, sigma2) * inverse_q(pfa_max)
-    step = math.ulp(lo)
-    while false_alarm_probability(mu1_abs, sigma2, hi) > pfa_max:
-        lo, hi, step = hi, hi + step, 2.0 * step
-    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
-        lo, hi = (mid, hi) if false_alarm_probability(mu1_abs, sigma2, mid) > pfa_max else (lo, mid)
-    return hi
+    most pfa_max, in (0, 1), at every entry of a pair of moment arrays; floats
+    give a 0-d result. kappa_fa itself can miss the cap by rounding, so a step
+    doubling from one ulp climbs past it and the last step is bisected."""
+    scale = _statistic_std(mu1_abs, sigma2)
+    lo = hi = scale * inverse_q(pfa_max)
+    step = np.abs(np.spacing(lo))
+    climbing = _tail(hi, scale) > pfa_max
+    while np.count_nonzero(climbing):
+        lo, hi, step = np.where(climbing, (hi, hi + step, 2.0 * step), (lo, hi, step))
+        climbing &= _tail(hi, scale) > pfa_max
+    mid = lo + 0.5 * (hi - lo)
+    while np.count_nonzero(inside := (lo < mid) & (mid < hi)):
+        above = _tail(mid, scale) > pfa_max
+        lo, hi = np.where(inside & above, mid, lo), np.where(inside & ~above, mid, hi)
+        mid = lo + 0.5 * (hi - lo)
+    return hi[()]  # a NumPy float, as the other closed forms give, for float moments
 
 
 def sample_test_statistics(
@@ -191,14 +192,13 @@ def roc_sweep(
         raise ValueError("kappa_grid must be finite")
     t_h0, _ = sample_test_statistics(ctx, point, trials=trials, rng=rng)
     sorted_h0 = np.sort(t_h0)
-    mu1_abs, sigma2 = float(point.mu1_abs), float(point.sigma2)
     curve = {"kappa": kappas}
     for rate, closed_form, sorted_t in (
         ("pfa", false_alarm_probability, sorted_h0),
-        ("pd", detection_probability, sorted_h0 + _h1_shift(mu1_abs)),
+        ("pd", detection_probability, sorted_h0 + _h1_shift(point.mu1_abs)),
     ):
         curve[f"{rate}_analytic"] = (
-            closed_form(mu1_abs, sigma2, kappas) if mu1_abs > 0.0 else np.full(kappas.shape, np.nan)
+            closed_form(point.mu1_abs, point.sigma2, kappas) if point.mu1_abs else np.full_like(kappas, np.nan)
         )
         hits = trials - np.searchsorted(sorted_t, kappas, side="left")
         curve[f"{rate}_mc"] = hits / trials

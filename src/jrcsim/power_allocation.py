@@ -35,7 +35,8 @@ evaluations a power-by-power walk would spend up to its stop. The first
 feasible split and the split of best guarded detection are first-index
 argmaxes over those, so the tie-breaks are a power-by-power, split-by-split
 scan's, and every entry equals, bit for bit, the record of that power and
-split alone.
+split alone. tradeoff_sweep runs the closed forms once on the columns of each
+row's chosen splits, and evaluate_point runs them on its one record.
 """
 
 from __future__ import annotations
@@ -83,7 +84,10 @@ class EvaluatedPoint:
     meets_pfa: bool
     meets_pd: bool
     within_budget: bool
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        return self.meets_rate and self.meets_pfa and self.meets_pd and self.within_budget
 
 
 @dataclass(frozen=True)
@@ -151,32 +155,25 @@ def evaluate_point(
         raise ValueError(f"power must be positive, got {power_watts}")
     kernel = ctx.unit_kernel(rho)
     point = ctx.operating_point(power_watts, rho, kernel)
-    mu1_abs, sigma2 = float(point.mu1_abs), float(point.sigma2)
+    moments = point.mu1_abs, point.sigma2
     if kappa is None:
-        kappa = canonical_ceil(false_alarm_threshold(mu1_abs, sigma2, targets.pfa_max))
-    gamma_direct, gamma_relayed = float(point.gamma_direct), float(point.gamma_relayed)
-    pfa = false_alarm_probability(mu1_abs, sigma2, kappa)
-    pd = detection_probability(mu1_abs, sigma2, kappa)
-    meets_rate = gamma_direct + gamma_relayed >= rate_threshold(targets.rate_bps_hz)
-    meets_pfa = pfa <= targets.pfa_max
-    meets_pd = pd >= targets.pd_min
+        kappa = canonical_ceil(false_alarm_threshold(*moments, targets.pfa_max))
+    pfa, pd = float(false_alarm_probability(*moments, kappa)), float(detection_probability(*moments, kappa))
     spent = float(sum(np.vdot(beam, beam).real for beam in point.beams))
-    within_budget = spent <= power_watts + _BUDGET_SLACK * max(1.0, power_watts)
     a, unit_beams = ctx.target_steering, ctx.beams_at(1.0, rho)
     scnr_avg = average_scnr_curve(ctx.clutter, ctx.alpha0, a, unit_beams, [power_watts], kernel)[0]
     return EvaluatedPoint(
         power_watts=power_watts,
         rho=rho,
         kappa=kappa,
-        rate_bps_hz=mrc_rate(gamma_direct, gamma_relayed),
+        rate_bps_hz=float(mrc_rate(point.gamma_direct, point.gamma_relayed)),
         pfa=pfa,
         pd=pd,
         scnr_avg=float(scnr_avg),
-        meets_rate=meets_rate,
-        meets_pfa=meets_pfa,
-        meets_pd=meets_pd,
-        within_budget=within_budget,
-        feasible=meets_rate and meets_pfa and meets_pd and within_budget,
+        meets_rate=bool(point.gamma_direct + point.gamma_relayed >= rate_threshold(targets.rate_bps_hz)),
+        meets_pfa=pfa <= targets.pfa_max,
+        meets_pd=pd >= targets.pd_min,
+        within_budget=spent <= power_watts + _BUDGET_SLACK * max(1.0, power_watts),
     )
 
 
@@ -238,29 +235,29 @@ def minimize_power(ctx: SimulationContext) -> OptimizationResult:
 
 def _tradeoff_record(ctx: SimulationContext, powers: np.ndarray, rhos: np.ndarray) -> dict:
     """The tradeoff rows of a 1-D array of powers, as arrays keyed by
-    tradeoff_sweep's columns, from one record over powers x splits. Only the
-    scalar closed forms of each row's chosen split run per power."""
+    tradeoff_sweep's columns, from one record over powers x splits. Each row
+    takes the rate of its fastest split and kappa_fa, P_D and P_FA at its
+    live split of largest deflection, in one closed-form call per column; a
+    row with no live split reads rho = rhos[0] and kappa = P_D = P_FA = 0."""
     targets = ctx.scenario.targets
     point = ctx.operating_point(powers[:, None], rhos)
     gamma_sum = point.gamma_direct + point.gamma_relayed
     live = point.mu1_abs > 0.0
     # the rate is log2(1 + gamma_sum), so the best rate sits at the largest sum;
     # P_D at the false-alarm threshold grows with the deflection; argmax takes
-    # the first maximum, so ties go to the smallest rho
-    fastest = np.argmax(1.0 + gamma_sum, axis=-1)
-    sharpest = np.argmax(np.where(live, point.deflection, -np.inf), axis=-1)
-    rows = []
-    for r, (i, j) in enumerate(zip(fastest, sharpest)):
-        rho, kappa, pd, pfa = float(rhos[0]), 0.0, 0.0, 0.0
-        if live[r].any():
-            params = float(point.mu1_abs[r, j]), float(point.sigma2[r, j])
-            rho, kappa = float(rhos[j]), false_alarm_threshold(*params, targets.pfa_max)
-            pd, pfa = detection_probability(*params, kappa), false_alarm_probability(*params, kappa)
-        rows.append((rho, kappa, mrc_rate(point.gamma_direct[r, i], point.gamma_relayed[r, i]), pd, pfa))
-    rho, kappa, rate, pd, pfa = (np.array(column) for column in zip(*rows))
+    # the first maximum, so ties go to the smallest rho, and a row with no
+    # live split to rhos[0]
+    fastest = np.argmax(1.0 + gamma_sum, axis=-1, keepdims=True)
+    sharpest = np.argmax(np.where(live, point.deflection, -np.inf), axis=-1, keepdims=True)
+    on = live.any(axis=-1)
+    mu1_abs, sigma2 = (np.take_along_axis(m, sharpest, -1)[on, 0] for m in (point.mu1_abs, point.sigma2))
+    kappa, pd, pfa = np.zeros((3, powers.size))
+    kappa[on] = k = false_alarm_threshold(mu1_abs, sigma2, targets.pfa_max)
+    pd[on], pfa[on] = detection_probability(mu1_abs, sigma2, k), false_alarm_probability(mu1_abs, sigma2, k)
+    rate = mrc_rate(*(np.take_along_axis(g, fastest, -1)[:, 0] for g in (point.gamma_direct, point.gamma_relayed)))
     return {
-        "power_watts": powers, "rho": rho, "kappa": kappa, "rate_bps_hz": rate,
-        "pd": pd, "pfa": pfa, "feasible": _feasible(point, targets).any(axis=-1),
+        "power_watts": powers, "rho": rhos[sharpest[:, 0]], "kappa": kappa,
+        "rate_bps_hz": rate, "pd": pd, "pfa": pfa, "feasible": _feasible(point, targets).any(axis=-1),
     }
 
 

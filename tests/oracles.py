@@ -5,14 +5,19 @@ the rank-one kernel in jrcsim.radar_sensing. The functions here form W and the
 response matrices A = a a^T densely and solve through a Cholesky factor, so the
 kernel, the detector moments and the acceptance gates have an independent
 reference to be checked against. A radar scene is the context's own
-ClutterSteering (steering matrix B and amplitude scales sigma_l).
+ClutterSteering (steering matrix B and amplitude scales sigma_l). The
+detector's false-alarm threshold has a one-threshold-at-a-time reference in
+Python floats.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
 
 from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_matrix, steering_vector
 from jrcsim.radar_sensing import ClutterSteering, average_scnr_curve
+from jrcsim.stats import inverse_q, q_function
 
 
 def random_positions(rng, count=3) -> list[PolarPosition]:
@@ -119,3 +124,22 @@ def radar_snapshot_batch(
         s = s + (amps * (x @ clutter.matrix)) @ clutter.matrix.T
     noise = (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) / np.sqrt(2.0)
     return s + noise
+
+
+def scalar_false_alarm_threshold(mu1_abs: float, sigma2: float, pfa_max: float) -> float:
+    """The smallest threshold at or above kappa_fa = |mu_1| sqrt(2 sigma^2)
+    Q^-1(pfa_max) whose P_FA = Q(kappa / (|mu_1| sqrt(2 sigma^2))) is at most
+    pfa_max, in Python floats: a step doubling from one ulp climbs past the
+    cap, and the last step is bisected."""
+    scale = mu1_abs * math.sqrt(2.0 * sigma2)
+
+    def pfa(kappa):
+        return float(q_function(kappa / scale))
+
+    lo = hi = scale * inverse_q(pfa_max)
+    step = math.ulp(lo)
+    while pfa(hi) > pfa_max:
+        lo, hi, step = hi, hi + step, 2.0 * step
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        lo, hi = (mid, hi) if pfa(mid) > pfa_max else (lo, mid)
+    return hi

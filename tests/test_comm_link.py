@@ -156,8 +156,10 @@ class TestMrcRate:
         assert mrc_rate(2.0, 1.0) > mrc_rate(2.0, 0.5)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            mrc_rate(-0.1, 0.0)
+        # one negative entry among valid SINRs raises too
+        for gamma_direct, gamma_relayed in ((-0.1, 0.0), (np.array([1.0, 2.0]), np.array([0.5, -0.1]))):
+            with pytest.raises(ValueError):
+                mrc_rate(gamma_direct, gamma_relayed)
 
 
 class TestRateThreshold:

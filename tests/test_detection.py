@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import at_sigma
 from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_vector
@@ -40,6 +42,7 @@ from oracles import (
     optimal_receive_beamformer,
     random_positions,
     response_matrix,
+    scalar_false_alarm_threshold,
     transmit_covariance,
 )
 
@@ -97,10 +100,12 @@ class TestStatisticParams:
             assert sigma2 == pytest.approx(var_expected, rel=1e-12)
 
     def test_rejects_non_positive_variance(self):
-        for sigma2 in (0.0, -1.0):
+        # one bad entry among good moments raises too, rather than reading NaN
+        moments = [(1.0, 0.0), (1.0, -1.0), (np.full(3, 1.0), np.array([4.0, 0.0, 1.0]))]
+        for mu1_abs, sigma2 in moments:
             for closed_form in (false_alarm_probability, detection_probability, false_alarm_threshold):
                 with pytest.raises(ValueError, match="sigma2 must be positive"):
-                    closed_form(1.0, sigma2, 1e-6)
+                    closed_form(mu1_abs, sigma2, 1e-6)
 
 
 class TestClosedForms:
@@ -144,7 +149,7 @@ class TestClosedForms:
 
     def test_thresholds_past_the_float_range_read_the_limits_quietly(self):
         # kappa / (|mu_1| sqrt(2 sigma^2)) overflows to +-inf; Q(+-inf) is the
-        # right limit, on the float path and the array path alike, and
+        # right limit, at a float threshold and an array of them alike, and
         # neither may warn
         tiny = (1e-160, 1e-160)
         kappas = np.array([-1e300, -1e-200, 1e-200, 1e300])
@@ -173,16 +178,49 @@ class TestClosedForms:
         assert pd[0] > pd[-1]
 
     def test_zero_signal_rejected(self):
-        degenerate = (0.0, 1.0)
-        with pytest.raises(ValueError):
-            false_alarm_probability(*degenerate, 0.0)
-        with pytest.raises(ValueError):
-            detection_probability(*degenerate, 0.0)
-        with pytest.raises(ValueError):
-            false_alarm_threshold(*degenerate, 1e-6)
+        # one dead entry among live moments raises too, rather than reading NaN
+        for degenerate in ((0.0, 1.0), (np.array([1.5, 0.0, 2.0]), np.full(3, 4.0))):
+            with pytest.raises(ValueError, match="degenerate"):
+                false_alarm_probability(*degenerate, 0.0)
+            with pytest.raises(ValueError, match="degenerate"):
+                detection_probability(*degenerate, 0.0)
+            with pytest.raises(ValueError, match="degenerate"):
+                false_alarm_threshold(*degenerate, 1e-6)
+
+
+def _decades(lo, hi):
+    """Positive floats spread evenly over the decades from 10^lo to 10^hi."""
+    return st.builds(lambda e, m: m * 10.0**e, st.integers(lo, hi - 1), st.floats(1.0, 10.0, exclude_max=True))
 
 
 class TestFalseAlarmThreshold:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([1e-160, 3e-100, 1e-12]), _decades(-160, 3)),
+                st.one_of(st.sampled_from([1e-6, 1e6]), _decades(-6, 6)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.one_of(
+            # kappa_fa misses caps 0.674 and 0.85 by rounding, so the climb runs below zero
+            st.sampled_from([1e-300, 0.5, 0.674, 0.7, 0.85, 1.0 - 2.0**-53]),
+            _decades(-300, 0),
+            st.floats(0.5, 1.0, exclude_max=True),
+        ),
+    )
+    def test_matches_the_scalar_search_bit_for_bit(self, moments, cap):
+        # the masked array search stops each entry where the one-threshold
+        # scalar search stops, including the negative thresholds of caps
+        # above 1/2, whose ulp steps climb toward zero
+        expected = [scalar_false_alarm_threshold(m, s, cap).hex() for m, s in moments]
+        mu1_abs, sigma2 = np.array(moments).T
+        assert [kappa.hex() for kappa in false_alarm_threshold(mu1_abs, sigma2, cap).tolist()] == expected
+        single = false_alarm_threshold(*moments[0], cap)
+        assert np.ndim(single) == 0 and float(single).hex() == expected[0]
+
     def test_smallest_threshold_meeting_the_cap(self):
         # kappa_fa = |mu_1| sqrt(2 sigma^2) Q^-1(cap) can miss the cap by
         # rounding; the returned threshold meets it, and the float below it
@@ -205,7 +243,7 @@ class TestFalseAlarmThreshold:
     def test_caps_close_to_one_and_one_half(self):
         params = (abs(1.5 - 0.5j), 4.0)
         assert false_alarm_threshold(*params, 0.5) == 0.0
-        for cap in (0.9999999999, 1.0 - 2.0**-53, 0.7):
+        for cap in (0.9999999999, 1.0 - 2.0**-53, 0.7, 0.85):
             kappa = false_alarm_threshold(*params, cap)
             assert kappa < 0.0
             assert false_alarm_probability(*params, kappa) <= cap

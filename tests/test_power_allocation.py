@@ -39,6 +39,7 @@ from oracles import (
     average_scnr,
     clutter_covariance,
     optimal_receive_beamformer,
+    scalar_false_alarm_threshold,
     transmit_covariance,
 )
 
@@ -149,10 +150,13 @@ class TestEvaluatePoint:
                 assert point.within_budget
 
     def test_feasible_is_the_conjunction_of_flags(self, default_context):
+        # feasible is derived, not stored, and every stored field is a Python float or bool
         point = evaluate_point(default_context, 2.0, 0.5, 0.0)
         assert point.feasible == (
             point.meets_rate and point.meets_pfa and point.meets_pd and point.within_budget
         )
+        assert "feasible" not in {field.name for field in dataclasses.fields(point)}
+        assert all(type(value) in (float, bool) for value in dataclasses.astuple(point))
 
     def test_all_radar_split_carries_no_data(self, default_context):
         # rho = 1 silences the communication beam entirely
@@ -423,7 +427,7 @@ def _oracle_tradeoff_record(ctx, power, rhos):
     floor = inverse_q(targets.pfa_max) - inverse_q(targets.pd_min)
     for rho in rhos:
         params, deflection, gamma_direct, gamma_relayed = _oracle_physics(ctx, power, rho)
-        best_rate = max(best_rate, mrc_rate(gamma_direct, gamma_relayed))
+        best_rate = max(best_rate, float(mrc_rate(gamma_direct, gamma_relayed)))
         if params[0] <= 0.0:
             continue
         if best is None or deflection > best[0]:
@@ -433,8 +437,8 @@ def _oracle_tradeoff_record(ctx, power, rhos):
     rho, kappa, pd, pfa = float(rhos[0]), 0.0, 0.0, 0.0
     if best is not None:
         _, rho, params = best
-        kappa = false_alarm_threshold(*params, targets.pfa_max)
-        pd, pfa = detection_probability(*params, kappa), false_alarm_probability(*params, kappa)
+        kappa = scalar_false_alarm_threshold(*params, targets.pfa_max)
+        pd, pfa = float(detection_probability(*params, kappa)), float(false_alarm_probability(*params, kappa))
     return {
         "power_watts": power, "rho": rho, "kappa": kappa, "rate_bps_hz": best_rate,
         "pd": pd, "pfa": pfa, "feasible": jointly_feasible,
