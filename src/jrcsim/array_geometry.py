@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 __all__ = [
     "ArrayConfig",
@@ -33,6 +32,8 @@ __all__ = [
     "steering_matrix",
     "fraunhofer_distance",
 ]
+
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,8 @@ carried entirely by channel gains and the reflectivity scale.
 from __future__ import annotations
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
-from .array_geometry import ArrayConfig, PolarPosition, steering_vector
+from .array_geometry import SPEED_OF_LIGHT, ArrayConfig, PolarPosition, steering_vector
 from .scenario import PathLossSection
 
 __all__ = [

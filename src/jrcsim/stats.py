@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import math
 from decimal import ROUND_CEILING, Decimal
+from statistics import NormalDist
 
 import numpy as np
-import scipy.special
 
 __all__ = [
     "q_function",
@@ -21,24 +21,38 @@ __all__ = [
 
 _TWO64 = 1 << 64
 _SQRT2 = math.sqrt(2.0)
+# the smallest t with t * t > ln(DBL_MAX), where Cephes' erfc flushes to 0
+_ERFC_FLUSH = 26.64174755704633
+_NORMAL = NormalDist()
 
 
 def q_function(x):
     """Upper tail probability Q(x) of the standard normal distribution.
 
-    Computed as erfc(x / sqrt(2)) / 2, which stays accurate deep into the tail.
-    Accepts a float or an array.
+    Computed as erfc(t) / 2 at t = x / sqrt(2), which stays accurate deep into
+    the tail. erfc(t) is exactly 0 from t = _ERFC_FLUSH up, as Cephes gives
+    it, not the subnormal of ``math.erfc``: that far below DBL_MIN the tail
+    has lost its precision anyway, and the flush keeps an exact 0 in the
+    tables there (detection-sweep's ``pd_analytic`` would read 3.06e-322 in
+    one golden row). An array gives a float64 array of its shape, a float or
+    a 0-d array a NumPy float; NaN gives NaN, and no input raises a
+    floating-point warning.
     """
-    return 0.5 * scipy.special.erfc(x / _SQRT2)
+    t = np.asarray(x, dtype=float) / _SQRT2
+    erfc = [0.0 if v >= _ERFC_FLUSH else math.erfc(v) for v in t.ravel().tolist()]
+    return 0.5 * np.array(erfc, dtype=float).reshape(t.shape)[()]
 
 
 def inverse_q(p: float) -> float:
     """Inverse of ``q_function`` on [0, 1]: returns x with Q(x) = p, and +inf
-    at p = 0 and -inf at p = 1, the limits of that inverse."""
+    at p = 0 and -inf at p = 1, the limits of that inverse. Computed as
+    -Phi^-1(p) by Wichura's AS 241, which keeps full precision in both tails."""
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"tail probability must lie in [0, 1], got {p}")
-    return float(np.sqrt(2.0) * scipy.special.erfcinv(2.0 * p))
+    if p in (0.0, 1.0):
+        return math.inf if p == 0.0 else -math.inf
+    return -_NORMAL.inv_cdf(p)
 
 
 # two-sided 95 % normal quantile of every emitted interval
@@ -89,8 +103,9 @@ def float_text(x: float) -> str:
 
 
 def canonical_float(x: float) -> float:
-    """Round to 9 significant digits, as the emitted text reads."""
-    return float(float_text(x))
+    """Round to 9 significant digits, as the emitted text reads; a negative
+    zero reads as 0, so no column emits -0."""
+    return float(float_text(x)) + 0.0
 
 
 def canonical_ceil(x: float) -> float:

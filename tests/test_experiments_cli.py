@@ -10,6 +10,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 
@@ -92,6 +93,7 @@ class TestCanonicalFloat:
         assert canonical_float(0.000123456789123) == 0.000123456789
         assert canonical_float(31.0) == 31.0
         assert canonical_float(-2.5) == -2.5
+        assert math.copysign(1.0, canonical_float(-0.0)) == 1.0
 
     def test_idempotent_across_magnitudes(self):
         rng = np.random.default_rng(0)
@@ -373,6 +375,29 @@ class TestTradeoffAndOptimize:
         assert row["pd"] >= targets.pd_min - 1e-9
         assert row["pfa"] <= targets.pfa_max * (1.0 + 1e-6)
         assert row["scnr_avg"] > 0.0
+
+    def test_even_odds_cap_emits_no_negative_zero(self, fast_scenario, tmp_path):
+        # at pfa_max 0.5 the threshold is Q^-1(0.5) = -0.0 on every row; it
+        # reads as 0 in the tradeoff rows as in the optimum row
+        even = dataclasses.replace(
+            fast_scenario, targets=dataclasses.replace(fast_scenario.targets, pfa_max=0.5)
+        )
+        tables = run_tradeoff(even)
+        for fmt in ("csv", "json"):
+            emit_into(tables, even, tmp_path / fmt, fmt=fmt)
+        cells = [
+            cell
+            for name in ("tradeoff", "optimum")
+            for line in (tmp_path / "csv" / f"{name}.csv").read_text().splitlines()[1:]
+            for cell in line.split(",")
+        ]
+        assert "0" in cells and "-0" not in cells
+        kappas = [
+            record["kappa"]
+            for name in ("tradeoff", "optimum")
+            for record in json.loads((tmp_path / "json" / f"{name}.json").read_text())["records"]
+        ]
+        assert kappas and all(k == 0.0 and math.copysign(1.0, k) == 1.0 for k in kappas)
 
     def test_infeasible_run_emits_an_explicit_record(self, fast_scenario):
         pinched = dataclasses.replace(

@@ -2,13 +2,18 @@
 
 The Q function and its inverse are checked against an adaptive quadrature
 oracle (numerical integration of the standard normal density), not against
-each other alone.
+each other alone, and against SciPy's Cephes erfc and erfcinv, which the
+package does not import.
 """
+
+import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import erfc, erfcinv
 
 from jrcsim.stats import (
     binomial_ci,
@@ -41,6 +46,32 @@ class TestQFunction:
         assert q_function(0.0) == 0.5
         assert q_function(-40.0) == pytest.approx(1.0, abs=1e-15)
         assert 0.0 < q_function(37.0) < 1e-290
+        # erfc flushes to 0 from t = x / sqrt(2) = 26.64174755704633 up, as
+        # SciPy's does; the float just below still gives a subnormal
+        below, flushed = 26.641747557046326, 26.64174755704633
+        assert np.nextafter(below, np.inf) == flushed
+        assert all((t * math.sqrt(2.0)) / math.sqrt(2.0) == t for t in (below, flushed))
+        assert 0.0 < q_function(below * math.sqrt(2.0)) < 1e-308
+        assert q_function(flushed * math.sqrt(2.0)) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q_function(np.inf) == 0.0
+            assert q_function(-np.inf) == 1.0
+            assert np.isnan(q_function(np.nan))
+            extremes = q_function(np.array([np.inf, -np.inf, np.nan, 1e308, -1e308]))
+        assert extremes[:2].tolist() == [0.0, 1.0] and np.isnan(extremes[2])
+        assert extremes[3:].tolist() == [0.0, 1.0]
+
+    def test_matches_scipy_erfc(self):
+        x = np.linspace(-15.0, 40.0, 400_001)
+        expected = 0.5 * erfc(x / math.sqrt(2.0))
+        got = q_function(x)
+        # exact zeros where SciPy's erfc flushes, and nowhere else
+        assert np.array_equal(got == 0.0, expected == 0.0)
+        assert np.count_nonzero(expected == 0.0) > 0
+        live = expected != 0.0
+        rel = np.abs(got[live] - expected[live]) / expected[live]
+        assert rel.max() <= 2e-13
 
     def test_monotone_decreasing(self):
         # strictly decreasing where both tails are resolvable in double precision
@@ -51,10 +82,17 @@ class TestQFunction:
         assert np.all(np.diff(wide) <= 0.0)
 
     def test_vectorized_matches_scalar(self):
-        grid = np.array([-2.0, 0.0, 3.5])
+        grid = np.array([-2.0, 0.0, 3.5, 38.0, np.inf])
         vals = q_function(grid)
+        assert type(vals) is np.ndarray and vals.dtype == np.float64
         for g, v in zip(grid, vals):
             assert v == q_function(float(g))
+        # a float or a 0-d array gives a NumPy float, an array its own shape
+        for scalar in (1.5, np.float64(1.5), np.array(1.5), 2):
+            assert type(q_function(scalar)) is np.float64
+        table = q_function(np.arange(6.0).reshape(2, 3))
+        assert table.shape == (2, 3) and table.dtype == np.float64
+        assert q_function(np.empty((0, 3))).shape == (0, 3)
 
 
 class TestInverseQ:
@@ -77,6 +115,18 @@ class TestInverseQ:
 
     def test_median_is_zero(self):
         assert inverse_q(0.5) == pytest.approx(0.0, abs=1e-15)
+
+    def test_matches_scipy_erfcinv(self):
+        # the whole open interval, from the smallest subnormal up to 1 - 1e-16
+        tails = np.geomspace(5e-324, 0.5, 20_000)
+        p = np.concatenate([tails, 1.0 - np.geomspace(1e-16, 0.5, 20_000)])
+        expected = math.sqrt(2.0) * erfcinv(2.0 * p)
+        got = np.array([inverse_q(v) for v in p])
+        live = expected != 0.0
+        assert np.all(got[~live] == 0.0)
+        rel = np.abs(got[live] - expected[live]) / np.abs(expected[live])
+        assert rel.max() <= 2e-15
+        assert all(type(inverse_q(v)) is float for v in (1e-300, 0.5, 1.0 - 1e-16))
 
     def test_rejects_out_of_range(self):
         # the ends of [0, 1] are the limits of the inverse, not errors

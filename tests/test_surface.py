@@ -1,4 +1,5 @@
-"""The package surface: every function in src/jrcsim runs in some CLI command.
+"""The package surface: every function in src/jrcsim runs in some CLI command,
+and the package runs on NumPy and the standard library alone.
 
 All five commands run on the reduced scenario (and one of them in JSON form)
 under sys.setprofile, which records the code object of every Python frame
@@ -12,7 +13,9 @@ import importlib
 import inspect
 import io
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 
 import jrcsim
@@ -75,3 +78,26 @@ def test_every_exported_name_resolves():
     for module in [jrcsim, *MODULES]:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+NO_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import jrcsim.cli
+scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+on_import = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = jrcsim.cli.main(["optimize", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([on_import, code, scipy_modules()]))
+"""
+
+
+def test_no_scipy_module_is_loaded(tmp_path):
+    # SciPy is a test dependency only: neither the import of the CLI nor a
+    # full optimize run may load it, so the probe runs in a fresh interpreter
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(reduced_scenario(ScenarioConfig()).to_dict()))
+    src = os.path.dirname(os.path.dirname(jrcsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = [sys.executable, "-c", NO_SCIPY_PROBE, str(path), str(tmp_path / "out")]
+    done = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [[], 0, []]
