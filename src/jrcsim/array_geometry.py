@@ -26,11 +26,9 @@ __all__ = [
     "ArrayConfig",
     "PolarPosition",
     "element_index_offsets",
-    "exact_distance",
-    "fresnel_distance",
     "steering_vector",
     "steering_matrix",
-    "fraunhofer_distance",
+    "separation",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
@@ -61,11 +59,6 @@ class ArrayConfig:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq
 
-    @property
-    def aperture(self) -> float:
-        """Physical array length (N - 1) * d."""
-        return (self.n_antennas - 1) * self.spacing
-
 
 @dataclass(frozen=True)
 class PolarPosition:
@@ -85,25 +78,18 @@ class PolarPosition:
             raise ValueError(f"angle must lie strictly in (0, pi), got {self.angle_rad}")
 
 
+def separation(a: PolarPosition, b: PolarPosition) -> float:
+    """Straight-line distance between two polar positions sharing the origin;
+    0 where rounding leaves the law of cosines below zero."""
+    square = a.range_m**2 + b.range_m**2 - 2.0 * a.range_m * b.range_m * np.cos(a.angle_rad - b.angle_rad)
+    return float(np.sqrt(max(0.0, square)))
+
+
 def element_index_offsets(n_antennas: int) -> np.ndarray:
     """Symmetric element offsets n_m = m - (N - 1) / 2 for m = 0..N-1."""
     if n_antennas < 1:
         raise ValueError(f"n_antennas must be >= 1, got {n_antennas}")
     return np.arange(n_antennas, dtype=float) - (n_antennas - 1) / 2.0
-
-
-def exact_distance(cfg: ArrayConfig, pos: PolarPosition, offsets=None) -> np.ndarray:
-    """Exact element-to-scatterer distances via the law of cosines."""
-    n = element_index_offsets(cfg.n_antennas) if offsets is None else np.asarray(offsets, dtype=float)
-    r, d = pos.range_m, cfg.spacing
-    return np.sqrt(r * r + (n * d) ** 2 - 2.0 * r * n * d * np.cos(pos.angle_rad))
-
-
-def fresnel_distance(cfg: ArrayConfig, pos: PolarPosition, offsets=None) -> np.ndarray:
-    """Second-order Fresnel approximation of the element distances."""
-    n = element_index_offsets(cfg.n_antennas) if offsets is None else np.asarray(offsets, dtype=float)
-    r, d = pos.range_m, cfg.spacing
-    return r - n * d * np.cos(pos.angle_rad) + (n * d) ** 2 / (2.0 * r)
 
 
 def _fresnel_steering(cfg: ArrayConfig, n, r, theta) -> np.ndarray:
@@ -132,8 +118,3 @@ def steering_matrix(cfg: ArrayConfig, ranges, angles) -> np.ndarray:
     theta = np.asarray(angles, dtype=float)[..., None, :]
     return _fresnel_steering(cfg, n, r, theta)
 
-
-def fraunhofer_distance(cfg: ArrayConfig) -> float:
-    """Far-field boundary 2 D^2 / lambda for aperture D; ranges below it are near-field."""
-    ap = cfg.aperture
-    return 2.0 * ap * ap / cfg.wavelength

@@ -22,15 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, PolarPosition, steering_matrix, steering_vector
+from .array_geometry import ArrayConfig, PolarPosition, separation, steering_matrix, steering_vector
 from .comm_link import af_gain, sinr_direct, sinr_relayed
-from .propagation import (
-    make_clutter_scene,
-    synthesize_comm_channel,
-    synthesize_scalar_channel,
-    separation,
-    target_reflectivity,
-)
+from .propagation import make_clutter_scene, synthesize_comm_channel, synthesize_scalar_channel, target_reflectivity
 from .detection import statistic_moments
 from .radar_sensing import (
     ClutterSteering,
@@ -168,14 +162,18 @@ def build_scene(
     f_ghz = scenario.array.carrier_ghz if carrier_ghz is None else carrier_ghz
     array = ArrayConfig(n_antennas=n, carrier_freq=f_ghz * 1.0e9, spacing=scenario.array.spacing_m)
     target, clutter, comm, model = scenario.target, scenario.clutter, scenario.comm, scenario.path_loss
-    rayleigh = comm.fading == "rayleigh"
-    # the streams a realization draws from, and so the only ones it derives
-    drawn = {KIND_TARGET_PHASE: target.phase == "uniform", KIND_SCENE: clutter.count > 0, KIND_CHANNEL: rayleigh}
+    # the streams a realization draws from, and so the only ones it derives; given
+    # no stream, a channel is line of sight and the reflectivity has zero phase
+    drawn = {
+        KIND_TARGET_PHASE: target.phase == "uniform",
+        KIND_SCENE: clutter.count > 0,
+        KIND_CHANNEL: comm.fading == "rayleigh",
+    }
     alpha0, placements, channels = [], [], []
     for key in scene_keys:
         streams = {kind: derive_stream(scenario.seed, stream_id(kind, key)) for kind, used in drawn.items() if used}
         alpha0.append(target_reflectivity(
-            model, array.carrier_freq, target.range_m, target.rcs_scale, target.phase, streams.get(KIND_TARGET_PHASE)
+            model, array.carrier_freq, target.range_m, target.rcs_scale, streams.get(KIND_TARGET_PHASE)
         ))
         placements.append(make_clutter_scene(
             streams[KIND_SCENE], clutter.count, clutter.max_range_m, clutter.angle_exclusion_rad,
@@ -184,8 +182,8 @@ def build_scene(
         channels.append(streams.get(KIND_CHANNEL))
     destination = PolarPosition(comm.destination_range_m, comm.destination_angle_rad)
     # h_sd is a channel stream's first draw; under LoS one deterministic h_sd serves all
-    draws = channels if rayleigh else [None]
-    h_sd = [synthesize_comm_channel(array, model, destination, comm.fading, rng) for rng in draws]
+    draws = channels if drawn[KIND_CHANNEL] else [None]
+    h_sd = [synthesize_comm_channel(array, model, destination, rng) for rng in draws]
     copies = len(channels) // len(h_sd)
     a = steering_vector(array, PolarPosition(target.range_m, target.angle_rad))
     return SensingScene(
@@ -211,11 +209,11 @@ def build_context(
     comm, array, model = scenario.comm, scene.array, scenario.path_loss
     relay = PolarPosition(comm.relay_range_m, comm.relay_angle_rad)
     link = separation(relay, PolarPosition(comm.destination_range_m, comm.destination_angle_rad))
-    h_sr = synthesize_comm_channel(array, model, relay, comm.fading, channel)
+    h_sr = synthesize_comm_channel(array, model, relay, channel)
     return SimulationContext(
         array=array, alpha0=complex(scene.alpha0[0]), target_steering=scene.target_steering,
         clutter=ClutterSteering(scene.clutter.matrix[0], scene.clutter.scale),
         h_sd=scene.h_sd[0], comm_direction=scene.comm_direction[0], radar_direction=scene.radar_direction[0],
-        scenario=scenario, h_sr=h_sr, h_rd=synthesize_scalar_channel(array, model, link, comm.fading, channel),
+        scenario=scenario, h_sr=h_sr, h_rd=synthesize_scalar_channel(array, model, link, channel),
         symbols=draw_symbols(2, derive_stream(scenario.seed, stream_id(KIND_SYMBOLS, scene_key))),
     )

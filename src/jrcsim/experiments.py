@@ -9,12 +9,13 @@ power, plus the optimizer certificate), run_optimize (the certificate alone)
 and run_validation (analytic-versus-Monte-Carlo agreement report).
 emit_outputs writes them where and as scenario.output says.
 
-Every runner hands its results to one table builder as blocks of whole
-columns, each one value shared by its rows or one entry per row. The builder
-gives every value its column's Python kind, with floats canonicalized to 9
-significant digits, so CSV and JSON emissions carry identical values and reruns
-with the same configuration and seed are byte-identical. Rows are sorted
-stably by their independent variables, never by completion order.
+Every runner hands its results to one table builder, by table name, as
+blocks of whole columns, each one value shared by its rows or one entry per
+row. COLUMNS lists each table's columns; the builder gives every value its
+column's Python kind, with floats canonicalized to 9 significant digits, so
+CSV and JSON emissions carry identical values and reruns with the same
+configuration and seed are byte-identical. Rows are sorted stably by their
+independent variables, never by completion order.
 """
 
 from __future__ import annotations
@@ -49,14 +50,8 @@ from .stats import canonical_float, derive_stream, float_text
 
 __all__ = [
     "SweepTable",
-    "SCNR_SWEEP_COLUMNS",
-    "SCNR_TABLE_COLUMNS",
-    "DETECTION_COLUMNS",
-    "TRADEOFF_COLUMNS",
-    "OPTIMUM_COLUMNS",
-    "VALIDATE_COLUMNS",
+    "COLUMNS",
     "emit_outputs",
-    "parse_table_csv",
     "run_detection_sweep",
     "run_optimize",
     "run_scnr_sweep",
@@ -64,75 +59,73 @@ __all__ = [
     "run_validation",
 ]
 
-SCNR_SWEEP_COLUMNS = (
-    ("power_dbm", float),
-    ("n_antennas", int),
-    ("carrier_ghz", float),
-    ("clutter", str),
-    ("scnr_db_mean", float),
-    ("scnr_db_std", float),
-    ("realizations", int),
-)
-
-SCNR_TABLE_COLUMNS = (
-    ("carrier_ghz", float),
-    ("n_antennas", int),
-    ("mean_scnr_db", float),
-    ("error_db", float),
-)
-
-DETECTION_COLUMNS = (
-    ("kappa", float),
-    ("power_dbm", float),
-    ("clutter", str),
-    ("pfa_analytic", float),
-    ("pd_analytic", float),
-    ("pfa_mc", float),
-    ("pfa_ci_lo", float),
-    ("pfa_ci_hi", float),
-    ("pd_mc", float),
-    ("pd_ci_lo", float),
-    ("pd_ci_hi", float),
-    ("trials", int),
-)
-
-TRADEOFF_COLUMNS = (
-    ("power_dbm", float),
-    ("rho", float),
-    ("kappa", float),
-    ("rate_bps_hz", float),
-    ("pd", float),
-    ("pfa", float),
-    ("feasible", bool),
-)
-
-OPTIMUM_COLUMNS = (
-    ("feasible", bool),
-    ("p_star_dbm", float),
-    ("p_star_watts", float),
-    ("rho", float),
-    ("kappa", float),
-    ("rate_bps_hz", float),
-    ("pd", float),
-    ("pfa", float),
-    ("scnr_avg", float),
-    ("evaluations", int),
-)
-
-VALIDATE_COLUMNS = (
-    ("power_dbm", float),
-    ("clutter", str),
-    ("kappa", float),
-    ("metric", str),
-    ("analytic", float),
-    ("mc", float),
-    ("ci_lo", float),
-    ("ci_hi", float),
-    ("abs_err", float),
-    ("tol_3se", float),
-    ("checked", bool),
-    ("ok", bool),
-)
+# each emitted table's columns, in order, with the Python kind of their values
+COLUMNS = {
+    "scnr_sweep": (
+        ("power_dbm", float),
+        ("n_antennas", int),
+        ("carrier_ghz", float),
+        ("clutter", str),
+        ("scnr_db_mean", float),
+        ("scnr_db_std", float),
+        ("realizations", int),
+    ),
+    "scnr_table": (
+        ("carrier_ghz", float),
+        ("n_antennas", int),
+        ("mean_scnr_db", float),
+        ("error_db", float),
+    ),
+    "detection_sweep": (
+        ("kappa", float),
+        ("power_dbm", float),
+        ("clutter", str),
+        ("pfa_analytic", float),
+        ("pd_analytic", float),
+        ("pfa_mc", float),
+        ("pfa_ci_lo", float),
+        ("pfa_ci_hi", float),
+        ("pd_mc", float),
+        ("pd_ci_lo", float),
+        ("pd_ci_hi", float),
+        ("trials", int),
+    ),
+    "tradeoff": (
+        ("power_dbm", float),
+        ("rho", float),
+        ("kappa", float),
+        ("rate_bps_hz", float),
+        ("pd", float),
+        ("pfa", float),
+        ("feasible", bool),
+    ),
+    "optimum": (
+        ("feasible", bool),
+        ("p_star_dbm", float),
+        ("p_star_watts", float),
+        ("rho", float),
+        ("kappa", float),
+        ("rate_bps_hz", float),
+        ("pd", float),
+        ("pfa", float),
+        ("scnr_avg", float),
+        ("evaluations", int),
+    ),
+    "validate": (
+        ("power_dbm", float),
+        ("clutter", str),
+        ("kappa", float),
+        ("metric", str),
+        ("analytic", float),
+        ("mc", float),
+        ("ci_lo", float),
+        ("ci_hi", float),
+        ("abs_err", float),
+        ("tol_3se", float),
+        ("checked", bool),
+        ("ok", bool),
+    ),
+}
 
 # probabilities outside this band are not Monte Carlo checkable at desk scale
 _CHECK_BAND = 1.0e-3
@@ -154,14 +147,15 @@ def _canonical(kind: type, value):
     return canonical_float(value) if kind is float else kind(value)
 
 
-def _table(name: str, columns, scenario: ScenarioConfig, blocks, order) -> SweepTable:
-    """One emitted table from blocks of whole columns.
+def _table(name: str, scenario: ScenarioConfig, blocks, order) -> SweepTable:
+    """The emitted table `name`, with its COLUMNS, from blocks of whole columns.
 
     A block maps each column to one value shared by all of its rows or to a
     sequence with one entry per row. Every value is canonicalized by its
     column's kind (None stays empty), rows keep block order, and they are then
     sorted stably by the `order` columns.
     """
+    columns = COLUMNS[name]
     names = [column for column, _ in columns]
     rows = []
     for block in blocks:
@@ -196,6 +190,7 @@ def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: in
     relay channels or symbols of a full context. The levels differ only in the
     clutter amplitude scale sigma, so each scores every realization at once.
     """
+    # sweep.realizations is at most 2^24, so no two pairs share a key
     keys = [(pair_index << 24) | r for r in range(scenario.sweep.realizations)]
     scene, _ = build_scene(scenario, n_antennas=n, carrier_ghz=f_ghz, scene_keys=keys)
     beams = scene.beams_at(1.0, scenario.power.rho)
@@ -235,8 +230,8 @@ def run_scnr_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
             summary.append({"carrier_ghz": f_ghz, "n_antennas": n, "mean_scnr_db": clear, "error_db": error})
     order = ("power_dbm", "n_antennas", "carrier_ghz", "clutter")
     return [
-        _table("scnr_sweep", SCNR_SWEEP_COLUMNS, scenario, blocks, order),
-        _table("scnr_table", SCNR_TABLE_COLUMNS, scenario, summary, ("carrier_ghz", "n_antennas")),
+        _table("scnr_sweep", scenario, blocks, order),
+        _table("scnr_table", scenario, summary, ("carrier_ghz", "n_antennas")),
     ]
 
 
@@ -301,7 +296,7 @@ def run_detection_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
     curves = _cell_curves(scenario, KIND_DETECTION, shared_grid=True)
     blocks = [{**curve, **keys, "trials": trials} for keys, curve in curves]
     order = ("kappa", "power_dbm", "clutter")
-    return [_table("detection_sweep", DETECTION_COLUMNS, scenario, blocks, order)]
+    return [_table("detection_sweep", scenario, blocks, order)]
 
 
 def run_validation(scenario: ScenarioConfig) -> list[SweepTable]:
@@ -314,13 +309,13 @@ def run_validation(scenario: ScenarioConfig) -> list[SweepTable]:
         for block in _validation_blocks(keys, curve, trials)
     ]
     order = ("power_dbm", "clutter", "kappa", "metric")
-    return [_table("validate", VALIDATE_COLUMNS, scenario, blocks, order)]
+    return [_table("validate", scenario, blocks, order)]
 
 
 def _optimum_table(scenario: ScenarioConfig, result: OptimizationResult) -> SweepTable:
     """The certificate row: the evaluated point, every entry of which already
     sits on the emission grid, or all-empty values when none is feasible."""
-    values = dict.fromkeys((name for name, _ in OPTIMUM_COLUMNS), None)
+    values = dict.fromkeys((name for name, _ in COLUMNS["optimum"]), None)
     values.update(feasible=result.feasible, evaluations=result.evaluations)
     pt = result.point
     if pt is not None:
@@ -328,7 +323,7 @@ def _optimum_table(scenario: ScenarioConfig, result: OptimizationResult) -> Swee
             p_star_dbm=watts_to_dbm(pt.power_watts), p_star_watts=pt.power_watts, rho=pt.rho,
             kappa=pt.kappa, rate_bps_hz=pt.rate_bps_hz, pd=pt.pd, pfa=pt.pfa, scnr_avg=pt.scnr_avg,
         )
-    return _table("optimum", OPTIMUM_COLUMNS, scenario, [values], ())
+    return _table("optimum", scenario, [values], ())
 
 
 def run_tradeoff(scenario: ScenarioConfig) -> list[SweepTable]:
@@ -337,7 +332,7 @@ def run_tradeoff(scenario: ScenarioConfig) -> list[SweepTable]:
     curve = tradeoff_sweep(ctx)
     block = {**curve, "power_dbm": [watts_to_dbm(p) for p in curve["power_watts"]]}
     return [
-        _table("tradeoff", TRADEOFF_COLUMNS, scenario, [block], ("power_dbm",)),
+        _table("tradeoff", scenario, [block], ("power_dbm",)),
         _optimum_table(scenario, minimize_power(ctx)),
     ]
 
@@ -375,29 +370,6 @@ def _write_json(table: SweepTable, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, indent=2, sort_keys=False, allow_nan=False)
         fh.write("\n")
-
-
-def parse_table_csv(path: str, columns) -> list[dict]:
-    """Read an emitted CSV back into typed records (inverse of the CSV writer)."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = [name for name, _ in columns]
-        if header != expected:
-            raise ValueError(f"unexpected CSV header in {path}: {header}")
-        kinds = dict(columns)
-        records = []
-        for cells in reader:
-            row = {}
-            for name, cell in zip(expected, cells):
-                if cell == "":
-                    row[name] = None
-                elif kinds[name] is bool:
-                    row[name] = cell == "true"
-                else:
-                    row[name] = kinds[name](cell)
-            records.append(row)
-    return records
 
 
 def emit_outputs(tables: list[SweepTable], scenario: ScenarioConfig, *, command: str) -> dict[str, str]:

@@ -1,6 +1,10 @@
 """Path loss, channel synthesis, target reflectivity, and clutter placements.
 
 Conventions: path loss is returned in dB; amplitude gains are 10^(-PL/20).
+A channel or reflectivity is drawn when it is handed a random stream (Rayleigh
+fading, uniform target phase) and deterministic without one (line of sight,
+zero phase); the scenario's fading and phase settings decide, in
+context.build_scene, which streams exist.
 The radar receive noise is unit variance by convention, so absolute levels are
 carried entirely by channel gains and the reflectivity scale.
 """
@@ -15,7 +19,6 @@ from .scenario import PathLossSection
 __all__ = [
     "path_loss_db",
     "amplitude_gain",
-    "separation",
     "synthesize_comm_channel",
     "synthesize_scalar_channel",
     "target_reflectivity",
@@ -55,37 +58,21 @@ def amplitude_gain(model: PathLossSection, carrier_freq: float, distance: float)
     return 10.0 ** (-path_loss_db(model, carrier_freq, distance) / 20.0)
 
 
-def separation(a: PolarPosition, b: PolarPosition) -> float:
-    """Straight-line distance between two polar positions sharing the origin."""
-    return float(
-        np.sqrt(
-            a.range_m**2
-            + b.range_m**2
-            - 2.0 * a.range_m * b.range_m * np.cos(a.angle_rad - b.angle_rad)
-        )
-    )
-
-
 def synthesize_comm_channel(
     cfg: ArrayConfig,
     model: PathLossSection,
     pos: PolarPosition,
-    fading: str,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Array channel toward a terminal at ``pos``.
 
-    LoS: amplitude gain times the near-field steering vector, so the expected
-    squared norm is N g^2 exactly. Rayleigh: i.i.d. entries CN(0, g^2), same
-    mean squared norm.
+    Without a stream, LoS: amplitude gain times the near-field steering vector,
+    so the squared norm is N g^2 exactly. With one, Rayleigh: i.i.d. entries
+    CN(0, g^2) drawn from it, same mean squared norm.
     """
     g = amplitude_gain(model, cfg.carrier_freq, pos.range_m)
-    if fading == "los":
-        return g * steering_vector(cfg, pos)
-    if fading != "rayleigh":
-        raise ValueError(f"unknown fading {fading!r}")
     if rng is None:
-        raise ValueError("Rayleigh fading requires an rng")
+        return g * steering_vector(cfg, pos)
     n = cfg.n_antennas
     return g * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
 
@@ -94,17 +81,13 @@ def synthesize_scalar_channel(
     cfg: ArrayConfig,
     model: PathLossSection,
     distance: float,
-    fading: str,
     rng: np.random.Generator | None = None,
 ) -> complex:
-    """Single-antenna channel over the given link distance."""
+    """Single-antenna channel over the given link distance: LoS without a
+    stream, Rayleigh drawn from one."""
     g = amplitude_gain(model, cfg.carrier_freq, distance)
-    if fading == "los":
-        return complex(g * np.exp(-2j * np.pi * distance / cfg.wavelength))
-    if fading != "rayleigh":
-        raise ValueError(f"unknown fading {fading!r}")
     if rng is None:
-        raise ValueError("Rayleigh fading requires an rng")
+        return complex(g * np.exp(-2j * np.pi * distance / cfg.wavelength))
     return complex(g * (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0))
 
 
@@ -113,23 +96,18 @@ def target_reflectivity(
     carrier_freq: float,
     target_range: float,
     rcs_scale: float = 1.0,
-    phase: str = "zero",
     rng: np.random.Generator | None = None,
 ) -> complex:
     """Two-way target reflectivity alpha_0.
 
-    Magnitude is rcs_scale * 10^(-2 PL_oneway / 20); the phase convention is
-    either zero (deterministic sweeps) or uniform on [0, 2 pi).
+    Magnitude is rcs_scale * 10^(-2 PL_oneway / 20); the phase is zero without
+    a stream (deterministic sweeps) and uniform on [0, 2 pi) drawn from one.
     """
     if rcs_scale < 0.0:
         raise ValueError(f"rcs_scale must be >= 0, got {rcs_scale}")
     mag = rcs_scale * 10.0 ** (-2.0 * path_loss_db(model, carrier_freq, target_range) / 20.0)
-    if phase == "zero":
-        return complex(mag)
-    if phase != "uniform":
-        raise ValueError(f"unknown target phase {phase!r}")
     if rng is None:
-        raise ValueError("uniform phase requires an rng")
+        return complex(mag)
     return complex(mag * np.exp(2j * np.pi * rng.uniform()))
 
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .array_geometry import PolarPosition, separation
+
 __all__ = [
     "ConfigError",
     "ScenarioConfig",
@@ -239,7 +241,8 @@ class SweepSection(_Section):
     clutter_levels: tuple[str, ...] = _setting(
         ("none", "light", "intense"), choices=tuple(CLUTTER_LEVELS)
     )
-    realizations: int = _setting(100, lo=1)
+    # a sweep stream key holds the realization index in its low 24 bits
+    realizations: int = _setting(100, lo=1, hi=1 << 24)
 
 
 @dataclass(frozen=True)
@@ -278,6 +281,15 @@ class ScenarioConfig:
             raise ConfigError(
                 f"clutter.angle_exclusion_rad: must leave part of (0, pi) outside the window "
                 f"about target.angle_rad={angle}, got {window}"
+            )
+        # the relay-to-destination hop needs a positive length, measured as the physics measures it
+        comm = self.comm
+        relay = PolarPosition(comm.relay_range_m, comm.relay_angle_rad)
+        if separation(relay, PolarPosition(comm.destination_range_m, comm.destination_angle_rad)) <= 0.0:
+            raise ConfigError(
+                f"comm.relay_range_m: must place the relay off the destination at destination_range_m="
+                f"{comm.destination_range_m}, destination_angle_rad={comm.destination_angle_rad}, "
+                f"got {comm.relay_range_m} at relay_angle_rad={comm.relay_angle_rad}"
             )
 
     def power_grid_dbm(self) -> np.ndarray:

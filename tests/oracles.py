@@ -7,15 +7,25 @@ kernel, the detector moments and the acceptance gates have an independent
 reference to be checked against. A radar scene is the context's own
 ClutterSteering (steering matrix B and amplitude scales sigma_l). The
 detector's false-alarm threshold has a one-threshold-at-a-time reference in
-Python floats.
+Python floats. The exact and Fresnel element distances and the Fraunhofer
+boundary back the near-field gate, and parse_table_csv reads an emitted table
+back into typed records.
 """
 
+import csv
 import math
 
 import numpy as np
 import scipy.linalg
 
-from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_matrix, steering_vector
+from jrcsim.array_geometry import (
+    ArrayConfig,
+    PolarPosition,
+    element_index_offsets,
+    steering_matrix,
+    steering_vector,
+)
+from jrcsim.experiments import COLUMNS
 from jrcsim.radar_sensing import ClutterSteering, average_scnr_curve
 from jrcsim.stats import inverse_q, q_function
 
@@ -143,3 +153,52 @@ def scalar_false_alarm_threshold(mu1_abs: float, sigma2: float, pfa_max: float) 
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
         lo, hi = (mid, hi) if pfa(mid) > pfa_max else (lo, mid)
     return hi
+
+
+def exact_distance(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
+    """Exact element-to-scatterer distances via the law of cosines."""
+    n = element_index_offsets(cfg.n_antennas)
+    r, d = pos.range_m, cfg.spacing
+    return np.sqrt(r * r + (n * d) ** 2 - 2.0 * r * n * d * np.cos(pos.angle_rad))
+
+
+def fresnel_distance(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
+    """Second-order Fresnel approximation of the element distances."""
+    n = element_index_offsets(cfg.n_antennas)
+    r, d = pos.range_m, cfg.spacing
+    return r - n * d * np.cos(pos.angle_rad) + (n * d) ** 2 / (2.0 * r)
+
+
+def aperture(cfg: ArrayConfig) -> float:
+    """Physical array length (N - 1) * d."""
+    return (cfg.n_antennas - 1) * cfg.spacing
+
+
+def fraunhofer_distance(cfg: ArrayConfig) -> float:
+    """Far-field boundary 2 D^2 / lambda for aperture D; ranges below it are near-field."""
+    ap = aperture(cfg)
+    return 2.0 * ap * ap / cfg.wavelength
+
+
+def parse_table_csv(path: str, name: str) -> list[dict]:
+    """Read an emitted CSV of table `name` back into typed records (inverse of the CSV writer)."""
+    columns = COLUMNS[name]
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        expected = [column for column, _ in columns]
+        if header != expected:
+            raise ValueError(f"unexpected CSV header in {path}: {header}")
+        kinds = dict(columns)
+        records = []
+        for cells in reader:
+            row = {}
+            for column, cell in zip(expected, cells):
+                if cell == "":
+                    row[column] = None
+                elif kinds[column] is bool:
+                    row[column] = cell == "true"
+                else:
+                    row[column] = kinds[column](cell)
+            records.append(row)
+    return records

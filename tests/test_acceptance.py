@@ -27,15 +27,7 @@ import pytest
 import scipy.linalg
 
 from conftest import at_sigma
-from jrcsim.array_geometry import (
-    ArrayConfig,
-    PolarPosition,
-    element_index_offsets,
-    exact_distance,
-    fraunhofer_distance,
-    fresnel_distance,
-    steering_vector,
-)
+from jrcsim.array_geometry import ArrayConfig, PolarPosition, element_index_offsets, steering_vector
 from jrcsim.cli import main
 from jrcsim.comm_link import rate_threshold
 from jrcsim.context import build_context
@@ -53,8 +45,12 @@ from jrcsim.power_allocation import (
 from jrcsim.scenario import dbm_to_watts
 from jrcsim.stats import inverse_q, q_function
 from oracles import (
+    aperture,
     average_scnr,
     clutter_covariance,
+    exact_distance,
+    fraunhofer_distance,
+    fresnel_distance,
     optimal_receive_beamformer,
     radar_snapshot_batch,
     scnr,
@@ -354,7 +350,7 @@ class TestAcceptance:
         bound_ok = True
         for cfg in (ArrayConfig(5, 28e9), ArrayConfig(10, 28e9), ArrayConfig(10, 2.8e9)):
             budget = cfg.spacing**2 * cfg.n_antennas**2
-            for r in np.geomspace(10.0 * cfg.aperture, 1e3 * cfg.aperture, 24):
+            for r in np.geomspace(10.0 * aperture(cfg), 1e3 * aperture(cfg), 24):
                 for theta in np.linspace(0.02 * np.pi, 0.98 * np.pi, 25):
                     pos = PolarPosition(float(r), float(theta))
                     gap = np.abs(fresnel_distance(cfg, pos) - exact_distance(cfg, pos)).max()

