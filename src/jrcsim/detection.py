@@ -20,15 +20,17 @@ kappa_fa = |mu_1| sqrt(2 sigma^2) Q^-1(P_FA,max) (Kay, Vol. II, ch. 3).
 Monte Carlo trials read a context and one of its operating points: the frozen
 waveform x (it is known to the receiver), w and the moments all come from the
 point. One set of draws per cell serves both hypotheses and every threshold
-(common random numbers). Each trial draws one CN(0, 1) amplitude per clutter
-scatterer, on its projected echo c_l = w^H (sigma_l a_l a_l^T x), and one for
-the noise projected onto w, since w^H n ~ CN(0, ||w||^2): 2(L + 1) normals per
-trial. The target echo is deterministic, so T_1 = T_0 + 2 |mu_1|^2 trial by
-trial. Each empirical rate is still an exact binomial estimate, and the P_FA
-and P_D columns of a cell are correlated, as its thresholds already were.
-Trial randomness is forked off the caller's stream in fixed-size blocks, so
-counts are reproducible bit-for-bit regardless of execution schedule and
-memory stays bounded.
+(common random numbers). Under H0, y_s is a sum of independent CN(0, 1)
+amplitudes on the projected clutter echoes c_l = w^H (sigma_l a_l a_l^T x) and
+on the noise projection, w^H n ~ CN(0, ||w||^2). T_0 is a linear functional of
+those i.i.d. normals, so it is exactly N(0, 2 |mu_1|^2 (sum_l |c_l|^2 +
+||w||^2)), and each trial draws one real normal at that scale. The scale is
+summed from the per-scatterer echoes, not read from sigma^2, so the Monte Carlo
+still checks the closed-form clutter sum. The target echo is deterministic, so
+T_1 = T_0 + 2 |mu_1|^2 trial by trial. Each empirical rate is still an exact
+binomial estimate, and the P_FA and P_D columns of a cell are correlated, as
+its thresholds already were. The draws come from one jumped copy of the
+caller's stream, so the first n trials are the same whatever number follows.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ __all__ = [
     "sample_test_statistics",
     "roc_sweep",
 ]
-
-_BLOCK = 1 << 14
 
 
 def statistic_moments(
@@ -141,26 +141,19 @@ def sample_test_statistics(
     """Monte Carlo draws (t_h0, t_h1) of T under H0 and H1 at one operating point.
 
     The point's frozen waveform x and receive beamformer w hold across all
-    trials, and T = 2 Re(y_s conj(mu_1)) uses the point's mu_1. Both
-    hypotheses read one set of 2(L + 1) normals per trial (see the module
-    docstring), so t_h1 = t_h0 + 2 |mu_1|^2 trial by trial. Each block of
-    trials uses a jumped copy of ``rng``'s bit generator, so results depend
-    only on the stream state and trial index.
+    trials, and T = 2 Re(y_s conj(mu_1)) uses the point's mu_1. T_0 is exactly
+    Gaussian (see the module docstring), so each trial draws one standard
+    normal from a jumped copy of ``rng``'s bit generator and scales it by
+    |mu_1| sqrt(2) ||(c_1, ..., c_L, ||w||)||, the standard deviation summed
+    from the per-scatterer echoes; t_h1 = t_h0 + 2 |mu_1|^2 trial by trial.
+    A prefix of the trials does not depend on how many follow.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     w = point.w
     coeffs = np.append(ctx.clutter.echoes(point.x) @ w.conj(), np.linalg.norm(w))
-    # T = 2 Re(y conj(mu_1)) with y = z . coeffs and z = (u + i v) / sqrt(2)
-    # is [u, v] . [Re d, -Im d] for d = sqrt(2) coeffs conj(mu_1)
-    d = np.sqrt(2.0) * coeffs * np.conj(point.mu1)
-    weights = np.concatenate([d.real, -d.imag])
-    base = rng.bit_generator
-    t_h0 = np.empty(trials)
-    for b, done in enumerate(range(0, trials, _BLOCK)):
-        m = min(_BLOCK, trials - done)
-        g = np.random.Generator(base.jumped(1 + b))
-        t_h0[done : done + m] = g.standard_normal((m, weights.size)) @ weights
+    t_h0 = np.random.Generator(rng.bit_generator.jumped(1)).standard_normal(trials)
+    t_h0 *= np.sqrt(2.0) * point.mu1_abs * np.linalg.norm(coeffs)
     return t_h0, t_h0 + _h1_shift(point.mu1_abs)
 
 

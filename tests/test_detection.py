@@ -331,15 +331,31 @@ class TestSampledStatistics:
             means.append((2.0 * mu_sq, se))
         assert abs(means[0][0] - means[1][0]) > 20.0 * max(means[0][1], means[1][1])
 
-    def test_leading_block_is_schedule_independent(self):
-        # trials are drawn in fixed-size blocks from jumped streams, so the
-        # first block does not depend on how many trials follow it
+    def test_a_prefix_does_not_depend_on_the_trials_that_follow(self):
+        # one stream serves every trial count, so a shorter run is a prefix of
+        # a longer one at any length
         run = cell(0.8)
         long_h0, long_h1 = run.sample(40_000, seed=18)
-        short_h0, short_h1 = run.sample(20_000, seed=18)
-        block = 16_384
-        assert np.array_equal(long_h0[:block], short_h0[:block])
-        assert np.array_equal(long_h1[:block], short_h1[:block])
+        short_h0, short_h1 = run.sample(20_001, seed=18)
+        assert np.array_equal(long_h0[:20_001], short_h0)
+        assert np.array_equal(long_h1[:20_001], short_h1)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.8, None], ids=["sigma 0", "sigma 0.8", "no clutter"])
+    def test_each_trial_is_one_normal_at_the_closed_form_scale(self, sigma):
+        # T_0 is a linear functional of i.i.d. normals, so it is one normal per
+        # trial scaled by |mu_1| sqrt(2 sigma^2); the sampler sums its scale
+        # from the per-scatterer echoes and the noise projection, and sigma^2
+        # is the closed-form sum, so each dropped term shows here
+        if sigma is None:
+            ctx, point = degenerate_cell("no clutter")
+        else:
+            ctx, point = cell(sigma).ctx, cell(sigma).point
+        trials, seed = 30_000, 17
+        t_h0, t_h1 = sample_test_statistics(ctx, point, trials=trials, rng=np.random.default_rng(seed))
+        z = np.random.Generator(np.random.default_rng(seed).bit_generator.jumped(1)).standard_normal(trials)
+        scale = float(point.mu1_abs) * math.sqrt(2.0 * float(point.sigma2))
+        np.testing.assert_allclose(t_h0, scale * z, rtol=1e-12, atol=0.0)
+        assert np.array_equal(t_h1, t_h0 + 2.0 * float(point.mu1_abs) ** 2)
 
     def test_rejects_non_positive_trials(self):
         run = cell(0.1)

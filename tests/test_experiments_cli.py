@@ -45,7 +45,7 @@ from jrcsim.scenario import (
     scenario_from_dict,
     watts_to_dbm,
 )
-from jrcsim.stats import canonical_ceil, canonical_float, derive_stream
+from jrcsim.stats import canonical_ceil, canonical_float, derive_stream, inverse_q
 from oracles import parse_table_csv
 
 
@@ -473,8 +473,17 @@ class TestValidation:
         assert checked > 0
 
     def test_every_checked_probability_agrees(self, validation_run):
+        # each row's own flag is a 3-standard-error test, which a correct
+        # sampler misses somewhere in 28 checked rows about 7 % of the time
+        # (1 - 0.9973^28); the table is held to a family-wise false-failure
+        # rate of 1e-3 instead, Q^-1(1e-3 / (2 m)) standard errors over m rows
+        # (about 4.13 at m = 28). The draw itself is pinned trial by trial in
+        # test_detection.
         (table,) = validation_run
-        assert all(r["ok"] for r in table.rows)
+        checked = [r for r in table.rows if r["checked"]]
+        z_max = inverse_q(1e-3 / (2 * len(checked)))
+        for r in checked:
+            assert r["abs_err"] <= z_max * r["tol_3se"] / 3.0, r
 
 
 class TestEmission:

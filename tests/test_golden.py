@@ -3,9 +3,10 @@
 Fresh runs of all five commands are compared with the files under
 tests/golden/: floats at a relative tolerance of 1e-9 (the 9-significant-digit
 emission), ints, strings and bools exactly. A change that moves numbers on
-purpose regenerates the goldens and says why in CHANGES.md:
+purpose regenerates the goldens of the commands it moves (all five when no
+command is named) and says why in CHANGES.md:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [COMMAND ...]
 """
 
 import json
@@ -64,8 +65,12 @@ def test_tables_match_golden(command, tmp_path):
                 )
 
 
-def regenerate() -> None:
-    for command, tables in COMMANDS.items():
+def regenerate(commands) -> None:
+    unknown = sorted(set(commands) - set(COMMANDS))
+    if unknown:
+        raise SystemExit(f"unknown command(s) {unknown}; choose from {sorted(COMMANDS)}")
+    for command in commands or COMMANDS:
+        tables = COMMANDS[command]
         out_dir = os.path.join(GOLDEN_DIR, command)
         if run_command(command, out_dir) != 0:
             raise SystemExit(f"{command} did not exit 0")
@@ -76,4 +81,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    sys.exit(regenerate(sys.argv[1:]))
