@@ -2,10 +2,12 @@
 
 All randomness is keyed off the scenario seed through independent counter-based
 streams, one per (kind, realization), so a rebuilt scene is identical and sweep
-cells never share or reorder draws. build_scene draws the radar side of R
-realizations as one stacked SensingScene: reflectivity, the clutter steering
-matrix B with its amplitude scales sigma_l (a clutter level is the same matrix
-with another scale), and the matched data and radar beam directions. A
+cells never share or reorder draws. The array is the scenario's array section;
+a sweep cell is the scenario with another section swapped in by
+dataclasses.replace. build_scene draws the radar side of R realizations as
+one stacked SensingScene: reflectivity, the clutter steering matrix B with its
+amplitude scales sigma_l (a clutter level is the same matrix with another
+scale), and the matched data and radar beam directions. A
 SimulationContext is one realization of it plus the relay channels and one
 frozen unit-power symbol vector, which keeps the transmit waveform fixed across
 Monte Carlo trials and operating points. SimulationContext.operating_point
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, PolarPosition, separation, steering_matrix, steering_vector
+from .array_geometry import array_constants, separation, steering_matrix, steering_vector
 from .comm_link import af_gain, sinr_direct, sinr_relayed
 from .propagation import make_clutter_scene, synthesize_comm_channel, synthesize_scalar_channel, target_reflectivity
 from .detection import statistic_moments
@@ -91,13 +93,13 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class SensingScene:
-    """The radar side of R realizations of a scene on one array, stacked on a
-    leading axis: reflectivities alpha_0 (R,), clutter steering (R, N, L) at
-    the scenario's sigma, direct channels h_sd (R, N) and the matched data and
-    radar beam directions (R, N); all share the target steering a (N,). A
-    SimulationContext is one realization, without the leading axis."""
+    """The radar side of R realizations of a scene on the scenario's array,
+    stacked on a leading axis: reflectivities alpha_0 (R,), clutter steering
+    (R, N, L) at the scenario's sigma, direct channels h_sd (R, N) and the
+    matched data and radar beam directions (R, N); all share the target
+    steering a (N,). A SimulationContext is one realization, without the
+    leading axis."""
 
-    array: ArrayConfig
     alpha0: complex | np.ndarray
     target_steering: np.ndarray
     clutter: ClutterSteering
@@ -152,16 +154,13 @@ class SimulationContext(SensingScene):
         return OperatingPoint(beams, x, w, mu1, sigma2, sinr_direct(self.h_sd, beams, comm), gamma_relayed)
 
 
-def build_scene(
-    scenario: ScenarioConfig, *, scene_keys, n_antennas: int | None = None, carrier_ghz: float | None = None
-) -> tuple[SensingScene, list]:
+def build_scene(scenario: ScenarioConfig, *, scene_keys) -> tuple[SensingScene, list]:
     """The sensing scenes of realizations scene_keys, stacked in that order, and
     each one's channel stream, left just past its h_sd draw (None under LoS,
-    where every channel is deterministic); overrides select a sweep cell."""
-    n = scenario.array.n_antennas if n_antennas is None else n_antennas
-    f_ghz = scenario.array.carrier_ghz if carrier_ghz is None else carrier_ghz
-    array = ArrayConfig(n_antennas=n, carrier_freq=f_ghz * 1.0e9, spacing=scenario.array.spacing_m)
+    where every channel is deterministic)."""
     target, clutter, comm, model = scenario.target, scenario.clutter, scenario.comm, scenario.path_loss
+    array = scenario.array
+    carrier_hz = array_constants(array)[0]
     # the streams a realization draws from, and so the only ones it derives; given
     # no stream, a channel is line of sight and the reflectivity has zero phase
     drawn = {
@@ -173,21 +172,23 @@ def build_scene(
     for key in scene_keys:
         streams = {kind: derive_stream(scenario.seed, stream_id(kind, key)) for kind, used in drawn.items() if used}
         alpha0.append(target_reflectivity(
-            model, array.carrier_freq, target.range_m, target.rcs_scale, streams.get(KIND_TARGET_PHASE)
+            model, carrier_hz, target.range_m, target.rcs_scale, streams.get(KIND_TARGET_PHASE)
         ))
         placements.append(make_clutter_scene(
             streams[KIND_SCENE], clutter.count, clutter.max_range_m, clutter.angle_exclusion_rad,
             target.angle_rad, clutter.min_range_m,
         ) if KIND_SCENE in streams else ([], []))
         channels.append(streams.get(KIND_CHANNEL))
-    destination = PolarPosition(comm.destination_range_m, comm.destination_angle_rad)
     # h_sd is a channel stream's first draw; under LoS one deterministic h_sd serves all
     draws = channels if drawn[KIND_CHANNEL] else [None]
-    h_sd = [synthesize_comm_channel(array, model, destination, rng) for rng in draws]
+    h_sd = [
+        synthesize_comm_channel(array, model, comm.destination_range_m, comm.destination_angle_rad, rng)
+        for rng in draws
+    ]
     copies = len(channels) // len(h_sd)
-    a = steering_vector(array, PolarPosition(target.range_m, target.angle_rad))
+    a = steering_vector(array, target.range_m, target.angle_rad)
     return SensingScene(
-        array=array, alpha0=np.array(alpha0), target_steering=a,
+        alpha0=np.array(alpha0), target_steering=a,
         clutter=ClutterSteering.at_sigma(steering_matrix(array, *zip(*placements)), clutter.sigma),
         h_sd=np.array(h_sd * copies),
         comm_direction=np.array([np.conj(h) / np.linalg.norm(h) for h in h_sd] * copies),
@@ -195,23 +196,16 @@ def build_scene(
     ), channels
 
 
-def build_context(
-    scenario: ScenarioConfig,
-    *,
-    n_antennas: int | None = None,
-    carrier_ghz: float | None = None,
-    scene_key: int = 0,
-) -> SimulationContext:
-    """Realize one scene; overrides select a sweep cell, scene_key a realization.
+def build_context(scenario: ScenarioConfig, *, scene_key: int = 0) -> SimulationContext:
+    """Realize one scene; scene_key selects a realization.
     Its sensing scene is build_scene's at that key alone; h_sr and h_rd follow
     h_sd on its channel stream, and the symbols have a stream of their own."""
-    scene, (channel,) = build_scene(scenario, n_antennas=n_antennas, carrier_ghz=carrier_ghz, scene_keys=(scene_key,))
-    comm, array, model = scenario.comm, scene.array, scenario.path_loss
-    relay = PolarPosition(comm.relay_range_m, comm.relay_angle_rad)
-    link = separation(relay, PolarPosition(comm.destination_range_m, comm.destination_angle_rad))
-    h_sr = synthesize_comm_channel(array, model, relay, channel)
+    scene, (channel,) = build_scene(scenario, scene_keys=(scene_key,))
+    comm, array, model = scenario.comm, scenario.array, scenario.path_loss
+    link = separation(comm.relay_range_m, comm.relay_angle_rad, comm.destination_range_m, comm.destination_angle_rad)
+    h_sr = synthesize_comm_channel(array, model, comm.relay_range_m, comm.relay_angle_rad, channel)
     return SimulationContext(
-        array=array, alpha0=complex(scene.alpha0[0]), target_steering=scene.target_steering,
+        alpha0=complex(scene.alpha0[0]), target_steering=scene.target_steering,
         clutter=ClutterSteering(scene.clutter.matrix[0], scene.clutter.scale),
         h_sd=scene.h_sd[0], comm_direction=scene.comm_direction[0], radar_direction=scene.radar_direction[0],
         scenario=scenario, h_sr=h_sr, h_rd=synthesize_scalar_channel(array, model, link, channel),

@@ -192,7 +192,8 @@ def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: in
     """
     # sweep.realizations is at most 2^24, so no two pairs share a key
     keys = [(pair_index << 24) | r for r in range(scenario.sweep.realizations)]
-    scene, _ = build_scene(scenario, n_antennas=n, carrier_ghz=f_ghz, scene_keys=keys)
+    cell = dataclasses.replace(scenario, array=dataclasses.replace(scenario.array, n_antennas=n, carrier_ghz=f_ghz))
+    scene, _ = build_scene(cell, scene_keys=keys)
     beams = scene.beams_at(1.0, scenario.power.rho)
     curves = []
     for level in scenario.sweep.clutter_levels:

@@ -6,15 +6,17 @@ fading, uniform target phase) and deterministic without one (line of sight,
 zero phase); the scenario's fading and phase settings decide, in
 context.build_scene, which streams exist.
 The radar receive noise is unit variance by convention, so absolute levels are
-carried entirely by channel gains and the reflectivity scale.
+carried entirely by channel gains and the reflectivity scale. A channel is
+synthesized on the scenario's array section toward a plain (range, angle)
+position, or over a plain link distance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .array_geometry import SPEED_OF_LIGHT, ArrayConfig, PolarPosition, steering_vector
-from .scenario import PathLossSection
+from .array_geometry import SPEED_OF_LIGHT, array_constants, steering_vector
+from .scenario import ArraySection, PathLossSection
 
 __all__ = [
     "path_loss_db",
@@ -59,35 +61,37 @@ def amplitude_gain(model: PathLossSection, carrier_freq: float, distance: float)
 
 
 def synthesize_comm_channel(
-    cfg: ArrayConfig,
+    array: ArraySection,
     model: PathLossSection,
-    pos: PolarPosition,
+    range_m: float,
+    angle_rad: float,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Array channel toward a terminal at ``pos``.
+    """Array channel toward a terminal at (range_m, angle_rad).
 
     Without a stream, LoS: amplitude gain times the near-field steering vector,
     so the squared norm is N g^2 exactly. With one, Rayleigh: i.i.d. entries
     CN(0, g^2) drawn from it, same mean squared norm.
     """
-    g = amplitude_gain(model, cfg.carrier_freq, pos.range_m)
+    g = amplitude_gain(model, array_constants(array)[0], range_m)
     if rng is None:
-        return g * steering_vector(cfg, pos)
-    n = cfg.n_antennas
+        return g * steering_vector(array, range_m, angle_rad)
+    n = array.n_antennas
     return g * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
 
 
 def synthesize_scalar_channel(
-    cfg: ArrayConfig,
+    array: ArraySection,
     model: PathLossSection,
     distance: float,
     rng: np.random.Generator | None = None,
 ) -> complex:
     """Single-antenna channel over the given link distance: LoS without a
     stream, Rayleigh drawn from one."""
-    g = amplitude_gain(model, cfg.carrier_freq, distance)
+    carrier_hz, wavelength, _ = array_constants(array)
+    g = amplitude_gain(model, carrier_hz, distance)
     if rng is None:
-        return complex(g * np.exp(-2j * np.pi * distance / cfg.wavelength))
+        return complex(g * np.exp(-2j * np.pi * distance / wavelength))
     return complex(g * (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0))
 
 

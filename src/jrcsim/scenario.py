@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array_geometry import PolarPosition, separation
+from .array_geometry import separation
 
 __all__ = [
     "ConfigError",
@@ -253,7 +253,8 @@ class OutputSection(_Section):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    seed: int = _setting(20260817, lo=0)
+    # the seed is one 64-bit word of the Philox key
+    seed: int = _setting(20260817, lo=0, hi=(1 << 64) - 1)
     array: ArraySection = field(default_factory=ArraySection)
     target: TargetSection = field(default_factory=TargetSection)
     clutter: ClutterSection = field(default_factory=ClutterSection)
@@ -284,8 +285,8 @@ class ScenarioConfig:
             )
         # the relay-to-destination hop needs a positive length, measured as the physics measures it
         comm = self.comm
-        relay = PolarPosition(comm.relay_range_m, comm.relay_angle_rad)
-        if separation(relay, PolarPosition(comm.destination_range_m, comm.destination_angle_rad)) <= 0.0:
+        hop = separation(comm.relay_range_m, comm.relay_angle_rad, comm.destination_range_m, comm.destination_angle_rad)
+        if hop <= 0.0:
             raise ConfigError(
                 f"comm.relay_range_m: must place the relay off the destination at destination_range_m="
                 f"{comm.destination_range_m}, destination_angle_rad={comm.destination_angle_rad}, "

@@ -19,7 +19,6 @@ __all__ = [
     "canonical_ceil",
 ]
 
-_TWO64 = 1 << 64
 _SQRT2 = math.sqrt(2.0)
 # the smallest t with t * t > ln(DBL_MAX), where Cephes' erfc flushes to 0
 _ERFC_FLUSH = 26.64174755704633
@@ -86,12 +85,13 @@ def binomial_ci(successes, trials: int) -> tuple[np.ndarray, np.ndarray]:
 def derive_stream(master_seed: int, stream_id: int) -> np.random.Generator:
     """Independent random stream derived from (master seed, stream id).
 
-    Uses a counter-based Philox generator keyed directly with the pair, so the
+    Uses a counter-based Philox generator keyed directly with the pair, one
+    64-bit key word each (the scenario bounds the seed to one word), so the
     mapping is platform-stable and collision-resistant: distinct (seed, id)
     pairs give statistically independent sequences, and the same pair always
     reproduces the same sequence regardless of how many other streams exist.
     """
-    key = np.array([int(master_seed) % _TWO64, int(stream_id) % _TWO64], dtype=np.uint64)
+    key = np.array([int(master_seed), int(stream_id)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -18,27 +18,23 @@ import math
 import numpy as np
 import scipy.linalg
 
-from jrcsim.array_geometry import (
-    ArrayConfig,
-    PolarPosition,
-    element_index_offsets,
-    steering_matrix,
-    steering_vector,
-)
+from jrcsim.array_geometry import array_constants, element_index_offsets, steering_matrix, steering_vector
 from jrcsim.experiments import COLUMNS
 from jrcsim.radar_sensing import ClutterSteering, average_scnr_curve
+from jrcsim.scenario import ArraySection
 from jrcsim.stats import inverse_q, q_function
 
 
-def random_positions(rng, count=3) -> list[PolarPosition]:
-    """Scatterers at random ranges in (0.5, 5) m and bearings in (0.2, 2.9) rad."""
-    return [PolarPosition(float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.2, 2.9))) for _ in range(count)]
+def random_positions(rng, count=3) -> tuple[list, list]:
+    """Ranges and angles of scatterers at random ranges in (0.5, 5) m and
+    bearings in (0.2, 2.9) rad, drawn range then angle per scatterer."""
+    draws = [(float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.2, 2.9))) for _ in range(count)]
+    return [r for r, _ in draws], [theta for _, theta in draws]
 
 
-def clutter_at(cfg: ArrayConfig, positions, sigma=0.8) -> ClutterSteering:
-    """The radar scene of scatterers at the given positions, all at amplitude scale sigma."""
-    ranges, angles = [p.range_m for p in positions], [p.angle_rad for p in positions]
-    return ClutterSteering(steering_matrix(cfg, ranges, angles), np.full(len(positions), float(sigma)))
+def clutter_at(array: ArraySection, ranges, angles, sigma=0.8) -> ClutterSteering:
+    """The radar scene of scatterers at the given ranges and angles, all at amplitude scale sigma."""
+    return ClutterSteering(steering_matrix(array, ranges, angles), np.full(len(ranges), float(sigma)))
 
 
 def make_beams(rng, n=5, power=1.0) -> np.ndarray:
@@ -50,9 +46,9 @@ def make_beams(rng, n=5, power=1.0) -> np.ndarray:
     return np.stack((u, v))
 
 
-def response_matrix(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
+def response_matrix(array: ArraySection, range_m: float, angle_rad: float) -> np.ndarray:
     """Two-way array response A = a a^T (symmetric, rank one)."""
-    a = steering_vector(cfg, pos)
+    a = steering_vector(array, range_m, angle_rad)
     return np.outer(a, a)
 
 
@@ -155,29 +151,27 @@ def scalar_false_alarm_threshold(mu1_abs: float, sigma2: float, pfa_max: float) 
     return hi
 
 
-def exact_distance(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
+def exact_distance(array: ArraySection, r: float, theta: float) -> np.ndarray:
     """Exact element-to-scatterer distances via the law of cosines."""
-    n = element_index_offsets(cfg.n_antennas)
-    r, d = pos.range_m, cfg.spacing
-    return np.sqrt(r * r + (n * d) ** 2 - 2.0 * r * n * d * np.cos(pos.angle_rad))
+    n, d = element_index_offsets(array.n_antennas), array_constants(array)[2]
+    return np.sqrt(r * r + (n * d) ** 2 - 2.0 * r * n * d * np.cos(theta))
 
 
-def fresnel_distance(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
+def fresnel_distance(array: ArraySection, r: float, theta: float) -> np.ndarray:
     """Second-order Fresnel approximation of the element distances."""
-    n = element_index_offsets(cfg.n_antennas)
-    r, d = pos.range_m, cfg.spacing
-    return r - n * d * np.cos(pos.angle_rad) + (n * d) ** 2 / (2.0 * r)
+    n, d = element_index_offsets(array.n_antennas), array_constants(array)[2]
+    return r - n * d * np.cos(theta) + (n * d) ** 2 / (2.0 * r)
 
 
-def aperture(cfg: ArrayConfig) -> float:
+def aperture(array: ArraySection) -> float:
     """Physical array length (N - 1) * d."""
-    return (cfg.n_antennas - 1) * cfg.spacing
+    return (array.n_antennas - 1) * array_constants(array)[2]
 
 
-def fraunhofer_distance(cfg: ArrayConfig) -> float:
+def fraunhofer_distance(array: ArraySection) -> float:
     """Far-field boundary 2 D^2 / lambda for aperture D; ranges below it are near-field."""
-    ap = aperture(cfg)
-    return 2.0 * ap * ap / cfg.wavelength
+    ap = aperture(array)
+    return 2.0 * ap * ap / array_constants(array)[1]
 
 
 def parse_table_csv(path: str, name: str) -> list[dict]:

@@ -27,7 +27,7 @@ import pytest
 import scipy.linalg
 
 from conftest import at_sigma
-from jrcsim.array_geometry import ArrayConfig, PolarPosition, element_index_offsets, steering_vector
+from jrcsim.array_geometry import array_constants, element_index_offsets, steering_vector
 from jrcsim.cli import main
 from jrcsim.comm_link import rate_threshold
 from jrcsim.context import build_context
@@ -42,7 +42,7 @@ from jrcsim.power_allocation import (
     evaluate_point,
     minimize_power,
 )
-from jrcsim.scenario import dbm_to_watts
+from jrcsim.scenario import ArraySection, dbm_to_watts
 from jrcsim.stats import inverse_q, q_function
 from oracles import (
     aperture,
@@ -60,6 +60,10 @@ from oracles import (
 
 def with_clutter_count(scenario, count):
     return dataclasses.replace(scenario, clutter=dataclasses.replace(scenario.clutter, count=count))
+
+
+def with_antennas(scenario, n_antennas):
+    return dataclasses.replace(scenario, array=dataclasses.replace(scenario.array, n_antennas=n_antennas))
 
 
 def report(gate: str, ok: bool, detail: str = "") -> None:
@@ -80,7 +84,7 @@ class TestAcceptance:
         worst_margin = np.inf
         worst_oracle = 0.0
         for n_ant, n_clutter, sigma, key in cases:
-            scene = build_context(with_clutter_count(default_scenario, n_clutter), n_antennas=n_ant, scene_key=key)
+            scene = build_context(with_antennas(with_clutter_count(default_scenario, n_clutter), n_ant), scene_key=key)
             ctx = at_sigma(scene, sigma)
             power = float(rng.uniform(0.05, 10.0))
             rho = float(rng.uniform(0.0, 1.0))
@@ -186,7 +190,8 @@ class TestAcceptance:
 
         unit_rx = transmit_covariance(dense.beams_at(1.0, rho))
         a = dense.target_steering
-        limit_cov = np.zeros((dense.array.n_antennas, dense.array.n_antennas), dtype=complex)
+        n_ant = dense.scenario.array.n_antennas
+        limit_cov = np.zeros((n_ant, n_ant), dtype=complex)
         for a_l, sigma_l in zip(dense.clutter.matrix.T, dense.clutter.scale):
             gain = np.vdot(np.conj(a_l), unit_rx @ np.conj(a_l)).real
             limit_cov += sigma_l**2 * gain * np.outer(a_l, a_l.conj())
@@ -348,19 +353,18 @@ class TestAcceptance:
 
     def test_09_near_field_phase_model_is_faithful(self):
         bound_ok = True
-        for cfg in (ArrayConfig(5, 28e9), ArrayConfig(10, 28e9), ArrayConfig(10, 2.8e9)):
-            budget = cfg.spacing**2 * cfg.n_antennas**2
+        for cfg in (ArraySection(5, 28.0), ArraySection(10, 28.0), ArraySection(10, 2.8)):
+            budget = array_constants(cfg)[2]**2 * cfg.n_antennas**2
             for r in np.geomspace(10.0 * aperture(cfg), 1e3 * aperture(cfg), 24):
                 for theta in np.linspace(0.02 * np.pi, 0.98 * np.pi, 25):
-                    pos = PolarPosition(float(r), float(theta))
-                    gap = np.abs(fresnel_distance(cfg, pos) - exact_distance(cfg, pos)).max()
+                    gap = np.abs(fresnel_distance(cfg, r, theta) - exact_distance(cfg, r, theta)).max()
                     bound_ok &= gap < budget / r
 
-        cfg = ArrayConfig(10, 28e9)
-        pos = PolarPosition(5.0, np.pi / 3.0)
-        near = steering_vector(cfg, pos)
+        cfg = ArraySection(10, 28.0)
+        theta = np.pi / 3.0
+        near = steering_vector(cfg, 5.0, theta)
         offsets = element_index_offsets(cfg.n_antennas)
-        far = np.exp(1j * np.pi * offsets * np.cos(pos.angle_rad))
+        far = np.exp(1j * np.pi * offsets * np.cos(theta))
         phase_gap = float(np.abs(np.angle(near * far.conj())).max())
         report(
             "distance approximation error stays inside its bound and the close-range "

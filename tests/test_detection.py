@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import at_sigma
-from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_vector
+from jrcsim.array_geometry import steering_vector
 from jrcsim.context import build_context
 from jrcsim.detection import (
     detection_probability,
@@ -32,7 +32,7 @@ from jrcsim.experiments import (
     run_detection_sweep,
     run_validation,
 )
-from jrcsim.scenario import ScenarioConfig, dbm_to_watts
+from jrcsim.scenario import ArraySection, ScenarioConfig, dbm_to_watts
 from jrcsim.stats import inverse_q
 from oracles import (
     clutter_at,
@@ -44,9 +44,9 @@ from oracles import (
     transmit_covariance,
 )
 
-CFG = ArrayConfig(n_antennas=5, carrier_freq=28e9)
-TARGET = PolarPosition(5.0, np.pi / 3)
-A_TARGET = steering_vector(CFG, TARGET)
+CFG = ArraySection(n_antennas=5, carrier_ghz=28.0)
+TARGET = (5.0, np.pi / 3)
+A_TARGET = steering_vector(CFG, *TARGET)
 ALPHA0 = 0.5 + 0.2j
 
 
@@ -82,10 +82,10 @@ class TestStatisticParams:
     def test_matches_dense_matrix_form(self):
         # mu_1 = alpha_0 w^H A x, sigma^2 = ||w||^2 + sum sigma_l^2 |w^H A_l x|^2
         rng = np.random.default_rng(0)
-        positions = random_positions(rng)
-        clutter = clutter_at(CFG, positions)
-        mat = response_matrix(CFG, TARGET)
-        clutter_mats = [response_matrix(CFG, pos) for pos in positions]
+        ranges, angles = random_positions(rng)
+        clutter = clutter_at(CFG, ranges, angles)
+        mat = response_matrix(CFG, *TARGET)
+        clutter_mats = [response_matrix(CFG, r, theta) for r, theta in zip(ranges, angles)]
         for _ in range(50):
             w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
@@ -502,8 +502,8 @@ class TestDegenerateCells:
     @pytest.mark.parametrize("name", ["no clutter", "one antenna", "absent target"])
     def test_finite_counts_valid_intervals_and_one_row_for_both_tables(self, name):
         ctx, point = degenerate_cell(name)
-        assert ctx.clutter.matrix.shape == (ctx.array.n_antennas, 0 if name == "no clutter" else 3)
-        assert ctx.array.n_antennas == (1 if name == "one antenna" else 5)
+        assert ctx.clutter.matrix.shape == (ctx.scenario.array.n_antennas, 0 if name == "no clutter" else 3)
+        assert ctx.scenario.array.n_antennas == (1 if name == "one antenna" else 5)
         live = name != "absent target"
         scale = float(point.mu1_abs) * math.sqrt(2.0 * float(point.sigma2)) if live else 1.0
         kappas = np.linspace(-3.0 * scale, 2.0 * float(point.mu1_abs) ** 2 + 3.0 * scale, 9)

@@ -232,11 +232,12 @@ def sweep_pairs(draw):
 
 def _oracle_level_curves(sc, n, f_ghz, pair_index, powers_w):
     """One context at the level's sigma and one lone curve per (level, realization)."""
+    cell = dataclasses.replace(sc, array=dataclasses.replace(sc.array, n_antennas=n, carrier_ghz=f_ghz))
     out = []
     for level in sc.sweep.clutter_levels:
         curves = []
         for r in range(sc.sweep.realizations):
-            scene = build_context(sc, n_antennas=n, carrier_ghz=f_ghz, scene_key=(pair_index << 24) | r)
+            scene = build_context(cell, scene_key=(pair_index << 24) | r)
             ctx = at_sigma(scene, CLUTTER_LEVELS[level])
             beams = ctx.beams_at(1.0, sc.power.rho)
             curves.append(average_scnr_curve(ctx.clutter, ctx.alpha0, ctx.target_steering, beams, powers_w))
@@ -670,6 +671,19 @@ class TestCli:
             err = capsys.readouterr().err
             assert rc == 1
             assert "error:" in err
+
+    def test_seed_is_one_philox_key_word(self, cli_config, tmp_path, capsys):
+        # a seed past one 64-bit Philox key word would alias a smaller seed, so it is rejected
+        rc = main(["optimize", "--config", cli_config, "--out", str(tmp_path / "big"), "--seed", str(2**64)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: config.seed: ") and err.count("\n") == 1
+        assert not (tmp_path / "big").exists()
+        out = tmp_path / "top"
+        rc = main(["optimize", "--config", cli_config, "--out", str(out), "--seed", str(2**64 - 1)])
+        assert rc == 0
+        with open(out / "manifest.json", encoding="ascii") as fh:
+            assert json.load(fh)["seed"] == 2**64 - 1
 
     def test_format_flag_is_checked_by_the_output_section(self, cli_config, tmp_path, capsys):
         # the scenario's output section holds the one format rule

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from jrcsim.array_geometry import ArrayConfig, PolarPosition, separation, steering_vector
+from jrcsim.array_geometry import separation, steering_vector
 from jrcsim.propagation import (
     amplitude_gain,
     make_clutter_scene,
@@ -20,7 +20,7 @@ from jrcsim.propagation import (
     synthesize_scalar_channel,
     target_reflectivity,
 )
-from jrcsim.scenario import PathLossSection
+from jrcsim.scenario import ArraySection, PathLossSection
 
 C_LIGHT = 299_792_458.0
 FREE = PathLossSection()
@@ -98,50 +98,44 @@ class TestStreetCanyonPathLoss:
 
 class TestSeparation:
     def test_coincident(self):
-        p = PolarPosition(5.0, 1.0)
-        assert separation(p, p) == 0.0
+        assert separation(5.0, 1.0, 5.0, 1.0) == 0.0
 
     def test_symmetric_and_matches_cartesian(self):
-        a = PolarPosition(5.0, 0.9)
-        b = PolarPosition(12.0, 2.1)
-        ax, ay = a.range_m * np.cos(a.angle_rad), a.range_m * np.sin(a.angle_rad)
-        bx, by = b.range_m * np.cos(b.angle_rad), b.range_m * np.sin(b.angle_rad)
+        a, b = (5.0, 0.9), (12.0, 2.1)
+        ax, ay = a[0] * np.cos(a[1]), a[0] * np.sin(a[1])
+        bx, by = b[0] * np.cos(b[1]), b[0] * np.sin(b[1])
         expected = np.hypot(ax - bx, ay - by)
-        assert separation(a, b) == pytest.approx(expected, rel=1e-14)
-        assert separation(a, b) == separation(b, a)
+        assert separation(*a, *b) == pytest.approx(expected, rel=1e-14)
+        assert separation(*a, *b) == separation(*b, *a)
 
     def test_rounding_below_zero_gives_zero(self):
         # the law of cosines rounds to -2.8e-14 here; the square root would be NaN
-        a = PolarPosition(8.631297041553337, 0.7172098864869696)
-        b = PolarPosition(8.631297041553339, 0.7172098864869697)
-        assert separation(a, b) == 0.0
+        assert separation(8.631297041553337, 0.7172098864869696, 8.631297041553339, 0.7172098864869697) == 0.0
 
 
 class TestChannelSynthesis:
     def test_los_is_gain_times_steering(self):
-        cfg = ArrayConfig(n_antennas=5, carrier_freq=28e9)
-        pos = PolarPosition(20.0, 1.7)
-        h = synthesize_comm_channel(cfg, FREE, pos)
+        cfg = ArraySection(n_antennas=5, carrier_ghz=28.0)
+        h = synthesize_comm_channel(cfg, FREE, 20.0, 1.7)
         g = amplitude_gain(FREE, 28e9, 20.0)
-        assert h == pytest.approx(g * steering_vector(cfg, pos), rel=1e-14)
+        assert h == pytest.approx(g * steering_vector(cfg, 20.0, 1.7), rel=1e-14)
 
     def test_los_scales_linearly_with_gain(self):
-        cfg = ArrayConfig(n_antennas=5, carrier_freq=28e9)
-        near = synthesize_comm_channel(cfg, FREE, PolarPosition(10.0, 1.0))
-        far = synthesize_comm_channel(cfg, FREE, PolarPosition(100.0, 1.0))
+        cfg = ArraySection(n_antennas=5, carrier_ghz=28.0)
+        near = synthesize_comm_channel(cfg, FREE, 10.0, 1.0)
+        far = synthesize_comm_channel(cfg, FREE, 100.0, 1.0)
         assert np.linalg.norm(near) == pytest.approx(10.0 * np.linalg.norm(far), rel=1e-12)
 
     def test_rayleigh_mean_power(self):
         # law of large numbers: ||h||^2 / (N g^2) -> 1
-        cfg = ArrayConfig(n_antennas=4, carrier_freq=2.8e9)
-        pos = PolarPosition(30.0, 1.2)
+        cfg = ArraySection(n_antennas=4, carrier_ghz=2.8)
         g = amplitude_gain(FREE, 2.8e9, 30.0)
         rng = np.random.default_rng(7)
         draws = 100_000
         acc = 0.0
         for _ in range(draws // 400):
             for _ in range(400):
-                h = synthesize_comm_channel(cfg, FREE, pos, rng=rng)
+                h = synthesize_comm_channel(cfg, FREE, 30.0, 1.2, rng=rng)
                 acc += float(np.vdot(h, h).real)
         mean = acc / (draws * cfg.n_antennas * g * g)
         assert abs(mean - 1.0) < 0.02
@@ -149,10 +143,9 @@ class TestChannelSynthesis:
     def test_a_stream_is_drawn_from_in_a_fixed_order(self):
         # 2N normals for the array channel (real parts, then imaginary), two
         # for the scalar one; nothing is drawn without a stream
-        cfg = ArrayConfig(n_antennas=4, carrier_freq=2.8e9)
-        pos = PolarPosition(30.0, 1.2)
+        cfg = ArraySection(n_antennas=4, carrier_ghz=2.8)
         rng, twin = np.random.default_rng(9), np.random.default_rng(9)
-        h = synthesize_comm_channel(cfg, FREE, pos, rng)
+        h = synthesize_comm_channel(cfg, FREE, 30.0, 1.2, rng)
         z = twin.standard_normal(4) + 1j * twin.standard_normal(4)
         assert np.array_equal(h, amplitude_gain(FREE, 2.8e9, 30.0) * z / np.sqrt(2.0))
         h_rd = synthesize_scalar_channel(cfg, FREE, 11.0, rng)
@@ -161,12 +154,12 @@ class TestChannelSynthesis:
         assert rng.uniform() == twin.uniform()
 
     def test_scalar_channel_magnitude(self):
-        cfg = ArrayConfig(n_antennas=4, carrier_freq=28e9)
+        cfg = ArraySection(n_antennas=4, carrier_ghz=28.0)
         h = synthesize_scalar_channel(cfg, FREE, 11.0)
         assert abs(h) == pytest.approx(amplitude_gain(FREE, 28e9, 11.0), rel=1e-12)
 
     def test_scalar_rayleigh_deterministic_per_stream(self):
-        cfg = ArrayConfig(n_antennas=4, carrier_freq=28e9)
+        cfg = ArraySection(n_antennas=4, carrier_ghz=28.0)
         a = synthesize_scalar_channel(cfg, FREE, 11.0, np.random.default_rng(3))
         b = synthesize_scalar_channel(cfg, FREE, 11.0, np.random.default_rng(3))
         assert a == b

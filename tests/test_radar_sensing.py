@@ -11,8 +11,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jrcsim.array_geometry import ArrayConfig, PolarPosition, steering_vector
+from jrcsim.array_geometry import steering_vector
 from jrcsim.radar_sensing import InterferenceKernel, average_scnr_curve, draw_symbols, waveform_from_symbols
+from jrcsim.scenario import ArraySection
 from oracles import (
     average_scnr,
     clutter_at,
@@ -27,28 +28,28 @@ from oracles import (
     transmit_covariance,
 )
 
-CFG = ArrayConfig(n_antennas=5, carrier_freq=28e9)
-TARGET = PolarPosition(5.0, np.pi / 3)
-A_TARGET = steering_vector(CFG, TARGET)
+CFG = ArraySection(n_antennas=5, carrier_ghz=28.0)
+TARGET = (5.0, np.pi / 3)
+A_TARGET = steering_vector(CFG, *TARGET)
 ALPHA0 = 0.5 + 0.2j
 
 
 class TestResponseMatrix:
     def test_rank_one_factorization(self):
-        a = steering_vector(CFG, TARGET)
-        mat = response_matrix(CFG, TARGET)
+        a = steering_vector(CFG, *TARGET)
+        mat = response_matrix(CFG, *TARGET)
         assert mat == pytest.approx(np.outer(a, a), rel=1e-14)
         assert np.linalg.matrix_rank(mat, tol=1e-10) == 1
 
     def test_plain_transpose_symmetric(self):
-        mat = response_matrix(CFG, TARGET)
+        mat = response_matrix(CFG, *TARGET)
         assert mat == pytest.approx(mat.T, rel=1e-14)
 
     def test_matvec_collapses(self):
         # A x = a (a^T x)
         rng = np.random.default_rng(0)
-        a = steering_vector(CFG, TARGET)
-        mat = response_matrix(CFG, TARGET)
+        a = steering_vector(CFG, *TARGET)
+        mat = response_matrix(CFG, *TARGET)
         for _ in range(50):
             x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             assert mat @ x == pytest.approx(a * np.dot(a, x), rel=1e-12)
@@ -78,20 +79,20 @@ class TestTransmitCovariance:
 class TestClutterCovariance:
     def test_identity_without_clutter(self):
         rng = np.random.default_rng(4)
-        w = clutter_covariance(clutter_at(CFG, []), transmit_covariance(make_beams(rng)))
+        w = clutter_covariance(clutter_at(CFG, [], []), transmit_covariance(make_beams(rng)))
         assert w == pytest.approx(np.eye(5), abs=1e-14)
 
     def test_rank_one_collapse_per_scatterer(self):
         # A_l R_x A_l^H = (a_l^T R_x conj(a_l)) a_l a_l^H, so W has the
         # loaded-identity form I + sum sigma^2 c_l a_l a_l^H
         rng = np.random.default_rng(5)
-        positions = random_positions(rng)
+        ranges, angles = random_positions(rng)
         r_x = transmit_covariance(make_beams(rng))
-        clutter = clutter_at(CFG, positions)
+        clutter = clutter_at(CFG, ranges, angles)
         w = clutter_covariance(clutter, r_x)
         expected = np.eye(5, dtype=complex)
-        for pos, sigma in zip(positions, clutter.scale):
-            a_l = steering_vector(CFG, pos)
+        for r, theta, sigma in zip(ranges, angles, clutter.scale):
+            a_l = steering_vector(CFG, r, theta)
             c_l = np.dot(a_l, r_x @ a_l.conj()).real
             assert c_l >= 0.0
             expected += sigma**2 * c_l * np.outer(a_l, a_l.conj())
@@ -99,20 +100,20 @@ class TestClutterCovariance:
 
     def test_hermitian_with_unit_floor(self):
         rng = np.random.default_rng(6)
-        clutter = clutter_at(CFG, random_positions(rng))
+        clutter = clutter_at(CFG, *random_positions(rng))
         w = clutter_covariance(clutter, transmit_covariance(make_beams(rng)))
         assert w == pytest.approx(w.conj().T, rel=1e-14)
         assert np.all(np.linalg.eigvalsh(w) >= 1.0 - 1e-10)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            clutter_covariance(clutter_at(CFG, []), np.eye(4, dtype=complex))
+            clutter_covariance(clutter_at(CFG, [], []), np.eye(4, dtype=complex))
 
     def test_matches_snapshot_sample_covariance(self):
         # Monte Carlo oracle: W is the covariance of clutter-plus-noise
         # snapshots (target silenced), estimated from 1e5 draws
         rng = np.random.default_rng(7)
-        clutter = clutter_at(CFG, random_positions(rng))
+        clutter = clutter_at(CFG, *random_positions(rng))
         beams = make_beams(rng, power=2.0)
         w = clutter_covariance(clutter, transmit_covariance(beams))
         snaps = radar_snapshot_batch(clutter, 0.0, A_TARGET, beams, np.random.default_rng(99), 100_000)
@@ -125,7 +126,7 @@ class TestClutterCovariance:
 class TestScnrOptimality:
     def setup_method(self):
         rng = np.random.default_rng(8)
-        clutter = clutter_at(CFG, random_positions(rng))
+        clutter = clutter_at(CFG, *random_positions(rng))
         self.beams = make_beams(rng, power=2.0)
         self.a = A_TARGET
         self.cov = clutter_covariance(clutter, transmit_covariance(self.beams))
@@ -153,7 +154,7 @@ class TestScnrOptimality:
         rng = np.random.default_rng(10)
         for _ in range(20):
             sigma = float(rng.uniform(0.1, 1.0))
-            clutter = clutter_at(CFG, random_positions(rng), sigma)
+            clutter = clutter_at(CFG, *random_positions(rng), sigma)
             beams = make_beams(rng, power=float(rng.uniform(0.5, 4.0)))
             cov = clutter_covariance(clutter, transmit_covariance(beams))
             x = waveform_from_symbols(beams, draw_symbols(2, rng))
@@ -177,7 +178,7 @@ class TestAverageScnr:
     def test_matches_symbol_average_oracle(self):
         # sample mean of per-draw optimal SCNR over fresh unit-power symbols
         rng = np.random.default_rng(11)
-        clutter = clutter_at(CFG, random_positions(rng))
+        clutter = clutter_at(CFG, *random_positions(rng))
         beams = make_beams(rng, power=2.0)
         a = A_TARGET
         cov = clutter_covariance(clutter, transmit_covariance(beams))
@@ -200,12 +201,12 @@ class TestAverageScnr:
         beams = make_beams(rng, power=2.0)
         vals = []
         for scale in (0.0, 0.2, 0.5, 0.8, 1.5, 3.0):
-            vals.append(average_scnr(clutter_at(CFG, positions, scale), beams, ALPHA0, A_TARGET))
+            vals.append(average_scnr(clutter_at(CFG, *positions, scale), beams, ALPHA0, A_TARGET))
         assert np.all(np.diff(vals) < 0.0)
 
     def test_quadratic_in_reflectivity(self):
         rng = np.random.default_rng(14)
-        clutter = clutter_at(CFG, random_positions(rng))
+        clutter = clutter_at(CFG, *random_positions(rng))
         beams = make_beams(rng)
         s1 = average_scnr(clutter, beams, 0.1, A_TARGET)
         s2 = average_scnr(clutter, beams, 0.3, A_TARGET)
@@ -221,9 +222,9 @@ def operating_points(draw):
     rho = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     power = 10.0 ** draw(st.floats(-4.0, 4.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cfg = ArrayConfig(n_antennas=n, carrier_freq=float(rng.choice([2.8e9, 28e9])))
-    clutter = clutter_at(cfg, random_positions(rng, n_clutter), sigma)
-    a = steering_vector(cfg, TARGET)
+    cfg = ArraySection(n_antennas=n, carrier_ghz=float(rng.choice([2.8, 28.0])))
+    clutter = clutter_at(cfg, *random_positions(rng, n_clutter), sigma)
+    a = steering_vector(cfg, *TARGET)
     comm = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     comm /= np.linalg.norm(comm)
     radar = np.conj(a) / np.linalg.norm(a)
@@ -302,13 +303,13 @@ class TestSnapshots:
     def test_pure_noise_covariance(self):
         # alpha0 = 0, no clutter, silent beams: snapshots are CN(0, I)
         beams = np.zeros((2, 5), dtype=complex)
-        snaps = radar_snapshot_batch(clutter_at(CFG, []), 0.0, A_TARGET, beams, np.random.default_rng(19), 100_000)
+        snaps = radar_snapshot_batch(clutter_at(CFG, [], []), 0.0, A_TARGET, beams, np.random.default_rng(19), 100_000)
         sample = snaps.T @ snaps.conj() / snaps.shape[0]
         assert np.linalg.norm(sample - np.eye(5)) / np.linalg.norm(np.eye(5)) < 0.02
 
     def test_zero_mean(self):
         rng = np.random.default_rng(20)
-        clutter = clutter_at(CFG, random_positions(rng))
+        clutter = clutter_at(CFG, *random_positions(rng))
         beams = make_beams(rng)
         trials = 50_000
         snaps = radar_snapshot_batch(clutter, 0.0, A_TARGET, beams, np.random.default_rng(21), trials)
@@ -317,7 +318,7 @@ class TestSnapshots:
     def test_target_term_raises_power_along_steering(self):
         rng = np.random.default_rng(24)
         beams = make_beams(rng, power=50.0)
-        a, empty = A_TARGET, clutter_at(CFG, [])
+        a, empty = A_TARGET, clutter_at(CFG, [], [])
         p_loud = np.mean(np.abs(radar_snapshot_batch(empty, 5.0, a, beams, np.random.default_rng(25), 4000) @ a.conj()) ** 2)
         p_quiet = np.mean(np.abs(radar_snapshot_batch(empty, 0.0, a, beams, np.random.default_rng(25), 4000) @ a.conj()) ** 2)
         assert p_loud > 10.0 * p_quiet
@@ -325,4 +326,4 @@ class TestSnapshots:
     def test_count_validated(self):
         rng = np.random.default_rng(26)
         with pytest.raises(ValueError):
-            radar_snapshot_batch(clutter_at(CFG, random_positions(rng)), ALPHA0, A_TARGET, make_beams(rng), rng, 0)
+            radar_snapshot_batch(clutter_at(CFG, *random_positions(rng)), ALPHA0, A_TARGET, make_beams(rng), rng, 0)

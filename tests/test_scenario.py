@@ -167,11 +167,17 @@ class TestValidation:
         # scalar messages are held whole: name, bound and offending value
         cases = [
             ({"seed": -1}, "config.seed: must be >= 0, got -1"),
+            # the seed is one 64-bit Philox key word; a larger one would alias a smaller one
+            ({"seed": 2**64}, "config.seed: must be <= 18446744073709551615, got 18446744073709551616"),
             ({"array": {"n_antennas": 0}}, "array.n_antennas: must be >= 1, got 0"),
             ({"array": {"carrier_ghz": -1.0}}, "array.carrier_ghz: must be >= 1e-06, got -1.0"),
+            ({"array": {"carrier_ghz": 0.0}}, "array.carrier_ghz: must be >= 1e-06, got 0.0"),
+            ({"array": {"spacing_m": 0.0}}, "array.spacing_m: must be >= 1e-06, got 0.0"),
             ({"array": {"carrier_ghz": 1e7}}, "array.carrier_ghz: must be <= 1000000.0, got 10000000.0"),
             ({"array": {"spacing_m": 1e10}}, "array.spacing_m: must be <= 1000000000.0, got 10000000000.0"),
             ({"target": {"range_m": 1e-300}}, "target.range_m: must be >= 1e-06, got 1e-300"),
+            ({"target": {"range_m": 0.0}}, "target.range_m: must be >= 1e-06, got 0.0"),
+            ({"comm": {"destination_range_m": -1.0}}, "comm.destination_range_m: must be >= 1e-06, got -1.0"),
             ({"clutter": {"max_range_m": 1e10}}, "clutter.max_range_m: must be <= 1000000000.0, got 10000000000.0"),
             ({"path_loss": {"h_bs_m": 1e10}}, "path_loss.h_bs_m: must be <= 1000000000.0, got 10000000000.0"),
             ({"comm": {"relay_range_m": 1e300}}, "comm.relay_range_m: must be <= 1000000000.0, got 1e+300"),
@@ -186,6 +192,8 @@ class TestValidation:
                 {"target": {"angle_rad": float(np.pi)}},
                 "target.angle_rad: must be < 3.141592653589793, got 3.141592653589793",
             ),
+            # endfire bearings degenerate the lateral geometry at both ends of (0, pi)
+            ({"comm": {"destination_angle_rad": 0.0}}, "comm.destination_angle_rad: must be > 0.0, got 0.0"),
             ({"target": {"rcs_scale": 0.0}}, "target.rcs_scale: must be >= 1e-30, got 0.0"),
             ({"target": {"rcs_scale": 1e200}}, "target.rcs_scale: must be <= 1e+40, got 1e+200"),
             ({"clutter": {"sigma": 1e200}}, "clutter.sigma: must be <= 1e+40, got 1e+200"),
