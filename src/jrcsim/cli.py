@@ -4,8 +4,9 @@ Five subcommands cover the reporting surface: scnr-sweep, detection-sweep,
 tradeoff, optimize, and validate. Every run writes one file per result table
 plus a manifest.json into the output directory, in CSV or JSON form.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 power minimization
-infeasible at the configured budget ceiling, 3 output I/O failure.
+Exit codes: 0 success, 1 configuration or usage error or a scenario too large
+for the process's memory, 2 power minimization infeasible at the configured
+budget ceiling, 3 output I/O failure.
 """
 
 from __future__ import annotations
@@ -161,6 +162,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # NumPy names the array it could not allocate; a bare MemoryError is empty
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}; reduce the scenario's size", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

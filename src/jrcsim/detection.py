@@ -31,6 +31,10 @@ T_1 = T_0 + 2 |mu_1|^2 trial by trial. Each empirical rate is still an exact
 binomial estimate, and the P_FA and P_D columns of a cell are correlated, as
 its thresholds already were. The draws come from one jumped copy of the
 caller's stream, so the first n trials are the same whatever number follows.
+They stream through one reused buffer of at most 2^16 trials per cell:
+successive fills of a buffer draw the same sequence as one long draw, and the
+hits of every threshold are integers summed over the blocks, so the counts do
+not depend on the block size and a cell's memory is O(block), not O(trials).
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ __all__ = [
     "false_alarm_probability",
     "detection_probability",
     "false_alarm_threshold",
-    "sample_test_statistics",
     "roc_sweep",
 ]
 
@@ -131,30 +134,35 @@ def false_alarm_threshold(mu1_abs, sigma2, pfa_max: float):
     return hi[()]  # a NumPy float, as the other closed forms give, for float moments
 
 
-def sample_test_statistics(
-    ctx: SimulationContext,
-    point: OperatingPoint,
-    *,
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo draws (t_h0, t_h1) of T under H0 and H1 at one operating point.
+# trials per Monte Carlo block: a cell holds one buffer of this many floats
+_BLOCK_TRIALS = 1 << 16
+
+
+def _null_blocks(ctx: SimulationContext, point: OperatingPoint, trials: int, rng: np.random.Generator):
+    """T_0 at one operating point over successive blocks of at most
+    _BLOCK_TRIALS trials, each yielded as a view of one buffer that the next
+    block overwrites.
 
     The point's frozen waveform x and receive beamformer w hold across all
-    trials, and T = 2 Re(y_s conj(mu_1)) uses the point's mu_1. T_0 is exactly
-    Gaussian (see the module docstring), so each trial draws one standard
-    normal from a jumped copy of ``rng``'s bit generator and scales it by
-    |mu_1| sqrt(2) ||(c_1, ..., c_L, ||w||)||, the standard deviation summed
-    from the per-scatterer echoes; t_h1 = t_h0 + 2 |mu_1|^2 trial by trial.
-    A prefix of the trials does not depend on how many follow.
+    trials. T_0 is exactly Gaussian (see the module docstring), so each trial
+    draws one standard normal from a jumped copy of ``rng``'s bit generator and
+    scales it by |mu_1| sqrt(2) ||(c_1, ..., c_L, ||w||)||, the standard
+    deviation summed from the per-scatterer echoes. The blocks concatenate to
+    the one long draw, so a prefix of the trials does not depend on how many
+    follow.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     w = point.w
     coeffs = np.append(ctx.clutter.echoes(point.x) @ w.conj(), np.linalg.norm(w))
-    t_h0 = np.random.Generator(rng.bit_generator.jumped(1)).standard_normal(trials)
-    t_h0 *= np.sqrt(2.0) * point.mu1_abs * np.linalg.norm(coeffs)
-    return t_h0, t_h0 + _h1_shift(point.mu1_abs)
+    scale = np.sqrt(2.0) * point.mu1_abs * np.linalg.norm(coeffs)
+    normals = np.random.Generator(rng.bit_generator.jumped(1))
+    buffer = np.empty(min(trials, _BLOCK_TRIALS))
+    for start in range(0, trials, _BLOCK_TRIALS):
+        block = buffer[: min(_BLOCK_TRIALS, trials - start)]
+        normals.standard_normal(out=block)
+        block *= scale
+        yield block
 
 
 def roc_sweep(
@@ -173,27 +181,31 @@ def roc_sweep(
     All thresholds and both hypotheses share one set of Monte Carlo draws
     (common random numbers), so a single-point grid gives exactly that
     threshold's entries of any larger grid on the same stream, and the
-    empirical curves inherit the analytic monotonicity in kappa. T_0 is sorted
-    once; T_1 sorted is that plus 2 |mu_1|^2, and one binary search per rate
-    counts the trials at or above every threshold. The closed forms are NaN
-    where mu_1 = 0.
+    empirical curves inherit the analytic monotonicity in kappa. The trials
+    stream through one buffer in blocks of at most 2^16: each block of T_0 is
+    sorted in place, and one binary search counts its trials at or above every
+    threshold for P_FA; the block is then shifted in place by 2 |mu_1|^2 (T_1 =
+    T_0 + 2 |mu_1|^2 trial by trial, the target echo being deterministic) and
+    searched again for P_D. The integer hits summed over the blocks equal those
+    of one sort of all the trials. The closed forms are NaN where mu_1 = 0.
     """
     kappas = np.sort(np.asarray(kappa_grid, dtype=float))
     if kappas.size == 0:
         raise ValueError("kappa_grid must be non-empty")
     if not np.all(np.isfinite(kappas)):
         raise ValueError("kappa_grid must be finite")
-    t_h0, _ = sample_test_statistics(ctx, point, trials=trials, rng=rng)
-    sorted_h0 = np.sort(t_h0)
+    shift = _h1_shift(point.mu1_abs)
+    hits = {"pfa": 0, "pd": 0}
+    for block in _null_blocks(ctx, point, trials, rng):
+        block.sort()
+        hits["pfa"] += block.size - np.searchsorted(block, kappas, side="left")
+        block += shift
+        hits["pd"] += block.size - np.searchsorted(block, kappas, side="left")
     curve = {"kappa": kappas}
-    for rate, closed_form, sorted_t in (
-        ("pfa", false_alarm_probability, sorted_h0),
-        ("pd", detection_probability, sorted_h0 + _h1_shift(point.mu1_abs)),
-    ):
+    for rate, closed_form in (("pfa", false_alarm_probability), ("pd", detection_probability)):
         curve[f"{rate}_analytic"] = (
             closed_form(point.mu1_abs, point.sigma2, kappas) if point.mu1_abs else np.full_like(kappas, np.nan)
         )
-        hits = trials - np.searchsorted(sorted_t, kappas, side="left")
-        curve[f"{rate}_mc"] = hits / trials
-        curve[f"{rate}_ci_lo"], curve[f"{rate}_ci_hi"] = binomial_ci(hits, trials)
+        curve[f"{rate}_mc"] = hits[rate] / trials
+        curve[f"{rate}_ci_lo"], curve[f"{rate}_ci_hi"] = binomial_ci(hits[rate], trials)
     return curve

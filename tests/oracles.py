@@ -7,7 +7,8 @@ kernel, the detector moments and the acceptance gates have an independent
 reference to be checked against. A radar scene is the context's own
 ClutterSteering (steering matrix B and amplitude scales sigma_l). The
 detector's false-alarm threshold has a one-threshold-at-a-time reference in
-Python floats. The exact and Fresnel element distances and the Fraunhofer
+Python floats, and its blocked Monte Carlo counts a one-draw reference: all the
+trials drawn, sorted and counted at once. The exact and Fresnel element distances and the Fraunhofer
 boundary back the near-field gate, and parse_table_csv reads an emitted table
 back into typed records.
 """
@@ -19,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from jrcsim.array_geometry import array_constants, element_index_offsets, steering_matrix, steering_vector
+from jrcsim.detection import _null_blocks
 from jrcsim.experiments import COLUMNS
 from jrcsim.radar_sensing import ClutterSteering, average_scnr_curve
 from jrcsim.scenario import ArraySection
@@ -149,6 +151,29 @@ def scalar_false_alarm_threshold(mu1_abs: float, sigma2: float, pfa_max: float) 
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
         lo, hi = (mid, hi) if pfa(mid) > pfa_max else (lo, mid)
     return hi
+
+
+def sample_test_statistics(ctx, point, *, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """T_0 trial by trial at one operating point: the simulator's Monte Carlo
+    blocks joined end to end. T_1 is T_0 + 2 |mu_1|^2 trial by trial."""
+    return np.concatenate([block.copy() for block in _null_blocks(ctx, point, trials, rng)])
+
+
+def full_draw_rates(ctx, point, kappas, *, trials: int, rng: np.random.Generator) -> dict:
+    """pfa_mc and pd_mc over ascending thresholds from one draw of all the
+    trials: T_0 drawn whole from the jumped stream at the echo-summed scale,
+    sorted once, shifted by 2 |mu_1|^2 for H1, and each rate counted by one
+    binary search, with no blocks."""
+    w = point.w
+    coeffs = np.append(ctx.clutter.echoes(point.x) @ w.conj(), np.linalg.norm(w))
+    t_h0 = np.random.Generator(rng.bit_generator.jumped(1)).standard_normal(trials)
+    t_h0 *= np.sqrt(2.0) * point.mu1_abs * np.linalg.norm(coeffs)
+    sorted_h0 = np.sort(t_h0)
+    sorted_h1 = sorted_h0 + 2.0 * np.float_power(point.mu1_abs, 2.0)
+    return {
+        f"{rate}_mc": (trials - np.searchsorted(sorted_t, kappas, side="left")) / trials
+        for rate, sorted_t in (("pfa", sorted_h0), ("pd", sorted_h1))
+    }
 
 
 def exact_distance(array: ArraySection, r: float, theta: float) -> np.ndarray:

@@ -19,11 +19,11 @@ from conftest import at_sigma
 from jrcsim.array_geometry import steering_vector
 from jrcsim.context import build_context
 from jrcsim.detection import (
+    _BLOCK_TRIALS,
     detection_probability,
     false_alarm_probability,
     false_alarm_threshold,
     roc_sweep,
-    sample_test_statistics,
     statistic_moments,
 )
 from jrcsim.experiments import (
@@ -37,9 +37,11 @@ from jrcsim.stats import inverse_q
 from oracles import (
     clutter_at,
     clutter_covariance,
+    full_draw_rates,
     optimal_receive_beamformer,
     random_positions,
     response_matrix,
+    sample_test_statistics,
     scalar_false_alarm_threshold,
     transmit_covariance,
 )
@@ -251,24 +253,25 @@ class TestSampledStatistics:
     def test_empirical_moments_match_parameters(self):
         trials = 200_000
         run = cell(0.8)
-        t_h0, t_h1 = run.sample(trials, seed=11)
+        t_h0 = run.sample(trials, seed=11)
         mu1_abs, sigma2 = run.params
-        mu_sq = mu1_abs**2
-        var_expected = 2.0 * mu_sq * sigma2
+        var_expected = 2.0 * mu1_abs**2 * sigma2
         se_mean = math.sqrt(var_expected / trials)
         assert abs(float(np.mean(t_h0))) < 5.0 * se_mean
-        assert float(np.mean(t_h1)) == pytest.approx(2.0 * mu_sq, abs=5.0 * se_mean)
         assert float(np.var(t_h0)) == pytest.approx(var_expected, rel=0.03)
-        assert float(np.var(t_h1)) == pytest.approx(var_expected, rel=0.03)
 
     def test_h1_is_h0_shifted_by_twice_signal_energy(self):
         # both hypotheses read one set of draws and the target echo is
-        # deterministic, so trial by trial T_1 = T_0 + 2|mu_1|^2
+        # deterministic, so the sweep counts P_D on T_1 = T_0 + 2|mu_1|^2,
+        # trial by trial
         run = cell(0.8)
-        t_h0, t_h1 = run.sample(50_000, seed=30)
+        t_h0 = run.sample(50_000, seed=30)
         shift = 2.0 * abs(complex(run.point.mu1)) ** 2
         assert shift > 1.0
-        assert np.array_equal(t_h1, t_h0 + shift)
+        kappas = np.linspace(-shift, 2.0 * shift, 9)
+        curve = run.sweep(kappas, 50_000, seed=30)
+        t_h1 = t_h0 + 2.0 * float(run.point.mu1_abs) ** 2
+        assert list(curve["pd_mc"]) == [np.mean(t_h1 >= kappa) for kappa in kappas]
 
     def test_noise_only_variance_carries_the_beamformer_norm(self):
         # without clutter, w^H n ~ CN(0, ||w||^2), so var T = 2|mu_1|^2 ||w||^2;
@@ -278,7 +281,7 @@ class TestSampledStatistics:
         assert w_norm2 > 10.0
         mu1_abs, sigma2 = run.params
         assert sigma2 == pytest.approx(w_norm2, rel=1e-12)
-        t_h0, _ = run.sample(200_000, seed=31)
+        t_h0 = run.sample(200_000, seed=31)
         assert float(np.var(t_h0)) == pytest.approx(2.0 * mu1_abs**2 * w_norm2, rel=0.015)
 
     def test_every_scatterer_adds_its_own_variance(self):
@@ -292,14 +295,14 @@ class TestSampledStatistics:
             share = abs(np.vdot(a_l, ctx.clutter.echoes(run.point.x)[l])) ** 2 / sigma2
             assert share > 0.05
             steered = dataclasses.replace(run.point, w=a_l, mu1=mu1, sigma2=sigma2)
-            t_h0, _ = run.sample(200_000, seed=32 + l, point=steered)
+            t_h0 = run.sample(200_000, seed=32 + l, point=steered)
             assert float(np.var(t_h0)) == pytest.approx(2.0 * abs(mu1) ** 2 * sigma2, rel=0.015)
 
     def test_null_statistic_is_symmetric_and_light_tailed(self):
         # T is linear in the Gaussian clutter amplitudes and noise, so the
         # standardized null sample should show no skew
         trials = 200_000
-        t_h0, _ = cell(0.8).sample(trials, seed=12)
+        t_h0 = cell(0.8).sample(trials, seed=12)
         z = (t_h0 - np.mean(t_h0)) / np.std(t_h0)
         assert abs(float(np.mean(z**3))) < 0.05
         assert float(np.mean(z**4)) == pytest.approx(3.0, abs=0.2)
@@ -324,8 +327,8 @@ class TestSampledStatistics:
         other = dataclasses.replace(run.point, x=x, mu1=mu1, sigma2=sigma2)
         means = []
         for point in (run.point, other):
-            _, t_h1 = run.sample(trials, seed=15, point=point)
             mu_sq = abs(point.mu1) ** 2
+            t_h1 = run.sample(trials, seed=15, point=point) + 2.0 * mu_sq
             se = math.sqrt(2.0 * mu_sq * point.sigma2 / trials)
             assert float(np.mean(t_h1)) == pytest.approx(2.0 * mu_sq, abs=5.0 * se)
             means.append((2.0 * mu_sq, se))
@@ -333,12 +336,11 @@ class TestSampledStatistics:
 
     def test_a_prefix_does_not_depend_on_the_trials_that_follow(self):
         # one stream serves every trial count, so a shorter run is a prefix of
-        # a longer one at any length
+        # a longer one at any length, inside a block or across block edges
         run = cell(0.8)
-        long_h0, long_h1 = run.sample(40_000, seed=18)
-        short_h0, short_h1 = run.sample(20_001, seed=18)
-        assert np.array_equal(long_h0[:20_001], short_h0)
-        assert np.array_equal(long_h1[:20_001], short_h1)
+        block = _BLOCK_TRIALS
+        for long, short in ((40_000, 20_001), (2 * block + 3, block + 1), (2 * block + 3, block - 1)):
+            assert np.array_equal(run.sample(long, seed=18)[:short], run.sample(short, seed=18))
 
     @pytest.mark.parametrize("sigma", [0.0, 0.8, None], ids=["sigma 0", "sigma 0.8", "no clutter"])
     def test_each_trial_is_one_normal_at_the_closed_form_scale(self, sigma):
@@ -351,11 +353,10 @@ class TestSampledStatistics:
         else:
             ctx, point = cell(sigma).ctx, cell(sigma).point
         trials, seed = 30_000, 17
-        t_h0, t_h1 = sample_test_statistics(ctx, point, trials=trials, rng=np.random.default_rng(seed))
+        t_h0 = sample_test_statistics(ctx, point, trials=trials, rng=np.random.default_rng(seed))
         z = np.random.Generator(np.random.default_rng(seed).bit_generator.jumped(1)).standard_normal(trials)
         scale = float(point.mu1_abs) * math.sqrt(2.0 * float(point.sigma2))
         np.testing.assert_allclose(t_h0, scale * z, rtol=1e-12, atol=0.0)
-        assert np.array_equal(t_h1, t_h0 + 2.0 * float(point.mu1_abs) ** 2)
 
     def test_rejects_non_positive_trials(self):
         run = cell(0.1)
@@ -438,7 +439,8 @@ class TestSimulatedRates:
         # threshold inside a larger grid on the same stream
         kappa = 0.5 * run.params[0] ** 2
         swept = run.sweep([kappa], 20_000, seed=24)
-        t_h0, t_h1 = run.sample(20_000, seed=24)
+        t_h0 = run.sample(20_000, seed=24)
+        t_h1 = t_h0 + 2.0 * float(run.point.mu1_abs) ** 2
         assert (swept["pfa_mc"][0], swept["pd_mc"][0]) == (np.mean(t_h0 >= kappa), np.mean(t_h1 >= kappa))
         wider = run.sweep([-kappa, kappa, 3.0 * kappa], 20_000, seed=24)
         assert swept.keys() == wider.keys()
@@ -480,6 +482,31 @@ class TestSimulatedRates:
         assert math.isnan(curve["pd_analytic"][0])
         assert 0.0 <= curve["pfa_mc"][0] <= 1.0
         assert 0.0 <= curve["pd_mc"][0] <= 1.0
+
+
+class TestBlockedStreaming:
+    # trial counts at the block edges: one and two trials, a block short by
+    # one, exactly one block, one trial into a second block, and a partial third
+    B = _BLOCK_TRIALS
+    EDGES = (1, 2, B - 1, B, B + 1, 2 * B + 3)
+
+    @pytest.mark.parametrize("name", ["20 dBm", "30 dBm", "40 dBm", "sigma 0", "no clutter"])
+    def test_blocked_counts_equal_one_full_draw(self, name):
+        # the sweep streams its trials through one buffer a block at a time;
+        # its rates equal, bit for bit, one draw of all the trials sorted and
+        # counted at once, at every trial count around the block edges
+        if name == "no clutter":
+            ctx, point = degenerate_cell(name)
+        else:
+            run = cell(0.0) if name == "sigma 0" else cell(0.8, power_dbm=float(name.split()[0]))
+            ctx, point = run.ctx, run.point
+        shift = 2.0 * float(point.mu1_abs) ** 2
+        kappas = np.linspace(-shift, 2.0 * shift, 13)
+        for trials in self.EDGES:
+            curve = roc_sweep(ctx, point, kappas, trials=trials, rng=np.random.default_rng(trials))
+            expected = full_draw_rates(ctx, point, kappas, trials=trials, rng=np.random.default_rng(trials))
+            for column, rates in expected.items():
+                assert curve[column].tobytes() == rates.tobytes(), (trials, column)
 
 
 def degenerate_cell(name):

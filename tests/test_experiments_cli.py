@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import jrcsim
 from conftest import at_sigma
+from jrcsim import cli
 from jrcsim.cli import main
 from jrcsim.context import KIND_CHANNEL, KIND_SCENE, KIND_TARGET_PHASE, build_context
 from jrcsim.experiments import (
@@ -863,6 +865,79 @@ class TestCli:
             main(["--version"])
         assert exc.value.code == 0
         assert jrcsim.__version__ in capsys.readouterr().out
+
+    def test_out_of_memory_exits_one_with_one_line(self, cli_config, tmp_path, capsys, monkeypatch):
+        message = "Unable to allocate 76.3 MiB for an array with shape (10000000,) and data type float64"
+
+        def exhausted(scenario):
+            raise MemoryError(message)
+
+        help_text, _, summary = cli._COMMANDS["validate"]
+        monkeypatch.setitem(cli._COMMANDS, "validate", (help_text, exhausted, summary))
+        rc = main(["validate", "--config", cli_config, "--out", str(tmp_path / "v")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.splitlines() == [f"error: out of memory: {message}; reduce the scenario's size"]
+        assert captured.out == ""
+
+
+# A child interpreter that caps its own address space (RLIMIT_AS) before it
+# imports jrcsim, runs one command and prints its peak virtual size in KiB, so
+# the cap never applies to the test process or to anything else.
+_CAPPED_CHILD = """
+import resource, sys
+cap = int(sys.argv[1])
+if cap:
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from jrcsim.cli import main
+code = main(sys.argv[2:])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmPeak:")))
+sys.exit(code)
+"""
+
+# headroom over a default-sized run's peak: less than one float64 array of
+# 10^7 trials (76.3 MiB)
+_CAP_MARGIN = 48 << 20
+
+
+def _run_capped(args, cap=0):
+    src = os.path.dirname(os.path.dirname(jrcsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, str(cap), *args], env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def _cap_from(args) -> int:
+    """The child's own peak virtual size on a default-sized run, plus the margin, in bytes."""
+    done = _run_capped(args)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1]) * 1024 + _CAP_MARGIN
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak virtual size from /proc")
+class TestMemoryCeiling:
+    def test_many_trials_fit_in_the_memory_of_the_default(self, tmp_path):
+        # the trials of a cell stream through one block buffer, so 10^7 per
+        # cell run under a cap that one array of them would overflow
+        cap = _cap_from(["detection-sweep", "--out", str(tmp_path / "default")])
+        done = _run_capped(["detection-sweep", "--trials", "10000000", "--out", str(tmp_path / "many")], cap)
+        assert done.returncode == 0, done.stderr
+        assert "10000000 trials each" in done.stdout
+        records = parse_table_csv(str(tmp_path / "many" / "detection_sweep.csv"), "detection_sweep")
+        assert records and all(r["trials"] == 10_000_000 for r in records)
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path):
+        # 2^24 realizations pass validation but cannot be held under the cap
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps({"sweep": {"realizations": 1 << 24}}))
+        cap = _cap_from(["scnr-sweep", "--out", str(tmp_path / "default")])
+        done = _run_capped(["scnr-sweep", "--config", str(config), "--out", str(tmp_path / "big")], cap)
+        assert done.returncode == 1
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: out of memory")
+        assert not (tmp_path / "big").exists()
 
 
 _UNIT_OPEN = st.floats(0.01, 0.99, allow_nan=False)
