@@ -6,7 +6,7 @@ cells never share or reorder draws. The array is the scenario's array section;
 a sweep cell is the scenario with another section swapped in by
 dataclasses.replace. build_scene draws the radar side of R realizations as
 one stacked SensingScene: reflectivity, the clutter steering matrix B with its
-amplitude scales sigma_l (a clutter level is the same matrix with another
+amplitude scale sigma (a clutter level is the same matrix with another
 scale), and the matched data and radar beam directions. A
 SimulationContext is one realization of it plus the relay channels and one
 frozen unit-power symbol vector, which keeps the transmit waveform fixed across
@@ -189,7 +189,7 @@ def build_scene(scenario: ScenarioConfig, *, scene_keys) -> tuple[SensingScene, 
     a = steering_vector(array, target.range_m, target.angle_rad)
     return SensingScene(
         alpha0=np.array(alpha0), target_steering=a,
-        clutter=ClutterSteering.at_sigma(steering_matrix(array, *zip(*placements)), clutter.sigma),
+        clutter=ClutterSteering(steering_matrix(array, *zip(*placements)), clutter.sigma),
         h_sd=np.array(h_sd * copies),
         comm_direction=np.array([np.conj(h) / np.linalg.norm(h) for h in h_sd] * copies),
         radar_direction=np.array([np.conj(a) / np.linalg.norm(a)] * len(channels)),
@@ -206,7 +206,7 @@ def build_context(scenario: ScenarioConfig, *, scene_key: int = 0) -> Simulation
     h_sr = synthesize_comm_channel(array, model, comm.relay_range_m, comm.relay_angle_rad, channel)
     return SimulationContext(
         alpha0=complex(scene.alpha0[0]), target_steering=scene.target_steering,
-        clutter=ClutterSteering(scene.clutter.matrix[0], scene.clutter.scale),
+        clutter=ClutterSteering(scene.clutter.matrix[0], scene.clutter.sigma),
         h_sd=scene.h_sd[0], comm_direction=scene.comm_direction[0], radar_direction=scene.radar_direction[0],
         scenario=scenario, h_sr=h_sr, h_rd=synthesize_scalar_channel(array, model, link, channel),
         symbols=draw_symbols(2, derive_stream(scenario.seed, stream_id(KIND_SYMBOLS, scene_key))),

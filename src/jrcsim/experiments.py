@@ -197,7 +197,7 @@ def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: in
     beams = scene.beams_at(1.0, scenario.power.rho)
     curves = []
     for level in scenario.sweep.clutter_levels:
-        clutter = ClutterSteering.at_sigma(scene.clutter.matrix, CLUTTER_LEVELS[level])
+        clutter = ClutterSteering(scene.clutter.matrix, CLUTTER_LEVELS[level])
         curves.append((level, average_scnr_curve(clutter, scene.alpha0, scene.target_steering, beams, powers_w)))
     return curves
 
@@ -254,7 +254,7 @@ def _cell_curves(scenario: ScenarioConfig, stream_kind: int, shared_grid: bool):
     scene = build_context(scenario)
     cells, rho = [], scenario.power.rho
     for level in det.clutter_levels:
-        clutter = ClutterSteering.at_sigma(scene.clutter.matrix, CLUTTER_LEVELS[level])
+        clutter = ClutterSteering(scene.clutter.matrix, CLUTTER_LEVELS[level])
         ctx = dataclasses.replace(scene, clutter=clutter)
         for p_dbm in det.powers_dbm:
             point = ctx.operating_point(dbm_to_watts(p_dbm), rho)

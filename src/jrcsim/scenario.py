@@ -36,7 +36,7 @@ __all__ = [
     "CLUTTER_LEVELS",
 ]
 
-# canonical clutter intensity levels (amplitude scale sigma_l)
+# canonical clutter intensity levels (amplitude scale sigma)
 CLUTTER_LEVELS = {"none": 0.0, "light": 0.1, "intense": 0.8}
 
 

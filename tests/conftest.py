@@ -20,8 +20,8 @@ def default_context(default_scenario):
 
 
 def at_sigma(ctx, sigma):
-    """The context's scene with every clutter amplitude scale set to sigma."""
-    return dataclasses.replace(ctx, clutter=ClutterSteering.at_sigma(ctx.clutter.matrix, sigma))
+    """The context's scene with its clutter amplitude scale set to sigma."""
+    return dataclasses.replace(ctx, clutter=ClutterSteering(ctx.clutter.matrix, sigma))
 
 
 def reduced_scenario(sc: ScenarioConfig) -> ScenarioConfig:

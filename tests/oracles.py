@@ -1,11 +1,11 @@
 """Dense reference implementations of the radar model, and the random scenes fed to them.
 
 The simulator never forms the clutter-plus-noise covariance W: it works through
-the rank-one kernel in jrcsim.radar_sensing. The functions here form W and the
+the rank-L kernel in jrcsim.radar_sensing. The functions here form W and the
 response matrices A = a a^T densely and solve through a Cholesky factor, so the
 kernel, the detector moments and the acceptance gates have an independent
 reference to be checked against. A radar scene is the context's own
-ClutterSteering (steering matrix B and amplitude scales sigma_l). The
+ClutterSteering (steering matrix B and amplitude scale sigma). The
 detector's false-alarm threshold has a one-threshold-at-a-time reference in
 Python floats, and its blocked Monte Carlo counts a one-draw reference: all the
 trials drawn, sorted and counted at once. The exact and Fresnel element distances and the Fraunhofer
@@ -36,7 +36,7 @@ def random_positions(rng, count=3) -> tuple[list, list]:
 
 def clutter_at(array: ArraySection, ranges, angles, sigma=0.8) -> ClutterSteering:
     """The radar scene of scatterers at the given ranges and angles, all at amplitude scale sigma."""
-    return ClutterSteering(steering_matrix(array, ranges, angles), np.full(len(ranges), float(sigma)))
+    return ClutterSteering(steering_matrix(array, ranges, angles), float(sigma))
 
 
 def make_beams(rng, n=5, power=1.0) -> np.ndarray:
@@ -62,14 +62,14 @@ def transmit_covariance(beams: np.ndarray) -> np.ndarray:
 
 
 def clutter_covariance(clutter: ClutterSteering, r_x: np.ndarray) -> np.ndarray:
-    """Dense W = sum_l sigma_l^2 A_l R_x A_l^H + I from the full response matrices."""
+    """Dense W = sum_l sigma^2 A_l R_x A_l^H + I from the full response matrices."""
     n = clutter.matrix.shape[0]
     if r_x.shape != (n, n):
         raise ValueError(f"R_x shape {r_x.shape} does not match the {n}-element array")
     columns = clutter.matrix.T
     responses = columns[:, :, None] * columns[:, None, :]  # (L, N, N) stack of A_l
     terms = responses @ r_x @ responses.conj().transpose(0, 2, 1)
-    w = np.eye(n, dtype=complex) + np.tensordot(clutter.scale**2, terms, axes=1)
+    w = np.eye(n, dtype=complex) + clutter.sigma**2 * np.sum(terms, axis=0)
     # the sum is Hermitian in exact arithmetic; symmetrize away rounding skew
     return (w + w.conj().T) / 2.0
 
@@ -126,9 +126,9 @@ def radar_snapshot_batch(
     symbols = (rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))) / np.sqrt(2.0)
     x = symbols @ beams  # (count, N)
     s = alpha0 * (x @ a_target)[:, None] * a_target[None, :]
-    if clutter.scale.size:
-        shape = (count, clutter.scale.size)
-        amps = clutter.scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    if clutter.matrix.shape[1]:
+        shape = (count, clutter.matrix.shape[1])
+        amps = clutter.sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
         s = s + (amps * (x @ clutter.matrix)) @ clutter.matrix.T
     noise = (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) / np.sqrt(2.0)
     return s + noise

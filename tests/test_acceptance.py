@@ -192,9 +192,9 @@ class TestAcceptance:
         a = dense.target_steering
         n_ant = dense.scenario.array.n_antennas
         limit_cov = np.zeros((n_ant, n_ant), dtype=complex)
-        for a_l, sigma_l in zip(dense.clutter.matrix.T, dense.clutter.scale):
+        for a_l in dense.clutter.matrix.T:
             gain = np.vdot(np.conj(a_l), unit_rx @ np.conj(a_l)).real
-            limit_cov += sigma_l**2 * gain * np.outer(a_l, a_l.conj())
+            limit_cov += dense.clutter.sigma**2 * gain * np.outer(a_l, a_l.conj())
         ceiling = float(
             abs(dense.alpha0) ** 2
             * np.vdot(a, np.linalg.solve(limit_cov, a)).real

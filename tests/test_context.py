@@ -74,9 +74,9 @@ class TestBuildContext:
     def test_sigma_override_keeps_placements(self, default_scenario):
         light = at_sigma(build_context(default_scenario), 0.1)
         intense = at_sigma(build_context(default_scenario), 0.8)
-        assert np.all(light.clutter.scale == 0.1)
-        assert np.all(intense.clutter.scale == 0.8)
-        # sigma reaches the context only through the clutter amplitude scales
+        assert light.clutter.sigma == 0.1
+        assert intense.clutter.sigma == 0.8
+        # sigma reaches the context only through the clutter amplitude scale
         assert np.array_equal(light.clutter.matrix, intense.clutter.matrix)
         assert light.alpha0 == intense.alpha0
         assert np.array_equal(light.symbols, intense.symbols)
@@ -95,7 +95,7 @@ class TestBuildContext:
         sc = dataclasses.replace(default_scenario, clutter=dataclasses.replace(default_scenario.clutter, count=0))
         ctx = build_context(sc)
         assert ctx.clutter.matrix.shape == (ctx.scenario.array.n_antennas, 0)
-        assert ctx.clutter.scale.shape == (0,)
+        assert ctx.clutter.gains(ctx.beams_at(1.0, 0.5)).shape == (0,)
 
     def test_reflectivity_follows_the_two_way_law(self, default_scenario):
         sc = dataclasses.replace(

@@ -82,7 +82,7 @@ def cell(sigma, power_dbm=30.0):
 
 class TestStatisticParams:
     def test_matches_dense_matrix_form(self):
-        # mu_1 = alpha_0 w^H A x, sigma^2 = ||w||^2 + sum sigma_l^2 |w^H A_l x|^2
+        # mu_1 = alpha_0 w^H A x, sigma^2 = ||w||^2 + sum sigma^2 |w^H A_l x|^2
         rng = np.random.default_rng(0)
         ranges, angles = random_positions(rng)
         clutter = clutter_at(CFG, ranges, angles)
@@ -94,7 +94,7 @@ class TestStatisticParams:
             mu1, sigma2 = statistic_moments(w, ALPHA0, A_TARGET, clutter, x)
             mu_expected = ALPHA0 * (w.conj() @ mat @ x)
             var_expected = float(np.vdot(w, w).real) + sum(
-                sigma**2 * abs(w.conj() @ m @ x) ** 2 for sigma, m in zip(clutter.scale, clutter_mats)
+                clutter.sigma**2 * abs(w.conj() @ m @ x) ** 2 for m in clutter_mats
             )
             assert mu1 == pytest.approx(mu_expected, rel=1e-12)
             assert sigma2 == pytest.approx(var_expected, rel=1e-12)

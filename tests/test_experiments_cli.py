@@ -939,6 +939,20 @@ class TestMemoryCeiling:
         assert line.startswith("error: out of memory")
         assert not (tmp_path / "big").exists()
 
+    @pytest.mark.parametrize(
+        "command, tables",
+        [("optimize", ["optimum"]), ("tradeoff", ["tradeoff", "optimum"]), ("scnr-sweep", ["scnr_sweep", "scnr_table"])],
+    )
+    def test_large_array_fits_in_one_gib(self, tmp_path, command, tables):
+        # the kernel keeps an (N, L) basis per split or realization, so N = 4,096
+        # runs where an N x N one would need gigabytes per stack
+        config = tmp_path / "large.json"
+        config.write_text(json.dumps({"array": {"n_antennas": 4096}, "sweep": {"antennas": [4096]}}))
+        done = _run_capped([command, "--config", str(config), "--out", str(tmp_path / "large")], 1 << 30)
+        assert done.returncode == 0, done.stderr
+        for name in tables:
+            assert parse_table_csv(str(tmp_path / "large" / f"{name}.csv"), name)
+
 
 _UNIT_OPEN = st.floats(0.01, 0.99, allow_nan=False)
 

@@ -8,7 +8,7 @@ solver on the (rank-one signal, covariance) pencil.
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jrcsim.array_geometry import steering_vector
@@ -91,11 +91,11 @@ class TestClutterCovariance:
         clutter = clutter_at(CFG, ranges, angles)
         w = clutter_covariance(clutter, r_x)
         expected = np.eye(5, dtype=complex)
-        for r, theta, sigma in zip(ranges, angles, clutter.scale):
+        for r, theta in zip(ranges, angles):
             a_l = steering_vector(CFG, r, theta)
             c_l = np.dot(a_l, r_x @ a_l.conj()).real
             assert c_l >= 0.0
-            expected += sigma**2 * c_l * np.outer(a_l, a_l.conj())
+            expected += clutter.sigma**2 * c_l * np.outer(a_l, a_l.conj())
         assert w == pytest.approx(expected, rel=1e-12)
 
     def test_hermitian_with_unit_floor(self):
@@ -213,15 +213,9 @@ class TestAverageScnr:
         assert s2 == pytest.approx(9.0 * s1, rel=1e-12)
 
 
-@st.composite
-def operating_points(draw):
-    """Random scene and (P, rho) with beams split as the simulator splits them."""
-    n = draw(st.integers(1, 12))
-    n_clutter = draw(st.integers(0, 8))
-    sigma = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
-    rho = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
-    power = 10.0 ** draw(st.floats(-4.0, 4.0))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def scene_point(n, n_clutter, sigma, rho, power, seed):
+    """A scene of n antennas and n_clutter scatterers at (P, rho), its draws from seed."""
+    rng = np.random.default_rng(seed)
     cfg = ArraySection(n_antennas=n, carrier_ghz=float(rng.choice([2.8, 28.0])))
     clutter = clutter_at(cfg, *random_positions(rng, n_clutter), sigma)
     a = steering_vector(cfg, *TARGET)
@@ -231,15 +225,29 @@ def operating_points(draw):
     return cfg, clutter, a, comm, radar, rho, power
 
 
+@st.composite
+def operating_points(draw):
+    """Random scene and (P, rho) with beams split as the simulator splits them."""
+    n = draw(st.integers(1, 12))
+    n_clutter = draw(st.integers(0, 8))
+    sigma = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    rho = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    power = 10.0 ** draw(st.floats(-4.0, 4.0))
+    return scene_point(n, n_clutter, sigma, rho, power, draw(st.integers(0, 2**32 - 1)))
+
+
 def split_beams(comm, radar, rho, power):
     return np.stack((np.sqrt((1.0 - rho) * power) * comm, np.sqrt(rho * power) * radar))
 
 
 class TestInterferenceKernel:
-    """The rank-one kernel against the dense Cholesky oracle, and batched against one-point."""
+    """The rank-L kernel against the dense Cholesky oracle, and batched against one-point."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(operating_points(), st.integers(0, 2**32 - 1))
+    # N = L under strong clutter: U is square, where a rounding residue y - U U^H y
+    # left in the solve would be scaled by no power and break the backward error
+    @example(scene_point(2, 2, 1.0, 0.5, 1e4, 149), 149)
     def test_matches_dense_oracle(self, point, symbol_seed):
         cfg, clutter, a, comm, radar, rho, power = point
         beams = split_beams(comm, radar, rho, power)
@@ -249,11 +257,13 @@ class TestInterferenceKernel:
         gains = clutter.gains(beams)
         kernel = InterferenceKernel(clutter, gains)
         w = kernel.solve(y)
+        # the thin basis: O(N L) numbers, never an N x N matrix
+        assert kernel._vecs.shape[-1] == kernel._lam.shape[-1] == min(cfg.n_antennas, clutter.matrix.shape[1])
 
         # the oracle forms W and factors it in double precision, so it is itself
         # good only to about (N + L) eps cond(W); the kernel never forms W
         eps = np.finfo(float).eps
-        rel = 1e-10 + 10 * (cfg.n_antennas + clutter.scale.size) * eps * np.linalg.cond(cov)
+        rel = 1e-10 + 10 * (cfg.n_antennas + clutter.matrix.shape[1]) * eps * np.linalg.cond(cov)
         whitened = np.vdot(a, scipy.linalg.cho_solve(scipy.linalg.cho_factor(cov), a)).real
         assert kernel.quadratic(a) == pytest.approx(whitened, rel=rel)
         w_dense = optimal_receive_beamformer(a, cov, x)
@@ -278,6 +288,19 @@ class TestInterferenceKernel:
         for p, got in zip(powers, batched):
             single = average_scnr(clutter, split_beams(comm, radar, rho, p), ALPHA0, a)
             assert got == pytest.approx(single, rel=1e-12)
+
+    @pytest.mark.parametrize("count", [3, 0])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_without_clutter_power_w_is_identity(self, n, count):
+        # sigma = 0 makes F zero: its SVD gives lam = 0 and W(s)^-1 y is y itself
+        rng = np.random.default_rng(n + 10 * count)
+        cfg = ArraySection(n_antennas=n, carrier_ghz=28.0)
+        clutter = clutter_at(cfg, *random_positions(rng, count), 0.0)
+        kernel = InterferenceKernel(clutter, clutter.gains(make_beams(rng, n)))
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for s in (0.0, 1.0, 1e6):
+            assert np.array_equal(kernel.solve(y, s), y)
+        assert kernel.quadratic(y, [1.0, 1e6]) == pytest.approx(np.vdot(y, y).real, rel=1e-15)
 
 
 class TestWaveform:
