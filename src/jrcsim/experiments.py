@@ -35,6 +35,7 @@ from .context import KIND_DETECTION, KIND_VALIDATE, build_context, build_scene, 
 from .detection import roc_sweep
 from .power_allocation import (
     OptimizationResult,
+    _rho_grid,
     minimize_power,
     tradeoff_sweep,
 )
@@ -328,13 +329,14 @@ def _optimum_table(scenario: ScenarioConfig, result: OptimizationResult) -> Swee
 
 
 def run_tradeoff(scenario: ScenarioConfig) -> list[SweepTable]:
-    """Tradeoff sweep plus the power-minimization certificate."""
+    """Tradeoff sweep plus the power-minimization certificate, on one decomposition of the split grid."""
     ctx = build_context(scenario)
-    curve = tradeoff_sweep(ctx)
+    kernel = ctx.unit_kernel(_rho_grid(scenario.optimizer))
+    curve = tradeoff_sweep(ctx, kernel)
     block = {**curve, "power_dbm": [watts_to_dbm(p) for p in curve["power_watts"]]}
     return [
         _table("tradeoff", scenario, [block], ("power_dbm",)),
-        _optimum_table(scenario, minimize_power(ctx)),
+        _optimum_table(scenario, minimize_power(ctx, kernel)),
     ]
 
 

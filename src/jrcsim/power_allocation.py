@@ -27,16 +27,16 @@ a context; evaluate_point also builds one from a scenario.
 
 Power enters the interference covariance as one scale, W(P) = I + P M(rho),
 so each call decomposes its split grid once, at unit power, and every power
-it probes scales that one kernel. A probe evaluates the whole split grid at
-once: its OperatingPoint carries beams, waveforms, w, mu_1, sigma^2, the
-deflection and both SINRs along a leading split axis. The coarse walk stacks
-every grid power in one record, as tradeoff_sweep does, and counts the
-evaluations a power-by-power walk would spend up to its stop. The first
-feasible split and the split of best guarded detection are first-index
-argmaxes over those, so the tie-breaks are a power-by-power, split-by-split
-scan's, and every entry equals, bit for bit, the record of that power and
-split alone. tradeoff_sweep runs the closed forms once on the columns of each
-row's chosen splits, and evaluate_point runs them on its one record.
+it probes scales that one kernel. The coarse walk and each bisection probe
+decide from per-split closed forms in P (_SplitForms), terms of O(L) and
+O(L^2) numbers per split with no beams, waveform or beamformer. An entry
+within a relative _BAND of the rate or deflection threshold, or whose
+rounding estimate is too large, takes the OperatingPoint record of its
+power row, so every decision is the record's; the walk counts, and breaks
+ties, as a power-by-power, split-by-split scan of the record does.
+tradeoff_sweep stacks every grid power in one record and runs the closed
+forms once on the columns of each row's chosen splits; evaluate_point runs
+them on its one record.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .detection import (
     false_alarm_probability,
     false_alarm_threshold,
 )
-from .radar_sensing import InterferenceKernel, average_scnr_curve
+from .radar_sensing import InterferenceKernel, average_scnr_curve, waveform_from_symbols
 from .scenario import ScenarioConfig, TargetsSection, dbm_to_watts, watts_to_dbm
 from .stats import canonical_ceil, canonical_float, inverse_q
 
@@ -67,6 +67,10 @@ __all__ = [
 
 # slack for the by-construction budget identity ||u||^2 + ||v||^2 = P
 _BUDGET_SLACK = 1.0e-9
+# relative band around the rate and deflection thresholds where the split forms
+# defer to the record; they decide alone where _SAFETY times their estimated
+# rounding error stays within _BAND / 1000
+_BAND, _SAFETY, _EPS = 1.0e-9, 16.0, float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -110,32 +114,89 @@ def _rho_grid(opt) -> np.ndarray:
     return np.linspace(0.0, 1.0, opt.rho_points)
 
 
+def _deflection_floor(targets: TargetsSection) -> float:
+    """Q^-1(pfa_max) - Q^-1(pd_min): -inf when pd_min = 0, +inf when pd_min = 1."""
+    return inverse_q(targets.pfa_max) - inverse_q(targets.pd_min)
+
+
 def _feasible(point: OperatingPoint, targets: TargetsSection) -> np.ndarray:
     """Where a record meets the rate target and, at its false-alarm threshold,
     both detector targets: the SINR sum reaches 2^r - 1, mu_1 is live, and the
-    deflection reaches Q^-1(pfa_max) - Q^-1(pd_min) (-inf when pd_min = 0,
-    +inf when pd_min = 1)."""
-    floor = inverse_q(targets.pfa_max) - inverse_q(targets.pd_min)
+    deflection reaches the floor."""
     meets_rate = point.gamma_direct + point.gamma_relayed >= rate_threshold(targets.rate_bps_hz)
-    return meets_rate & (point.mu1_abs > 0.0) & (point.deflection >= floor)
+    return meets_rate & (point.mu1_abs > 0.0) & (point.deflection >= _deflection_floor(targets))
+
+
+class _SplitForms:
+    """gamma_sd + gamma_rd, the live flag and the deflection of every split of
+    rhos in closed form in P, from the unit-power waveform x_1 and kernel
+    (U, lam): c = a^T x_1, q = U^H a, r = a - U q, G = U^H B, e = r^H B and
+    d = B^T x_1. With f = 1/(1 + P lam), Q_1 = a^H W^-1 a = ||r||^2 + sum |q|^2 f,
+    |mu_1| = |alpha_0| P |c|^2 Q_1 and sigma^2 = P |c|^2 Q_2, where Q_2 = ||r||^2
+    + sum |q|^2 f^2 + sigma_c^2 P sum_l |d_l|^2 |e_l + sum_j conj(q_j) f_j G_jl|^2;
+    the SINRs are ratios of terms affine in P."""
+
+    def __init__(self, ctx: SimulationContext, rhos: np.ndarray, kernel: InterferenceKernel | None = None):
+        self.ctx, self.rhos, self.kernel = ctx, rhos, ctx.unit_kernel(rhos) if kernel is None else kernel
+        targets, comm, a, b = ctx.scenario.targets, ctx.scenario.comm, ctx.target_steering, ctx.clutter.matrix
+        self.threshold, self.floor = rate_threshold(targets.rate_bps_hz), _deflection_floor(targets)
+        (r, q), x = self.kernel._split(a), waveform_from_symbols(ctx.beams_at(1.0, rhos), ctx.symbols)
+        cc, self.dd = np.abs(x @ a) ** 2, np.abs(x @ b) ** 2
+        self.rr, self.qq = np.sum(np.abs(r) ** 2, axis=-1), np.abs(q) ** 2
+        self.q, self.e, self.g = q.conj(), r.conj() @ b, self.kernel._vecs.conj().swapaxes(-1, -2) @ b
+        self.gain = 2.0 * abs(ctx.alpha0) ** 2 * cc  # deflection^2 = gain P Q_1^2 / Q_2; live where > 0
+        # a dot product with a steering vector rounds by sqrt(N) eps per unit norm of its other factor
+        self.n, x_scale = a.size, math.sqrt(a.size) * np.linalg.norm(x, axis=-1)
+        with np.errstate(divide="ignore"):  # c = 0 leaves whether mu_1 is live to the record
+            self.c_cond = x_scale / np.sqrt(cc)
+        self.d_mag, self.spread = np.sqrt(self.dd) * x_scale[..., None], math.sqrt(a.size * (q.shape[-1] + 1))
+        # gamma_sd + gamma_rd = P s / (P i + N_d) + P t / (P j + k), from |h^T b|^2 of h_sd, h_sr on u, v
+        channels, directions = np.array([ctx.h_sd, ctx.h_sr]), np.array([ctx.comm_direction, ctx.radar_direction])
+        (sd_u, sd_v), (sr_u, sr_v) = np.abs(channels @ directions.T) ** 2
+        relay, data, noise = abs(ctx.h_rd) ** 2 * comm.relay_power_w, 1.0 - rhos, comm.noise_var_dest_w
+        self.link = (data * sd_u, rhos * sd_v, noise, relay * data * sr_u, noise * (data * sr_u + rhos * sr_v),
+                     comm.noise_var_relay_w * (relay + noise))
+
+    def __call__(self, power_watts):
+        """gamma_sd + gamma_rd, the deflection and an estimate of the deflection's
+        relative rounding error at power_watts (a float or an (M, 1) column)."""
+        p, (s, i, noise, t, j, k) = np.asarray(power_watts, dtype=float), self.link
+        gamma = p * s / (p * i + noise) + p * t / (p * j + k)
+        f = 1.0 / (1.0 + p[..., None] * self.kernel._lam)
+        q1, w2 = self.rr + np.vecdot(f, self.qq), self.rr + np.vecdot(f * f, self.qq)
+        tt = np.abs(self.e + ((self.q * f)[..., None, :] @ self.g)[..., 0, :]) ** 2
+        scale = self.ctx.clutter.sigma * self.ctx.clutter.sigma * p
+        q2 = w2 + scale * np.vecdot(tt, self.dd)
+        # first-order rounding of each cancelling sum times the size of its terms (Q_1, Q_2 >= W_2)
+        t_mag = self.n * (1.0 + 2.0 * np.sum(f, axis=-1))
+        clutter = np.vecdot(tt, self.d_mag) + t_mag * np.vecdot(np.sqrt(tt) + t_mag[..., None] * _EPS / 2, self.dd)
+        error = self.c_cond + 3.0 * self.spread / np.sqrt(w2) + scale * clutter / q2
+        return gamma, np.sqrt(self.gain * p / q2) * q1, _EPS * error
 
 
 def _first_feasible(
-    ctx: SimulationContext,
-    power_watts,
-    rhos: np.ndarray,
-    kernel: InterferenceKernel | None = None,
+    ctx: SimulationContext, power_watts, rhos: np.ndarray, kernel: InterferenceKernel | _SplitForms | None = None
 ) -> tuple[int | None, int]:
     """The flat index of the first feasible entry of the record at
     power_watts over rhos, if any, and the entries scanned up to and
     including it (all of them when none is). An (M, 1) column of ascending
     powers is scanned power by power, so the index is power-major. The
-    kernel is ctx.unit_kernel(rhos), built here unless handed in."""
-    ok = _feasible(ctx.operating_point(power_watts, rhos, kernel), ctx.scenario.targets).ravel()
-    if not ok.any():
-        return None, ok.size
-    i = int(np.argmax(ok))
-    return i, i + 1
+    kernel is ctx.unit_kernel(rhos), built here unless handed in, or the
+    split forms of it that a caller probing many powers reuses. A power row
+    with an entry the forms leave undecided takes the record's mask."""
+    forms = kernel if isinstance(kernel, _SplitForms) else _SplitForms(ctx, rhos, kernel)
+    gamma, deflection, error = forms(power_watts)
+    ok = np.atleast_2d((gamma >= forms.threshold) & (forms.gain > 0.0) & (deflection >= forms.floor))
+    near = ~(_SAFETY * error <= _BAND / 1000.0) | (abs(gamma - forms.threshold) <= _BAND * forms.threshold)
+    if math.isfinite(forms.floor):
+        near |= abs(deflection - forms.floor) <= _BAND * abs(forms.floor)
+    for m in np.flatnonzero(near.reshape(ok.shape).any(axis=-1)):
+        if ok[:m].any():
+            break
+        point = ctx.operating_point(float(np.reshape(power_watts, -1)[m]), rhos, forms.kernel)
+        ok[m] = _feasible(point, ctx.scenario.targets)
+    i = int(np.argmax(ok)) if ok.any() else None
+    return (None, ok.size) if i is None else (i, i + 1)
 
 
 def evaluate_point(
@@ -177,11 +238,7 @@ def evaluate_point(
     )
 
 
-def _certificate(
-    ctx: SimulationContext,
-    power_watts: float,
-    rho: float,
-) -> tuple[EvaluatedPoint | None, int]:
+def _certificate(ctx: SimulationContext, power_watts: float, rho: float) -> tuple[EvaluatedPoint | None, int]:
     """The evaluated triple on the 9-significant-digit emission grid that
     evaluate_point accepts at the least power from power_watts up, and the
     evaluations spent; None past the ceiling. Power rounds up onto the grid,
@@ -201,17 +258,18 @@ def _certificate(
     return None, evaluations
 
 
-def minimize_power(ctx: SimulationContext) -> OptimizationResult:
+def minimize_power(ctx: SimulationContext, kernel: InterferenceKernel | None = None) -> OptimizationResult:
     """Smallest power whose best (rho, kappa) satisfies every target of the
-    context's scenario."""
+    context's scenario. The kernel is ctx.unit_kernel of the split grid, built
+    here unless handed in."""
     scenario, opt = ctx.scenario, ctx.scenario.optimizer
     powers = np.geomspace(
         dbm_to_watts(scenario.power.min_dbm), dbm_to_watts(scenario.targets.p_max_dbm), opt.power_points
     )
     rhos = _rho_grid(opt)
-    kernel = ctx.unit_kernel(rhos)
+    forms = _SplitForms(ctx, rhos, kernel)
 
-    first, evaluations = _first_feasible(ctx, powers[:, None], rhos, kernel)
+    first, evaluations = _first_feasible(ctx, powers[:, None], rhos, forms)
     if first is None:
         return OptimizationResult(None, evaluations)
     i, k = divmod(first, len(rhos))
@@ -223,7 +281,7 @@ def minimize_power(ctx: SimulationContext) -> OptimizationResult:
             mid = math.sqrt(lo * hi)
             if not lo < mid < hi:
                 break  # the bracket is as narrow as floats allow
-            k, n = _first_feasible(ctx, mid, rhos, kernel)
+            k, n = _first_feasible(ctx, mid, rhos, forms)
             evaluations += n
             if k is not None:
                 hi, rho_star = mid, float(rhos[k])
@@ -233,14 +291,14 @@ def minimize_power(ctx: SimulationContext) -> OptimizationResult:
     return OptimizationResult(point, evaluations + n)
 
 
-def _tradeoff_record(ctx: SimulationContext, powers: np.ndarray, rhos: np.ndarray) -> dict:
+def _tradeoff_record(ctx: SimulationContext, powers: np.ndarray, rhos: np.ndarray, kernel=None) -> dict:
     """The tradeoff rows of a 1-D array of powers, as arrays keyed by
     tradeoff_sweep's columns, from one record over powers x splits. Each row
     takes the rate of its fastest split and kappa_fa, P_D and P_FA at its
     live split of largest deflection, in one closed-form call per column; a
     row with no live split reads rho = rhos[0] and kappa = P_D = P_FA = 0."""
     targets = ctx.scenario.targets
-    point = ctx.operating_point(powers[:, None], rhos)
+    point = ctx.operating_point(powers[:, None], rhos, kernel)
     gamma_sum = point.gamma_direct + point.gamma_relayed
     live = point.mu1_abs > 0.0
     # the rate is log2(1 + gamma_sum), so the best rate sits at the largest sum;
@@ -261,15 +319,15 @@ def _tradeoff_record(ctx: SimulationContext, powers: np.ndarray, rhos: np.ndarra
     }
 
 
-def tradeoff_sweep(ctx: SimulationContext) -> dict[str, np.ndarray]:
+def tradeoff_sweep(ctx: SimulationContext, kernel: InterferenceKernel | None = None) -> dict[str, np.ndarray]:
     """Best rate, best guarded detection and joint feasibility at each power of
     the scenario's dBm grid, from its floor to the ceiling, as arrays over
     ascending power keyed power_watts, rho, kappa, rate_bps_hz, pd, pfa and
-    feasible."""
+    feasible. The kernel is as minimize_power's."""
     sc = ctx.scenario
     # the grid tops out at the ceiling read back from watts, which can differ
     # from p_max_dbm in the last bit; the tables are built on that grid
     p_max_dbm = watts_to_dbm(dbm_to_watts(sc.targets.p_max_dbm))
     grid_dbm = np.linspace(sc.power.min_dbm, p_max_dbm, sc.power.points)
     powers = np.array([float(dbm_to_watts(p)) for p in grid_dbm])
-    return _tradeoff_record(ctx, powers, _rho_grid(sc.optimizer))
+    return _tradeoff_record(ctx, powers, _rho_grid(sc.optimizer), kernel)

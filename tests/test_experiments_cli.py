@@ -953,6 +953,15 @@ class TestMemoryCeiling:
         for name in tables:
             assert parse_table_csv(str(tmp_path / "large" / f"{name}.csv"), name)
 
+    def test_optimize_at_6144_antennas_fits_in_one_gib(self, tmp_path):
+        # the search decides from per-split terms of O(L) numbers and builds no
+        # (powers, splits, N) record, so only the kernel and the audits scale with N
+        config = tmp_path / "larger.json"
+        config.write_text(json.dumps({"array": {"n_antennas": 6144}}))
+        done = _run_capped(["optimize", "--config", str(config), "--out", str(tmp_path / "larger")], 1 << 30)
+        assert done.returncode == 0, done.stderr
+        assert parse_table_csv(str(tmp_path / "larger" / "optimum.csv"), "optimum")
+
 
 _UNIT_OPEN = st.floats(0.01, 0.99, allow_nan=False)
 

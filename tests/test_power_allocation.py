@@ -22,8 +22,11 @@ from jrcsim.detection import (
     false_alarm_threshold,
     statistic_moments,
 )
-from jrcsim.experiments import _optimum_table, emit_outputs
+from jrcsim.experiments import _optimum_table, emit_outputs, run_tradeoff
 from jrcsim.power_allocation import (
+    _BAND,
+    _SAFETY,
+    _SplitForms,
     _feasible,
     _first_feasible,
     _rho_grid,
@@ -666,6 +669,115 @@ class TestOneDecompositionPerSplitGrid:
     def test_evaluate_point(self, default_context, counts):
         evaluate_point(default_context, 2.0, 0.5, None)
         assert counts["svd"] == 1
+
+    def test_run_tradeoff(self, default_scenario, counts):
+        # the sweep and the search share one kernel of the split grid
+        run_tradeoff(default_scenario)
+        assert counts["evaluate_point"] >= 1
+        assert counts["svd"] == 1 + counts["evaluate_point"]
+
+
+# The split search decides each entry from per-split closed forms in P and
+# builds the record only at near-ties, where the forms' last bits could flip a
+# comparison the record would make otherwise. Outside the entries the forms
+# route to the record, they must agree with it to a thousandth of the band.
+
+def _decided(error):
+    return _SAFETY * error <= _BAND / 1000.0
+
+
+class TestSplitForms:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(power_stacks())
+    def test_forms_match_the_record(self, stack):
+        sc, powers = stack
+        ctx = build_context(sc)
+        rhos = _rho_grid(sc.optimizer)
+        forms = _SplitForms(ctx, rhos)
+        gamma, deflection, error = forms(powers[:, None])
+        point = ctx.operating_point(powers[:, None], rhos, forms.kernel)
+        bound = _BAND / 1000.0
+        gamma_sum = point.gamma_direct + point.gamma_relayed
+        assert np.all(np.abs(gamma - gamma_sum) <= bound * gamma_sum)
+        decided, live = _decided(error), point.mu1_abs > 0.0
+        assert np.array_equal(np.broadcast_to(forms.gain > 0.0, live.shape)[decided], live[decided])
+        on = decided & live
+        assert np.all(np.abs(deflection - point.deflection)[on] <= bound * point.deflection[on])
+
+    @pytest.mark.parametrize("power_points", [64, 512])
+    def test_the_default_walk_needs_no_record(self, default_context, power_points):
+        # the rounding estimate routes only ill-conditioned entries, none of
+        # which lie on the default grid from its power floor to its ceiling
+        sc = default_context.scenario
+        powers = np.geomspace(dbm_to_watts(sc.power.min_dbm), dbm_to_watts(sc.targets.p_max_dbm), power_points)
+        _, _, error = _SplitForms(default_context, _rho_grid(sc.optimizer))(powers[:, None])
+        assert _decided(error).all()
+
+
+def _solve_exactly(fn, target, x, increasing=True):
+    """An x a few hundred ulps from the start at which fn(x) == target exactly,
+    walking one ulp at a time toward it, or None where fn steps over it."""
+    for _ in range(400):
+        y = fn(x)
+        if y == target:
+            return x
+        x = math.nextafter(x, math.inf if (y < target) == increasing else -math.inf)
+    return None
+
+
+class TestNearTies:
+    """A threshold put exactly on the record's value, or one ulp above it, at
+    entries where the forms differ from the record in their last bits: the
+    search must answer as the record does, which the forms alone would not."""
+
+    @pytest.fixture(scope="class")
+    def differing(self, fast_context):
+        """(power, split, record, forms) of the deflection and of the SINR sum
+        at entries where the two differ."""
+        entries = {"deflection": [], "gamma": []}
+        for rho in (0.3, 0.6, 0.9):
+            rhos = np.array([rho])
+            forms = _SplitForms(fast_context, rhos)
+            for power in np.geomspace(1.0, 30.0, 40).tolist():
+                gamma, deflection, error = forms(power)
+                assert _decided(error).all()
+                point = fast_context.operating_point(power, rhos)
+                for name, exact, approx in (
+                    ("deflection", point.deflection[0], deflection[0]),
+                    ("gamma", point.gamma_direct[0] + point.gamma_relayed[0], gamma[0]),
+                ):
+                    if exact != approx:
+                        entries[name].append((power, rhos, float(exact), float(approx)))
+        assert len(entries["deflection"]) >= 10 and len(entries["gamma"]) >= 10
+        return entries
+
+    def _check(self, ctx, power, rhos, forms_say):
+        """The search's answer is the record's; returns whether the forms alone would have differed."""
+        answer = _first_feasible(ctx, power, rhos)
+        assert answer == _oracle_first_feasible(ctx, power, rhos)
+        return forms_say != (answer[0] is not None)
+
+    def test_a_floor_on_the_record_deflection(self, fast_context, differing):
+        flips = 0
+        for power, rhos, exact, approx in differing["deflection"]:
+            for floor in (exact, math.nextafter(exact, math.inf)):
+                cap = _solve_exactly(inverse_q, floor, float(q_function(floor)), increasing=False)
+                if cap is None:
+                    continue
+                ctx = with_targets(fast_context, rate_bps_hz=0.0, pfa_max=cap, pd_min=0.5)
+                flips += self._check(ctx, power, rhos, approx >= floor)
+        assert flips >= 3
+
+    def test_a_rate_target_on_the_record_sinr_sum(self, fast_context, differing):
+        flips = 0
+        for power, rhos, exact, approx in differing["gamma"]:
+            for threshold in (exact, math.nextafter(exact, math.inf)):
+                rate = _solve_exactly(rate_threshold, threshold, math.log2(1.0 + threshold))
+                if rate is None:
+                    continue
+                ctx = with_targets(fast_context, rate_bps_hz=rate, pd_min=0.0)
+                flips += self._check(ctx, power, rhos, approx >= threshold)
+        assert flips >= 3
 
 
 @st.composite
