@@ -14,8 +14,9 @@ Monte Carlo trials and operating points. SimulationContext.operating_point
 turns a (power, split), or arrays of them, into the one record every reader
 takes: beams (row 0 data, row 1 radar), waveform, receive beamformer, detector
 moments and link SINRs. Power enters the clutter covariance as one scale,
-W(P) = I + P M(rho), so a split grid is decomposed once at unit power
-(unit_kernel) and that one kernel serves every power probed on it.
+W(P) = I + P M(rho), so a scene decomposes each split, or split grid, once at
+unit power (unit_kernel) and that one kernel serves every power probed on it;
+a scene made by dataclasses.replace starts with no kernel.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ class SensingScene:
     h_sd: np.ndarray
     comm_direction: np.ndarray
     radar_direction: np.ndarray
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def beams_at(self, power_watts, rho) -> np.ndarray:
         """Split a power budget between the matched data and radar directions: rows
@@ -121,8 +123,12 @@ class SensingScene:
 
     def unit_kernel(self, rho) -> InterferenceKernel:
         """The interference kernel of split rho (a float or a 1-D array) at unit
-        power: one decomposition that gives W(P) at every power P."""
-        return InterferenceKernel(self.clutter, self.clutter.gains(self.beams_at(1.0, rho)))
+        power: one decomposition that gives W(P) at every power P, made on the
+        scene's first call for that split and returned by every later one."""
+        key = np.shape(rho), np.asarray(rho, dtype=float).tobytes()
+        if key not in self._kernels:
+            self._kernels[key] = InterferenceKernel(self.clutter, self.clutter.gains(self.beams_at(1.0, rho)))
+        return self._kernels[key]
 
 
 @dataclass(frozen=True)
@@ -135,18 +141,14 @@ class SimulationContext(SensingScene):
     h_rd: complex
     symbols: np.ndarray
 
-    def operating_point(self, power_watts, rho, kernel: InterferenceKernel | None = None) -> OperatingPoint:
+    def operating_point(self, power_watts, rho) -> OperatingPoint:
         """The record of power_watts at split rho: a float or a 1-D array of
         splits, and a float power or an array of powers broadcasting against
-        them, such as an (M, 1) column. The kernel is unit_kernel(rho), built
-        here unless a caller probing one split grid at many powers hands it
-        in; handing it in changes no number."""
+        them, such as an (M, 1) column; every power scales unit_kernel(rho)."""
         beams = self.beams_at(power_watts, rho)
         x = waveform_from_symbols(beams, self.symbols)
         a = self.target_steering
-        if kernel is None:
-            kernel = self.unit_kernel(rho)
-        w = kernel.solve(a * np.vecdot(a.conj(), x)[..., None], power_watts)
+        w = self.unit_kernel(rho).solve(a * np.vecdot(a.conj(), x)[..., None], power_watts)
         mu1, sigma2 = statistic_moments(w, self.alpha0, a, self.clutter, x)
         comm = self.scenario.comm
         gain = af_gain(self.h_sr, beams, comm)

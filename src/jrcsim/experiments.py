@@ -33,13 +33,8 @@ import numpy as np
 from . import __version__
 from .context import KIND_DETECTION, KIND_VALIDATE, build_context, build_scene, stream_id
 from .detection import roc_sweep
-from .power_allocation import (
-    OptimizationResult,
-    _rho_grid,
-    minimize_power,
-    tradeoff_sweep,
-)
-from .radar_sensing import ClutterSteering, average_scnr_curve
+from .power_allocation import OptimizationResult, minimize_power, tradeoff_sweep
+from .radar_sensing import ClutterSteering, InterferenceKernel, average_scnr_curve
 from .scenario import (
     CLUTTER_LEVELS,
     ScenarioConfig,
@@ -134,12 +129,10 @@ _CHECK_BAND = 1.0e-3
 
 @dataclass(frozen=True)
 class SweepTable:
-    """One emitted table: column schema, canonicalized rows, provenance."""
+    """One emitted table: its name, which keys its COLUMNS, and canonicalized rows."""
 
     name: str
-    columns: tuple[tuple[str, type], ...]
     rows: tuple[dict, ...]
-    provenance: dict
 
 
 def _canonical(kind: type, value):
@@ -148,7 +141,7 @@ def _canonical(kind: type, value):
     return canonical_float(value) if kind is float else kind(value)
 
 
-def _table(name: str, scenario: ScenarioConfig, blocks, order) -> SweepTable:
+def _table(name: str, blocks, order) -> SweepTable:
     """The emitted table `name`, with its COLUMNS, from blocks of whole columns.
 
     A block maps each column to one value shared by all of its rows or to a
@@ -168,8 +161,7 @@ def _table(name: str, scenario: ScenarioConfig, blocks, order) -> SweepTable:
         ]
         rows.extend(dict(zip(names, row)) for row in zip(*cells, strict=True))
     rows.sort(key=lambda row: [row[column] for column in order])
-    provenance = {"seed": scenario.seed, "config_hash": config_hash(scenario)}
-    return SweepTable(name, columns, tuple(rows), provenance)
+    return SweepTable(name, tuple(rows))
 
 
 def _resolved_spread(std: float, mean: float) -> float:
@@ -199,7 +191,8 @@ def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: in
     curves = []
     for level in scenario.sweep.clutter_levels:
         clutter = ClutterSteering(scene.clutter.matrix, CLUTTER_LEVELS[level])
-        curves.append((level, average_scnr_curve(clutter, scene.alpha0, scene.target_steering, beams, powers_w)))
+        kernel = InterferenceKernel(clutter, clutter.gains(beams))
+        curves.append((level, average_scnr_curve(kernel, scene.alpha0, scene.target_steering, beams, powers_w)))
     return curves
 
 
@@ -232,8 +225,8 @@ def run_scnr_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
             summary.append({"carrier_ghz": f_ghz, "n_antennas": n, "mean_scnr_db": clear, "error_db": error})
     order = ("power_dbm", "n_antennas", "carrier_ghz", "clutter")
     return [
-        _table("scnr_sweep", scenario, blocks, order),
-        _table("scnr_table", scenario, summary, ("carrier_ghz", "n_antennas")),
+        _table("scnr_sweep", blocks, order),
+        _table("scnr_table", summary, ("carrier_ghz", "n_antennas")),
     ]
 
 
@@ -247,8 +240,9 @@ def _auto_kappa_max(points) -> float:
 
 def _cell_curves(scenario: ScenarioConfig, stream_kind: int, shared_grid: bool):
     """(key columns, roc_sweep arrays) for each (level, power) cell, on the
-    cell's own stream of `stream_kind`. The scene is built once; each level reads its
-    steering matrix with the level's own sigma. Without a configured kappa_max
+    cell's own stream of `stream_kind`. The scene is built once; each level is a
+    context of its own, the steering matrix at the level's sigma, whose one kernel
+    of the split serves all the level's powers. Without a configured kappa_max
     the grid top spans every cell's transition when the grid is shared, else
     the cell's own."""
     det = scenario.detection
@@ -298,7 +292,7 @@ def run_detection_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
     curves = _cell_curves(scenario, KIND_DETECTION, shared_grid=True)
     blocks = [{**curve, **keys, "trials": trials} for keys, curve in curves]
     order = ("kappa", "power_dbm", "clutter")
-    return [_table("detection_sweep", scenario, blocks, order)]
+    return [_table("detection_sweep", blocks, order)]
 
 
 def run_validation(scenario: ScenarioConfig) -> list[SweepTable]:
@@ -311,10 +305,10 @@ def run_validation(scenario: ScenarioConfig) -> list[SweepTable]:
         for block in _validation_blocks(keys, curve, trials)
     ]
     order = ("power_dbm", "clutter", "kappa", "metric")
-    return [_table("validate", scenario, blocks, order)]
+    return [_table("validate", blocks, order)]
 
 
-def _optimum_table(scenario: ScenarioConfig, result: OptimizationResult) -> SweepTable:
+def _optimum_table(result: OptimizationResult) -> SweepTable:
     """The certificate row: the evaluated point, every entry of which already
     sits on the emission grid, or all-empty values when none is feasible."""
     values = dict.fromkeys((name for name, _ in COLUMNS["optimum"]), None)
@@ -325,24 +319,21 @@ def _optimum_table(scenario: ScenarioConfig, result: OptimizationResult) -> Swee
             p_star_dbm=watts_to_dbm(pt.power_watts), p_star_watts=pt.power_watts, rho=pt.rho,
             kappa=pt.kappa, rate_bps_hz=pt.rate_bps_hz, pd=pt.pd, pfa=pt.pfa, scnr_avg=pt.scnr_avg,
         )
-    return _table("optimum", scenario, [values], ())
+    return _table("optimum", [values], ())
 
 
 def run_tradeoff(scenario: ScenarioConfig) -> list[SweepTable]:
-    """Tradeoff sweep plus the power-minimization certificate, on one decomposition of the split grid."""
+    """Tradeoff sweep plus the power-minimization certificate, on one context
+    and so on one decomposition of the split grid."""
     ctx = build_context(scenario)
-    kernel = ctx.unit_kernel(_rho_grid(scenario.optimizer))
-    curve = tradeoff_sweep(ctx, kernel)
+    curve = tradeoff_sweep(ctx)
     block = {**curve, "power_dbm": [watts_to_dbm(p) for p in curve["power_watts"]]}
-    return [
-        _table("tradeoff", scenario, [block], ("power_dbm",)),
-        _optimum_table(scenario, minimize_power(ctx, kernel)),
-    ]
+    return [_table("tradeoff", [block], ("power_dbm",)), _optimum_table(minimize_power(ctx))]
 
 
 def run_optimize(scenario: ScenarioConfig) -> list[SweepTable]:
     """Power minimization alone, emitted as a one-row certificate table."""
-    return [_optimum_table(scenario, minimize_power(build_context(scenario)))]
+    return [_optimum_table(minimize_power(build_context(scenario)))]
 
 
 def _csv_cell(value) -> str:
@@ -356,18 +347,19 @@ def _csv_cell(value) -> str:
 
 
 def _write_csv(table: SweepTable, path: str) -> None:
+    names = [name for name, _ in COLUMNS[table.name]]
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([name for name, _ in table.columns])
+        writer.writerow(names)
         for row in table.rows:
-            writer.writerow([_csv_cell(row[name]) for name, _ in table.columns])
+            writer.writerow([_csv_cell(row[name]) for name in names])
 
 
-def _write_json(table: SweepTable, path: str) -> None:
+def _write_json(table: SweepTable, path: str, provenance: dict) -> None:
     doc = {
         "name": table.name,
-        "provenance": table.provenance,
-        "columns": [name for name, _ in table.columns],
+        "provenance": provenance,
+        "columns": [name for name, _ in COLUMNS[table.name]],
         "records": [dict(row) for row in table.rows],
     }
     with open(path, "w", encoding="ascii") as fh:
@@ -377,22 +369,25 @@ def _write_json(table: SweepTable, path: str) -> None:
 
 def emit_outputs(tables: list[SweepTable], scenario: ScenarioConfig, *, command: str) -> dict[str, str]:
     """Write one file per table plus a run manifest into scenario.output.dir,
-    in scenario.output.format; returns name -> path."""
+    in scenario.output.format; returns name -> path. Every JSON table and the
+    manifest carry the same provenance: the seed and the config hash."""
     out_dir, fmt = scenario.output.dir, scenario.output.format
     os.makedirs(out_dir, exist_ok=True)
-    write = _write_csv if fmt == "csv" else _write_json
+    provenance = {"seed": scenario.seed, "config_hash": config_hash(scenario)}
     written: dict[str, str] = {}
     for table in tables:
         path = os.path.join(out_dir, f"{table.name}.{fmt}")
-        write(table, path)
+        if fmt == "csv":
+            _write_csv(table, path)
+        else:
+            _write_json(table, path, provenance)
         written[table.name] = path
     manifest = {
         "command": command,
-        "config_hash": config_hash(scenario),
         "files": {name: os.path.basename(path) for name, path in written.items()},
         "format": fmt,
-        "seed": scenario.seed,
         "version": __version__,
+        **provenance,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w", encoding="ascii") as fh:

@@ -26,8 +26,9 @@ limit, and whether the constraint set is jointly satisfiable there. Both take
 a context; evaluate_point also builds one from a scenario.
 
 Power enters the interference covariance as one scale, W(P) = I + P M(rho),
-so each call decomposes its split grid once, at unit power, and every power
-it probes scales that one kernel. The coarse walk and each bisection probe
+so the context decomposes each split grid once, at unit power
+(SimulationContext.unit_kernel), and every power any call probes on that
+grid scales that one kernel. The coarse walk and each bisection probe
 decide from per-split closed forms in P (_SplitForms), terms of O(L) and
 O(L^2) numbers per split with no beams, waveform or beamformer. An entry
 within a relative _BAND of the rate or deflection threshold, or whose
@@ -35,7 +36,7 @@ rounding estimate is too large, takes the OperatingPoint record of its
 power row, so every decision is the record's; the walk counts, and breaks
 ties, as a power-by-power, split-by-split scan of the record does.
 tradeoff_sweep stacks every grid power in one record and runs the closed
-forms once on the columns of each row's chosen splits; evaluate_point runs
+forms once on the column of each row's sharpest split; evaluate_point runs
 them on its one record.
 """
 
@@ -53,7 +54,7 @@ from .detection import (
     false_alarm_probability,
     false_alarm_threshold,
 )
-from .radar_sensing import InterferenceKernel, average_scnr_curve, waveform_from_symbols
+from .radar_sensing import average_scnr_curve, waveform_from_symbols
 from .scenario import ScenarioConfig, TargetsSection, dbm_to_watts, watts_to_dbm
 from .stats import canonical_ceil, canonical_float, inverse_q
 
@@ -136,14 +137,14 @@ class _SplitForms:
     + sum |q|^2 f^2 + sigma_c^2 P sum_l |d_l|^2 |e_l + sum_j conj(q_j) f_j G_jl|^2;
     the SINRs are ratios of terms affine in P."""
 
-    def __init__(self, ctx: SimulationContext, rhos: np.ndarray, kernel: InterferenceKernel | None = None):
-        self.ctx, self.rhos, self.kernel = ctx, rhos, ctx.unit_kernel(rhos) if kernel is None else kernel
+    def __init__(self, ctx: SimulationContext, rhos: np.ndarray):
+        self.ctx, self.rhos, kernel = ctx, rhos, ctx.unit_kernel(rhos)
         targets, comm, a, b = ctx.scenario.targets, ctx.scenario.comm, ctx.target_steering, ctx.clutter.matrix
         self.threshold, self.floor = rate_threshold(targets.rate_bps_hz), _deflection_floor(targets)
-        (r, q), x = self.kernel._split(a), waveform_from_symbols(ctx.beams_at(1.0, rhos), ctx.symbols)
-        cc, self.dd = np.abs(x @ a) ** 2, np.abs(x @ b) ** 2
+        (r, q), x = kernel._split(a), waveform_from_symbols(ctx.beams_at(1.0, rhos), ctx.symbols)
+        cc, self.dd, self.lam = np.abs(x @ a) ** 2, np.abs(x @ b) ** 2, kernel._lam
         self.rr, self.qq = np.sum(np.abs(r) ** 2, axis=-1), np.abs(q) ** 2
-        self.q, self.e, self.g = q.conj(), r.conj() @ b, self.kernel._vecs.conj().swapaxes(-1, -2) @ b
+        self.q, self.e, self.g = q.conj(), r.conj() @ b, kernel._vecs.conj().swapaxes(-1, -2) @ b
         self.gain = 2.0 * abs(ctx.alpha0) ** 2 * cc  # deflection^2 = gain P Q_1^2 / Q_2; live where > 0
         # a dot product with a steering vector rounds by sqrt(N) eps per unit norm of its other factor
         self.n, x_scale = a.size, math.sqrt(a.size) * np.linalg.norm(x, axis=-1)
@@ -162,7 +163,7 @@ class _SplitForms:
         relative rounding error at power_watts (a float or an (M, 1) column)."""
         p, (s, i, noise, t, j, k) = np.asarray(power_watts, dtype=float), self.link
         gamma = p * s / (p * i + noise) + p * t / (p * j + k)
-        f = 1.0 / (1.0 + p[..., None] * self.kernel._lam)
+        f = 1.0 / (1.0 + p[..., None] * self.lam)
         q1, w2 = self.rr + np.vecdot(f, self.qq), self.rr + np.vecdot(f * f, self.qq)
         tt = np.abs(self.e + ((self.q * f)[..., None, :] @ self.g)[..., 0, :]) ** 2
         scale = self.ctx.clutter.sigma * self.ctx.clutter.sigma * p
@@ -174,17 +175,13 @@ class _SplitForms:
         return gamma, np.sqrt(self.gain * p / q2) * q1, _EPS * error
 
 
-def _first_feasible(
-    ctx: SimulationContext, power_watts, rhos: np.ndarray, kernel: InterferenceKernel | _SplitForms | None = None
-) -> tuple[int | None, int]:
+def _first_feasible(forms: _SplitForms, power_watts) -> tuple[int | None, int]:
     """The flat index of the first feasible entry of the record at
-    power_watts over rhos, if any, and the entries scanned up to and
-    including it (all of them when none is). An (M, 1) column of ascending
-    powers is scanned power by power, so the index is power-major. The
-    kernel is ctx.unit_kernel(rhos), built here unless handed in, or the
-    split forms of it that a caller probing many powers reuses. A power row
-    with an entry the forms leave undecided takes the record's mask."""
-    forms = kernel if isinstance(kernel, _SplitForms) else _SplitForms(ctx, rhos, kernel)
+    power_watts over the forms' splits, if any, and the entries scanned up
+    to and including it (all of them when none is). An (M, 1) column of
+    ascending powers is scanned power by power, so the index is power-major.
+    A power row with an entry the forms leave undecided takes the record's
+    mask."""
     gamma, deflection, error = forms(power_watts)
     ok = np.atleast_2d((gamma >= forms.threshold) & (forms.gain > 0.0) & (deflection >= forms.floor))
     near = ~(_SAFETY * error <= _BAND / 1000.0) | (abs(gamma - forms.threshold) <= _BAND * forms.threshold)
@@ -193,8 +190,8 @@ def _first_feasible(
     for m in np.flatnonzero(near.reshape(ok.shape).any(axis=-1)):
         if ok[:m].any():
             break
-        point = ctx.operating_point(float(np.reshape(power_watts, -1)[m]), rhos, forms.kernel)
-        ok[m] = _feasible(point, ctx.scenario.targets)
+        point = forms.ctx.operating_point(float(np.reshape(power_watts, -1)[m]), forms.rhos)
+        ok[m] = _feasible(point, forms.ctx.scenario.targets)
     i = int(np.argmax(ok)) if ok.any() else None
     return (None, ok.size) if i is None else (i, i + 1)
 
@@ -208,21 +205,20 @@ def evaluate_point(
     """Audit one operating triple at a positive power against the scenario's
     targets: build its record, then check every target. A kappa of None takes
     the record's false-alarm threshold rounded up onto the 9-significant-digit
-    emission grid, the threshold a certificate prints. One unit-power
-    decomposition of the split serves both the record and the averaged SCNR."""
+    emission grid, the threshold a certificate prints. The context's one
+    unit-power kernel of the split serves both the record and the averaged SCNR."""
     ctx = scenario if isinstance(scenario, SimulationContext) else build_context(scenario)
     targets = ctx.scenario.targets
     if not power_watts > 0.0:
         raise ValueError(f"power must be positive, got {power_watts}")
-    kernel = ctx.unit_kernel(rho)
-    point = ctx.operating_point(power_watts, rho, kernel)
+    point = ctx.operating_point(power_watts, rho)
     moments = point.mu1_abs, point.sigma2
     if kappa is None:
         kappa = canonical_ceil(false_alarm_threshold(*moments, targets.pfa_max))
     pfa, pd = float(false_alarm_probability(*moments, kappa)), float(detection_probability(*moments, kappa))
     spent = float(sum(np.vdot(beam, beam).real for beam in point.beams))
     a, unit_beams = ctx.target_steering, ctx.beams_at(1.0, rho)
-    scnr_avg = average_scnr_curve(ctx.clutter, ctx.alpha0, a, unit_beams, [power_watts], kernel)[0]
+    scnr_avg = average_scnr_curve(ctx.unit_kernel(rho), ctx.alpha0, a, unit_beams, [power_watts])[0]
     return EvaluatedPoint(
         power_watts=power_watts,
         rho=rho,
@@ -258,18 +254,17 @@ def _certificate(ctx: SimulationContext, power_watts: float, rho: float) -> tupl
     return None, evaluations
 
 
-def minimize_power(ctx: SimulationContext, kernel: InterferenceKernel | None = None) -> OptimizationResult:
+def minimize_power(ctx: SimulationContext) -> OptimizationResult:
     """Smallest power whose best (rho, kappa) satisfies every target of the
-    context's scenario. The kernel is ctx.unit_kernel of the split grid, built
-    here unless handed in."""
+    context's scenario."""
     scenario, opt = ctx.scenario, ctx.scenario.optimizer
     powers = np.geomspace(
         dbm_to_watts(scenario.power.min_dbm), dbm_to_watts(scenario.targets.p_max_dbm), opt.power_points
     )
     rhos = _rho_grid(opt)
-    forms = _SplitForms(ctx, rhos, kernel)
+    forms = _SplitForms(ctx, rhos)  # reduced once; every probe of the search reads it
 
-    first, evaluations = _first_feasible(ctx, powers[:, None], rhos, forms)
+    first, evaluations = _first_feasible(forms, powers[:, None])
     if first is None:
         return OptimizationResult(None, evaluations)
     i, k = divmod(first, len(rhos))
@@ -281,7 +276,7 @@ def minimize_power(ctx: SimulationContext, kernel: InterferenceKernel | None = N
             mid = math.sqrt(lo * hi)
             if not lo < mid < hi:
                 break  # the bracket is as narrow as floats allow
-            k, n = _first_feasible(ctx, mid, rhos, forms)
+            k, n = _first_feasible(forms, mid)
             evaluations += n
             if k is not None:
                 hi, rho_star = mid, float(rhos[k])
@@ -291,43 +286,42 @@ def minimize_power(ctx: SimulationContext, kernel: InterferenceKernel | None = N
     return OptimizationResult(point, evaluations + n)
 
 
-def _tradeoff_record(ctx: SimulationContext, powers: np.ndarray, rhos: np.ndarray, kernel=None) -> dict:
+def _tradeoff_record(ctx: SimulationContext, powers: np.ndarray, rhos: np.ndarray) -> dict:
     """The tradeoff rows of a 1-D array of powers, as arrays keyed by
-    tradeoff_sweep's columns, from one record over powers x splits. Each row
-    takes the rate of its fastest split and kappa_fa, P_D and P_FA at its
+    tradeoff_sweep's columns, from one record over powers x ascending splits.
+    Each row takes the rate of its first split and kappa_fa, P_D and P_FA at its
     live split of largest deflection, in one closed-form call per column; a
     row with no live split reads rho = rhos[0] and kappa = P_D = P_FA = 0."""
     targets = ctx.scenario.targets
-    point = ctx.operating_point(powers[:, None], rhos, kernel)
-    gamma_sum = point.gamma_direct + point.gamma_relayed
+    point = ctx.operating_point(powers[:, None], rhos)
     live = point.mu1_abs > 0.0
-    # the rate is log2(1 + gamma_sum), so the best rate sits at the largest sum;
     # P_D at the false-alarm threshold grows with the deflection; argmax takes
     # the first maximum, so ties go to the smallest rho, and a row with no
     # live split to rhos[0]
-    fastest = np.argmax(1.0 + gamma_sum, axis=-1, keepdims=True)
     sharpest = np.argmax(np.where(live, point.deflection, -np.inf), axis=-1, keepdims=True)
     on = live.any(axis=-1)
     mu1_abs, sigma2 = (np.take_along_axis(m, sharpest, -1)[on, 0] for m in (point.mu1_abs, point.sigma2))
     kappa, pd, pfa = np.zeros((3, powers.size))
     kappa[on] = k = false_alarm_threshold(mu1_abs, sigma2, targets.pfa_max)
     pd[on], pfa[on] = detection_probability(mu1_abs, sigma2, k), false_alarm_probability(mu1_abs, sigma2, k)
-    rate = mrc_rate(*(np.take_along_axis(g, fastest, -1)[:, 0] for g in (point.gamma_direct, point.gamma_relayed)))
+    # gamma_sd + gamma_rd falls strictly in rho (so the rate does too), and the
+    # grid starts at rho = 0 or is the one fixed split: the fastest is column 0
+    rate = mrc_rate(point.gamma_direct[:, 0], point.gamma_relayed[:, 0])
     return {
         "power_watts": powers, "rho": rhos[sharpest[:, 0]], "kappa": kappa,
         "rate_bps_hz": rate, "pd": pd, "pfa": pfa, "feasible": _feasible(point, targets).any(axis=-1),
     }
 
 
-def tradeoff_sweep(ctx: SimulationContext, kernel: InterferenceKernel | None = None) -> dict[str, np.ndarray]:
+def tradeoff_sweep(ctx: SimulationContext) -> dict[str, np.ndarray]:
     """Best rate, best guarded detection and joint feasibility at each power of
     the scenario's dBm grid, from its floor to the ceiling, as arrays over
     ascending power keyed power_watts, rho, kappa, rate_bps_hz, pd, pfa and
-    feasible. The kernel is as minimize_power's."""
+    feasible."""
     sc = ctx.scenario
     # the grid tops out at the ceiling read back from watts, which can differ
     # from p_max_dbm in the last bit; the tables are built on that grid
     p_max_dbm = watts_to_dbm(dbm_to_watts(sc.targets.p_max_dbm))
     grid_dbm = np.linspace(sc.power.min_dbm, p_max_dbm, sc.power.points)
     powers = np.array([float(dbm_to_watts(p)) for p in grid_dbm])
-    return _tradeoff_record(ctx, powers, _rho_grid(sc.optimizer), kernel)
+    return _tradeoff_record(ctx, powers, _rho_grid(sc.optimizer))

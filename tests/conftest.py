@@ -1,9 +1,11 @@
-"""Shared fixtures: the default scenario and a fast reduced variant."""
+"""Shared fixtures: the default scenario, a fast reduced variant, and call counts."""
 
 import dataclasses
 
 import pytest
 
+import jrcsim.power_allocation as power_allocation
+import jrcsim.radar_sensing as radar_sensing
 from jrcsim.context import build_context
 from jrcsim.radar_sensing import ClutterSteering
 from jrcsim.scenario import ScenarioConfig
@@ -17,6 +19,27 @@ def default_scenario():
 @pytest.fixture(scope="session")
 def default_context(default_scenario):
     return build_context(default_scenario)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Running counts of kernel decompositions (SVDs) and evaluate_point audits.
+    A context keeps each split's kernel once made, so a count is only
+    meaningful on a context built inside the counting test."""
+    counts = {"svd": 0, "evaluate_point": 0}
+    svd, audit = radar_sensing.np.linalg.svd, power_allocation.evaluate_point
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_audit(*args, **kwargs):
+        counts["evaluate_point"] += 1
+        return audit(*args, **kwargs)
+
+    monkeypatch.setattr(radar_sensing.np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(power_allocation, "evaluate_point", counted_audit)
+    return counts
 
 
 def at_sigma(ctx, sigma):

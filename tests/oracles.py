@@ -22,7 +22,7 @@ import scipy.linalg
 from jrcsim.array_geometry import array_constants, element_index_offsets, steering_matrix, steering_vector
 from jrcsim.detection import _null_blocks
 from jrcsim.experiments import COLUMNS
-from jrcsim.radar_sensing import ClutterSteering, average_scnr_curve
+from jrcsim.radar_sensing import ClutterSteering, InterferenceKernel, average_scnr_curve
 from jrcsim.scenario import ArraySection
 from jrcsim.stats import inverse_q, q_function
 
@@ -104,7 +104,8 @@ def average_scnr(clutter: ClutterSteering, beams: np.ndarray, alpha0: complex, a
 
     With A = a a^T the trace factors into (a^H W^-1 a)(a^T R_x conj(a)).
     """
-    return float(average_scnr_curve(clutter, alpha0, a_target, beams, [1.0])[0])
+    kernel = InterferenceKernel(clutter, clutter.gains(beams))
+    return float(average_scnr_curve(kernel, alpha0, a_target, beams, [1.0])[0])
 
 
 def radar_snapshot_batch(

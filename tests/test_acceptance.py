@@ -37,6 +37,7 @@ from jrcsim.experiments import (
     run_validation,
 )
 from jrcsim.power_allocation import (
+    _SplitForms,
     _first_feasible,
     _rho_grid,
     evaluate_point,
@@ -291,7 +292,7 @@ class TestAcceptance:
         )
         rhos = _rho_grid(opt)
         flags = [
-            _first_feasible(ctx, float(p), rhos)[0] is not None for p in powers
+            _first_feasible(_SplitForms(ctx, rhos), float(p))[0] is not None for p in powers
         ]
         first = flags.index(True)
         bracketed = (
@@ -301,7 +302,7 @@ class TestAcceptance:
         )
 
         tol = opt.tol_factor * p_max
-        below = _first_feasible(ctx, p_star - 10.0 * tol, rhos)[0] is None
+        below = _first_feasible(_SplitForms(ctx, rhos), p_star - 10.0 * tol)[0] is None
         elapsed = time.perf_counter() - start
         report(
             "minimum transmit power is feasible, re-validates, brackets the exhaustive "

@@ -208,3 +208,30 @@ class TestBeamsAndWaveform:
         assert x == pytest.approx(expected, rel=1e-12)
         assert np.array_equal(x, ctx.operating_point(dbm_to_watts(30.0), 0.5).x)
         assert np.array_equal(x, waveform_from_symbols(beams, ctx.symbols))
+
+
+class TestUnitKernel:
+    """A context decomposes each split, or split grid, once and hands the same
+    kernel to every later call; a context made from it by dataclasses.replace,
+    as at_sigma and each detection level make one, starts with none."""
+
+    def test_one_kernel_per_split(self, default_scenario):
+        ctx, rhos = build_context(default_scenario), np.linspace(0.0, 1.0, 5)
+        kernel = ctx.unit_kernel(rhos)
+        assert ctx.unit_kernel(rhos.copy()) is kernel
+        assert ctx.unit_kernel(0.5) is ctx.unit_kernel(np.float64(0.5)) is not kernel
+        # one split and the one-split grid of it differ in shape, so in kernel
+        assert ctx.unit_kernel(np.array([0.5])) is not ctx.unit_kernel(0.5)
+
+    def test_a_replaced_context_decomposes_its_own_sigma(self, default_scenario):
+        ctx, rhos = build_context(default_scenario), np.linspace(0.0, 1.0, 5)
+        warm, sigma = ctx.unit_kernel(rhos), ctx.clutter.sigma
+        for s in (0.5 * sigma, 3.0 * sigma):
+            kernel = at_sigma(ctx, s).unit_kernel(rhos)
+            assert kernel is not warm
+            # the gains, and so the eigenvalues, scale by (s / sigma)^2
+            scale = (s / sigma) ** 2
+            assert np.allclose(kernel._lam, scale * warm._lam, rtol=1e-12, atol=1e-12 * scale * warm._lam.max())
+            fresh = at_sigma(build_context(default_scenario), s).unit_kernel(rhos)
+            assert np.array_equal(kernel._lam, fresh._lam) and np.array_equal(kernel._vecs, fresh._vecs)
+        assert ctx.unit_kernel(rhos) is warm

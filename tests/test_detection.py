@@ -550,9 +550,9 @@ class TestDegenerateCells:
             assert np.array_equal(curve["pd_mc"], expected)
         # the detection-sweep row and the validate rows of one threshold
         # report the same numbers
-        sc, keys = ctx.scenario, {"power_dbm": 30.0, "clutter": "intense"}
-        detection = _table("detection_sweep", sc, [{**curve, **keys, "trials": self.TRIALS}], ()).rows
-        report = _table("validate", sc, _validation_blocks(keys, curve, self.TRIALS), ())
+        keys = {"power_dbm": 30.0, "clutter": "intense"}
+        detection = _table("detection_sweep", [{**curve, **keys, "trials": self.TRIALS}], ()).rows
+        report = _table("validate", _validation_blocks(keys, curve, self.TRIALS), ())
         validate = {(r["kappa"], r["metric"]): r for r in report.rows}
         assert len(detection) == kappas.size and len(validate) == 2 * kappas.size
         for row in detection:

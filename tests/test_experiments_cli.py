@@ -114,10 +114,10 @@ class TestCanonicalFloat:
 
 
 class TestScnrSweep:
-    def test_shape_and_order(self, fast_scenario, scnr_run):
+    def test_shape_and_order(self, fast_scenario, scnr_run, tmp_path):
         sweep, summary = scnr_run
         assert sweep.name == "scnr_sweep"
-        assert [name for name, _ in sweep.columns] == [name for name, _ in COLUMNS["scnr_sweep"]]
+        assert list(sweep.rows[0]) == [name for name, _ in COLUMNS["scnr_sweep"]]
         sc = fast_scenario
         expected = (
             sc.power.points
@@ -132,7 +132,8 @@ class TestScnrSweep:
         assert keys == sorted(keys)
         assert all(r["realizations"] == sc.sweep.realizations for r in sweep.rows)
         assert all(r["scnr_db_std"] >= 0.0 for r in sweep.rows)
-        assert sweep.provenance == {"seed": sc.seed, "config_hash": config_hash(sc)}
+        with open(emit_into(scnr_run, sc, tmp_path, "json")["scnr_sweep"], encoding="ascii") as fh:
+            assert json.load(fh)["provenance"] == {"seed": sc.seed, "config_hash": config_hash(sc)}
 
     def test_clutter_free_cells_have_no_spread(self, scnr_run):
         # with no clutter only the target phase changes per realization,
@@ -171,7 +172,7 @@ class TestScnrSweep:
     def test_summary_reduces_the_per_power_means(self, fast_scenario, scnr_run):
         sweep, summary = scnr_run
         assert summary.name == "scnr_table"
-        assert [name for name, _ in summary.columns] == [name for name, _ in COLUMNS["scnr_table"]]
+        assert list(summary.rows[0]) == [name for name, _ in COLUMNS["scnr_table"]]
         assert len(summary.rows) == len(fast_scenario.sweep.antennas) * len(
             fast_scenario.sweep.carriers_ghz
         )
@@ -242,7 +243,8 @@ def _oracle_level_curves(sc, n, f_ghz, pair_index, powers_w):
             scene = build_context(cell, scene_key=(pair_index << 24) | r)
             ctx = at_sigma(scene, CLUTTER_LEVELS[level])
             beams = ctx.beams_at(1.0, sc.power.rho)
-            curves.append(average_scnr_curve(ctx.clutter, ctx.alpha0, ctx.target_steering, beams, powers_w))
+            kernel = ctx.unit_kernel(sc.power.rho)
+            curves.append(average_scnr_curve(kernel, ctx.alpha0, ctx.target_steering, beams, powers_w))
         out.append((level, np.array(curves)))
     return out
 
@@ -352,7 +354,7 @@ class TestTradeoffAndOptimize:
         sweep, optimum = tradeoff_run
         assert sweep.name == "tradeoff"
         assert optimum.name == "optimum"
-        assert [name for name, _ in sweep.columns] == [name for name, _ in COLUMNS["tradeoff"]]
+        assert list(sweep.rows[0]) == [name for name, _ in COLUMNS["tradeoff"]]
         assert len(sweep.rows) == fast_scenario.power.points
         powers = [r["power_dbm"] for r in sweep.rows]
         assert powers == sorted(powers)
@@ -405,7 +407,7 @@ class TestTradeoffAndOptimize:
         )
         tables = run_optimize(pinched)
         (row,) = tables[0].rows
-        assert [name for name, _ in tables[0].columns] == [name for name, _ in COLUMNS["optimum"]]
+        assert list(row) == [name for name, _ in COLUMNS["optimum"]]
         assert row["feasible"] is False
         for key in ("p_star_dbm", "p_star_watts", "rho", "kappa", "rate_bps_hz", "pd", "pfa", "scnr_avg"):
             assert row[key] is None
@@ -425,7 +427,7 @@ class TestTableTypes:
         names = ["scnr_sweep", "scnr_table", "detection_sweep", "tradeoff", "optimum", "optimum", "validate"]
         assert [table.name for table in tables] == names
         for table in tables:
-            kinds = dict(table.columns)
+            kinds = dict(COLUMNS[table.name])
             assert table.rows
             for row in table.rows:
                 for name, value in row.items():
@@ -433,7 +435,7 @@ class TestTableTypes:
         # NumPy scalars of every kind, shared or per row, become Python values
         monkeypatch.setitem(COLUMNS, "kinds", (("x", float), ("n", int), ("flag", bool), ("label", str)))
         block = {"x": np.float32(0.5), "n": np.arange(2), "flag": np.array([True, False]), "label": np.str_("a")}
-        rows = _table("kinds", fast_scenario, [block], ()).rows
+        rows = _table("kinds", [block], ()).rows
         assert [[type(v) for v in row.values()] for row in rows] == [[float, int, bool, str]] * 2
 
 
@@ -441,7 +443,7 @@ class TestValidation:
     def test_shape_and_order(self, fast_scenario, validation_run):
         (table,) = validation_run
         assert table.name == "validate"
-        assert [name for name, _ in table.columns] == [name for name, _ in COLUMNS["validate"]]
+        assert list(table.rows[0]) == [name for name, _ in COLUMNS["validate"]]
         det = fast_scenario.detection
         cells = len(det.powers_dbm) * len(det.clutter_levels)
         assert len(table.rows) == cells * det.kappa_points * 2
@@ -502,7 +504,11 @@ class TestEmission:
             doc = json.load(fh)
         assert doc["name"] == "detection_sweep"
         assert doc["columns"] == [name for name, _ in COLUMNS["detection_sweep"]]
-        assert doc["provenance"] == detection_run[0].provenance
+        with open(json_files["manifest"], encoding="ascii") as fh:
+            manifest = json.load(fh)
+        # one provenance per run: every table carries the manifest's seed and hash
+        assert doc["provenance"] == {"seed": manifest["seed"], "config_hash": manifest["config_hash"]}
+        assert doc["provenance"] == {"seed": fast_scenario.seed, "config_hash": config_hash(fast_scenario)}
         assert doc["records"] == parse_table_csv(csv_files["detection_sweep"], "detection_sweep")
 
     def test_nulls_round_trip_through_both_formats(self, fast_scenario, tmp_path):

@@ -22,7 +22,7 @@ from jrcsim.detection import (
     false_alarm_threshold,
     statistic_moments,
 )
-from jrcsim.experiments import _optimum_table, emit_outputs, run_tradeoff
+from jrcsim.experiments import _optimum_table, emit_outputs, run_detection_sweep, run_tradeoff, run_validation
 from jrcsim.power_allocation import (
     _BAND,
     _SAFETY,
@@ -55,7 +55,7 @@ def fast_context(fast_scenario):
 
 def feasible_split(ctx, power_watts):
     """The split search at one power on the scenario's own targets and grids."""
-    return _first_feasible(ctx, power_watts, _rho_grid(ctx.scenario.optimizer))[0]
+    return _first_feasible(_SplitForms(ctx, _rho_grid(ctx.scenario.optimizer)), power_watts)[0]
 
 
 def with_targets(ctx, **targets):
@@ -500,14 +500,14 @@ class TestBatchedSplitSearch:
         sc, power = search
         ctx = build_context(sc)
         rhos = _rho_grid(sc.optimizer)
-        assert _first_feasible(ctx, power, rhos) == _oracle_first_feasible(ctx, power, rhos)
+        assert _first_feasible(_SplitForms(ctx, rhos), power) == _oracle_first_feasible(ctx, power, rhos)
         record = first_row(_tradeoff_record(ctx, np.array([power]), rhos))
         assert record == _oracle_tradeoff_record(ctx, power, rhos)
 
     def test_a_silent_target_leaves_no_split_live(self, fast_context):
         ctx = dataclasses.replace(fast_context, alpha0=0.0)
         rhos = np.linspace(0.0, 1.0, 4)
-        assert _first_feasible(ctx, 2.0, rhos) == (None, 4)
+        assert _first_feasible(_SplitForms(ctx, rhos), 2.0) == (None, 4)
         record = first_row(_tradeoff_record(ctx, np.array([2.0]), rhos))
         assert record == _oracle_tradeoff_record(ctx, 2.0, rhos)
         assert (record["rho"], record["kappa"], record["pd"], record["pfa"]) == (0.0, 0.0, 0.0, 0.0)
@@ -525,11 +525,11 @@ class TestBatchedSplitSearch:
         # vacuous targets make every split feasible at its threshold
         ctx = with_targets(fast_context, rate_bps_hz=0.0, pfa_max=0.5, pd_min=0.0, p_max_dbm=60.0)
         rhos = np.linspace(0.0, 1.0, 5)
-        assert _first_feasible(ctx, 2.0, rhos) == (0, 1)
+        assert _first_feasible(_SplitForms(ctx, rhos), 2.0) == (0, 1)
         # a repeated split ties with itself; the first copy is reported
-        twice = np.array([0.5, 0.5, 0.25])
+        twice = np.array([0.25, 0.5, 0.5])
         deflection = fast_context.operating_point(2.0, twice).deflection
-        assert deflection[0] == deflection[1] > deflection[2]
+        assert deflection[1] == deflection[2] > deflection[0]
         record = first_row(_tradeoff_record(ctx, np.array([2.0]), twice))
         assert record == _oracle_tradeoff_record(ctx, 2.0, twice)
         assert record["rho"] == 0.5
@@ -551,7 +551,7 @@ class TestBatchedSplitSearch:
         assert floor == deflection
         ctx = with_targets(fast_context, rate_bps_hz=0.0, pfa_max=cap, pd_min=0.5, p_max_dbm=60.0)
         assert inverse_q(cap) - inverse_q(0.5) == deflection
-        assert _first_feasible(ctx, power, rho)[0] is not None
+        assert _first_feasible(_SplitForms(ctx, rho), power)[0] is not None
         assert _tradeoff_record(ctx, np.array([power]), rho)["feasible"][0]
 
 
@@ -572,7 +572,7 @@ def _same_bits(a, b):
 def _oracle_coarse_walk(ctx, powers, rhos):
     evaluations = 0
     for i, p in enumerate(powers):
-        k, n = _first_feasible(ctx, float(p), rhos)
+        k, n = _first_feasible(_SplitForms(ctx, rhos), float(p))
         evaluations += n
         if k is not None:
             return i * len(rhos) + k, evaluations
@@ -613,15 +613,18 @@ class TestStackedPowers:
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(power_stacks())
-    def test_a_handed_in_kernel_changes_no_number(self, stack):
+    def test_a_warm_kernel_changes_no_number(self, stack):
+        # a record built on a context that already holds the split's kernel is
+        # the record of a freshly built context, and so is the tradeoff row
         sc, powers = stack
-        ctx = build_context(sc)
-        rhos = _rho_grid(sc.optimizer)
-        kernel = ctx.unit_kernel(rhos)
+        warm, rhos = build_context(sc), _rho_grid(sc.optimizer)
+        warm.unit_kernel(rhos)
         for p in (powers[:, None], float(powers[0])):
-            built, handed = ctx.operating_point(p, rhos), ctx.operating_point(p, rhos, kernel)
+            point, fresh = warm.operating_point(p, rhos), build_context(sc).operating_point(p, rhos)
             for name in _RECORD_FIELDS:
-                assert _same_bits(getattr(built, name), getattr(handed, name)), name
+                assert _same_bits(getattr(point, name), getattr(fresh, name)), name
+        record, fresh = (_tradeoff_record(ctx, powers, rhos) for ctx in (warm, build_context(sc)))
+        assert all(_same_bits(record[name], fresh[name]) for name in record)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(coarse_walks())
@@ -629,52 +632,42 @@ class TestStackedPowers:
         sc, powers = walk
         ctx = build_context(sc)
         rhos = _rho_grid(sc.optimizer)
-        walked = _first_feasible(ctx, powers[:, None], rhos, ctx.unit_kernel(rhos))
+        walked = _first_feasible(_SplitForms(ctx, rhos), powers[:, None])
         assert walked == _oracle_coarse_walk(ctx, powers, rhos)
 
 
 class TestOneDecompositionPerSplitGrid:
-    """The optimizer decomposes its split grid once and scales that kernel at
-    every power; only each certificate candidate decomposes its own split."""
+    """A context decomposes each split, or split grid, once and scales that
+    kernel at every power: the optimizer's walk and bisection share the grid's,
+    and the certificate's audits share the one of their split. Each test
+    counts on a context of its own, since a shared one holds its kernels."""
 
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        import jrcsim.power_allocation as power_allocation
-        import jrcsim.radar_sensing as radar_sensing
-
-        counts = {"svd": 0, "evaluate_point": 0}
-        svd, audit = radar_sensing.np.linalg.svd, power_allocation.evaluate_point
-
-        def counted_svd(*args, **kwargs):
-            counts["svd"] += 1
-            return svd(*args, **kwargs)
-
-        def counted_audit(*args, **kwargs):
-            counts["evaluate_point"] += 1
-            return audit(*args, **kwargs)
-
-        monkeypatch.setattr(radar_sensing.np.linalg, "svd", counted_svd)
-        monkeypatch.setattr(power_allocation, "evaluate_point", counted_audit)
-        return counts
-
-    def test_minimize_power(self, default_context, counts):
-        result = minimize_power(default_context)
+    def test_minimize_power(self, default_scenario, counts):
+        result = minimize_power(build_context(default_scenario))
         assert result.feasible and counts["evaluate_point"] >= 1
-        assert counts["svd"] == 1 + counts["evaluate_point"]
+        assert counts["svd"] == 2
 
-    def test_tradeoff_sweep(self, default_context, counts):
-        tradeoff_sweep(default_context)
+    def test_tradeoff_sweep(self, default_scenario, counts):
+        tradeoff_sweep(build_context(default_scenario))
         assert counts["svd"] == 1
 
-    def test_evaluate_point(self, default_context, counts):
-        evaluate_point(default_context, 2.0, 0.5, None)
+    def test_evaluate_point(self, default_scenario, counts):
+        ctx = build_context(default_scenario)
+        evaluate_point(ctx, 2.0, 0.5, None)
+        evaluate_point(ctx, 3.0, 0.5, None)
         assert counts["svd"] == 1
 
     def test_run_tradeoff(self, default_scenario, counts):
         # the sweep and the search share one kernel of the split grid
         run_tradeoff(default_scenario)
         assert counts["evaluate_point"] >= 1
-        assert counts["svd"] == 1 + counts["evaluate_point"]
+        assert counts["svd"] == 2
+
+    @pytest.mark.parametrize("runner", [run_detection_sweep, run_validation])
+    def test_one_per_clutter_level(self, default_scenario, counts, runner):
+        # every power of a level scales that level's one kernel of the split
+        runner(default_scenario)
+        assert counts["svd"] == len(default_scenario.detection.clutter_levels) == 2
 
 
 # The split search decides each entry from per-split closed forms in P and
@@ -695,7 +688,7 @@ class TestSplitForms:
         rhos = _rho_grid(sc.optimizer)
         forms = _SplitForms(ctx, rhos)
         gamma, deflection, error = forms(powers[:, None])
-        point = ctx.operating_point(powers[:, None], rhos, forms.kernel)
+        point = ctx.operating_point(powers[:, None], rhos)
         bound = _BAND / 1000.0
         gamma_sum = point.gamma_direct + point.gamma_relayed
         assert np.all(np.abs(gamma - gamma_sum) <= bound * gamma_sum)
@@ -753,7 +746,7 @@ class TestNearTies:
 
     def _check(self, ctx, power, rhos, forms_say):
         """The search's answer is the record's; returns whether the forms alone would have differed."""
-        answer = _first_feasible(ctx, power, rhos)
+        answer = _first_feasible(_SplitForms(ctx, rhos), power)
         assert answer == _oracle_first_feasible(ctx, power, rhos)
         return forms_say != (answer[0] is not None)
 
@@ -820,7 +813,7 @@ class TestOptimizerProperties:
     def test_emitted_certificate_revalidates(self, tmp_path_factory, sc):
         result = minimize_power(build_context(sc))
         sc = dataclasses.replace(sc, output=dataclasses.replace(sc.output, dir=str(tmp_path_factory.mktemp("optimum"))))
-        written = emit_outputs([_optimum_table(sc, result)], sc, command="optimize")
+        written = emit_outputs([_optimum_table(result)], sc, command="optimize")
         (row,) = parse_table_csv(written["optimum"], "optimum")
         assert row["feasible"] is result.feasible
         if result.feasible:

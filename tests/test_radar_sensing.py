@@ -283,7 +283,7 @@ class TestInterferenceKernel:
         _, clutter, a, comm, radar, rho, _ = point
         powers = 10.0 ** np.array(exponents)
         unit = np.vstack((np.sqrt(1.0 - rho) * comm, np.sqrt(rho) * radar))
-        batched = average_scnr_curve(clutter, ALPHA0, a, unit, powers)
+        batched = average_scnr_curve(InterferenceKernel(clutter, clutter.gains(unit)), ALPHA0, a, unit, powers)
         assert batched.shape == powers.shape
         for p, got in zip(powers, batched):
             single = average_scnr(clutter, split_beams(comm, radar, rho, p), ALPHA0, a)
