@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array_geometry import array_constants, separation, steering_matrix, steering_vector
+from .array_geometry import separation, steering_matrix, steering_vector
 from .comm_link import af_gain, sinr_direct, sinr_relayed
 from .propagation import make_clutter_scene, synthesize_comm_channel, synthesize_scalar_channel, target_reflectivity
 from .detection import statistic_moments
@@ -56,13 +56,6 @@ def stream_id(kind: int, index: int = 0) -> int:
     if not 0 <= index < (1 << _INDEX_BITS):
         raise ValueError(f"stream index out of range: {index}")
     return (kind << _INDEX_BITS) | index
-
-
-def _all(mask) -> bool:
-    """np.all of a bool or a boolean array, without np.all's call cost on a
-    Python bool: beams_at checks a float power and split on every call, and
-    the optimizer makes hundreds of those calls per search."""
-    return mask if isinstance(mask, bool) else bool(mask.all())
 
 
 @dataclass(frozen=True)
@@ -113,9 +106,9 @@ class SensingScene:
         """Split a power budget between the matched data and radar directions: rows
         (data beam, radar beam) of a (2, N) array, or (..., 2, N) for arrays of
         powers and splits, broadcast against each other, or for stacked realizations."""
-        if not _all((0.0 <= power_watts) & (power_watts < np.inf)):
+        if not np.all((0.0 <= power_watts) & (power_watts < np.inf)):
             raise ValueError(f"power must lie in [0, inf), got {power_watts}")
-        if not _all((0.0 <= rho) & (rho <= 1.0)):
+        if not np.all((0.0 <= rho) & (rho <= 1.0)):
             raise ValueError(f"power split must lie in [0, 1], got {rho}")
         u = np.sqrt((1.0 - rho) * power_watts)[..., None] * self.comm_direction
         v = np.sqrt(rho * power_watts)[..., None] * self.radar_direction
@@ -160,26 +153,19 @@ def build_scene(scenario: ScenarioConfig, *, scene_keys) -> tuple[SensingScene, 
     """The sensing scenes of realizations scene_keys, stacked in that order, and
     each one's channel stream, left just past its h_sd draw (None under LoS,
     where every channel is deterministic)."""
-    target, clutter, comm, model = scenario.target, scenario.clutter, scenario.comm, scenario.path_loss
-    array = scenario.array
-    carrier_hz = array_constants(array)[0]
+    target, comm, model, array = scenario.target, scenario.comm, scenario.path_loss, scenario.array
     # the streams a realization draws from, and so the only ones it derives; given
     # no stream, a channel is line of sight and the reflectivity has zero phase
     drawn = {
         KIND_TARGET_PHASE: target.phase == "uniform",
-        KIND_SCENE: clutter.count > 0,
+        KIND_SCENE: scenario.clutter.count > 0,
         KIND_CHANNEL: comm.fading == "rayleigh",
     }
     alpha0, placements, channels = [], [], []
     for key in scene_keys:
         streams = {kind: derive_stream(scenario.seed, stream_id(kind, key)) for kind, used in drawn.items() if used}
-        alpha0.append(target_reflectivity(
-            model, carrier_hz, target.range_m, target.rcs_scale, streams.get(KIND_TARGET_PHASE)
-        ))
-        placements.append(make_clutter_scene(
-            streams[KIND_SCENE], clutter.count, clutter.max_range_m, clutter.angle_exclusion_rad,
-            target.angle_rad, clutter.min_range_m,
-        ) if KIND_SCENE in streams else ([], []))
+        alpha0.append(target_reflectivity(scenario, streams.get(KIND_TARGET_PHASE)))
+        placements.append(make_clutter_scene(scenario, streams.get(KIND_SCENE)))
         channels.append(streams.get(KIND_CHANNEL))
     # h_sd is a channel stream's first draw; under LoS one deterministic h_sd serves all
     draws = channels if drawn[KIND_CHANNEL] else [None]
@@ -191,7 +177,7 @@ def build_scene(scenario: ScenarioConfig, *, scene_keys) -> tuple[SensingScene, 
     a = steering_vector(array, target.range_m, target.angle_rad)
     return SensingScene(
         alpha0=np.array(alpha0), target_steering=a,
-        clutter=ClutterSteering(steering_matrix(array, *zip(*placements)), clutter.sigma),
+        clutter=ClutterSteering(steering_matrix(array, *zip(*placements)), scenario.clutter.sigma),
         h_sd=np.array(h_sd * copies),
         comm_direction=np.array([np.conj(h) / np.linalg.norm(h) for h in h_sd] * copies),
         radar_direction=np.array([np.conj(a) / np.linalg.norm(a)] * len(channels)),

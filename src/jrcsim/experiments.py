@@ -24,7 +24,6 @@ import csv
 import dataclasses
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -42,7 +41,7 @@ from .scenario import (
     dbm_to_watts,
     watts_to_dbm,
 )
-from .stats import canonical_float, derive_stream, float_text
+from .stats import canonical_float, derive_stream, digit_unit, float_text
 
 __all__ = [
     "SweepTable",
@@ -172,8 +171,7 @@ def _resolved_spread(std: float, mean: float) -> float:
     """
     if mean == 0.0:
         return std
-    half_unit = 0.5 * 10.0 ** (math.floor(math.log10(abs(mean))) - 8)
-    return 0.0 if std < half_unit else std
+    return 0.0 if std < 0.5 * digit_unit(mean) else std
 
 
 def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: int, powers_w) -> list:

@@ -56,7 +56,7 @@ from .detection import (
 )
 from .radar_sensing import average_scnr_curve, waveform_from_symbols
 from .scenario import ScenarioConfig, TargetsSection, dbm_to_watts, watts_to_dbm
-from .stats import canonical_ceil, canonical_float, inverse_q
+from .stats import canonical_ceil, canonical_float, digit_unit, inverse_q
 
 __all__ = [
     "EvaluatedPoint",
@@ -249,8 +249,7 @@ def _certificate(ctx: SimulationContext, power_watts: float, rho: float) -> tupl
         evaluations += 1
         if point.feasible:
             return point, evaluations
-        unit = 10.0 ** (math.floor(math.log10(p)) - 8)
-        p, units = canonical_ceil(math.nextafter(p + (units - 1) * unit, math.inf)), 2 * units
+        p, units = canonical_ceil(math.nextafter(p + (units - 1) * digit_unit(p), math.inf)), 2 * units
     return None, evaluations
 
 

@@ -8,7 +8,11 @@ context.build_scene, which streams exist.
 The radar receive noise is unit variance by convention, so absolute levels are
 carried entirely by channel gains and the reflectivity scale. A channel is
 synthesized on the scenario's array section toward a plain (range, angle)
-position, or over a plain link distance.
+position, or over a plain link distance. The reflectivity and the clutter
+placements read the validated scenario itself, so every rule they rely on
+(a known law, a positive scale, a count of at least 0, ordered clutter
+ranges, a window that leaves some bearing) is stated once, where the
+scenario checks it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .array_geometry import SPEED_OF_LIGHT, array_constants, steering_vector
-from .scenario import ArraySection, PathLossSection
+from .scenario import ArraySection, PathLossSection, ScenarioConfig
 
 __all__ = [
     "path_loss_db",
@@ -36,8 +40,6 @@ def path_loss_db(model: PathLossSection, carrier_freq: float, distance: float) -
         raise ValueError(f"carrier_freq must be positive, got {carrier_freq}")
     if model.kind == "free_space":
         return 20.0 * np.log10(4.0 * np.pi * distance * carrier_freq / SPEED_OF_LIGHT)
-    if model.kind != "tr38901_umi_los":
-        raise ValueError(f"unknown path-loss law {model.kind!r}")
     # TR 38.901 Table 7.4.1-1, UMi street canyon LoS: the distance is the ground
     # distance, the antenna-height offset is folded in, and the law is dual slope
     # around the effective breakpoint d_bp = 4 (h_bs - 1)(h_ut - 1) f / c.
@@ -95,56 +97,37 @@ def synthesize_scalar_channel(
     return complex(g * (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0))
 
 
-def target_reflectivity(
-    model: PathLossSection,
-    carrier_freq: float,
-    target_range: float,
-    rcs_scale: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> complex:
-    """Two-way target reflectivity alpha_0.
+def target_reflectivity(scenario: ScenarioConfig, rng: np.random.Generator | None = None) -> complex:
+    """Two-way reflectivity alpha_0 of the scenario's target, on its array's carrier.
 
     Magnitude is rcs_scale * 10^(-2 PL_oneway / 20); the phase is zero without
     a stream (deterministic sweeps) and uniform on [0, 2 pi) drawn from one.
     """
-    if rcs_scale < 0.0:
-        raise ValueError(f"rcs_scale must be >= 0, got {rcs_scale}")
-    mag = rcs_scale * 10.0 ** (-2.0 * path_loss_db(model, carrier_freq, target_range) / 20.0)
+    target = scenario.target
+    carrier_hz = array_constants(scenario.array)[0]
+    mag = target.rcs_scale * 10.0 ** (-2.0 * path_loss_db(scenario.path_loss, carrier_hz, target.range_m) / 20.0)
     if rng is None:
         return complex(mag)
     return complex(mag * np.exp(2j * np.pi * rng.uniform()))
 
 
-def make_clutter_scene(
-    rng: np.random.Generator,
-    count: int,
-    max_range: float,
-    angle_exclusion: float,
-    target_angle: float,
-    min_range: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ranges and angles of random clutter placements around (but never on top of) the target bearing.
+def make_clutter_scene(scenario: ScenarioConfig, rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+    """Ranges and angles of the scenario's clutter placements around (but never on top of) the target bearing.
 
-    Ranges are uniform on (min_range, max_range]; angles are uniform on (0, pi)
-    minus the +- angle_exclusion window about the target angle. Draw order is
-    fixed (range then angle, per element) so a given stream always yields the
-    same placements.
+    Ranges are uniform on (min_range_m, max_range_m], up to rounding at the
+    lower end; angles are uniform on (0, pi) minus the +- angle_exclusion_rad
+    window about the target angle. Draw order is fixed (range then angle, per
+    element) so a given stream always yields the same placements; without
+    clutter nothing is drawn and the stream may be None.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if not 0.0 <= min_range < max_range:
-        raise ValueError(f"need 0 <= min_range < max_range, got {min_range} and {max_range}")
-    if angle_exclusion < 0.0:
-        raise ValueError(f"angle_exclusion must be >= 0, got {angle_exclusion}")
-    lo = max(0.0, target_angle - angle_exclusion)
-    hi = min(np.pi, target_angle + angle_exclusion)
+    clutter, target_angle = scenario.clutter, scenario.target.angle_rad
+    lo = max(0.0, target_angle - clutter.angle_exclusion_rad)
+    hi = min(np.pi, target_angle + clutter.angle_exclusion_rad)
     mass = lo + (np.pi - hi)
-    if mass <= 0.0:
-        raise ValueError("angle exclusion window covers all of (0, pi)")
-    ranges, angles = np.empty(count), np.empty(count)
-    for i in range(count):
-        # map u in [0, 1) to (min, max] so the lower endpoint stays open
-        ranges[i] = max_range - rng.uniform() * (max_range - min_range)
+    ranges, angles = np.empty(clutter.count), np.empty(clutter.count)
+    for i in range(clutter.count):
+        # map u in [0, 1) to (min, max], the lower end open up to rounding
+        ranges[i] = clutter.max_range_m - rng.uniform() * (clutter.max_range_m - clutter.min_range_m)
         while True:
             t = rng.uniform() * mass
             angles[i] = t if t < lo else hi + (t - lo)

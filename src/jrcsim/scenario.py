@@ -275,8 +275,8 @@ class ScenarioConfig:
                 f"targets.p_max_dbm: must exceed power.min_dbm={self.power.min_dbm}, "
                 f"got {self.targets.p_max_dbm}"
             )
-        # the clutter placement draw needs bearings left outside the window,
-        # tested with the same arithmetic as the draw
+        # the clutter placement draw loops until a bearing falls outside the
+        # window and does not check that one can; tested with its arithmetic
         angle, window = self.target.angle_rad, self.clutter.angle_exclusion_rad
         if self.clutter.count > 0 and angle - window <= 0.0 and angle + window >= np.pi:
             raise ConfigError(

@@ -108,6 +108,12 @@ def canonical_float(x: float) -> float:
     return float(float_text(x)) + 0.0
 
 
+def digit_unit(x: float) -> float:
+    """One unit in the 9th significant digit of a nonzero x: the spacing of
+    the emission grid at x."""
+    return 10.0 ** (math.floor(math.log10(abs(x))) - 8)
+
+
 def canonical_ceil(x: float) -> float:
     """The smallest 9-significant-digit value at or above x; canonical_float
     leaves it as it is (the nearest float to that decimal prints as it)."""

@@ -3,13 +3,16 @@
 A channel or reflectivity handed a random stream draws from it (Rayleigh
 fading, uniform phase); handed none it is deterministic (line of sight, zero
 phase). Which settings reach these functions is the scenario's business: its
-choices tests reject any other fading or phase name.
+choices tests reject any other fading or phase name, and its range tests every
+clutter or reflectivity value the draws could not use.
 """
 
-from types import SimpleNamespace
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jrcsim.array_geometry import separation, steering_vector
 from jrcsim.propagation import (
@@ -20,11 +23,39 @@ from jrcsim.propagation import (
     synthesize_scalar_channel,
     target_reflectivity,
 )
-from jrcsim.scenario import ArraySection, PathLossSection
+from jrcsim.scenario import ArraySection, ClutterSection, PathLossSection, ScenarioConfig, TargetSection
+from jrcsim.stats import derive_stream
 
 C_LIGHT = 299_792_458.0
 FREE = PathLossSection()
 UMI = PathLossSection(kind="tr38901_umi_los")
+
+
+def target_at(carrier_ghz: float = 28.0, **target) -> ScenarioConfig:
+    """The default scenario with the array's carrier and target fields replaced."""
+    return ScenarioConfig(array=ArraySection(carrier_ghz=carrier_ghz), target=TargetSection(**target))
+
+
+def clutter_about(target_angle: float, **clutter) -> ScenarioConfig:
+    """The default scenario with the target bearing and clutter fields replaced."""
+    return ScenarioConfig(target=TargetSection(angle_rad=target_angle), clutter=ClutterSection(**clutter))
+
+
+@st.composite
+def clutter_scenarios(draw):
+    """A valid scenario over the clutter fields and the target bearing. The
+    window reaches anywhere short of the farther end of (0, pi), so it is
+    often clipped at the nearer end, 0 or pi."""
+    angle = draw(st.floats(0.0, np.pi, exclude_min=True, exclude_max=True))
+    window = draw(st.floats(0.0, max(angle, np.pi - angle), exclude_max=True))
+    min_range = draw(st.floats(1e-6, 1e3))
+    return clutter_about(
+        angle,
+        count=draw(st.integers(0, 8)),
+        min_range_m=min_range,
+        max_range_m=draw(st.floats(min_range, 1e9, exclude_min=True)),
+        angle_exclusion_rad=window,
+    )
 
 
 class TestFreeSpacePathLoss:
@@ -55,9 +86,6 @@ class TestFreeSpacePathLoss:
     def test_unknown_law_is_rejected_not_read_as_the_other(self):
         with pytest.raises(ValueError):
             PathLossSection(kind="free-space")
-        for kind in ("free-space", "tr38901_uma_los"):
-            with pytest.raises(ValueError, match="unknown path-loss law"):
-                path_loss_db(SimpleNamespace(kind=kind, h_bs_m=10.0, h_ut_m=1.5), 28e9, 5.0)
 
     def test_amplitude_gain_consistent(self):
         g = amplitude_gain(FREE, 28e9, 5.0)
@@ -167,24 +195,28 @@ class TestChannelSynthesis:
 
 class TestTargetReflectivity:
     def test_two_way_magnitude(self):
-        pl = path_loss_db(FREE, 28e9, 5.0)
-        expected = 3.0e7 * 10.0 ** (-2.0 * pl / 20.0)
-        a0 = target_reflectivity(FREE, 28e9, 5.0, rcs_scale=3.0e7)
-        assert a0 == pytest.approx(expected, rel=1e-12)
-        assert a0.imag == 0.0
+        # under the scenario's own path-loss law
+        for law in (FREE, UMI):
+            pl = path_loss_db(law, 28e9, 5.0)
+            expected = 3.0e7 * 10.0 ** (-2.0 * pl / 20.0)
+            scenario = dataclasses.replace(target_at(range_m=5.0, rcs_scale=3.0e7), path_loss=law)
+            a0 = target_reflectivity(scenario)
+            assert a0 == pytest.approx(expected, rel=1e-12)
+            assert a0.imag == 0.0
 
     def test_forty_db_stronger_at_tenth_frequency(self):
         # |alpha0| follows f^-2, so the SCNR gap between carriers is 40 dB
-        lo = abs(target_reflectivity(FREE, 2.8e9, 5.0, rcs_scale=1.0))
-        hi = abs(target_reflectivity(FREE, 28e9, 5.0, rcs_scale=1.0))
+        lo = abs(target_reflectivity(target_at(2.8, range_m=5.0, rcs_scale=1.0)))
+        hi = abs(target_reflectivity(target_at(28.0, range_m=5.0, rcs_scale=1.0)))
         assert 20.0 * np.log10(lo / hi) == pytest.approx(40.0, abs=1e-9)
 
     def test_uniform_phase_preserves_magnitude(self):
         rng = np.random.default_rng(11)
+        scenario = target_at(range_m=5.0, rcs_scale=3.0e7)
         mags = set()
         phases = []
         for _ in range(200):
-            a0 = target_reflectivity(FREE, 28e9, 5.0, rcs_scale=3.0e7, rng=rng)
+            a0 = target_reflectivity(scenario, rng=rng)
             mags.add(round(abs(a0), 15))
             phases.append(np.angle(a0))
         assert len(mags) == 1
@@ -192,8 +224,9 @@ class TestTargetReflectivity:
 
     def test_a_stream_draws_one_uniform_phase(self):
         rng, twin = np.random.default_rng(2), np.random.default_rng(2)
-        a0 = target_reflectivity(FREE, 28e9, 5.0, rcs_scale=3.0e7, rng=rng)
-        mag = target_reflectivity(FREE, 28e9, 5.0, rcs_scale=3.0e7)
+        scenario = target_at(range_m=5.0, rcs_scale=3.0e7)
+        a0 = target_reflectivity(scenario, rng=rng)
+        mag = target_reflectivity(scenario)
         assert a0 == complex(mag.real * np.exp(2j * np.pi * twin.uniform()))
         assert rng.uniform() == twin.uniform()
 
@@ -202,7 +235,7 @@ class TestClutterScene:
     def test_count_scale_and_ranges(self):
         rng = np.random.default_rng(5)
         ranges, angles = make_clutter_scene(
-            rng, count=3, max_range=5.0, angle_exclusion=0.05, target_angle=np.pi / 3, min_range=0.5
+            clutter_about(np.pi / 3, count=3, max_range_m=5.0, angle_exclusion_rad=0.05, min_range_m=0.5), rng
         )
         assert ranges.shape == angles.shape == (3,)
         assert np.all((0.5 < ranges) & (ranges <= 5.0))
@@ -211,35 +244,54 @@ class TestClutterScene:
     def test_exclusion_window_respected(self):
         target = 1.1
         rng = np.random.default_rng(17)
+        scenario = clutter_about(target, count=1, max_range_m=5.0, angle_exclusion_rad=0.1, min_range_m=0.5)
         for _ in range(10_000):
-            _, (angle,) = make_clutter_scene(
-                rng, count=1, max_range=5.0, angle_exclusion=0.1, target_angle=target, min_range=0.5
-            )
+            _, (angle,) = make_clutter_scene(scenario, rng)
             assert abs(angle - target) >= 0.1
 
     def test_angles_cover_both_sides(self):
         target = np.pi / 2
         rng = np.random.default_rng(23)
-        angles = [
-            make_clutter_scene(rng, 1, 5.0, angle_exclusion=0.3, target_angle=target, min_range=0.5)[1][0]
-            for _ in range(500)
-        ]
+        scenario = clutter_about(target, count=1, max_range_m=5.0, angle_exclusion_rad=0.3, min_range_m=0.5)
+        angles = [make_clutter_scene(scenario, rng)[1][0] for _ in range(500)]
         assert any(a < target for a in angles) and any(a > target for a in angles)
 
     def test_deterministic_given_stream(self):
-        a = make_clutter_scene(np.random.default_rng(9), 3, 5.0, 0.05, np.pi / 3, 0.5)
-        b = make_clutter_scene(np.random.default_rng(9), 3, 5.0, 0.05, np.pi / 3, 0.5)
+        scenario = clutter_about(np.pi / 3, count=3, max_range_m=5.0, angle_exclusion_rad=0.05, min_range_m=0.5)
+        a = make_clutter_scene(scenario, np.random.default_rng(9))
+        b = make_clutter_scene(scenario, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_zero_count(self):
-        ranges, angles = make_clutter_scene(np.random.default_rng(1), 0, 5.0, 0.05, 1.0, 0.5)
+        ranges, angles = make_clutter_scene(clutter_about(1.0, count=0), None)
         assert ranges.shape == angles.shape == (0,)
 
-    def test_exclusion_covering_everything_rejected(self):
-        with pytest.raises(ValueError):
-            make_clutter_scene(np.random.default_rng(1), 1, 5.0, 4.0, np.pi / 2, 0.5)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(scenario=clutter_scenarios(), key=st.integers(0, 2**32 - 1))
+    @example(scenario=clutter_about(0.5, count=12, angle_exclusion_rad=2.0), key=5)
+    @example(scenario=clutter_about(2.8, count=12, angle_exclusion_rad=1.0), key=5)
+    @example(scenario=clutter_about(1.0, count=0, angle_exclusion_rad=3.5), key=5)
+    def test_the_draw_keeps_its_contract(self, scenario, key):
+        # count placements, ranges in [min, max], angles in (0, pi) outside the
+        # window, and both at their uniform draws: the range at max - u (max - min),
+        # which rounding can land on min (a range one ulp wide does), and the
+        # angle at its draw's share of the bearings left outside the window;
+        # without clutter no stream is derived
+        clutter, angle = scenario.clutter, scenario.target.angle_rad
+        window = clutter.angle_exclusion_rad
 
-    def test_bad_ranges_rejected(self):
-        for max_range, min_range in ((0.4, 0.5), (5.0, -0.5)):
-            with pytest.raises(ValueError):
-                make_clutter_scene(np.random.default_rng(1), 1, max_range, 0.05, 1.0, min_range)
+        def stream():
+            return derive_stream(scenario.seed, key) if clutter.count else None
+
+        ranges, angles = make_clutter_scene(scenario, stream())
+        assert ranges.shape == angles.shape == (clutter.count,)
+        assert np.all((clutter.min_range_m <= ranges) & (ranges <= clutter.max_range_m))
+        assert np.all((0.0 < angles) & (angles < np.pi))
+        assert not np.any((angle - window < angles) & (angles < angle + window))
+        assert np.array_equal((ranges, angles), make_clutter_scene(scenario, stream()))
+        lo, hi = max(0.0, angle - window), min(np.pi, angle + window)
+        below = np.minimum(angles, lo) + np.maximum(0.0, angles - hi)
+        twin = stream()
+        for i, share in enumerate(below):
+            assert ranges[i] == clutter.max_range_m - twin.uniform() * (clutter.max_range_m - clutter.min_range_m)
+            assert share == pytest.approx(twin.uniform() * (lo + np.pi - hi), rel=1e-12, abs=1e-14)

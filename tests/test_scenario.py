@@ -198,6 +198,8 @@ class TestValidation:
             ({"target": {"rcs_scale": 1e200}}, "target.rcs_scale: must be <= 1e+40, got 1e+200"),
             ({"clutter": {"sigma": 1e200}}, "clutter.sigma: must be <= 1e+40, got 1e+200"),
             ({"clutter": {"sigma": -0.1}}, "clutter.sigma: must be >= 0.0, got -0.1"),
+            ({"clutter": {"count": -1}}, "clutter.count: must be >= 0, got -1"),
+            ({"clutter": {"angle_exclusion_rad": -0.1}}, "clutter.angle_exclusion_rad: must be >= 0.0, got -0.1"),
             ({"comm": {"noise_var_dest_w": 0.0}}, "comm.noise_var_dest_w: must be >= 1e-30, got 0.0"),
             ({"comm": {"noise_var_relay_w": 1e41}}, "comm.noise_var_relay_w: must be <= 1e+40, got 1e+41"),
             ({"power": {"rho": 1.5}}, "power.rho: must be <= 1.0, got 1.5"),
