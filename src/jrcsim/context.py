@@ -15,8 +15,9 @@ turns a (power, split), or arrays of them, into the one record every reader
 takes: beams (row 0 data, row 1 radar), waveform, receive beamformer, detector
 moments and link SINRs. Power enters the clutter covariance as one scale,
 W(P) = I + P M(rho), so a scene decomposes each split, or split grid, once at
-unit power (unit_kernel) and that one kernel serves every power probed on it;
-a scene made by dataclasses.replace starts with no kernel.
+unit power (unit_kernel) and that one kernel serves every power probed on it,
+the symbol-averaged SCNR curve (average_scnr_curve) included; a scene made by
+dataclasses.replace starts with no kernel.
 """
 
 from __future__ import annotations
@@ -122,6 +123,18 @@ class SensingScene:
         if key not in self._kernels:
             self._kernels[key] = InterferenceKernel(self.clutter, self.clutter.gains(self.beams_at(1.0, rho)))
         return self._kernels[key]
+
+    def average_scnr_curve(self, rho, powers) -> np.ndarray:
+        """Symbol-averaged optimal SCNR at split rho for each total power P of a
+        1-D sequence: |alpha_0|^2 (a^H W(P)^-1 a) P sum_k |a^T b_k|^2 over the
+        unit-power beams b_k, on unit_kernel(rho). A stacked scene gives (R, P)
+        curves, each row bit for bit that realization's alone."""
+        powers = np.asarray(powers, dtype=float)
+        a = self.target_steering
+        # abs(alpha_0) ** 2 rounded as the scalar is, hypot then pow, for one or a stack
+        reflectivity = np.float_power(np.hypot(np.real(self.alpha0), np.imag(self.alpha0)), 2)[..., None]
+        loading = np.sum(np.abs((self.beams_at(1.0, rho) @ a[:, None])[..., 0]) ** 2, axis=-1)[..., None]
+        return reflectivity * self.unit_kernel(rho).quadratic(a, powers) * powers * loading
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from . import __version__
 from .context import KIND_DETECTION, KIND_VALIDATE, build_context, build_scene, stream_id
 from .detection import roc_sweep
 from .power_allocation import OptimizationResult, minimize_power, tradeoff_sweep
-from .radar_sensing import ClutterSteering, InterferenceKernel, average_scnr_curve
+from .radar_sensing import ClutterSteering
 from .scenario import (
     CLUTTER_LEVELS,
     ScenarioConfig,
@@ -179,18 +179,17 @@ def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: in
 
     The pair's realizations are one stacked sensing scene, with none of the
     relay channels or symbols of a full context. The levels differ only in the
-    clutter amplitude scale sigma, so each scores every realization at once.
+    clutter amplitude scale sigma: each is that scene at the level's sigma,
+    with a kernel of its own, and scores every realization at once.
     """
     # sweep.realizations is at most 2^24, so no two pairs share a key
     keys = [(pair_index << 24) | r for r in range(scenario.sweep.realizations)]
     cell = dataclasses.replace(scenario, array=dataclasses.replace(scenario.array, n_antennas=n, carrier_ghz=f_ghz))
     scene, _ = build_scene(cell, scene_keys=keys)
-    beams = scene.beams_at(1.0, scenario.power.rho)
     curves = []
     for level in scenario.sweep.clutter_levels:
-        clutter = ClutterSteering(scene.clutter.matrix, CLUTTER_LEVELS[level])
-        kernel = InterferenceKernel(clutter, clutter.gains(beams))
-        curves.append((level, average_scnr_curve(kernel, scene.alpha0, scene.target_steering, beams, powers_w)))
+        at_level = dataclasses.replace(scene, clutter=ClutterSteering(scene.clutter.matrix, CLUTTER_LEVELS[level]))
+        curves.append((level, at_level.average_scnr_curve(scenario.power.rho, powers_w)))
     return curves
 
 

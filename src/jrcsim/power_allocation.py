@@ -54,7 +54,7 @@ from .detection import (
     false_alarm_probability,
     false_alarm_threshold,
 )
-from .radar_sensing import average_scnr_curve, waveform_from_symbols
+from .radar_sensing import waveform_from_symbols
 from .scenario import ScenarioConfig, TargetsSection, dbm_to_watts, watts_to_dbm
 from .stats import canonical_ceil, canonical_float, digit_unit, inverse_q
 
@@ -217,8 +217,7 @@ def evaluate_point(
         kappa = canonical_ceil(false_alarm_threshold(*moments, targets.pfa_max))
     pfa, pd = float(false_alarm_probability(*moments, kappa)), float(detection_probability(*moments, kappa))
     spent = float(sum(np.vdot(beam, beam).real for beam in point.beams))
-    a, unit_beams = ctx.target_steering, ctx.beams_at(1.0, rho)
-    scnr_avg = average_scnr_curve(ctx.unit_kernel(rho), ctx.alpha0, a, unit_beams, [power_watts])[0]
+    scnr_avg = ctx.average_scnr_curve(rho, [power_watts])[0]
     return EvaluatedPoint(
         power_watts=power_watts,
         rho=rho,
@@ -235,13 +234,14 @@ def evaluate_point(
 
 
 def _certificate(ctx: SimulationContext, power_watts: float, rho: float) -> tuple[EvaluatedPoint | None, int]:
-    """The evaluated triple on the 9-significant-digit emission grid that
-    evaluate_point accepts at the least power from power_watts up, and the
-    evaluations spent; None past the ceiling. Power rounds up onto the grid,
-    and each candidate is one evaluate_point whose record gives kappa_fa,
-    rounded up onto the grid too, and is audited at it; rounding kappa up can
-    drop P_D below its floor, and the power then steps up the grid, the step
-    doubling from one unit, until it does not."""
+    """The first triple on the 9-significant-digit emission grid that
+    evaluate_point accepts, and the evaluations spent; None past the ceiling.
+    Power rounds up onto the grid, to p_0, and each candidate is one
+    evaluate_point whose record gives kappa_fa, rounded up onto the grid too,
+    and is audited at it; rounding kappa up can drop P_D below its floor. The
+    candidates are p_0, p_0 + u, p_0 + 3u, p_0 + 7u, ..., the step doubling
+    from one grid unit u, so grid powers between them (p_0 + 2u, p_0 + 4u, ...)
+    are never tried, and the power returned need not be the least accepted."""
     rho, p_max = canonical_float(rho), dbm_to_watts(ctx.scenario.targets.p_max_dbm)
     p, units, evaluations = canonical_ceil(power_watts), 1, 0
     while p <= p_max:

@@ -22,7 +22,8 @@ through the thin SVD of B diag(g_1)^(1/2): at most L basis vectors carry the
 clutter, W is I on their complement, and L >= N leaves no complement. So
 a^H W^-1 a, W^-1 y and y^H W^-1 y follow in O(N L) for one operating point or a
 whole vector of powers, never forming I + P M. A scene keeps one kernel per split
-(SensingScene.unit_kernel), and average_scnr_curve scores the kernel it is given.
+(SensingScene.unit_kernel), the only place one is made, and scores its
+symbol-averaged SCNR curve on it (SensingScene.average_scnr_curve).
 The tests hold a dense oracle that forms W and solves through its Cholesky factor;
 the kernel is checked against it.
 """
@@ -36,7 +37,6 @@ import numpy as np
 __all__ = [
     "ClutterSteering",
     "InterferenceKernel",
-    "average_scnr_curve",
     "draw_symbols",
     "waveform_from_symbols",
 ]
@@ -121,24 +121,6 @@ def _rows_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """m @ v for one matrix and vector or for matching stacks of them, one product per pair."""
     return (m @ v[..., None])[..., 0]
-
-
-def average_scnr_curve(
-    kernel: InterferenceKernel, alpha0: complex, a_target: np.ndarray, beams: np.ndarray, powers
-) -> np.ndarray:
-    """Symbol-averaged optimal SCNR at each total power P (1-D) for transmit beams sqrt(P) b_k.
-
-    |alpha_0|^2 (a^H W(P)^-1 a) P sum_k |a^T b_k|^2, with the beams b_k as rows and
-    kernel the interference kernel of these unit-power beams, which serves every
-    power. Stacked realizations (a kernel stack, alpha_0 (R,), beams (R, K, N), and
-    a (N,) shared or (R, N)) give (R, P) curves, each row bit for bit that
-    realization's alone.
-    """
-    powers = np.asarray(powers, dtype=float)
-    # abs(alpha_0) ** 2 rounded as the scalar is, hypot then pow, for one or a stack
-    reflectivity = np.float_power(np.hypot(np.real(alpha0), np.imag(alpha0)), 2)[..., None]
-    loading = np.sum(np.abs(_matvec(beams, a_target)) ** 2, axis=-1)[..., None]
-    return reflectivity * kernel.quadratic(a_target, powers) * powers * loading
 
 
 def draw_symbols(n_beams: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the default scenario, a fast reduced variant, and call counts."""
+"""Shared fixtures: the default scenario, a fast reduced variant, call counts,
+and two scenes where feasibility is not monotone in power."""
 
 import dataclasses
 
@@ -8,7 +9,7 @@ import jrcsim.power_allocation as power_allocation
 import jrcsim.radar_sensing as radar_sensing
 from jrcsim.context import build_context
 from jrcsim.radar_sensing import ClutterSteering
-from jrcsim.scenario import ScenarioConfig
+from jrcsim.scenario import ScenarioConfig, scenario_from_dict
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +46,24 @@ def counts(monkeypatch):
 def at_sigma(ctx, sigma):
     """The context's scene with its clutter amplitude scale set to sigma."""
     return dataclasses.replace(ctx, clutter=ClutterSteering(ctx.clutter.matrix, sigma))
+
+
+# two scenes where feasibility is not monotone in power (ROADMAP's Baseline):
+# under A, optimize reports no feasible power below the ceiling although
+# 38.1 W at rho = 0.35 is feasible; under B, the tradeoff's feasible column
+# turns off and on again, and rho = 0.95 is the optimum's split
+SCENARIO_A = scenario_from_dict({
+    "seed": 991796955670, "array": {"n_antennas": 10},
+    "target": {"range_m": 6.39124960302922, "angle_rad": 2.5852464503727033},
+    "clutter": {"count": 8, "sigma": 8.836357389755566},
+    "targets": {"rate_bps_hz": 0.01, "pfa_max": 0.05, "pd_min": 0.33537391540368255},
+})
+SCENARIO_B = scenario_from_dict({
+    "seed": 1039396857529, "array": {"n_antennas": 10},
+    "target": {"range_m": 3.4429290129767476, "angle_rad": 2.7870745418920917},
+    "clutter": {"count": 4, "sigma": 1.1624992644387133},
+    "targets": {"rate_bps_hz": 0.01, "pfa_max": 0.05, "pd_min": 0.5203331916295098},
+})
 
 
 def reduced_scenario(sc: ScenarioConfig) -> ScenarioConfig:

@@ -22,7 +22,7 @@ import scipy.linalg
 from jrcsim.array_geometry import array_constants, element_index_offsets, steering_matrix, steering_vector
 from jrcsim.detection import _null_blocks
 from jrcsim.experiments import COLUMNS
-from jrcsim.radar_sensing import ClutterSteering, InterferenceKernel, average_scnr_curve
+from jrcsim.radar_sensing import ClutterSteering, InterferenceKernel
 from jrcsim.scenario import ArraySection
 from jrcsim.stats import inverse_q, q_function
 
@@ -102,10 +102,12 @@ def scnr_at_optimum(alpha0: complex, a_target: np.ndarray, cov: np.ndarray, x: n
 def average_scnr(clutter: ClutterSteering, beams: np.ndarray, alpha0: complex, a_target: np.ndarray) -> float:
     """Symbol-averaged optimal SCNR |alpha_0|^2 tr(A^H W^-1 A R_x) at one beam set.
 
-    With A = a a^T the trace factors into (a^H W^-1 a)(a^T R_x conj(a)).
+    With A = a a^T the trace factors into (a^H W^-1 a)(a^T R_x conj(a)), the
+    loading sum_k |a^T b_k|^2 over the beams b_k.
     """
     kernel = InterferenceKernel(clutter, clutter.gains(beams))
-    return float(average_scnr_curve(kernel, alpha0, a_target, beams, [1.0])[0])
+    loading = np.sum(np.abs(beams @ a_target) ** 2)
+    return float(abs(alpha0) ** 2 * kernel.quadratic(a_target)[0] * loading)
 
 
 def radar_snapshot_batch(

@@ -2,7 +2,8 @@
 
 The statistic parameters are checked against a dense matrix-form oracle, the
 closed-form probabilities against an independent erfc-based tail function,
-and the empirical rates against three-binomial-standard-error bands.
+the empirical rates against three-binomial-standard-error bands, and the
+record's deflection against the frozen waveform's Cauchy-Schwarz bound.
 """
 
 import dataclasses
@@ -12,10 +13,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import at_sigma
+from conftest import SCENARIO_A, SCENARIO_B, at_sigma
 from jrcsim.array_geometry import steering_vector
 from jrcsim.context import build_context
 from jrcsim.detection import (
@@ -32,6 +33,7 @@ from jrcsim.experiments import (
     run_detection_sweep,
     run_validation,
 )
+from jrcsim.radar_sensing import InterferenceKernel, waveform_from_symbols
 from jrcsim.scenario import ArraySection, ScenarioConfig, dbm_to_watts
 from jrcsim.stats import inverse_q
 from oracles import (
@@ -611,3 +613,52 @@ class TestOperatingOrderings:
             pd_low = detection_probability(*low.params, kappa)
             pd_high = detection_probability(*high.params, kappa)
             assert pd_high > pd_low
+
+
+@st.composite
+def frozen_waveform_points(draw):
+    """A drawn scene, split and power: N from 1 to 16, 0-9 scatterers, sigma 0
+    or from 0.01 to 32, either fading, rho in [0, 1] and P from 1e-4 to 1e5 W."""
+    sc = ScenarioConfig()
+    sc = dataclasses.replace(
+        sc,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        array=dataclasses.replace(sc.array, n_antennas=draw(st.integers(1, 16))),
+        clutter=dataclasses.replace(
+            sc.clutter, count=draw(st.integers(0, 9)), sigma=draw(st.one_of(st.just(0.0), st.floats(0.01, 32.0)))
+        ),
+        comm=dataclasses.replace(sc.comm, fading=draw(st.sampled_from(["los", "rayleigh"]))),
+    )
+    return sc, draw(st.floats(0.0, 1.0)), 10.0 ** draw(st.floats(-4.0, 5.0))
+
+
+class TestFrozenWaveformBound:
+    """w = W^-1 a (a^T x) is matched to the symbol-averaged covariance W, but the
+    detector is scored on the frozen waveform's own, W_x = I + P B diag(g_x) B^H
+    with g_x,l = sigma^2 |a_l^T x_1|^2 for x = sqrt(P) x_1. By Cauchy-Schwarz no w
+    gives a deflection^2 above D_x^2 = 2 |alpha_0|^2 P |a^T x_1|^2 a^H W_x^-1 a,
+    and w = W_x^-1 a (a^T x) attains it; D_x rises with P while the record's
+    deflection need not."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(frozen_waveform_points())
+    # the non-monotone scenes at their splits, across their falling bands
+    @example((SCENARIO_A, 0.35, 32.4))
+    @example((SCENARIO_A, 0.35, 38.1))
+    @example((SCENARIO_A, 0.35, 39.8))
+    @example((SCENARIO_B, 0.95, 0.05))
+    @example((SCENARIO_B, 0.95, 0.1906375))
+    @example((SCENARIO_B, 0.95, 3.0))
+    def test_the_record_is_bounded_and_the_frozen_match_attains_it(self, drawn):
+        sc, rho, power = drawn
+        ctx = build_context(sc)
+        point = ctx.operating_point(power, rho)
+        assume(point.mu1_abs > 0.0)
+        a, clutter = ctx.target_steering, ctx.clutter
+        x1 = waveform_from_symbols(ctx.beams_at(1.0, rho), ctx.symbols)
+        frozen = InterferenceKernel(clutter, clutter.gains(x1[None, :]))  # W_x at unit power
+        bound = 2.0 * abs(ctx.alpha0) ** 2 * power * abs(a @ x1) ** 2 * frozen.quadratic(a, [power])[0]
+        assert point.deflection**2 <= bound * (1.0 + 1e-10)
+        w = frozen.solve(a * (a @ point.x), power)
+        mu1, sigma2 = statistic_moments(w, ctx.alpha0, a, clutter, point.x)
+        assert 2.0 * abs(mu1) ** 2 / sigma2 == pytest.approx(bound, rel=1e-10)

@@ -37,7 +37,6 @@ from jrcsim.experiments import (
     run_validation,
 )
 from jrcsim.power_allocation import evaluate_point, minimize_power
-from jrcsim.radar_sensing import average_scnr_curve
 from jrcsim.scenario import (
     CLUTTER_LEVELS,
     ConfigError,
@@ -242,9 +241,7 @@ def _oracle_level_curves(sc, n, f_ghz, pair_index, powers_w):
         for r in range(sc.sweep.realizations):
             scene = build_context(cell, scene_key=(pair_index << 24) | r)
             ctx = at_sigma(scene, CLUTTER_LEVELS[level])
-            beams = ctx.beams_at(1.0, sc.power.rho)
-            kernel = ctx.unit_kernel(sc.power.rho)
-            curves.append(average_scnr_curve(kernel, ctx.alpha0, ctx.target_steering, beams, powers_w))
+            curves.append(ctx.average_scnr_curve(sc.power.rho, powers_w))
         out.append((level, np.array(curves)))
     return out
 

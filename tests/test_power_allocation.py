@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SCENARIO_A
 from jrcsim.comm_link import mrc_rate, rate_threshold
 from jrcsim.context import build_context
 from jrcsim.detection import (
@@ -831,3 +832,21 @@ class TestOptimizerProperties:
         result = minimize_power(ctx)
         if result.feasible and result.point.power_watts > canonical_ceil(dbm_to_watts(sc.power.min_dbm)):
             assert feasible_split(ctx, result.point.power_watts / (1.0 + sc.optimizer.tol_factor)) is None
+
+
+class TestFeasibilityIsNotMonotone:
+    """Scenario A, where the premise of the coarse walk and the bisection fails."""
+
+    def test_a_feasible_island_below_the_ceiling(self):
+        # at rho = 0.35 the detection floor holds near 38.1 W only; all three
+        # powers lie below the 39.81 W ceiling
+        points = [evaluate_point(SCENARIO_A, p, 0.35, None) for p in (32.4, 38.1, 39.8)]
+        assert [point.feasible for point in points] == [False, True, False]
+        assert points[1].pd == pytest.approx(0.335376, abs=5e-7)
+        assert max(p.power_watts for p in points) < dbm_to_watts(SCENARIO_A.targets.p_max_dbm)
+
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: the walk and bisection assume feasibility is monotone in power"
+    )
+    def test_minimize_power_finds_the_island(self):
+        assert minimize_power(build_context(SCENARIO_A)).feasible

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jrcsim.array_geometry import steering_vector
-from jrcsim.radar_sensing import InterferenceKernel, average_scnr_curve, draw_symbols, waveform_from_symbols
+from jrcsim.context import SensingScene
+from jrcsim.radar_sensing import InterferenceKernel, draw_symbols, waveform_from_symbols
 from jrcsim.scenario import ArraySection
 from oracles import (
     average_scnr,
@@ -282,8 +283,8 @@ class TestInterferenceKernel:
     def test_batched_powers_match_single_points(self, point, exponents):
         _, clutter, a, comm, radar, rho, _ = point
         powers = 10.0 ** np.array(exponents)
-        unit = np.vstack((np.sqrt(1.0 - rho) * comm, np.sqrt(rho) * radar))
-        batched = average_scnr_curve(InterferenceKernel(clutter, clutter.gains(unit)), ALPHA0, a, unit, powers)
+        scene = SensingScene(ALPHA0, a, clutter, h_sd=comm.conj(), comm_direction=comm, radar_direction=radar)
+        batched = scene.average_scnr_curve(rho, powers)
         assert batched.shape == powers.shape
         for p, got in zip(powers, batched):
             single = average_scnr(clutter, split_beams(comm, radar, rho, p), ALPHA0, a)

@@ -1,11 +1,12 @@
 """The package surface: every function in src/jrcsim runs in some CLI command,
-and the package runs on NumPy and the standard library alone.
+every interference kernel comes from the scene, and the package runs on NumPy
+and the standard library alone.
 
 All five commands run on the reduced scenario (and one of them in JSON form)
 under sys.setprofile, which records the code object of every Python frame
-entered. A module-level function or method that no command enters is code
-only tests reach, and belongs in tests/ or nowhere; the few exceptions are
-named below with their reason.
+entered, with its caller's. A module-level function or method that no
+command enters is code only tests reach, and belongs in tests/ or nowhere;
+the few exceptions are named below with their reason.
 """
 
 import contextlib
@@ -18,9 +19,13 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import jrcsim
 from conftest import reduced_scenario
 from jrcsim.cli import main
+from jrcsim.context import SensingScene
+from jrcsim.radar_sensing import InterferenceKernel
 from jrcsim.scenario import ScenarioConfig
 
 NOT_ON_A_COMMAND_PATH = {
@@ -45,16 +50,19 @@ def defined_functions(module):
                     yield f"{module.__name__}.{fn.__qualname__}", fn
 
 
-def test_every_function_runs_in_some_command(tmp_path):
+@pytest.fixture(scope="module")
+def calls(tmp_path_factory):
+    """(caller, callee) code objects of every Python call made by the commands."""
+    tmp_path = tmp_path_factory.mktemp("commands")
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(reduced_scenario(ScenarioConfig()).to_dict()))
     runs = [[c] for c in ("scnr-sweep", "detection-sweep", "tradeoff", "optimize", "validate")]
     runs.append(["optimize", "--format", "json"])
-    entered = set()
+    pairs = set()
 
     def record(frame, event, arg):
         if event == "call":
-            entered.add(frame.f_code)
+            pairs.add((frame.f_back and frame.f_back.f_code, frame.f_code))
 
     sys.setprofile(record)
     try:
@@ -63,10 +71,24 @@ def test_every_function_runs_in_some_command(tmp_path):
     finally:
         sys.setprofile(None)
     assert codes == [0] * len(runs)
+    return pairs
+
+
+def test_every_function_runs_in_some_command(calls):
+    entered = {callee for _, callee in calls}
     names = {name: fn for module in MODULES for name, fn in defined_functions(module)}
     assert set(NOT_ON_A_COMMAND_PATH) <= set(names)
     never = sorted(name for name, fn in names.items() if fn.__code__ not in entered)
     assert never == sorted(NOT_ON_A_COMMAND_PATH)
+
+
+def test_every_kernel_comes_from_the_scene(calls):
+    # one place decomposes a scene's interference: a kernel built anywhere
+    # else would be a second statement of the physics; code objects, not
+    # qualified names, since co_qualname needs Python 3.11
+    init = InterferenceKernel.__init__.__code__
+    callers = {caller for caller, callee in calls if callee is init}
+    assert callers == {SensingScene.unit_kernel.__code__}
 
 
 def test_every_exported_name_resolves():
