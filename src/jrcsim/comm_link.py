@@ -6,59 +6,48 @@ products h^T u, matching the transmit-side conjugation convention of the
 channel synthesis. The destination combines the direct and relayed copies by
 maximum ratio, so the SINRs add before the log.
 
-The beams are the rows of a (2, N) array, the data beam u then the radar beam
-v, or of each entry of a (..., 2, N) stack, whose gain and SINRs are then each
-entry's own, bit for bit. Noise and relay budget come from the CommSection.
+With the beam directions fixed, u = sqrt((1 - rho) P) u_hat and
+v = sqrt(rho P) v_hat, so each SINR is a ratio of terms affine in the power
+P. LinkSinrs holds those terms of a split, or of an array of splits, and is
+the one statement of both SINRs: the operating-point record and the
+optimizer's split search both read it. Noise and relay budget come from the
+scenario's comm section.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .scenario import CommSection
-
 __all__ = [
-    "af_gain",
-    "sinr_direct",
-    "sinr_relayed",
+    "LinkSinrs",
     "mrc_rate",
     "rate_threshold",
 ]
 
 
-def _beam_gain(h: np.ndarray, beam: np.ndarray):
-    """|h^T b|^2 for one beam or each row of a stack, rounded as the scalar
-    abs(np.dot(h, b)) ** 2 is: the same BLAS dot, hypot and pow."""
-    z = np.vecdot(h.conj(), beam)
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+class LinkSinrs:
+    """gamma_sd and gamma_rd of a context's link at split rho (a float or an
+    array) in closed form in P. With g_hb = |h^T b_hat|^2 for h in (h_sd, h_sr)
+    and b_hat in (u_hat, v_hat), the direct SINR is P s / (P i + N_d), with
+    s = (1 - rho) g_sd,u and i = rho g_sd,v. The relay gain meets its budget
+    B exactly, |f|^2 (P (1 - rho) g_sr,u + P rho g_sr,v + N_r) = B, so the
+    relayed SINR |h_rd f|^2 P (1 - rho) g_sr,u / (|h_rd f|^2 N_r + N_d) is
+    P t / (P j + k), with t = |h_rd|^2 B (1 - rho) g_sr,u,
+    j = N_d ((1 - rho) g_sr,u + rho g_sr,v) and k = N_r (|h_rd|^2 B + N_d)."""
 
+    def __init__(self, ctx, rho):
+        comm = ctx.scenario.comm
+        channels, directions = np.array([ctx.h_sd, ctx.h_sr]), np.array([ctx.comm_direction, ctx.radar_direction])
+        (sd_u, sd_v), (sr_u, sr_v) = np.abs(channels @ directions.T) ** 2
+        relay, data, noise = abs(ctx.h_rd) ** 2 * comm.relay_power_w, 1.0 - rho, comm.noise_var_dest_w
+        self.terms = (data * sd_u, rho * sd_v, noise, relay * data * sr_u, noise * (data * sr_u + rho * sr_v),
+                      comm.noise_var_relay_w * (relay + noise))
 
-def af_gain(h_sr: np.ndarray, beams: np.ndarray, comm: CommSection):
-    """Relay gain f_rd = sqrt(budget / (received signal power + relay noise)).
-
-    The received power is |h_sr^T u|^2 + |h_sr^T v|^2, so |f_rd|^2 times
-    (received + noise) meets the budget exactly.
-    """
-    received = _beam_gain(h_sr, beams[..., 0, :]) + _beam_gain(h_sr, beams[..., 1, :])
-    return np.sqrt(comm.relay_power_w / (received + comm.noise_var_relay_w))
-
-
-def sinr_direct(h_sd: np.ndarray, beams: np.ndarray, comm: CommSection):
-    """Direct-link SINR: the data beam against radar leakage plus noise."""
-    signal = _beam_gain(h_sd, beams[..., 0, :])
-    interference = _beam_gain(h_sd, beams[..., 1, :])
-    return signal / (interference + comm.noise_var_dest_w)
-
-
-def sinr_relayed(h_sr: np.ndarray, h_rd: complex, gain, beams: np.ndarray, comm: CommSection):
-    """Relayed-path SINR at the destination for the data beam u and relay gain f = gain.
-
-    gamma_rd = |h_rd f h_sr^T u|^2 / (|h_rd f|^2 N_r + N_d).
-    """
-    through = abs(h_rd) ** 2 * gain * gain
-    signal = through * _beam_gain(h_sr, beams[..., 0, :])
-    denom = through * comm.noise_var_relay_w + comm.noise_var_dest_w
-    return signal / denom
+    def __call__(self, power_watts):
+        """(gamma_sd, gamma_rd) at power_watts, a float or an array broadcasting
+        against the splits, such as an (M, 1) column against a 1-D array."""
+        p, (s, i, noise, t, j, k) = np.asarray(power_watts, dtype=float), self.terms
+        return p * s / (p * i + noise), p * t / (p * j + k)
 
 
 def mrc_rate(gamma_direct, gamma_relayed):

@@ -13,11 +13,13 @@ frozen unit-power symbol vector, which keeps the transmit waveform fixed across
 Monte Carlo trials and operating points. SimulationContext.operating_point
 turns a (power, split), or arrays of them, into the one record every reader
 takes: beams (row 0 data, row 1 radar), waveform, receive beamformer, detector
-moments and link SINRs. Power enters the clutter covariance as one scale,
-W(P) = I + P M(rho), so a scene decomposes each split, or split grid, once at
-unit power (unit_kernel) and that one kernel serves every power probed on it,
-the symbol-averaged SCNR curve (average_scnr_curve) included; a scene made by
-dataclasses.replace starts with no kernel.
+moments and link SINRs, the last from comm_link.LinkSinrs, the closed form
+in P that the optimizer's split search reads too. Power enters the clutter
+covariance as one scale, W(P) = I + P M(rho), so a scene decomposes each
+split, or split grid, once at unit power (unit_kernel) and that one kernel
+serves every power probed on it, the symbol-averaged SCNR curve
+(average_scnr_curve) included; a scene made by dataclasses.replace starts
+with no kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array_geometry import separation, steering_matrix, steering_vector
-from .comm_link import af_gain, sinr_direct, sinr_relayed
+from .comm_link import LinkSinrs
 from .propagation import make_clutter_scene, synthesize_comm_channel, synthesize_scalar_channel, target_reflectivity
 from .detection import statistic_moments
 from .radar_sensing import (
@@ -63,9 +65,10 @@ def stream_id(kind: int, index: int = 0) -> int:
 class OperatingPoint:
     """Everything one transmit configuration (power P, split rho) gives: the
     beams, the frozen waveform x, the SCNR-optimal receive beamformer
-    w = W^-1 A x, the detector moments mu_1 and sigma^2, and both link SINRs;
-    |mu_1| and the deflection sqrt(2)|mu_1|/sigma (defined only where
-    |mu_1| > 0) follow from the moments, once per record.
+    w = W^-1 A x, the detector moments mu_1 and sigma^2, and both link SINRs,
+    comm_link.LinkSinrs of the split at P; |mu_1| and the deflection
+    sqrt(2)|mu_1|/sigma (defined only where |mu_1| > 0) follow from the
+    moments, once per record.
     A 1-D array of splits gives every field a leading split axis, and a
     column of powers (M, 1) against it a leading (M, S) pair of axes; each
     entry is bit for bit the point of that power and split alone."""
@@ -156,10 +159,7 @@ class SimulationContext(SensingScene):
         a = self.target_steering
         w = self.unit_kernel(rho).solve(a * np.vecdot(a.conj(), x)[..., None], power_watts)
         mu1, sigma2 = statistic_moments(w, self.alpha0, a, self.clutter, x)
-        comm = self.scenario.comm
-        gain = af_gain(self.h_sr, beams, comm)
-        gamma_relayed = sinr_relayed(self.h_sr, self.h_rd, gain, beams, comm)
-        return OperatingPoint(beams, x, w, mu1, sigma2, sinr_direct(self.h_sd, beams, comm), gamma_relayed)
+        return OperatingPoint(beams, x, w, mu1, sigma2, *LinkSinrs(self, rho)(power_watts))
 
 
 def build_scene(scenario: ScenarioConfig, *, scene_keys) -> tuple[SensingScene, list]:

@@ -30,11 +30,13 @@ so the context decomposes each split grid once, at unit power
 (SimulationContext.unit_kernel), and every power any call probes on that
 grid scales that one kernel. The coarse walk and each bisection probe
 decide from per-split closed forms in P (_SplitForms), terms of O(L) and
-O(L^2) numbers per split with no beams, waveform or beamformer. An entry
-within a relative _BAND of the rate or deflection threshold, or whose
-rounding estimate is too large, takes the OperatingPoint record of its
-power row, so every decision is the record's; the walk counts, and breaks
-ties, as a power-by-power, split-by-split scan of the record does.
+O(L^2) numbers per split with no beams, waveform or beamformer. Their SINR
+sum is comm_link.LinkSinrs, the record's own, so the rate test is the
+record's bit for bit. An entry within a relative _BAND of the deflection
+floor, or whose rounding estimate is too large, takes the OperatingPoint
+record of its power row, so every decision is the record's; the walk
+counts, and breaks ties, as a power-by-power, split-by-split scan of the
+record does.
 tradeoff_sweep stacks every grid power in one record and runs the closed
 forms once on the column of each row's sharpest split; evaluate_point runs
 them on its one record.
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm_link import mrc_rate, rate_threshold
+from .comm_link import LinkSinrs, mrc_rate, rate_threshold
 from .context import OperatingPoint, SimulationContext, build_context
 from .detection import (
     detection_probability,
@@ -68,9 +70,9 @@ __all__ = [
 
 # slack for the by-construction budget identity ||u||^2 + ||v||^2 = P
 _BUDGET_SLACK = 1.0e-9
-# relative band around the rate and deflection thresholds where the split forms
-# defer to the record; they decide alone where _SAFETY times their estimated
-# rounding error stays within _BAND / 1000
+# relative band around the deflection floor where the split forms defer to the
+# record; they decide alone where _SAFETY times their estimated rounding error
+# stays within _BAND / 1000 (their SINR sum is the record's, bit for bit)
 _BAND, _SAFETY, _EPS = 1.0e-9, 16.0, float(np.finfo(float).eps)
 
 
@@ -135,11 +137,11 @@ class _SplitForms:
     d = B^T x_1. With f = 1/(1 + P lam), Q_1 = a^H W^-1 a = ||r||^2 + sum |q|^2 f,
     |mu_1| = |alpha_0| P |c|^2 Q_1 and sigma^2 = P |c|^2 Q_2, where Q_2 = ||r||^2
     + sum |q|^2 f^2 + sigma_c^2 P sum_l |d_l|^2 |e_l + sum_j conj(q_j) f_j G_jl|^2;
-    the SINRs are ratios of terms affine in P."""
+    the SINRs are comm_link.LinkSinrs, the record's own."""
 
     def __init__(self, ctx: SimulationContext, rhos: np.ndarray):
         self.ctx, self.rhos, kernel = ctx, rhos, ctx.unit_kernel(rhos)
-        targets, comm, a, b = ctx.scenario.targets, ctx.scenario.comm, ctx.target_steering, ctx.clutter.matrix
+        targets, a, b = ctx.scenario.targets, ctx.target_steering, ctx.clutter.matrix
         self.threshold, self.floor = rate_threshold(targets.rate_bps_hz), _deflection_floor(targets)
         (r, q), x = kernel._split(a), waveform_from_symbols(ctx.beams_at(1.0, rhos), ctx.symbols)
         cc, self.dd, self.lam = np.abs(x @ a) ** 2, np.abs(x @ b) ** 2, kernel._lam
@@ -151,18 +153,13 @@ class _SplitForms:
         with np.errstate(divide="ignore"):  # c = 0 leaves whether mu_1 is live to the record
             self.c_cond = x_scale / np.sqrt(cc)
         self.d_mag, self.spread = np.sqrt(self.dd) * x_scale[..., None], math.sqrt(a.size * (q.shape[-1] + 1))
-        # gamma_sd + gamma_rd = P s / (P i + N_d) + P t / (P j + k), from |h^T b|^2 of h_sd, h_sr on u, v
-        channels, directions = np.array([ctx.h_sd, ctx.h_sr]), np.array([ctx.comm_direction, ctx.radar_direction])
-        (sd_u, sd_v), (sr_u, sr_v) = np.abs(channels @ directions.T) ** 2
-        relay, data, noise = abs(ctx.h_rd) ** 2 * comm.relay_power_w, 1.0 - rhos, comm.noise_var_dest_w
-        self.link = (data * sd_u, rhos * sd_v, noise, relay * data * sr_u, noise * (data * sr_u + rhos * sr_v),
-                     comm.noise_var_relay_w * (relay + noise))
+        self.link = LinkSinrs(ctx, rhos)
 
     def __call__(self, power_watts):
         """gamma_sd + gamma_rd, the deflection and an estimate of the deflection's
         relative rounding error at power_watts (a float or an (M, 1) column)."""
-        p, (s, i, noise, t, j, k) = np.asarray(power_watts, dtype=float), self.link
-        gamma = p * s / (p * i + noise) + p * t / (p * j + k)
+        p = np.asarray(power_watts, dtype=float)
+        gamma_sd, gamma_rd = self.link(p)
         f = 1.0 / (1.0 + p[..., None] * self.lam)
         q1, w2 = self.rr + np.vecdot(f, self.qq), self.rr + np.vecdot(f * f, self.qq)
         tt = np.abs(self.e + ((self.q * f)[..., None, :] @ self.g)[..., 0, :]) ** 2
@@ -172,7 +169,7 @@ class _SplitForms:
         t_mag = self.n * (1.0 + 2.0 * np.sum(f, axis=-1))
         clutter = np.vecdot(tt, self.d_mag) + t_mag * np.vecdot(np.sqrt(tt) + t_mag[..., None] * _EPS / 2, self.dd)
         error = self.c_cond + 3.0 * self.spread / np.sqrt(w2) + scale * clutter / q2
-        return gamma, np.sqrt(self.gain * p / q2) * q1, _EPS * error
+        return gamma_sd + gamma_rd, np.sqrt(self.gain * p / q2) * q1, _EPS * error
 
 
 def _first_feasible(forms: _SplitForms, power_watts) -> tuple[int | None, int]:
@@ -184,7 +181,7 @@ def _first_feasible(forms: _SplitForms, power_watts) -> tuple[int | None, int]:
     mask."""
     gamma, deflection, error = forms(power_watts)
     ok = np.atleast_2d((gamma >= forms.threshold) & (forms.gain > 0.0) & (deflection >= forms.floor))
-    near = ~(_SAFETY * error <= _BAND / 1000.0) | (abs(gamma - forms.threshold) <= _BAND * forms.threshold)
+    near = ~(_SAFETY * error <= _BAND / 1000.0)
     if math.isfinite(forms.floor):
         near |= abs(deflection - forms.floor) <= _BAND * abs(forms.floor)
     for m in np.flatnonzero(near.reshape(ok.shape).any(axis=-1)):

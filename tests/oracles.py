@@ -10,7 +10,9 @@ detector's false-alarm threshold has a one-threshold-at-a-time reference in
 Python floats, and its blocked Monte Carlo counts a one-draw reference: all the
 trials drawn, sorted and counted at once. The exact and Fresnel element distances and the Fraunhofer
 boundary back the near-field gate, and parse_table_csv reads an emitted table
-back into typed records.
+back into typed records. The link SINRs have a beam-level reference: the
+relay gain that meets its budget at the beams of one (P, rho), then each
+SINR from the beams' channel gains.
 """
 
 import csv
@@ -23,7 +25,7 @@ from jrcsim.array_geometry import array_constants, element_index_offsets, steeri
 from jrcsim.detection import _null_blocks
 from jrcsim.experiments import COLUMNS
 from jrcsim.radar_sensing import ClutterSteering, InterferenceKernel
-from jrcsim.scenario import ArraySection
+from jrcsim.scenario import ArraySection, CommSection
 from jrcsim.stats import inverse_q, q_function
 
 
@@ -108,6 +110,41 @@ def average_scnr(clutter: ClutterSteering, beams: np.ndarray, alpha0: complex, a
     kernel = InterferenceKernel(clutter, clutter.gains(beams))
     loading = np.sum(np.abs(beams @ a_target) ** 2)
     return float(abs(alpha0) ** 2 * kernel.quadratic(a_target)[0] * loading)
+
+
+def _beam_gain(h: np.ndarray, beam: np.ndarray):
+    """|h^T b|^2 for one beam or each row of a stack, rounded as the scalar
+    abs(np.dot(h, b)) ** 2 is: the same BLAS dot, hypot and pow."""
+    z = np.vecdot(h.conj(), beam)
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
+def af_gain(h_sr: np.ndarray, beams: np.ndarray, comm: CommSection):
+    """Relay gain f_rd = sqrt(budget / (received signal power + relay noise)).
+
+    The received power is |h_sr^T u|^2 + |h_sr^T v|^2, so |f_rd|^2 times
+    (received + noise) meets the budget exactly.
+    """
+    received = _beam_gain(h_sr, beams[..., 0, :]) + _beam_gain(h_sr, beams[..., 1, :])
+    return np.sqrt(comm.relay_power_w / (received + comm.noise_var_relay_w))
+
+
+def sinr_direct(h_sd: np.ndarray, beams: np.ndarray, comm: CommSection):
+    """Direct-link SINR: the data beam against radar leakage plus noise."""
+    signal = _beam_gain(h_sd, beams[..., 0, :])
+    interference = _beam_gain(h_sd, beams[..., 1, :])
+    return signal / (interference + comm.noise_var_dest_w)
+
+
+def sinr_relayed(h_sr: np.ndarray, h_rd: complex, gain, beams: np.ndarray, comm: CommSection):
+    """Relayed-path SINR at the destination for the data beam u and relay gain f = gain.
+
+    gamma_rd = |h_rd f h_sr^T u|^2 / (|h_rd f|^2 N_r + N_d).
+    """
+    through = abs(h_rd) ** 2 * gain * gain
+    signal = through * _beam_gain(h_sr, beams[..., 0, :])
+    denom = through * comm.noise_var_relay_w + comm.noise_var_dest_w
+    return signal / denom
 
 
 def radar_snapshot_batch(

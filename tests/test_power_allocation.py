@@ -672,9 +672,10 @@ class TestOneDecompositionPerSplitGrid:
 
 
 # The split search decides each entry from per-split closed forms in P and
-# builds the record only at near-ties, where the forms' last bits could flip a
-# comparison the record would make otherwise. Outside the entries the forms
-# route to the record, they must agree with it to a thousandth of the band.
+# builds the record only at near-ties of the deflection, where the forms' last
+# bits could flip a comparison the record would make otherwise. Outside the
+# entries the forms route to the record, their deflection must agree with it
+# to a thousandth of the band; their SINR sum is the record's, bit for bit.
 
 def _decided(error):
     return _SAFETY * error <= _BAND / 1000.0
@@ -691,8 +692,7 @@ class TestSplitForms:
         gamma, deflection, error = forms(powers[:, None])
         point = ctx.operating_point(powers[:, None], rhos)
         bound = _BAND / 1000.0
-        gamma_sum = point.gamma_direct + point.gamma_relayed
-        assert np.all(np.abs(gamma - gamma_sum) <= bound * gamma_sum)
+        assert np.array_equal(gamma, point.gamma_direct + point.gamma_relayed)
         decided, live = _decided(error), point.mu1_abs > 0.0
         assert np.array_equal(np.broadcast_to(forms.gain > 0.0, live.shape)[decided], live[decided])
         on = decided & live
@@ -720,29 +720,25 @@ def _solve_exactly(fn, target, x, increasing=True):
 
 
 class TestNearTies:
-    """A threshold put exactly on the record's value, or one ulp above it, at
-    entries where the forms differ from the record in their last bits: the
-    search must answer as the record does, which the forms alone would not."""
+    """A threshold put exactly on the record's value, or one ulp above it: the
+    search must answer as the record does. At entries where the forms'
+    deflection differs from the record's in its last bits, the forms alone
+    would not; their SINR sum is the record's own."""
 
     @pytest.fixture(scope="class")
     def differing(self, fast_context):
-        """(power, split, record, forms) of the deflection and of the SINR sum
-        at entries where the two differ."""
-        entries = {"deflection": [], "gamma": []}
+        """(power, split, record, forms) of the deflection at entries where the two differ."""
+        entries = []
         for rho in (0.3, 0.6, 0.9):
             rhos = np.array([rho])
             forms = _SplitForms(fast_context, rhos)
             for power in np.geomspace(1.0, 30.0, 40).tolist():
-                gamma, deflection, error = forms(power)
+                _, deflection, error = forms(power)
                 assert _decided(error).all()
-                point = fast_context.operating_point(power, rhos)
-                for name, exact, approx in (
-                    ("deflection", point.deflection[0], deflection[0]),
-                    ("gamma", point.gamma_direct[0] + point.gamma_relayed[0], gamma[0]),
-                ):
-                    if exact != approx:
-                        entries[name].append((power, rhos, float(exact), float(approx)))
-        assert len(entries["deflection"]) >= 10 and len(entries["gamma"]) >= 10
+                exact = fast_context.operating_point(power, rhos).deflection[0]
+                if exact != deflection[0]:
+                    entries.append((power, rhos, float(exact), float(deflection[0])))
+        assert len(entries) >= 10
         return entries
 
     def _check(self, ctx, power, rhos, forms_say):
@@ -753,7 +749,7 @@ class TestNearTies:
 
     def test_a_floor_on_the_record_deflection(self, fast_context, differing):
         flips = 0
-        for power, rhos, exact, approx in differing["deflection"]:
+        for power, rhos, exact, approx in differing:
             for floor in (exact, math.nextafter(exact, math.inf)):
                 cap = _solve_exactly(inverse_q, floor, float(q_function(floor)), increasing=False)
                 if cap is None:
@@ -762,16 +758,22 @@ class TestNearTies:
                 flips += self._check(ctx, power, rhos, approx >= floor)
         assert flips >= 3
 
-    def test_a_rate_target_on_the_record_sinr_sum(self, fast_context, differing):
-        flips = 0
-        for power, rhos, exact, approx in differing["gamma"]:
-            for threshold in (exact, math.nextafter(exact, math.inf)):
-                rate = _solve_exactly(rate_threshold, threshold, math.log2(1.0 + threshold))
-                if rate is None:
-                    continue
-                ctx = with_targets(fast_context, rate_bps_hz=rate, pd_min=0.0)
-                flips += self._check(ctx, power, rhos, approx >= threshold)
-        assert flips >= 3
+    def test_a_rate_target_on_the_record_sinr_sum(self, fast_context):
+        checked = 0
+        for rhos in (np.array([0.3]), np.array([0.6]), np.array([0.9])):
+            for power in np.geomspace(1.0, 30.0, 10).tolist():
+                point = fast_context.operating_point(power, rhos)
+                exact = float(point.gamma_direct[0] + point.gamma_relayed[0])
+                for threshold in (exact, math.nextafter(exact, math.inf)):
+                    rate = _solve_exactly(rate_threshold, threshold, math.log2(1.0 + threshold))
+                    if rate is None:
+                        continue
+                    ctx = with_targets(fast_context, rate_bps_hz=rate, pd_min=0.0)
+                    answer = _first_feasible(_SplitForms(ctx, rhos), power)
+                    assert answer == _oracle_first_feasible(ctx, power, rhos)
+                    assert (answer[0] is not None) == (threshold == exact)
+                    checked += 1
+        assert checked >= 10
 
 
 @st.composite

@@ -1,6 +1,6 @@
 """The package surface: every function in src/jrcsim runs in some CLI command,
-every interference kernel comes from the scene, and the package runs on NumPy
-and the standard library alone.
+every interference kernel comes from the scene, the link SINRs have exactly
+two readers, and the package runs on NumPy and the standard library alone.
 
 All five commands run on the reduced scenario (and one of them in JSON form)
 under sys.setprofile, which records the code object of every Python frame
@@ -24,7 +24,9 @@ import pytest
 import jrcsim
 from conftest import reduced_scenario
 from jrcsim.cli import main
-from jrcsim.context import SensingScene
+from jrcsim.comm_link import LinkSinrs
+from jrcsim.context import SensingScene, SimulationContext
+from jrcsim.power_allocation import _SplitForms
 from jrcsim.radar_sensing import InterferenceKernel
 from jrcsim.scenario import ScenarioConfig
 
@@ -89,6 +91,14 @@ def test_every_kernel_comes_from_the_scene(calls):
     init = InterferenceKernel.__init__.__code__
     callers = {caller for caller, callee in calls if callee is init}
     assert callers == {SensingScene.unit_kernel.__code__}
+
+
+def test_the_link_sinrs_are_stated_once(calls):
+    # the record and the split search read one closed form of the SINRs, so
+    # the optimizer's rate test is the record's bit for bit
+    init = LinkSinrs.__init__.__code__
+    callers = {caller for caller, callee in calls if callee is init}
+    assert callers == {SimulationContext.operating_point.__code__, _SplitForms.__init__.__code__}
 
 
 def test_every_exported_name_resolves():
