@@ -5,9 +5,10 @@ streams, one per (kind, realization), so a rebuilt scene is identical and sweep
 cells never share or reorder draws. The array is the scenario's array section;
 a sweep cell is the scenario with another section swapped in by
 dataclasses.replace. build_scene draws the radar side of R realizations as
-one stacked SensingScene: reflectivity, the clutter steering matrix B with its
-amplitude scale sigma (a clutter level is the same matrix with another
-scale), and the matched data and radar beam directions. A
+one stacked SensingScene, keying their phase and clutter streams in one pass
+per kind (stats.first_doubles): reflectivity, the clutter steering matrix B
+with its amplitude scale sigma (a clutter level is the same matrix with
+another scale), and the matched data and radar beam directions. A
 SimulationContext is one realization of it plus the relay channels and one
 frozen unit-power symbol vector, which keeps the transmit waveform fixed across
 Monte Carlo trials and operating points. SimulationContext.operating_point
@@ -39,7 +40,7 @@ from .radar_sensing import (
     waveform_from_symbols,
 )
 from .scenario import ScenarioConfig
-from .stats import derive_stream
+from .stats import derive_stream, first_doubles
 
 __all__ = ["OperatingPoint", "SimulationContext", "build_context", "stream_id"]
 
@@ -167,30 +168,30 @@ def build_scene(scenario: ScenarioConfig, *, scene_keys) -> tuple[SensingScene, 
     each one's channel stream, left just past its h_sd draw (None under LoS,
     where every channel is deterministic)."""
     target, comm, model, array = scenario.target, scenario.comm, scenario.path_loss, scenario.array
-    # the streams a realization draws from, and so the only ones it derives; given
-    # no stream, a channel is line of sight and the reflectivity has zero phase
-    drawn = {
-        KIND_TARGET_PHASE: target.phase == "uniform",
-        KIND_SCENE: scenario.clutter.count > 0,
-        KIND_CHANNEL: comm.fading == "rayleigh",
-    }
-    alpha0, placements, channels = [], [], []
-    for key in scene_keys:
-        streams = {kind: derive_stream(scenario.seed, stream_id(kind, key)) for kind, used in drawn.items() if used}
-        alpha0.append(target_reflectivity(scenario, streams.get(KIND_TARGET_PHASE)))
-        placements.append(make_clutter_scene(scenario, streams.get(KIND_SCENE)))
-        channels.append(streams.get(KIND_CHANNEL))
+    count, keys = scenario.clutter.count, list(scene_keys)
+
+    # a realization keys only the streams it draws from, the phase and clutter ones
+    # of all realizations in one pass per kind; given no draws the reflectivity has
+    # zero phase and a channel is line of sight
+    def ids(kind):
+        return [stream_id(kind, key) for key in keys]
+
+    phases = first_doubles(scenario.seed, ids(KIND_TARGET_PHASE), 1)[:, 0] if target.phase == "uniform" else None
+    placed = ids(KIND_SCENE) if count else []
+    draws = first_doubles(scenario.seed, placed, 2 * count) if placed else np.empty((len(keys), 0))
+    ranges, angles = make_clutter_scene(scenario, draws, placed)
+    rayleigh = comm.fading == "rayleigh"
+    channels = [derive_stream(scenario.seed, i) for i in ids(KIND_CHANNEL)] if rayleigh else [None] * len(keys)
     # h_sd is a channel stream's first draw; under LoS one deterministic h_sd serves all
-    draws = channels if drawn[KIND_CHANNEL] else [None]
     h_sd = [
         synthesize_comm_channel(array, model, comm.destination_range_m, comm.destination_angle_rad, rng)
-        for rng in draws
+        for rng in (channels if rayleigh else [None])
     ]
     copies = len(channels) // len(h_sd)
     a = steering_vector(array, target.range_m, target.angle_rad)
     return SensingScene(
-        alpha0=np.array(alpha0), target_steering=a,
-        clutter=ClutterSteering(steering_matrix(array, *zip(*placements)), scenario.clutter.sigma),
+        alpha0=np.broadcast_to(target_reflectivity(scenario, phases), len(keys)), target_steering=a,
+        clutter=ClutterSteering(steering_matrix(array, ranges, angles), scenario.clutter.sigma),
         h_sd=np.array(h_sd * copies),
         comm_direction=np.array([np.conj(h) / np.linalg.norm(h) for h in h_sd] * copies),
         radar_direction=np.array([np.conj(a) / np.linalg.norm(a)] * len(channels)),

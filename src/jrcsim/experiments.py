@@ -205,8 +205,10 @@ def run_scnr_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
         level_means = {}
         for level, scnr in _level_curves(scenario, n, f_ghz, pair_index, powers_w):
             db = 10.0 * np.log10(scnr)
-            means = [float(np.mean(column)) for column in db.T]
-            stds = [float(np.std(column, ddof=1)) if realizations > 1 else 0.0 for column in db.T]
+            # one reduction per statistic; on the contiguous transpose each row sums as its column alone does
+            columns = np.ascontiguousarray(db.T)
+            means = np.mean(columns, axis=1).tolist()
+            stds = np.std(columns, axis=1, ddof=1).tolist() if realizations > 1 else [0.0] * len(means)
             blocks.append({
                 "power_dbm": powers_dbm,
                 "n_antennas": n,

@@ -1,10 +1,11 @@
 """Path loss, channel synthesis, target reflectivity, and clutter placements.
 
 Conventions: path loss is returned in dB; amplitude gains are 10^(-PL/20).
-A channel or reflectivity is drawn when it is handed a random stream (Rayleigh
-fading, uniform target phase) and deterministic without one (line of sight,
-zero phase); the scenario's fading and phase settings decide, in
-context.build_scene, which streams exist.
+A channel is drawn when it is handed a random stream (Rayleigh fading), a
+reflectivity when handed uniform draws (uniform target phase), and either is
+deterministic without (line of sight, zero phase); clutter placements map a
+block of uniform draws, one row per realization. The scenario's fading and
+phase settings decide, in context.build_scene, which streams exist.
 The radar receive noise is unit variance by convention, so absolute levels are
 carried entirely by channel gains and the reflectivity scale. A channel is
 synthesized on the scenario's array section toward a plain (range, angle)
@@ -21,6 +22,7 @@ import numpy as np
 
 from .array_geometry import SPEED_OF_LIGHT, array_constants, steering_vector
 from .scenario import ArraySection, PathLossSection, ScenarioConfig
+from .stats import derive_stream
 
 __all__ = [
     "path_loss_db",
@@ -97,40 +99,47 @@ def synthesize_scalar_channel(
     return complex(g * (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0))
 
 
-def target_reflectivity(scenario: ScenarioConfig, rng: np.random.Generator | None = None) -> complex:
+def target_reflectivity(scenario: ScenarioConfig, draws: np.ndarray | None = None) -> complex | np.ndarray:
     """Two-way reflectivity alpha_0 of the scenario's target, on its array's carrier.
 
-    Magnitude is rcs_scale * 10^(-2 PL_oneway / 20); the phase is zero without
-    a stream (deterministic sweeps) and uniform on [0, 2 pi) drawn from one.
+    Magnitude is rcs_scale * 10^(-2 PL_oneway / 20), computed once; the phase is
+    zero without draws (deterministic sweeps), giving one complex, and 2 pi u for
+    each uniform u on [0, 1) of an (R,) array of draws, giving an (R,) array.
     """
     target = scenario.target
     carrier_hz = array_constants(scenario.array)[0]
     mag = target.rcs_scale * 10.0 ** (-2.0 * path_loss_db(scenario.path_loss, carrier_hz, target.range_m) / 20.0)
-    if rng is None:
+    if draws is None:
         return complex(mag)
-    return complex(mag * np.exp(2j * np.pi * rng.uniform()))
+    return mag * np.exp(2j * np.pi * draws)
 
 
-def make_clutter_scene(scenario: ScenarioConfig, rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
-    """Ranges and angles of the scenario's clutter placements around (but never on top of) the target bearing.
+def make_clutter_scene(scenario: ScenarioConfig, draws: np.ndarray, stream_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Ranges and angles (R, L) of R realizations of the scenario's clutter, around (but never on top of) the target bearing.
 
+    Row i maps draws[i], the first 2L uniform draws of stream stream_ids[i] on
+    the scenario's seed (stats.first_doubles), range then angle per element.
     Ranges are uniform on (min_range_m, max_range_m], up to rounding at the
     lower end; angles are uniform on (0, pi) minus the +- angle_exclusion_rad
-    window about the target angle. Draw order is fixed (range then angle, per
-    element) so a given stream always yields the same placements; without
-    clutter nothing is drawn and the stream may be None.
+    window about the target angle. An angle on 0 or pi is drawn again, moving
+    every later draw of its row, so such a row is drawn in order from its stream.
+    Without clutter the rows are empty.
     """
     clutter, target_angle = scenario.clutter, scenario.target.angle_rad
     lo = max(0.0, target_angle - clutter.angle_exclusion_rad)
     hi = min(np.pi, target_angle + clutter.angle_exclusion_rad)
-    mass = lo + (np.pi - hi)
-    ranges, angles = np.empty(clutter.count), np.empty(clutter.count)
-    for i in range(clutter.count):
-        # map u in [0, 1) to (min, max], the lower end open up to rounding
-        ranges[i] = clutter.max_range_m - rng.uniform() * (clutter.max_range_m - clutter.min_range_m)
-        while True:
-            t = rng.uniform() * mass
-            angles[i] = t if t < lo else hi + (t - lo)
-            if 0.0 < angles[i] < np.pi:
-                break
+    mass, span = lo + (np.pi - hi), clutter.max_range_m - clutter.min_range_m
+    # map u in [0, 1) to (min, max], the lower end open up to rounding
+    ranges = clutter.max_range_m - draws[:, 0::2] * span
+    t = draws[:, 1::2] * mass
+    angles = np.where(t < lo, t, hi + (t - lo))
+    for row in np.flatnonzero(~np.all((0.0 < angles) & (angles < np.pi), axis=1)):
+        rng = derive_stream(scenario.seed, stream_ids[row])
+        for i in range(clutter.count):
+            ranges[row, i] = clutter.max_range_m - rng.uniform() * span
+            while True:
+                t = rng.uniform() * mass
+                angles[row, i] = t if t < lo else hi + (t - lo)
+                if 0.0 < angles[row, i] < np.pi:
+                    break
     return ranges, angles

@@ -95,6 +95,23 @@ def derive_stream(master_seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def first_doubles(master_seed: int, stream_ids, count: int) -> np.ndarray:
+    """The first count doubles of each stream keyed as derive_stream keys it:
+    row i of the (len(stream_ids), count) array is
+    derive_stream(master_seed, stream_ids[i]).random(count) bit for bit. One
+    Philox is re-keyed per row, its counter and buffer set to a fresh stream's,
+    so no row's draws depend on the rows before it."""
+    bit_generator = np.random.Philox(0)
+    generator, state = np.random.Generator(bit_generator), bit_generator.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    out = np.empty((len(stream_ids), count))
+    for row, stream_id in zip(out, stream_ids):
+        state["state"] = {"counter": (0, 0, 0, 0), "key": (int(master_seed), int(stream_id))}
+        bit_generator.state = state
+        generator.random(out=row)
+    return out
+
+
 def float_text(x: float) -> str:
     """x at 9 significant digits, the precision every emission carries."""
     return np.format_float_positional(

@@ -12,7 +12,10 @@ trials drawn, sorted and counted at once. The exact and Fresnel element distance
 boundary back the near-field gate, and parse_table_csv reads an emitted table
 back into typed records. The link SINRs have a beam-level reference: the
 relay gain that meets its budget at the beams of one (P, rho), then each
-SINR from the beams' channel gains.
+SINR from the beams' channel gains. The stacked scene draw has a
+one-realization-at-a-time reference: each realization derives its own phase
+and clutter streams and draws from them in order, an angle on 0 or pi drawn
+again on the spot.
 """
 
 import csv
@@ -22,11 +25,13 @@ import numpy as np
 import scipy.linalg
 
 from jrcsim.array_geometry import array_constants, element_index_offsets, steering_matrix, steering_vector
+from jrcsim.context import KIND_SCENE, KIND_TARGET_PHASE, stream_id
 from jrcsim.detection import _null_blocks
 from jrcsim.experiments import COLUMNS
 from jrcsim.radar_sensing import ClutterSteering, InterferenceKernel
-from jrcsim.scenario import ArraySection, CommSection
-from jrcsim.stats import inverse_q, q_function
+from jrcsim.propagation import path_loss_db
+from jrcsim.scenario import ArraySection, CommSection, ScenarioConfig
+from jrcsim.stats import derive_stream, inverse_q, q_function
 
 
 def random_positions(rng, count=3) -> tuple[list, list]:
@@ -39,6 +44,46 @@ def random_positions(rng, count=3) -> tuple[list, list]:
 def clutter_at(array: ArraySection, ranges, angles, sigma=0.8) -> ClutterSteering:
     """The radar scene of scatterers at the given ranges and angles, all at amplitude scale sigma."""
     return ClutterSteering(steering_matrix(array, ranges, angles), float(sigma))
+
+
+def clutter_placements(scenario: ScenarioConfig, rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+    """Ranges and angles of one realization's clutter, drawn from its stream one
+    uniform at a time: range then angle per element, an angle outside (0, pi)
+    drawn again; without clutter nothing is drawn and the stream may be None."""
+    clutter, target_angle = scenario.clutter, scenario.target.angle_rad
+    lo = max(0.0, target_angle - clutter.angle_exclusion_rad)
+    hi = min(np.pi, target_angle + clutter.angle_exclusion_rad)
+    mass = lo + (np.pi - hi)
+    ranges, angles = np.empty(clutter.count), np.empty(clutter.count)
+    for i in range(clutter.count):
+        # map u in [0, 1) to (min, max], the lower end open up to rounding
+        ranges[i] = clutter.max_range_m - rng.uniform() * (clutter.max_range_m - clutter.min_range_m)
+        while True:
+            t = rng.uniform() * mass
+            angles[i] = t if t < lo else hi + (t - lo)
+            if 0.0 < angles[i] < np.pi:
+                break
+    return ranges, angles
+
+
+def scene_draws(scenario: ScenarioConfig, scene_keys) -> tuple[np.ndarray, np.ndarray]:
+    """Reflectivities alpha_0 (R,) and clutter steering matrices (R, N, L) of
+    the realizations scene_keys, one realization at a time: its phase stream
+    (under a uniform phase) gives one uniform, its scene stream (with clutter)
+    the placements of clutter_placements."""
+    target, clutter = scenario.target, scenario.clutter
+    carrier_hz = array_constants(scenario.array)[0]
+    mag = target.rcs_scale * 10.0 ** (-2.0 * path_loss_db(scenario.path_loss, carrier_hz, target.range_m) / 20.0)
+    alpha0, placements = [], []
+    for key in scene_keys:
+        if target.phase == "uniform":
+            rng = derive_stream(scenario.seed, stream_id(KIND_TARGET_PHASE, key))
+            alpha0.append(complex(mag * np.exp(2j * np.pi * rng.uniform())))
+        else:
+            alpha0.append(complex(mag))
+        rng = derive_stream(scenario.seed, stream_id(KIND_SCENE, key)) if clutter.count else None
+        placements.append(clutter_placements(scenario, rng))
+    return np.array(alpha0), steering_matrix(scenario.array, *zip(*placements))
 
 
 def make_beams(rng, n=5, power=1.0) -> np.ndarray:

@@ -6,18 +6,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import at_sigma
 from jrcsim.array_geometry import array_constants
 from jrcsim.context import (
     KIND_SCENE,
     build_context,
+    build_scene,
     stream_id,
 )
 from jrcsim.power_allocation import evaluate_point
 from jrcsim.propagation import path_loss_db
 from jrcsim.radar_sensing import waveform_from_symbols
 from jrcsim.scenario import CLUTTER_LEVELS, ConfigError, ScenarioConfig, dbm_to_watts, scenario_from_dict
+from oracles import scene_draws
 
 
 class TestStreamIds:
@@ -144,6 +148,43 @@ def test_drawn_inputs_are_bit_identical(default_scenario, fading, phase):
             value = ctx.clutter.matrix if name == "clutter" else getattr(ctx, name)
             h.update(np.asarray(value, dtype=complex).tobytes())
         assert h.hexdigest() == digest, (name, fading, phase)
+
+
+def drawn_scene(phase="uniform", angle=1.0, window=0.05, count=3, min_range=0.5, max_range=5.0):
+    """The default scenario with its phase, target bearing and clutter drawn as given."""
+    return scenario_from_dict({
+        "seed": 20260817, "target": {"phase": phase, "angle_rad": angle},
+        "clutter": {"count": count, "angle_exclusion_rad": window, "min_range_m": min_range, "max_range_m": max_range},
+    })
+
+
+@st.composite
+def drawn_scenes(draw):
+    """A valid scenario over the phase, the target bearing and 0-12 clutter
+    elements, whose window is often clipped at 0 or pi, with 1-6 scene keys."""
+    angle = draw(st.floats(0.0, np.pi, exclude_min=True, exclude_max=True))
+    window = draw(st.floats(0.0, max(angle, np.pi - angle), exclude_max=True))
+    min_range = draw(st.floats(1e-6, 1e3))
+    scenario = drawn_scene(
+        draw(st.sampled_from(["zero", "uniform"])), angle, window, draw(st.integers(0, 12)),
+        min_range, draw(st.floats(min_range, 1e9, exclude_min=True)),
+    )
+    return scenario, draw(st.lists(st.integers(0, 2**48 - 1), min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn_scenes())
+@example((drawn_scene(angle=0.5, window=2.0, count=12), [0, 1, 2]))
+@example((drawn_scene(angle=2.8, window=1.0, count=12), [5, 3]))
+@example((drawn_scene("zero", count=0), [0, 7]))
+@example((drawn_scene(min_range=2.0, max_range=2.0000000000000004, count=5), [(3 << 24) | 99, 4]))
+def test_the_stacked_scene_is_the_per_realization_draw(case):
+    scenario, keys = case
+    scene, _ = build_scene(scenario, scene_keys=keys)
+    alpha0, matrices = scene_draws(scenario, keys)
+    assert np.array_equal(scene.alpha0, alpha0)
+    assert scene.clutter.matrix.shape == matrices.shape
+    assert np.array_equal(scene.clutter.matrix, matrices)
 
 
 class TestBeamsAndWaveform:

@@ -46,7 +46,7 @@ from jrcsim.scenario import (
     scenario_from_dict,
     watts_to_dbm,
 )
-from jrcsim.stats import canonical_ceil, canonical_float, derive_stream, inverse_q
+from jrcsim.stats import canonical_ceil, canonical_float, derive_stream, first_doubles, inverse_q
 from oracles import parse_table_csv
 
 
@@ -274,13 +274,16 @@ class TestSweepDrawsOnlyTheScene:
                 contexts += 1
             elif event == "call" and frame.f_code is derive_stream.__code__:
                 kinds[frame.f_locals["stream_id"] >> 48] += 1
+            elif event == "call" and frame.f_code is first_doubles.__code__:
+                kinds.update(stream >> 48 for stream in frame.f_locals["stream_ids"])
 
         sys.setprofile(record)
         try:
             run_scnr_sweep(sc)
         finally:
             sys.setprofile(None)
-        # the reduced scene has clutter; a phase or channel stream is derived only where drawn
+        # the reduced scene has clutter; a phase or channel stream is keyed only where
+        # drawn, whether one at a time or in a keyed pass over every realization
         realizations = len(sc.sweep.antennas) * len(sc.sweep.carriers_ghz) * sc.sweep.realizations
         drawn = {KIND_SCENE: realizations}
         if phase == "uniform":

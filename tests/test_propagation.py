@@ -1,10 +1,12 @@
 """Path loss, channel synthesis, target reflectivity, clutter placement.
 
-A channel or reflectivity handed a random stream draws from it (Rayleigh
-fading, uniform phase); handed none it is deterministic (line of sight, zero
-phase). Which settings reach these functions is the scenario's business: its
-choices tests reject any other fading or phase name, and its range tests every
-clutter or reflectivity value the draws could not use.
+A channel handed a random stream draws from it (Rayleigh fading), and a
+reflectivity handed uniform draws takes its phases from them; handed none
+either is deterministic (line of sight, zero phase). Clutter placements map a
+block of each realization's first uniform draws. Which settings reach these
+functions is the scenario's business: its choices tests reject any other
+fading or phase name, and its range tests every clutter or reflectivity value
+the draws could not use.
 """
 
 import dataclasses
@@ -24,7 +26,8 @@ from jrcsim.propagation import (
     target_reflectivity,
 )
 from jrcsim.scenario import ArraySection, ClutterSection, PathLossSection, ScenarioConfig, TargetSection
-from jrcsim.stats import derive_stream
+from jrcsim.stats import derive_stream, first_doubles
+from oracles import clutter_placements
 
 C_LIGHT = 299_792_458.0
 FREE = PathLossSection()
@@ -211,60 +214,92 @@ class TestTargetReflectivity:
         assert 20.0 * np.log10(lo / hi) == pytest.approx(40.0, abs=1e-9)
 
     def test_uniform_phase_preserves_magnitude(self):
-        rng = np.random.default_rng(11)
         scenario = target_at(range_m=5.0, rcs_scale=3.0e7)
-        mags = set()
-        phases = []
-        for _ in range(200):
-            a0 = target_reflectivity(scenario, rng=rng)
-            mags.add(round(abs(a0), 15))
-            phases.append(np.angle(a0))
-        assert len(mags) == 1
-        assert np.std(phases) > 0.5  # phases actually spread
+        a0 = target_reflectivity(scenario, np.random.default_rng(11).random(200))
+        assert a0.shape == (200,)
+        assert len({round(abs(a), 15) for a in a0}) == 1
+        assert np.std(np.angle(a0)) > 0.5  # phases actually spread
 
     def test_a_stream_draws_one_uniform_phase(self):
-        rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+        # each entry's phase is the first uniform of its own stream, as a scalar draw gives it
+        ids = [3, 4, 5]
         scenario = target_at(range_m=5.0, rcs_scale=3.0e7)
-        a0 = target_reflectivity(scenario, rng=rng)
+        a0 = target_reflectivity(scenario, first_doubles(scenario.seed, ids, 1)[:, 0])
         mag = target_reflectivity(scenario)
-        assert a0 == complex(mag.real * np.exp(2j * np.pi * twin.uniform()))
-        assert rng.uniform() == twin.uniform()
+        phases = [derive_stream(scenario.seed, i).uniform() for i in ids]
+        assert [complex(a) for a in a0] == [complex(mag.real * np.exp(2j * np.pi * u)) for u in phases]
+
+
+def placements(scenario: ScenarioConfig, ids) -> tuple[np.ndarray, np.ndarray]:
+    """The clutter placements of the streams ids on the scenario's seed."""
+    return make_clutter_scene(scenario, first_doubles(scenario.seed, ids, 2 * scenario.clutter.count), ids)
+
+
+class Replay:
+    """A stream whose uniform draws are the given values, in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def uniform(self) -> float:
+        return float(next(self.values))
 
 
 class TestClutterScene:
     def test_count_scale_and_ranges(self):
-        rng = np.random.default_rng(5)
-        ranges, angles = make_clutter_scene(
-            clutter_about(np.pi / 3, count=3, max_range_m=5.0, angle_exclusion_rad=0.05, min_range_m=0.5), rng
-        )
-        assert ranges.shape == angles.shape == (3,)
+        scenario = clutter_about(np.pi / 3, count=3, max_range_m=5.0, angle_exclusion_rad=0.05, min_range_m=0.5)
+        ranges, angles = placements(scenario, [5, 6])
+        assert ranges.shape == angles.shape == (2, 3)
         assert np.all((0.5 < ranges) & (ranges <= 5.0))
         assert np.all((0.0 < angles) & (angles < np.pi))
 
     def test_exclusion_window_respected(self):
         target = 1.1
-        rng = np.random.default_rng(17)
         scenario = clutter_about(target, count=1, max_range_m=5.0, angle_exclusion_rad=0.1, min_range_m=0.5)
-        for _ in range(10_000):
-            _, (angle,) = make_clutter_scene(scenario, rng)
-            assert abs(angle - target) >= 0.1
+        _, angles = placements(scenario, range(10_000))
+        assert np.all(np.abs(angles - target) >= 0.1)
 
     def test_angles_cover_both_sides(self):
         target = np.pi / 2
-        rng = np.random.default_rng(23)
         scenario = clutter_about(target, count=1, max_range_m=5.0, angle_exclusion_rad=0.3, min_range_m=0.5)
-        angles = [make_clutter_scene(scenario, rng)[1][0] for _ in range(500)]
-        assert any(a < target for a in angles) and any(a > target for a in angles)
+        _, angles = placements(scenario, range(500))
+        assert np.any(angles < target) and np.any(angles > target)
 
     def test_deterministic_given_stream(self):
         scenario = clutter_about(np.pi / 3, count=3, max_range_m=5.0, angle_exclusion_rad=0.05, min_range_m=0.5)
-        a = make_clutter_scene(scenario, np.random.default_rng(9))
-        b = make_clutter_scene(scenario, np.random.default_rng(9))
-        assert np.array_equal(a, b)
+        assert np.array_equal(placements(scenario, [9, 4]), placements(scenario, [9, 4]))
 
     def test_zero_count(self):
-        ranges, angles = make_clutter_scene(clutter_about(1.0, count=0), None)
-        assert ranges.shape == angles.shape == (0,)
+        ranges, angles = make_clutter_scene(clutter_about(1.0, count=0), np.empty((3, 0)), [])
+        assert ranges.shape == angles.shape == (3, 0)
+
+    def test_an_angle_on_an_edge_draws_the_row_again_from_its_stream(self):
+        # an exact 0 angle draw below a window whose lower edge is above 0 places
+        # the element at bearing 0, which a one-at-a-time draw rejects and draws
+        # again; the row then follows its stream in order, and the others keep
+        # their block
+        scenario = clutter_about(1.0, count=3, angle_exclusion_rad=0.5)
+        ids = [11, 12, 13]
+        draws = first_doubles(scenario.seed, ids, 6)
+        draws[1, 3] = 0.0
+        ranges, angles = make_clutter_scene(scenario, draws, ids)
+        assert np.all((0.0 < angles) & (angles < np.pi))
+        for row, stream in enumerate(ids):
+            want = clutter_placements(scenario, derive_stream(scenario.seed, stream))
+            assert np.array_equal((ranges[row], angles[row]), want)
+
+    def test_a_zero_draw_under_a_window_clipped_at_0_lands_on_its_far_edge(self):
+        # with the window's lower edge at 0 no bearing lies below it, so a 0 draw
+        # maps to the upper edge as in a one-at-a-time draw, and nothing is drawn again
+        scenario = clutter_about(0.5, count=2, angle_exclusion_rad=2.0)
+        ids = [21, 22]
+        draws = first_doubles(scenario.seed, ids, 4)
+        draws[0, 1] = 0.0
+        ranges, angles = make_clutter_scene(scenario, draws, ids)
+        assert angles[0, 0] == 2.5
+        for row, values in enumerate(draws):
+            want = clutter_placements(scenario, Replay(values))
+            assert np.array_equal((ranges[row], angles[row]), want)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(scenario=clutter_scenarios(), key=st.integers(0, 2**32 - 1))
@@ -275,23 +310,21 @@ class TestClutterScene:
         # count placements, ranges in [min, max], angles in (0, pi) outside the
         # window, and both at their uniform draws: the range at max - u (max - min),
         # which rounding can land on min (a range one ulp wide does), and the
-        # angle at its draw's share of the bearings left outside the window;
-        # without clutter no stream is derived
+        # angle at its draw's share of the bearings left outside the window,
+        # each row on its own stream; without clutter nothing is drawn
         clutter, angle = scenario.clutter, scenario.target.angle_rad
         window = clutter.angle_exclusion_rad
-
-        def stream():
-            return derive_stream(scenario.seed, key) if clutter.count else None
-
-        ranges, angles = make_clutter_scene(scenario, stream())
-        assert ranges.shape == angles.shape == (clutter.count,)
+        ids = [key, key + 1]
+        ranges, angles = placements(scenario, ids)
+        assert ranges.shape == angles.shape == (2, clutter.count)
         assert np.all((clutter.min_range_m <= ranges) & (ranges <= clutter.max_range_m))
         assert np.all((0.0 < angles) & (angles < np.pi))
         assert not np.any((angle - window < angles) & (angles < angle + window))
-        assert np.array_equal((ranges, angles), make_clutter_scene(scenario, stream()))
+        assert np.array_equal((ranges, angles), placements(scenario, ids))
         lo, hi = max(0.0, angle - window), min(np.pi, angle + window)
         below = np.minimum(angles, lo) + np.maximum(0.0, angles - hi)
-        twin = stream()
-        for i, share in enumerate(below):
-            assert ranges[i] == clutter.max_range_m - twin.uniform() * (clutter.max_range_m - clutter.min_range_m)
-            assert share == pytest.approx(twin.uniform() * (lo + np.pi - hi), rel=1e-12, abs=1e-14)
+        for row, stream in enumerate(ids):
+            twin = derive_stream(scenario.seed, stream)
+            for i, share in enumerate(below[row]):
+                assert ranges[row, i] == clutter.max_range_m - twin.uniform() * (clutter.max_range_m - clutter.min_range_m)
+                assert share == pytest.approx(twin.uniform() * (lo + np.pi - hi), rel=1e-12, abs=1e-14)

@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc, erfcinv
 
 from jrcsim.stats import (
     binomial_ci,
     derive_stream,
+    first_doubles,
     inverse_q,
     q_function,
 )
@@ -228,3 +231,30 @@ class TestDeriveStream:
     def test_large_ids_accepted(self):
         v = derive_stream(20260817, (7 << 48) | 123).standard_normal(4)
         assert np.all(np.isfinite(v))
+
+
+# an id of every stream kind the context keys, with a 48-bit index
+stream_ids = st.builds(lambda kind, index: (kind << 48) | index, st.integers(1, 6), st.integers(0, 2**48 - 1))
+
+
+class TestFirstDoubles:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), ids=st.lists(stream_ids, max_size=6), count=st.integers(0, 16))
+    def test_each_row_is_its_streams_first_doubles(self, seed, ids, count):
+        block = first_doubles(seed, ids, count)
+        assert block.shape == (len(ids), count)
+        for row, stream in zip(block, ids):
+            assert np.array_equal(row, derive_stream(seed, stream).random(count))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), ids=st.lists(stream_ids, min_size=1, max_size=4), count=st.integers(1, 16))
+    def test_rekeying_leaves_no_state_behind(self, seed, ids, count):
+        # a stream keyed after others, even after itself with a part-used
+        # Philox buffer, reads as a fresh stream
+        block = first_doubles(seed, [*ids, ids[0]], count)
+        assert np.array_equal(block[-1], block[0])
+        assert np.array_equal(block[-1], derive_stream(seed, ids[0]).random(count))
+
+    def test_no_streams(self):
+        assert first_doubles(7, [], 5).shape == (0, 5)
+
