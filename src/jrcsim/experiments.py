@@ -12,10 +12,11 @@ emit_outputs writes them where and as scenario.output says.
 Every runner hands its results to one table builder, by table name, as
 blocks of whole columns, each one value shared by its rows or one entry per
 row. COLUMNS lists each table's columns; the builder gives every value its
-column's Python kind, with floats canonicalized to 9 significant digits, so
-CSV and JSON emissions carry identical values and reruns with the same
-configuration and seed are byte-identical. Rows are sorted stably by their
-independent variables, never by completion order.
+column's Python kind and its CSV text. A float is rounded once, to its 9
+significant digit text, and its value is read back from that text; the CSV
+writes the text and the JSON the value, so both carry identical values and
+reruns with the same configuration and seed are byte-identical. Rows are
+sorted stably by their independent variables, never by completion order.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .scenario import (
     dbm_to_watts,
     watts_to_dbm,
 )
-from .stats import canonical_float, derive_stream, digit_unit, float_text
+from .stats import derive_stream, digit_unit, float_text
 
 __all__ = [
     "SweepTable",
@@ -128,25 +129,34 @@ _CHECK_BAND = 1.0e-3
 
 @dataclass(frozen=True)
 class SweepTable:
-    """One emitted table: its name, which keys its COLUMNS, and canonicalized rows."""
+    """One emitted table: its name, which keys its COLUMNS, its rows, and each row's CSV cell texts."""
 
     name: str
     rows: tuple[dict, ...]
+    texts: tuple[tuple[str, ...], ...]
 
 
-def _canonical(kind: type, value):
+def _cell(kind: type, value) -> tuple:
+    """(value, CSV text) of one cell, by its column's kind: a float's text is its
+    9-digit rounding (a zero reads 0) and its value is read back from that text;
+    None is an empty cell."""
     if value is None:
-        return None
-    return canonical_float(value) if kind is float else kind(value)
+        return None, ""
+    if kind is float:
+        text = float_text(value)
+        return float(text) + 0.0, "0" if text == "-0" else text
+    value = kind(value)
+    if kind is bool:
+        return value, "true" if value else "false"
+    return value, str(value)
 
 
 def _table(name: str, blocks, order) -> SweepTable:
     """The emitted table `name`, with its COLUMNS, from blocks of whole columns.
 
     A block maps each column to one value shared by all of its rows or to a
-    sequence with one entry per row. Every value is canonicalized by its
-    column's kind (None stays empty), rows keep block order, and they are then
-    sorted stably by the `order` columns.
+    sequence with one entry per row. Every value becomes a cell of its
+    column's kind; rows keep block order, then sort stably by `order`.
     """
     columns = COLUMNS[name]
     names = [column for column, _ in columns]
@@ -155,12 +165,14 @@ def _table(name: str, blocks, order) -> SweepTable:
         values = [block[column] for column in names]
         n = max((len(v) for v in values if np.ndim(v)), default=1)
         cells = [
-            [_canonical(kind, v) for v in value] if np.ndim(value) else [_canonical(kind, value)] * n
+            [_cell(kind, v) for v in value] if np.ndim(value) else [_cell(kind, value)] * n
             for (_, kind), value in zip(columns, values)
         ]
-        rows.extend(dict(zip(names, row)) for row in zip(*cells, strict=True))
-    rows.sort(key=lambda row: [row[column] for column in order])
-    return SweepTable(name, tuple(rows))
+        for row in zip(*cells, strict=True):
+            row_values, texts = zip(*row)
+            rows.append((dict(zip(names, row_values)), texts))
+    rows.sort(key=lambda pair: [pair[0][column] for column in order])
+    return SweepTable(name, tuple(row for row, _ in rows), tuple(texts for _, texts in rows))
 
 
 def _resolved_spread(std: float, mean: float) -> float:
@@ -335,23 +347,11 @@ def run_optimize(scenario: ScenarioConfig) -> list[SweepTable]:
     return [_optimum_table(minimize_power(build_context(scenario)))]
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return float_text(value)
-    return str(value)
-
-
 def _write_csv(table: SweepTable, path: str) -> None:
-    names = [name for name, _ in COLUMNS[table.name]]
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for row in table.rows:
-            writer.writerow([_csv_cell(row[name]) for name in names])
+        writer.writerow(name for name, _ in COLUMNS[table.name])
+        writer.writerows(table.texts)
 
 
 def _write_json(table: SweepTable, path: str, provenance: dict) -> None:

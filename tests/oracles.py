@@ -15,10 +15,12 @@ relay gain that meets its budget at the beams of one (P, rho), then each
 SINR from the beams' channel gains. The stacked scene draw has a
 one-realization-at-a-time reference: each realization derives its own phase
 and clutter streams and draws from them in order, an angle on 0 or pi drawn
-again on the spot.
+again on the spot. The CSV writer has a per-cell reference: each row's values
+rendered one at a time, as the text of the value alone.
 """
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -31,7 +33,7 @@ from jrcsim.experiments import COLUMNS
 from jrcsim.radar_sensing import ClutterSteering, InterferenceKernel
 from jrcsim.propagation import path_loss_db
 from jrcsim.scenario import ArraySection, CommSection, ScenarioConfig
-from jrcsim.stats import derive_stream, inverse_q, q_function
+from jrcsim.stats import derive_stream, float_text, inverse_q, q_function
 
 
 def random_positions(rng, count=3) -> tuple[list, list]:
@@ -282,6 +284,30 @@ def fraunhofer_distance(array: ArraySection) -> float:
     """Far-field boundary 2 D^2 / lambda for aperture D; ranges below it are near-field."""
     ap = aperture(array)
     return 2.0 * ap * ap / array_constants(array)[1]
+
+
+def csv_cell(value) -> str:
+    """One emitted value's CSV text: empty for None, true/false for a bool, a
+    float at 9 significant digits, anything else as str prints it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return float_text(value)
+    return str(value)
+
+
+def render_csv(table) -> bytes:
+    """A table's CSV file, its header then each row rendered cell by cell from
+    the row's values."""
+    names = [name for name, _ in COLUMNS[table.name]]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(names)
+    for row in table.rows:
+        writer.writerow([csv_cell(row[name]) for name in names])
+    return out.getvalue().encode("ascii")
 
 
 def parse_table_csv(path: str, name: str) -> list[dict]:

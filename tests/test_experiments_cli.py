@@ -46,8 +46,8 @@ from jrcsim.scenario import (
     scenario_from_dict,
     watts_to_dbm,
 )
-from jrcsim.stats import canonical_ceil, canonical_float, derive_stream, first_doubles, inverse_q
-from oracles import parse_table_csv
+from jrcsim.stats import canonical_ceil, canonical_float, derive_stream, first_doubles, float_text, inverse_q
+from oracles import parse_table_csv, render_csv
 
 
 @pytest.fixture(scope="module")
@@ -432,11 +432,63 @@ class TestTableTypes:
             for row in table.rows:
                 for name, value in row.items():
                     assert value is None or type(value) is kinds[name], (table.name, name, type(value))
-        # NumPy scalars of every kind, shared or per row, become Python values
+        # NumPy scalars of every kind, shared or per row, become Python values,
+        # each cell with the CSV text of its value: a float rounded once, and
+        # a zero, negative or not, read as 0 with the value +0.0
         monkeypatch.setitem(COLUMNS, "kinds", (("x", float), ("n", int), ("flag", bool), ("label", str)))
-        block = {"x": np.float32(0.5), "n": np.arange(2), "flag": np.array([True, False]), "label": np.str_("a")}
-        rows = _table("kinds", [block], ()).rows
-        assert [[type(v) for v in row.values()] for row in rows] == [[float, int, bool, str]] * 2
+        xs = [-0.0, 1e-5, 1.5e20, np.float32(0.5), np.inf, None]
+        block = {"x": xs, "n": np.int64(3), "flag": np.array([True, False] * 3), "label": np.str_("a")}
+        table = _table("kinds", [block], ())
+        kinds = [[type(v) for v in row.values()] for row in table.rows]
+        assert kinds == [[float, int, bool, str]] * 5 + [[type(None), int, bool, str]]
+        assert [row["x"] for row in table.rows] == [0.0, 1e-5, 1.5e20, 0.5, np.inf, None]
+        assert math.copysign(1.0, table.rows[0]["x"]) == 1.0
+        assert table.texts == (
+            ("0", "3", "true", "a"),
+            ("0.00001", "3", "false", "a"),
+            ("150000000000000000000", "3", "true", "a"),
+            ("0.5", "3", "false", "a"),
+            ("inf", "3", "true", "a"),
+            ("", "3", "false", "a"),
+        )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=8))
+    def test_each_float_is_rounded_once(self, xs):
+        # any double, subnormals, infinities, -0.0 and NaN among them: the
+        # value is the canonical float and the text is that value's own text
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(COLUMNS, "floats", (("x", float),))
+            table = _table("floats", [{"x": xs}], ())
+        for x, row, (text,) in zip(xs, table.rows, table.texts, strict=True):
+            assert type(row["x"]) is float and repr(row["x"]) == repr(canonical_float(x))
+            assert text == float_text(row["x"])
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("case", ["fast", "even_odds", "pinched"])
+    def test_each_file_is_its_rows_rendered_cell_by_cell(self, fast_scenario, case, tmp_path):
+        # the CSV writes the text each float was rounded from; rendered anew
+        # from the rounded values, one cell at a time, every file reads the
+        # same byte for byte: at pfa_max 0.5 every threshold is -0.0, and at a
+        # 10 dBm ceiling the optimum row is all empty
+        targets = {"fast": {}, "even_odds": {"pfa_max": 0.5}, "pinched": {"p_max_dbm": 10.0}}[case]
+        sc = dataclasses.replace(fast_scenario, targets=dataclasses.replace(fast_scenario.targets, **targets))
+        runners = (run_scnr_sweep, run_detection_sweep, run_tradeoff, run_optimize, run_validation)
+        every = []
+        for run in runners:
+            tables = run(sc)
+            written = emit_into(tables, sc, tmp_path / run.__name__)
+            for table in tables:
+                with open(written[table.name], "rb") as fh:
+                    assert fh.read() == render_csv(table), (run.__name__, table.name)
+            every.extend(tables)
+        names = ["scnr_sweep", "scnr_table", "detection_sweep", "tradeoff", "optimum", "optimum", "validate"]
+        assert [table.name for table in every] == names
+        (optimum,) = every[5].rows
+        if case == "even_odds":
+            assert optimum["kappa"] == 0.0
+        assert optimum["feasible"] is (case != "pinched")
 
 
 class TestValidation:

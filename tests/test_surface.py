@@ -1,6 +1,7 @@
 """The package surface: every function in src/jrcsim runs in some CLI command,
 every interference kernel comes from the scene, the link SINRs have exactly
-two readers, and the package runs on NumPy and the standard library alone.
+two readers, each emitted float is formatted once, and the package runs on
+NumPy and the standard library alone.
 
 All five commands run on the reduced scenario (and one of them in JSON form)
 under sys.setprofile, which records the code object of every Python frame
@@ -26,9 +27,11 @@ from conftest import reduced_scenario
 from jrcsim.cli import main
 from jrcsim.comm_link import LinkSinrs
 from jrcsim.context import SensingScene, SimulationContext
+from jrcsim.experiments import _cell
 from jrcsim.power_allocation import _SplitForms
 from jrcsim.radar_sensing import InterferenceKernel
 from jrcsim.scenario import ScenarioConfig
+from jrcsim.stats import canonical_float, float_text
 
 NOT_ON_A_COMMAND_PATH = {
     "jrcsim.cli._Parser.error": "runs only on a usage error",
@@ -99,6 +102,14 @@ def test_the_link_sinrs_are_stated_once(calls):
     init = LinkSinrs.__init__.__code__
     callers = {caller for caller, callee in calls if callee is init}
     assert callers == {SimulationContext.operating_point.__code__, _SplitForms.__init__.__code__}
+
+
+def test_each_float_is_formatted_once(calls):
+    # the table builder rounds a float to its text once and keeps that text
+    # for the CSV, so no writer formats a value a second time
+    code = float_text.__code__
+    callers = {caller for caller, callee in calls if callee is code}
+    assert callers == {_cell.__code__, canonical_float.__code__}
 
 
 def test_every_exported_name_resolves():
