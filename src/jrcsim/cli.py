@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from . import __version__
@@ -108,6 +109,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# built on the first main call, not at import, and reused by every later call
+# in the process; _run looks each command up in _COMMANDS when it runs
+@functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="scenario JSON file (all defaults when omitted)")

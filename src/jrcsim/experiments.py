@@ -347,8 +347,20 @@ def run_optimize(scenario: ScenarioConfig) -> list[SweepTable]:
     return [_optimum_table(minimize_power(build_context(scenario)))]
 
 
+def _fresh_file(path: str, newline: str | None = None):
+    """path opened for writing as a new file: a previous file there is removed,
+    not truncated. Truncating a file and writing it again makes the file
+    system flush its blocks on close (ext4's auto_da_alloc); a new file
+    costs no flush. A directory at path still raises."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w", encoding="ascii", newline=newline)
+
+
 def _write_csv(table: SweepTable, path: str) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with _fresh_file(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(name for name, _ in COLUMNS[table.name])
         writer.writerows(table.texts)
@@ -361,7 +373,7 @@ def _write_json(table: SweepTable, path: str, provenance: dict) -> None:
         "columns": [name for name, _ in COLUMNS[table.name]],
         "records": [dict(row) for row in table.rows],
     }
-    with open(path, "w", encoding="ascii") as fh:
+    with _fresh_file(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=False, allow_nan=False)
         fh.write("\n")
 
@@ -369,7 +381,8 @@ def _write_json(table: SweepTable, path: str, provenance: dict) -> None:
 def emit_outputs(tables: list[SweepTable], scenario: ScenarioConfig, *, command: str) -> dict[str, str]:
     """Write one file per table plus a run manifest into scenario.output.dir,
     in scenario.output.format; returns name -> path. Every JSON table and the
-    manifest carry the same provenance: the seed and the config hash."""
+    manifest carry the same provenance: the seed and the config hash. A file
+    already at one of those paths is removed and created anew."""
     out_dir, fmt = scenario.output.dir, scenario.output.format
     os.makedirs(out_dir, exist_ok=True)
     provenance = {"seed": scenario.seed, "config_hash": config_hash(scenario)}
@@ -389,7 +402,7 @@ def emit_outputs(tables: list[SweepTable], scenario: ScenarioConfig, *, command:
         **provenance,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="ascii") as fh:
+    with _fresh_file(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     written["manifest"] = manifest_path

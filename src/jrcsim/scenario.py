@@ -297,9 +297,15 @@ class ScenarioConfig:
         return np.linspace(self.power.min_dbm, self.power.max_dbm, self.power.points)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(
-            self, dict_factory=lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items}
-        )
+        """The scenario as its file reads: a dict per section, a list per tuple."""
+        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+
+def _plain(value):
+    """One field's value as to_dict gives it: a section as the dict of its fields, a tuple as a list."""
+    if isinstance(value, _Section):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return list(value) if isinstance(value, tuple) else value
 
 
 # section class -> its key in the scenario file, the prefix of its error paths

@@ -113,10 +113,17 @@ def first_doubles(master_seed: int, stream_ids, count: int) -> np.ndarray:
 
 
 def float_text(x: float) -> str:
-    """x at 9 significant digits, the precision every emission carries."""
-    return np.format_float_positional(
-        float(x), precision=9, unique=False, fractional=False, trim="-"
-    )
+    """x at 9 significant digits, the precision every emission carries, in
+    positional form: correctly rounded, ties to the even digit.
+
+    Python's "%.9g" gives that text, at a fraction of Dragon4's cost, for
+    every |x| whose rounding lies in [1e-4, 1e9); outside that range it
+    writes an exponent, and those values, inf and nan take Dragon4."""
+    x = float(x)
+    text = "%.9g" % x
+    if "e" in text or not math.isfinite(x):
+        return np.format_float_positional(x, precision=9, unique=False, fractional=False, trim="-")
+    return text
 
 
 def canonical_float(x: float) -> float:

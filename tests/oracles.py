@@ -16,10 +16,12 @@ SINR from the beams' channel gains. The stacked scene draw has a
 one-realization-at-a-time reference: each realization derives its own phase
 and clutter streams and draws from them in order, an angle on 0 or pi drawn
 again on the spot. The CSV writer has a per-cell reference: each row's values
-rendered one at a time, as the text of the value alone.
+rendered one at a time, as the text of the value alone. ScenarioConfig.to_dict
+has the deep copy of dataclasses.asdict as its reference.
 """
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -332,3 +334,10 @@ def parse_table_csv(path: str, name: str) -> list[dict]:
                     row[column] = kinds[column](cell)
             records.append(row)
     return records
+
+
+def scenario_as_dict(config: ScenarioConfig) -> dict:
+    """ScenarioConfig.to_dict by dataclasses.asdict: every section a dict, every tuple a list."""
+    return dataclasses.asdict(
+        config, dict_factory=lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items}
+    )

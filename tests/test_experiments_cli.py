@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jrcsim
-from conftest import at_sigma
+from conftest import at_sigma, reduced_scenario
 from jrcsim import cli
 from jrcsim.cli import main
 from jrcsim.context import KIND_CHANNEL, KIND_SCENE, KIND_TARGET_PHASE, build_context
@@ -923,6 +924,63 @@ class TestCli:
             main(["--version"])
         assert exc.value.code == 0
         assert jrcsim.__version__ in capsys.readouterr().out
+
+    def test_main_runs_repeatedly_in_one_process(self, cli_config, tmp_path, capsys):
+        # the parser is built on the first call and serves every later one
+        cli._build_parser.cache_clear()
+        out = tmp_path / "o"
+        argv = ["optimize", "--config", cli_config, "--out", str(out)]
+        assert main(argv) == 0
+        first_stdout = capsys.readouterr().out
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main(["optimize", "--bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first_stdout
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_a_rerun_replaces_every_file(self, tmp_path):
+        reduced = tmp_path / "reduced.json"
+        reduced.write_text(json.dumps(reduced_scenario(ScenarioConfig()).to_dict()))
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        assert main(["tradeoff", "--config", str(reduced), "--out", str(fresh)]) == 0
+        names = sorted(path.name for path in fresh.iterdir())
+        assert names == ["manifest.json", "optimum.csv", "tradeoff.csv"]
+
+        def assert_fresh_copy():
+            assert sorted(path.name for path in rerun.iterdir()) == names
+            for name in names:
+                assert (rerun / name).is_file() and not (rerun / name).is_symlink()
+                assert (rerun / name).read_bytes() == (fresh / name).read_bytes()
+
+        # the default tradeoff table is three times longer than the reduced
+        # one, so a table written over in place would keep a stale tail
+        assert main(["tradeoff", "--out", str(rerun)]) == 0
+        assert (rerun / "tradeoff.csv").stat().st_size > (fresh / "tradeoff.csv").stat().st_size
+        assert main(["tradeoff", "--config", str(reduced), "--out", str(rerun)]) == 0
+        assert_fresh_copy()
+        # a read-only table is replaced, as is a symbolic link at a table's
+        # path, by a regular file; the link's target is left as it was
+        (rerun / "optimum.csv").chmod(0o444)
+        target = tmp_path / "elsewhere.csv"
+        target.write_text("kept\n")
+        (rerun / "tradeoff.csv").unlink()
+        (rerun / "tradeoff.csv").symlink_to(target)
+        assert main(["tradeoff", "--config", str(reduced), "--out", str(rerun)]) == 0
+        assert_fresh_copy()
+        assert (rerun / "optimum.csv").stat().st_mode & stat.S_IWUSR
+        assert target.read_text() == "kept\n"
+
+    def test_a_directory_at_a_table_path_exits_three(self, cli_config, tmp_path, capsys):
+        (tmp_path / "o" / "optimum.csv").mkdir(parents=True)
+        assert main(["optimize", "--config", cli_config, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
     def test_out_of_memory_exits_one_with_one_line(self, cli_config, tmp_path, capsys, monkeypatch):
         message = "Unable to allocate 76.3 MiB for an array with shape (10000000,) and data type float64"

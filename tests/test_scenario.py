@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jrcsim.scenario import (
     CLUTTER_LEVELS,
@@ -18,6 +20,7 @@ from jrcsim.scenario import (
     scenario_from_dict,
     watts_to_dbm,
 )
+from oracles import scenario_as_dict
 
 
 def canonical_json(config: ScenarioConfig) -> str:
@@ -356,12 +359,50 @@ class TestValidation:
             scenario_from_dict({"output": {"dir": ""}})
 
 
+@st.composite
+def drawn_scenarios(draw) -> ScenarioConfig:
+    """Valid scenarios with fields of every kind drawn: ints, floats, optional
+    floats, strings and tuples of each entry kind."""
+    distinct = lambda elements, size: st.lists(elements, min_size=1, max_size=size, unique=True)
+    return scenario_from_dict({
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "array": {"n_antennas": draw(st.integers(1, 64)), "spacing_m": draw(st.none() | st.floats(1e-3, 1.0))},
+        "target": {"phase": draw(st.sampled_from(["zero", "uniform"])), "rcs_scale": draw(st.floats(1.0, 1e9))},
+        "clutter": {"count": draw(st.integers(0, 8)), "sigma": draw(st.floats(0.0, 5.0))},
+        "detection": {
+            "powers_dbm": draw(distinct(st.floats(-10.0, 60.0), 4)),
+            "clutter_levels": draw(distinct(st.sampled_from(sorted(CLUTTER_LEVELS)), 3)),
+            "kappa_max": draw(st.none() | st.floats(1.0, 1e3)),
+        },
+        "optimizer": {"fixed_rho": draw(st.none() | st.floats(0.0, 1.0))},
+        "sweep": {
+            "antennas": draw(distinct(st.integers(1, 64), 3)),
+            "carriers_ghz": draw(distinct(st.floats(0.1, 100.0), 3)),
+        },
+        "output": {"dir": draw(st.text("ab/_.", min_size=1, max_size=8)), "format": draw(st.sampled_from(["csv", "json"]))},
+    })
+
+
+class TestToDict:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(sc=drawn_scenarios())
+    def test_matches_the_asdict_reference(self, sc):
+        # equal as dicts (a tuple never equals its list) and in key order
+        assert sc.to_dict() == scenario_as_dict(sc)
+        assert json.dumps(sc.to_dict()) == json.dumps(scenario_as_dict(sc))
+
+
 class TestFingerprint:
     def test_hash_is_hex_and_stable(self):
         h = config_hash(ScenarioConfig())
         assert len(h) == 64
         assert set(h) <= set("0123456789abcdef")
         assert config_hash(ScenarioConfig()) == h
+
+    def test_default_hash_is_pinned(self):
+        # every manifest and JSON table carries this provenance; a change in
+        # how the scenario is serialized must show here first
+        assert config_hash(ScenarioConfig()) == "62db78620a4dd7923d6d468a7b8994c3a3ceb89716b89ea22bfceca783a7731d"
 
     def test_hash_tracks_physics_changes(self):
         base = ScenarioConfig()

@@ -3,7 +3,8 @@
 The Q function and its inverse are checked against an adaptive quadrature
 oracle (numerical integration of the standard normal density), not against
 each other alone, and against SciPy's Cephes erfc and erfcinv, which the
-package does not import.
+package does not import. The 9-digit float text is checked against NumPy's
+Dragon4 on every kind of double.
 """
 
 import math
@@ -21,6 +22,7 @@ from jrcsim.stats import (
     binomial_ci,
     derive_stream,
     first_doubles,
+    float_text,
     inverse_q,
     q_function,
 )
@@ -258,3 +260,40 @@ class TestFirstDoubles:
     def test_no_streams(self):
         assert first_doubles(7, [], 5).shape == (0, 5)
 
+
+def dragon4_text(x: float) -> str:
+    """x at 9 significant digits in positional form, by NumPy's Dragon4 alone."""
+    return np.format_float_positional(x, precision=9, unique=False, fractional=False, trim="-")
+
+
+class TestFloatText:
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(
+        x=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-2.3e-308, 2.3e-308),  # subnormals and both zeros
+            # both edges of the range where "%.9g" needs no exponent
+            st.floats(9.0e-5, 1.1e-4) | st.floats(9.0e8, 1.1e9) | st.floats(-1.1e9, -9.0e8),
+        )
+    )
+    def test_matches_dragon4_on_every_finite_double(self, x):
+        assert float_text(x) == dragon4_text(x)
+
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            (999999999.5, "1000000000"),
+            (123456789.5, "123456790"),
+            (12345678.25, "12345678.2"),  # an exact tie goes to the even digit
+            (9.99999999e-05, "0.0000999999999"),
+            (9.999999995e-05, "0.0001"),
+            (1.0e-4, "0.0001"),
+            (0.0, "0"),
+            (-0.0, "-0"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (math.nan, "nan"),
+        ],
+    )
+    def test_pinned_texts(self, x, text):
+        assert float_text(x) == text == dragon4_text(x)
