@@ -175,15 +175,15 @@ def _table(name: str, blocks, order) -> SweepTable:
     return SweepTable(name, tuple(row for row, _ in rows), tuple(texts for _, texts in rows))
 
 
-def _resolved_spread(std: float, mean: float) -> float:
-    """Zero a spread below half a unit in the 9th significant digit of its mean.
-
-    The table resolves the mean no finer than that, and a smaller spread is
-    summation-order rounding (it moves with the BLAS build), not data.
-    """
+def _spread_on_mean_grid(std: float, mean: float) -> float:
+    """std rounded to the nearest multiple of digit_unit(mean), the grid its
+    mean is printed on. The table resolves the mean no finer, and a spread's
+    digits below that grid are summation-order rounding (they move with the
+    BLAS build), not data. A mean of exactly 0 leaves std as it is."""
     if mean == 0.0:
         return std
-    return 0.0 if std < 0.5 * digit_unit(mean) else std
+    unit = digit_unit(mean)
+    return round(std / unit) * unit
 
 
 def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: int, powers_w) -> list:
@@ -227,7 +227,7 @@ def run_scnr_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
                 "carrier_ghz": f_ghz,
                 "clutter": level,
                 "scnr_db_mean": means,
-                "scnr_db_std": [_resolved_spread(std, mean) for std, mean in zip(stds, means)],
+                "scnr_db_std": [_spread_on_mean_grid(std, mean) for std, mean in zip(stds, means)],
                 "realizations": realizations,
             })
             level_means[level] = float(np.mean(db))

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jrcsim
@@ -28,7 +28,9 @@ from jrcsim.cli import main
 from jrcsim.context import KIND_CHANNEL, KIND_SCENE, KIND_TARGET_PHASE, build_context
 from jrcsim.experiments import (
     COLUMNS,
+    _cell,
     _level_curves,
+    _spread_on_mean_grid,
     _table,
     emit_outputs,
     run_detection_sweep,
@@ -47,7 +49,15 @@ from jrcsim.scenario import (
     scenario_from_dict,
     watts_to_dbm,
 )
-from jrcsim.stats import canonical_ceil, canonical_float, derive_stream, first_doubles, float_text, inverse_q
+from jrcsim.stats import (
+    canonical_ceil,
+    canonical_float,
+    derive_stream,
+    digit_unit,
+    first_doubles,
+    float_text,
+    inverse_q,
+)
 from oracles import parse_table_csv, render_csv
 
 
@@ -143,6 +153,31 @@ class TestScnrSweep:
         for row in sweep.rows:
             if row["clutter"] == "none":
                 assert row["scnr_db_std"] == 0.0
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(1.0, 80.0),
+        st.sampled_from([-1.0, 1.0]),
+        st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=12),
+        st.floats(-12.0, 0.0),
+        st.lists(st.integers(-4, 4), min_size=12, max_size=12),
+    )
+    def test_a_spread_prints_on_its_mean_grid(self, centre, sign, offsets, log_spread, ulps):
+        # the spread of a row's dB values is printed on the grid of the row's
+        # mean, so moving every value by a few ulps leaves its text unchanged,
+        # except within 1e-6 units of a half-unit boundary, where any rounding tips
+        def texts(values):
+            mean, std = float(np.mean(values)), float(np.std(values, ddof=1))
+            return digit_unit(mean), std, _cell(float, _spread_on_mean_grid(std, mean))[1]
+
+        values = sign * centre * (1.0 + 10.0**log_spread * np.array(offsets))
+        moved = values + np.array(ulps[: values.size]) * np.spacing(values)
+        unit, std, text = texts(values)
+        moved_unit, _, moved_text = texts(moved)
+        units = std / unit
+        assume(unit == moved_unit and abs(units - math.floor(units) - 0.5) > 1e-6)
+        assert moved_text == text
+        assert text == float_text(round(units) * unit)
 
     def test_clutter_orderings_hold_at_every_power(self, scnr_run):
         sweep, _ = scnr_run
