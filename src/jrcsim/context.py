@@ -7,25 +7,24 @@ a sweep cell is the scenario with another section swapped in by
 dataclasses.replace. build_scene draws the radar side of R realizations as
 one stacked SensingScene, keying their phase and clutter streams in one pass
 per kind (stats.first_doubles): reflectivity, the clutter steering matrix B
-with its amplitude scale sigma (a clutter level is the same matrix with
-another scale), and the matched data and radar beam directions. A
-SimulationContext is one realization of it plus the relay channels and one
-frozen unit-power symbol vector, which keeps the transmit waveform fixed across
-Monte Carlo trials and operating points. SimulationContext.operating_point
-turns a (power, split), or arrays of them, into the one record every reader
-takes: beams (row 0 data, row 1 radar), waveform, receive beamformer, detector
-moments and link SINRs, the last from comm_link.LinkSinrs, the closed form
-in P that the optimizer's split search reads too. Power enters the clutter
-covariance as one scale, W(P) = I + P M(rho), so a scene decomposes each
-split, or split grid, once at unit power (unit_kernel) and that one kernel
-serves every power probed on it, the symbol-averaged SCNR curve
-(average_scnr_curve) included; a scene made by dataclasses.replace starts
-with no kernel.
+with its amplitude scale sigma, and the matched data and radar beam
+directions. A SimulationContext is one realization of it plus the relay
+channels and one frozen unit-power symbol vector, which keeps the transmit
+waveform fixed across Monte Carlo trials and operating points.
+SimulationContext.operating_point turns a (power, split), or arrays of them,
+into the one record every reader takes: beams (row 0 data, row 1 radar),
+waveform, receive beamformer, detector moments and link SINRs, the last from
+comm_link.LinkSinrs, the closed form in P that the optimizer's split search
+reads too. Clutter power and power enter W as one scale, W(s) = I + s M(rho)
+with s = sigma^2 P, so a scene decomposes each split, or split grid, once at
+unit sigma and power (unit_kernel). That kernel serves every clutter level
+and power, the SCNR curves (average_scnr_curve) included; a clutter level is
+the scene at another sigma (at_sigma), which shares it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -119,26 +118,36 @@ class SensingScene:
         v = np.sqrt(rho * power_watts)[..., None] * self.radar_direction
         return np.stack((u, v), axis=-2)
 
+    def at_sigma(self, sigma: float):
+        """This scene at clutter amplitude scale sigma, sharing its unit-sigma kernels."""
+        scene = replace(self, clutter=ClutterSteering(self.clutter.matrix, sigma))
+        object.__setattr__(scene, "_kernels", self._kernels)
+        return scene
+
     def unit_kernel(self, rho) -> InterferenceKernel:
-        """The interference kernel of split rho (a float or a 1-D array) at unit
-        power: one decomposition that gives W(P) at every power P, made on the
-        scene's first call for that split and returned by every later one."""
+        """The interference kernel of split rho (a float or a 1-D array) at unit sigma
+        and power: one decomposition that gives W(s) at every scale s = sigma^2 P,
+        made on the scene's first call for that split and returned by every later one."""
         key = np.shape(rho), np.asarray(rho, dtype=float).tobytes()
         if key not in self._kernels:
             self._kernels[key] = InterferenceKernel(self.clutter, self.clutter.gains(self.beams_at(1.0, rho)))
         return self._kernels[key]
 
-    def average_scnr_curve(self, rho, powers) -> np.ndarray:
+    def average_scnr_curve(self, rho, powers, sigmas=None) -> np.ndarray:
         """Symbol-averaged optimal SCNR at split rho for each total power P of a
-        1-D sequence: |alpha_0|^2 (a^H W(P)^-1 a) P sum_k |a^T b_k|^2 over the
-        unit-power beams b_k, on unit_kernel(rho). A stacked scene gives (R, P)
-        curves, each row bit for bit that realization's alone."""
-        powers = np.asarray(powers, dtype=float)
-        a = self.target_steering
+        1-D sequence: |alpha_0|^2 (a^H W(s)^-1 a) P sum_k |a^T b_k|^2 over the
+        unit-power beams b_k, at s = sigma^2 P on unit_kernel(rho). A stacked
+        scene gives (R, P) curves, each row bit for bit that realization's alone. A
+        sequence of sigmas gives (..., len(sigmas), P) in one call, each as at_sigma's."""
+        sigma = np.reshape(self.clutter.sigma if sigmas is None else sigmas, (-1, 1))
+        powers, a = np.asarray(powers, dtype=float), self.target_steering
+        scales = sigma * sigma * powers
         # abs(alpha_0) ** 2 rounded as the scalar is, hypot then pow, for one or a stack
-        reflectivity = np.float_power(np.hypot(np.real(self.alpha0), np.imag(self.alpha0)), 2)[..., None]
-        loading = np.sum(np.abs((self.beams_at(1.0, rho) @ a[:, None])[..., 0]) ** 2, axis=-1)[..., None]
-        return reflectivity * self.unit_kernel(rho).quadratic(a, powers) * powers * loading
+        reflectivity = np.float_power(np.hypot(np.real(self.alpha0), np.imag(self.alpha0)), 2)[..., None, None]
+        loading = np.sum(np.abs((self.beams_at(1.0, rho) @ a[:, None])[..., 0]) ** 2, axis=-1)[..., None, None]
+        quadratic = self.unit_kernel(rho).quadratic(a, scales.ravel()).reshape(np.shape(self.alpha0) + scales.shape)
+        curves = reflectivity * quadratic * powers * loading
+        return curves if sigmas is not None else curves[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -154,11 +163,11 @@ class SimulationContext(SensingScene):
     def operating_point(self, power_watts, rho) -> OperatingPoint:
         """The record of power_watts at split rho: a float or a 1-D array of
         splits, and a float power or an array of powers broadcasting against
-        them, such as an (M, 1) column; every power scales unit_kernel(rho)."""
+        them, such as an (M, 1) column; power P reads unit_kernel(rho) at s = sigma^2 P."""
         beams = self.beams_at(power_watts, rho)
-        x = waveform_from_symbols(beams, self.symbols)
-        a = self.target_steering
-        w = self.unit_kernel(rho).solve(a * np.vecdot(a.conj(), x)[..., None], power_watts)
+        x, a = waveform_from_symbols(beams, self.symbols), self.target_steering
+        scale = self.clutter.sigma * self.clutter.sigma * power_watts  # as the split forms form s
+        w = self.unit_kernel(rho).solve(a * np.vecdot(a.conj(), x)[..., None], scale)
         mu1, sigma2 = statistic_moments(w, self.alpha0, a, self.clutter, x)
         return OperatingPoint(beams, x, w, mu1, sigma2, *LinkSinrs(self, rho)(power_watts))
 

@@ -34,7 +34,6 @@ from . import __version__
 from .context import KIND_DETECTION, KIND_VALIDATE, build_context, build_scene, stream_id
 from .detection import roc_sweep
 from .power_allocation import OptimizationResult, minimize_power, tradeoff_sweep
-from .radar_sensing import ClutterSteering
 from .scenario import (
     CLUTTER_LEVELS,
     ScenarioConfig,
@@ -176,10 +175,9 @@ def _table(name: str, blocks, order) -> SweepTable:
 
 
 def _spread_on_mean_grid(std: float, mean: float) -> float:
-    """std rounded to the nearest multiple of digit_unit(mean), the grid its
-    mean is printed on. The table resolves the mean no finer, and a spread's
-    digits below that grid are summation-order rounding (they move with the
-    BLAS build), not data. A mean of exactly 0 leaves std as it is."""
+    """std rounded to the nearest multiple of digit_unit(mean), the grid its mean
+    is printed on: its digits below that are summation-order rounding (they move
+    with the BLAS build), not data. A mean of exactly 0 leaves std as it is."""
     if mean == 0.0:
         return std
     unit = digit_unit(mean)
@@ -187,22 +185,17 @@ def _spread_on_mean_grid(std: float, mean: float) -> float:
 
 
 def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: int, powers_w) -> list:
-    """(level, SCNR curves (realizations, powers)) for each clutter level of one (N, carrier) pair.
-
-    The pair's realizations are one stacked sensing scene, with none of the
-    relay channels or symbols of a full context. The levels differ only in the
-    clutter amplitude scale sigma: each is that scene at the level's sigma,
-    with a kernel of its own, and scores every realization at once.
-    """
+    """(level, SCNR curves (realizations, powers)) for each clutter level of one (N, carrier) pair,
+    from one stacked sensing scene of the pair's realizations, with none of the relay
+    channels or symbols of a full context. A level is a scale of the scene's one
+    unit-sigma kernel, as a power is, so one call scores every level at once."""
     # sweep.realizations is at most 2^24, so no two pairs share a key
     keys = [(pair_index << 24) | r for r in range(scenario.sweep.realizations)]
     cell = dataclasses.replace(scenario, array=dataclasses.replace(scenario.array, n_antennas=n, carrier_ghz=f_ghz))
     scene, _ = build_scene(cell, scene_keys=keys)
-    curves = []
-    for level in scenario.sweep.clutter_levels:
-        at_level = dataclasses.replace(scene, clutter=ClutterSteering(scene.clutter.matrix, CLUTTER_LEVELS[level]))
-        curves.append((level, at_level.average_scnr_curve(scenario.power.rho, powers_w)))
-    return curves
+    levels = scenario.sweep.clutter_levels
+    curves = scene.average_scnr_curve(scenario.power.rho, powers_w, [CLUTTER_LEVELS[level] for level in levels])
+    return [(level, curves[:, i]) for i, level in enumerate(levels)]
 
 
 def run_scnr_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
@@ -251,17 +244,16 @@ def _auto_kappa_max(points) -> float:
 
 def _cell_curves(scenario: ScenarioConfig, stream_kind: int, shared_grid: bool):
     """(key columns, roc_sweep arrays) for each (level, power) cell, on the
-    cell's own stream of `stream_kind`. The scene is built once; each level is a
-    context of its own, the steering matrix at the level's sigma, whose one kernel
-    of the split serves all the level's powers. Without a configured kappa_max
+    cell's own stream of `stream_kind`. The scene is built once; each level is
+    that context at the level's sigma, and the scene's one unit-sigma kernel of
+    the split serves every level and power. Without a configured kappa_max
     the grid top spans every cell's transition when the grid is shared, else
     the cell's own."""
     det = scenario.detection
     scene = build_context(scenario)
     cells, rho = [], scenario.power.rho
     for level in det.clutter_levels:
-        clutter = ClutterSteering(scene.clutter.matrix, CLUTTER_LEVELS[level])
-        ctx = dataclasses.replace(scene, clutter=clutter)
+        ctx = scene.at_sigma(CLUTTER_LEVELS[level])
         for p_dbm in det.powers_dbm:
             point = ctx.operating_point(dbm_to_watts(p_dbm), rho)
             cells.append(({"power_dbm": p_dbm, "clutter": level}, ctx, point))

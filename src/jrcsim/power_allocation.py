@@ -25,10 +25,10 @@ achievable rate, the best detection probability subject to the false-alarm
 limit, and whether the constraint set is jointly satisfiable there. Both take
 a context; evaluate_point also builds one from a scenario.
 
-Power enters the interference covariance as one scale, W(P) = I + P M(rho),
-so the context decomposes each split grid once, at unit power
-(SimulationContext.unit_kernel), and every power any call probes on that
-grid scales that one kernel. The coarse walk and each bisection probe
+Power and clutter power enter the interference covariance as one scale,
+W(s) = I + s M(rho) with s = sigma^2 P, so the context decomposes each split
+grid once, at unit sigma and power (SimulationContext.unit_kernel), and every
+probe on that grid scales that one kernel. The coarse walk and each bisection probe
 decide from per-split closed forms in P (_SplitForms), terms of O(L) and
 O(L^2) numbers per split with no beams, waveform or beamformer. Their SINR
 sum is comm_link.LinkSinrs, the record's own, so the rate test is the
@@ -133,10 +133,10 @@ def _feasible(point: OperatingPoint, targets: TargetsSection) -> np.ndarray:
 class _SplitForms:
     """gamma_sd + gamma_rd, the live flag and the deflection of every split of
     rhos in closed form in P, from the unit-power waveform x_1 and kernel
-    (U, lam): c = a^T x_1, q = U^H a, r = a - U q, G = U^H B, e = r^H B and
-    d = B^T x_1. With f = 1/(1 + P lam), Q_1 = a^H W^-1 a = ||r||^2 + sum |q|^2 f,
-    |mu_1| = |alpha_0| P |c|^2 Q_1 and sigma^2 = P |c|^2 Q_2, where Q_2 = ||r||^2
-    + sum |q|^2 f^2 + sigma_c^2 P sum_l |d_l|^2 |e_l + sum_j conj(q_j) f_j G_jl|^2;
+    (U, lam) at unit sigma: c = a^T x_1, q = U^H a, r = a - U q, G = U^H B, e = r^H B
+    and d = B^T x_1. With s = sigma_c^2 P and f = 1/(1 + s lam), Q_1 = a^H W^-1 a =
+    ||r||^2 + sum |q|^2 f, |mu_1| = |alpha_0| P |c|^2 Q_1 and sigma^2 = P |c|^2 Q_2,
+    where Q_2 = ||r||^2 + sum |q|^2 f^2 + s sum_l |d_l|^2 |e_l + sum_j conj(q_j) f_j G_jl|^2;
     the SINRs are comm_link.LinkSinrs, the record's own."""
 
     def __init__(self, ctx: SimulationContext, rhos: np.ndarray):
@@ -160,10 +160,10 @@ class _SplitForms:
         relative rounding error at power_watts (a float or an (M, 1) column)."""
         p = np.asarray(power_watts, dtype=float)
         gamma_sd, gamma_rd = self.link(p)
-        f = 1.0 / (1.0 + p[..., None] * self.lam)
+        scale = self.ctx.clutter.sigma * self.ctx.clutter.sigma * p  # s = sigma^2 P, as the record forms it
+        f = 1.0 / (1.0 + scale[..., None] * self.lam)
         q1, w2 = self.rr + np.vecdot(f, self.qq), self.rr + np.vecdot(f * f, self.qq)
         tt = np.abs(self.e + ((self.q * f)[..., None, :] @ self.g)[..., 0, :]) ** 2
-        scale = self.ctx.clutter.sigma * self.ctx.clutter.sigma * p
         q2 = w2 + scale * np.vecdot(tt, self.dd)
         # first-order rounding of each cancelling sum times the size of its terms (Q_1, Q_2 >= W_2)
         t_mag = self.n * (1.0 + 2.0 * np.sum(f, axis=-1))

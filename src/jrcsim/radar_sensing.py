@@ -15,15 +15,16 @@ symbols and clutter gives the interference-plus-noise covariance
     W = sum_l sigma^2 A_l R_x A_l^H + I = I + B diag(g) B^H,
     g_l = sigma^2 a_l^T R_x conj(a_l) = sigma^2 sum_k |a_l^T b_k|^2
 
-for transmit beams b_k. The gains g are linear in the transmit power: beams
-sqrt(P) b_k give g = P g_1, and the SCNR loading term sum_k |a_t^T b_k|^2 scales
-by P too. InterferenceKernel decomposes the PSD part M = B diag(g_1) B^H once,
-through the thin SVD of B diag(g_1)^(1/2): at most L basis vectors carry the
+for transmit beams b_k. Beams sqrt(P) b_k at amplitude scale sigma give
+g = s g_1, with the one scale s = sigma^2 P and g_1 the gains of the unit-power
+beams at sigma = 1 (ClutterSteering.gains); the SCNR loading term
+sum_k |a_t^T b_k|^2 scales by P. InterferenceKernel decomposes M = B diag(g_1) B^H
+once, through the thin SVD of B diag(g_1)^(1/2): at most L basis vectors carry the
 clutter, W is I on their complement, and L >= N leaves no complement. So
-a^H W^-1 a, W^-1 y and y^H W^-1 y follow in O(N L) for one operating point or a
-whole vector of powers, never forming I + P M. A scene keeps one kernel per split
-(SensingScene.unit_kernel), the only place one is made, and scores its
-symbol-averaged SCNR curve on it (SensingScene.average_scnr_curve).
+a^H W^-1 a, W^-1 y and y^H W^-1 y follow in O(N L) for a whole vector of scales,
+every clutter level and power alike, never forming I + s M. A scene keeps one
+kernel per split (SensingScene.unit_kernel), the only place one is made, and
+scores its symbol-averaged SCNR curves on it (SensingScene.average_scnr_curve).
 The tests hold a dense oracle that forms W and solves through its Cholesky factor;
 the kernel is checked against it.
 """
@@ -51,11 +52,10 @@ class ClutterSteering:
     sigma: float
 
     def gains(self, beams: np.ndarray) -> np.ndarray:
-        """g_l = sigma^2 sum_k |a_l^T b_k|^2 over the transmit beams b_k (rows of
-        a (K, N) set, or of each set in a (..., K, N) stack; a (..., N, L) stack of
-        steering matrices pairs with it entry by entry)."""
-        # sigma * sigma is an array's square; a float's ** 2 goes through pow and can round otherwise
-        return self.sigma * self.sigma * np.sum(np.abs(beams @ self.matrix) ** 2, axis=-2)
+        """g_l = sum_k |a_l^T b_k|^2, the gains at sigma = 1 (sigma^2 joins P in the
+        kernel's scale), over the transmit beams b_k: rows of a (K, N) set, or of each
+        set in a (..., K, N) stack, which a (..., N, L) stack of matrices pairs with."""
+        return np.sum(np.abs(beams @ self.matrix) ** 2, axis=-2)
 
     def projected_power(self, w: np.ndarray, x: np.ndarray):
         """sum_l sigma^2 |w^H a_l|^2 |a_l^T x|^2: clutter power behind receive
@@ -70,7 +70,7 @@ class ClutterSteering:
 
 
 class InterferenceKernel:
-    """W(s) = I + s B diag(g) B^H for every power scale s >= 0, from one decomposition.
+    """W(s) = I + s B diag(g) B^H for every scale s = sigma^2 P >= 0, from one decomposition.
 
     The clutter part is M = F F^H with F = B diag(sqrt(g)). The thin SVD F = U S V^H
     gives M = U diag(lam) U^H with lam = S^2 and U (N, min(N, L)): O(N L) numbers,
@@ -80,7 +80,7 @@ class InterferenceKernel:
     Every lam is nonnegative by construction, and the singular values carry an error of
     eps ||F|| rather than the eps ||M|| an eigendecomposition of M would leave on its
     small eigenvalues, so the result stays accurate however ill-conditioned W is.
-    Without clutter power F is zero, so lam = 0 (and U is empty when L = 0): W is I.
+    At s = 0, W is I: solve returns y up to rounding, and exactly when L = 0.
 
     Gains (..., L), with one steering matrix (N, L) or a matching (..., N, L)
     stack, give a stack of kernels from one stacked SVD, and solve and quadratic
@@ -99,7 +99,7 @@ class InterferenceKernel:
         return (y - _matvec(self._vecs, z) if k < n else np.zeros_like(y)), z
 
     def solve(self, y: np.ndarray, scale=1.0) -> np.ndarray:
-        """W(s)^-1 y, with the power scale s a float or an array broadcasting over
+        """W(s)^-1 y, with the scale s a float or an array broadcasting over
         y's leading axes: a (P, 1) column of scales against a (S, N) kernel stack
         gives a (P, S, N) result, each entry bit for bit its own (s, y) pair's."""
         r, z = self._split(y)

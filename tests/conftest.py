@@ -8,7 +8,6 @@ import pytest
 import jrcsim.power_allocation as power_allocation
 import jrcsim.radar_sensing as radar_sensing
 from jrcsim.context import build_context
-from jrcsim.radar_sensing import ClutterSteering
 from jrcsim.scenario import ScenarioConfig, scenario_from_dict
 
 
@@ -41,11 +40,6 @@ def counts(monkeypatch):
     monkeypatch.setattr(radar_sensing.np.linalg, "svd", counted_svd)
     monkeypatch.setattr(power_allocation, "evaluate_point", counted_audit)
     return counts
-
-
-def at_sigma(ctx, sigma):
-    """The context's scene with its clutter amplitude scale set to sigma."""
-    return dataclasses.replace(ctx, clutter=ClutterSteering(ctx.clutter.matrix, sigma))
 
 
 # two scenes where feasibility is not monotone in power (ROADMAP's Baseline):

@@ -156,9 +156,9 @@ def average_scnr(clutter: ClutterSteering, beams: np.ndarray, alpha0: complex, a
     With A = a a^T the trace factors into (a^H W^-1 a)(a^T R_x conj(a)), the
     loading sum_k |a^T b_k|^2 over the beams b_k.
     """
-    kernel = InterferenceKernel(clutter, clutter.gains(beams))
+    kernel = InterferenceKernel(clutter, clutter.gains(beams))  # the gains at unit sigma
     loading = np.sum(np.abs(beams @ a_target) ** 2)
-    return float(abs(alpha0) ** 2 * kernel.quadratic(a_target)[0] * loading)
+    return float(abs(alpha0) ** 2 * kernel.quadratic(a_target, [clutter.sigma**2])[0] * loading)
 
 
 def _beam_gain(h: np.ndarray, beam: np.ndarray):

@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import at_sigma
 from jrcsim.array_geometry import array_constants, element_index_offsets, steering_vector
 from jrcsim.cli import main
 from jrcsim.comm_link import rate_threshold
@@ -86,7 +85,7 @@ class TestAcceptance:
         worst_oracle = 0.0
         for n_ant, n_clutter, sigma, key in cases:
             scene = build_context(with_antennas(with_clutter_count(default_scenario, n_clutter), n_ant), scene_key=key)
-            ctx = at_sigma(scene, sigma)
+            ctx = scene.at_sigma(sigma)
             power = float(rng.uniform(0.05, 10.0))
             rho = float(rng.uniform(0.0, 1.0))
             point = ctx.operating_point(power, rho)
@@ -151,7 +150,7 @@ class TestAcceptance:
         )
 
     def test_04_power_curve_is_linear_then_clutter_limited(self, default_scenario):
-        clean = at_sigma(build_context(default_scenario), 0.0)
+        clean = build_context(default_scenario).at_sigma(0.0)
         rho = default_scenario.power.rho
         powers_dbm = np.linspace(-10.0, 40.0, 11)
         clean_db = np.array(
@@ -171,7 +170,7 @@ class TestAcceptance:
         slopes = np.diff(clean_db) / np.diff(powers_dbm)
         slope_err = float(np.max(np.abs(slopes - 1.0)))
 
-        dense = at_sigma(build_context(with_clutter_count(default_scenario, 8)), 0.8)
+        dense = build_context(with_clutter_count(default_scenario, 8)).at_sigma(0.8)
         high_dbm = np.linspace(-10.0, 70.0, 17)
         dense_db = np.array(
             [

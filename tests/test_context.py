@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import at_sigma
+from conftest import SCENARIO_A
 from jrcsim.array_geometry import array_constants
 from jrcsim.context import (
     KIND_SCENE,
@@ -17,11 +18,11 @@ from jrcsim.context import (
     build_scene,
     stream_id,
 )
-from jrcsim.power_allocation import evaluate_point
+from jrcsim.power_allocation import _SplitForms, evaluate_point
 from jrcsim.propagation import path_loss_db
-from jrcsim.radar_sensing import waveform_from_symbols
+from jrcsim.radar_sensing import ClutterSteering, waveform_from_symbols
 from jrcsim.scenario import CLUTTER_LEVELS, ConfigError, ScenarioConfig, dbm_to_watts, scenario_from_dict
-from oracles import scene_draws
+from oracles import clutter_covariance, optimal_receive_beamformer, scene_draws, transmit_covariance
 
 
 class TestStreamIds:
@@ -76,8 +77,8 @@ class TestBuildContext:
         assert np.array_equal(a.h_sr, b.h_sr) and a.h_rd == b.h_rd
 
     def test_sigma_override_keeps_placements(self, default_scenario):
-        light = at_sigma(build_context(default_scenario), 0.1)
-        intense = at_sigma(build_context(default_scenario), 0.8)
+        light = build_context(default_scenario).at_sigma(0.1)
+        intense = build_context(default_scenario).at_sigma(0.8)
         assert light.clutter.sigma == 0.1
         assert intense.clutter.sigma == 0.8
         # sigma reaches the context only through the clutter amplitude scale
@@ -252,9 +253,10 @@ class TestBeamsAndWaveform:
 
 
 class TestUnitKernel:
-    """A context decomposes each split, or split grid, once and hands the same
-    kernel to every later call; a context made from it by dataclasses.replace,
-    as at_sigma and each detection level make one, starts with none."""
+    """A context decomposes each split, or split grid, once, at unit sigma, and
+    hands the same kernel to every later call. The context at another sigma
+    (at_sigma) shares its kernels; one made by any other dataclasses.replace
+    starts with none."""
 
     def test_one_kernel_per_split(self, default_scenario):
         ctx, rhos = build_context(default_scenario), np.linspace(0.0, 1.0, 5)
@@ -264,15 +266,58 @@ class TestUnitKernel:
         # one split and the one-split grid of it differ in shape, so in kernel
         assert ctx.unit_kernel(np.array([0.5])) is not ctx.unit_kernel(0.5)
 
-    def test_a_replaced_context_decomposes_its_own_sigma(self, default_scenario):
+    def test_contexts_at_two_sigmas_share_one_unit_kernel(self, default_scenario):
+        # W(sigma, P) = I + sigma^2 P M_1: each context reads the one kernel at
+        # its own scale, and its records match the dense Cholesky oracle
         ctx, rhos = build_context(default_scenario), np.linspace(0.0, 1.0, 5)
         warm, sigma = ctx.unit_kernel(rhos), ctx.clutter.sigma
+        a = ctx.target_steering
         for s in (0.5 * sigma, 3.0 * sigma):
-            kernel = at_sigma(ctx, s).unit_kernel(rhos)
-            assert kernel is not warm
-            # the gains, and so the eigenvalues, scale by (s / sigma)^2
-            scale = (s / sigma) ** 2
-            assert np.allclose(kernel._lam, scale * warm._lam, rtol=1e-12, atol=1e-12 * scale * warm._lam.max())
-            fresh = at_sigma(build_context(default_scenario), s).unit_kernel(rhos)
-            assert np.array_equal(kernel._lam, fresh._lam) and np.array_equal(kernel._vecs, fresh._vecs)
+            at = ctx.at_sigma(s)
+            assert at.clutter.sigma == s and at.clutter.matrix is ctx.clutter.matrix
+            assert at.unit_kernel(rhos) is warm
+            for power in (0.05, 2.0, 40.0):
+                point = at.operating_point(power, rhos)
+                for k, rho in enumerate(rhos):
+                    beams = at.beams_at(power, rho)
+                    cov = clutter_covariance(at.clutter, transmit_covariance(beams))
+                    want = optimal_receive_beamformer(a, cov, waveform_from_symbols(beams, at.symbols))
+                    assert np.linalg.norm(point.w[k] - want) <= 1e-12 * np.linalg.norm(want)
+                    dense = np.vdot(a, scipy.linalg.cho_solve(scipy.linalg.cho_factor(cov), a)).real
+                    scale = s * s * power
+                    assert warm.quadratic(a, [scale])[k, 0] == pytest.approx(dense, rel=1e-12)
+        # a kernel made at one sigma is the other's too; any other replace starts afresh
+        assert ctx.at_sigma(0.1).unit_kernel(0.25) is ctx.unit_kernel(0.25)
+        fresh = dataclasses.replace(ctx, clutter=ClutterSteering(ctx.clutter.matrix, sigma))
+        assert fresh.unit_kernel(rhos) is not warm
         assert ctx.unit_kernel(rhos) is warm
+
+
+class TestNoClutterPower:
+    """sigma = 0 is the scale 0 of the unit-sigma kernel, so a scene whose
+    scatterers carry no power reads as the same scene without scatterers, on
+    every path: set in the scenario, as the sweep's `none` level, or by count 0."""
+
+    @pytest.mark.parametrize("name", ["default", "A"])
+    def test_every_path_agrees(self, default_scenario, name):
+        sc = default_scenario if name == "default" else SCENARIO_A
+        quiet = build_context(dataclasses.replace(sc, clutter=dataclasses.replace(sc.clutter, sigma=0.0)))
+        bare = build_context(dataclasses.replace(sc, clutter=dataclasses.replace(sc.clutter, count=0)))
+        level = build_context(sc)
+        assert quiet.clutter.matrix.shape[1] == sc.clutter.count > 0 == bare.clutter.matrix.shape[1]
+        powers, rhos = np.array([1e-3, 0.5, 40.0]), np.linspace(0.0, 1.0, 5)
+        none = [CLUTTER_LEVELS["none"]]
+        for rho in (0.0, 0.35, 1.0):
+            curves = [
+                quiet.average_scnr_curve(rho, powers),
+                level.average_scnr_curve(rho, powers, none)[0],
+                bare.average_scnr_curve(rho, powers),
+            ]
+            for curve in curves[1:]:
+                np.testing.assert_allclose(curve, curves[0], rtol=1e-12, atol=0.0)
+        points = [ctx.operating_point(powers[:, None], rhos) for ctx in (quiet, level.at_sigma(none[0]), bare)]
+        deflections = [_SplitForms(ctx, rhos)(powers[:, None])[1] for ctx in (quiet, level.at_sigma(none[0]), bare)]
+        for point, deflection in zip(points[1:], deflections[1:]):
+            np.testing.assert_allclose(point.mu1, points[0].mu1, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(point.sigma2, points[0].sigma2, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(deflection, deflections[0], rtol=1e-12, atol=0.0)

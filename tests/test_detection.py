@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_A, SCENARIO_B, at_sigma
+from conftest import SCENARIO_A, SCENARIO_B
 from jrcsim.array_geometry import steering_vector
 from jrcsim.context import build_context
 from jrcsim.detection import (
@@ -64,7 +64,7 @@ class OperatingCell:
 
     def __init__(self, sigma, power_dbm=30.0):
         scenario = ScenarioConfig()
-        self.ctx = at_sigma(build_context(scenario), sigma)
+        self.ctx = build_context(scenario).at_sigma(sigma)
         self.point = self.ctx.operating_point(dbm_to_watts(power_dbm), scenario.power.rho)
         # |mu_1| and sigma^2, as the closed-form rates read them
         self.params = (float(self.point.mu1_abs), float(self.point.sigma2))
@@ -656,9 +656,10 @@ class TestFrozenWaveformBound:
         assume(point.mu1_abs > 0.0)
         a, clutter = ctx.target_steering, ctx.clutter
         x1 = waveform_from_symbols(ctx.beams_at(1.0, rho), ctx.symbols)
-        frozen = InterferenceKernel(clutter, clutter.gains(x1[None, :]))  # W_x at unit power
-        bound = 2.0 * abs(ctx.alpha0) ** 2 * power * abs(a @ x1) ** 2 * frozen.quadratic(a, [power])[0]
+        frozen = InterferenceKernel(clutter, clutter.gains(x1[None, :]))  # W_x at unit sigma and power
+        scale = clutter.sigma**2 * power
+        bound = 2.0 * abs(ctx.alpha0) ** 2 * power * abs(a @ x1) ** 2 * frozen.quadratic(a, [scale])[0]
         assert point.deflection**2 <= bound * (1.0 + 1e-10)
-        w = frozen.solve(a * (a @ point.x), power)
+        w = frozen.solve(a * (a @ point.x), scale)
         mu1, sigma2 = statistic_moments(w, ctx.alpha0, a, clutter, point.x)
         assert 2.0 * abs(mu1) ** 2 / sigma2 == pytest.approx(bound, rel=1e-10)

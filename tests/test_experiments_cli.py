@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jrcsim
-from conftest import at_sigma, reduced_scenario
+from conftest import reduced_scenario
 from jrcsim import cli
 from jrcsim.cli import main
 from jrcsim.context import KIND_CHANNEL, KIND_SCENE, KIND_TARGET_PHASE, build_context
@@ -269,17 +269,15 @@ def sweep_pairs(draw):
 
 
 def _oracle_level_curves(sc, n, f_ghz, pair_index, powers_w):
-    """One context at the level's sigma and one lone curve per (level, realization)."""
+    """One context per realization and one lone curve per (level, realization):
+    the context at the level's sigma, read through its one unit-sigma kernel."""
     cell = dataclasses.replace(sc, array=dataclasses.replace(sc.array, n_antennas=n, carrier_ghz=f_ghz))
-    out = []
-    for level in sc.sweep.clutter_levels:
-        curves = []
-        for r in range(sc.sweep.realizations):
-            scene = build_context(cell, scene_key=(pair_index << 24) | r)
-            ctx = at_sigma(scene, CLUTTER_LEVELS[level])
-            curves.append(ctx.average_scnr_curve(sc.power.rho, powers_w))
-        out.append((level, np.array(curves)))
-    return out
+    contexts = [build_context(cell, scene_key=(pair_index << 24) | r) for r in range(sc.sweep.realizations)]
+    return [
+        (level, np.array([ctx.at_sigma(CLUTTER_LEVELS[level]).average_scnr_curve(sc.power.rho, powers_w)
+                          for ctx in contexts]))
+        for level in sc.sweep.clutter_levels
+    ]
 
 
 class TestStackedLevels:

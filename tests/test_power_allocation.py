@@ -665,10 +665,12 @@ class TestOneDecompositionPerSplitGrid:
         assert counts["svd"] == 2
 
     @pytest.mark.parametrize("runner", [run_detection_sweep, run_validation])
-    def test_one_per_clutter_level(self, default_scenario, counts, runner):
-        # every power of a level scales that level's one kernel of the split
+    def test_one_for_every_clutter_level(self, default_scenario, counts, runner):
+        # the kernel is made at unit sigma, so every (level, power) cell reads
+        # the split's one kernel at its own scale sigma^2 P
         runner(default_scenario)
-        assert counts["svd"] == len(default_scenario.detection.clutter_levels) == 2
+        assert len(default_scenario.detection.clutter_levels) == 2
+        assert counts["svd"] == 1
 
 
 # The split search decides each entry from per-split closed forms in P and

@@ -255,9 +255,10 @@ class TestInterferenceKernel:
         x = waveform_from_symbols(beams, draw_symbols(2, np.random.default_rng(symbol_seed)))
         y = a * np.dot(a, x)
         cov = clutter_covariance(clutter, transmit_covariance(beams))
-        gains = clutter.gains(beams)
+        # the kernel is made at unit sigma; the clutter power is its scale
+        gains, scale = clutter.gains(beams), clutter.sigma**2
         kernel = InterferenceKernel(clutter, gains)
-        w = kernel.solve(y)
+        w = kernel.solve(y, scale)
         # the thin basis: O(N L) numbers, never an N x N matrix
         assert kernel._vecs.shape[-1] == kernel._lam.shape[-1] == min(cfg.n_antennas, clutter.matrix.shape[1])
 
@@ -266,7 +267,7 @@ class TestInterferenceKernel:
         eps = np.finfo(float).eps
         rel = 1e-10 + 10 * (cfg.n_antennas + clutter.matrix.shape[1]) * eps * np.linalg.cond(cov)
         whitened = np.vdot(a, scipy.linalg.cho_solve(scipy.linalg.cho_factor(cov), a)).real
-        assert kernel.quadratic(a) == pytest.approx(whitened, rel=rel)
+        assert kernel.quadratic(a, [scale]) == pytest.approx(whitened, rel=rel)
         w_dense = optimal_receive_beamformer(a, cov, x)
         assert np.linalg.norm(w - w_dense) <= rel * np.linalg.norm(w_dense)
         closed = abs(ALPHA0) ** 2 * np.vdot(y, w).real
@@ -274,9 +275,9 @@ class TestInterferenceKernel:
 
         # backward error of w, which does not depend on the conditioning of W
         b = clutter.matrix
-        residual = w + b @ (gains * (b.conj().T @ w)) - y
-        scale = np.linalg.norm(y) + cfg.n_antennas * np.sum(gains) * np.linalg.norm(w)
-        assert np.linalg.norm(residual) <= 1e-13 * scale
+        residual = w + b @ (scale * gains * (b.conj().T @ w)) - y
+        size = np.linalg.norm(y) + cfg.n_antennas * scale * np.sum(gains) * np.linalg.norm(w)
+        assert np.linalg.norm(residual) <= 1e-13 * size
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(operating_points(), st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8))
@@ -293,15 +294,19 @@ class TestInterferenceKernel:
     @pytest.mark.parametrize("count", [3, 0])
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_without_clutter_power_w_is_identity(self, n, count):
-        # sigma = 0 makes F zero: its SVD gives lam = 0 and W(s)^-1 y is y itself
+        # sigma = 0 makes the scale s = sigma^2 P zero and W(0) = I: W(0)^-1 y is
+        # U U^H y = y up to rounding, and y itself at every s when U is empty (L = 0)
         rng = np.random.default_rng(n + 10 * count)
         cfg = ArraySection(n_antennas=n, carrier_ghz=28.0)
         clutter = clutter_at(cfg, *random_positions(rng, count), 0.0)
         kernel = InterferenceKernel(clutter, clutter.gains(make_beams(rng, n)))
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for s in (0.0, 1.0, 1e6):
-            assert np.array_equal(kernel.solve(y, s), y)
-        assert kernel.quadratic(y, [1.0, 1e6]) == pytest.approx(np.vdot(y, y).real, rel=1e-15)
+        scale = clutter.sigma**2 * 1e6
+        assert np.linalg.norm(kernel.solve(y, scale) - y) <= 1e-15 * np.linalg.norm(y)
+        assert kernel.quadratic(y, [scale]) == pytest.approx(np.vdot(y, y).real, rel=1e-15)
+        if not count:
+            for s in (0.0, 1.0, 1e6):
+                assert np.array_equal(kernel.solve(y, s), y)
 
 
 class TestWaveform:

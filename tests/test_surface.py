@@ -1,5 +1,6 @@
 """The package surface: every function in src/jrcsim runs in some CLI command,
-every interference kernel comes from the scene, the link SINRs have exactly
+every interference kernel comes from the scene, once per clutter matrix and
+split whatever the clutter levels, the link SINRs have exactly
 two readers, each emitted float is formatted once, and the package runs on
 NumPy and the standard library alone.
 
@@ -94,6 +95,30 @@ def test_every_kernel_comes_from_the_scene(calls):
     init = InterferenceKernel.__init__.__code__
     callers = {caller for caller, callee in calls if callee is init}
     assert callers == {SensingScene.unit_kernel.__code__}
+
+
+def test_one_kernel_per_clutter_matrix_and_split(tmp_path):
+    # the kernel is made at unit sigma, so every clutter level reads it at its
+    # own scale: a sweep decomposes each (N, carrier) pair once for all its
+    # levels, and a detection command its one context's split once for all
+    # its cells; optimize and tradeoff decompose the split grid and the
+    # certificate's split
+    sc = reduced_scenario(ScenarioConfig())
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(sc.to_dict()))
+    pairs = len(sc.sweep.antennas) * len(sc.sweep.carriers_ghz)
+    expected = {"scnr-sweep": pairs, "detection-sweep": 1, "validate": 1, "optimize": 2, "tradeoff": 2}
+    init, kernels = InterferenceKernel.__init__.__code__, {}
+    for command in expected:
+        made = []
+        sys.setprofile(lambda frame, event, arg: made.append(1) if event == "call" and frame.f_code is init else None)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+        finally:
+            sys.setprofile(None)
+        kernels[command] = len(made)
+    assert pairs == 4 and kernels == expected
 
 
 def test_the_link_sinrs_are_stated_once(calls):
