@@ -129,18 +129,17 @@ def _build_parser() -> _Parser:
 
 
 def _replaced(obj, **changes):
-    """obj with every change that is not None applied, validated as it is rebuilt."""
-    return dataclasses.replace(obj, **{k: v for k, v in changes.items() if v is not None})
+    """obj rebuilt, and so validated, with every change that is not None; None
+    when every change is None, so a section that no flag overrides is kept."""
+    changes = {k: v for k, v in changes.items() if v is not None}
+    return dataclasses.replace(obj, **changes) if changes else None
 
 
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     scenario = load_scenario(args.config) if args.config else ScenarioConfig()
-    return _replaced(
-        scenario,
-        seed=args.seed,
-        detection=_replaced(scenario.detection, trials=args.trials),
-        output=_replaced(scenario.output, dir=args.out, format=args.format),
-    )
+    detection = _replaced(scenario.detection, trials=args.trials)
+    output = _replaced(scenario.output, dir=args.out, format=args.format)
+    return _replaced(scenario, seed=args.seed, detection=detection, output=output) or scenario
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -738,6 +738,43 @@ class TestCli:
             manifest = json.load(fh)
         assert manifest["seed"] == 5
 
+    def test_every_flag_overrides_the_file(self, tmp_path, monkeypatch):
+        # a section is rebuilt, and so validated, only when one of its flags is given
+        home = tmp_path / "home"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**CLI_CONFIG, "seed": 11, "output": {"dir": str(home), "format": "csv"}}))
+        loaded = load_scenario(str(path))
+        monkeypatch.setattr(cli, "load_scenario", lambda _: loaded)
+        parse = cli._build_parser().parse_args
+        assert cli._scenario_from_args(parse(["validate", "--config", str(path)])) is loaded
+        only_trials = cli._scenario_from_args(parse(["validate", "--config", str(path), "--trials", "200"]))
+        assert only_trials.detection.trials == 200 and only_trials.output is loaded.output
+        only_out = cli._scenario_from_args(parse(["validate", "--config", str(path), "--out", str(tmp_path / "o")]))
+        assert only_out.output.dir == str(tmp_path / "o") and only_out.detection is loaded.detection
+
+        flags = ["--seed", "5", "--trials", "200", "--out", str(tmp_path / "flags"), "--format", "json"]
+        assert main(["detection-sweep", "--config", str(path), *flags]) == 0
+        with open(tmp_path / "flags" / "manifest.json", encoding="ascii") as fh:
+            manifest = json.load(fh)
+        assert manifest["seed"] == 5 and manifest["format"] == "json"
+        with open(tmp_path / "flags" / "detection_sweep.json", encoding="ascii") as fh:
+            assert {r["trials"] for r in json.load(fh)["records"]} == {200}
+        assert not home.exists()
+        assert main(["detection-sweep", "--config", str(path)]) == 0
+        with open(home / "manifest.json", encoding="ascii") as fh:
+            manifest = json.load(fh)
+        assert manifest["seed"] == 11 and manifest["format"] == "csv"
+        assert {r["trials"] for r in parse_table_csv(str(home / "detection_sweep.csv"), "detection_sweep")} == {400}
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--trials", "0"), ("--format", "xml"), ("--out", "")])
+    def test_an_invalid_override_is_one_error_line(self, cli_config, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        argv = ["optimize", "--config", cli_config, "--out", str(out), flag, value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_runs_are_reproducible_across_directories(self, cli_config, tmp_path):
         for out in ("a", "b"):
             rc = main(["scnr-sweep", "--config", cli_config, "--out", str(tmp_path / out)])
