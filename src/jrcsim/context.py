@@ -11,8 +11,8 @@ with its amplitude scale sigma, and the matched data and radar beam
 directions. A SimulationContext is one realization of it plus the relay
 channels and one frozen unit-power symbol vector, which keeps the transmit
 waveform fixed across Monte Carlo trials and operating points.
-SimulationContext.operating_point turns a (power, split), or arrays of them,
-into the one record every reader takes: beams (row 0 data, row 1 radar),
+SimulationContext.operating_point turns a power and a split, or an array of
+splits, into the one record every reader takes: beams (row 0 data, row 1 radar),
 waveform, receive beamformer, detector moments and link SINRs, the last from
 comm_link.LinkSinrs, the closed form in P that the optimizer's split search
 reads too. Clutter power and power enter W as one scale, W(s) = I + s M(rho)
@@ -69,9 +69,8 @@ class OperatingPoint:
     comm_link.LinkSinrs of the split at P; |mu_1| and the deflection
     sqrt(2)|mu_1|/sigma (defined only where |mu_1| > 0) follow from the
     moments, once per record.
-    A 1-D array of splits gives every field a leading split axis, and a
-    column of powers (M, 1) against it a leading (M, S) pair of axes; each
-    entry is bit for bit the point of that power and split alone."""
+    A 1-D array of splits gives every field a leading split axis; each entry
+    is bit for bit the point of that split alone."""
 
     beams: np.ndarray
     x: np.ndarray
@@ -106,11 +105,11 @@ class SensingScene:
     radar_direction: np.ndarray
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def beams_at(self, power_watts, rho) -> np.ndarray:
+    def beams_at(self, power_watts: float, rho) -> np.ndarray:
         """Split a power budget between the matched data and radar directions: rows
-        (data beam, radar beam) of a (2, N) array, or (..., 2, N) for arrays of
-        powers and splits, broadcast against each other, or for stacked realizations."""
-        if not np.all((0.0 <= power_watts) & (power_watts < np.inf)):
+        (data beam, radar beam) of a (2, N) array, or (..., 2, N) for an array of
+        splits or for stacked realizations."""
+        if not 0.0 <= power_watts < np.inf:
             raise ValueError(f"power must lie in [0, inf), got {power_watts}")
         if not np.all((0.0 <= rho) & (rho <= 1.0)):
             raise ValueError(f"power split must lie in [0, 1], got {rho}")
@@ -160,10 +159,9 @@ class SimulationContext(SensingScene):
     h_rd: complex
     symbols: np.ndarray
 
-    def operating_point(self, power_watts, rho) -> OperatingPoint:
-        """The record of power_watts at split rho: a float or a 1-D array of
-        splits, and a float power or an array of powers broadcasting against
-        them, such as an (M, 1) column; power P reads unit_kernel(rho) at s = sigma^2 P."""
+    def operating_point(self, power_watts: float, rho) -> OperatingPoint:
+        """The record of power_watts at split rho, a float or a 1-D array of
+        splits; power P reads unit_kernel(rho) at s = sigma^2 P."""
         beams = self.beams_at(power_watts, rho)
         x, a = waveform_from_symbols(beams, self.symbols), self.target_steering
         scale = self.clutter.sigma * self.clutter.sigma * power_watts  # as the split forms form s

@@ -28,18 +28,16 @@ a context; evaluate_point also builds one from a scenario.
 Power and clutter power enter the interference covariance as one scale,
 W(s) = I + s M(rho) with s = sigma^2 P, so the context decomposes each split
 grid once, at unit sigma and power (SimulationContext.unit_kernel), and every
-probe on that grid scales that one kernel. The coarse walk and each bisection probe
-decide from per-split closed forms in P (_SplitForms), terms of O(L) and
-O(L^2) numbers per split with no beams, waveform or beamformer. Their SINR
-sum is comm_link.LinkSinrs, the record's own, so the rate test is the
-record's bit for bit. An entry within a relative _BAND of the deflection
-floor, or whose rounding estimate is too large, takes the OperatingPoint
-record of its power row, so every decision is the record's; the walk
-counts, and breaks ties, as a power-by-power, split-by-split scan of the
-record does.
-tradeoff_sweep stacks every grid power in one record and runs the closed
-forms once on the column of each row's sharpest split; evaluate_point runs
-them on its one record.
+probe on that grid scales that one kernel. Both commands decide from per-split
+closed forms in P (_SplitForms), terms of O(L) and O(L^2) numbers per split
+with no beams, waveform or beamformer, and read them through one rule
+(_verdicts): the coarse walk, each bisection probe and every tradeoff row.
+Their SINR sum is comm_link.LinkSinrs, the record's own, so the rate test is
+the record's bit for bit. A power row with an entry within a relative _BAND
+of the deflection floor, or whose rounding estimate is too large, takes the
+OperatingPoint record of that power over the splits, so every decision is
+the record's; the walk counts, and breaks ties, as a power-by-power,
+split-by-split scan of the record does. evaluate_point builds its one record.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm_link import LinkSinrs, mrc_rate, rate_threshold
-from .context import OperatingPoint, SimulationContext, build_context
+from .context import SimulationContext, build_context
 from .detection import (
     detection_probability,
     false_alarm_probability,
@@ -122,18 +120,10 @@ def _deflection_floor(targets: TargetsSection) -> float:
     return inverse_q(targets.pfa_max) - inverse_q(targets.pd_min)
 
 
-def _feasible(point: OperatingPoint, targets: TargetsSection) -> np.ndarray:
-    """Where a record meets the rate target and, at its false-alarm threshold,
-    both detector targets: the SINR sum reaches 2^r - 1, mu_1 is live, and the
-    deflection reaches the floor."""
-    meets_rate = point.gamma_direct + point.gamma_relayed >= rate_threshold(targets.rate_bps_hz)
-    return meets_rate & (point.mu1_abs > 0.0) & (point.deflection >= _deflection_floor(targets))
-
-
 class _SplitForms:
-    """gamma_sd + gamma_rd, the live flag and the deflection of every split of
-    rhos in closed form in P, from the unit-power waveform x_1 and kernel
-    (U, lam) at unit sigma: c = a^T x_1, q = U^H a, r = a - U q, G = U^H B, e = r^H B
+    """gamma_sd + gamma_rd, the live flag, the deflection, |mu_1| and sigma^2 of
+    every split of rhos in closed form in P, from the unit-power waveform x_1
+    and kernel (U, lam) at unit sigma: c = a^T x_1, q = U^H a, r = a - U q, G = U^H B, e = r^H B
     and d = B^T x_1. With s = sigma_c^2 P and f = 1/(1 + s lam), Q_1 = a^H W^-1 a =
     ||r||^2 + sum |q|^2 f, |mu_1| = |alpha_0| P |c|^2 Q_1 and sigma^2 = P |c|^2 Q_2,
     where Q_2 = ||r||^2 + sum |q|^2 f^2 + s sum_l |d_l|^2 |e_l + sum_j conj(q_j) f_j G_jl|^2;
@@ -144,20 +134,22 @@ class _SplitForms:
         targets, a, b = ctx.scenario.targets, ctx.target_steering, ctx.clutter.matrix
         self.threshold, self.floor = rate_threshold(targets.rate_bps_hz), _deflection_floor(targets)
         (r, q), x = kernel._split(a), waveform_from_symbols(ctx.beams_at(1.0, rhos), ctx.symbols)
-        cc, self.dd, self.lam = np.abs(x @ a) ** 2, np.abs(x @ b) ** 2, kernel._lam
+        self.cc, self.dd, self.lam = np.abs(x @ a) ** 2, np.abs(x @ b) ** 2, kernel._lam
         self.rr, self.qq = np.sum(np.abs(r) ** 2, axis=-1), np.abs(q) ** 2
         self.q, self.e, self.g = q.conj(), r.conj() @ b, kernel._vecs.conj().swapaxes(-1, -2) @ b
-        self.gain = 2.0 * abs(ctx.alpha0) ** 2 * cc  # deflection^2 = gain P Q_1^2 / Q_2; live where > 0
+        self.gain = 2.0 * abs(ctx.alpha0) ** 2 * self.cc  # deflection^2 = gain P Q_1^2 / Q_2; live where > 0
+        self.mu1_unit = abs(ctx.alpha0) * self.cc  # |mu_1| = |alpha_0| |c|^2 P Q_1
         # a dot product with a steering vector rounds by sqrt(N) eps per unit norm of its other factor
         self.n, x_scale = a.size, math.sqrt(a.size) * np.linalg.norm(x, axis=-1)
         with np.errstate(divide="ignore"):  # c = 0 leaves whether mu_1 is live to the record
-            self.c_cond = x_scale / np.sqrt(cc)
+            self.c_cond = x_scale / np.sqrt(self.cc)
         self.d_mag, self.spread = np.sqrt(self.dd) * x_scale[..., None], math.sqrt(a.size * (q.shape[-1] + 1))
         self.link = LinkSinrs(ctx, rhos)
 
     def __call__(self, power_watts):
-        """gamma_sd + gamma_rd, the deflection and an estimate of the deflection's
-        relative rounding error at power_watts (a float or an (M, 1) column)."""
+        """gamma_sd + gamma_rd, the deflection, |mu_1|, sigma^2 and an estimate of
+        the deflection's relative rounding error at power_watts (a float or an
+        (M, 1) column)."""
         p = np.asarray(power_watts, dtype=float)
         gamma_sd, gamma_rd = self.link(p)
         scale = self.ctx.clutter.sigma * self.ctx.clutter.sigma * p  # s = sigma^2 P, as the record forms it
@@ -169,26 +161,34 @@ class _SplitForms:
         t_mag = self.n * (1.0 + 2.0 * np.sum(f, axis=-1))
         clutter = np.vecdot(tt, self.d_mag) + t_mag * np.vecdot(np.sqrt(tt) + t_mag[..., None] * _EPS / 2, self.dd)
         error = self.c_cond + 3.0 * self.spread / np.sqrt(w2) + scale * clutter / q2
-        return gamma_sd + gamma_rd, np.sqrt(self.gain * p / q2) * q1, _EPS * error
+        deflection, mu1_abs, sigma2 = np.sqrt(self.gain * p / q2) * q1, self.mu1_unit * p * q1, self.cc * p * q2
+        return gamma_sd + gamma_rd, deflection, mu1_abs, sigma2, _EPS * error
 
 
-def _first_feasible(forms: _SplitForms, power_watts) -> tuple[int | None, int]:
-    """The flat index of the first feasible entry of the record at
-    power_watts over the forms' splits, if any, and the entries scanned up
-    to and including it (all of them when none is). An (M, 1) column of
-    ascending powers is scanned power by power, so the index is power-major.
-    A power row with an entry the forms leave undecided takes the record's
-    mask."""
-    gamma, deflection, error = forms(power_watts)
-    ok = np.atleast_2d((gamma >= forms.threshold) & (forms.gain > 0.0) & (deflection >= forms.floor))
+def _verdicts(forms: _SplitForms, powers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(feasible, live, deflection, |mu_1|, sigma^2) over 1-D powers x the forms'
+    splits, each (M, S). An entry is feasible where the SINR sum reaches
+    2^r - 1, mu_1 is live, and the deflection reaches the floor. A power row
+    with an entry the forms leave undecided takes all five from the record of
+    that power over the splits."""
+    gamma, deflection, mu1_abs, sigma2, error = forms(powers[:, None])
+    live = np.broadcast_to(forms.gain > 0.0, gamma.shape).copy()
     near = ~(_SAFETY * error <= _BAND / 1000.0)
     if math.isfinite(forms.floor):
         near |= abs(deflection - forms.floor) <= _BAND * abs(forms.floor)
-    for m in np.flatnonzero(near.reshape(ok.shape).any(axis=-1)):
-        if ok[:m].any():
-            break
-        point = forms.ctx.operating_point(float(np.reshape(power_watts, -1)[m]), forms.rhos)
-        ok[m] = _feasible(point, forms.ctx.scenario.targets)
+    for m in np.flatnonzero(near.any(axis=-1)):
+        point = forms.ctx.operating_point(float(powers[m]), forms.rhos)
+        live[m], deflection[m] = point.mu1_abs > 0.0, point.deflection
+        mu1_abs[m], sigma2[m] = point.mu1_abs, point.sigma2
+    return (gamma >= forms.threshold) & live & (deflection >= forms.floor), live, deflection, mu1_abs, sigma2
+
+
+def _first_feasible(forms: _SplitForms, power_watts) -> tuple[int | None, int]:
+    """The flat index of the first feasible entry at power_watts (a float or
+    an array of ascending powers) over the forms' splits, if any, and the
+    entries scanned up to and including it (all of them when none is). An
+    array is scanned power by power, so the index is power-major."""
+    ok = _verdicts(forms, np.reshape(power_watts, -1))[0]
     i = int(np.argmax(ok)) if ok.any() else None
     return (None, ok.size) if i is None else (i, i + 1)
 
@@ -260,7 +260,7 @@ def minimize_power(ctx: SimulationContext) -> OptimizationResult:
     rhos = _rho_grid(opt)
     forms = _SplitForms(ctx, rhos)  # reduced once; every probe of the search reads it
 
-    first, evaluations = _first_feasible(forms, powers[:, None])
+    first, evaluations = _first_feasible(forms, powers)
     if first is None:
         return OptimizationResult(None, evaluations)
     i, k = divmod(first, len(rhos))
@@ -284,28 +284,28 @@ def minimize_power(ctx: SimulationContext) -> OptimizationResult:
 
 def _tradeoff_record(ctx: SimulationContext, powers: np.ndarray, rhos: np.ndarray) -> dict:
     """The tradeoff rows of a 1-D array of powers, as arrays keyed by
-    tradeoff_sweep's columns, from one record over powers x ascending splits.
-    Each row takes the rate of its first split and kappa_fa, P_D and P_FA at its
-    live split of largest deflection, in one closed-form call per column; a
-    row with no live split reads rho = rhos[0] and kappa = P_D = P_FA = 0."""
-    targets = ctx.scenario.targets
-    point = ctx.operating_point(powers[:, None], rhos)
-    live = point.mu1_abs > 0.0
+    tradeoff_sweep's columns, from the split forms over powers x ascending
+    splits, read as the walk reads them (_verdicts). Each row takes the rate of
+    its first split and kappa_fa, P_D and P_FA at its live split of largest
+    deflection, in one closed-form call per column; a row with no live split
+    reads rho = rhos[0] and kappa = P_D = P_FA = 0."""
+    targets, forms = ctx.scenario.targets, _SplitForms(ctx, rhos)
+    feasible, live, deflection, mu1_abs, sigma2 = _verdicts(forms, powers)
     # P_D at the false-alarm threshold grows with the deflection; argmax takes
     # the first maximum, so ties go to the smallest rho, and a row with no
     # live split to rhos[0]
-    sharpest = np.argmax(np.where(live, point.deflection, -np.inf), axis=-1, keepdims=True)
+    sharpest = np.argmax(np.where(live, deflection, -np.inf), axis=-1, keepdims=True)
     on = live.any(axis=-1)
-    mu1_abs, sigma2 = (np.take_along_axis(m, sharpest, -1)[on, 0] for m in (point.mu1_abs, point.sigma2))
+    mu1_abs, sigma2 = (np.take_along_axis(m, sharpest, -1)[on, 0] for m in (mu1_abs, sigma2))
     kappa, pd, pfa = np.zeros((3, powers.size))
     kappa[on] = k = false_alarm_threshold(mu1_abs, sigma2, targets.pfa_max)
     pd[on], pfa[on] = detection_probability(mu1_abs, sigma2, k), false_alarm_probability(mu1_abs, sigma2, k)
     # gamma_sd + gamma_rd falls strictly in rho (so the rate does too), and the
     # grid starts at rho = 0 or is the one fixed split: the fastest is column 0
-    rate = mrc_rate(point.gamma_direct[:, 0], point.gamma_relayed[:, 0])
+    rate = mrc_rate(*(gamma[:, 0] for gamma in forms.link(powers[:, None])))
     return {
         "power_watts": powers, "rho": rhos[sharpest[:, 0]], "kappa": kappa,
-        "rate_bps_hz": rate, "pd": pd, "pfa": pfa, "feasible": _feasible(point, targets).any(axis=-1),
+        "rate_bps_hz": rate, "pd": pd, "pfa": pfa, "feasible": feasible.any(axis=-1),
     }
 
 

@@ -21,10 +21,11 @@ beams at sigma = 1 (ClutterSteering.gains); the SCNR loading term
 sum_k |a_t^T b_k|^2 scales by P. InterferenceKernel decomposes M = B diag(g_1) B^H
 once, through the thin SVD of B diag(g_1)^(1/2): at most L basis vectors carry the
 clutter, W is I on their complement, and L >= N leaves no complement. So
-a^H W^-1 a, W^-1 y and y^H W^-1 y follow in O(N L) for a whole vector of scales,
-every clutter level and power alike, never forming I + s M. A scene keeps one
-kernel per split (SensingScene.unit_kernel), the only place one is made, and
-scores its symbol-averaged SCNR curves on it (SensingScene.average_scnr_curve).
+a^H W^-1 a and y^H W^-1 y follow in O(N L) for a whole vector of scales, and
+W^-1 y at any one, every clutter level and power alike, never forming I + s M.
+A scene keeps one kernel per split (SensingScene.unit_kernel), the only place
+one is made, and scores its symbol-averaged SCNR curves on it
+(SensingScene.average_scnr_curve).
 The tests hold a dense oracle that forms W and solves through its Cholesky factor;
 the kernel is checked against it.
 """
@@ -98,12 +99,10 @@ class InterferenceKernel:
         n, k = self._vecs.shape[-2:]
         return (y - _matvec(self._vecs, z) if k < n else np.zeros_like(y)), z
 
-    def solve(self, y: np.ndarray, scale=1.0) -> np.ndarray:
-        """W(s)^-1 y, with the scale s a float or an array broadcasting over
-        y's leading axes: a (P, 1) column of scales against a (S, N) kernel stack
-        gives a (P, S, N) result, each entry bit for bit its own (s, y) pair's."""
+    def solve(self, y: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """W(s)^-1 y at the scale s."""
         r, z = self._split(y)
-        return r + _matvec(self._vecs, z / (1.0 + np.asarray(scale)[..., None] * self._lam))
+        return r + _matvec(self._vecs, z / (1.0 + scale * self._lam))
 
     def quadratic(self, y: np.ndarray, scales=(1.0,)) -> np.ndarray:
         """y^H W(s)^-1 y for each scale s of a 1-D sequence: shape (..., len(scales))."""

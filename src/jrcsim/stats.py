@@ -133,9 +133,10 @@ def canonical_float(x: float) -> float:
 
 
 def digit_unit(x: float) -> float:
-    """One unit in the 9th significant digit of a nonzero x: the spacing of
-    the emission grid at x."""
-    return 10.0 ** (math.floor(math.log10(abs(x))) - 8)
+    """One unit in the 9th significant digit of a nonzero x as it prints: the
+    spacing of the emission grid at canonical_float(x), so 999.99999999, which
+    prints as 1000, has the unit of 1000."""
+    return 10.0 ** (math.floor(math.log10(abs(canonical_float(x)))) - 8)
 
 
 def canonical_ceil(x: float) -> float:

@@ -17,13 +17,15 @@ one-realization-at-a-time reference: each realization derives its own phase
 and clutter streams and draws from them in order, an angle on 0 or pi drawn
 again on the spot. The CSV writer has a per-cell reference: each row's values
 rendered one at a time, as the text of the value alone. ScenarioConfig.to_dict
-has the deep copy of dataclasses.asdict as its reference.
+has the deep copy of dataclasses.asdict as its reference. Operating-point
+records over a grid of powers are built one power at a time (power_by_power).
 """
 
 import csv
 import dataclasses
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -221,6 +223,13 @@ def radar_snapshot_batch(
         s = s + (amps * (x @ clutter.matrix)) @ clutter.matrix.T
     noise = (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) / np.sqrt(2.0)
     return s + noise
+
+
+def power_by_power(ctx, powers, rhos) -> SimpleNamespace:
+    """Every field of the records of a 1-D array of powers over the splits rhos,
+    one record per power, stacked on a leading power axis."""
+    points = [ctx.operating_point(p, rhos) for p in np.asarray(powers, dtype=float).tolist()]
+    return SimpleNamespace(**{f.name: np.array([getattr(p, f.name) for p in points]) for f in dataclasses.fields(points[0])})
 
 
 def scalar_false_alarm_threshold(mu1_abs: float, sigma2: float, pfa_max: float) -> float:

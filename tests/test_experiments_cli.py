@@ -122,6 +122,14 @@ class TestCanonicalFloat:
             assert up >= x and canonical_float(up) == up
             assert up == canonical_float(x) or canonical_float(x) < x
 
+    def test_the_digit_unit_is_that_of_the_printed_text(self):
+        # 999.99999999 prints as 1000, whose 9th significant digit is 1e-5, not
+        # the 1e-6 of the value's own decade; a spread beside such a mean
+        # rounds on the grid the mean is printed on
+        assert float_text(999.99999999) == "1000"
+        assert digit_unit(999.99999999) == 1e-5 == digit_unit(1000.0)
+        assert float_text(_spread_on_mean_grid(3.62e-5, 999.99999999)) == "0.00004"
+
 
 class TestScnrSweep:
     def test_shape_and_order(self, fast_scenario, scnr_run, tmp_path):
@@ -1138,6 +1146,20 @@ class TestMemoryCeiling:
         assert done.returncode == 0, done.stderr
         for name in tables:
             assert parse_table_csv(str(tmp_path / "large" / f"{name}.csv"), name)
+
+    def test_tradeoff_fits_in_the_memory_of_optimize(self, tmp_path):
+        # the tradeoff rows read the split forms, as the search does, and build
+        # no (powers, splits, N) record: at N = 4,096 tradeoff runs under
+        # optimize's own peak virtual size plus 10 %
+        config = tmp_path / "large.json"
+        config.write_text(json.dumps({"array": {"n_antennas": 4096}}))
+        done = _run_capped(["optimize", "--config", str(config), "--out", str(tmp_path / "optimize")], 1 << 30)
+        assert done.returncode == 0, done.stderr
+        cap = int(done.stdout.split()[-1]) * 1024 * 11 // 10
+        done = _run_capped(["tradeoff", "--config", str(config), "--out", str(tmp_path / "tradeoff")], cap)
+        assert done.returncode == 0, done.stderr
+        for name in ("tradeoff", "optimum"):
+            assert parse_table_csv(str(tmp_path / "tradeoff" / f"{name}.csv"), name)
 
     def test_optimize_at_6144_antennas_fits_in_one_gib(self, tmp_path):
         # the search decides from per-split terms of O(L) numbers and builds no

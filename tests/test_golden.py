@@ -1,8 +1,10 @@
 """Golden tables: every command's CSV output on the reduced scenario.
 
 Fresh runs of all five commands are compared with the files under
-tests/golden/: floats at a relative tolerance of 1e-9 (the 9-significant-digit
-emission), ints, strings and bools exactly. A change that moves numbers on
+tests/golden/: first cell by cell, floats at a relative tolerance of 1e-9 (the
+9-significant-digit emission), ints, strings and bools exactly, so a
+difference names its row and column; then byte for byte, since every rerun
+writes the same tables. A change that moves numbers on
 purpose regenerates the goldens of the commands it moves (all five when no
 command is named) and says why in CHANGES.md:
 
@@ -55,14 +57,16 @@ def same_value(kind, got, want) -> bool:
 def test_tables_match_golden(command, tmp_path):
     assert run_command(command, str(tmp_path)) == 0
     for name in COMMANDS[command]:
-        golden = parse_table_csv(os.path.join(GOLDEN_DIR, command, f"{name}.csv"), name)
-        fresh = parse_table_csv(str(tmp_path / f"{name}.csv"), name)
+        golden_path, fresh_path = os.path.join(GOLDEN_DIR, command, f"{name}.csv"), str(tmp_path / f"{name}.csv")
+        golden, fresh = parse_table_csv(golden_path, name), parse_table_csv(fresh_path, name)
         assert len(fresh) == len(golden), name
         for i, (got, want) in enumerate(zip(fresh, golden)):
             for col, kind in COLUMNS[name]:
                 assert same_value(kind, got[col], want[col]), (
                     f"{name} row {i} column {col}: {got[col]!r} != golden {want[col]!r}"
                 )
+        with open(fresh_path, "rb") as got, open(golden_path, "rb") as want:
+            assert got.read() == want.read(), f"{name}: the bytes differ from the golden file's"
 
 
 def regenerate(commands) -> None:

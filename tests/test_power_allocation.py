@@ -28,10 +28,10 @@ from jrcsim.power_allocation import (
     _BAND,
     _SAFETY,
     _SplitForms,
-    _feasible,
     _first_feasible,
     _rho_grid,
     _tradeoff_record,
+    _verdicts,
     evaluate_point,
     minimize_power,
     tradeoff_sweep,
@@ -44,6 +44,7 @@ from oracles import (
     clutter_covariance,
     optimal_receive_beamformer,
     parse_table_csv,
+    power_by_power,
     scalar_false_alarm_threshold,
     transmit_covariance,
 )
@@ -79,26 +80,31 @@ def solved(fast_context):
     return minimize_power(fast_context)
 
 
+_POWERS, _RHOS = np.geomspace(1e-3, 1e3, 7), np.linspace(0.0, 1.0, 5)
+
+
 @pytest.fixture(scope="module")
 def stacked(fast_context):
-    """A record over 7 powers from 1 mW to 1 kW and 5 splits, and where mu_1 is live."""
-    point = fast_context.operating_point(np.geomspace(1e-3, 1e3, 7)[:, None], np.linspace(0.0, 1.0, 5))
+    """Records at 7 powers from 1 mW to 1 kW over 5 splits, and where mu_1 is live."""
+    point = power_by_power(fast_context, _POWERS, _RHOS)
     live = point.mu1_abs > 0.0
     assert live.any()
     return point, live
 
 
+def feasible_mask(ctx, **targets):
+    """The verdicts the walk and the tradeoff share, over _POWERS x _RHOS, at the context's targets changed."""
+    return _verdicts(_SplitForms(with_targets(ctx, **targets), _RHOS), _POWERS)[0]
+
+
 class TestFeasible:
     def test_deflection_floor_at_the_detection_extremes(self, fast_context, stacked):
         # a floor of 0 holds at any threshold, so every live split passes
-        point, live = stacked
-        vacuous = dataclasses.replace(fast_context.scenario.targets, rate_bps_hz=0.0, pd_min=0.0)
-        assert np.array_equal(_feasible(point, vacuous), live)
+        _, live = stacked
+        assert np.array_equal(feasible_mask(fast_context, rate_bps_hz=0.0, pd_min=0.0), live)
 
-    def test_a_unit_detection_floor_holds_nowhere(self, fast_context, stacked):
-        point, _ = stacked
-        unit = dataclasses.replace(fast_context.scenario.targets, rate_bps_hz=0.0, pd_min=1.0)
-        assert not _feasible(point, unit).any()
+    def test_a_unit_detection_floor_holds_nowhere(self, fast_context):
+        assert not feasible_mask(fast_context, rate_bps_hz=0.0, pd_min=1.0).any()
 
     def test_between_the_extremes_every_target_binds(self, fast_context, stacked):
         # the rate target is the SINR sum 2^5 - 1 = 31, and the deflection
@@ -107,7 +113,7 @@ class TestFeasible:
         floor = inverse_q(1e-6) - inverse_q(0.6)
         expected = (point.gamma_direct + point.gamma_relayed >= 31.0) & live & (point.deflection >= floor)
         assert expected.any() and not expected.all()
-        assert np.array_equal(_feasible(point, fast_context.scenario.targets), expected)
+        assert np.array_equal(feasible_mask(fast_context), expected)
 
 
 class TestEvaluatePoint:
@@ -391,10 +397,8 @@ class TestTradeoffSweep:
 
     def test_columns_match_the_split_by_split_scan(self, fast_context, swept):
         rhos = _rho_grid(fast_context.scenario.optimizer)
-        rows = [_oracle_tradeoff_record(fast_context, p, rhos) for p in swept["power_watts"].tolist()]
-        assert list(swept) == list(rows[0])
-        for name, column in swept.items():
-            assert column.tolist() == [row[name] for row in rows], name
+        for i, p in enumerate(swept["power_watts"].tolist()):
+            assert_oracle_row({name: column[i].item() for name, column in swept.items()}, fast_context, p, rhos)
 
 
 # The split search evaluates every split of a power in one batch. The oracle
@@ -450,6 +454,27 @@ def _oracle_tradeoff_record(ctx, power, rhos):
     }
 
 
+def assert_oracle_row(row, ctx, power, rhos):
+    """The tradeoff row is the split-by-split scan's: its power, split, rate and
+    verdict exactly, and kappa, P_D and P_FA within a relative bound. The row
+    reads those three from the split forms' moments, which hold the
+    deflection and both moments of an entry they decide within the budget
+    _BAND / 1000 of the record's (TestSplitForms). kappa is |mu_1| sqrt(2
+    sigma^2) t with t = Q^-1(pfa_max), so it keeps that budget. P_FA = Q(t)
+    and P_D = Q(t - D): where P_D < 1/2 the argument moves by at most t times
+    the budget (D <= t), and phi/Q, the tail's relative slope, is at most
+    1 + t there; where P_D > 1/2, 2 phi(u) |u| <= 1/2 bounds it."""
+    oracle, budget = _oracle_tradeoff_record(ctx, power, rhos), _BAND / 1000.0
+    assert list(row) == list(oracle)
+    assert [row[name] for name in _EXACT] == [oracle[name] for name in _EXACT]
+    t = max(inverse_q(ctx.scenario.targets.pfa_max), 1.0)
+    for name, rel in (("kappa", budget), ("pd", (1.0 + t) * t * budget), ("pfa", (1.0 + t) * t * budget)):
+        assert row[name] == pytest.approx(oracle[name], rel=rel, abs=0.0), name
+
+
+_EXACT = ("power_watts", "rho", "rate_bps_hz", "feasible")
+
+
 def _uniform(lo, hi):
     # sampled_from spreads draws evenly; st.floats favours its bounds
     return st.sampled_from(np.linspace(lo, hi, 1001).tolist())
@@ -502,15 +527,14 @@ class TestBatchedSplitSearch:
         ctx = build_context(sc)
         rhos = _rho_grid(sc.optimizer)
         assert _first_feasible(_SplitForms(ctx, rhos), power) == _oracle_first_feasible(ctx, power, rhos)
-        record = first_row(_tradeoff_record(ctx, np.array([power]), rhos))
-        assert record == _oracle_tradeoff_record(ctx, power, rhos)
+        assert_oracle_row(first_row(_tradeoff_record(ctx, np.array([power]), rhos)), ctx, power, rhos)
 
     def test_a_silent_target_leaves_no_split_live(self, fast_context):
         ctx = dataclasses.replace(fast_context, alpha0=0.0)
         rhos = np.linspace(0.0, 1.0, 4)
         assert _first_feasible(_SplitForms(ctx, rhos), 2.0) == (None, 4)
         record = first_row(_tradeoff_record(ctx, np.array([2.0]), rhos))
-        assert record == _oracle_tradeoff_record(ctx, 2.0, rhos)
+        assert_oracle_row(record, ctx, 2.0, rhos)
         assert (record["rho"], record["kappa"], record["pd"], record["pfa"]) == (0.0, 0.0, 0.0, 0.0)
 
     def test_a_tiny_cap_still_meets_its_threshold(self, fast_context):
@@ -518,7 +542,7 @@ class TestBatchedSplitSearch:
         ctx = with_targets(fast_context, rate_bps_hz=0.0, pfa_max=1e-300, pd_min=0.0, p_max_dbm=60.0)
         rhos = np.linspace(0.0, 1.0, 4)
         record = first_row(_tradeoff_record(ctx, np.array([2.0]), rhos))
-        assert record == _oracle_tradeoff_record(ctx, 2.0, rhos)
+        assert_oracle_row(record, ctx, 2.0, rhos)
         assert 0.0 < record["pfa"] <= 1e-300
         assert record["feasible"]
 
@@ -532,7 +556,7 @@ class TestBatchedSplitSearch:
         deflection = fast_context.operating_point(2.0, twice).deflection
         assert deflection[1] == deflection[2] > deflection[0]
         record = first_row(_tradeoff_record(ctx, np.array([2.0]), twice))
-        assert record == _oracle_tradeoff_record(ctx, 2.0, twice)
+        assert_oracle_row(record, ctx, 2.0, twice)
         assert record["rho"] == 0.5
 
     def test_a_deflection_on_the_floor_is_feasible(self, fast_context):
@@ -557,10 +581,10 @@ class TestBatchedSplitSearch:
 
 
 # Power enters W(P) = I + P M(rho) as one scale, so one unit-power kernel per
-# split grid serves every power. The stacked (powers x splits) record must be,
-# bit for bit, the record of each (P, rho) alone, and the coarse walk over the
-# whole stacked grid must stop where the power-by-power walk below, the loop it
-# replaced, stops.
+# split grid serves every power. The record over a split grid must be, bit for
+# bit, the record of each split alone, and the coarse walk over the whole
+# (powers x splits) grid of the forms must stop where the power-by-power walk
+# below, the loop it replaced, stops.
 
 _RECORD_FIELDS = ("beams", "x", "w", "mu1", "sigma2", "gamma_direct", "gamma_relayed")
 
@@ -600,17 +624,17 @@ def coarse_walks(draw):
 class TestStackedPowers:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(power_stacks())
-    def test_stacked_record_matches_each_power_and_split(self, stack):
+    def test_split_record_matches_each_split(self, stack):
         sc, powers = stack
         ctx = build_context(sc)
         rhos = _rho_grid(sc.optimizer)
-        stacked = ctx.operating_point(powers[:, None], rhos)
-        assert stacked.beams.shape == (len(powers), len(rhos), 2, sc.array.n_antennas)
-        for m, p in enumerate(powers.tolist()):
+        for p in powers.tolist():
+            stacked = ctx.operating_point(p, rhos)
+            assert stacked.beams.shape == (len(rhos), 2, sc.array.n_antennas)
             for k, rho in enumerate(rhos.tolist()):
                 alone = ctx.operating_point(p, rho)
                 for name in _RECORD_FIELDS:
-                    assert _same_bits(getattr(stacked, name)[m, k], getattr(alone, name)), (p, rho, name)
+                    assert _same_bits(getattr(stacked, name)[k], getattr(alone, name)), (p, rho, name)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(power_stacks())
@@ -620,10 +644,9 @@ class TestStackedPowers:
         sc, powers = stack
         warm, rhos = build_context(sc), _rho_grid(sc.optimizer)
         warm.unit_kernel(rhos)
-        for p in (powers[:, None], float(powers[0])):
-            point, fresh = warm.operating_point(p, rhos), build_context(sc).operating_point(p, rhos)
-            for name in _RECORD_FIELDS:
-                assert _same_bits(getattr(point, name), getattr(fresh, name)), name
+        point, fresh = power_by_power(warm, powers, rhos), power_by_power(build_context(sc), powers, rhos)
+        for name in _RECORD_FIELDS:
+            assert _same_bits(getattr(point, name), getattr(fresh, name)), name
         record, fresh = (_tradeoff_record(ctx, powers, rhos) for ctx in (warm, build_context(sc)))
         assert all(_same_bits(record[name], fresh[name]) for name in record)
 
@@ -691,14 +714,15 @@ class TestSplitForms:
         ctx = build_context(sc)
         rhos = _rho_grid(sc.optimizer)
         forms = _SplitForms(ctx, rhos)
-        gamma, deflection, error = forms(powers[:, None])
-        point = ctx.operating_point(powers[:, None], rhos)
+        gamma, deflection, mu1_abs, sigma2, error = forms(powers[:, None])
+        point = power_by_power(ctx, powers, rhos)
         bound = _BAND / 1000.0
         assert np.array_equal(gamma, point.gamma_direct + point.gamma_relayed)
         decided, live = _decided(error), point.mu1_abs > 0.0
         assert np.array_equal(np.broadcast_to(forms.gain > 0.0, live.shape)[decided], live[decided])
         on = decided & live
-        assert np.all(np.abs(deflection - point.deflection)[on] <= bound * point.deflection[on])
+        for got, want in ((deflection, point.deflection), (mu1_abs, point.mu1_abs), (sigma2, point.sigma2)):
+            assert np.all(np.abs(got - want)[on] <= bound * want[on])
 
     @pytest.mark.parametrize("power_points", [64, 512])
     def test_the_default_walk_needs_no_record(self, default_context, power_points):
@@ -706,7 +730,7 @@ class TestSplitForms:
         # which lie on the default grid from its power floor to its ceiling
         sc = default_context.scenario
         powers = np.geomspace(dbm_to_watts(sc.power.min_dbm), dbm_to_watts(sc.targets.p_max_dbm), power_points)
-        _, _, error = _SplitForms(default_context, _rho_grid(sc.optimizer))(powers[:, None])
+        *_, error = _SplitForms(default_context, _rho_grid(sc.optimizer))(powers[:, None])
         assert _decided(error).all()
 
 
@@ -735,7 +759,7 @@ class TestNearTies:
             rhos = np.array([rho])
             forms = _SplitForms(fast_context, rhos)
             for power in np.geomspace(1.0, 30.0, 40).tolist():
-                _, deflection, error = forms(power)
+                _, deflection, _, _, error = forms(power)
                 assert _decided(error).all()
                 exact = fast_context.operating_point(power, rhos).deflection[0]
                 if exact != deflection[0]:
