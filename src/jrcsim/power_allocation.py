@@ -137,7 +137,8 @@ class _SplitForms:
         self.cc, self.dd, self.lam = np.abs(x @ a) ** 2, np.abs(x @ b) ** 2, kernel._lam
         self.rr, self.qq = np.sum(np.abs(r) ** 2, axis=-1), np.abs(q) ** 2
         self.q, self.e, self.g = q.conj(), r.conj() @ b, kernel._vecs.conj().swapaxes(-1, -2) @ b
-        self.gain = 2.0 * abs(ctx.alpha0) ** 2 * self.cc  # deflection^2 = gain P Q_1^2 / Q_2; live where > 0
+        self.gain = 2.0 * abs(ctx.alpha0) ** 2 * self.cc  # deflection^2 = gain P Q_1^2 / Q_2
+        self.live = self.gain > 0.0
         self.mu1_unit = abs(ctx.alpha0) * self.cc  # |mu_1| = |alpha_0| |c|^2 P Q_1
         # a dot product with a steering vector rounds by sqrt(N) eps per unit norm of its other factor
         self.n, x_scale = a.size, math.sqrt(a.size) * np.linalg.norm(x, axis=-1)
@@ -172,7 +173,7 @@ def _verdicts(forms: _SplitForms, powers: np.ndarray) -> tuple[np.ndarray, ...]:
     with an entry the forms leave undecided takes all five from the record of
     that power over the splits."""
     gamma, deflection, mu1_abs, sigma2, error = forms(powers[:, None])
-    live = np.broadcast_to(forms.gain > 0.0, gamma.shape).copy()
+    live = np.repeat(forms.live[None], powers.size, axis=0)
     near = ~(_SAFETY * error <= _BAND / 1000.0)
     if math.isfinite(forms.floor):
         near |= abs(deflection - forms.floor) <= _BAND * abs(forms.floor)
@@ -188,7 +189,7 @@ def _first_feasible(forms: _SplitForms, power_watts) -> tuple[int | None, int]:
     an array of ascending powers) over the forms' splits, if any, and the
     entries scanned up to and including it (all of them when none is). An
     array is scanned power by power, so the index is power-major."""
-    ok = _verdicts(forms, np.reshape(power_watts, -1))[0]
+    ok = _verdicts(forms, np.asarray(power_watts, dtype=float).reshape(-1))[0]
     i = int(np.argmax(ok)) if ok.any() else None
     return (None, ok.size) if i is None else (i, i + 1)
 

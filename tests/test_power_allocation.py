@@ -455,20 +455,23 @@ def _oracle_tradeoff_record(ctx, power, rhos):
 
 
 def assert_oracle_row(row, ctx, power, rhos):
-    """The tradeoff row is the split-by-split scan's: its power, split, rate and
-    verdict exactly, and kappa, P_D and P_FA within a relative bound. The row
-    reads those three from the split forms' moments, which hold the
-    deflection and both moments of an entry they decide within the budget
-    _BAND / 1000 of the record's (TestSplitForms). kappa is |mu_1| sqrt(2
-    sigma^2) t with t = Q^-1(pfa_max), so it keeps that budget. P_FA = Q(t)
-    and P_D = Q(t - D): where P_D < 1/2 the argument moves by at most t times
-    the budget (D <= t), and phi/Q, the tail's relative slope, is at most
-    1 + t there; where P_D > 1/2, 2 phi(u) |u| <= 1/2 bounds it."""
+    """The tradeoff row is the split-by-split scan's: its power, split, rate
+    and verdict exactly, and kappa, P_D and P_FA within relative bounds that
+    follow from the split forms' error budget b = _BAND / 1000. The row reads
+    those three from the forms' |mu_1| and sigma^2, which TestSplitForms holds,
+    with the deflection D, within b of the record's wherever the forms decide
+    (elsewhere the row is the record's). kappa = |mu_1| sqrt(2 sigma^2) t with
+    t = Q^-1(pfa_max), so it moves by at most 1.5 b. P_FA = Q(t) moves only
+    with the threshold's last bits. P_D = Q(u) with u = t - D moves by at most
+    its relative slope phi(u) / Q(u) times D b. Where u > 0, D < t and that
+    slope is at most 1 + u <= 1 + t; where u <= 0, Q(u) >= 1/2 and
+    2 phi(u) D <= 0.8 |t| + 1/2. Either way (1 + T) T b bounds both, with
+    T = max(|t|, 1)."""
     oracle, budget = _oracle_tradeoff_record(ctx, power, rhos), _BAND / 1000.0
     assert list(row) == list(oracle)
     assert [row[name] for name in _EXACT] == [oracle[name] for name in _EXACT]
-    t = max(inverse_q(ctx.scenario.targets.pfa_max), 1.0)
-    for name, rel in (("kappa", budget), ("pd", (1.0 + t) * t * budget), ("pfa", (1.0 + t) * t * budget)):
+    t = max(abs(inverse_q(ctx.scenario.targets.pfa_max)), 1.0)
+    for name, rel in (("kappa", 1.5 * budget), ("pd", (1.0 + t) * t * budget), ("pfa", (1.0 + t) * t * budget)):
         assert row[name] == pytest.approx(oracle[name], rel=rel, abs=0.0), name
 
 
@@ -719,7 +722,7 @@ class TestSplitForms:
         bound = _BAND / 1000.0
         assert np.array_equal(gamma, point.gamma_direct + point.gamma_relayed)
         decided, live = _decided(error), point.mu1_abs > 0.0
-        assert np.array_equal(np.broadcast_to(forms.gain > 0.0, live.shape)[decided], live[decided])
+        assert np.array_equal(np.broadcast_to(forms.live, live.shape)[decided], live[decided])
         on = decided & live
         for got, want in ((deflection, point.deflection), (mu1_abs, point.mu1_abs), (sigma2, point.sigma2)):
             assert np.all(np.abs(got - want)[on] <= bound * want[on])
