@@ -158,6 +158,8 @@ class SimulationContext(SensingScene):
     h_sr: np.ndarray
     h_rd: complex
     symbols: np.ndarray
+    # the optimizer's split forms over the scenario's split grid, made on first use
+    _split_forms: object = field(default=None, init=False, repr=False, compare=False)
 
     def operating_point(self, power_watts: float, rho) -> OperatingPoint:
         """The record of power_watts at split rho, a float or a 1-D array of

@@ -327,7 +327,7 @@ def _optimum_table(result: OptimizationResult) -> SweepTable:
 
 def run_tradeoff(scenario: ScenarioConfig) -> list[SweepTable]:
     """Tradeoff sweep plus the power-minimization certificate, on one context
-    and so on one decomposition of the split grid."""
+    and so on one build of the split grid's forms and its decomposition."""
     ctx = build_context(scenario)
     curve = tradeoff_sweep(ctx)
     block = {**curve, "power_dbm": [watts_to_dbm(p) for p in curve["power_watts"]]}

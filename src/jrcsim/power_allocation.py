@@ -17,27 +17,37 @@ false-alarm threshold kappa_fa, the smallest that meets the cap.
 minimize_power finds the first feasible point of an ascending coarse power
 grid, then bisects the bracketing interval at its geometric midpoint until
 hi <= lo (1 + tol_factor) or it cannot be split further, re-optimizing rho at
-every probe. Ties prefer smaller P, then smaller rho, then smaller kappa. The
-certificate is the triple the tables print, audited by evaluate_point; the
-result is that evaluated point, or None past the ceiling, and the evaluations
-spent. tradeoff_sweep returns, as arrays over the grid powers, the best
-achievable rate, the best detection probability subject to the false-alarm
-limit, and whether the constraint set is jointly satisfiable there. Both take
-a context; evaluate_point also builds one from a scenario.
+every probe. One call of the split forms reads the midpoints of four levels
+of the bisection tree at once, every midpoint the next four probes could
+take; the search then follows the path one probe at a time follows, so
+its result is that of probing midpoint by midpoint. Ties prefer smaller P,
+then smaller rho, then smaller kappa. The certificate is the triple the
+tables print, audited by evaluate_point; the result is that evaluated point,
+or None past the ceiling, and the evaluations spent: the (P, rho) entries a
+power-by-power, split-by-split scan reads up to each probe's first feasible
+split (all of them at an infeasible one), on the walk and on the bisection's
+path, never on a midpoint off it, plus one per audit. tradeoff_sweep
+returns, as arrays over the grid powers, the best achievable rate, the best
+detection probability subject to the false-alarm limit, and whether the
+constraint set is jointly satisfiable there. Both take a context;
+evaluate_point also builds one from a scenario.
 
 Power and clutter power enter the interference covariance as one scale,
 W(s) = I + s M(rho) with s = sigma^2 P, so the context decomposes each split
 grid once, at unit sigma and power (SimulationContext.unit_kernel), and every
 probe on that grid scales that one kernel. Both commands decide from per-split
 closed forms in P (_SplitForms), terms of O(L) and O(L^2) numbers per split
-with no beams, waveform or beamformer, and read them through one rule
-(_verdicts): the coarse walk, each bisection probe and every tradeoff row.
-Their SINR sum is comm_link.LinkSinrs, the record's own, so the rate test is
-the record's bit for bit. A power row with an entry within a relative _BAND
-of the deflection floor, or whose rounding estimate is too large, takes the
-OperatingPoint record of that power over the splits, so every decision is
-the record's; the walk counts, and breaks ties, as a power-by-power,
-split-by-split scan of the record does. evaluate_point builds its one record.
+with no beams, waveform or beamformer, which a context builds once over its
+split grid, so tradeoff's rows and search share them as they share the
+kernel. The coarse walk, each bisection level and every tradeoff row read
+them by one rule. Their SINR sum is comm_link.LinkSinrs, the record's own,
+so the rate test is the record's bit for bit, and it comes first: the
+sensing forms run only on the powers where some split reaches the rate,
+since no deflection makes another power feasible. Only tradeoff rows read
+|mu_1| and sigma^2, so only they compute them. A power row with an entry
+within a relative _BAND of the deflection floor, or whose rounding estimate
+is too large, takes the OperatingPoint record of that power over the splits,
+so every decision is the record's. evaluate_point builds its one record.
 """
 
 from __future__ import annotations
@@ -72,6 +82,8 @@ _BUDGET_SLACK = 1.0e-9
 # record; they decide alone where _SAFETY times their estimated rounding error
 # stays within _BAND / 1000 (their SINR sum is the record's, bit for bit)
 _BAND, _SAFETY, _EPS = 1.0e-9, 16.0, float(np.finfo(float).eps)
+# levels of the bisection tree one call of the split forms reads: 2^4 - 1 = 15 midpoints
+_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -121,10 +133,10 @@ def _deflection_floor(targets: TargetsSection) -> float:
 
 
 class _SplitForms:
-    """gamma_sd + gamma_rd, the live flag, the deflection, |mu_1| and sigma^2 of
-    every split of rhos in closed form in P, from the unit-power waveform x_1
-    and kernel (U, lam) at unit sigma: c = a^T x_1, q = U^H a, r = a - U q, G = U^H B, e = r^H B
-    and d = B^T x_1. With s = sigma_c^2 P and f = 1/(1 + s lam), Q_1 = a^H W^-1 a =
+    """The live flag, the deflection, Q_1 and Q_2 of every split of rhos in
+    closed form in P, from the unit-power waveform x_1 and kernel (U, lam) at
+    unit sigma: c = a^T x_1, q = U^H a, r = a - U q, G = U^H B, e = r^H B and
+    d = B^T x_1. With s = sigma_c^2 P and f = 1/(1 + s lam), Q_1 = a^H W^-1 a =
     ||r||^2 + sum |q|^2 f, |mu_1| = |alpha_0| P |c|^2 Q_1 and sigma^2 = P |c|^2 Q_2,
     where Q_2 = ||r||^2 + sum |q|^2 f^2 + s sum_l |d_l|^2 |e_l + sum_j conj(q_j) f_j G_jl|^2;
     the SINRs are comm_link.LinkSinrs, the record's own."""
@@ -147,12 +159,15 @@ class _SplitForms:
         self.d_mag, self.spread = np.sqrt(self.dd) * x_scale[..., None], math.sqrt(a.size * (q.shape[-1] + 1))
         self.link = LinkSinrs(ctx, rhos)
 
+    def reaches(self, powers: np.ndarray) -> np.ndarray:
+        """Whether gamma_sd + gamma_rd reaches 2^r - 1, over 1-D powers x splits."""
+        gamma_sd, gamma_rd = self.link(powers[:, None])
+        return gamma_sd + gamma_rd >= self.threshold
+
     def __call__(self, power_watts):
-        """gamma_sd + gamma_rd, the deflection, |mu_1|, sigma^2 and an estimate of
-        the deflection's relative rounding error at power_watts (a float or an
-        (M, 1) column)."""
+        """The deflection, Q_1, Q_2 and an estimate of the deflection's relative
+        rounding error at power_watts (a float or an (M, 1) column)."""
         p = np.asarray(power_watts, dtype=float)
-        gamma_sd, gamma_rd = self.link(p)
         scale = self.ctx.clutter.sigma * self.ctx.clutter.sigma * p  # s = sigma^2 P, as the record forms it
         f = 1.0 / (1.0 + scale[..., None] * self.lam)
         q1, w2 = self.rr + np.vecdot(f, self.qq), self.rr + np.vecdot(f * f, self.qq)
@@ -162,26 +177,49 @@ class _SplitForms:
         t_mag = self.n * (1.0 + 2.0 * np.sum(f, axis=-1))
         clutter = np.vecdot(tt, self.d_mag) + t_mag * np.vecdot(np.sqrt(tt) + t_mag[..., None] * _EPS / 2, self.dd)
         error = self.c_cond + 3.0 * self.spread / np.sqrt(w2) + scale * clutter / q2
-        deflection, mu1_abs, sigma2 = np.sqrt(self.gain * p / q2) * q1, self.mu1_unit * p * q1, self.cc * p * q2
-        return gamma_sd + gamma_rd, deflection, mu1_abs, sigma2, _EPS * error
+        return np.sqrt(self.gain * p / q2) * q1, q1, q2, _EPS * error
 
 
-def _verdicts(forms: _SplitForms, powers: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(feasible, live, deflection, |mu_1|, sigma^2) over 1-D powers x the forms'
-    splits, each (M, S). An entry is feasible where the SINR sum reaches
-    2^r - 1, mu_1 is live, and the deflection reaches the floor. A power row
-    with an entry the forms leave undecided takes all five from the record of
-    that power over the splits."""
-    gamma, deflection, mu1_abs, sigma2, error = forms(powers[:, None])
-    live = np.repeat(forms.live[None], powers.size, axis=0)
+def _split_forms(ctx: SimulationContext) -> _SplitForms:
+    """The forms over the scenario's split grid, made on the context's first
+    call and returned by every later one, so a command's tradeoff rows and
+    power search reduce the grid once."""
+    if ctx._split_forms is None:
+        object.__setattr__(ctx, "_split_forms", _SplitForms(ctx, _rho_grid(ctx.scenario.optimizer)))
+    return ctx._split_forms
+
+
+def _sensing(forms: _SplitForms, powers: np.ndarray, moments: bool = False) -> list[np.ndarray]:
+    """Over 1-D powers x the forms' splits, each (M, S): whether the radar half
+    of the targets holds (mu_1 is live and the deflection reaches the floor),
+    the live flags and the deflections, then with moments |mu_1| and sigma^2.
+    A power row with an entry the forms leave undecided takes every column
+    from the record of that power over the splits."""
+    p = powers[:, None]
+    deflection, q1, q2, error = forms(p)
+    columns = [np.repeat(forms.live[None], powers.size, axis=0), deflection]
+    if moments:
+        columns += [forms.mu1_unit * p * q1, forms.cc * p * q2]
     near = ~(_SAFETY * error <= _BAND / 1000.0)
     if math.isfinite(forms.floor):
         near |= abs(deflection - forms.floor) <= _BAND * abs(forms.floor)
     for m in np.flatnonzero(near.any(axis=-1)):
         point = forms.ctx.operating_point(float(powers[m]), forms.rhos)
-        live[m], deflection[m] = point.mu1_abs > 0.0, point.deflection
-        mu1_abs[m], sigma2[m] = point.mu1_abs, point.sigma2
-    return (gamma >= forms.threshold) & live & (deflection >= forms.floor), live, deflection, mu1_abs, sigma2
+        for column, value in zip(columns, (point.mu1_abs > 0.0, point.deflection, point.mu1_abs, point.sigma2)):
+            column[m] = value
+    return [columns[0] & (columns[1] >= forms.floor), *columns]
+
+
+def _verdicts(forms: _SplitForms, powers: np.ndarray) -> np.ndarray:
+    """The feasible mask over 1-D powers x the forms' splits, (M, S): the SINR
+    sum reaches 2^r - 1 and the radar half holds (_sensing). The sensing forms
+    run only on the rows where some split reaches the rate: no deflection makes
+    another row feasible."""
+    ok = forms.reaches(powers)
+    rows = np.flatnonzero(ok.any(axis=-1))
+    if rows.size:
+        ok[rows] &= _sensing(forms, powers[rows])[0]
+    return ok
 
 
 def _first_feasible(forms: _SplitForms, power_watts) -> tuple[int | None, int]:
@@ -189,7 +227,7 @@ def _first_feasible(forms: _SplitForms, power_watts) -> tuple[int | None, int]:
     an array of ascending powers) over the forms' splits, if any, and the
     entries scanned up to and including it (all of them when none is). An
     array is scanned power by power, so the index is power-major."""
-    ok = _verdicts(forms, np.asarray(power_watts, dtype=float).reshape(-1))[0]
+    ok = _verdicts(forms, np.asarray(power_watts, dtype=float).reshape(-1))
     i = int(np.argmax(ok)) if ok.any() else None
     return (None, ok.size) if i is None else (i, i + 1)
 
@@ -251,6 +289,44 @@ def _certificate(ctx: SimulationContext, power_watts: float, rho: float) -> tupl
     return None, evaluations
 
 
+def _bisect(forms: _SplitForms, lo: float, hi: float, k: int, tol_factor: float) -> tuple[float, int, int]:
+    """Bisect a bracket, lo infeasible and hi feasible first at split index k,
+    at its geometric midpoint until hi <= lo (1 + tol_factor) or floats cannot
+    split it: the last feasible power, its first feasible split index and the
+    entries scanned. Each call of the forms reads the midpoints of the next
+    _LEVELS levels of the bisection tree at once, in heap order (node j's
+    children are 2j + 1, below a feasible midpoint, and 2j + 2); the search
+    then takes the path that probing one midpoint at a time takes, and only
+    that path's entries count."""
+    evaluations, nodes = 0, 2**_LEVELS - 1
+    while True:
+        brackets, mids = [(lo, hi)] + [None] * (nodes - 1), [None] * nodes
+        for j, bracket in enumerate(brackets):
+            if bracket is None or not bracket[1] > bracket[0] * (1.0 + tol_factor):
+                continue
+            mid = math.sqrt(bracket[0] * bracket[1])
+            if bracket[0] < mid < bracket[1]:  # else the bracket is as narrow as floats allow
+                mids[j] = mid
+                if 2 * j + 2 < nodes:
+                    brackets[2 * j + 1], brackets[2 * j + 2] = (bracket[0], mid), (mid, bracket[1])
+        if mids[0] is None:  # and so every node below it
+            return hi, k, evaluations
+        probed = [j for j, mid in enumerate(mids) if mid is not None]
+        ok, j = _verdicts(forms, np.array([mids[j] for j in probed])), 0
+        row = {node: r for r, node in enumerate(probed)}
+        for _ in range(_LEVELS):
+            if mids[j] is None:
+                return hi, k, evaluations
+            verdict = ok[row[j]]
+            if verdict.any():
+                k = int(np.argmax(verdict))
+                evaluations += k + 1
+                hi, j = mids[j], 2 * j + 1
+            else:
+                evaluations += verdict.size
+                lo, j = mids[j], 2 * j + 2
+
+
 def minimize_power(ctx: SimulationContext) -> OptimizationResult:
     """Smallest power whose best (rho, kappa) satisfies every target of the
     context's scenario."""
@@ -258,40 +334,29 @@ def minimize_power(ctx: SimulationContext) -> OptimizationResult:
     powers = np.geomspace(
         dbm_to_watts(scenario.power.min_dbm), dbm_to_watts(scenario.targets.p_max_dbm), opt.power_points
     )
-    rhos = _rho_grid(opt)
-    forms = _SplitForms(ctx, rhos)  # reduced once; every probe of the search reads it
+    forms = _split_forms(ctx)  # reduced once; every probe of the search reads it
 
     first, evaluations = _first_feasible(forms, powers)
     if first is None:
         return OptimizationResult(None, evaluations)
-    i, k = divmod(first, len(rhos))
-    rho_star, hi = float(rhos[k]), float(powers[i])
-    if i > 0:
-        # bracket: powers[i - 1] infeasible, hi feasible
-        lo = float(powers[i - 1])
-        while hi > lo * (1.0 + opt.tol_factor):
-            mid = math.sqrt(lo * hi)
-            if not lo < mid < hi:
-                break  # the bracket is as narrow as floats allow
-            k, n = _first_feasible(forms, mid)
-            evaluations += n
-            if k is not None:
-                hi, rho_star = mid, float(rhos[k])
-            else:
-                lo = mid
-    point, n = _certificate(ctx, hi, rho_star)
+    i, k = divmod(first, forms.rhos.size)
+    hi = float(powers[i])
+    if i > 0:  # bracket: powers[i - 1] infeasible, hi feasible
+        hi, k, n = _bisect(forms, float(powers[i - 1]), hi, k, opt.tol_factor)
+        evaluations += n
+    point, n = _certificate(ctx, hi, float(forms.rhos[k]))
     return OptimizationResult(point, evaluations + n)
 
 
-def _tradeoff_record(ctx: SimulationContext, powers: np.ndarray, rhos: np.ndarray) -> dict:
+def _tradeoff_record(forms: _SplitForms, powers: np.ndarray) -> dict:
     """The tradeoff rows of a 1-D array of powers, as arrays keyed by
-    tradeoff_sweep's columns, from the split forms over powers x ascending
-    splits, read as the walk reads them (_verdicts). Each row takes the rate of
-    its first split and kappa_fa, P_D and P_FA at its live split of largest
-    deflection, in one closed-form call per column; a row with no live split
-    reads rho = rhos[0] and kappa = P_D = P_FA = 0."""
-    targets, forms = ctx.scenario.targets, _SplitForms(ctx, rhos)
-    feasible, live, deflection, mu1_abs, sigma2 = _verdicts(forms, powers)
+    tradeoff_sweep's columns, from the forms over powers x ascending splits,
+    read as the search reads them (reaches and _sensing). Each row takes the
+    rate of its first split and kappa_fa, P_D and P_FA at its live split of
+    largest deflection, in one closed-form call per column; a row with no live
+    split reads rho = rhos[0] and kappa = P_D = P_FA = 0."""
+    pfa_max, rhos = forms.ctx.scenario.targets.pfa_max, forms.rhos
+    sensed, live, deflection, mu1_abs, sigma2 = _sensing(forms, powers, moments=True)
     # P_D at the false-alarm threshold grows with the deflection; argmax takes
     # the first maximum, so ties go to the smallest rho, and a row with no
     # live split to rhos[0]
@@ -299,14 +364,14 @@ def _tradeoff_record(ctx: SimulationContext, powers: np.ndarray, rhos: np.ndarra
     on = live.any(axis=-1)
     mu1_abs, sigma2 = (np.take_along_axis(m, sharpest, -1)[on, 0] for m in (mu1_abs, sigma2))
     kappa, pd, pfa = np.zeros((3, powers.size))
-    kappa[on] = k = false_alarm_threshold(mu1_abs, sigma2, targets.pfa_max)
+    kappa[on] = k = false_alarm_threshold(mu1_abs, sigma2, pfa_max)
     pd[on], pfa[on] = detection_probability(mu1_abs, sigma2, k), false_alarm_probability(mu1_abs, sigma2, k)
     # gamma_sd + gamma_rd falls strictly in rho (so the rate does too), and the
     # grid starts at rho = 0 or is the one fixed split: the fastest is column 0
     rate = mrc_rate(*(gamma[:, 0] for gamma in forms.link(powers[:, None])))
     return {
         "power_watts": powers, "rho": rhos[sharpest[:, 0]], "kappa": kappa,
-        "rate_bps_hz": rate, "pd": pd, "pfa": pfa, "feasible": feasible.any(axis=-1),
+        "rate_bps_hz": rate, "pd": pd, "pfa": pfa, "feasible": (forms.reaches(powers) & sensed).any(axis=-1),
     }
 
 
@@ -321,4 +386,4 @@ def tradeoff_sweep(ctx: SimulationContext) -> dict[str, np.ndarray]:
     p_max_dbm = watts_to_dbm(dbm_to_watts(sc.targets.p_max_dbm))
     grid_dbm = np.linspace(sc.power.min_dbm, p_max_dbm, sc.power.points)
     powers = np.array([float(dbm_to_watts(p)) for p in grid_dbm])
-    return _tradeoff_record(ctx, powers, _rho_grid(sc.optimizer))
+    return _tradeoff_record(_split_forms(ctx), powers)

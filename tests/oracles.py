@@ -19,6 +19,8 @@ again on the spot. The CSV writer has a per-cell reference: each row's values
 rendered one at a time, as the text of the value alone. ScenarioConfig.to_dict
 has the deep copy of dataclasses.asdict as its reference. Operating-point
 records over a grid of powers are built one power at a time (power_by_power).
+The power search has a one-midpoint-at-a-time reference: its bisection
+probes the split forms once per midpoint (sequential_minimize_power).
 """
 
 import csv
@@ -34,9 +36,10 @@ from jrcsim.array_geometry import array_constants, element_index_offsets, steeri
 from jrcsim.context import KIND_SCENE, KIND_TARGET_PHASE, stream_id
 from jrcsim.detection import _null_blocks
 from jrcsim.experiments import COLUMNS
+from jrcsim.power_allocation import OptimizationResult, _certificate, _first_feasible, _rho_grid, _SplitForms
 from jrcsim.radar_sensing import ClutterSteering, InterferenceKernel
 from jrcsim.propagation import path_loss_db
-from jrcsim.scenario import ArraySection, CommSection, ScenarioConfig
+from jrcsim.scenario import ArraySection, CommSection, ScenarioConfig, dbm_to_watts
 from jrcsim.stats import derive_stream, float_text, inverse_q, q_function
 
 
@@ -230,6 +233,39 @@ def power_by_power(ctx, powers, rhos) -> SimpleNamespace:
     one record per power, stacked on a leading power axis."""
     points = [ctx.operating_point(p, rhos) for p in np.asarray(powers, dtype=float).tolist()]
     return SimpleNamespace(**{f.name: np.array([getattr(p, f.name) for p in points]) for f in dataclasses.fields(points[0])})
+
+
+def sequential_minimize_power(ctx) -> OptimizationResult:
+    """minimize_power with one call of the split forms per bisection midpoint:
+    the coarse walk, then the bracket split at its geometric midpoint until
+    hi <= lo (1 + tol_factor) or floats cannot split it, then the certificate."""
+    scenario, opt = ctx.scenario, ctx.scenario.optimizer
+    powers = np.geomspace(
+        dbm_to_watts(scenario.power.min_dbm), dbm_to_watts(scenario.targets.p_max_dbm), opt.power_points
+    )
+    rhos = _rho_grid(opt)
+    forms = _SplitForms(ctx, rhos)  # reduced once; every probe of the search reads it
+
+    first, evaluations = _first_feasible(forms, powers)
+    if first is None:
+        return OptimizationResult(None, evaluations)
+    i, k = divmod(first, len(rhos))
+    rho_star, hi = float(rhos[k]), float(powers[i])
+    if i > 0:
+        # bracket: powers[i - 1] infeasible, hi feasible
+        lo = float(powers[i - 1])
+        while hi > lo * (1.0 + opt.tol_factor):
+            mid = math.sqrt(lo * hi)
+            if not lo < mid < hi:
+                break  # the bracket is as narrow as floats allow
+            k, n = _first_feasible(forms, mid)
+            evaluations += n
+            if k is not None:
+                hi, rho_star = mid, float(rhos[k])
+            else:
+                lo = mid
+    point, n = _certificate(ctx, hi, rho_star)
+    return OptimizationResult(point, evaluations + n)
 
 
 def scalar_false_alarm_threshold(mu1_abs: float, sigma2: float, pfa_max: float) -> float:

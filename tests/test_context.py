@@ -309,7 +309,7 @@ class TestNoClutterPower:
             for curve in curves[1:]:
                 np.testing.assert_allclose(curve, curves[0], rtol=1e-12, atol=0.0)
         points = [power_by_power(ctx, powers, rhos) for ctx in (quiet, level.at_sigma(none[0]), bare)]
-        deflections = [_SplitForms(ctx, rhos)(powers[:, None])[1] for ctx in (quiet, level.at_sigma(none[0]), bare)]
+        deflections = [_SplitForms(ctx, rhos)(powers[:, None])[0] for ctx in (quiet, level.at_sigma(none[0]), bare)]
         for point, deflection in zip(points[1:], deflections[1:]):
             np.testing.assert_allclose(point.mu1, points[0].mu1, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(point.sigma2, points[0].sigma2, rtol=1e-12, atol=0.0)

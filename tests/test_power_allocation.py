@@ -11,10 +11,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_A
+from conftest import SCENARIO_A, SCENARIO_B
 from jrcsim.comm_link import mrc_rate, rate_threshold
 from jrcsim.context import build_context
 from jrcsim.detection import (
@@ -30,6 +30,7 @@ from jrcsim.power_allocation import (
     _SplitForms,
     _first_feasible,
     _rho_grid,
+    _sensing,
     _tradeoff_record,
     _verdicts,
     evaluate_point,
@@ -46,6 +47,7 @@ from oracles import (
     parse_table_csv,
     power_by_power,
     scalar_false_alarm_threshold,
+    sequential_minimize_power,
     transmit_covariance,
 )
 
@@ -94,7 +96,7 @@ def stacked(fast_context):
 
 def feasible_mask(ctx, **targets):
     """The verdicts the walk and the tradeoff share, over _POWERS x _RHOS, at the context's targets changed."""
-    return _verdicts(_SplitForms(with_targets(ctx, **targets), _RHOS), _POWERS)[0]
+    return _verdicts(_SplitForms(with_targets(ctx, **targets), _RHOS), _POWERS)
 
 
 class TestFeasible:
@@ -530,13 +532,13 @@ class TestBatchedSplitSearch:
         ctx = build_context(sc)
         rhos = _rho_grid(sc.optimizer)
         assert _first_feasible(_SplitForms(ctx, rhos), power) == _oracle_first_feasible(ctx, power, rhos)
-        assert_oracle_row(first_row(_tradeoff_record(ctx, np.array([power]), rhos)), ctx, power, rhos)
+        assert_oracle_row(first_row(_tradeoff_record(_SplitForms(ctx, rhos), np.array([power]))), ctx, power, rhos)
 
     def test_a_silent_target_leaves_no_split_live(self, fast_context):
         ctx = dataclasses.replace(fast_context, alpha0=0.0)
         rhos = np.linspace(0.0, 1.0, 4)
         assert _first_feasible(_SplitForms(ctx, rhos), 2.0) == (None, 4)
-        record = first_row(_tradeoff_record(ctx, np.array([2.0]), rhos))
+        record = first_row(_tradeoff_record(_SplitForms(ctx, rhos), np.array([2.0])))
         assert_oracle_row(record, ctx, 2.0, rhos)
         assert (record["rho"], record["kappa"], record["pd"], record["pfa"]) == (0.0, 0.0, 0.0, 0.0)
 
@@ -544,7 +546,7 @@ class TestBatchedSplitSearch:
         # every live split has a smallest threshold meeting any cap in (0, 1)
         ctx = with_targets(fast_context, rate_bps_hz=0.0, pfa_max=1e-300, pd_min=0.0, p_max_dbm=60.0)
         rhos = np.linspace(0.0, 1.0, 4)
-        record = first_row(_tradeoff_record(ctx, np.array([2.0]), rhos))
+        record = first_row(_tradeoff_record(_SplitForms(ctx, rhos), np.array([2.0])))
         assert_oracle_row(record, ctx, 2.0, rhos)
         assert 0.0 < record["pfa"] <= 1e-300
         assert record["feasible"]
@@ -558,7 +560,7 @@ class TestBatchedSplitSearch:
         twice = np.array([0.25, 0.5, 0.5])
         deflection = fast_context.operating_point(2.0, twice).deflection
         assert deflection[1] == deflection[2] > deflection[0]
-        record = first_row(_tradeoff_record(ctx, np.array([2.0]), twice))
+        record = first_row(_tradeoff_record(_SplitForms(ctx, twice), np.array([2.0])))
         assert_oracle_row(record, ctx, 2.0, twice)
         assert record["rho"] == 0.5
 
@@ -580,7 +582,7 @@ class TestBatchedSplitSearch:
         ctx = with_targets(fast_context, rate_bps_hz=0.0, pfa_max=cap, pd_min=0.5, p_max_dbm=60.0)
         assert inverse_q(cap) - inverse_q(0.5) == deflection
         assert _first_feasible(_SplitForms(ctx, rho), power)[0] is not None
-        assert _tradeoff_record(ctx, np.array([power]), rho)["feasible"][0]
+        assert _tradeoff_record(_SplitForms(ctx, rho), np.array([power]))["feasible"][0]
 
 
 # Power enters W(P) = I + P M(rho) as one scale, so one unit-power kernel per
@@ -650,7 +652,7 @@ class TestStackedPowers:
         point, fresh = power_by_power(warm, powers, rhos), power_by_power(build_context(sc), powers, rhos)
         for name in _RECORD_FIELDS:
             assert _same_bits(getattr(point, name), getattr(fresh, name)), name
-        record, fresh = (_tradeoff_record(ctx, powers, rhos) for ctx in (warm, build_context(sc)))
+        record, fresh = (_tradeoff_record(_SplitForms(ctx, rhos), powers) for ctx in (warm, build_context(sc)))
         assert all(_same_bits(record[name], fresh[name]) for name in record)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -717,10 +719,11 @@ class TestSplitForms:
         ctx = build_context(sc)
         rhos = _rho_grid(sc.optimizer)
         forms = _SplitForms(ctx, rhos)
-        gamma, deflection, mu1_abs, sigma2, error = forms(powers[:, None])
+        deflection, _, _, error = forms(powers[:, None])
+        *_, mu1_abs, sigma2 = _sensing(forms, powers, moments=True)
         point = power_by_power(ctx, powers, rhos)
         bound = _BAND / 1000.0
-        assert np.array_equal(gamma, point.gamma_direct + point.gamma_relayed)
+        assert np.array_equal(np.add(*forms.link(powers[:, None])), point.gamma_direct + point.gamma_relayed)
         decided, live = _decided(error), point.mu1_abs > 0.0
         assert np.array_equal(np.broadcast_to(forms.live, live.shape)[decided], live[decided])
         on = decided & live
@@ -762,7 +765,7 @@ class TestNearTies:
             rhos = np.array([rho])
             forms = _SplitForms(fast_context, rhos)
             for power in np.geomspace(1.0, 30.0, 40).tolist():
-                _, deflection, _, _, error = forms(power)
+                deflection, _, _, error = forms(power)
                 assert _decided(error).all()
                 exact = fast_context.operating_point(power, rhos).deflection[0]
                 if exact != deflection[0]:
@@ -863,6 +866,63 @@ class TestOptimizerProperties:
         result = minimize_power(ctx)
         if result.feasible and result.point.power_watts > canonical_ceil(dbm_to_watts(sc.power.min_dbm)):
             assert feasible_split(ctx, result.point.power_watts / (1.0 + sc.optimizer.tol_factor)) is None
+
+
+@st.composite
+def bisections(draw):
+    """A random valid scene with drawn targets, power grid and tolerance; a
+    tolerance of 1e-20 stops the bisection on float spacing, 2.0 at once."""
+    sc = _scenes(draw, ScenarioConfig())
+    min_dbm = draw(_uniform(-40.0, 10.0))
+    return dataclasses.replace(
+        sc,
+        power=dataclasses.replace(sc.power, min_dbm=min_dbm),
+        targets=dataclasses.replace(
+            sc.targets,
+            rate_bps_hz=draw(_uniform(0.0, 6.0)),
+            pfa_max=10.0 ** draw(_uniform(-8.0, -1.0)),
+            pd_min=draw(_uniform(0.05, 0.9)),
+            p_max_dbm=draw(_uniform(min_dbm + 10.0, 90.0)),
+        ),
+        optimizer=dataclasses.replace(
+            sc.optimizer,
+            power_points=draw(st.sampled_from(range(2, 65))),
+            tol_factor=draw(st.sampled_from([1e-20, 1e-12, 1e-6, 1e-3, 1e-1, 2.0])),
+            # a split of 0 or 1 starves the radar or the link, so few such draws bracket
+            fixed_rho=draw(st.sampled_from([None, None, None, 0.3, 0.9])),
+        ),
+    )
+
+
+def _default_with(section, **changes):
+    sc = ScenarioConfig()
+    return dataclasses.replace(sc, **{section: dataclasses.replace(getattr(sc, section), **changes)})
+
+
+class TestBatchedBisection:
+    """minimize_power reads _LEVELS levels of the bisection tree per call of
+    the split forms; it must take the path of probing one midpoint per call,
+    and count only that path's entries."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(bisections())
+    @example(SCENARIO_A)  # no feasible power on the walk, though one lies below the ceiling
+    @example(SCENARIO_B)
+    @example(ScenarioConfig())
+    @example(_default_with("optimizer", tol_factor=1e-20))  # stops on float spacing
+    @example(_default_with("optimizer", fixed_rho=0.9))
+    @example(_default_with("targets", rate_bps_hz=0.0, pd_min=0.0))  # feasible at the first power: no bracket
+    @example(_default_with("targets", p_max_dbm=20.0))  # infeasible at the ceiling
+    @example(_default_with("targets", rate_bps_hz=30.0))  # no split reaches the rate
+    def test_matches_the_sequential_search(self, sc):
+        ctx = build_context(sc)
+        assert repr(minimize_power(ctx)) == repr(sequential_minimize_power(ctx))
+
+    def test_a_replaced_context_builds_its_own_forms(self, default_context):
+        # a context keeps the split forms of its first search, which hold its
+        # targets; a context with other targets must not read them
+        assert minimize_power(default_context).feasible
+        assert not minimize_power(with_targets(default_context, rate_bps_hz=30.0)).feasible
 
 
 class TestFeasibilityIsNotMonotone:

@@ -1,8 +1,9 @@
 """The package surface: every function in src/jrcsim runs in some CLI command,
 every interference kernel comes from the scene, once per clutter matrix and
-split whatever the clutter levels, the link SINRs have exactly
-two readers, each emitted float is formatted once, and the package runs on
-NumPy and the standard library alone.
+split whatever the clutter levels, the power search reads its split forms a
+few times from one build, the link SINRs have exactly two readers, each
+emitted float is formatted once, and the package runs on NumPy and the
+standard library alone.
 
 All five commands run on the reduced scenario (and one of them in JSON form)
 under sys.setprofile, which records the code object of every Python frame
@@ -27,9 +28,9 @@ import jrcsim
 from conftest import reduced_scenario
 from jrcsim.cli import main
 from jrcsim.comm_link import LinkSinrs
-from jrcsim.context import SensingScene, SimulationContext
+from jrcsim.context import SensingScene, SimulationContext, build_context
 from jrcsim.experiments import _cell
-from jrcsim.power_allocation import _SplitForms
+from jrcsim.power_allocation import _SplitForms, minimize_power
 from jrcsim.radar_sensing import InterferenceKernel
 from jrcsim.scenario import ScenarioConfig
 from jrcsim.stats import canonical_float, float_text
@@ -119,6 +120,27 @@ def test_one_kernel_per_clutter_matrix_and_split(tmp_path):
             sys.setprofile(None)
         kernels[command] = len(made)
     assert pairs == 4 and kernels == expected
+
+
+def test_the_search_reads_the_split_forms_a_few_times(tmp_path):
+    # the bisection reads four levels of its tree per call of the split forms,
+    # and a tradeoff's rows and search share one build of them; at the default
+    # scenario the walk and two tree reads stand for the walk and 8 midpoints
+    sc = ScenarioConfig()
+    ctx, path = build_context(sc), tmp_path / "scenario.json"
+    path.write_text(json.dumps(sc.to_dict()))
+    call, init = _SplitForms.__call__.__code__, _SplitForms.__init__.__code__
+    made = []
+    sys.setprofile(lambda frame, event, arg: made.append(frame.f_code) if event == "call" else None)
+    try:
+        result = minimize_power(ctx)
+        searched, made[:] = made.count(call), []
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["tradeoff", "--config", str(path), "--out", str(tmp_path / "tradeoff")]) == 0
+    finally:
+        sys.setprofile(None)
+    assert result.evaluations == 1188 and searched <= 3
+    assert made.count(init) == 1
 
 
 def test_the_link_sinrs_are_stated_once(calls):
