@@ -47,7 +47,11 @@ since no deflection makes another power feasible. Only tradeoff rows read
 |mu_1| and sigma^2, so only they compute them. A power row with an entry
 within a relative _BAND of the deflection floor, or whose rounding estimate
 is too large, takes the OperatingPoint record of that power over the splits,
-so every decision is the record's. evaluate_point builds its one record.
+so every decision is the record's. The search builds such a record only when
+it reads that row: the walk reads rows up to its first feasible one, and a
+tree read only the midpoints on the path it takes, so batching the levels
+builds no record that probing midpoint by midpoint would not. A tradeoff row
+always reads its record. evaluate_point builds its one record.
 """
 
 from __future__ import annotations
@@ -189,12 +193,11 @@ def _split_forms(ctx: SimulationContext) -> _SplitForms:
     return ctx._split_forms
 
 
-def _sensing(forms: _SplitForms, powers: np.ndarray, moments: bool = False) -> list[np.ndarray]:
-    """Over 1-D powers x the forms' splits, each (M, S): whether the radar half
-    of the targets holds (mu_1 is live and the deflection reaches the floor),
-    the live flags and the deflections, then with moments |mu_1| and sigma^2.
-    A power row with an entry the forms leave undecided takes every column
-    from the record of that power over the splits."""
+def _sensing(forms: _SplitForms, powers: np.ndarray, moments: bool = False) -> tuple[list[np.ndarray], np.ndarray]:
+    """Over 1-D powers x the forms' splits, each (M, S), as the forms read
+    them: the live flags and the deflections, then with moments |mu_1| and
+    sigma^2; and the rows (M,) with an entry the forms leave undecided, whose
+    columns only the OperatingPoint record of that power decides."""
     p = powers[:, None]
     deflection, q1, q2, error = forms(p)
     columns = [np.repeat(forms.live[None], powers.size, axis=0), deflection]
@@ -203,33 +206,49 @@ def _sensing(forms: _SplitForms, powers: np.ndarray, moments: bool = False) -> l
     near = ~(_SAFETY * error <= _BAND / 1000.0)
     if math.isfinite(forms.floor):
         near |= abs(deflection - forms.floor) <= _BAND * abs(forms.floor)
-    for m in np.flatnonzero(near.any(axis=-1)):
-        point = forms.ctx.operating_point(float(powers[m]), forms.rhos)
-        for column, value in zip(columns, (point.mu1_abs > 0.0, point.deflection, point.mu1_abs, point.sigma2)):
-            column[m] = value
-    return [columns[0] & (columns[1] >= forms.floor), *columns]
+    return columns, near.any(axis=-1)
 
 
-def _verdicts(forms: _SplitForms, powers: np.ndarray) -> np.ndarray:
-    """The feasible mask over 1-D powers x the forms' splits, (M, S): the SINR
-    sum reaches 2^r - 1 and the radar half holds (_sensing). The sensing forms
-    run only on the rows where some split reaches the rate: no deflection makes
-    another row feasible."""
-    ok = forms.reaches(powers)
-    rows = np.flatnonzero(ok.any(axis=-1))
-    if rows.size:
-        ok[rows] &= _sensing(forms, powers[rows])[0]
-    return ok
+class _Verdicts:
+    """The feasible mask over 1-D powers x the forms' splits, (M, S), read a
+    row at a time: the SINR sum reaches 2^r - 1 and mu_1 is live with the
+    deflection at the floor. The sensing forms run only on the rows where some
+    split reaches the rate, since no deflection makes another row feasible. A
+    row the forms leave undecided keeps only its rate verdicts until it is
+    read, and then takes its sensing from the record, so a search builds
+    records only for the rows it reads."""
+
+    def __init__(self, forms: _SplitForms, powers: np.ndarray):
+        self.forms, self.powers = forms, powers
+        self.ok, self.pending = forms.reaches(powers), np.zeros(powers.size, dtype=bool)
+        rows = np.flatnonzero(self.ok.any(axis=-1))
+        if rows.size:
+            (live, deflection), near = _sensing(forms, powers[rows])
+            self.ok[rows] &= (live & (deflection >= forms.floor)) | near[:, None]
+            self.pending[rows] = near
+
+    def __getitem__(self, m: int) -> np.ndarray:
+        if self.pending[m]:
+            point = self.forms.ctx.operating_point(float(self.powers[m]), self.forms.rhos)
+            self.ok[m] &= (point.mu1_abs > 0.0) & (point.deflection >= self.forms.floor)
+            self.pending[m] = False
+        return self.ok[m]
 
 
 def _first_feasible(forms: _SplitForms, power_watts) -> tuple[int | None, int]:
     """The flat index of the first feasible entry at power_watts (a float or
     an array of ascending powers) over the forms' splits, if any, and the
     entries scanned up to and including it (all of them when none is). An
-    array is scanned power by power, so the index is power-major."""
-    ok = _verdicts(forms, np.asarray(power_watts, dtype=float).reshape(-1))
-    i = int(np.argmax(ok)) if ok.any() else None
-    return (None, ok.size) if i is None else (i, i + 1)
+    array is scanned power by power, so the index is power-major, and rows
+    past the first feasible one are never read."""
+    verdicts = _Verdicts(forms, np.asarray(power_watts, dtype=float).reshape(-1))
+    # a row no split of which reaches the rate is infeasible without reading it
+    for m in np.flatnonzero(verdicts.ok.any(axis=-1)):
+        row = verdicts[m]
+        if row.any():
+            i = int(m) * row.size + int(np.argmax(row))
+            return i, i + 1
+    return None, verdicts.ok.size
 
 
 def evaluate_point(
@@ -312,12 +331,12 @@ def _bisect(forms: _SplitForms, lo: float, hi: float, k: int, tol_factor: float)
         if mids[0] is None:  # and so every node below it
             return hi, k, evaluations
         probed = [j for j, mid in enumerate(mids) if mid is not None]
-        ok, j = _verdicts(forms, np.array([mids[j] for j in probed])), 0
+        verdicts, j = _Verdicts(forms, np.array([mids[j] for j in probed])), 0
         row = {node: r for r, node in enumerate(probed)}
         for _ in range(_LEVELS):
             if mids[j] is None:
                 return hi, k, evaluations
-            verdict = ok[row[j]]
+            verdict = verdicts[row[j]]
             if verdict.any():
                 k = int(np.argmax(verdict))
                 evaluations += k + 1
@@ -351,12 +370,18 @@ def minimize_power(ctx: SimulationContext) -> OptimizationResult:
 def _tradeoff_record(forms: _SplitForms, powers: np.ndarray) -> dict:
     """The tradeoff rows of a 1-D array of powers, as arrays keyed by
     tradeoff_sweep's columns, from the forms over powers x ascending splits,
-    read as the search reads them (reaches and _sensing). Each row takes the
-    rate of its first split and kappa_fa, P_D and P_FA at its live split of
-    largest deflection, in one closed-form call per column; a row with no live
-    split reads rho = rhos[0] and kappa = P_D = P_FA = 0."""
+    read as the search reads them (_sensing, and the record on the rows it
+    leaves undecided), with |mu_1| and sigma^2, which only these rows read.
+    Each row takes the rate of its first split and kappa_fa, P_D and P_FA at
+    its live split of largest deflection, in one closed-form call per column;
+    a row with no live split reads rho = rhos[0] and kappa = P_D = P_FA = 0."""
     pfa_max, rhos = forms.ctx.scenario.targets.pfa_max, forms.rhos
-    sensed, live, deflection, mu1_abs, sigma2 = _sensing(forms, powers, moments=True)
+    columns, near = _sensing(forms, powers, moments=True)
+    for m in np.flatnonzero(near):
+        point = forms.ctx.operating_point(float(powers[m]), rhos)
+        for column, value in zip(columns, (point.mu1_abs > 0.0, point.deflection, point.mu1_abs, point.sigma2)):
+            column[m] = value
+    live, deflection, mu1_abs, sigma2 = columns
     # P_D at the false-alarm threshold grows with the deflection; argmax takes
     # the first maximum, so ties go to the smallest rho, and a row with no
     # live split to rhos[0]
@@ -368,10 +393,12 @@ def _tradeoff_record(forms: _SplitForms, powers: np.ndarray) -> dict:
     pd[on], pfa[on] = detection_probability(mu1_abs, sigma2, k), false_alarm_probability(mu1_abs, sigma2, k)
     # gamma_sd + gamma_rd falls strictly in rho (so the rate does too), and the
     # grid starts at rho = 0 or is the one fixed split: the fastest is column 0
-    rate = mrc_rate(*(gamma[:, 0] for gamma in forms.link(powers[:, None])))
+    gamma_sd, gamma_rd = forms.link(powers[:, None])
+    sensed = live & (deflection >= forms.floor)
     return {
         "power_watts": powers, "rho": rhos[sharpest[:, 0]], "kappa": kappa,
-        "rate_bps_hz": rate, "pd": pd, "pfa": pfa, "feasible": (forms.reaches(powers) & sensed).any(axis=-1),
+        "rate_bps_hz": mrc_rate(gamma_sd[:, 0], gamma_rd[:, 0]), "pd": pd, "pfa": pfa,
+        "feasible": ((gamma_sd + gamma_rd >= forms.threshold) & sensed).any(axis=-1),
     }
 
 

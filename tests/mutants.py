@@ -49,7 +49,14 @@ MUTANTS = [
         name="bisection-counts-speculative-rows",
         path="src/jrcsim/power_allocation.py",
         old="evaluations += verdict.size",
-        new="evaluations += ok.size",
+        new="evaluations += verdicts.ok.size",
+        killers=(_BISECTION_ORACLE,),
+    ),
+    Mutant(
+        name="verdicts-build-records-off-the-path",
+        path="src/jrcsim/power_allocation.py",
+        old="            self.pending[rows] = near\n",
+        new="            self.pending[rows] = near\n            for m in np.flatnonzero(self.pending):\n                self[m]\n",
         killers=(_BISECTION_ORACLE,),
     ),
 ]

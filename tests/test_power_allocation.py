@@ -8,6 +8,7 @@ its emitted certificate is read back from CSV and re-evaluated.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import SCENARIO_A, SCENARIO_B
 from jrcsim.comm_link import mrc_rate, rate_threshold
-from jrcsim.context import build_context
+from jrcsim.context import SimulationContext, build_context
 from jrcsim.detection import (
     detection_probability,
     false_alarm_probability,
@@ -28,11 +29,10 @@ from jrcsim.power_allocation import (
     _BAND,
     _SAFETY,
     _SplitForms,
+    _Verdicts,
     _first_feasible,
     _rho_grid,
-    _sensing,
     _tradeoff_record,
-    _verdicts,
     evaluate_point,
     minimize_power,
     tradeoff_sweep,
@@ -96,7 +96,8 @@ def stacked(fast_context):
 
 def feasible_mask(ctx, **targets):
     """The verdicts the walk and the tradeoff share, over _POWERS x _RHOS, at the context's targets changed."""
-    return _verdicts(_SplitForms(with_targets(ctx, **targets), _RHOS), _POWERS)
+    verdicts = _Verdicts(_SplitForms(with_targets(ctx, **targets), _RHOS), _POWERS)
+    return np.array([verdicts[m] for m in range(_POWERS.size)])
 
 
 class TestFeasible:
@@ -719,8 +720,8 @@ class TestSplitForms:
         ctx = build_context(sc)
         rhos = _rho_grid(sc.optimizer)
         forms = _SplitForms(ctx, rhos)
-        deflection, _, _, error = forms(powers[:, None])
-        *_, mu1_abs, sigma2 = _sensing(forms, powers, moments=True)
+        deflection, q1, q2, error = forms(powers[:, None])
+        mu1_abs, sigma2 = forms.mu1_unit * powers[:, None] * q1, forms.cc * powers[:, None] * q2
         point = power_by_power(ctx, powers, rhos)
         bound = _BAND / 1000.0
         assert np.array_equal(np.add(*forms.link(powers[:, None])), point.gamma_direct + point.gamma_relayed)
@@ -894,29 +895,49 @@ def bisections(draw):
     )
 
 
-def _default_with(section, **changes):
-    sc = ScenarioConfig()
+def _with_records(search, ctx):
+    """search(ctx), and the powers of the OperatingPoint records it builds, in order."""
+    built, make = [], SimulationContext.operating_point
+
+    def counted(self, power_watts, rho):
+        built.append(power_watts)
+        return make(self, power_watts, rho)
+
+    with mock.patch.object(SimulationContext, "operating_point", counted):
+        return search(ctx), built
+
+
+def _with(sc, section, **changes):
     return dataclasses.replace(sc, **{section: dataclasses.replace(getattr(sc, section), **changes)})
 
 
 class TestBatchedBisection:
     """minimize_power reads _LEVELS levels of the bisection tree per call of
     the split forms; it must take the path of probing one midpoint per call,
-    and count only that path's entries."""
+    and count only that path's entries. A midpoint the forms leave undecided
+    builds its record only when the path reaches it, so the search builds the
+    records that probing one midpoint at a time builds, and no others."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(bisections())
     @example(SCENARIO_A)  # no feasible power on the walk, though one lies below the ceiling
     @example(SCENARIO_B)
     @example(ScenarioConfig())
-    @example(_default_with("optimizer", tol_factor=1e-20))  # stops on float spacing
-    @example(_default_with("optimizer", fixed_rho=0.9))
-    @example(_default_with("targets", rate_bps_hz=0.0, pd_min=0.0))  # feasible at the first power: no bracket
-    @example(_default_with("targets", p_max_dbm=20.0))  # infeasible at the ceiling
-    @example(_default_with("targets", rate_bps_hz=30.0))  # no split reaches the rate
+    @example(_with(ScenarioConfig(), "optimizer", tol_factor=1e-20))  # stops on float spacing
+    @example(_with(ScenarioConfig(), "optimizer", fixed_rho=0.9))
+    @example(_with(ScenarioConfig(), "targets", rate_bps_hz=0.0, pd_min=0.0))  # feasible at the first power: no bracket
+    @example(_with(ScenarioConfig(), "targets", p_max_dbm=20.0))  # infeasible at the ceiling
+    @example(_with(ScenarioConfig(), "targets", rate_bps_hz=30.0))  # no split reaches the rate
+    @example(_with(ScenarioConfig(), "targets", p_max_dbm=300.0))  # undecided entries near the ceiling
+    @example(_with(SCENARIO_A, "targets", p_max_dbm=150.0))
+    @example(_with(SCENARIO_B, "optimizer", tol_factor=1e-20))
     def test_matches_the_sequential_search(self, sc):
         ctx = build_context(sc)
-        assert repr(minimize_power(ctx)) == repr(sequential_minimize_power(ctx))
+        (batched, records), (sequential, oracle_records) = (
+            _with_records(search, ctx) for search in (minimize_power, sequential_minimize_power)
+        )
+        assert repr(batched) == repr(sequential)
+        assert records == oracle_records
 
     def test_a_replaced_context_builds_its_own_forms(self, default_context):
         # a context keeps the split forms of its first search, which hold its
