@@ -187,7 +187,11 @@ def roc_sweep(
     threshold for P_FA; the block is then shifted in place by 2 |mu_1|^2 (T_1 =
     T_0 + 2 |mu_1|^2 trial by trial, the target echo being deterministic) and
     searched again for P_D. The integer hits summed over the blocks equal those
-    of one sort of all the trials. The closed forms are NaN where mu_1 = 0.
+    of one sort of all the trials. Both closed forms come from one Q call over
+    the stacked (2, K) arguments of P_FA and P_D, and both Wilson intervals
+    from one binomial_ci call over the stacked hits; each entry is computed as
+    false_alarm_probability, detection_probability or a one-rate binomial_ci
+    computes it. The closed forms are NaN where mu_1 = 0.
     """
     kappas = np.sort(np.asarray(kappa_grid, dtype=float))
     if kappas.size == 0:
@@ -195,17 +199,20 @@ def roc_sweep(
     if not np.all(np.isfinite(kappas)):
         raise ValueError("kappa_grid must be finite")
     shift = _h1_shift(point.mu1_abs)
-    hits = {"pfa": 0, "pd": 0}
+    # row 0 holds P_FA and row 1 P_D
+    hits = np.zeros((2, kappas.size), dtype=np.intp)
     for block in _null_blocks(ctx, point, trials, rng):
         block.sort()
-        hits["pfa"] += block.size - np.searchsorted(block, kappas, side="left")
+        hits[0] += block.size - np.searchsorted(block, kappas, side="left")
         block += shift
-        hits["pd"] += block.size - np.searchsorted(block, kappas, side="left")
+        hits[1] += block.size - np.searchsorted(block, kappas, side="left")
+    if point.mu1_abs:
+        analytic = _tail(np.stack((kappas, kappas - shift)), _statistic_std(point.mu1_abs, point.sigma2))
+    else:
+        analytic = np.full((2, kappas.size), np.nan)
+    lo, hi = binomial_ci(hits, trials)
     curve = {"kappa": kappas}
-    for rate, closed_form in (("pfa", false_alarm_probability), ("pd", detection_probability)):
-        curve[f"{rate}_analytic"] = (
-            closed_form(point.mu1_abs, point.sigma2, kappas) if point.mu1_abs else np.full_like(kappas, np.nan)
-        )
-        curve[f"{rate}_mc"] = hits[rate] / trials
-        curve[f"{rate}_ci_lo"], curve[f"{rate}_ci_hi"] = binomial_ci(hits[rate], trials)
+    for i, rate in enumerate(("pfa", "pd")):
+        curve[f"{rate}_analytic"], curve[f"{rate}_mc"] = analytic[i], hits[i] / trials
+        curve[f"{rate}_ci_lo"], curve[f"{rate}_ci_hi"] = lo[i], hi[i]
     return curve

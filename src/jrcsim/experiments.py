@@ -13,15 +13,15 @@ Every runner hands its results to one table builder, by table name, as
 blocks of whole columns, each one value shared by its rows or one entry per
 row. COLUMNS lists each table's columns; the builder gives every value its
 column's Python kind and its CSV text. A float is rounded once, to its 9
-significant digit text, and its value is read back from that text; the CSV
-writes the text and the JSON the value, so both carry identical values and
+significant digit text, a column at a time, and its value is read back from
+that text; the CSV writes the text, joined with commas since no cell needs
+quoting, and the JSON the value, so both carry identical values and
 reruns with the same configuration and seed are byte-identical. Rows are
 sorted stably by their independent variables, never by completion order.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import itertools
 import json
@@ -41,7 +41,7 @@ from .scenario import (
     dbm_to_watts,
     watts_to_dbm,
 )
-from .stats import derive_stream, digit_unit, float_text
+from .stats import _float_texts, derive_stream, digit_unit, float_text
 
 __all__ = [
     "SweepTable",
@@ -150,6 +150,23 @@ def _cell(kind: type, value) -> tuple:
     return value, str(value)
 
 
+def _column(kind: type, value, n: int) -> tuple:
+    """(values, CSV texts) of one column of a block with n rows. A shared value
+    is one cell, repeated. A sequence of floats in a float column is rounded in
+    one call of the column formatter and read back in one pass, with a zero,
+    negative or not, read as 0; any other sequence goes cell by cell."""
+    if not np.ndim(value):
+        cell_value, text = _cell(kind, value)
+        return [cell_value] * n, [text] * n
+    if kind is float and (column := np.asarray(value)).dtype.kind == "f":
+        texts = _float_texts(column.tolist())
+        if "-0" in texts:
+            texts = ["0" if text == "-0" else text for text in texts]
+        return list(map(float, texts)), texts
+    cells = [_cell(kind, v) for v in value]
+    return [cell_value for cell_value, _ in cells], [text for _, text in cells]
+
+
 def _table(name: str, blocks, order) -> SweepTable:
     """The emitted table `name`, with its COLUMNS, from blocks of whole columns.
 
@@ -163,13 +180,10 @@ def _table(name: str, blocks, order) -> SweepTable:
     for block in blocks:
         values = [block[column] for column in names]
         n = max((len(v) for v in values if np.ndim(v)), default=1)
-        cells = [
-            [_cell(kind, v) for v in value] if np.ndim(value) else [_cell(kind, value)] * n
-            for (_, kind), value in zip(columns, values)
-        ]
-        for row in zip(*cells, strict=True):
-            row_values, texts = zip(*row)
-            rows.append((dict(zip(names, row_values)), texts))
+        cells = [_column(kind, value, n) for (_, kind), value in zip(columns, values)]
+        value_rows = zip(*[values for values, _ in cells], strict=True)
+        text_rows = zip(*[texts for _, texts in cells], strict=True)
+        rows.extend((dict(zip(names, row)), texts) for row, texts in zip(value_rows, text_rows))
     rows.sort(key=lambda pair: [pair[0][column] for column in order])
     return SweepTable(name, tuple(row for row, _ in rows), tuple(texts for _, texts in rows))
 
@@ -352,10 +366,12 @@ def _fresh_file(path: str, newline: str | None = None):
 
 
 def _write_csv(table: SweepTable, path: str) -> None:
+    """The table's header and rows, comma-joined, one line each. Every cell text
+    is a number, true/false, empty, or a validated choice, none of which holds
+    a comma, quote or line break, so no cell needs CSV quoting."""
+    lines = [",".join(name for name, _ in COLUMNS[table.name]), *map(",".join, table.texts)]
     with _fresh_file(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(name for name, _ in COLUMNS[table.name])
-        writer.writerows(table.texts)
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(table: SweepTable, path: str, provenance: dict) -> None:

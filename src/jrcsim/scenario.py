@@ -298,13 +298,15 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         """The scenario as its file reads: a dict per section, a list per tuple."""
-        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        return {name: _plain(value) for name, value in vars(self).items()}
 
 
 def _plain(value):
-    """One field's value as to_dict gives it: a section as the dict of its fields, a tuple as a list."""
+    """One field's value as to_dict gives it: a section as the dict of its
+    fields (vars() of a section holds its fields alone, in declaration order,
+    and no section nests another), a tuple as a list."""
     if isinstance(value, _Section):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(value).items()}
     return list(value) if isinstance(value, tuple) else value
 
 

@@ -112,18 +112,43 @@ def first_doubles(master_seed: int, stream_ids, count: int) -> np.ndarray:
     return out
 
 
-def float_text(x: float) -> str:
-    """x at 9 significant digits, the precision every emission carries, in
-    positional form: correctly rounded, ties to the even digit.
+def _float_texts(values) -> list[str]:
+    """The text of each float of a sequence at 9 significant digits, the
+    precision every emission carries, in positional form: correctly rounded,
+    ties to the even digit, as NumPy's Dragon4 gives it.
 
-    Python's "%.9g" gives that text, at a fraction of Dragon4's cost, for
-    every |x| whose rounding lies in [1e-4, 1e9); outside that range it
-    writes an exponent, and those values, inf and nan take Dragon4."""
-    x = float(x)
-    text = "%.9g" % x
-    if "e" in text or not math.isfinite(x):
-        return np.format_float_positional(x, precision=9, unique=False, fractional=False, trim="-")
-    return text
+    One "%.9g" formatting of the whole sequence gives that text for every |x|
+    whose rounding lies in [1e-4, 1e9). Outside that range "%.9g" puts an
+    exponent on the same 9 rounded digits, and _positional writes them out.
+    Only inf and nan take Dragon4."""
+    joined = "%.9g\n" * len(values) % tuple(values)
+    texts = joined.split("\n")
+    texts.pop()
+    if "e" in joined or "n" in joined:
+        for i, text in enumerate(texts):
+            if "e" in text:
+                texts[i] = _positional(values[i], text)
+            elif "n" in text:
+                texts[i] = np.format_float_positional(values[i], precision=9, unique=False, fractional=False, trim="-")
+    return texts
+
+
+def _positional(x: float, text: str) -> str:
+    """x in positional form from its "%.9g" text, which has an exponent: at
+    most -5, where "%.*f" rounds x at the 9th digit's decimal place, as "%.9g"
+    did, with trailing zeros trimmed; or at least 9, where every digit of the
+    mantissa lies left of the point."""
+    mantissa, exponent = text.split("e")
+    exp = int(exponent)
+    if exp < 0:
+        return ("%.*f" % (8 - exp, x)).rstrip("0")
+    sign, digits = ("-", mantissa[1:]) if mantissa[0] == "-" else ("", mantissa)
+    return sign + digits.replace(".", "").ljust(exp + 1, "0")
+
+
+def float_text(x: float) -> str:
+    """x at 9 significant digits in positional form: _float_texts of the one value."""
+    return _float_texts([float(x)])[0]
 
 
 def canonical_float(x: float) -> float:

@@ -36,6 +36,10 @@ class Mutant:
 
 
 _BISECTION_ORACLE = "tests/test_power_allocation.py::TestBatchedBisection::test_matches_the_sequential_search"
+_DRAGON4_ORACLE = "tests/test_stats.py::TestFloatText::test_matches_dragon4_on_every_finite_double"
+_PINNED_TEXTS = "tests/test_stats.py::TestFloatText::test_pinned_texts"
+_ROUNDED_ONCE = "tests/test_experiments_cli.py::TestTableTypes::test_each_float_is_rounded_once"
+_EXPERIMENTS = "src/jrcsim/experiments.py"
 
 MUTANTS = [
     Mutant(
@@ -58,6 +62,87 @@ MUTANTS = [
         old="            self.pending[rows] = near\n",
         new="            self.pending[rows] = near\n            for m in np.flatnonzero(self.pending):\n                self[m]\n",
         killers=(_BISECTION_ORACLE,),
+    ),
+    # table emission: each float formatted once, a column at a time, and
+    # written by a comma join
+    Mutant(
+        name="column-keeps-negative-zero",
+        path=_EXPERIMENTS,
+        old='            texts = ["0" if text == "-0" else text for text in texts]\n',
+        new="            pass\n",
+        killers=(
+            _ROUNDED_ONCE,
+            "tests/test_experiments_cli.py::TestTradeoffAndOptimize::test_even_odds_cap_emits_no_negative_zero",
+        ),
+    ),
+    Mutant(
+        name="writer-formats-floats-again",
+        path=_EXPERIMENTS,
+        old='*map(",".join, table.texts)]',
+        new=(
+            '*(",".join(float_text(float(text)) if kind is float and text else text'
+            " for (_, kind), text in zip(COLUMNS[table.name], texts)) for texts in table.texts)]"
+        ),
+        killers=("tests/test_surface.py::test_each_float_is_formatted_once",),
+    ),
+    Mutant(
+        name="repr-texts",
+        path=_EXPERIMENTS,
+        old="texts = _float_texts(column.tolist())",
+        new="texts = list(map(repr, column.tolist()))",
+        killers=(_ROUNDED_ONCE, "tests/test_golden.py::test_tables_match_golden[detection-sweep]"),
+    ),
+    Mutant(
+        name="python-bool-texts",
+        path=_EXPERIMENTS,
+        old='return value, "true" if value else "false"',
+        new="return value, str(value)",
+        killers=(
+            "tests/test_experiments_cli.py::TestTableTypes::test_every_value_is_empty_or_its_column_kind",
+            "tests/test_golden.py::test_tables_match_golden[tradeoff]",
+        ),
+    ),
+    Mutant(
+        name="ten-digit-texts",
+        path="src/jrcsim/stats.py",
+        old='joined = "%.9g\\n" * len(values)',
+        new='joined = "%.10g\\n" * len(values)',
+        killers=(_DRAGON4_ORACLE, _PINNED_TEXTS),
+    ),
+    Mutant(
+        name="exponent-texts-kept",
+        path="src/jrcsim/stats.py",
+        old='if "e" in joined or "n" in joined:',
+        new='if "n" in joined:',
+        killers=(_DRAGON4_ORACLE, _PINNED_TEXTS),
+    ),
+    Mutant(
+        name="exponent-expansion-one-zero-short",
+        path="src/jrcsim/stats.py",
+        old='ljust(exp + 1, "0")',
+        new='ljust(exp, "0")',
+        killers=(_DRAGON4_ORACLE, _PINNED_TEXTS),
+    ),
+    Mutant(
+        name="table-written-over-in-place",
+        path=_EXPERIMENTS,
+        old="        os.remove(path)\n",
+        new="        pass\n",
+        killers=("tests/test_experiments_cli.py::TestCli::test_a_rerun_replaces_every_file",),
+    ),
+    Mutant(
+        name="csv-without-its-last-newline",
+        path=_EXPERIMENTS,
+        old='fh.write("\\n".join(lines) + "\\n")',
+        new='fh.write("\\n".join(lines))',
+        killers=("tests/test_experiments_cli.py::TestJoinedCsv::test_every_table_is_csv_writers_bytes",),
+    ),
+    Mutant(
+        name="rate-rows-swapped-in-the-closed-forms",
+        path="src/jrcsim/detection.py",
+        old="np.stack((kappas, kappas - shift))",
+        new="np.stack((kappas - shift, kappas))",
+        killers=("tests/test_detection.py::TestSimulatedRates::test_closed_forms_are_the_scalar_closed_forms",),
     ),
 ]
 

@@ -16,7 +16,8 @@ SINR from the beams' channel gains. The stacked scene draw has a
 one-realization-at-a-time reference: each realization derives its own phase
 and clutter streams and draws from them in order, an angle on 0 or pi drawn
 again on the spot. The CSV writer has a per-cell reference: each row's values
-rendered one at a time, as the text of the value alone. ScenarioConfig.to_dict
+rendered one at a time, as the text of the value alone; its comma join has
+csv.writer, which quotes a cell where needed, as its reference. ScenarioConfig.to_dict
 has the deep copy of dataclasses.asdict as its reference. Operating-point
 records over a grid of powers are built one power at a time (power_by_power).
 The power search has a one-midpoint-at-a-time reference: its bisection
@@ -354,6 +355,16 @@ def render_csv(table) -> bytes:
     writer.writerow(names)
     for row in table.rows:
         writer.writerow([csv_cell(row[name]) for name in names])
+    return out.getvalue().encode("ascii")
+
+
+def csv_writer_bytes(table) -> bytes:
+    """A table's CSV file as csv.writer writes its header and cell texts,
+    quoting any cell that holds a comma, a quote or a line break."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(name for name, _ in COLUMNS[table.name])
+    writer.writerows(table.texts)
     return out.getvalue().encode("ascii")
 
 

@@ -35,7 +35,7 @@ from jrcsim.experiments import (
 )
 from jrcsim.radar_sensing import InterferenceKernel, waveform_from_symbols
 from jrcsim.scenario import ArraySection, ScenarioConfig, dbm_to_watts
-from jrcsim.stats import inverse_q
+from jrcsim.stats import binomial_ci, inverse_q
 from oracles import (
     clutter_at,
     clutter_covariance,
@@ -462,13 +462,18 @@ class TestSimulatedRates:
         assert np.all(curve["pd_mc"] >= curve["pfa_mc"])
 
     def test_closed_forms_are_the_scalar_closed_forms(self):
-        # the kappa arrays hold, entry by entry, the bits of the scalar calls
+        # the kappa arrays hold, entry by entry, the bits of the scalar calls,
+        # and each rate's interval the bits of a one-rate interval call
         run = cell(0.8)
         mu_sq = run.params[0] ** 2
-        curve = run.sweep(np.linspace(-mu_sq, 4.0 * mu_sq, 11), 1_000, seed=29)
+        trials = 1_000
+        curve = run.sweep(np.linspace(-mu_sq, 4.0 * mu_sq, 11), trials, seed=29)
         for kappa, pfa, pd in zip(curve["kappa"], curve["pfa_analytic"], curve["pd_analytic"]):
             assert pfa == false_alarm_probability(*run.params, kappa)
             assert pd == detection_probability(*run.params, kappa)
+        for rate in ("pfa", "pd"):
+            lo, hi = binomial_ci(np.rint(curve[f"{rate}_mc"] * trials).astype(int), trials)
+            assert np.array_equal(curve[f"{rate}_ci_lo"], lo) and np.array_equal(curve[f"{rate}_ci_hi"], hi)
 
     def test_sweep_rejects_bad_grids(self):
         run = cell(0.1)

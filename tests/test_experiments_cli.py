@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import jrcsim
@@ -58,7 +58,7 @@ from jrcsim.stats import (
     float_text,
     inverse_q,
 )
-from oracles import parse_table_csv, render_csv
+from oracles import csv_writer_bytes, parse_table_csv, render_csv
 
 
 @pytest.fixture(scope="module")
@@ -498,10 +498,15 @@ class TestTableTypes:
     @given(st.lists(st.floats(), min_size=1, max_size=8))
     def test_each_float_is_rounded_once(self, xs):
         # any double, subnormals, infinities, -0.0 and NaN among them: the
-        # value is the canonical float and the text is that value's own text
+        # value is the canonical float and the text is that value's own text,
+        # whether the column is formatted whole (floats alone) or cell by cell
+        # (a None among them)
         with pytest.MonkeyPatch.context() as patch:
             patch.setitem(COLUMNS, "floats", (("x", float),))
             table = _table("floats", [{"x": xs}], ())
+            mixed = _table("floats", [{"x": [*xs, None]}], ())
+        assert mixed.texts[:-1] == table.texts and mixed.texts[-1] == ("",)
+        assert [repr(row["x"]) for row in mixed.rows[:-1]] == [repr(row["x"]) for row in table.rows]
         for x, row, (text,) in zip(xs, table.rows, table.texts, strict=True):
             assert type(row["x"]) is float and repr(row["x"]) == repr(canonical_float(x))
             assert text == float_text(row["x"])
@@ -1257,6 +1262,44 @@ def valid_configs(draw):
             "realizations": draw(st.integers(1, 2)),
         },
     }
+
+
+class TestJoinedCsv:
+    # the CSV writer joins each row's texts with commas and quotes no cell;
+    # csv.writer, which quotes a cell that needs it, writes the same bytes for
+    # every table of each command, on the golden scenario and a drawn one
+    @pytest.mark.parametrize(
+        "run", [run_scnr_sweep, run_detection_sweep, run_tradeoff, run_optimize, run_validation]
+    )
+    @settings(max_examples=1, deadline=None, derandomize=True, database=None)
+    @given(raw=valid_configs())
+    @example(raw=reduced_scenario(ScenarioConfig()).to_dict())
+    def test_every_table_is_csv_writers_bytes(self, run, raw, tmp_path_factory):
+        try:
+            sc = scenario_from_dict(raw)
+        except ConfigError:  # a relay drawn onto the destination
+            assume(False)
+        tables = run(sc)
+        written = emit_into(tables, sc, tmp_path_factory.mktemp("joined"))
+        for table in tables:
+            with open(written[table.name], "rb") as fh:
+                assert fh.read() == csv_writer_bytes(table), table.name
+
+    def test_no_value_of_a_str_column_needs_quoting(self, validation_run):
+        # a str column holds a clutter level, which the scenario takes only
+        # from CLUTTER_LEVELS, or the validate table's metric, pfa or pd
+        texts = {(name, column) for name, columns in COLUMNS.items() for column, kind in columns if kind is str}
+        assert texts == {
+            ("scnr_sweep", "clutter"), ("detection_sweep", "clutter"), ("validate", "clutter"), ("validate", "metric")
+        }
+        for section in ("detection", "sweep"):
+            with pytest.raises(ConfigError, match="clutter_levels"):
+                scenario_from_dict({section: {"clutter_levels": ["light,intense"]}})
+        (table,) = validation_run
+        metrics = {row["metric"] for row in table.rows}
+        assert metrics == {"pfa", "pd"}
+        names = [column for columns in COLUMNS.values() for column, _ in columns]
+        assert not [text for text in [*CLUTTER_LEVELS, *metrics, *names] if set(text) & set(',"\r\n')]
 
 
 class TestEveryValidConfig:

@@ -4,7 +4,7 @@ The Q function and its inverse are checked against an adaptive quadrature
 oracle (numerical integration of the standard normal density), not against
 each other alone, and against SciPy's Cephes erfc and erfcinv, which the
 package does not import. The 9-digit float text is checked against NumPy's
-Dragon4 on every kind of double.
+Dragon4 on every kind of double, one value at a time and a column at a time.
 """
 
 import math
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc, erfcinv
 
 from jrcsim.stats import (
+    _float_texts,
     binomial_ci,
     derive_stream,
     first_doubles,
@@ -267,17 +268,29 @@ def dragon4_text(x: float) -> str:
 
 
 class TestFloatText:
+    # the column formatter on a drawn column, and float_text on each of its
+    # values, against Dragon4 alone
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
     @given(
-        x=st.one_of(
-            st.floats(allow_nan=False, allow_infinity=False),
-            st.floats(-2.3e-308, 2.3e-308),  # subnormals and both zeros
-            # both edges of the range where "%.9g" needs no exponent
-            st.floats(9.0e-5, 1.1e-4) | st.floats(9.0e8, 1.1e9) | st.floats(-1.1e9, -9.0e8),
+        xs=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(-2.3e-308, 2.3e-308),  # subnormals and both zeros
+                # both edges of the range where "%.9g" needs no exponent
+                st.floats(9.0e-5, 1.1e-4) | st.floats(9.0e8, 1.1e9) | st.floats(-1.1e9, -9.0e8),
+                # values whose 9-digit rounding lands on 1e-4 or 1e9
+                st.floats(9.99999999e-5, 1.00000001e-4) | st.floats(999999999.0, 1000000001.0),
+                st.floats(1.0e299, 1.0e301) | st.floats(-1.0e-299, -1.0e-301),
+                st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+            ),
+            min_size=1,
+            max_size=24,
         )
     )
-    def test_matches_dragon4_on_every_finite_double(self, x):
-        assert float_text(x) == dragon4_text(x)
+    def test_matches_dragon4_on_every_finite_double(self, xs):
+        texts = [dragon4_text(x) for x in xs]
+        assert _float_texts(xs) == texts
+        assert [float_text(x) for x in xs] == texts
 
     @pytest.mark.parametrize(
         "x, text",
@@ -285,9 +298,13 @@ class TestFloatText:
             (999999999.5, "1000000000"),
             (123456789.5, "123456790"),
             (12345678.25, "12345678.2"),  # an exact tie goes to the even digit
+            (2.0**-14, "0.0000610351562"),  # 6.103515625e-05, a tie past the exponent edge
             (9.99999999e-05, "0.0000999999999"),
             (9.999999995e-05, "0.0001"),
             (1.0e-4, "0.0001"),
+            (-1.5e20, "-150000000000000000000"),
+            (1.0e300, "1" + "0" * 300),
+            (5.0e-324, "0." + "0" * 323 + "494065646"),
             (0.0, "0"),
             (-0.0, "-0"),
             (math.inf, "inf"),

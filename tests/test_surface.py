@@ -2,8 +2,8 @@
 every interference kernel comes from the scene, once per clutter matrix and
 split whatever the clutter levels, the power search reads its split forms a
 few times from one build, the link SINRs have exactly two readers, each
-emitted float is formatted once, and the package runs on NumPy and the
-standard library alone.
+emitted float is formatted once (a detection command's never by Dragon4),
+and the package runs on NumPy and the standard library alone.
 
 All five commands run on the reduced scenario (and one of them in JSON form)
 under sys.setprofile, which records the code object of every Python frame
@@ -22,6 +22,7 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import jrcsim
@@ -29,11 +30,11 @@ from conftest import reduced_scenario
 from jrcsim.cli import main
 from jrcsim.comm_link import LinkSinrs
 from jrcsim.context import SensingScene, SimulationContext, build_context
-from jrcsim.experiments import _cell
+from jrcsim.experiments import _cell, _column
 from jrcsim.power_allocation import _SplitForms, minimize_power
 from jrcsim.radar_sensing import InterferenceKernel
 from jrcsim.scenario import ScenarioConfig
-from jrcsim.stats import canonical_float, float_text
+from jrcsim.stats import _float_texts, binomial_ci, canonical_float, float_text
 
 NOT_ON_A_COMMAND_PATH = {
     "jrcsim.cli._Parser.error": "runs only on a usage error",
@@ -152,11 +153,31 @@ def test_the_link_sinrs_are_stated_once(calls):
 
 
 def test_each_float_is_formatted_once(calls):
-    # the table builder rounds a float to its text once and keeps that text
-    # for the CSV, so no writer formats a value a second time
-    code = float_text.__code__
-    callers = {caller for caller, callee in calls if callee is code}
-    assert callers == {_cell.__code__, canonical_float.__code__}
+    # the table builder rounds a float column to its texts in one call of the
+    # column formatter, and a shared float through _cell and float_text, and
+    # keeps the texts for the CSV, so no writer formats a value a second time
+    column, one = _float_texts.__code__, float_text.__code__
+    assert {caller for caller, callee in calls if callee is column} == {_column.__code__, one}
+    assert {caller for caller, callee in calls if callee is one} == {_cell.__code__, canonical_float.__code__}
+
+
+def test_a_detection_cell_is_emitted_without_dragon4(tmp_path):
+    # at the default scenario, where hundreds of probabilities print below
+    # 1e-4, no emitted float takes NumPy's Dragon4, and each Monte Carlo cell
+    # makes one interval call for both of its rates
+    sc, path = ScenarioConfig(), tmp_path / "scenario.json"
+    path.write_text(json.dumps(sc.to_dict()))
+    dragon4, interval = np.format_float_positional.__code__, binomial_ci.__code__
+    made = []
+    sys.setprofile(lambda frame, event, arg: made.append(frame.f_code) if event == "call" else None)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in ("detection-sweep", "validate"):
+                assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+    finally:
+        sys.setprofile(None)
+    cells = len(sc.detection.powers_dbm) * len(sc.detection.clutter_levels)
+    assert made.count(dragon4) == 0 and made.count(interval) == 2 * cells
 
 
 def test_every_exported_name_resolves():
