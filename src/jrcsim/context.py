@@ -6,9 +6,9 @@ cells never share or reorder draws. The array is the scenario's array section;
 a sweep cell is the scenario with another section swapped in by
 dataclasses.replace. build_scene draws the radar side of R realizations as
 one stacked SensingScene, keying their phase and clutter streams in one pass
-per kind (stats.first_doubles): reflectivity, the clutter steering matrix B
-with its amplitude scale sigma, and the matched data and radar beam
-directions. A SimulationContext is one realization of it plus the relay
+per kind on one re-keyed Philox (stats.Streams): reflectivity, the clutter
+steering matrix B with its amplitude scale sigma, and the matched data and
+radar beam directions. A SimulationContext is one realization of it plus the relay
 channels and one frozen unit-power symbol vector, which keeps the transmit
 waveform fixed across Monte Carlo trials and operating points.
 SimulationContext.operating_point turns a power and a split, or an array of
@@ -39,7 +39,7 @@ from .radar_sensing import (
     waveform_from_symbols,
 )
 from .scenario import ScenarioConfig
-from .stats import derive_stream, first_doubles
+from .stats import Streams, derive_stream
 
 __all__ = ["OperatingPoint", "SimulationContext", "build_context", "stream_id"]
 
@@ -172,11 +172,12 @@ class SimulationContext(SensingScene):
         return OperatingPoint(beams, x, w, mu1, sigma2, *LinkSinrs(self, rho)(power_watts))
 
 
-def build_scene(scenario: ScenarioConfig, *, scene_keys) -> tuple[SensingScene, list]:
+def build_scene(scenario: ScenarioConfig, *, scene_keys, streams: Streams) -> tuple[SensingScene, list]:
     """The sensing scenes of realizations scene_keys, stacked in that order, and
     each one's channel stream, left just past its h_sd draw (None under LoS,
-    where every channel is deterministic)."""
-    target, comm, model, array = scenario.target, scenario.comm, scenario.path_loss, scenario.array
+    where every channel is deterministic). The phase and clutter streams are
+    read on streams, re-keyed per stream."""
+    target, comm, model, array, seed = scenario.target, scenario.comm, scenario.path_loss, scenario.array, scenario.seed
     count, keys = scenario.clutter.count, list(scene_keys)
 
     # a realization keys only the streams it draws from, the phase and clutter ones
@@ -185,12 +186,12 @@ def build_scene(scenario: ScenarioConfig, *, scene_keys) -> tuple[SensingScene, 
     def ids(kind):
         return [stream_id(kind, key) for key in keys]
 
-    phases = first_doubles(scenario.seed, ids(KIND_TARGET_PHASE), 1)[:, 0] if target.phase == "uniform" else None
+    phases = streams.first_doubles(seed, ids(KIND_TARGET_PHASE), 1)[:, 0] if target.phase == "uniform" else None
     placed = ids(KIND_SCENE) if count else []
-    draws = first_doubles(scenario.seed, placed, 2 * count) if placed else np.empty((len(keys), 0))
+    draws = streams.first_doubles(seed, placed, 2 * count) if placed else np.empty((len(keys), 0))
     ranges, angles = make_clutter_scene(scenario, draws, placed)
     rayleigh = comm.fading == "rayleigh"
-    channels = [derive_stream(scenario.seed, i) for i in ids(KIND_CHANNEL)] if rayleigh else [None] * len(keys)
+    channels = [derive_stream(seed, i) for i in ids(KIND_CHANNEL)] if rayleigh else [None] * len(keys)
     # h_sd is a channel stream's first draw; under LoS one deterministic h_sd serves all
     h_sd = [
         synthesize_comm_channel(array, model, comm.destination_range_m, comm.destination_angle_rad, rng)
@@ -199,7 +200,7 @@ def build_scene(scenario: ScenarioConfig, *, scene_keys) -> tuple[SensingScene, 
     copies = len(channels) // len(h_sd)
     a = steering_vector(array, target.range_m, target.angle_rad)
     return SensingScene(
-        alpha0=np.broadcast_to(target_reflectivity(scenario, phases), len(keys)), target_steering=a,
+        alpha0=np.full(len(keys), target_reflectivity(scenario, phases)), target_steering=a,
         clutter=ClutterSteering(steering_matrix(array, ranges, angles), scenario.clutter.sigma),
         h_sd=np.array(h_sd * copies),
         comm_direction=np.array([np.conj(h) / np.linalg.norm(h) for h in h_sd] * copies),
@@ -210,8 +211,10 @@ def build_scene(scenario: ScenarioConfig, *, scene_keys) -> tuple[SensingScene, 
 def build_context(scenario: ScenarioConfig, *, scene_key: int = 0) -> SimulationContext:
     """Realize one scene; scene_key selects a realization.
     Its sensing scene is build_scene's at that key alone; h_sr and h_rd follow
-    h_sd on its channel stream, and the symbols have a stream of their own."""
-    scene, (channel,) = build_scene(scenario, scene_keys=(scene_key,))
+    h_sd on its channel stream, and the symbols have a stream of their own,
+    read on the one Philox that read the scene's."""
+    streams = Streams()
+    scene, (channel,) = build_scene(scenario, scene_keys=(scene_key,), streams=streams)
     comm, array, model = scenario.comm, scenario.array, scenario.path_loss
     link = separation(comm.relay_range_m, comm.relay_angle_rad, comm.destination_range_m, comm.destination_angle_rad)
     h_sr = synthesize_comm_channel(array, model, comm.relay_range_m, comm.relay_angle_rad, channel)
@@ -220,5 +223,5 @@ def build_context(scenario: ScenarioConfig, *, scene_key: int = 0) -> Simulation
         clutter=ClutterSteering(scene.clutter.matrix[0], scene.clutter.sigma),
         h_sd=scene.h_sd[0], comm_direction=scene.comm_direction[0], radar_direction=scene.radar_direction[0],
         scenario=scenario, h_sr=h_sr, h_rd=synthesize_scalar_channel(array, model, link, channel),
-        symbols=draw_symbols(2, derive_stream(scenario.seed, stream_id(KIND_SYMBOLS, scene_key))),
+        symbols=draw_symbols(2, streams.at(scenario.seed, stream_id(KIND_SYMBOLS, scene_key))),
     )

@@ -13,10 +13,10 @@ Every runner hands its results to one table builder, by table name, as
 blocks of whole columns, each one value shared by its rows or one entry per
 row. COLUMNS lists each table's columns; the builder gives every value its
 column's Python kind and its CSV text. A float is rounded once, to its 9
-significant digit text, a column at a time, and its value is read back from
-that text; the CSV writes the text, joined with commas since no cell needs
-quoting, and the JSON the value, so both carry identical values and
-reruns with the same configuration and seed are byte-identical. Rows are
+significant digit text, every float of a block in one call, and its value
+is read back from that text; the CSV writes the text, joined with commas
+since no cell needs quoting, and the JSON the value, so both carry identical
+values and reruns with the same configuration and seed are byte-identical. Rows are
 sorted stably by their independent variables, never by completion order.
 """
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import operator
 import os
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ from .scenario import (
     dbm_to_watts,
     watts_to_dbm,
 )
-from .stats import _float_texts, derive_stream, digit_unit, float_text
+from .stats import Streams, _float_texts, derive_stream, digit_unit, float_text
 
 __all__ = [
     "SweepTable",
@@ -150,21 +151,37 @@ def _cell(kind: type, value) -> tuple:
     return value, str(value)
 
 
-def _column(kind: type, value, n: int) -> tuple:
-    """(values, CSV texts) of one column of a block with n rows. A shared value
-    is one cell, repeated. A sequence of floats in a float column is rounded in
-    one call of the column formatter and read back in one pass, with a zero,
-    negative or not, read as 0; any other sequence goes cell by cell."""
-    if not np.ndim(value):
-        cell_value, text = _cell(kind, value)
-        return [cell_value] * n, [text] * n
-    if kind is float and (column := np.asarray(value)).dtype.kind == "f":
-        texts = _float_texts(column.tolist())
-        if "-0" in texts:
-            texts = ["0" if text == "-0" else text for text in texts]
-        return list(map(float, texts)), texts
-    cells = [_cell(kind, v) for v in value]
-    return [cell_value for cell_value, _ in cells], [text for _, text in cells]
+def _columns(columns, values) -> tuple[list, list]:
+    """The value lists and CSV text lists of a block's columns, one entry per
+    row; a list, tuple or array of at least one dimension has an entry per row,
+    any other value is shared by every row. Every float of the block, shared
+    or in a float sequence, is rounded in one call of the column formatter and
+    read back in one pass, a zero, negative or not, read as 0; any other value
+    goes cell by cell."""
+    per_row = [isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) > 0 for value in values]
+    n = max((len(value) for value, listed in zip(values, per_row) if listed), default=1)
+    floats, spans = [], []
+    for (_, kind), value, listed in zip(columns, values, per_row):
+        if kind is float and ((column := np.asarray(value)).dtype.kind == "f" if listed else value is not None):
+            start = len(floats)
+            floats.extend(column.tolist() if listed else [float(value)])
+            spans.append((start, len(floats)))
+        else:
+            spans.append(None)
+    texts = _float_texts(floats)
+    if "-0" in texts:
+        texts = ["0" if text == "-0" else text for text in texts]
+    rounded = list(map(float, texts))
+    value_columns, text_columns = [], []
+    for (_, kind), value, listed, span in zip(columns, values, per_row, spans):
+        if span is not None:
+            column_values, column_texts = rounded[span[0]:span[1]], texts[span[0]:span[1]]
+        else:
+            cells = [_cell(kind, v) for v in (value if listed else [value])]
+            column_values, column_texts = [v for v, _ in cells], [text for _, text in cells]
+        value_columns.append(column_values if listed else column_values * n)
+        text_columns.append(column_texts if listed else column_texts * n)
+    return value_columns, text_columns
 
 
 def _table(name: str, blocks, order) -> SweepTable:
@@ -178,13 +195,12 @@ def _table(name: str, blocks, order) -> SweepTable:
     names = [column for column, _ in columns]
     rows = []
     for block in blocks:
-        values = [block[column] for column in names]
-        n = max((len(v) for v in values if np.ndim(v)), default=1)
-        cells = [_column(kind, value, n) for (_, kind), value in zip(columns, values)]
-        value_rows = zip(*[values for values, _ in cells], strict=True)
-        text_rows = zip(*[texts for _, texts in cells], strict=True)
-        rows.extend((dict(zip(names, row)), texts) for row, texts in zip(value_rows, text_rows))
-    rows.sort(key=lambda pair: [pair[0][column] for column in order])
+        value_columns, text_columns = _columns(columns, [block[column] for column in names])
+        value_rows = (dict(zip(names, row)) for row in zip(*value_columns, strict=True))
+        rows.extend(zip(value_rows, zip(*text_columns, strict=True)))
+    if order:
+        key = operator.itemgetter(*order)
+        rows.sort(key=lambda pair: key(pair[0]))
     return SweepTable(name, tuple(row for row, _ in rows), tuple(texts for _, texts in rows))
 
 
@@ -206,7 +222,7 @@ def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: in
     # sweep.realizations is at most 2^24, so no two pairs share a key
     keys = [(pair_index << 24) | r for r in range(scenario.sweep.realizations)]
     cell = dataclasses.replace(scenario, array=dataclasses.replace(scenario.array, n_antennas=n, carrier_ghz=f_ghz))
-    scene, _ = build_scene(cell, scene_keys=keys)
+    scene, _ = build_scene(cell, scene_keys=keys, streams=Streams())
     levels = scenario.sweep.clutter_levels
     curves = scene.average_scnr_curve(scenario.power.rho, powers_w, [CLUTTER_LEVELS[level] for level in levels])
     return [(level, curves[:, i]) for i, level in enumerate(levels)]
@@ -382,17 +398,20 @@ def _write_json(table: SweepTable, path: str, provenance: dict) -> None:
         "records": [dict(row) for row in table.rows],
     }
     with _fresh_file(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=False, allow_nan=False) + "\n")
 
 
 def emit_outputs(tables: list[SweepTable], scenario: ScenarioConfig, *, command: str) -> dict[str, str]:
     """Write one file per table plus a run manifest into scenario.output.dir,
     in scenario.output.format; returns name -> path. Every JSON table and the
     manifest carry the same provenance: the seed and the config hash. A file
-    already at one of those paths is removed and created anew."""
+    already at one of those paths is removed and created anew (a file written
+    over in place is flushed on close by ext4), and each file's text is
+    formed whole and written in one call. The directory is made only when it
+    is missing: makedirs on an existing one raises, and catches, an error."""
     out_dir, fmt = scenario.output.dir, scenario.output.format
-    os.makedirs(out_dir, exist_ok=True)
+    if not os.path.isdir(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     provenance = {"seed": scenario.seed, "config_hash": config_hash(scenario)}
     written: dict[str, str] = {}
     for table in tables:
@@ -411,7 +430,6 @@ def emit_outputs(tables: list[SweepTable], scenario: ScenarioConfig, *, command:
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
     with _fresh_file(manifest_path) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     written["manifest"] = manifest_path
     return written

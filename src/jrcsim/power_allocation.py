@@ -39,11 +39,13 @@ probe on that grid scales that one kernel. Both commands decide from per-split
 closed forms in P (_SplitForms), terms of O(L) and O(L^2) numbers per split
 with no beams, waveform or beamformer, which a context builds once over its
 split grid, so tradeoff's rows and search share them as they share the
-kernel. The coarse walk, each bisection level and every tradeoff row read
-them by one rule. Their SINR sum is comm_link.LinkSinrs, the record's own,
-so the rate test is the record's bit for bit, and it comes first: the
-sensing forms run only on the powers where some split reaches the rate,
-since no deflection makes another power feasible. Only tradeoff rows read
+kernel. Their sensing terms, and the grid's kernel, are made on first use:
+by the tradeoff rows, or by the search at the first power where some split
+reaches the rate. The coarse walk, each bisection level and every tradeoff
+row read them by one rule. Their SINR sum is comm_link.LinkSinrs, the
+record's own, so the rate test is the record's bit for bit, and it comes
+first: the sensing forms run only on the powers where some split reaches the
+rate, since no deflection makes another power feasible. Only tradeoff rows read
 |mu_1| and sigma^2, so only they compute them. A power row with an entry
 within a relative _BAND of the deflection floor, or whose rounding estimate
 is too large, takes the OperatingPoint record of that power over the splits,
@@ -143,12 +145,24 @@ class _SplitForms:
     d = B^T x_1. With s = sigma_c^2 P and f = 1/(1 + s lam), Q_1 = a^H W^-1 a =
     ||r||^2 + sum |q|^2 f, |mu_1| = |alpha_0| P |c|^2 Q_1 and sigma^2 = P |c|^2 Q_2,
     where Q_2 = ||r||^2 + sum |q|^2 f^2 + s sum_l |d_l|^2 |e_l + sum_j conj(q_j) f_j G_jl|^2;
-    the SINRs are comm_link.LinkSinrs, the record's own."""
+    the SINRs are comm_link.LinkSinrs, the record's own.
+
+    The forms are made with their SINR terms alone, which the rate test
+    reads. The sensing terms, and with them the split grid's kernel, are made
+    on the first call, and the live flags, |mu_1| per unit power (mu1_unit)
+    and |c|^2 (cc) exist from then on; so a search where no row reaches the
+    rate never decomposes the grid."""
 
     def __init__(self, ctx: SimulationContext, rhos: np.ndarray):
-        self.ctx, self.rhos, kernel = ctx, rhos, ctx.unit_kernel(rhos)
-        targets, a, b = ctx.scenario.targets, ctx.target_steering, ctx.clutter.matrix
+        self.ctx, self.rhos, targets = ctx, rhos, ctx.scenario.targets
         self.threshold, self.floor = rate_threshold(targets.rate_bps_hz), _deflection_floor(targets)
+        self.link = LinkSinrs(ctx, rhos)
+        self.lam = None  # made with the other sensing terms by _sense, on the first call
+
+    def _sense(self) -> None:
+        """The sensing terms, from the unit-power waveform and the grid's kernel."""
+        ctx, rhos = self.ctx, self.rhos
+        kernel, a, b = ctx.unit_kernel(rhos), ctx.target_steering, ctx.clutter.matrix
         (r, q), x = kernel._split(a), waveform_from_symbols(ctx.beams_at(1.0, rhos), ctx.symbols)
         self.cc, self.dd, self.lam = np.abs(x @ a) ** 2, np.abs(x @ b) ** 2, kernel._lam
         self.rr, self.qq = np.sum(np.abs(r) ** 2, axis=-1), np.abs(q) ** 2
@@ -161,7 +175,6 @@ class _SplitForms:
         with np.errstate(divide="ignore"):  # c = 0 leaves whether mu_1 is live to the record
             self.c_cond = x_scale / np.sqrt(self.cc)
         self.d_mag, self.spread = np.sqrt(self.dd) * x_scale[..., None], math.sqrt(a.size * (q.shape[-1] + 1))
-        self.link = LinkSinrs(ctx, rhos)
 
     def reaches(self, powers: np.ndarray) -> np.ndarray:
         """Whether gamma_sd + gamma_rd reaches 2^r - 1, over 1-D powers x splits."""
@@ -171,6 +184,8 @@ class _SplitForms:
     def __call__(self, power_watts):
         """The deflection, Q_1, Q_2 and an estimate of the deflection's relative
         rounding error at power_watts (a float or an (M, 1) column)."""
+        if self.lam is None:
+            self._sense()
         p = np.asarray(power_watts, dtype=float)
         scale = self.ctx.clutter.sigma * self.ctx.clutter.sigma * p  # s = sigma^2 P, as the record forms it
         f = 1.0 / (1.0 + scale[..., None] * self.lam)

@@ -118,7 +118,7 @@ def make_clutter_scene(scenario: ScenarioConfig, draws: np.ndarray, stream_ids) 
     """Ranges and angles (R, L) of R realizations of the scenario's clutter, around (but never on top of) the target bearing.
 
     Row i maps draws[i], the first 2L uniform draws of stream stream_ids[i] on
-    the scenario's seed (stats.first_doubles), range then angle per element.
+    the scenario's seed (stats.Streams.first_doubles), range then angle per element.
     Ranges are uniform on (min_range_m, max_range_m], up to rounding at the
     lower end; angles are uniform on (0, pi) minus the +- angle_exclusion_rad
     window about the target angle. An angle on 0 or pi is drawn again, moving
@@ -133,7 +133,7 @@ def make_clutter_scene(scenario: ScenarioConfig, draws: np.ndarray, stream_ids) 
     ranges = clutter.max_range_m - draws[:, 0::2] * span
     t = draws[:, 1::2] * mass
     angles = np.where(t < lo, t, hi + (t - lo))
-    for row in np.flatnonzero(~np.all((0.0 < angles) & (angles < np.pi), axis=1)):
+    for row in (~((0.0 < angles) & (angles < np.pi)).all(axis=1)).nonzero()[0]:
         rng = derive_stream(scenario.seed, stream_ids[row])
         for i in range(clutter.count):
             ranges[row, i] = clutter.max_range_m - rng.uniform() * span

@@ -72,25 +72,26 @@ _CARRIER = {"lo": 1.0e-6, "hi": 1.0e6}
 _THRESHOLD = {"lo": -1.0e300, "hi": 1.0e300}
 
 
-def _setting(default, kind=None, **rule):
+def _setting(default, kind=None, *, lo=None, hi=None, lo_open=False, hi_open=False, choices=None, above=None):
     """A field with its default and the rule every value must meet.
 
     The rule is a kind (float, int or str) plus lo/hi bounds (lo_open and
     hi_open exclude them), choices, or `above` an earlier field of the section. A
     tuple default makes a non-empty list of distinct entries that each meet the
-    rule; a None default makes the field optional.
+    rule; a None default makes the field optional. The metadata holds the rule
+    as _value reads it, (kind, lo, hi, lo_open, hi_open, choices), and `above`.
     """
     if kind is None:
         kind = type(default[0]) if isinstance(default, tuple) else type(default)
-    return field(default=default, metadata={"kind": kind, **rule})
+    return field(default=default, metadata={"rule": (kind, lo, hi, lo_open, hi_open, choices), "above": above})
 
 
-def _value(value, path: str, rule: dict):
+def _value(value, path: str, rule: tuple):
     """One scalar checked against its rule; ints become floats for float fields."""
-    kind = rule["kind"]
-    if "choices" in rule:
-        if value not in rule["choices"]:
-            raise ConfigError(f"{path}: must be one of {sorted(rule['choices'])}, got {value!r}")
+    kind, lo, hi, lo_open, hi_open, choices = rule
+    if choices is not None:
+        if value not in choices:
+            raise ConfigError(f"{path}: must be one of {sorted(choices)}, got {value!r}")
         return value
     if kind is str:
         if not isinstance(value, str) or not value:
@@ -106,8 +107,6 @@ def _value(value, path: str, rule: dict):
             value = math.inf
         if not math.isfinite(value):
             raise ConfigError(f"{path}: must be finite")
-    lo, hi = rule.get("lo"), rule.get("hi")
-    lo_open, hi_open = rule.get("lo_open", False), rule.get("hi_open", False)
     if lo is not None and (value <= lo if lo_open else value < lo):
         raise ConfigError(f"{path}: must be {'>' if lo_open else '>='} {lo}, got {value}")
     if hi is not None and (value >= hi if hi_open else value > hi):
@@ -115,39 +114,44 @@ def _value(value, path: str, rule: dict):
     return value
 
 
-def _check(obj, prefix: str) -> None:
-    """Validate every field of a frozen section in place, in declaration order."""
-    for f in dataclasses.fields(obj):
-        path, value, rule = f"{prefix}.{f.name}", getattr(obj, f.name), f.metadata
-        if not rule:  # a section of ScenarioConfig, already checked when built
-            if not isinstance(value, f.default_factory):
-                raise ConfigError(f"{f.name}: expected an object, got {type(value).__name__}")
+def _check(obj) -> None:
+    """Validate every field of a frozen section, or the seed and sections of a
+    ScenarioConfig, in place, in declaration order, as _FIELDS lists them."""
+    for name, path, rule, default, above in _FIELDS[type(obj)]:
+        value = getattr(obj, name)
+        if rule is None:  # a section of ScenarioConfig, already checked when built
+            if not isinstance(value, default):
+                raise ConfigError(f"{name}: expected an object, got {type(value).__name__}")
             continue
-        if isinstance(f.default, tuple):
+        if isinstance(default, tuple):
             if not isinstance(value, (list, tuple)) or not value:
-                noun = {float: " of numbers", int: " of integers"}.get(rule["kind"], "")
+                noun = {float: " of numbers", int: " of integers"}.get(rule[0], "")
                 raise ConfigError(f"{path}: expected a non-empty list{noun}")
-            value = tuple(_value(v, f"{path}[{i}]", rule) for i, v in enumerate(value))
+            checked = tuple(_value(v, f"{path}[{i}]", rule) for i, v in enumerate(value))
             # each entry keys its own rows, so a repeat would give tied table keys
-            if len(set(value)) < len(value):
-                raise ConfigError(f"{path}: entries must be distinct, got {list(value)}")
-        elif value is not None or f.default is not None:
-            value = _value(value, path, rule)
-        object.__setattr__(obj, f.name, value)
-        other = rule.get("above")
-        if other is not None and value is not None and value <= getattr(obj, other):
-            raise ConfigError(f"{path}: must exceed {other}={getattr(obj, other)}, got {value}")
+            if len(set(checked)) < len(checked):
+                raise ConfigError(f"{path}: entries must be distinct, got {list(checked)}")
+        elif value is None and default is None:
+            continue
+        else:
+            checked = _value(value, path, rule)
+        if checked is not value:
+            object.__setattr__(obj, name, checked)
+        if above is not None and checked <= getattr(obj, above):
+            raise ConfigError(f"{path}: must exceed {above}={getattr(obj, above)}, got {checked}")
 
 
 class _Section:
     """Base of the scenario sections: each validates its fields when built."""
 
     def __post_init__(self) -> None:
-        _check(self, _SECTION_NAMES[type(self)])
+        _check(self)
 
 
 @dataclass(frozen=True)
 class ArraySection(_Section):
+    """The array: element count, carrier (GHz) and element spacing (m; half a wavelength when None)."""
+
     n_antennas: int = _setting(5, lo=1)
     carrier_ghz: float = _setting(28.0, **_CARRIER)
     spacing_m: float | None = _setting(None, float, **_LENGTH)
@@ -155,6 +159,8 @@ class ArraySection(_Section):
 
 @dataclass(frozen=True)
 class TargetSection(_Section):
+    """The target: range (m), bearing (rad), reflectivity scale and phase law."""
+
     range_m: float = _setting(5.0, **_LENGTH)
     angle_rad: float = _setting(np.pi / 3.0, **_ANGLE)
     rcs_scale: float = _setting(3.0e7, **_MAGNITUDE)
@@ -163,6 +169,8 @@ class TargetSection(_Section):
 
 @dataclass(frozen=True)
 class ClutterSection(_Section):
+    """The clutter: scatterer count, amplitude scale sigma, range window (m) and target bearing window (rad)."""
+
     count: int = _setting(3, lo=0)
     sigma: float = _setting(0.8, lo=0.0, hi=_MAGNITUDE["hi"])
     min_range_m: float = _setting(0.5, **_LENGTH)
@@ -172,6 +180,8 @@ class ClutterSection(_Section):
 
 @dataclass(frozen=True)
 class PathLossSection(_Section):
+    """The path-loss law and, for TR 38.901 UMi LoS, the antenna heights (m)."""
+
     kind: str = _setting("free_space", choices=("free_space", "tr38901_umi_los"))
     h_bs_m: float = _setting(10.0, **_LENGTH)
     h_ut_m: float = _setting(1.5, **_LENGTH)
@@ -188,6 +198,8 @@ class PathLossSection(_Section):
 
 @dataclass(frozen=True)
 class CommSection(_Section):
+    """The link: destination and relay positions, noise variances (W), relay budget (W) and fading law."""
+
     destination_range_m: float = _setting(20.0, **_LENGTH)
     destination_angle_rad: float = _setting(1.7, **_ANGLE)
     relay_range_m: float = _setting(10.0, **_LENGTH)
@@ -200,6 +212,8 @@ class CommSection(_Section):
 
 @dataclass(frozen=True)
 class PowerSection(_Section):
+    """The transmit power grid (dBm) and the power split rho of the SCNR sweep."""
+
     min_dbm: float = _setting(-10.0, **_DBM)
     max_dbm: float = _setting(40.0, above="min_dbm", **_DBM)
     points: int = _setting(21, lo=2)
@@ -208,6 +222,8 @@ class PowerSection(_Section):
 
 @dataclass(frozen=True)
 class DetectionSection(_Section):
+    """The detection sweep: Monte Carlo trials, powers (dBm), clutter levels and threshold grid."""
+
     trials: int = _setting(100_000, lo=1)
     powers_dbm: tuple[float, ...] = _setting((30.0, 36.0), **_DBM)
     clutter_levels: tuple[str, ...] = _setting(("light", "intense"), choices=tuple(CLUTTER_LEVELS))
@@ -218,6 +234,8 @@ class DetectionSection(_Section):
 
 @dataclass(frozen=True)
 class TargetsSection(_Section):
+    """The targets: rate (b/s/Hz), false-alarm cap, detection floor and power ceiling (dBm)."""
+
     # past ~1000 the SINR floor 2^r - 1 leaves the float range
     rate_bps_hz: float = _setting(5.0, lo=0.0, hi=1000.0)
     # a cap of 1 has no finite smallest threshold
@@ -228,6 +246,8 @@ class TargetsSection(_Section):
 
 @dataclass(frozen=True)
 class OptimizerSection(_Section):
+    """The power search: coarse and split grid points, bisection tolerance and an optional fixed split."""
+
     power_points: int = _setting(64, lo=2)
     rho_points: int = _setting(21, lo=2)
     tol_factor: float = _setting(1.0e-3, **_POSITIVE)
@@ -236,6 +256,8 @@ class OptimizerSection(_Section):
 
 @dataclass(frozen=True)
 class SweepSection(_Section):
+    """The SCNR sweep: antenna counts, carriers (GHz), clutter levels and realizations per cell."""
+
     antennas: tuple[int, ...] = _setting((5, 10), lo=1)
     carriers_ghz: tuple[float, ...] = _setting((2.8, 28.0), **_CARRIER)
     clutter_levels: tuple[str, ...] = _setting(
@@ -247,12 +269,16 @@ class SweepSection(_Section):
 
 @dataclass(frozen=True)
 class OutputSection(_Section):
+    """Where and how tables are written: the directory and the file format."""
+
     dir: str = _setting("runs")
     format: str = _setting("csv", choices=("csv", "json"))
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated scenario: the master seed and one section per key of the scenario file."""
+
     # the seed is one 64-bit word of the Philox key
     seed: int = _setting(20260817, lo=0, hi=(1 << 64) - 1)
     array: ArraySection = field(default_factory=ArraySection)
@@ -268,7 +294,7 @@ class ScenarioConfig:
     output: OutputSection = field(default_factory=OutputSection)
 
     def __post_init__(self) -> None:
-        _check(self, "config")
+        _check(self)
         # compared in watts, the unit the optimizer's geometric grid spans
         if dbm_to_watts(self.power.min_dbm) >= dbm_to_watts(self.targets.p_max_dbm):
             raise ConfigError(
@@ -297,17 +323,14 @@ class ScenarioConfig:
         return np.linspace(self.power.min_dbm, self.power.max_dbm, self.power.points)
 
     def to_dict(self) -> dict:
-        """The scenario as its file reads: a dict per section, a list per tuple."""
-        return {name: _plain(value) for name, value in vars(self).items()}
-
-
-def _plain(value):
-    """One field's value as to_dict gives it: a section as the dict of its
-    fields (vars() of a section holds its fields alone, in declaration order,
-    and no section nests another), a tuple as a list."""
-    if isinstance(value, _Section):
-        return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(value).items()}
-    return list(value) if isinstance(value, tuple) else value
+        """The scenario as its file reads: a dict per section, a list per tuple.
+        vars() of a section holds its fields alone, in declaration order, and
+        no section nests another; the seed is the one field outside them."""
+        return {
+            name: {k: list(v) if isinstance(v, tuple) else v for k, v in vars(value).items()}
+            if isinstance(value, _Section) else value
+            for name, value in vars(self).items()
+        }
 
 
 # section class -> its key in the scenario file, the prefix of its error paths
@@ -317,15 +340,35 @@ _SECTION_NAMES = {
     if f.default_factory is not dataclasses.MISSING
 }
 
+# each class's fields as _check reads them, in declaration order: name, error
+# path, rule (None for a section of ScenarioConfig), default (the section's
+# class for a section) and the earlier field it must exceed; so a check reads
+# no dataclass field list and forms no path but a list entry's
+_FIELDS = {
+    cls: tuple(
+        (f.name, f"{prefix}.{f.name}", f.metadata["rule"], f.default, f.metadata["above"])
+        if f.metadata else (f.name, f.name, None, f.default_factory, None)
+        for f in dataclasses.fields(cls)
+    )
+    for cls, prefix in [(ScenarioConfig, "config"), *_SECTION_NAMES.items()]
+}
+
+# every section at its defaults, built and checked once: a file that leaves a
+# section out takes it as it is, since a frozen section is never changed
+_DEFAULT_SECTIONS = {name: cls() for cls, name in _SECTION_NAMES.items()}
+
 
 def config_hash(config: ScenarioConfig) -> str:
-    """Fingerprint of everything that shapes the emitted records.
+    """Fingerprint of everything that shapes the emitted records: the SHA-256
+    of the key-sorted, whitespace-free JSON of to_dict().
 
     The output section (directory, file format) is excluded: the same
     scenario written elsewhere or as JSON instead of CSV is the same data.
     """
-    d = config.to_dict()
-    d.pop("output")
+    # each section's fields as they stand, not copied: a tuple encodes as the
+    # list to_dict gives
+    d = {name: vars(value) if isinstance(value, _Section) else value for name, value in vars(config).items()}
+    del d["output"]
     payload = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
@@ -336,15 +379,16 @@ def _from_mapping(cls, raw, path: str):
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected an object, got {type(raw).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - set(fields))
+    fields = cls.__dataclass_fields__
+    unknown = sorted(set(raw) - fields.keys())
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}: unknown field")
-    return cls(**{
+    values = {
         key: _from_mapping(fields[key].default_factory, value, key)
         if fields[key].default_factory is not dataclasses.MISSING else value
         for key, value in raw.items()
-    })
+    }
+    return cls(**({**_DEFAULT_SECTIONS, **values} if cls is ScenarioConfig else values))
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:

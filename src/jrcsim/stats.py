@@ -95,21 +95,34 @@ def derive_stream(master_seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def first_doubles(master_seed: int, stream_ids, count: int) -> np.ndarray:
-    """The first count doubles of each stream keyed as derive_stream keys it:
-    row i of the (len(stream_ids), count) array is
-    derive_stream(master_seed, stream_ids[i]).random(count) bit for bit. One
-    Philox is re-keyed per row, its counter and buffer set to a fresh stream's,
-    so no row's draws depend on the rows before it."""
-    bit_generator = np.random.Philox(0)
-    generator, state = np.random.Generator(bit_generator), bit_generator.state
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-    out = np.empty((len(stream_ids), count))
-    for row, stream_id in zip(out, stream_ids):
-        state["state"] = {"counter": (0, 0, 0, 0), "key": (int(master_seed), int(stream_id))}
-        bit_generator.state = state
-        generator.random(out=row)
-    return out
+class Streams:
+    """One Philox generator re-keyed to the start of any stream keyed as
+    derive_stream keys it: after at(master_seed, stream_id) its draws are that
+    stream's, bit for bit, until it is re-keyed. Re-keying sets the counter
+    and the buffer to a fresh stream's, so no stream's draws depend on the
+    streams read before it, and it costs a few microseconds where making a
+    Philox costs tens. A context's scene and symbols are read on one, and so
+    are a sweep pair's scenes."""
+
+    def __init__(self) -> None:
+        self._bits = np.random.Philox(0)
+        self._generator, self._state = np.random.Generator(self._bits), self._bits.state
+        self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+
+    def at(self, master_seed: int, stream_id: int) -> np.random.Generator:
+        """The generator, re-keyed to the start of stream (master_seed, stream_id)."""
+        self._state["state"] = {"counter": (0, 0, 0, 0), "key": (int(master_seed), int(stream_id))}
+        self._bits.state = self._state
+        return self._generator
+
+    def first_doubles(self, master_seed: int, stream_ids, count: int) -> np.ndarray:
+        """The first count doubles of each stream: row i of the
+        (len(stream_ids), count) array is
+        derive_stream(master_seed, stream_ids[i]).random(count) bit for bit."""
+        out = np.empty((len(stream_ids), count))
+        for row, stream_id in zip(out, stream_ids):
+            self.at(master_seed, stream_id).random(out=row)
+        return out
 
 
 def _float_texts(values) -> list[str]:

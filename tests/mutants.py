@@ -3,7 +3,9 @@
 Each entry changes one exact text of one file. Run as a script, this module
 copies src/, tests/ and pyproject.toml to a temporary directory, applies one
 mutant at a time to that copy, and runs the mutant's test node ids there with
-pytest in a subprocess. A mutant is killed when those tests fail. The run
+pytest in a subprocess, under conftest's "mutants" Hypothesis profile: any
+failing example kills a mutant, so none is shrunk. A mutant is killed when
+those tests fail. The run
 exits nonzero when a mutant survives, when its old text does not occur
 exactly once in its file (a stale entry), or when pytest cannot run the
 tests. The tree itself is never edited.
@@ -40,6 +42,8 @@ _DRAGON4_ORACLE = "tests/test_stats.py::TestFloatText::test_matches_dragon4_on_e
 _PINNED_TEXTS = "tests/test_stats.py::TestFloatText::test_pinned_texts"
 _ROUNDED_ONCE = "tests/test_experiments_cli.py::TestTableTypes::test_each_float_is_rounded_once"
 _EXPERIMENTS = "src/jrcsim/experiments.py"
+_SCENARIO = "src/jrcsim/scenario.py"
+_VALIDATOR_ORACLE = "tests/test_scenario.py::TestValidatorOracle::test_a_corrupted_field_loads_as_the_reference[{}]"
 
 MUTANTS = [
     Mutant(
@@ -68,8 +72,8 @@ MUTANTS = [
     Mutant(
         name="column-keeps-negative-zero",
         path=_EXPERIMENTS,
-        old='            texts = ["0" if text == "-0" else text for text in texts]\n',
-        new="            pass\n",
+        old='        texts = ["0" if text == "-0" else text for text in texts]\n',
+        new="        pass\n",
         killers=(
             _ROUNDED_ONCE,
             "tests/test_experiments_cli.py::TestTradeoffAndOptimize::test_even_odds_cap_emits_no_negative_zero",
@@ -88,8 +92,8 @@ MUTANTS = [
     Mutant(
         name="repr-texts",
         path=_EXPERIMENTS,
-        old="texts = _float_texts(column.tolist())",
-        new="texts = list(map(repr, column.tolist()))",
+        old="texts = _float_texts(floats)",
+        new="texts = list(map(repr, floats))",
         killers=(_ROUNDED_ONCE, "tests/test_golden.py::test_tables_match_golden[detection-sweep]"),
     ),
     Mutant(
@@ -137,6 +141,40 @@ MUTANTS = [
         new='fh.write("\\n".join(lines))',
         killers=("tests/test_experiments_cli.py::TestJoinedCsv::test_every_table_is_csv_writers_bytes",),
     ),
+    # the clutter power behind the receive beamformer: the frozen-waveform
+    # bound holds only when every scatterer is counted
+    Mutant(
+        name="projected-power-drops-a-scatterer",
+        path="src/jrcsim/radar_sensing.py",
+        old="return np.sum(self.sigma * self.sigma * per_scatterer, axis=-1)",
+        new="return np.sum(self.sigma * self.sigma * per_scatterer[..., 1:], axis=-1)",
+        killers=(
+            "tests/test_detection.py::TestFrozenWaveformBound::test_the_record_is_bounded_and_the_frozen_match_attains_it",
+        ),
+    ),
+    # scenario validation: each rule the checker's field table restates, against
+    # the field-by-field reference
+    Mutant(
+        name="validation-drops-the-above-rule",
+        path=_SCENARIO,
+        old="        if above is not None and checked <= getattr(obj, above):\n",
+        new="        if False:\n",
+        killers=(_VALIDATOR_ORACLE.format("clutter.max_range_m"), _VALIDATOR_ORACLE.format("detection.kappa_max")),
+    ),
+    Mutant(
+        name="validation-accepts-repeated-entries",
+        path=_SCENARIO,
+        old="            if len(set(checked)) < len(checked):\n",
+        new="            if False:\n",
+        killers=(_VALIDATOR_ORACLE.format("sweep.antennas"), _VALIDATOR_ORACLE.format("detection.powers_dbm")),
+    ),
+    Mutant(
+        name="validation-takes-a-bool-for-a-number",
+        path=_SCENARIO,
+        old="    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):\n",
+        new="    if not isinstance(value, (int, float) if kind is float else int):\n",
+        killers=(_VALIDATOR_ORACLE.format("config.seed"), _VALIDATOR_ORACLE.format("power.rho")),
+    ),
     Mutant(
         name="rate-rows-swapped-in-the-closed-forms",
         path="src/jrcsim/detection.py",
@@ -169,7 +207,7 @@ def run_mutant(mutant: Mutant, tree: str) -> str:
         fh.write(original.replace(mutant.old, mutant.new))
     try:
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.path.join(tree, "src")}
-        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.killers]
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-profile=mutants", *mutant.killers]
         done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     finally:
         with open(path, "w", encoding="utf-8") as fh:

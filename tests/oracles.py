@@ -18,15 +18,23 @@ and clutter streams and draws from them in order, an angle on 0 or pi drawn
 again on the spot. The CSV writer has a per-cell reference: each row's values
 rendered one at a time, as the text of the value alone; its comma join has
 csv.writer, which quotes a cell where needed, as its reference. ScenarioConfig.to_dict
-has the deep copy of dataclasses.asdict as its reference. Operating-point
+has the deep copy of dataclasses.asdict as its reference, and config_hash
+the JSON of to_dict without the output section. Scenario validation has a
+field-by-field reference: reading each class's dataclass fields and their
+rule metadata on every check and forming every field's path, and building a
+file's absent sections anew (reference_validation, reference_from_dict).
+Operating-point
 records over a grid of powers are built one power at a time (power_by_power).
 The power search has a one-midpoint-at-a-time reference: its bisection
 probes the split forms once per midpoint (sequential_minimize_power).
 """
 
+import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
+import json
 import math
 from types import SimpleNamespace
 
@@ -40,7 +48,8 @@ from jrcsim.experiments import COLUMNS
 from jrcsim.power_allocation import OptimizationResult, _certificate, _first_feasible, _rho_grid, _SplitForms
 from jrcsim.radar_sensing import ClutterSteering, InterferenceKernel
 from jrcsim.propagation import path_loss_db
-from jrcsim.scenario import ArraySection, CommSection, ScenarioConfig, dbm_to_watts
+from jrcsim import scenario as scenario_module
+from jrcsim.scenario import ArraySection, CommSection, ConfigError, ScenarioConfig, dbm_to_watts
 from jrcsim.stats import derive_stream, float_text, inverse_q, q_function
 
 
@@ -397,3 +406,108 @@ def scenario_as_dict(config: ScenarioConfig) -> dict:
     return dataclasses.asdict(
         config, dict_factory=lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items}
     )
+
+
+def scenario_hash(config: ScenarioConfig) -> str:
+    """config_hash by to_dict: the key-sorted, whitespace-free JSON of every section but output."""
+    d = config.to_dict()
+    d.pop("output")
+    return hashlib.sha256(json.dumps(d, sort_keys=True, separators=(",", ":")).encode("ascii")).hexdigest()
+
+
+def _reference_rule(f: dataclasses.Field) -> dict:
+    """A field's rule as a dict of the keys it sets: kind, and lo, hi, lo_open,
+    hi_open, choices and above where given."""
+    names = ("kind", "lo", "hi", "lo_open", "hi_open", "choices")
+    rule = dict(zip(names, f.metadata["rule"]), above=f.metadata["above"])
+    return {key: value for key, value in rule.items() if value is not None}
+
+
+def _reference_value(value, path: str, rule: dict):
+    """One scalar checked against its rule; ints become floats for float fields."""
+    kind = rule["kind"]
+    if "choices" in rule:
+        if value not in rule["choices"]:
+            raise ConfigError(f"{path}: must be one of {sorted(rule['choices'])}, got {value!r}")
+        return value
+    if kind is str:
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{path}: expected {noun}, got {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal past the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be finite")
+    lo, hi = rule.get("lo"), rule.get("hi")
+    lo_open, hi_open = rule.get("lo_open", False), rule.get("hi_open", False)
+    if lo is not None and (value <= lo if lo_open else value < lo):
+        raise ConfigError(f"{path}: must be {'>' if lo_open else '>='} {lo}, got {value}")
+    if hi is not None and (value >= hi if hi_open else value > hi):
+        raise ConfigError(f"{path}: must be {'<' if hi_open else '<='} {hi}, got {value}")
+    return value
+
+
+def _reference_check(obj) -> None:
+    """Validate every field of a frozen section, or of a ScenarioConfig, in
+    place, in declaration order, from its dataclass fields and their rules."""
+    prefix = "config" if isinstance(obj, ScenarioConfig) else scenario_module._SECTION_NAMES[type(obj)]
+    for f in dataclasses.fields(obj):
+        path, value = f"{prefix}.{f.name}", getattr(obj, f.name)
+        if not f.metadata:  # a section of ScenarioConfig, already checked when built
+            if not isinstance(value, f.default_factory):
+                raise ConfigError(f"{f.name}: expected an object, got {type(value).__name__}")
+            continue
+        rule = _reference_rule(f)
+        if isinstance(f.default, tuple):
+            if not isinstance(value, (list, tuple)) or not value:
+                noun = {float: " of numbers", int: " of integers"}.get(rule["kind"], "")
+                raise ConfigError(f"{path}: expected a non-empty list{noun}")
+            value = tuple(_reference_value(v, f"{path}[{i}]", rule) for i, v in enumerate(value))
+            if len(set(value)) < len(value):
+                raise ConfigError(f"{path}: entries must be distinct, got {list(value)}")
+        elif value is not None or f.default is not None:
+            value = _reference_value(value, path, rule)
+        object.__setattr__(obj, f.name, value)
+        other = rule.get("above")
+        if other is not None and value is not None and value <= getattr(obj, other):
+            raise ConfigError(f"{path}: must exceed {other}={getattr(obj, other)}, got {value}")
+
+
+@contextlib.contextmanager
+def reference_validation():
+    """Every section and ScenarioConfig built inside validates by _reference_check."""
+    checker = scenario_module._check
+    scenario_module._check = _reference_check
+    try:
+        yield
+    finally:
+        scenario_module._check = checker
+
+
+def _reference_mapping(cls, raw, path: str):
+    """Build cls from a parsed JSON object; absent or null sections are built anew."""
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(raw).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown field")
+    return cls(**{
+        key: _reference_mapping(fields[key].default_factory, value, key)
+        if fields[key].default_factory is not dataclasses.MISSING else value
+        for key, value in raw.items()
+    })
+
+
+def reference_from_dict(raw) -> ScenarioConfig:
+    """scenario_from_dict field by field: the reference mapping under reference_validation."""
+    with reference_validation():
+        return _reference_mapping(ScenarioConfig, raw, "config")

@@ -22,7 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import jrcsim
-from conftest import reduced_scenario
+from conftest import reduced_scenario, valid_configs
 from jrcsim import cli
 from jrcsim.cli import main
 from jrcsim.context import KIND_CHANNEL, KIND_SCENE, KIND_TARGET_PHASE, build_context
@@ -50,11 +50,11 @@ from jrcsim.scenario import (
     watts_to_dbm,
 )
 from jrcsim.stats import (
+    Streams,
     canonical_ceil,
     canonical_float,
     derive_stream,
     digit_unit,
-    first_doubles,
     float_text,
     inverse_q,
 )
@@ -316,7 +316,7 @@ class TestSweepDrawsOnlyTheScene:
                 contexts += 1
             elif event == "call" and frame.f_code is derive_stream.__code__:
                 kinds[frame.f_locals["stream_id"] >> 48] += 1
-            elif event == "call" and frame.f_code is first_doubles.__code__:
+            elif event == "call" and frame.f_code is Streams.first_doubles.__code__:
                 kinds.update(stream >> 48 for stream in frame.f_locals["stream_ids"])
 
         sys.setprofile(record)
@@ -1174,94 +1174,6 @@ class TestMemoryCeiling:
         done = _run_capped(["optimize", "--config", str(config), "--out", str(tmp_path / "larger")], 1 << 30)
         assert done.returncode == 0, done.stderr
         assert parse_table_csv(str(tmp_path / "larger" / "optimum.csv"), "optimum")
-
-
-_UNIT_OPEN = st.floats(0.01, 0.99, allow_nan=False)
-
-
-@st.composite
-def relay_and_destination(draw) -> dict:
-    """Relay and destination positions: apart, coincident, a few ulps apart
-    or within a micrometre and microradian of each other."""
-    destination = {"range_m": draw(st.floats(10.0, 50.0)), "angle_rad": draw(st.floats(0.05, 3.09))}
-    mode = draw(st.sampled_from(["apart", "coincident", "ulps", "close"]))
-    if mode == "apart":
-        relay = {"range_m": draw(st.floats(0.5, 9.5)), "angle_rad": draw(st.floats(0.05, 3.09))}
-    else:
-        relay = {}
-        for name, value in destination.items():
-            if mode == "ulps":
-                value += draw(st.sampled_from([-2, -1, 0, 1, 2])) * float(np.spacing(value))
-            elif mode == "close":
-                value += draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-9, 1e-6))
-            relay[name] = value
-    return {
-        **{f"destination_{name}": value for name, value in destination.items()},
-        **{f"relay_{name}": value for name, value in relay.items()},
-    }
-
-
-@st.composite
-def valid_configs(draw):
-    """A raw scenario file that validates, but for a relay drawn onto the
-    destination: small N, few scatterers, every law, relay and destination
-    anywhere from apart to coincident, distinct list entries, degenerate sigma
-    and splits, pd_min up to 0.999, thresholds out to their bounds, tiny trial
-    counts and grids."""
-    kind = draw(st.sampled_from(["free_space", "tr38901_umi_los"]))
-    heights = st.floats(1.1, 30.0) if kind == "tr38901_umi_los" else st.floats(0.1, 30.0)
-    min_dbm = draw(st.floats(-40.0, 20.0))
-    levels = st.lists(st.sampled_from(sorted(CLUTTER_LEVELS)), min_size=1, max_size=3, unique=True)
-    kappa_min = draw(st.one_of(st.sampled_from([-1e300, 0.0, 1e300]), st.floats(-1e300, 1e300)))
-    above = [st.none()]  # a kappa_max of None sizes the grid from the operating points
-    if kappa_min < 1e300:
-        above += [st.just(1e300), st.floats(kappa_min, 1e300, exclude_min=True)]
-    return {
-        "seed": draw(st.integers(0, 2**32 - 1)),
-        "array": {"n_antennas": draw(st.integers(1, 8))},
-        "target": {"phase": draw(st.sampled_from(["zero", "uniform"]))},
-        "clutter": {
-            "count": draw(st.integers(0, 8)),
-            "sigma": draw(st.sampled_from([0.0, 0.1, 0.8, 5.0])),
-        },
-        "path_loss": {"kind": kind, "h_bs_m": draw(heights), "h_ut_m": draw(heights)},
-        "comm": {
-            **draw(relay_and_destination()),
-            "fading": draw(st.sampled_from(["los", "rayleigh"])),
-            "relay_power_w": draw(st.sampled_from([0.0, 0.01, 1.0])),
-        },
-        "power": {
-            "min_dbm": min_dbm,
-            "max_dbm": min_dbm + draw(st.floats(1.0, 60.0)),
-            "points": draw(st.integers(2, 4)),
-            "rho": draw(st.one_of(st.sampled_from([0.0, 1.0]), _UNIT_OPEN)),
-        },
-        "detection": {
-            "trials": draw(st.integers(1, 40)),
-            "powers_dbm": draw(st.lists(st.floats(-10.0, 60.0), min_size=1, max_size=2, unique=True)),
-            "clutter_levels": draw(levels),
-            "kappa_points": draw(st.integers(1, 4)),
-            "kappa_min": kappa_min,
-            "kappa_max": draw(st.one_of(*above)),
-        },
-        "targets": {
-            "rate_bps_hz": draw(st.floats(0.0, 10.0)),
-            "pfa_max": 10.0 ** draw(st.floats(-9.0, -1.0)),
-            "pd_min": draw(st.one_of(st.sampled_from([0.0, 0.999]), st.floats(0.0, 0.999))),
-            "p_max_dbm": min_dbm + draw(st.floats(1.0, 70.0)),
-        },
-        "optimizer": {
-            "power_points": draw(st.integers(2, 6)),
-            "rho_points": draw(st.integers(2, 4)),
-            "fixed_rho": draw(st.one_of(st.none(), st.sampled_from([0.0, 1.0]), _UNIT_OPEN)),
-        },
-        "sweep": {
-            "antennas": draw(st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True)),
-            "carriers_ghz": draw(st.lists(st.sampled_from([2.8, 28.0]), min_size=1, max_size=2, unique=True)),
-            "clutter_levels": draw(levels),
-            "realizations": draw(st.integers(1, 2)),
-        },
-    }
 
 
 class TestJoinedCsv:

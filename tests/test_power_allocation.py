@@ -26,6 +26,7 @@ from jrcsim.detection import (
 )
 from jrcsim.experiments import _optimum_table, emit_outputs, run_detection_sweep, run_tradeoff, run_validation
 from jrcsim.power_allocation import (
+    OptimizationResult,
     _BAND,
     _SAFETY,
     _SplitForms,
@@ -692,6 +693,27 @@ class TestOneDecompositionPerSplitGrid:
         run_tradeoff(default_scenario)
         assert counts["evaluate_point"] >= 1
         assert counts["svd"] == 2
+
+    def test_a_search_where_no_row_reaches_the_rate_decomposes_nothing(self, default_scenario, counts):
+        # the split forms make their sensing terms, and the grid's kernel, on
+        # the first row that reaches the rate; at 30 b/s/Hz none does, and the
+        # result is the one the forms gave when they made them up front: the
+        # walk counts every entry of the grid
+        sc = dataclasses.replace(default_scenario, targets=dataclasses.replace(default_scenario.targets, rate_bps_hz=30.0))
+        ctx = build_context(sc)
+        assert minimize_power(ctx) == OptimizationResult(None, sc.optimizer.power_points * sc.optimizer.rho_points)
+        assert not ctx._kernels and counts["svd"] == 0
+
+    @pytest.mark.parametrize("rate, kernels", [(5.0, 2), (30.0, 1)])
+    def test_a_tradeoff_decomposes_its_split_grid_once(self, default_scenario, counts, rate, kernels):
+        # the tradeoff rows read the sensing forms whatever the rate, and the
+        # search reads the same forms; a feasible search adds its certificate's split
+        targets = dataclasses.replace(default_scenario.targets, rate_bps_hz=rate)
+        ctx = build_context(dataclasses.replace(default_scenario, targets=targets))
+        tradeoff_sweep(ctx)
+        minimize_power(ctx)
+        grid = [shape for shape, _ in ctx._kernels if shape == (default_scenario.optimizer.rho_points,)]
+        assert len(grid) == 1 and counts["svd"] == kernels
 
     @pytest.mark.parametrize("runner", [run_detection_sweep, run_validation])
     def test_one_for_every_clutter_level(self, default_scenario, counts, runner):

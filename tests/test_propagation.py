@@ -26,7 +26,7 @@ from jrcsim.propagation import (
     target_reflectivity,
 )
 from jrcsim.scenario import ArraySection, ClutterSection, PathLossSection, ScenarioConfig, TargetSection
-from jrcsim.stats import derive_stream, first_doubles
+from jrcsim.stats import Streams, derive_stream
 from oracles import clutter_placements
 
 C_LIGHT = 299_792_458.0
@@ -224,7 +224,7 @@ class TestTargetReflectivity:
         # each entry's phase is the first uniform of its own stream, as a scalar draw gives it
         ids = [3, 4, 5]
         scenario = target_at(range_m=5.0, rcs_scale=3.0e7)
-        a0 = target_reflectivity(scenario, first_doubles(scenario.seed, ids, 1)[:, 0])
+        a0 = target_reflectivity(scenario, Streams().first_doubles(scenario.seed, ids, 1)[:, 0])
         mag = target_reflectivity(scenario)
         phases = [derive_stream(scenario.seed, i).uniform() for i in ids]
         assert [complex(a) for a in a0] == [complex(mag.real * np.exp(2j * np.pi * u)) for u in phases]
@@ -232,7 +232,7 @@ class TestTargetReflectivity:
 
 def placements(scenario: ScenarioConfig, ids) -> tuple[np.ndarray, np.ndarray]:
     """The clutter placements of the streams ids on the scenario's seed."""
-    return make_clutter_scene(scenario, first_doubles(scenario.seed, ids, 2 * scenario.clutter.count), ids)
+    return make_clutter_scene(scenario, Streams().first_doubles(scenario.seed, ids, 2 * scenario.clutter.count), ids)
 
 
 class Replay:
@@ -280,7 +280,7 @@ class TestClutterScene:
         # their block
         scenario = clutter_about(1.0, count=3, angle_exclusion_rad=0.5)
         ids = [11, 12, 13]
-        draws = first_doubles(scenario.seed, ids, 6)
+        draws = Streams().first_doubles(scenario.seed, ids, 6)
         draws[1, 3] = 0.0
         ranges, angles = make_clutter_scene(scenario, draws, ids)
         assert np.all((0.0 < angles) & (angles < np.pi))
@@ -293,7 +293,7 @@ class TestClutterScene:
         # maps to the upper edge as in a one-at-a-time draw, and nothing is drawn again
         scenario = clutter_about(0.5, count=2, angle_exclusion_rad=2.0)
         ids = [21, 22]
-        draws = first_doubles(scenario.seed, ids, 4)
+        draws = Streams().first_doubles(scenario.seed, ids, 4)
         draws[0, 1] = 0.0
         ranges, angles = make_clutter_scene(scenario, draws, ids)
         assert angles[0, 0] == 2.5

@@ -1,5 +1,6 @@
 """Scenario defaults, JSON round trips, validation messages, and fingerprints."""
 
+import copy
 import dataclasses
 import json
 import re
@@ -20,7 +21,8 @@ from jrcsim.scenario import (
     scenario_from_dict,
     watts_to_dbm,
 )
-from oracles import scenario_as_dict
+from conftest import valid_configs
+from oracles import reference_from_dict, reference_validation, scenario_as_dict, scenario_hash
 
 
 def canonical_json(config: ScenarioConfig) -> str:
@@ -390,6 +392,108 @@ class TestToDict:
         # equal as dicts (a tuple never equals its list) and in key order
         assert sc.to_dict() == scenario_as_dict(sc)
         assert json.dumps(sc.to_dict()) == json.dumps(scenario_as_dict(sc))
+
+
+# every field a scenario file sets: (section, or None for the top level, field)
+FILE_FIELDS = [
+    (None if f.metadata else f.name, g)
+    for f in dataclasses.fields(ScenarioConfig)
+    for g in ([f] if f.metadata else dataclasses.fields(f.default_factory))
+]
+
+
+def corruptions(field: dataclasses.Field, raw: dict, section: str | None) -> list:
+    """Values that break one field's rule, each as a scenario file can hold it,
+    those of the rule first: each bound crossed, or met where it is open, the
+    value of the field it must exceed, a wrong type and a bool for a number;
+    for a list, each of those as an entry after a valid one, and a repeated
+    entry."""
+    kind, lo, hi, lo_open, hi_open, choices = field.metadata["rule"]
+    values = []
+    for bound, step in ((lo, -1.0), (hi, 1.0)):
+        if bound is not None:
+            values += [bound, bound + step * max(1.0, abs(bound) * 1e-6)]
+            values += [int(bound) + int(step)] if kind is int else []
+    above = field.metadata["above"]
+    if above is not None:
+        partner = (raw.get(section) or {}).get(above, vars(getattr(ScenarioConfig(), section))[above])
+        values += [partner, partner - 1.0] if partner is not None else []
+    values += [*(choices or ()), "x", 5, 2.5, True, False, None, [], {}, 1e400, -1e400, 10**400]
+    if isinstance(field.default, tuple):
+        entry = field.default[0]
+        repeats = [[entry, entry], [int(entry), float(entry)] if kind is float else [entry, entry, entry]]
+        return repeats + [[entry, value] for value in values] + values
+    return values
+
+
+def outcome(build, hash_of):
+    """The JSON of what build() gives (to_dict for a config, its fields for a
+    section) and, for a config, hash_of(it); or the ConfigError message."""
+    try:
+        built = build()
+    except ConfigError as exc:
+        return "error", str(exc)
+    if isinstance(built, ScenarioConfig):
+        return json.dumps(built.to_dict()), hash_of(built)
+    return repr(built), None
+
+
+def field_id(entry) -> str:
+    section, field = entry
+    return f"{section or 'config'}.{field.name}"
+
+
+class TestValidatorOracle:
+    # the declared rules are checked from a table built once; the reference
+    # reads each class's dataclass fields on every check, forms every path and
+    # builds a file's absent sections anew, as the checker once did. Accepted
+    # input gives the same scenario and hash, rejected input the same message.
+    @pytest.mark.parametrize("entry", FILE_FIELDS, ids=field_id)
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(raw=valid_configs(), drawn=st.floats() | st.integers() | st.text(max_size=2))
+    def test_a_corrupted_field_loads_as_the_reference(self, entry, raw, drawn):
+        section, field = entry
+        for value in [*corruptions(field, raw, section), drawn]:
+            corrupted = copy.deepcopy(raw)
+            (corrupted.setdefault(section, {}) if section else corrupted)[field.name] = value
+            want = outcome(lambda: reference_from_dict(corrupted), scenario_hash)
+            assert outcome(lambda: scenario_from_dict(corrupted), config_hash) == want, value
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(raw=valid_configs(), data=st.data())
+    def test_unknown_keys_and_sections_that_are_no_object_load_as_the_reference(self, raw, data):
+        sections = list(ScenarioConfig.__dataclass_fields__)[1:]
+        if data.draw(st.booleans()):
+            section = data.draw(st.sampled_from([None, *sections]))
+            target = raw.setdefault(section, {}) if section else raw
+            target[data.draw(st.sampled_from(["bogus", "kappa_points", "seed", "Array", "array"]))] = 1
+        else:
+            raw[data.draw(st.sampled_from(sections))] = data.draw(st.sampled_from([5, "x", [], [1], None, True, {}]))
+        want = outcome(lambda: reference_from_dict(raw), scenario_hash)
+        assert outcome(lambda: scenario_from_dict(raw), config_hash) == want
+
+    @pytest.mark.parametrize("entry", FILE_FIELDS, ids=field_id)
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(raw=valid_configs(), drawn=st.floats() | st.integers() | st.text(max_size=2))
+    def test_a_replaced_field_checks_as_the_reference(self, entry, raw, drawn):
+        # a field given to dataclasses.replace, of its section alone or of the
+        # config; a section replaced in the config, or given as no section
+        section, field = entry
+        try:
+            sc = scenario_from_dict(raw)
+        except ConfigError:  # a relay drawn onto the destination
+            sc = ScenarioConfig()
+        for value in [*corruptions(field, raw, section), drawn]:
+            if section is None:
+                builds = [lambda: dataclasses.replace(sc, **{field.name: value})]
+            else:
+                part = lambda: dataclasses.replace(getattr(sc, section), **{field.name: value})
+                builds = [part, lambda: dataclasses.replace(sc, **{section: part()})]
+                builds.append(lambda: dataclasses.replace(sc, **{section: {field.name: value}}))
+            for build in builds:
+                with reference_validation():
+                    want = outcome(build, scenario_hash)
+                assert outcome(build, config_hash) == want, value
 
 
 class TestFingerprint:

@@ -20,9 +20,9 @@ from scipy.special import erfc, erfcinv
 
 from jrcsim.stats import (
     _float_texts,
+    Streams,
     binomial_ci,
     derive_stream,
-    first_doubles,
     float_text,
     inverse_q,
     q_function,
@@ -244,7 +244,7 @@ class TestFirstDoubles:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**64 - 1), ids=st.lists(stream_ids, max_size=6), count=st.integers(0, 16))
     def test_each_row_is_its_streams_first_doubles(self, seed, ids, count):
-        block = first_doubles(seed, ids, count)
+        block = Streams().first_doubles(seed, ids, count)
         assert block.shape == (len(ids), count)
         for row, stream in zip(block, ids):
             assert np.array_equal(row, derive_stream(seed, stream).random(count))
@@ -254,12 +254,25 @@ class TestFirstDoubles:
     def test_rekeying_leaves_no_state_behind(self, seed, ids, count):
         # a stream keyed after others, even after itself with a part-used
         # Philox buffer, reads as a fresh stream
-        block = first_doubles(seed, [*ids, ids[0]], count)
+        block = Streams().first_doubles(seed, [*ids, ids[0]], count)
         assert np.array_equal(block[-1], block[0])
         assert np.array_equal(block[-1], derive_stream(seed, ids[0]).random(count))
 
     def test_no_streams(self):
-        assert first_doubles(7, [], 5).shape == (0, 5)
+        assert Streams().first_doubles(7, [], 5).shape == (0, 5)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), ids=st.lists(stream_ids, min_size=1, max_size=4), used=st.integers(0, 7))
+    def test_a_rekeyed_stream_draws_as_a_fresh_one(self, seed, ids, used):
+        # normals, 32-bit integers and doubles after re-keying a generator left
+        # part way through a buffer and a 32-bit half word read as derive_stream's
+        streams = Streams()
+        for stream in ids:
+            left = streams.at(seed, stream)
+            left.integers(0, 2**32, size=used, dtype=np.uint32)
+            left.standard_normal(used)
+            for draw in (lambda g: g.standard_normal(5), lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32), lambda g: g.random(4)):
+                assert np.array_equal(draw(streams.at(seed, stream)), draw(derive_stream(seed, stream)))
 
 
 def dragon4_text(x: float) -> str:

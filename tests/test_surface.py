@@ -30,7 +30,7 @@ from conftest import reduced_scenario
 from jrcsim.cli import main
 from jrcsim.comm_link import LinkSinrs
 from jrcsim.context import SensingScene, SimulationContext, build_context
-from jrcsim.experiments import _cell, _column
+from jrcsim.experiments import _cell, _columns
 from jrcsim.power_allocation import _SplitForms, minimize_power
 from jrcsim.radar_sensing import InterferenceKernel
 from jrcsim.scenario import ScenarioConfig
@@ -39,6 +39,7 @@ from jrcsim.stats import _float_texts, binomial_ci, canonical_float, float_text
 NOT_ON_A_COMMAND_PATH = {
     "jrcsim.cli._Parser.error": "runs only on a usage error",
     "jrcsim.scenario._setting": "runs once at import, when the scenario fields are declared",
+    "jrcsim.scenario.ScenarioConfig.to_dict": "writes a scenario in its file form, which no command does",
 }
 
 MODULES = [importlib.import_module(f"jrcsim.{m.name}") for m in pkgutil.iter_modules(jrcsim.__path__)]
@@ -153,12 +154,14 @@ def test_the_link_sinrs_are_stated_once(calls):
 
 
 def test_each_float_is_formatted_once(calls):
-    # the table builder rounds a float column to its texts in one call of the
-    # column formatter, and a shared float through _cell and float_text, and
-    # keeps the texts for the CSV, so no writer formats a value a second time
+    # the table builder rounds every float of a block, shared or a column, to
+    # its texts in one call of the column formatter, and keeps the texts for
+    # the CSV, so no writer formats a value a second time; float_text serves
+    # the certificate's grid (and _cell, a None among floats, which no command
+    # emits)
     column, one = _float_texts.__code__, float_text.__code__
-    assert {caller for caller, callee in calls if callee is column} == {_column.__code__, one}
-    assert {caller for caller, callee in calls if callee is one} == {_cell.__code__, canonical_float.__code__}
+    assert {caller for caller, callee in calls if callee is column} == {_columns.__code__, one}
+    assert {caller for caller, callee in calls if callee is one} == {canonical_float.__code__}
 
 
 def test_a_detection_cell_is_emitted_without_dragon4(tmp_path):
