@@ -172,11 +172,13 @@ class SimulationContext(SensingScene):
         return OperatingPoint(beams, x, w, mu1, sigma2, *LinkSinrs(self, rho)(power_watts))
 
 
-def build_scene(scenario: ScenarioConfig, *, scene_keys, streams: Streams) -> tuple[SensingScene, list]:
+def build_scene(scenario: ScenarioConfig, *, scene_keys, streams: Streams | None = None) -> tuple[SensingScene, list]:
     """The sensing scenes of realizations scene_keys, stacked in that order, and
     each one's channel stream, left just past its h_sd draw (None under LoS,
     where every channel is deterministic). The phase and clutter streams are
-    read on streams, re-keyed per stream."""
+    read on streams, re-keyed per stream; a caller that reads no stream of its
+    own after the scene passes none, and the scene makes its own."""
+    streams = Streams() if streams is None else streams
     target, comm, model, array, seed = scenario.target, scenario.comm, scenario.path_loss, scenario.array, scenario.seed
     count, keys = scenario.clutter.count, list(scene_keys)
 

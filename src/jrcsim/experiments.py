@@ -42,7 +42,7 @@ from .scenario import (
     dbm_to_watts,
     watts_to_dbm,
 )
-from .stats import Streams, _float_texts, derive_stream, digit_unit, float_text
+from .stats import _float_texts, derive_stream, digit_unit, float_text
 
 __all__ = [
     "SweepTable",
@@ -222,7 +222,7 @@ def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: in
     # sweep.realizations is at most 2^24, so no two pairs share a key
     keys = [(pair_index << 24) | r for r in range(scenario.sweep.realizations)]
     cell = dataclasses.replace(scenario, array=dataclasses.replace(scenario.array, n_antennas=n, carrier_ghz=f_ghz))
-    scene, _ = build_scene(cell, scene_keys=keys, streams=Streams())
+    scene, _ = build_scene(cell, scene_keys=keys)
     levels = scenario.sweep.clutter_levels
     curves = scene.average_scnr_curve(scenario.power.rho, powers_w, [CLUTTER_LEVELS[level] for level in levels])
     return [(level, curves[:, i]) for i, level in enumerate(levels)]

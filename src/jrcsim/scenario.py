@@ -323,14 +323,17 @@ class ScenarioConfig:
         return np.linspace(self.power.min_dbm, self.power.max_dbm, self.power.points)
 
     def to_dict(self) -> dict:
-        """The scenario as its file reads: a dict per section, a list per tuple.
-        vars() of a section holds its fields alone, in declaration order, and
-        no section nests another; the seed is the one field outside them."""
-        return {
-            name: {k: list(v) if isinstance(v, tuple) else v for k, v in vars(value).items()}
-            if isinstance(value, _Section) else value
-            for name, value in vars(self).items()
-        }
+        """The scenario as its file reads: a dict per section, a list per tuple."""
+        return {name: _plain(value) for name, value in vars(self).items()}
+
+
+def _plain(value):
+    """One field's value as to_dict gives it: a section as the dict of its
+    fields (vars() of a section holds its fields alone, in declaration order,
+    and no section nests another), a tuple as a list."""
+    if isinstance(value, _Section):
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(value).items()}
+    return list(value) if isinstance(value, tuple) else value
 
 
 # section class -> its key in the scenario file, the prefix of its error paths
@@ -353,22 +356,15 @@ _FIELDS = {
     for cls, prefix in [(ScenarioConfig, "config"), *_SECTION_NAMES.items()]
 }
 
-# every section at its defaults, built and checked once: a file that leaves a
-# section out takes it as it is, since a frozen section is never changed
-_DEFAULT_SECTIONS = {name: cls() for cls, name in _SECTION_NAMES.items()}
-
 
 def config_hash(config: ScenarioConfig) -> str:
-    """Fingerprint of everything that shapes the emitted records: the SHA-256
-    of the key-sorted, whitespace-free JSON of to_dict().
+    """Fingerprint of everything that shapes the emitted records.
 
     The output section (directory, file format) is excluded: the same
     scenario written elsewhere or as JSON instead of CSV is the same data.
     """
-    # each section's fields as they stand, not copied: a tuple encodes as the
-    # list to_dict gives
-    d = {name: vars(value) if isinstance(value, _Section) else value for name, value in vars(config).items()}
-    del d["output"]
+    d = config.to_dict()
+    d.pop("output")
     payload = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
@@ -383,12 +379,11 @@ def _from_mapping(cls, raw, path: str):
     unknown = sorted(set(raw) - fields.keys())
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}: unknown field")
-    values = {
+    return cls(**{
         key: _from_mapping(fields[key].default_factory, value, key)
         if fields[key].default_factory is not dataclasses.MISSING else value
         for key, value in raw.items()
-    }
-    return cls(**({**_DEFAULT_SECTIONS, **values} if cls is ScenarioConfig else values))
+    })
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:

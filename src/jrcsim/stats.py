@@ -110,7 +110,9 @@ class Streams:
         self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
 
     def at(self, master_seed: int, stream_id: int) -> np.random.Generator:
-        """The generator, re-keyed to the start of stream (master_seed, stream_id)."""
+        """The generator, re-keyed to the start of stream (master_seed, stream_id).
+        It is the one generator every call returns, so it reads this stream
+        only until the next at or first_doubles call re-keys it."""
         self._state["state"] = {"counter": (0, 0, 0, 0), "key": (int(master_seed), int(stream_id))}
         self._bits.state = self._state
         return self._generator

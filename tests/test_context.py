@@ -22,7 +22,6 @@ from jrcsim.power_allocation import _SplitForms, evaluate_point
 from jrcsim.propagation import path_loss_db
 from jrcsim.radar_sensing import ClutterSteering, waveform_from_symbols
 from jrcsim.scenario import CLUTTER_LEVELS, ConfigError, ScenarioConfig, dbm_to_watts, scenario_from_dict
-from jrcsim.stats import Streams
 from oracles import clutter_covariance, optimal_receive_beamformer, power_by_power, scene_draws, transmit_covariance
 
 
@@ -182,7 +181,7 @@ def drawn_scenes(draw):
 @example((drawn_scene(min_range=2.0, max_range=2.0000000000000004, count=5), [(3 << 24) | 99, 4]))
 def test_the_stacked_scene_is_the_per_realization_draw(case):
     scenario, keys = case
-    scene, _ = build_scene(scenario, scene_keys=keys, streams=Streams())
+    scene, _ = build_scene(scenario, scene_keys=keys)
     alpha0, matrices = scene_draws(scenario, keys)
     assert np.array_equal(scene.alpha0, alpha0)
     assert scene.clutter.matrix.shape == matrices.shape

@@ -39,7 +39,6 @@ from jrcsim.stats import _float_texts, binomial_ci, canonical_float, float_text
 NOT_ON_A_COMMAND_PATH = {
     "jrcsim.cli._Parser.error": "runs only on a usage error",
     "jrcsim.scenario._setting": "runs once at import, when the scenario fields are declared",
-    "jrcsim.scenario.ScenarioConfig.to_dict": "writes a scenario in its file form, which no command does",
 }
 
 MODULES = [importlib.import_module(f"jrcsim.{m.name}") for m in pkgutil.iter_modules(jrcsim.__path__)]
