@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # the scenario imports separation from here
     from .scenario import ArraySection
 
 __all__ = [
-    "element_index_offsets",
     "steering_vector",
     "steering_matrix",
     "separation",

@@ -111,11 +111,11 @@ class SensingScene:
         splits or for stacked realizations."""
         if not 0.0 <= power_watts < np.inf:
             raise ValueError(f"power must lie in [0, inf), got {power_watts}")
-        if not np.all((0.0 <= rho) & (rho <= 1.0)):
+        if not np.logical_and(0.0 <= rho, rho <= 1.0).all():
             raise ValueError(f"power split must lie in [0, 1], got {rho}")
         u = np.sqrt((1.0 - rho) * power_watts)[..., None] * self.comm_direction
         v = np.sqrt(rho * power_watts)[..., None] * self.radar_direction
-        return np.stack((u, v), axis=-2)
+        return np.concatenate((u[..., None, :], v[..., None, :]), axis=-2)
 
     def at_sigma(self, sigma: float):
         """This scene at clutter amplitude scale sigma, sharing its unit-sigma kernels."""
@@ -126,11 +126,25 @@ class SensingScene:
     def unit_kernel(self, rho) -> InterferenceKernel:
         """The interference kernel of split rho (a float or a 1-D array) at unit sigma
         and power: one decomposition that gives W(s) at every scale s = sigma^2 P,
-        made on the scene's first call for that split and returned by every later one."""
+        made on the scene's first call for that split and returned by every later one;
+        a split of a grid decomposed before takes the grid's entry, bit for bit its own."""
         key = np.shape(rho), np.asarray(rho, dtype=float).tobytes()
         if key not in self._kernels:
-            self._kernels[key] = InterferenceKernel(self.clutter, self.clutter.gains(self.beams_at(1.0, rho)))
+            self._kernels[key] = self._grid_entry(key) or InterferenceKernel(
+                self.clutter, self.clutter.gains(self.beams_at(1.0, rho))
+            )
         return self._kernels[key]
+
+    def _grid_entry(self, key) -> InterferenceKernel | None:
+        """The entry, bit for bit the single split of key, of one realization's
+        split grid decomposed before, if there is one."""
+        if key[0] == ():
+            bits = np.frombuffer(key[1], dtype=np.uint64)
+            for (shape, grid), kernel in self._kernels.items():
+                hit = np.flatnonzero(np.frombuffer(grid, dtype=np.uint64) == bits)
+                if len(shape) == 1 and kernel._lam.ndim == 2 and hit.size:
+                    return kernel[hit[0]]
+        return None
 
     def average_scnr_curve(self, rho, powers, sigmas=None) -> np.ndarray:
         """Symbol-averaged optimal SCNR at split rho for each total power P of a
@@ -158,8 +172,10 @@ class SimulationContext(SensingScene):
     h_sr: np.ndarray
     h_rd: complex
     symbols: np.ndarray
-    # the optimizer's split forms over the scenario's split grid, made on first use
+    # the optimizer's split forms over the scenario's split grid, and the link's
+    # channel gains (comm_link.LinkSinrs), each made on first use
     _split_forms: object = field(default=None, init=False, repr=False, compare=False)
+    _link_gains: object = field(default=None, init=False, repr=False, compare=False)
 
     def operating_point(self, power_watts: float, rho) -> OperatingPoint:
         """The record of power_watts at split rho, a float or a 1-D array of

@@ -1,59 +1,23 @@
 """Energy-efficient power allocation under rate and detection constraints.
 
-The transmitter splits a budget P between a data beam matched to the
-destination channel and a radar beam matched to the target steering
-direction: u = sqrt((1 - rho) P) u_hat, v = sqrt(rho P) v_hat. With the
-directions fixed, an operating point is the triple (P, rho, kappa) where
-kappa is the detector threshold. Four constraints, read from the scenario's
-targets section, gate feasibility: the relay-combined rate must reach its
-target, the false-alarm probability must not exceed its limit, the detection
-probability must reach its floor, and the spent power must stay within the
-ceiling.
+An operating point is a triple (P, rho, kappa): the budget P split between a
+data beam, u = sqrt((1 - rho) P) u_hat, and a radar beam, v = sqrt(rho P)
+v_hat, and the detector threshold kappa. It is feasible when the rate, the
+false-alarm cap, the detection floor and the ceiling of the scenario's
+targets section all hold; at a fixed (P, rho) both detector targets hold
+exactly when the deflection sqrt(2)|mu_1|/sigma reaches Q^-1(P_FA,max) -
+Q^-1(P_D,min), at the false-alarm threshold.
 
-At a fixed (P, rho) both detector targets hold exactly when the deflection
-sqrt(2)|mu_1|/sigma reaches Q^-1(P_FA,max) - Q^-1(P_D,min), and then at the
-false-alarm threshold kappa_fa, the smallest that meets the cap.
-
-minimize_power finds the first feasible point of an ascending coarse power
-grid, then bisects the bracketing interval at its geometric midpoint until
-hi <= lo (1 + tol_factor) or it cannot be split further, re-optimizing rho at
-every probe. One call of the split forms reads the midpoints of four levels
-of the bisection tree at once, every midpoint the next four probes could
-take; the search then follows the path one probe at a time follows, so
-its result is that of probing midpoint by midpoint. Ties prefer smaller P,
-then smaller rho, then smaller kappa. The certificate is the triple the
-tables print, audited by evaluate_point; the result is that evaluated point,
-or None past the ceiling, and the evaluations spent: the (P, rho) entries a
-power-by-power, split-by-split scan reads up to each probe's first feasible
-split (all of them at an infeasible one), on the walk and on the bisection's
-path, never on a midpoint off it, plus one per audit. tradeoff_sweep
-returns, as arrays over the grid powers, the best achievable rate, the best
-detection probability subject to the false-alarm limit, and whether the
-constraint set is jointly satisfiable there. Both take a context;
-evaluate_point also builds one from a scenario.
-
-Power and clutter power enter the interference covariance as one scale,
-W(s) = I + s M(rho) with s = sigma^2 P, so the context decomposes each split
-grid once, at unit sigma and power (SimulationContext.unit_kernel), and every
-probe on that grid scales that one kernel. Both commands decide from per-split
-closed forms in P (_SplitForms), terms of O(L) and O(L^2) numbers per split
-with no beams, waveform or beamformer, which a context builds once over its
-split grid, so tradeoff's rows and search share them as they share the
-kernel. Their sensing terms, and the grid's kernel, are made on first use:
-by the tradeoff rows, or by the search at the first power where some split
-reaches the rate. The coarse walk, each bisection level and every tradeoff
-row read them by one rule. Their SINR sum is comm_link.LinkSinrs, the
-record's own, so the rate test is the record's bit for bit, and it comes
-first: the sensing forms run only on the powers where some split reaches the
-rate, since no deflection makes another power feasible. Only tradeoff rows read
-|mu_1| and sigma^2, so only they compute them. A power row with an entry
-within a relative _BAND of the deflection floor, or whose rounding estimate
-is too large, takes the OperatingPoint record of that power over the splits,
-so every decision is the record's. The search builds such a record only when
-it reads that row: the walk reads rows up to its first feasible one, and a
-tree read only the midpoints on the path it takes, so batching the levels
-builds no record that probing midpoint by midpoint would not. A tradeoff row
-always reads its record. evaluate_point builds its one record.
+minimize_power finds p*, the least power in [P_min, P_max] (the power grid's
+floor and the ceiling) at which some split of the optimizer's grid is
+feasible, without assuming feasibility is monotone in P. It settles on hi
+with p* <= hi <= p* (1 + tol_factor), feasible at its split, while
+hi / (1 + tol_factor) is infeasible at every split; ties go to the smaller
+rho. Its certificate is the triple the tables print, power and kappa rounded
+up onto the 9-significant-digit grid, that evaluate_point accepts, or None
+when no power up to the ceiling is feasible. tradeoff_sweep gives, at each
+power of the scenario's dBm grid, the best rate, the best detection
+probability under the false-alarm cap, and whether the targets hold jointly.
 """
 
 from __future__ import annotations
@@ -65,6 +29,7 @@ import numpy as np
 
 from .comm_link import LinkSinrs, mrc_rate, rate_threshold
 from .context import SimulationContext, build_context
+from .crossings import _EPS, _first_powers, _rate_floor, _sensing, _settle
 from .detection import (
     detection_probability,
     false_alarm_probability,
@@ -84,12 +49,6 @@ __all__ = [
 
 # slack for the by-construction budget identity ||u||^2 + ||v||^2 = P
 _BUDGET_SLACK = 1.0e-9
-# relative band around the deflection floor where the split forms defer to the
-# record; they decide alone where _SAFETY times their estimated rounding error
-# stays within _BAND / 1000 (their SINR sum is the record's, bit for bit)
-_BAND, _SAFETY, _EPS = 1.0e-9, 16.0, float(np.finfo(float).eps)
-# levels of the bisection tree one call of the split forms reads: 2^4 - 1 = 15 midpoints
-_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -116,7 +75,8 @@ class EvaluatedPoint:
 @dataclass(frozen=True)
 class OptimizationResult:
     """The certified point, None when no power up to the ceiling is feasible,
-    and the evaluations spent finding it."""
+    and the evaluations spent: the (P, rho) entries the split forms or the
+    record decided, plus one per certificate audit."""
 
     point: EvaluatedPoint | None
     evaluations: int
@@ -147,11 +107,8 @@ class _SplitForms:
     where Q_2 = ||r||^2 + sum |q|^2 f^2 + s sum_l |d_l|^2 |e_l + sum_j conj(q_j) f_j G_jl|^2;
     the SINRs are comm_link.LinkSinrs, the record's own.
 
-    The forms are made with their SINR terms alone, which the rate test
-    reads. The sensing terms, and with them the split grid's kernel, are made
-    on the first call, and the live flags, |mu_1| per unit power (mu1_unit)
-    and |c|^2 (cc) exist from then on; so a search where no row reaches the
-    rate never decomposes the grid."""
+    The sensing terms, the grid's kernel among them, are made on first use
+    (_sense), so a search where no split reaches the rate decomposes nothing."""
 
     def __init__(self, ctx: SimulationContext, rhos: np.ndarray):
         self.ctx, self.rhos, targets = ctx, rhos, ctx.scenario.targets
@@ -206,64 +163,6 @@ def _split_forms(ctx: SimulationContext) -> _SplitForms:
     if ctx._split_forms is None:
         object.__setattr__(ctx, "_split_forms", _SplitForms(ctx, _rho_grid(ctx.scenario.optimizer)))
     return ctx._split_forms
-
-
-def _sensing(forms: _SplitForms, powers: np.ndarray, moments: bool = False) -> tuple[list[np.ndarray], np.ndarray]:
-    """Over 1-D powers x the forms' splits, each (M, S), as the forms read
-    them: the live flags and the deflections, then with moments |mu_1| and
-    sigma^2; and the rows (M,) with an entry the forms leave undecided, whose
-    columns only the OperatingPoint record of that power decides."""
-    p = powers[:, None]
-    deflection, q1, q2, error = forms(p)
-    columns = [np.repeat(forms.live[None], powers.size, axis=0), deflection]
-    if moments:
-        columns += [forms.mu1_unit * p * q1, forms.cc * p * q2]
-    near = ~(_SAFETY * error <= _BAND / 1000.0)
-    if math.isfinite(forms.floor):
-        near |= abs(deflection - forms.floor) <= _BAND * abs(forms.floor)
-    return columns, near.any(axis=-1)
-
-
-class _Verdicts:
-    """The feasible mask over 1-D powers x the forms' splits, (M, S), read a
-    row at a time: the SINR sum reaches 2^r - 1 and mu_1 is live with the
-    deflection at the floor. The sensing forms run only on the rows where some
-    split reaches the rate, since no deflection makes another row feasible. A
-    row the forms leave undecided keeps only its rate verdicts until it is
-    read, and then takes its sensing from the record, so a search builds
-    records only for the rows it reads."""
-
-    def __init__(self, forms: _SplitForms, powers: np.ndarray):
-        self.forms, self.powers = forms, powers
-        self.ok, self.pending = forms.reaches(powers), np.zeros(powers.size, dtype=bool)
-        rows = np.flatnonzero(self.ok.any(axis=-1))
-        if rows.size:
-            (live, deflection), near = _sensing(forms, powers[rows])
-            self.ok[rows] &= (live & (deflection >= forms.floor)) | near[:, None]
-            self.pending[rows] = near
-
-    def __getitem__(self, m: int) -> np.ndarray:
-        if self.pending[m]:
-            point = self.forms.ctx.operating_point(float(self.powers[m]), self.forms.rhos)
-            self.ok[m] &= (point.mu1_abs > 0.0) & (point.deflection >= self.forms.floor)
-            self.pending[m] = False
-        return self.ok[m]
-
-
-def _first_feasible(forms: _SplitForms, power_watts) -> tuple[int | None, int]:
-    """The flat index of the first feasible entry at power_watts (a float or
-    an array of ascending powers) over the forms' splits, if any, and the
-    entries scanned up to and including it (all of them when none is). An
-    array is scanned power by power, so the index is power-major, and rows
-    past the first feasible one are never read."""
-    verdicts = _Verdicts(forms, np.asarray(power_watts, dtype=float).reshape(-1))
-    # a row no split of which reaches the rate is infeasible without reading it
-    for m in np.flatnonzero(verdicts.ok.any(axis=-1)):
-        row = verdicts[m]
-        if row.any():
-            i = int(m) * row.size + int(np.argmax(row))
-            return i, i + 1
-    return None, verdicts.ok.size
 
 
 def evaluate_point(
@@ -323,63 +222,27 @@ def _certificate(ctx: SimulationContext, power_watts: float, rho: float) -> tupl
     return None, evaluations
 
 
-def _bisect(forms: _SplitForms, lo: float, hi: float, k: int, tol_factor: float) -> tuple[float, int, int]:
-    """Bisect a bracket, lo infeasible and hi feasible first at split index k,
-    at its geometric midpoint until hi <= lo (1 + tol_factor) or floats cannot
-    split it: the last feasible power, its first feasible split index and the
-    entries scanned. Each call of the forms reads the midpoints of the next
-    _LEVELS levels of the bisection tree at once, in heap order (node j's
-    children are 2j + 1, below a feasible midpoint, and 2j + 2); the search
-    then takes the path that probing one midpoint at a time takes, and only
-    that path's entries count."""
-    evaluations, nodes = 0, 2**_LEVELS - 1
-    while True:
-        brackets, mids = [(lo, hi)] + [None] * (nodes - 1), [None] * nodes
-        for j, bracket in enumerate(brackets):
-            if bracket is None or not bracket[1] > bracket[0] * (1.0 + tol_factor):
-                continue
-            mid = math.sqrt(bracket[0] * bracket[1])
-            if bracket[0] < mid < bracket[1]:  # else the bracket is as narrow as floats allow
-                mids[j] = mid
-                if 2 * j + 2 < nodes:
-                    brackets[2 * j + 1], brackets[2 * j + 2] = (bracket[0], mid), (mid, bracket[1])
-        if mids[0] is None:  # and so every node below it
-            return hi, k, evaluations
-        probed = [j for j, mid in enumerate(mids) if mid is not None]
-        verdicts, j = _Verdicts(forms, np.array([mids[j] for j in probed])), 0
-        row = {node: r for r, node in enumerate(probed)}
-        for _ in range(_LEVELS):
-            if mids[j] is None:
-                return hi, k, evaluations
-            verdict = verdicts[row[j]]
-            if verdict.any():
-                k = int(np.argmax(verdict))
-                evaluations += k + 1
-                hi, j = mids[j], 2 * j + 1
-            else:
-                evaluations += verdict.size
-                lo, j = mids[j], 2 * j + 2
-
-
 def minimize_power(ctx: SimulationContext) -> OptimizationResult:
     """Smallest power whose best (rho, kappa) satisfies every target of the
     context's scenario."""
-    scenario, opt = ctx.scenario, ctx.scenario.optimizer
-    powers = np.geomspace(
-        dbm_to_watts(scenario.power.min_dbm), dbm_to_watts(scenario.targets.p_max_dbm), opt.power_points
-    )
-    forms = _split_forms(ctx)  # reduced once; every probe of the search reads it
-
-    first, evaluations = _first_feasible(forms, powers)
-    if first is None:
-        return OptimizationResult(None, evaluations)
-    i, k = divmod(first, forms.rhos.size)
-    hi = float(powers[i])
-    if i > 0:  # bracket: powers[i - 1] infeasible, hi feasible
-        hi, k, n = _bisect(forms, float(powers[i - 1]), hi, k, opt.tol_factor)
-        evaluations += n
-    point, n = _certificate(ctx, hi, float(forms.rhos[k]))
-    return OptimizationResult(point, evaluations + n)
+    scenario, tol = ctx.scenario, ctx.scenario.optimizer.tol_factor
+    p_min, p_max = dbm_to_watts(scenario.power.min_dbm), dbm_to_watts(scenario.targets.p_max_dbm)
+    forms = _split_forms(ctx)  # reduced once; the search and the tradeoff rows read it
+    reach = forms.reaches(np.array([p_max]))[0]
+    if not reach.any():  # decided before any sensing term is made
+        return OptimizationResult(None, reach.size)
+    if forms.lam is None:
+        forms._sense()
+    upper, evaluations = _first_powers(forms, np.where(reach, np.clip(_rate_floor(forms), p_min, p_max), np.inf), p_max)
+    if not np.isfinite(upper).any():
+        return OptimizationResult(None, evaluations + reach.size)
+    # the least crossing, nudged past its rounding unless it is the floor
+    hi = float(upper.min())
+    hi, at_hi, n = _settle(forms, hi * (1.0 + min(tol / 4.0, 1e-6)) if hi > p_min else hi, p_min, p_max, tol)
+    if hi is None:
+        return OptimizationResult(None, evaluations + reach.size + n)
+    point, m = _certificate(ctx, hi, float(forms.rhos[np.argmax(at_hi)]))
+    return OptimizationResult(point, evaluations + reach.size + n + m)
 
 
 def _tradeoff_record(forms: _SplitForms, powers: np.ndarray) -> dict:

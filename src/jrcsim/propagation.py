@@ -25,8 +25,6 @@ from .scenario import ArraySection, PathLossSection, ScenarioConfig
 from .stats import derive_stream
 
 __all__ = [
-    "path_loss_db",
-    "amplitude_gain",
     "synthesize_comm_channel",
     "synthesize_scalar_channel",
     "target_reflectivity",

@@ -93,6 +93,12 @@ class InterferenceKernel:
         self._vecs, s, _ = np.linalg.svd(clutter.matrix * np.sqrt(gains[..., None, :]), full_matrices=False)
         self._lam = s**2
 
+    def __getitem__(self, i: int) -> "InterferenceKernel":
+        """The kernel of entry i of a stack, sharing its arrays."""
+        kernel = object.__new__(InterferenceKernel)
+        kernel._vecs, kernel._lam = self._vecs[i], self._lam[i]
+        return kernel
+
     def _split(self, y: np.ndarray):
         """(r, z) with y = r + U z, z = U^H y, and r = 0 when U is square."""
         z = _matvec(self._vecs.conj().swapaxes(-1, -2), y)

@@ -70,6 +70,10 @@ _LENGTH = {"lo": 1.0e-6, "hi": 1.0e9}
 _CARRIER = {"lo": 1.0e-6, "hi": 1.0e6}
 # thresholds whose grid span (at most 2e300) stays finite
 _THRESHOLD = {"lo": -1.0e300, "hi": 1.0e300}
+# every count, the one limit: 2^31 - 1, the largest dimension LAPACK's 32-bit
+# integers take; a count up to it that the memory cannot hold ends as the
+# out-of-memory error, and a larger one is refused before any allocation
+_COUNT = 2**31 - 1
 
 
 def _setting(default, kind=None, *, lo=None, hi=None, lo_open=False, hi_open=False, choices=None, above=None):
@@ -152,7 +156,7 @@ class _Section:
 class ArraySection(_Section):
     """The array: element count, carrier (GHz) and element spacing (m; half a wavelength when None)."""
 
-    n_antennas: int = _setting(5, lo=1)
+    n_antennas: int = _setting(5, lo=1, hi=_COUNT)
     carrier_ghz: float = _setting(28.0, **_CARRIER)
     spacing_m: float | None = _setting(None, float, **_LENGTH)
 
@@ -171,7 +175,7 @@ class TargetSection(_Section):
 class ClutterSection(_Section):
     """The clutter: scatterer count, amplitude scale sigma, range window (m) and target bearing window (rad)."""
 
-    count: int = _setting(3, lo=0)
+    count: int = _setting(3, lo=0, hi=_COUNT)
     sigma: float = _setting(0.8, lo=0.0, hi=_MAGNITUDE["hi"])
     min_range_m: float = _setting(0.5, **_LENGTH)
     max_range_m: float = _setting(5.0, above="min_range_m", **_LENGTH)
@@ -216,7 +220,7 @@ class PowerSection(_Section):
 
     min_dbm: float = _setting(-10.0, **_DBM)
     max_dbm: float = _setting(40.0, above="min_dbm", **_DBM)
-    points: int = _setting(21, lo=2)
+    points: int = _setting(21, lo=2, hi=_COUNT)
     rho: float = _setting(0.5, **_UNIT)
 
 
@@ -224,12 +228,12 @@ class PowerSection(_Section):
 class DetectionSection(_Section):
     """The detection sweep: Monte Carlo trials, powers (dBm), clutter levels and threshold grid."""
 
-    trials: int = _setting(100_000, lo=1)
+    trials: int = _setting(100_000, lo=1, hi=_COUNT)
     powers_dbm: tuple[float, ...] = _setting((30.0, 36.0), **_DBM)
     clutter_levels: tuple[str, ...] = _setting(("light", "intense"), choices=tuple(CLUTTER_LEVELS))
     kappa_min: float = _setting(0.0, **_THRESHOLD)
     kappa_max: float | None = _setting(None, float, above="kappa_min", **_THRESHOLD)
-    kappa_points: int = _setting(21, lo=1)
+    kappa_points: int = _setting(21, lo=1, hi=_COUNT)
 
 
 @dataclass(frozen=True)
@@ -246,10 +250,9 @@ class TargetsSection(_Section):
 
 @dataclass(frozen=True)
 class OptimizerSection(_Section):
-    """The power search: coarse and split grid points, bisection tolerance and an optional fixed split."""
+    """The power search: split grid points, relative tolerance and an optional fixed split."""
 
-    power_points: int = _setting(64, lo=2)
-    rho_points: int = _setting(21, lo=2)
+    rho_points: int = _setting(21, lo=2, hi=_COUNT)
     tol_factor: float = _setting(1.0e-3, **_POSITIVE)
     fixed_rho: float | None = _setting(None, float, **_UNIT)
 
@@ -258,7 +261,7 @@ class OptimizerSection(_Section):
 class SweepSection(_Section):
     """The SCNR sweep: antenna counts, carriers (GHz), clutter levels and realizations per cell."""
 
-    antennas: tuple[int, ...] = _setting((5, 10), lo=1)
+    antennas: tuple[int, ...] = _setting((5, 10), lo=1, hi=_COUNT)
     carriers_ghz: tuple[float, ...] = _setting((2.8, 28.0), **_CARRIER)
     clutter_levels: tuple[str, ...] = _setting(
         ("none", "light", "intense"), choices=tuple(CLUTTER_LEVELS)

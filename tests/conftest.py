@@ -76,7 +76,7 @@ def reduced_scenario(sc: ScenarioConfig) -> ScenarioConfig:
         detection=dataclasses.replace(sc.detection, trials=5000, kappa_points=9),
         sweep=dataclasses.replace(sc.sweep, realizations=5),
         power=dataclasses.replace(sc.power, points=7),
-        optimizer=dataclasses.replace(sc.optimizer, power_points=24, rho_points=11),
+        optimizer=dataclasses.replace(sc.optimizer, rho_points=11),
     )
 
 
@@ -160,7 +160,6 @@ def valid_configs(draw):
             "p_max_dbm": min_dbm + draw(st.floats(1.0, 70.0)),
         },
         "optimizer": {
-            "power_points": draw(st.integers(2, 6)),
             "rho_points": draw(st.integers(2, 4)),
             "fixed_rho": draw(st.one_of(st.none(), st.sampled_from([0.0, 1.0]), _UNIT_OPEN)),
         },

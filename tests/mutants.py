@@ -37,7 +37,8 @@ class Mutant:
     killers: tuple[str, ...]  # pytest node ids, relative to the root
 
 
-_BISECTION_ORACLE = "tests/test_power_allocation.py::TestBatchedBisection::test_matches_the_sequential_search"
+_DENSE_SCAN = "tests/test_power_allocation.py::TestExactSearch::test_p_star_is_the_first_feasible_power_of_a_dense_scan"
+_SEARCH = "src/jrcsim/crossings.py"
 _DRAGON4_ORACLE = "tests/test_stats.py::TestFloatText::test_matches_dragon4_on_every_finite_double"
 _PINNED_TEXTS = "tests/test_stats.py::TestFloatText::test_pinned_texts"
 _ROUNDED_ONCE = "tests/test_experiments_cli.py::TestTableTypes::test_each_float_is_rounded_once"
@@ -46,26 +47,28 @@ _SCENARIO = "src/jrcsim/scenario.py"
 _VALIDATOR_ORACLE = "tests/test_scenario.py::TestValidatorOracle::test_a_corrupted_field_loads_as_the_reference[{}]"
 
 MUTANTS = [
+    # the power search: each split's first crossing, exactly, where
+    # feasibility is not monotone in power
     Mutant(
-        name="bisection-tree-wrong-child",
-        path="src/jrcsim/power_allocation.py",
-        old="hi, j = mids[j], 2 * j + 1",
-        new="hi, j = mids[j], 2 * j + 2",
-        killers=(_BISECTION_ORACLE,),
+        name="search-takes-a-splits-last-crossing",
+        path=_SEARCH,
+        old="ends[np.arange(rest.size), np.argmax(feasible, axis=-1)]",
+        new="ends[np.arange(rest.size), feasible.shape[-1] - 1 - np.argmax(feasible[:, ::-1], axis=-1)]",
+        killers=(_DENSE_SCAN,),
     ),
     Mutant(
-        name="bisection-counts-speculative-rows",
-        path="src/jrcsim/power_allocation.py",
-        old="evaluations += verdict.size",
-        new="evaluations += verdicts.ok.size",
-        killers=(_BISECTION_ORACLE,),
+        name="descartes-gate-trusts-an-unknown-sign",
+        path=_SEARCH,
+        old="    return ~(unknown | falls).any(axis=-1), (signs > 0.0).any(axis=-1)",
+        new="    return ~falls.any(axis=-1), (signs > 0.0).any(axis=-1)",
+        killers=("tests/test_power_allocation.py::TestDescartesGate::test_an_unknown_sign_shuts_the_gate",),
     ),
     Mutant(
-        name="verdicts-build-records-off-the-path",
-        path="src/jrcsim/power_allocation.py",
-        old="            self.pending[rows] = near\n",
-        new="            self.pending[rows] = near\n            for m in np.flatnonzero(self.pending):\n                self[m]\n",
-        killers=(_BISECTION_ORACLE,),
+        name="rate-floor-takes-the-other-root",
+        path=_SEARCH,
+        old="p = np.where(b > 0.0, -2.0 * c / (b + root), (root - b) / (2.0 * a))",
+        new="p = np.where(b > 0.0, -(b + root) / (2.0 * a), 2.0 * c / (root - b))",
+        killers=("tests/test_power_allocation.py::TestRateFloor::test_the_rate_test_turns_on_at_the_rate_floor",),
     ),
     # table emission: each float formatted once, a column at a time, and
     # written by a comma join

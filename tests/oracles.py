@@ -24,9 +24,9 @@ field-by-field reference: reading each class's dataclass fields and their
 rule metadata on every check and forming every field's path, and building a
 file's absent sections anew (reference_validation, reference_from_dict).
 Operating-point
-records over a grid of powers are built one power at a time (power_by_power).
-The power search has a one-midpoint-at-a-time reference: its bisection
-probes the split forms once per midpoint (sequential_minimize_power).
+records over a grid of powers are built one power at a time (power_by_power),
+and the power search's verdict at one power has the record's split-by-split
+reading as its reference (first_feasible_split).
 """
 
 import contextlib
@@ -45,11 +45,11 @@ from jrcsim.array_geometry import array_constants, element_index_offsets, steeri
 from jrcsim.context import KIND_SCENE, KIND_TARGET_PHASE, stream_id
 from jrcsim.detection import _null_blocks
 from jrcsim.experiments import COLUMNS
-from jrcsim.power_allocation import OptimizationResult, _certificate, _first_feasible, _rho_grid, _SplitForms
+from jrcsim.comm_link import rate_threshold
 from jrcsim.radar_sensing import ClutterSteering, InterferenceKernel
 from jrcsim.propagation import path_loss_db
 from jrcsim import scenario as scenario_module
-from jrcsim.scenario import ArraySection, CommSection, ConfigError, ScenarioConfig, dbm_to_watts
+from jrcsim.scenario import ArraySection, CommSection, ConfigError, ScenarioConfig
 from jrcsim.stats import derive_stream, float_text, inverse_q, q_function
 
 
@@ -245,37 +245,18 @@ def power_by_power(ctx, powers, rhos) -> SimpleNamespace:
     return SimpleNamespace(**{f.name: np.array([getattr(p, f.name) for p in points]) for f in dataclasses.fields(points[0])})
 
 
-def sequential_minimize_power(ctx) -> OptimizationResult:
-    """minimize_power with one call of the split forms per bisection midpoint:
-    the coarse walk, then the bracket split at its geometric midpoint until
-    hi <= lo (1 + tol_factor) or floats cannot split it, then the certificate."""
-    scenario, opt = ctx.scenario, ctx.scenario.optimizer
-    powers = np.geomspace(
-        dbm_to_watts(scenario.power.min_dbm), dbm_to_watts(scenario.targets.p_max_dbm), opt.power_points
-    )
-    rhos = _rho_grid(opt)
-    forms = _SplitForms(ctx, rhos)  # reduced once; every probe of the search reads it
-
-    first, evaluations = _first_feasible(forms, powers)
-    if first is None:
-        return OptimizationResult(None, evaluations)
-    i, k = divmod(first, len(rhos))
-    rho_star, hi = float(rhos[k]), float(powers[i])
-    if i > 0:
-        # bracket: powers[i - 1] infeasible, hi feasible
-        lo = float(powers[i - 1])
-        while hi > lo * (1.0 + opt.tol_factor):
-            mid = math.sqrt(lo * hi)
-            if not lo < mid < hi:
-                break  # the bracket is as narrow as floats allow
-            k, n = _first_feasible(forms, mid)
-            evaluations += n
-            if k is not None:
-                hi, rho_star = mid, float(rhos[k])
-            else:
-                lo = mid
-    point, n = _certificate(ctx, hi, rho_star)
-    return OptimizationResult(point, evaluations + n)
+def first_feasible_split(ctx, power_watts, rhos) -> int | None:
+    """The first split of rhos feasible at one power, or None: the record of
+    the power over the splits, its SINR sum against 2^r - 1 and its live
+    deflection against Q^-1(pfa_max) - Q^-1(pd_min), split by split. The
+    search decides each entry as this does."""
+    targets, point = ctx.scenario.targets, ctx.operating_point(float(power_watts), np.asarray(rhos, dtype=float))
+    floor = inverse_q(targets.pfa_max) - inverse_q(targets.pd_min)
+    with np.errstate(invalid="ignore"):
+        ok = (point.gamma_direct + point.gamma_relayed >= rate_threshold(targets.rate_bps_hz)) & (
+            (point.mu1_abs > 0.0) & (point.deflection >= floor)
+        )
+    return int(np.argmax(ok)) if ok.any() else None
 
 
 def scalar_false_alarm_threshold(mu1_abs: float, sigma2: float, pfa_max: float) -> float:
@@ -417,10 +398,16 @@ def scenario_hash(config: ScenarioConfig) -> str:
 
 def _reference_rule(f: dataclasses.Field) -> dict:
     """A field's rule as a dict of the keys it sets: kind, and lo, hi, lo_open,
-    hi_open, choices and above where given."""
+    hi_open, choices and above where given. Every count, each integer but
+    the seed, is at most 2^31 - 1, stated here apart from the field table."""
     names = ("kind", "lo", "hi", "lo_open", "hi_open", "choices")
     rule = dict(zip(names, f.metadata["rule"]), above=f.metadata["above"])
+    if rule["kind"] is int and f.name != "seed":
+        rule["hi"] = min(rule["hi"] or REFERENCE_COUNT_LIMIT, REFERENCE_COUNT_LIMIT)
     return {key: value for key, value in rule.items() if value is not None}
+
+
+REFERENCE_COUNT_LIMIT = 2**31 - 1
 
 
 def _reference_value(value, path: str, rule: dict):

@@ -35,13 +35,7 @@ from jrcsim.experiments import (
     run_scnr_sweep,
     run_validation,
 )
-from jrcsim.power_allocation import (
-    _SplitForms,
-    _first_feasible,
-    _rho_grid,
-    evaluate_point,
-    minimize_power,
-)
+from jrcsim.power_allocation import _rho_grid, evaluate_point, minimize_power
 from jrcsim.scenario import ArraySection, dbm_to_watts
 from jrcsim.stats import inverse_q, q_function
 from oracles import (
@@ -49,6 +43,7 @@ from oracles import (
     average_scnr,
     clutter_covariance,
     exact_distance,
+    first_feasible_split,
     fraunhofer_distance,
     fresnel_distance,
     optimal_receive_beamformer,
@@ -285,14 +280,12 @@ class TestAcceptance:
             and certificate.pd == pytest.approx(result.point.pd, rel=1e-12)
         )
 
+        # the exhaustive search: every split at each of 64 grid powers, split
+        # by split from the record
         opt = ctx.scenario.optimizer
-        powers = np.geomspace(
-            dbm_to_watts(ctx.scenario.power.min_dbm), p_max, opt.power_points
-        )
+        powers = np.geomspace(dbm_to_watts(ctx.scenario.power.min_dbm), p_max, 64)
         rhos = _rho_grid(opt)
-        flags = [
-            _first_feasible(_SplitForms(ctx, rhos), float(p))[0] is not None for p in powers
-        ]
+        flags = [first_feasible_split(ctx, p, rhos) is not None for p in powers.tolist()]
         first = flags.index(True)
         bracketed = (
             flags == sorted(flags)
@@ -301,7 +294,7 @@ class TestAcceptance:
         )
 
         tol = opt.tol_factor * p_max
-        below = _first_feasible(_SplitForms(ctx, rhos), p_star - 10.0 * tol)[0] is None
+        below = first_feasible_split(ctx, p_star - 10.0 * tol, rhos) is None
         elapsed = time.perf_counter() - start
         report(
             "minimum transmit power is feasible, re-validates, brackets the exhaustive "
@@ -326,7 +319,7 @@ class TestAcceptance:
                 "powers_dbm": [30.0],
                 "clutter_levels": ["intense"],
             },
-            "optimizer": {"power_points": 16, "rho_points": 7},
+            "optimizer": {"rho_points": 7},
         }
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(config))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIO_A
@@ -165,6 +165,8 @@ def drawn_scenes(draw):
     elements, whose window is often clipped at 0 or pi, with 1-6 scene keys."""
     angle = draw(st.floats(0.0, np.pi, exclude_min=True, exclude_max=True))
     window = draw(st.floats(0.0, max(angle, np.pi - angle), exclude_max=True))
+    # a window just under its bound can still reach 0 and pi once rounded
+    assume(angle - window > 0.0 or angle + window < np.pi)
     min_range = draw(st.floats(1e-6, 1e3))
     scenario = drawn_scene(
         draw(st.sampled_from(["zero", "uniform"])), angle, window, draw(st.integers(0, 12)),
@@ -314,3 +316,32 @@ class TestNoClutterPower:
             np.testing.assert_allclose(point.mu1, points[0].mu1, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(point.sigma2, points[0].sigma2, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(deflection, deflections[0], rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def split_grids(draw):
+    """A drawn scene and a split grid that the optimizer could search."""
+    sc = ScenarioConfig()
+    return dataclasses.replace(
+        sc,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        array=dataclasses.replace(sc.array, n_antennas=draw(st.sampled_from(range(1, 13)))),
+        clutter=dataclasses.replace(sc.clutter, count=draw(st.sampled_from(range(9))),
+                                    sigma=draw(st.sampled_from([0.0, 0.1, 0.8, 1.5]))),
+        comm=dataclasses.replace(sc.comm, fading=draw(st.sampled_from(["los", "rayleigh"]))),
+    ), np.linspace(0.0, 1.0, draw(st.sampled_from(range(2, 23))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(split_grids())
+def test_a_grid_split_reads_its_entry_of_the_grid_bit_for_bit(case):
+    # a split whose bits are a grid value's takes that entry of the grid's
+    # stacked decomposition, and it is the split's own decomposition exactly;
+    # a split whose bits differ from every grid value is decomposed alone
+    sc, rhos = case
+    ctx = build_context(sc)
+    grid = ctx.unit_kernel(rhos)
+    for rho in [*rhos.tolist(), 0.5 + 2.0**-40]:
+        kernel, alone = ctx.unit_kernel(rho), build_context(sc).unit_kernel(rho)
+        assert np.array_equal(kernel._vecs, alone._vecs) and np.array_equal(kernel._lam, alone._lam)
+        assert not grid._vecs.size or np.shares_memory(kernel._vecs, grid._vecs) == (rho in rhos.tolist())

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import jrcsim
 from conftest import reduced_scenario, valid_configs
-from jrcsim import cli
+from jrcsim import cli, experiments
 from jrcsim.cli import main
 from jrcsim.context import KIND_CHANNEL, KIND_SCENE, KIND_TARGET_PHASE, build_context
 from jrcsim.experiments import (
@@ -691,7 +691,7 @@ CLI_CONFIG = {
         "powers_dbm": [30.0],
         "clutter_levels": ["light"],
     },
-    "optimizer": {"power_points": 12, "rho_points": 5},
+    "optimizer": {"rho_points": 5},
 }
 
 
@@ -885,6 +885,31 @@ class TestCli:
                 assert rc == 1
                 assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ("array", "n_antennas"), ("clutter", "count"), ("optimizer", "rho_points"), ("power", "points"),
+            ("detection", "kappa_points"), ("detection", "trials"), ("sweep", "antennas"),
+        ],
+    )
+    def test_oversized_counts_are_refused_before_any_allocation(self, tmp_path, capsys, monkeypatch, section, field):
+        # every count is at most 2^31 - 1; past it the validator refuses the
+        # file, so no scene, and no array of that size, is ever built
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a scene was built from an oversized count")
+
+        monkeypatch.setattr(experiments, "build_context", unreachable)
+        monkeypatch.setattr(experiments, "build_scene", unreachable)
+        path, listed = tmp_path / "huge.json", field == "antennas"
+        for value in (10**20, 10**400, 2**31):
+            path.write_text(json.dumps({section: {field: [value] if listed else value}}))
+            for command in ("optimize", "detection-sweep", "scnr-sweep"):
+                rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+                err = capsys.readouterr().err
+                assert rc == 1
+                assert err == f"error: {section}.{field}{'[0]' if listed else ''}: must be <= 2147483647, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unit_detection_floor_exits_two(self, tmp_path, capsys):
         # P_D = 1 needs an infinite deflection, which no power gives
         path = tmp_path / "certain.json"
@@ -973,7 +998,7 @@ class TestCli:
                 "targets": {"p_max_dbm": p_max_dbm},
                 "detection": {"powers_dbm": [min_dbm, max_dbm], "trials": 400, "kappa_points": 5},
                 "sweep": {"realizations": 3},
-                "optimizer": {"power_points": 12, "rho_points": 5},
+                "optimizer": {"rho_points": 5},
             }
             for extreme in extremes:
                 for section, values in extreme.items():

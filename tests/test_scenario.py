@@ -91,7 +91,7 @@ class TestDefaults:
         assert sc.targets.pfa_max == 1.0e-6
         assert sc.targets.pd_min == 0.6
         assert sc.targets.p_max_dbm == 46.0
-        assert (sc.optimizer.power_points, sc.optimizer.rho_points) == (64, 21)
+        assert sc.optimizer.rho_points == 21
         assert sc.optimizer.tol_factor == 1.0e-3
         assert sc.optimizer.fixed_rho is None
         assert sc.sweep.antennas == (5, 10)
@@ -506,7 +506,7 @@ class TestFingerprint:
     def test_default_hash_is_pinned(self):
         # every manifest and JSON table carries this provenance; a change in
         # how the scenario is serialized must show here first
-        assert config_hash(ScenarioConfig()) == "62db78620a4dd7923d6d468a7b8994c3a3ceb89716b89ea22bfceca783a7731d"
+        assert config_hash(ScenarioConfig()) == "5f1120a512802389b0c6d39a97a84fb712c859e46858ab8fb1de866a7daca65e"
 
     def test_hash_tracks_physics_changes(self):
         base = ScenarioConfig()

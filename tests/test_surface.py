@@ -5,8 +5,8 @@ few times from one build, the link SINRs have exactly two readers, each
 emitted float is formatted once (a detection command's never by Dragon4),
 and the package runs on NumPy and the standard library alone.
 
-All five commands run on the reduced scenario (and one of them in JSON form)
-under sys.setprofile, which records the code object of every Python frame
+All five commands run on the reduced scenario (and optimize in JSON form,
+and on scenario B) under sys.setprofile, which records the code object of every Python frame
 entered, with its caller's. A module-level function or method that no
 command enters is code only tests reach, and belongs in tests/ or nowhere;
 the few exceptions are named below with their reason.
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import jrcsim
-from conftest import reduced_scenario
+from conftest import SCENARIO_B, reduced_scenario
 from jrcsim.cli import main
 from jrcsim.comm_link import LinkSinrs
 from jrcsim.context import SensingScene, SimulationContext, build_context
@@ -64,8 +64,12 @@ def calls(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("commands")
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(reduced_scenario(ScenarioConfig()).to_dict()))
-    runs = [[c] for c in ("scnr-sweep", "detection-sweep", "tradeoff", "optimize", "validate")]
-    runs.append(["optimize", "--format", "json"])
+    runs = [[c, "--config", str(path)] for c in ("scnr-sweep", "detection-sweep", "tradeoff", "optimize", "validate")]
+    runs.append(["optimize", "--format", "json", "--config", str(path)])
+    # scenario B, where a split's polynomial has more than one sign change
+    scene_b = tmp_path / "scenario_b.json"
+    scene_b.write_text(json.dumps(SCENARIO_B.to_dict()))
+    runs.append(["optimize", "--config", str(scene_b)])
     pairs = set()
 
     def record(frame, event, arg):
@@ -75,7 +79,7 @@ def calls(tmp_path_factory):
     sys.setprofile(record)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            codes = [main([*run, "--config", str(path), "--out", str(tmp_path / str(i))]) for i, run in enumerate(runs)]
+            codes = [main([*run, "--out", str(tmp_path / str(i))]) for i, run in enumerate(runs)]
     finally:
         sys.setprofile(None)
     assert codes == [0] * len(runs)
@@ -103,13 +107,14 @@ def test_one_kernel_per_clutter_matrix_and_split(tmp_path):
     # the kernel is made at unit sigma, so every clutter level reads it at its
     # own scale: a sweep decomposes each (N, carrier) pair once for all its
     # levels, and a detection command its one context's split once for all
-    # its cells; optimize and tradeoff decompose the split grid and the
-    # certificate's split
+    # its cells; optimize and tradeoff decompose the split grid, and the
+    # certificate's split, rho = 0.9, is a grid value bit for bit, so its
+    # audits read the grid's entry
     sc = reduced_scenario(ScenarioConfig())
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(sc.to_dict()))
     pairs = len(sc.sweep.antennas) * len(sc.sweep.carriers_ghz)
-    expected = {"scnr-sweep": pairs, "detection-sweep": 1, "validate": 1, "optimize": 2, "tradeoff": 2}
+    expected = {"scnr-sweep": pairs, "detection-sweep": 1, "validate": 1, "optimize": 1, "tradeoff": 1}
     init, kernels = InterferenceKernel.__init__.__code__, {}
     for command in expected:
         made = []
@@ -124,9 +129,11 @@ def test_one_kernel_per_clutter_matrix_and_split(tmp_path):
 
 
 def test_the_search_reads_the_split_forms_a_few_times(tmp_path):
-    # the bisection reads four levels of its tree per call of the split forms,
-    # and a tradeoff's rows and search share one build of them; at the default
-    # scenario the walk and two tree reads stand for the walk and 8 midpoints
+    # the search reads each split's crossing off its detection polynomial and
+    # calls the split forms once, on the power it settles and the one a
+    # tolerance below; a tradeoff's rows and search share one build of them.
+    # Its evaluations: every split at the ceiling and at those two powers, and
+    # one audit
     sc = ScenarioConfig()
     ctx, path = build_context(sc), tmp_path / "scenario.json"
     path.write_text(json.dumps(sc.to_dict()))
@@ -140,7 +147,7 @@ def test_the_search_reads_the_split_forms_a_few_times(tmp_path):
             assert main(["tradeoff", "--config", str(path), "--out", str(tmp_path / "tradeoff")]) == 0
     finally:
         sys.setprofile(None)
-    assert result.evaluations == 1188 and searched <= 3
+    assert result.evaluations == 3 * sc.optimizer.rho_points + 1 and searched == 1
     assert made.count(init) == 1
 
 
