@@ -1191,6 +1191,17 @@ class TestMemoryCeiling:
         for name in ("tradeoff", "optimum"):
             assert parse_table_csv(str(tmp_path / "tradeoff" / f"{name}.csv"), name)
 
+    @pytest.mark.parametrize("command", ["optimize", "tradeoff"])
+    def test_a_degree_65_detection_polynomial_fits_in_one_gib(self, tmp_path, command):
+        # N = L = 32 gives each split a polynomial of degree 2 min(N, L) + 1 = 65,
+        # its coefficients built in O(splits L k) memory
+        config = tmp_path / "square.json"
+        config.write_text(json.dumps({"array": {"n_antennas": 32}, "clutter": {"count": 32}}))
+        done = _run_capped([command, "--config", str(config), "--out", str(tmp_path / "square")], 1 << 30)
+        assert done.returncode == 0, done.stderr
+        (row,) = parse_table_csv(str(tmp_path / "square" / "optimum.csv"), "optimum")
+        assert row["feasible"]
+
     def test_optimize_at_6144_antennas_fits_in_one_gib(self, tmp_path):
         # the search decides from per-split terms of O(L) numbers and builds no
         # (powers, splits, N) record, so only the kernel and the audits scale with N
