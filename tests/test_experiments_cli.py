@@ -933,7 +933,7 @@ class TestCli:
         assert records[0]["feasible"] is False
 
     def test_tolerance_below_float_spacing_still_finishes(self, tmp_path, capsys):
-        # the bisection stops once the bracket cannot be split any further
+        # the settling stops once floats cannot split its bracket
         config = dict(CLI_CONFIG, optimizer={**CLI_CONFIG["optimizer"], "tol_factor": 1e-20})
         path = tmp_path / "tight.json"
         path.write_text(json.dumps(config))

@@ -395,7 +395,7 @@ class TestTradeoffSweep:
         assert rates[-1] > rates[0]
 
     def test_consistent_with_the_minimizer(self, fast_context, swept, solved):
-        # the marked grid power brackets the bisected optimum from above
+        # the marked grid power brackets the optimum from above
         idx = first_feasible_index(swept)
         tol_factor = fast_context.scenario.optimizer.tol_factor
         powers = swept["power_watts"]
