@@ -37,10 +37,8 @@ class LinkSinrs:
 
     def __init__(self, ctx, rho):
         comm = ctx.scenario.comm
-        if ctx._link_gains is None:  # they do not depend on the split, so a context keeps them
-            channels, directions = np.array([ctx.h_sd, ctx.h_sr]), np.array([ctx.comm_direction, ctx.radar_direction])
-            object.__setattr__(ctx, "_link_gains", np.abs(channels @ directions.T) ** 2)
-        (sd_u, sd_v), (sr_u, sr_v) = ctx._link_gains
+        channels, directions = np.array([ctx.h_sd, ctx.h_sr]), np.array([ctx.comm_direction, ctx.radar_direction])
+        (sd_u, sd_v), (sr_u, sr_v) = np.abs(channels @ directions.T) ** 2
         relay, data, noise = abs(ctx.h_rd) ** 2 * comm.relay_power_w, 1.0 - rho, comm.noise_var_dest_w
         self.terms = (data * sd_u, rho * sd_v, noise, relay * data * sr_u, noise * (data * sr_u + rho * sr_v),
                       comm.noise_var_relay_w * (relay + noise))

@@ -111,11 +111,11 @@ class SensingScene:
         splits or for stacked realizations."""
         if not 0.0 <= power_watts < np.inf:
             raise ValueError(f"power must lie in [0, inf), got {power_watts}")
-        if not np.logical_and(0.0 <= rho, rho <= 1.0).all():
+        if not np.all((0.0 <= rho) & (rho <= 1.0)):
             raise ValueError(f"power split must lie in [0, 1], got {rho}")
         u = np.sqrt((1.0 - rho) * power_watts)[..., None] * self.comm_direction
         v = np.sqrt(rho * power_watts)[..., None] * self.radar_direction
-        return np.concatenate((u[..., None, :], v[..., None, :]), axis=-2)
+        return np.stack((u, v), axis=-2)
 
     def at_sigma(self, sigma: float):
         """This scene at clutter amplitude scale sigma, sharing its unit-sigma kernels."""
@@ -172,10 +172,8 @@ class SimulationContext(SensingScene):
     h_sr: np.ndarray
     h_rd: complex
     symbols: np.ndarray
-    # the optimizer's split forms over the scenario's split grid, and the link's
-    # channel gains (comm_link.LinkSinrs), each made on first use
+    # the optimizer's split forms over the scenario's split grid, made on first use
     _split_forms: object = field(default=None, init=False, repr=False, compare=False)
-    _link_gains: object = field(default=None, init=False, repr=False, compare=False)
 
     def operating_point(self, power_watts: float, rho) -> OperatingPoint:
         """The record of power_watts at split rho, a float or a 1-D array of

@@ -11,7 +11,6 @@ forms, and the record where they leave an entry undecided, judge a power
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -50,14 +49,14 @@ def _polynomial(forms: _SplitForms) -> tuple[np.ndarray, np.ndarray, float]:
     coefficients in x = z P, k = min(N, L), z the largest sigma^2 lam (so
     each nu = sigma^2 lam / z <= 1); their rounding estimates; and z. The
     elementary symmetric recurrence gives D = prod_j (1 + nu_j x) and each D
-    without one factor in k steps, and Q_1 D and Q_2 D^2 follow."""
+    without one factor in k steps, and Q_1 D and Q_2 D^2 follow, in O(S L k)
+    memory."""
     sigma2, (splits, k) = forms.ctx.clutter.sigma * forms.ctx.clutter.sigma, forms.lam.shape
     nu = sigma2 * forms.lam
     z = float(np.max(nu, initial=0.0)) or 1.0
-    skip, product = _products(k)
     rows = np.zeros((splits, k + 1, k + 1))  # row 0: D; row 1 + j: D without factor j
     rows[..., 0] = 1.0
-    factors = (nu / z)[:, None, :] * skip
+    factors = (nu / z)[:, None, :] * (1.0 - np.eye(k + 1, k, -1))  # factor j left out of row 1 + j
     for i in range(k):
         rows[..., 1:] += rows[..., :-1] * factors[..., i, None]
     # with L >= N the rest r is 0 for every split, and so are ||r||^2 and e
@@ -65,29 +64,20 @@ def _polynomial(forms: _SplitForms) -> tuple[np.ndarray, np.ndarray, float]:
     q1 = (w[:, None, :] @ rows)[:, 0]  # Q_1 D
     # T_l = e_l D + sum_j conj(q_j) G_jl D_-j, the clutter amplitude times D, and its size
     e, q, g = (np.array((m, abs(m))) for m in (np.broadcast_to(forms.e, forms.dd.shape), forms.q, forms.g))
-    t = e[..., None] * rows[:, None, 0] + np.einsum("xsj,xsjl,sjm->xslm", q, g, rows[:, 1:])
+    t = e[..., None] * rows[:, None, 0] + g.swapaxes(-1, -2) @ (q[..., None] * rows[:, 1:])
     # outer products whose antidiagonal sums are the coefficients, of x (gain' Q_1^2 D^2 - sigma^2/z
-    # sum_l dd_l |T_l|^2) less ||r||^2 D^2 + sum_j |q_j|^2 D_-j^2, and then their sizes
-    pairs = np.empty((2, splits, 2, k + 1, k + 1))
-    pairs[:, :, 0] = (forms.gain / z / (forms.floor * forms.floor))[:, None, None] * q1[:, :, None] * q1[:, None, :]
-    pairs[:, :, 0] += _SIGNS * (sigma2 / z) * ((t * forms.dd[..., None]).swapaxes(-1, -2) @ t.conj()).real
-    pairs[:, :, 1] = _SIGNS * np.einsum("sjm,sj,sjn->smn", rows, w, rows)
-    poly, mag = pairs.reshape(2, splits, -1) @ product
+    # sum_l dd_l |T_l|^2) less ||r||^2 D^2 + sum_j |q_j|^2 D_-j^2, and then their sizes: the first
+    # one column right of the second, as x raises the degree, and each row padded with zeros, so
+    # that read at a width one less, row m moves m places right and the column sums are the
+    # antidiagonal sums
+    pairs = np.zeros((2, splits, k + 1, 2 * k + 3))
+    scale = forms.gain / z / (forms.floor * forms.floor)
+    pairs[..., 1 : k + 2] = scale[:, None, None] * q1[:, :, None] * q1[:, None, :]
+    pairs[..., 1 : k + 2] += _SIGNS * (sigma2 / z) * ((t * forms.dd[..., None]).swapaxes(-1, -2) @ t.conj()).real
+    pairs[..., : k + 1] += _SIGNS * ((rows * w[..., None]).swapaxes(-1, -2) @ rows)
+    flat = pairs.reshape(2, splits, -1)[..., : (k + 1) * (2 * k + 2)]
+    poly, mag = flat.reshape(2, splits, k + 1, 2 * k + 2).sum(axis=-2)
     return poly, _SAFETY * (3 * k + forms.dd.shape[-1] + 4) * _EPS * mag, z
-
-
-@functools.cache
-def _products(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """For k factors: the mask that leaves factor j out of row 1 + j, and the
-    matrix taking two outer products of coefficient vectors of degree k,
-    flattened side by side, to the coefficients of x times the first plus the
-    second."""
-    m = np.arange(k + 1)
-    product = np.zeros((2, k + 1, k + 1, 2 * k + 2))
-    product[0, m[:, None], m, m[:, None] + m + 1] = product[1, m[:, None], m, m[:, None] + m] = 1.0
-    skip, product = 1.0 - np.eye(k + 1, k, -1), product.reshape(-1, 2 * k + 2)
-    skip.flags.writeable = product.flags.writeable = False  # shared by every caller
-    return skip, product
 
 
 def _sensing(forms: _SplitForms, powers: np.ndarray, moments: bool = False) -> tuple[list[np.ndarray], np.ndarray]:

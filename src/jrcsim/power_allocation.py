@@ -87,10 +87,13 @@ class OptimizationResult:
 
 
 def _rho_grid(opt) -> np.ndarray:
-    """Inner split grid; a configured fixed split collapses it to one point."""
+    """Inner split grid; a configured fixed split collapses it to one point.
+    Each split i / (n - 1) is correctly rounded (linspace's i * step is not),
+    so one that 9 digits write exactly has the bits of its printed text, and
+    the certificate's record at that text reads the grid's kernel."""
     if opt.fixed_rho is not None:
         return np.array([float(opt.fixed_rho)])
-    return np.linspace(0.0, 1.0, opt.rho_points)
+    return np.arange(opt.rho_points) / (opt.rho_points - 1.0)
 
 
 def _deflection_floor(targets: TargetsSection) -> float:
@@ -236,9 +239,10 @@ def minimize_power(ctx: SimulationContext) -> OptimizationResult:
     upper, evaluations = _first_powers(forms, np.where(reach, np.clip(_rate_floor(forms), p_min, p_max), np.inf), p_max)
     if not np.isfinite(upper).any():
         return OptimizationResult(None, evaluations + reach.size)
-    # the least crossing, nudged past its rounding unless it is the floor
+    # the least crossing, nudged past its rounding unless it is the floor, and not past the ceiling
     hi = float(upper.min())
-    hi, at_hi, n = _settle(forms, hi * (1.0 + min(tol / 4.0, 1e-6)) if hi > p_min else hi, p_min, p_max, tol)
+    hi = min(hi * (1.0 + min(tol / 4.0, 1e-6)), p_max) if hi > p_min else hi
+    hi, at_hi, n = _settle(forms, hi, p_min, p_max, tol)
     if hi is None:
         return OptimizationResult(None, evaluations + reach.size + n)
     point, m = _certificate(ctx, hi, float(forms.rhos[np.argmax(at_hi)]))

@@ -70,6 +70,16 @@ MUTANTS = [
         new="p = np.where(b > 0.0, -(b + root) / (2.0 * a), 2.0 * c / (root - b))",
         killers=("tests/test_power_allocation.py::TestRateFloor::test_the_rate_test_turns_on_at_the_rate_floor",),
     ),
+    Mutant(
+        name="nudge-passes-the-ceiling",
+        path="src/jrcsim/power_allocation.py",
+        old="    hi = min(hi * (1.0 + min(tol / 4.0, 1e-6)), p_max) if hi > p_min else hi",
+        new="    hi = hi * (1.0 + min(tol / 4.0, 1e-6)) if hi > p_min else hi",
+        killers=(
+            "tests/test_power_allocation.py::TestMinimizePower::"
+            "test_a_rate_floor_just_under_the_ceiling_certifies_at_the_ceiling",
+        ),
+    ),
     # table emission: each float formatted once, a column at a time, and
     # written by a comma join
     Mutant(

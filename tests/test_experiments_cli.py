@@ -1202,6 +1202,18 @@ class TestMemoryCeiling:
         (row,) = parse_table_csv(str(tmp_path / "square" / "optimum.csv"), "optimum")
         assert row["feasible"]
 
+    def test_a_degree_661_detection_polynomial_fits_in_one_gib(self, tmp_path):
+        # N = L = 330 on 3 splits: each split's coefficients are the antidiagonal
+        # sums of a (k + 1) x (2k + 3) array, where one dense map from the outer
+        # products to the coefficients would take 32 (k + 1)^3 bytes, 1.08 GiB
+        config = tmp_path / "square.json"
+        raw = {"array": {"n_antennas": 330}, "clutter": {"count": 330}, "optimizer": {"rho_points": 3}}
+        config.write_text(json.dumps(raw))
+        done = _run_capped(["optimize", "--config", str(config), "--out", str(tmp_path / "square")], 1 << 30)
+        assert done.returncode == 0, done.stderr
+        (row,) = parse_table_csv(str(tmp_path / "square" / "optimum.csv"), "optimum")
+        assert row["feasible"]
+
     def test_optimize_at_6144_antennas_fits_in_one_gib(self, tmp_path):
         # the search decides from per-split terms of O(L) numbers and builds no
         # (powers, splits, N) record, so only the kernel and the audits scale with N

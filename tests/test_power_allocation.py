@@ -351,6 +351,23 @@ class TestMinimizePower:
         assert result.feasible
         assert result.point.rho == 0.9
 
+    def test_a_rate_floor_just_under_the_ceiling_certifies_at_the_ceiling(self, default_scenario):
+        # the rate turns on 3e-7 below a 40 dBm ceiling, 10 W on the 9-digit
+        # grid; the nudge past the crossing's rounding stops at the ceiling,
+        # where the certificate's first audit holds
+        sc = dataclasses.replace(
+            default_scenario,
+            optimizer=dataclasses.replace(default_scenario.optimizer, fixed_rho=0.9),
+            targets=dataclasses.replace(default_scenario.targets, p_max_dbm=40.0),
+        )
+        point = build_context(sc).operating_point(10.0 * (1.0 - 3e-7), 0.9)
+        rate = float(mrc_rate(point.gamma_direct, point.gamma_relayed))
+        ctx = build_context(dataclasses.replace(sc, targets=dataclasses.replace(sc.targets, rate_bps_hz=rate)))
+        assert dbm_to_watts(40.0) == 10.0
+        assert 10.0 / (1.0 + 1e-6) < _rate_floor(_SplitForms(ctx, np.array([0.9])))[0] < 10.0
+        result = minimize_power(ctx)
+        assert result.feasible and result.point.power_watts == 10.0 and result.point.feasible
+
 
 @pytest.fixture(scope="module")
 def swept(fast_context):
@@ -695,6 +712,15 @@ class TestOneDecompositionPerSplitGrid:
         tradeoff_sweep(build_context(default_scenario))
         assert counts["svd"] == 1
 
+    def test_a_certificate_at_a_split_linspace_rounds_reads_the_grid(self, counts):
+        # linspace puts 7 of the 21 default splits, 0.95 among them, one bit
+        # off their 9-digit texts; the grid's i / (n - 1) is each text's own
+        # double, so scenario B's certificate at rho = 0.95 reads the grid's kernel
+        assert all(canonical_float(rho) == rho for rho in _rho_grid(SCENARIO_B.optimizer).tolist())
+        result = minimize_power(build_context(SCENARIO_B))
+        assert result.point.rho == 0.95 and counts["evaluate_point"] >= 1
+        assert counts["svd"] == 1
+
     def test_evaluate_point(self, default_scenario, counts):
         ctx = build_context(default_scenario)
         evaluate_point(ctx, 2.0, 0.5, None)
@@ -894,7 +920,7 @@ class TestOptimizerProperties:
         assert np.all(crossings[gated] <= 1)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(optimizer_scenarios([1e-20, 1e-9, 1e-6, 1e-3, 1e-1]))
+    @given(optimizer_scenarios([1e-20, 1e-9, 1e-6, 1e-3, 1e-1, 2.0]))
     def test_emitted_certificate_revalidates(self, tmp_path_factory, sc):
         result = minimize_power(build_context(sc))
         sc = dataclasses.replace(sc, output=dataclasses.replace(sc.output, dir=str(tmp_path_factory.mktemp("optimum"))))
@@ -908,7 +934,7 @@ class TestOptimizerProperties:
             assert row["p_star_watts"] <= dbm_to_watts(sc.targets.p_max_dbm)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(optimizer_scenarios([1e-5, 1e-3, 1e-1]))
+    @given(optimizer_scenarios([1e-5, 1e-3, 1e-1, 2.0]))
     def test_optimum_is_tight_from_below(self, sc):
         # p* / (1 + tol_factor) is infeasible unless p* is the grid floor;
         # the tolerances stay well above the 9-digit grid p* is rounded onto
@@ -920,11 +946,11 @@ class TestOptimizerProperties:
 
 @st.composite
 def searches(draw):
-    """A random valid scene with drawn targets and tolerance. Half of them put
-    the detection floor inside a band where one split's deflection falls as
-    power rises, found on a scan of the record, as scenarios A and B do (N from
-    2 to 10, L >= N, sigma up to 10, P_FA up to 0.3), so feasibility need not
-    be monotone in power there."""
+    """A random valid scene with drawn targets and tolerance, 1e-20 settling on
+    float spacing and 2.0 at once. Half of them put the detection floor inside
+    a band where one split's deflection falls as power rises, found on a scan
+    of the record, as scenarios A and B do (N from 2 to 10, L >= N, sigma up to
+    10, P_FA up to 0.3), so feasibility need not be monotone in power there."""
     sc = _scenes(draw, ScenarioConfig())
     min_dbm = draw(_uniform(-40.0, 10.0))
     sc = dataclasses.replace(
@@ -939,8 +965,7 @@ def searches(draw):
         ),
         optimizer=dataclasses.replace(
             sc.optimizer,
-            rho_points=draw(st.sampled_from(range(2, 9))),
-            tol_factor=draw(st.sampled_from([1e-20, 1e-12, 1e-6, 1e-3, 1e-1])),
+            tol_factor=draw(st.sampled_from([1e-20, 1e-12, 1e-6, 1e-3, 1e-1, 2.0])),
             fixed_rho=draw(st.sampled_from([None, None, None, 0.3, 0.9])),
         ),
     )
@@ -968,9 +993,9 @@ def _with(sc, section, **changes):
 class TestExactSearch:
     """minimize_power assumes no monotonicity in power: its certified power
     is at most the first feasible power of a dense scan of the record, times
-    1 + tol, and p* (1 - tol) is infeasible at every split."""
+    1 + tol, and p* (1 - tol) and p* / (1 + tol) are infeasible at every split."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(searches())
     @example(SCENARIO_A)  # the island at rho = 0.35, between two coarse grid points
     @example(SCENARIO_B)  # feasible, infeasible and feasible again at rho = 0.95
@@ -997,8 +1022,9 @@ class TestExactSearch:
             assert result.feasible and handed[0] <= first * (1.0 + tol)
         if handed:
             assert not result.feasible or result.point.power_watts >= handed[0]
-            below = min(handed[0] * (1.0 - tol), math.nextafter(handed[0], 0.0))
-            assert below < p_min or first_feasible_split(ctx, below, rhos) is None
+            for below in (handed[0] * (1.0 - tol), handed[0] / (1.0 + tol)):
+                below = min(below, math.nextafter(handed[0], 0.0))
+                assert below < p_min or first_feasible_split(ctx, below, rhos) is None
 
     def test_a_replaced_context_builds_its_own_forms(self, default_context):
         # a context keeps the split forms of its first search, which hold its
