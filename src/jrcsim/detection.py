@@ -165,6 +165,17 @@ def _null_blocks(ctx: SimulationContext, point: OperatingPoint, trials: int, rng
         yield block
 
 
+def _count_hits(block, kappas, hits, mask):
+    """Add to hits[j] the trials of block at or above kappas[j], over
+    ascending kappas. Every trial is at or above the thresholds up to the
+    block's minimum and none is above its maximum, so only the thresholds in
+    between are counted, each by one comparison into the reused mask."""
+    first, last = np.searchsorted(kappas, (block.min(), block.max()), side="right")
+    hits[:first] += block.size
+    for j in range(first, last):
+        hits[j] += np.count_nonzero(np.greater_equal(block, kappas[j], out=mask))
+
+
 def roc_sweep(
     ctx: SimulationContext,
     point: OperatingPoint,
@@ -182,14 +193,14 @@ def roc_sweep(
     (common random numbers), so a single-point grid gives exactly that
     threshold's entries of any larger grid on the same stream, and the
     empirical curves inherit the analytic monotonicity in kappa. The trials
-    stream through one buffer in blocks of at most 2^16: each block of T_0 is
-    sorted in place, and one binary search counts its trials at or above every
-    threshold for P_FA; the block is then shifted in place by 2 |mu_1|^2 (T_1 =
-    T_0 + 2 |mu_1|^2 trial by trial, the target echo being deterministic) and
-    searched again for P_D. The integer hits summed over the blocks equal those
-    of one sort of all the trials. Both closed forms come from one Q call over
-    the stacked (2, K) arguments of P_FA and P_D, and both Wilson intervals
-    from one binomial_ci call over the stacked hits; each entry is computed as
+    stream through one buffer in blocks of at most 2^16: _count_hits counts
+    each block of T_0's trials at or above every threshold for P_FA; the block
+    is then shifted in place by 2 |mu_1|^2 (T_1 = T_0 + 2 |mu_1|^2 trial by
+    trial, the target echo being deterministic) and counted again for P_D. The
+    integer hits summed over the blocks equal those of one sort of all the
+    trials. Both closed forms come from one Q call over the stacked (2, K)
+    arguments of P_FA and P_D, and both Wilson intervals from one binomial_ci
+    call over the stacked hits; each entry is computed as
     false_alarm_probability, detection_probability or a one-rate binomial_ci
     computes it. The closed forms are NaN where mu_1 = 0.
     """
@@ -201,11 +212,11 @@ def roc_sweep(
     shift = _h1_shift(point.mu1_abs)
     # row 0 holds P_FA and row 1 P_D
     hits = np.zeros((2, kappas.size), dtype=np.intp)
+    mask = np.empty(min(trials, _BLOCK_TRIALS), dtype=bool)
     for block in _null_blocks(ctx, point, trials, rng):
-        block.sort()
-        hits[0] += block.size - np.searchsorted(block, kappas, side="left")
+        _count_hits(block, kappas, hits[0], mask[: block.size])
         block += shift
-        hits[1] += block.size - np.searchsorted(block, kappas, side="left")
+        _count_hits(block, kappas, hits[1], mask[: block.size])
     if point.mu1_abs:
         analytic = _tail(np.stack((kappas, kappas - shift)), _statistic_std(point.mu1_abs, point.sigma2))
     else:

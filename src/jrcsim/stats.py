@@ -142,23 +142,24 @@ def _float_texts(values) -> list[str]:
     if "e" in joined or "n" in joined:
         for i, text in enumerate(texts):
             if "e" in text:
-                texts[i] = _positional(values[i], text)
+                texts[i] = _positional(text)
             elif "n" in text:
                 texts[i] = np.format_float_positional(values[i], precision=9, unique=False, fractional=False, trim="-")
     return texts
 
 
-def _positional(x: float, text: str) -> str:
-    """x in positional form from its "%.9g" text, which has an exponent: at
-    most -5, where "%.*f" rounds x at the 9th digit's decimal place, as "%.9g"
-    did, with trailing zeros trimmed; or at least 9, where every digit of the
-    mantissa lies left of the point."""
+def _positional(text: str) -> str:
+    """A "%.9g" text with an exponent, written out in positional form from its
+    mantissa's digits, which "%.9g" has already rounded and trimmed: at an
+    exponent of at most -5 they follow "0." and -exp - 1 zeros; at 9 or more
+    they all lie left of the point, padded with zeros."""
     mantissa, exponent = text.split("e")
     exp = int(exponent)
-    if exp < 0:
-        return ("%.*f" % (8 - exp, x)).rstrip("0")
     sign, digits = ("-", mantissa[1:]) if mantissa[0] == "-" else ("", mantissa)
-    return sign + digits.replace(".", "").ljust(exp + 1, "0")
+    digits = digits.replace(".", "")
+    if exp < 0:
+        return sign + "0." + "0" * (-exp - 1) + digits
+    return sign + digits.ljust(exp + 1, "0")
 
 
 def float_text(x: float) -> str:

@@ -44,6 +44,8 @@ _PINNED_TEXTS = "tests/test_stats.py::TestFloatText::test_pinned_texts"
 _ROUNDED_ONCE = "tests/test_experiments_cli.py::TestTableTypes::test_each_float_is_rounded_once"
 _EXPERIMENTS = "src/jrcsim/experiments.py"
 _SCENARIO = "src/jrcsim/scenario.py"
+_DETECTION = "src/jrcsim/detection.py"
+_TIES = "tests/test_detection.py::TestBlockedStreaming::test_thresholds_on_and_beside_trial_values_count_as_one_full_draw"
 _VALIDATOR_ORACLE = "tests/test_scenario.py::TestValidatorOracle::test_a_corrupted_field_loads_as_the_reference[{}]"
 
 MUTANTS = [
@@ -141,6 +143,13 @@ MUTANTS = [
         killers=(_DRAGON4_ORACLE, _PINNED_TEXTS),
     ),
     Mutant(
+        name="negative-exponent-one-zero-short",
+        path="src/jrcsim/stats.py",
+        old='"0" * (-exp - 1)',
+        new='"0" * (-exp - 2)',
+        killers=(_DRAGON4_ORACLE, _PINNED_TEXTS),
+    ),
+    Mutant(
         name="table-written-over-in-place",
         path=_EXPERIMENTS,
         old="        os.remove(path)\n",
@@ -188,9 +197,25 @@ MUTANTS = [
         new="    if not isinstance(value, (int, float) if kind is float else int):\n",
         killers=(_VALIDATOR_ORACLE.format("config.seed"), _VALIDATOR_ORACLE.format("power.rho")),
     ),
+    # Monte Carlo hits: each block counts, for every threshold between its
+    # minimum and maximum, the trials at or above it
+    Mutant(
+        name="hit-count-strictly-above",
+        path=_DETECTION,
+        old="np.greater_equal(block, kappas[j], out=mask)",
+        new="np.greater(block, kappas[j], out=mask)",
+        killers=(_TIES,),
+    ),
+    Mutant(
+        name="pruning-drops-the-largest-trial",
+        path=_DETECTION,
+        old='(block.min(), block.max()), side="right")',
+        new='(block.min(), block.max()), side="left")',
+        killers=(_TIES,),
+    ),
     Mutant(
         name="rate-rows-swapped-in-the-closed-forms",
-        path="src/jrcsim/detection.py",
+        path=_DETECTION,
         old="np.stack((kappas, kappas - shift))",
         new="np.stack((kappas - shift, kappas))",
         killers=("tests/test_detection.py::TestSimulatedRates::test_closed_forms_are_the_scalar_closed_forms",),

@@ -515,6 +515,36 @@ class TestBlockedStreaming:
             for column, rates in expected.items():
                 assert curve[column].tobytes() == rates.tobytes(), (trials, column)
 
+    @pytest.mark.parametrize("name", ["30 dBm", "sigma 0"])
+    def test_thresholds_on_and_beside_trial_values_count_as_one_full_draw(self, name):
+        # each block counts only the thresholds between its minimum and its
+        # maximum: a grid on each block's minimum, maximum and one interior
+        # trial, under both hypotheses, and on their neighbouring floats, gives
+        # the hits of one full draw; so do grids wholly below every trial and
+        # wholly above every trial
+        run = cell(0.0) if name == "sigma 0" else cell(0.8)
+        trials = self.B + 5
+        t_h0 = run.sample(trials, seed=7)
+        t_h1 = t_h0 + 2.0 * np.float_power(run.point.mu1_abs, 2.0)
+        ties = []
+        for t in (t_h0, t_h1):
+            for block in (t[: self.B], t[self.B :]):
+                ties += [block.min(), block.max(), block[len(block) // 2]]
+        ties = np.array(ties)
+        lowest, highest = min(t_h0.min(), t_h1.min()), max(t_h0.max(), t_h1.max())
+        grids = {
+            "ties": np.unique(np.concatenate((ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf)))),
+            "below": np.nextafter(lowest, -np.inf) - np.array([1.0, 0.5, 0.0]) * abs(lowest),
+            "above": np.nextafter(highest, np.inf) + np.array([0.0, 0.5, 1.0]) * abs(highest),
+        }
+        curves = {grid: run.sweep(kappas, trials, seed=7) for grid, kappas in grids.items()}
+        for grid, kappas in grids.items():
+            expected = full_draw_rates(run.ctx, run.point, kappas, trials=trials, rng=np.random.default_rng(7))
+            for column, rates in expected.items():
+                assert curves[grid][column].tobytes() == rates.tobytes(), (grid, column)
+        for grid, rate in (("below", 1.0), ("above", 0.0)):
+            assert np.all(curves[grid]["pfa_mc"] == rate) and np.all(curves[grid]["pd_mc"] == rate)
+
 
 def degenerate_cell(name):
     """The context and operating point of a detection cell at 30 dBm on a

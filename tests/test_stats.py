@@ -317,6 +317,10 @@ class TestFloatText:
             (1.0e-4, "0.0001"),
             (-1.5e20, "-150000000000000000000"),
             (1.0e300, "1" + "0" * 300),
+            (9.9999999995e-06, "0.00001"),  # the 9-digit rounding carries into the exponent
+            (1.0e-05, "0.00001"),
+            (-1.23456789e-05, "-0.0000123456789"),
+            (2.2250738585072014e-308, "0." + "0" * 307 + "222507386"),  # the smallest normal double
             (5.0e-324, "0." + "0" * 323 + "494065646"),
             (0.0, "0"),
             (-0.0, "-0"),
