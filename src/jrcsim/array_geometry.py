@@ -81,8 +81,11 @@ def steering_vector(array: ArraySection, range_m: float, angle_rad: float) -> np
 
 
 def steering_matrix(array: ArraySection, ranges, angles) -> np.ndarray:
-    """(..., N, L) matrices whose column l is the steering vector at (ranges[..., l], angles[..., l])."""
-    n = element_index_offsets(array.n_antennas)[:, None]
-    r = np.asarray(ranges, dtype=float)[..., None, :]
-    theta = np.asarray(angles, dtype=float)[..., None, :]
-    return _fresnel_steering(array, n, r, theta)
+    """(..., N, L) matrices whose column l is the steering vector at (ranges[..., l], angles[..., l]).
+
+    The phases are formed on (..., L, N), element axis last, and come back as one
+    contiguous (..., N, L) copy, the layout the clutter products and the SVD read."""
+    n = element_index_offsets(array.n_antennas)
+    r = np.asarray(ranges, dtype=float)[..., None]
+    theta = np.asarray(angles, dtype=float)[..., None]
+    return np.ascontiguousarray(_fresnel_steering(array, n, r, theta).swapaxes(-1, -2))

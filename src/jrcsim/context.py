@@ -194,33 +194,35 @@ def build_scene(scenario: ScenarioConfig, *, scene_keys, streams: Streams | None
     own after the scene passes none, and the scene makes its own."""
     streams = Streams() if streams is None else streams
     target, comm, model, array, seed = scenario.target, scenario.comm, scenario.path_loss, scenario.array, scenario.seed
-    count, keys = scenario.clutter.count, list(scene_keys)
+    count, keys = scenario.clutter.count, np.asarray(scene_keys)
+    lo, hi = keys.min(), keys.max()  # one check for every key, as stream_id checks one
+    if not 0 <= lo <= hi < 1 << _INDEX_BITS:
+        raise ValueError(f"stream index out of range: {lo if lo < 0 else hi}")
 
     # a realization keys only the streams it draws from, the phase and clutter ones
     # of all realizations in one pass per kind; given no draws the reflectivity has
     # zero phase and a channel is line of sight
     def ids(kind):
-        return [stream_id(kind, key) for key in keys]
+        return (kind << _INDEX_BITS) | keys
 
     phases = streams.first_doubles(seed, ids(KIND_TARGET_PHASE), 1)[:, 0] if target.phase == "uniform" else None
-    placed = ids(KIND_SCENE) if count else []
-    draws = streams.first_doubles(seed, placed, 2 * count) if placed else np.empty((len(keys), 0))
-    ranges, angles = make_clutter_scene(scenario, draws, placed)
+    draws = streams.first_doubles(seed, ids(KIND_SCENE), 2 * count) if count else np.empty((len(keys), 0))
+    ranges, angles = make_clutter_scene(scenario, draws, ids(KIND_SCENE))
     rayleigh = comm.fading == "rayleigh"
     channels = [derive_stream(seed, i) for i in ids(KIND_CHANNEL)] if rayleigh else [None] * len(keys)
     # h_sd is a channel stream's first draw; under LoS one deterministic h_sd serves all
-    h_sd = [
+    h_sd = np.array([
         synthesize_comm_channel(array, model, comm.destination_range_m, comm.destination_angle_rad, rng)
         for rng in (channels if rayleigh else [None])
-    ]
-    copies = len(channels) // len(h_sd)
+    ])
+    copies = len(keys) // len(h_sd)
     a = steering_vector(array, target.range_m, target.angle_rad)
     return SensingScene(
         alpha0=np.full(len(keys), target_reflectivity(scenario, phases)), target_steering=a,
         clutter=ClutterSteering(steering_matrix(array, ranges, angles), scenario.clutter.sigma),
-        h_sd=np.array(h_sd * copies),
-        comm_direction=np.array([np.conj(h) / np.linalg.norm(h) for h in h_sd] * copies),
-        radar_direction=np.array([np.conj(a) / np.linalg.norm(a)] * len(channels)),
+        h_sd=np.repeat(h_sd, copies, axis=0),
+        comm_direction=np.repeat([np.conj(h) / np.linalg.norm(h) for h in h_sd], copies, axis=0),
+        radar_direction=np.repeat([np.conj(a) / np.linalg.norm(a)], len(keys), axis=0),
     ), channels
 
 

@@ -214,46 +214,44 @@ def _spread_on_mean_grid(std: float, mean: float) -> float:
     return round(std / unit) * unit
 
 
-def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: int, powers_w) -> list:
-    """(level, SCNR curves (realizations, powers)) for each clutter level of one (N, carrier) pair,
+def _level_curves(scenario: ScenarioConfig, n: int, f_ghz: float, pair_index: int, powers_w) -> np.ndarray:
+    """SCNR curves (realizations, clutter levels, powers) of one (N, carrier) pair,
     from one stacked sensing scene of the pair's realizations, with none of the relay
     channels or symbols of a full context. A level is a scale of the scene's one
     unit-sigma kernel, as a power is, so one call scores every level at once."""
     # sweep.realizations is at most 2^24, so no two pairs share a key
-    keys = [(pair_index << 24) | r for r in range(scenario.sweep.realizations)]
+    keys = (pair_index << 24) | np.arange(scenario.sweep.realizations)
     cell = dataclasses.replace(scenario, array=dataclasses.replace(scenario.array, n_antennas=n, carrier_ghz=f_ghz))
     scene, _ = build_scene(cell, scene_keys=keys)
-    levels = scenario.sweep.clutter_levels
-    curves = scene.average_scnr_curve(scenario.power.rho, powers_w, [CLUTTER_LEVELS[level] for level in levels])
-    return [(level, curves[:, i]) for i, level in enumerate(levels)]
+    sigmas = [CLUTTER_LEVELS[level] for level in scenario.sweep.clutter_levels]
+    return scene.average_scnr_curve(scenario.power.rho, powers_w, sigmas)
 
 
 def run_scnr_sweep(scenario: ScenarioConfig) -> list[SweepTable]:
     """SCNR versus power per (antennas, carrier, clutter) cell, plus summary."""
     powers_dbm = scenario.power_grid_dbm()
     powers_w = np.array([dbm_to_watts(p) for p in powers_dbm])
-    realizations = scenario.sweep.realizations
+    realizations, levels = scenario.sweep.realizations, scenario.sweep.clutter_levels
 
     blocks, summary = [], []
     pairs = itertools.product(scenario.sweep.antennas, scenario.sweep.carriers_ghz)
     for pair_index, (n, f_ghz) in enumerate(pairs):
-        level_means = {}
-        for level, scnr in _level_curves(scenario, n, f_ghz, pair_index, powers_w):
-            db = 10.0 * np.log10(scnr)
-            # one reduction per statistic; on the contiguous transpose each row sums as its column alone does
-            columns = np.ascontiguousarray(db.T)
-            means = np.mean(columns, axis=1).tolist()
-            stds = np.std(columns, axis=1, ddof=1).tolist() if realizations > 1 else [0.0] * len(means)
+        curves = _level_curves(scenario, n, f_ghz, pair_index, powers_w)
+        # (level, power, realization), contiguous: each row sums as that column of one level alone does
+        db = 10.0 * np.log10(np.ascontiguousarray(np.moveaxis(curves, 0, -1)))
+        stds = np.std(db, axis=-1, ddof=1) if realizations > 1 else np.zeros(db.shape[:-1])
+        for level, means, spreads in zip(levels, np.mean(db, axis=-1).tolist(), stds.tolist()):
             blocks.append({
                 "power_dbm": powers_dbm,
                 "n_antennas": n,
                 "carrier_ghz": f_ghz,
                 "clutter": level,
                 "scnr_db_mean": means,
-                "scnr_db_std": [_spread_on_mean_grid(std, mean) for std, mean in zip(stds, means)],
+                "scnr_db_std": [_spread_on_mean_grid(std, mean) for std, mean in zip(spreads, means)],
                 "realizations": realizations,
             })
-            level_means[level] = float(np.mean(db))
+        # each level's mean over its (realization, power) block, summed in that order
+        level_means = dict(zip(levels, np.mean(np.ascontiguousarray(db.swapaxes(1, 2)), axis=(1, 2)).tolist()))
         if {"none", "intense"} <= level_means.keys():
             clear, error = level_means["none"], level_means["none"] - level_means["intense"]
             summary.append({"carrier_ghz": f_ghz, "n_antennas": n, "mean_scnr_db": clear, "error_db": error})

@@ -23,6 +23,9 @@ once, through the thin SVD of B diag(g_1)^(1/2): at most L basis vectors carry t
 clutter, W is I on their complement, and L >= N leaves no complement. So
 a^H W^-1 a and y^H W^-1 y follow in O(N L) for a whole vector of scales, and
 W^-1 y at any one, every clutter level and power alike, never forming I + s M.
+The quadratic form adds its k = min(N, L) basis terms in basis order, one order
+for every stack and set of scales: NumPy's pairwise last-axis sum for k <= 7,
+bit for bit, and a different rounding within the same bound for k >= 8.
 A scene keeps one kernel per split (SensingScene.unit_kernel), the only place
 one is made, and scores its symbol-averaged SCNR curves on it
 (SensingScene.average_scnr_curve).
@@ -111,10 +114,19 @@ class InterferenceKernel:
         return r + _matvec(self._vecs, z / (1.0 + scale * self._lam))
 
     def quadratic(self, y: np.ndarray, scales=(1.0,)) -> np.ndarray:
-        """y^H W(s)^-1 y for each scale s of a 1-D sequence: shape (..., len(scales))."""
+        """y^H W(s)^-1 y for each scale s of a 1-D sequence: shape (..., len(scales)).
+
+        The terms |z_j|^2 / (1 + s lam_j) are formed with the basis axis first, so
+        their elementwise steps loop over the scales, and are added in basis order:
+        one order for every stack, layout and set of scales. For k <= 7 terms that
+        is the pairwise order of a last-axis np.sum, bit for bit; for k >= 8 it
+        rounds differently, within the same (k - 1) eps relative bound on k
+        nonnegative terms."""
         r, z = self._split(y)
-        energy = (z.real**2 + z.imag**2)[..., None, :]
-        clutter = np.sum(energy / (1.0 + np.asarray(scales)[:, None] * self._lam[..., None, :]), axis=-1)
+        energy = np.moveaxis(z.real**2 + z.imag**2, -1, 0)[..., None]
+        terms = energy / (1.0 + np.asarray(scales) * np.moveaxis(self._lam, -1, 0)[..., None])
+        # not np.sum(axis=0): it adds pairwise where the basis axis is the fastest, as at one scale
+        clutter = sum(terms, np.zeros(terms.shape[1:]))
         return np.sum(r.real**2 + r.imag**2, axis=-1)[..., None] + clutter
 
 

@@ -44,6 +44,7 @@ _PINNED_TEXTS = "tests/test_stats.py::TestFloatText::test_pinned_texts"
 _ROUNDED_ONCE = "tests/test_experiments_cli.py::TestTableTypes::test_each_float_is_rounded_once"
 _EXPERIMENTS = "src/jrcsim/experiments.py"
 _SCENARIO = "src/jrcsim/scenario.py"
+_KERNEL = "src/jrcsim/radar_sensing.py"
 _DETECTION = "src/jrcsim/detection.py"
 _TIES = "tests/test_detection.py::TestBlockedStreaming::test_thresholds_on_and_beside_trial_values_count_as_one_full_draw"
 _VALIDATOR_ORACLE = "tests/test_scenario.py::TestValidatorOracle::test_a_corrupted_field_loads_as_the_reference[{}]"
@@ -167,7 +168,7 @@ MUTANTS = [
     # bound holds only when every scatterer is counted
     Mutant(
         name="projected-power-drops-a-scatterer",
-        path="src/jrcsim/radar_sensing.py",
+        path=_KERNEL,
         old="return np.sum(self.sigma * self.sigma * per_scatterer, axis=-1)",
         new="return np.sum(self.sigma * self.sigma * per_scatterer[..., 1:], axis=-1)",
         killers=(
@@ -219,6 +220,32 @@ MUTANTS = [
         old="np.stack((kappas, kappas - shift))",
         new="np.stack((kappas - shift, kappas))",
         killers=("tests/test_detection.py::TestSimulatedRates::test_closed_forms_are_the_scalar_closed_forms",),
+    ),
+    # the stacked sweep scene: every realization's column and terms are its own,
+    # and a scale's quadratic adds its basis terms in one order whatever else is stacked
+    Mutant(
+        name="steering-matrix-drops-the-swap",
+        path="src/jrcsim/array_geometry.py",
+        old="np.ascontiguousarray(_fresnel_steering(array, n, r, theta).swapaxes(-1, -2))",
+        new="np.ascontiguousarray(_fresnel_steering(array, n, r, theta))",
+        killers=("tests/test_array_geometry.py::TestSteeringMatrix::test_each_column_is_the_steering_vector_at_its_position",),
+    ),
+    Mutant(
+        name="quadratic-pairs-another-realizations-lam",
+        path=_KERNEL,
+        old="np.moveaxis(self._lam, -1, 0)[..., None]",
+        new="np.moveaxis(np.flip(self._lam, tuple(range(self._lam.ndim - 1))), -1, 0)[..., None]",
+        killers=("tests/test_experiments_cli.py::TestStackedLevels::test_matches_the_per_realization_loop",),
+    ),
+    Mutant(
+        name="quadratic-sum-order-follows-the-layout",
+        path=_KERNEL,
+        old="clutter = sum(terms, np.zeros(terms.shape[1:]))",
+        new="clutter = np.sum(terms, axis=0)",
+        killers=(
+            "tests/test_radar_sensing.py::TestInterferenceKernel::"
+            "test_a_stacked_quadratic_is_each_kernel_alone_at_each_scale",
+        ),
     ),
 ]
 

@@ -8,8 +8,10 @@ steering phases against the closed half-wavelength form.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jrcsim.array_geometry import array_constants, element_index_offsets, steering_vector
+from jrcsim.array_geometry import array_constants, element_index_offsets, steering_matrix, steering_vector
 from jrcsim.scenario import ArraySection
 from oracles import aperture, exact_distance, fraunhofer_distance, fresnel_distance
 
@@ -170,6 +172,31 @@ class TestSteeringVector:
         for e_r, e_2r in zip(errs, errs[1:]):
             ratio = e_r / e_2r  # exact 1/r decay would give 2
             assert 2.0 / 1.5 < ratio < 2.0 * 1.5
+
+
+class TestSteeringMatrix:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_each_column_is_the_steering_vector_at_its_position(self, data):
+        # square arrays (N = L) come up often: only there would a matrix laid out
+        # (..., L, N) still have the shape of a (..., N, L) one
+        n = data.draw(st.integers(1, 12), label="n")
+        count = data.draw(st.one_of(st.just(n), st.integers(1, 12)), label="count")
+        stack = data.draw(st.sampled_from([(), (1,), (3,), (2, 2)]), label="stack")
+        array = ArraySection(
+            n_antennas=n,
+            carrier_ghz=data.draw(st.sampled_from([2.8, 28.0]), label="carrier"),
+            spacing_m=data.draw(st.sampled_from([None, 0.004, 0.05]), label="spacing"),
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        ranges = rng.uniform(0.5, 50.0, stack + (count,))
+        angles = rng.uniform(0.0, np.pi, stack + (count,))
+        matrix = steering_matrix(array, ranges, angles)
+        assert matrix.shape == stack + (n, count)
+        assert matrix.flags.c_contiguous
+        for index in np.ndindex(stack + (count,)):
+            column = matrix[index[:-1] + (slice(None), index[-1])]
+            assert np.array_equal(column, steering_vector(array, ranges[index], angles[index]))
 
 
 class TestFraunhoferDistance:

@@ -38,6 +38,18 @@ class TestStreamIds:
             with pytest.raises(ValueError):
                 stream_id(1, bad)
 
+    @pytest.mark.parametrize("bad", [-1, 1 << 48])
+    def test_scene_keys_out_of_range_refused_as_stream_id_refuses(self, bad):
+        # the scene keys its streams as one array, with one range check for all of them
+        message = f"^stream index out of range: {bad}$"
+        with pytest.raises(ValueError, match=message):
+            stream_id(KIND_SCENE, bad)
+        with pytest.raises(ValueError, match=message):
+            build_scene(ScenarioConfig(), scene_keys=(0, bad, 1))
+        with pytest.raises(ValueError, match=message):
+            build_context(ScenarioConfig(), scene_key=bad)
+        build_scene(ScenarioConfig(), scene_keys=(0, (1 << 48) - 1))
+
 
 class TestLevelMapping:
     def test_named_levels(self):

@@ -11,9 +11,9 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jrcsim.array_geometry import steering_vector
+from jrcsim.array_geometry import steering_matrix, steering_vector
 from jrcsim.context import SensingScene
-from jrcsim.radar_sensing import InterferenceKernel, draw_symbols, waveform_from_symbols
+from jrcsim.radar_sensing import ClutterSteering, InterferenceKernel, draw_symbols, waveform_from_symbols
 from jrcsim.scenario import ArraySection
 from oracles import (
     average_scnr,
@@ -307,6 +307,33 @@ class TestInterferenceKernel:
         if not count:
             for s in (0.0, 1.0, 1e6):
                 assert np.array_equal(kernel.solve(y, s), y)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 12),
+        st.integers(1, 4),
+        st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    # k = min(N, L) >= 8 terms with L >= N, so no rest masks their sum: np.sum over
+    # the basis axis would add them in order beside other scales but pairwise at one
+    # scale alone, as the memory layout of its terms differs
+    @example(9, 10, 3, [-2.0, 0.0], 7)
+    def test_a_stacked_quadratic_is_each_kernel_alone_at_each_scale(self, n, count, stack, exponents, seed):
+        rng = np.random.default_rng(seed)
+        cfg = ArraySection(n_antennas=n, carrier_ghz=28.0)
+        matrix = steering_matrix(cfg, rng.uniform(1.0, 20.0, (stack, count)), rng.uniform(0.1, 3.0, (stack, count)))
+        beams = rng.standard_normal((stack, 2, n)) + 1j * rng.standard_normal((stack, 2, n))
+        gains = ClutterSteering(matrix, 1.0).gains(beams)
+        scales, a = 10.0 ** np.array(exponents), steering_vector(cfg, *TARGET)
+        stacked = InterferenceKernel(ClutterSteering(matrix, 1.0), gains).quadratic(a, scales)
+        assert stacked.shape == (stack, len(scales))
+        for r in range(stack):
+            alone = InterferenceKernel(ClutterSteering(matrix[r], 1.0), gains[r])
+            assert np.array_equal(stacked[r], alone.quadratic(a, scales))
+            for j, scale in enumerate(scales):
+                assert np.array_equal(stacked[r, j : j + 1], alone.quadratic(a, [scale]))
 
 
 class TestWaveform:
