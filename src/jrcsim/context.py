@@ -195,9 +195,9 @@ def build_scene(scenario: ScenarioConfig, *, scene_keys, streams: Streams | None
     streams = Streams() if streams is None else streams
     target, comm, model, array, seed = scenario.target, scenario.comm, scenario.path_loss, scenario.array, scenario.seed
     count, keys = scenario.clutter.count, np.asarray(scene_keys)
-    lo, hi = keys.min(), keys.max()  # one check for every key, as stream_id checks one
-    if not 0 <= lo <= hi < 1 << _INDEX_BITS:
-        raise ValueError(f"stream index out of range: {lo if lo < 0 else hi}")
+    if not 0 <= keys.min() <= keys.max() < 1 << _INDEX_BITS:  # one check for every key, as stream_id checks one
+        for key in scene_keys:  # keys of 2^63 or more beside smaller ones make keys float64, so name
+            stream_id(KIND_SCENE, key)  # the first key out of range exactly, as stream_id refuses it
 
     # a realization keys only the streams it draws from, the phase and clutter ones
     # of all realizations in one pass per kind; given no draws the reflectivity has

@@ -4,9 +4,10 @@ The rate test of a split turns on at the one positive root of a quadratic in
 P (_rate_floor). Deflection >= floor changes only at the positive roots of a
 polynomial in P (_polynomial), whose signs, where Descartes' rule allows at
 most one root, place that root on a log-power grid (_first_powers); the other
-splits take their roots from companion eigenvalues (_crossings). The split
-forms, and the record where they leave an entry undecided, judge a power
-(_verdicts), and _settle has them confirm the search's answer.
+splits take their roots from companion eigenvalues (_crossings). _sensing
+alone decides entries, from the forms or the record of a row they leave
+undecided; _verdicts tests their rate and floor, and _settle confirms the
+search's answer with them. _SplitForms.reaches counts every entry read.
 """
 
 from __future__ import annotations
@@ -80,35 +81,34 @@ def _polynomial(forms: _SplitForms) -> tuple[np.ndarray, np.ndarray, float]:
     return poly, _SAFETY * (3 * k + forms.dd.shape[-1] + 4) * _EPS * mag, z
 
 
-def _sensing(forms: _SplitForms, powers: np.ndarray, moments: bool = False) -> tuple[list[np.ndarray], np.ndarray]:
-    """Over 1-D powers x the forms' splits, each (M, S), as the forms read
-    them: the live flags and the deflections, then with moments |mu_1| and
-    sigma^2; and the rows (M,) with an entry the forms leave undecided, whose
-    columns only the OperatingPoint record of that power decides."""
+def _sensing(forms: _SplitForms, powers: np.ndarray) -> list[np.ndarray]:
+    """Over 1-D powers x the forms' splits, the decided (M, S) columns: the
+    live flags, the deflections, |mu_1| and sigma^2. The forms give each
+    value, except on a row with an entry they leave undecided (within _BAND
+    of the floor, or of too large a rounding estimate), which the
+    OperatingPoint record of its power gives whole."""
     p = powers[:, None]
     deflection, q1, q2, error = forms(p)
-    columns = [np.repeat(forms.live[None], powers.size, axis=0), deflection]
-    if moments:
-        columns += [forms.mu1_unit * p * q1, forms.cc * p * q2]
+    columns = [np.repeat(forms.live[None], powers.size, axis=0), deflection, forms.mu1_unit * p * q1, forms.cc * p * q2]
     near = ~(_SAFETY * error <= _BAND / 1000.0)
     if math.isfinite(forms.floor):
         near |= abs(deflection - forms.floor) <= _BAND * abs(forms.floor)
-    return columns, near.any(axis=-1)
+    for m in np.flatnonzero(near.any(axis=-1)):
+        point = forms.ctx.operating_point(float(powers[m]), forms.rhos)
+        for column, value in zip(columns, (point.mu1_abs > 0.0, point.deflection, point.mu1_abs, point.sigma2)):
+            column[m] = value
+    return columns
 
 
 def _verdicts(forms: _SplitForms, powers: np.ndarray) -> np.ndarray:
     """The feasible mask over 1-D powers x the forms' splits, (M, S): the SINR
-    sum reaches 2^r - 1 and mu_1 is live with the deflection at the floor. The
-    sensing forms run only on the rows where some split reaches the rate, and
-    the record of a power decides each row the forms leave undecided."""
+    sum reaches 2^r - 1 and, in _sensing's columns of the rows where some
+    split does, mu_1 is live with the deflection at the floor."""
     ok = forms.reaches(powers)
     rows = np.flatnonzero(ok.any(axis=-1))
     if rows.size:
-        (live, deflection), near = _sensing(forms, powers[rows])
+        live, deflection, _, _ = _sensing(forms, powers[rows])
         ok[rows] &= live & (deflection >= forms.floor)
-        for m in rows[near]:
-            point = forms.ctx.operating_point(float(powers[m]), forms.rhos)
-            ok[m] = forms.reaches(powers[m : m + 1])[0] & (point.mu1_abs > 0.0) & (point.deflection >= forms.floor)
     return ok
 
 
@@ -136,17 +136,16 @@ def _descartes(poly: np.ndarray, error: np.ndarray) -> tuple[np.ndarray, np.ndar
     return ~(unknown | falls).any(axis=-1), (signs > 0.0).any(axis=-1)
 
 
-def _first_powers(forms: _SplitForms, lo: np.ndarray, p_max: float) -> tuple[np.ndarray, int]:
+def _first_powers(forms: _SplitForms, lo: np.ndarray, p_max: float) -> np.ndarray:
     """Each split's least feasible power in [lo, p_max] where it can be the
-    least of them, an upper bound on it elsewhere, inf where it has none; and
-    the entries the verdicts read. As h(0) < 0, a split whose polynomial has
-    at most one positive root rises through the floor once or never: one
-    log-power grid, shared by those splits, puts each crossing in a cell, and
-    Newton steps in log P refine the cells that can hold the least. The other
-    splits go to _crossings."""
+    least of them, an upper bound on it elsewhere, inf where it has none. As
+    h(0) < 0, a split whose polynomial has at most one positive root rises
+    through the floor once or never: one log-power grid, shared by those
+    splits, puts each crossing in a cell, and Newton steps in log P refine the
+    cells that can hold the least. The other splits go to _crossings."""
     upper = np.where(forms.live, lo, np.inf)
     if not forms.floor > 0.0:  # a live split meets a floor of 0 or below at any power
-        return upper if forms.floor < np.inf else np.full(lo.shape, np.inf), 0
+        return upper if forms.floor < np.inf else np.full(lo.shape, np.inf)
     with np.errstate(all="ignore"):
         poly, error, z = _polynomial(forms)
         gated, rising = _descartes(poly, error)
@@ -167,20 +166,19 @@ def _first_powers(forms: _SplitForms, lo: np.ndarray, p_max: float) -> tuple[np.
             value, slope = _values(pair, z * np.exp(u)[:, None])[..., 0]
             u = np.fmin(np.fmax(u - value / slope, a), b)  # a step of nan stays in the cell
         upper[cell] = np.exp(u)
-    if not rest.size:
-        return upper, 0
-    upper[rest], evaluations = _crossings(forms, poly, error, z, lo[rest], p_max, rest)
-    return upper, evaluations
+    if rest.size:
+        upper[rest] = _crossings(forms, poly, error, z, lo[rest], p_max, rest)
+    return upper
 
 
 def _crossings(forms: _SplitForms, poly, error, z: float, lo: np.ndarray, p_max: float, rest: np.ndarray):
     """The least feasible power in [lo, p_max] (inf where none) of the splits
-    rest, whose polynomials may cross the floor more than once, and the
-    entries the verdicts read. The candidate crossings are the positive,
-    nearly real roots: reciprocal eigenvalues of the companion matrix of the
-    reversed polynomial, monic by h(0) != 0. The polynomial's sign at an
-    interior power decides each interval between them, or the verdicts where
-    that sign lies within the evaluation's rounding."""
+    rest, whose polynomials may cross the floor more than once. The candidate
+    crossings are the positive, nearly real roots: reciprocal eigenvalues of
+    the companion matrix of the reversed polynomial, monic by h(0) != 0. The
+    polynomial's sign at an interior power decides each interval between
+    them, or the verdicts where that sign lies within the evaluation's
+    rounding."""
     n = poly.shape[-1] - 1
     companion = np.zeros((rest.size, n, n))
     companion[:, 0], companion[:, 1:, :-1] = -poly[rest, 1:] / poly[rest, :1], np.eye(n - 1)
@@ -196,39 +194,34 @@ def _crossings(forms: _SplitForms, poly, error, z: float, lo: np.ndarray, p_max:
     feasible, undecided = where & (value >= 0.0), where & ~(np.abs(value) > bound)
     ok = _verdicts(forms, mids[undecided])
     feasible[undecided] = ok[np.arange(ok.shape[0]), np.broadcast_to(rest[:, None], mids.shape)[undecided]]
-    return np.where(feasible.any(axis=-1), ends[np.arange(rest.size), np.argmax(feasible, axis=-1)], np.inf), ok.size
+    return np.where(feasible.any(axis=-1), ends[np.arange(rest.size), np.argmax(feasible, axis=-1)], np.inf)
 
 
 def _settle(forms: _SplitForms, hi: float, p_min: float, p_max: float, tol: float):
     """A power the verdicts call feasible at some split while they call it
     over (1 + tol), or the float below it, infeasible at every split (or it
-    lies below p_min); its verdicts; the entries read. One call reads hi and
-    the power below it; where they disagree, doubling log steps find a
-    bracket, bisected at its geometric midpoint until hi <= lo (1 + tol) or
-    floats cannot split it. None for the power when none up to p_max is."""
+    lies below p_min), and its verdicts, each entry counted where
+    forms.reaches reads it. One call reads hi and the power below it; where
+    they disagree, doubling log steps find a bracket, bisected at its
+    geometric midpoint until hi <= lo (1 + tol) or floats cannot split it.
+    None for the power when none up to p_max is."""
     lo, step = min(hi / (1.0 + tol), math.nextafter(hi, 0.0)), max(tol, 4.0 * _EPS)
-    (at_lo, at_hi), evaluations = _verdicts(forms, np.array([lo, hi])), 2 * forms.rhos.size
+    at_lo, at_hi = _verdicts(forms, np.array([lo, hi]))
     at_lo = at_lo if lo >= p_min else None
-
-    def probe(p):
-        nonlocal evaluations
-        evaluations += forms.rhos.size
-        return _verdicts(forms, np.array([p]))[0]
-
     while not at_hi.any() or (at_lo is not None and at_lo.any()):
         if not at_hi.any():  # the crossing lies above hi
             if not hi < p_max:
-                return None, at_hi, evaluations
+                return None, at_hi
             lo, at_lo, hi = hi, at_hi, min(hi * (1.0 + step), p_max)
-            at_hi = probe(hi)
+            at_hi = _verdicts(forms, np.array([hi]))[0]
         else:  # it lies below lo
             hi, at_hi, lo = lo, at_lo, max(lo / (1.0 + step), p_min)
-            at_lo = probe(lo) if lo < hi else None
+            at_lo = _verdicts(forms, np.array([lo]))[0] if lo < hi else None
         step *= 2.0
     while at_lo is not None and hi > lo * (1.0 + tol) and lo < (mid := math.sqrt(lo * hi)) < hi:
-        row = probe(mid)
+        row = _verdicts(forms, np.array([mid]))[0]
         if row.any():
             hi, at_hi = mid, row
         else:
             lo = mid
-    return hi, at_hi, evaluations
+    return hi, at_hi

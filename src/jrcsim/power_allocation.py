@@ -75,8 +75,8 @@ class EvaluatedPoint:
 @dataclass(frozen=True)
 class OptimizationResult:
     """The certified point, None when no power up to the ceiling is feasible,
-    and the evaluations spent: the (P, rho) entries the split forms or the
-    record decided, plus one per certificate audit."""
+    and the evaluations spent: the (P, rho) entries the search read, each
+    counted by _SplitForms.reaches, plus one per certificate audit."""
 
     point: EvaluatedPoint | None
     evaluations: int
@@ -116,7 +116,7 @@ class _SplitForms:
     def __init__(self, ctx: SimulationContext, rhos: np.ndarray):
         self.ctx, self.rhos, targets = ctx, rhos, ctx.scenario.targets
         self.threshold, self.floor = rate_threshold(targets.rate_bps_hz), _deflection_floor(targets)
-        self.link = LinkSinrs(ctx, rhos)
+        self.link, self.entries = LinkSinrs(ctx, rhos), 0  # entries: every (power, split) reaches read
         self.lam = None  # made with the other sensing terms by _sense, on the first call
 
     def _sense(self) -> None:
@@ -137,8 +137,10 @@ class _SplitForms:
         self.d_mag, self.spread = np.sqrt(self.dd) * x_scale[..., None], math.sqrt(a.size * (q.shape[-1] + 1))
 
     def reaches(self, powers: np.ndarray) -> np.ndarray:
-        """Whether gamma_sd + gamma_rd reaches 2^r - 1, over 1-D powers x splits."""
+        """Whether gamma_sd + gamma_rd reaches 2^r - 1, over 1-D powers x
+        splits; each entry adds one to entries, the search's one count."""
         gamma_sd, gamma_rd = self.link(powers[:, None])
+        self.entries += gamma_sd.size
         return gamma_sd + gamma_rd >= self.threshold
 
     def __call__(self, power_watts):
@@ -231,39 +233,31 @@ def minimize_power(ctx: SimulationContext) -> OptimizationResult:
     scenario, tol = ctx.scenario, ctx.scenario.optimizer.tol_factor
     p_min, p_max = dbm_to_watts(scenario.power.min_dbm), dbm_to_watts(scenario.targets.p_max_dbm)
     forms = _split_forms(ctx)  # reduced once; the search and the tradeoff rows read it
+    start, hi, point, audits = forms.entries, math.inf, None, 0
     reach = forms.reaches(np.array([p_max]))[0]
-    if not reach.any():  # decided before any sensing term is made
-        return OptimizationResult(None, reach.size)
-    if forms.lam is None:
-        forms._sense()
-    upper, evaluations = _first_powers(forms, np.where(reach, np.clip(_rate_floor(forms), p_min, p_max), np.inf), p_max)
-    if not np.isfinite(upper).any():
-        return OptimizationResult(None, evaluations + reach.size)
-    # the least crossing, nudged past its rounding unless it is the floor, and not past the ceiling
-    hi = float(upper.min())
-    hi = min(hi * (1.0 + min(tol / 4.0, 1e-6)), p_max) if hi > p_min else hi
-    hi, at_hi, n = _settle(forms, hi, p_min, p_max, tol)
-    if hi is None:
-        return OptimizationResult(None, evaluations + reach.size + n)
-    point, m = _certificate(ctx, hi, float(forms.rhos[np.argmax(at_hi)]))
-    return OptimizationResult(point, evaluations + reach.size + n + m)
+    if reach.any():  # decided before any sensing term is made
+        if forms.lam is None:
+            forms._sense()
+        lo = np.where(reach, np.clip(_rate_floor(forms), p_min, p_max), np.inf)
+        hi = float(_first_powers(forms, lo, p_max).min())
+    if hi < math.inf:
+        # the least crossing, nudged past its rounding unless it is the floor, and not past the ceiling
+        hi = min(hi * (1.0 + min(tol / 4.0, 1e-6)), p_max) if hi > p_min else hi
+        hi, at_hi = _settle(forms, hi, p_min, p_max, tol)
+        if hi is not None:
+            point, audits = _certificate(ctx, hi, float(forms.rhos[np.argmax(at_hi)]))
+    return OptimizationResult(point, forms.entries - start + audits)
 
 
 def _tradeoff_record(forms: _SplitForms, powers: np.ndarray) -> dict:
     """The tradeoff rows of a 1-D array of powers, as arrays keyed by
-    tradeoff_sweep's columns, from the forms over powers x ascending splits,
-    read as the search reads them (_sensing, and the record on the rows it
-    leaves undecided), with |mu_1| and sigma^2, which only these rows read.
+    tradeoff_sweep's columns, from _sensing's decided columns over powers x
+    ascending splits, the ones the search's verdicts read.
     Each row takes the rate of its first split and kappa_fa, P_D and P_FA at
     its live split of largest deflection, in one closed-form call per column;
     a row with no live split reads rho = rhos[0] and kappa = P_D = P_FA = 0."""
     pfa_max, rhos = forms.ctx.scenario.targets.pfa_max, forms.rhos
-    columns, near = _sensing(forms, powers, moments=True)
-    for m in np.flatnonzero(near):
-        point = forms.ctx.operating_point(float(powers[m]), rhos)
-        for column, value in zip(columns, (point.mu1_abs > 0.0, point.deflection, point.mu1_abs, point.sigma2)):
-            column[m] = value
-    live, deflection, mu1_abs, sigma2 = columns
+    live, deflection, mu1_abs, sigma2 = _sensing(forms, powers)
     # P_D at the false-alarm threshold grows with the deflection; argmax takes
     # the first maximum, so ties go to the smallest rho, and a row with no
     # live split to rhos[0]
@@ -276,11 +270,10 @@ def _tradeoff_record(forms: _SplitForms, powers: np.ndarray) -> dict:
     # gamma_sd + gamma_rd falls strictly in rho (so the rate does too), and the
     # grid starts at rho = 0 or is the one fixed split: the fastest is column 0
     gamma_sd, gamma_rd = forms.link(powers[:, None])
-    sensed = live & (deflection >= forms.floor)
     return {
         "power_watts": powers, "rho": rhos[sharpest[:, 0]], "kappa": kappa,
         "rate_bps_hz": mrc_rate(gamma_sd[:, 0], gamma_rd[:, 0]), "pd": pd, "pfa": pfa,
-        "feasible": ((gamma_sd + gamma_rd >= forms.threshold) & sensed).any(axis=-1),
+        "feasible": ((gamma_sd + gamma_rd >= forms.threshold) & live & (deflection >= forms.floor)).any(axis=-1),
     }
 
 

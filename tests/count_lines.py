@@ -1,9 +1,12 @@
-"""Size of the package source: lines, code lines, docstring lines and the summed __all__.
+"""Size of the package source: lines, code lines, docstring lines, the summed
+__all__ and the largest module's AST.
 
 Every src/jrcsim/*.py file is read with ast and tokenize. A code line holds a
 token outside comments and docstrings; a docstring line is a line of a module,
 class or function docstring. The summed __all__ adds the lengths of the
-__all__ lists of every module, the package's __init__ included.
+__all__ lists of every module, the package's __init__ included. The largest
+module is the one whose ast.walk yields the most nodes; it sets the peak
+memory of compiling the package on import.
 
     python tests/count_lines.py            # this tree's src/
     python tests/count_lines.py ROOT ...   # the src/ of other trees
@@ -61,16 +64,22 @@ def count_file(path: str) -> dict[str, int]:
         "code_lines": len(code),
         "docstring_lines": len(doc_lines),
         "summed_all": _exported(tree),
+        "ast_nodes": sum(1 for _ in ast.walk(tree)),
     }
 
 
-def count_tree(root: str) -> dict[str, int]:
-    """The sums of count_file over the root's src/jrcsim/*.py."""
+def count_tree(root: str) -> dict:
+    """The sums of count_file over the root's src/jrcsim/*.py, but for the
+    AST nodes: the name and node count of the module with the most."""
     totals = {"src_lines": 0, "code_lines": 0, "docstring_lines": 0, "summed_all": 0}
+    nodes = {}
     for path in sorted(glob.glob(os.path.join(root, "src", "jrcsim", "*.py"))):
-        for key, value in count_file(path).items():
+        counts = count_file(path)
+        nodes[os.path.basename(path)] = counts.pop("ast_nodes")
+        for key, value in counts.items():
             totals[key] += value
-    return totals
+    largest = max(nodes, key=nodes.get)
+    return {**totals, "largest_module": largest, "largest_ast_nodes": nodes[largest]}
 
 
 if __name__ == "__main__":

@@ -73,6 +73,21 @@ MUTANTS = [
         new="p = np.where(b > 0.0, -(b + root) / (2.0 * a), 2.0 * c / (root - b))",
         killers=("tests/test_power_allocation.py::TestRateFloor::test_the_rate_test_turns_on_at_the_rate_floor",),
     ),
+    # one place decides each (power, split) entry and one place counts it
+    Mutant(
+        name="sensing-trusts-the-forms-on-a-near-row",
+        path=_SEARCH,
+        old="    for m in np.flatnonzero(near.any(axis=-1)):\n",
+        new="    for m in []:\n",
+        killers=("tests/test_power_allocation.py::TestNearTies::test_a_floor_on_the_record_deflection",),
+    ),
+    Mutant(
+        name="entries-count-powers-not-pairs",
+        path="src/jrcsim/power_allocation.py",
+        old="self.entries += gamma_sd.size",
+        new="self.entries += powers.size",
+        killers=("tests/test_surface.py::test_the_search_reads_the_split_forms_a_few_times",),
+    ),
     Mutant(
         name="nudge-passes-the-ceiling",
         path="src/jrcsim/power_allocation.py",

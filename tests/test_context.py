@@ -38,9 +38,11 @@ class TestStreamIds:
             with pytest.raises(ValueError):
                 stream_id(1, bad)
 
-    @pytest.mark.parametrize("bad", [-1, 1 << 48])
+    @pytest.mark.parametrize("bad", [-1, 1 << 48, (1 << 63) + 1])
     def test_scene_keys_out_of_range_refused_as_stream_id_refuses(self, bad):
-        # the scene keys its streams as one array, with one range check for all of them
+        # the scene keys its streams as one array, with one range check for all
+        # of them; a key of 2^63 or more beside smaller ones makes that array
+        # float64, and the error still names the key exactly
         message = f"^stream index out of range: {bad}$"
         with pytest.raises(ValueError, match=message):
             stream_id(KIND_SCENE, bad)

@@ -1032,6 +1032,17 @@ class TestExactSearch:
         assert minimize_power(default_context).feasible
         assert not minimize_power(with_targets(default_context, rate_bps_hz=30.0)).feasible
 
+    @pytest.mark.parametrize("scenario", [ScenarioConfig(), SCENARIO_A, SCENARIO_B], ids=["default", "A", "B"])
+    def test_the_count_does_not_depend_on_what_the_shared_forms_read(self, scenario):
+        # the shared forms count every entry any reader tests; a search reports
+        # the entries it tested itself, whatever a tradeoff's rows or an earlier
+        # search read on them first
+        fresh, warm = minimize_power(build_context(scenario)), build_context(scenario)
+        tradeoff_sweep(warm)
+        minimize_power(warm)
+        again = minimize_power(warm)
+        assert again.evaluations == fresh.evaluations and again.point == fresh.point
+
 
 class TestFeasibilityIsNotMonotone:
     """Scenario A, where feasibility is not monotone in power."""
