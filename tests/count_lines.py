@@ -1,12 +1,13 @@
 """Size of the package source: lines, code lines, docstring lines, the summed
-__all__ and the largest module's AST.
+__all__, the number of modules and the largest module's AST.
 
 Every src/jrcsim/*.py file is read with ast and tokenize. A code line holds a
 token outside comments and docstrings; a docstring line is a line of a module,
 class or function docstring. The summed __all__ adds the lengths of the
-__all__ lists of every module, the package's __init__ included. The largest
-module is the one whose ast.walk yields the most nodes; it sets the peak
-memory of compiling the package on import.
+__all__ lists of every module, the package's __init__ included; modules
+counts the src/jrcsim/*.py files. The largest module is the one whose
+ast.walk yields the most nodes; it sets the peak memory of compiling the
+package on import.
 
     python tests/count_lines.py            # this tree's src/
     python tests/count_lines.py ROOT ...   # the src/ of other trees
@@ -69,8 +70,8 @@ def count_file(path: str) -> dict[str, int]:
 
 
 def count_tree(root: str) -> dict:
-    """The sums of count_file over the root's src/jrcsim/*.py, but for the
-    AST nodes: the name and node count of the module with the most."""
+    """The sums of count_file over the root's src/jrcsim/*.py, their number,
+    and for the AST nodes the name and node count of the module with the most."""
     totals = {"src_lines": 0, "code_lines": 0, "docstring_lines": 0, "summed_all": 0}
     nodes = {}
     for path in sorted(glob.glob(os.path.join(root, "src", "jrcsim", "*.py"))):
@@ -79,7 +80,7 @@ def count_tree(root: str) -> dict:
         for key, value in counts.items():
             totals[key] += value
     largest = max(nodes, key=nodes.get)
-    return {**totals, "largest_module": largest, "largest_ast_nodes": nodes[largest]}
+    return {**totals, "modules": len(nodes), "largest_module": largest, "largest_ast_nodes": nodes[largest]}
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ class Mutant:
 
 
 _DENSE_SCAN = "tests/test_power_allocation.py::TestExactSearch::test_p_star_is_the_first_feasible_power_of_a_dense_scan"
-_SEARCH = "src/jrcsim/crossings.py"
+_SEARCH = "src/jrcsim/power_allocation.py"
 _DRAGON4_ORACLE = "tests/test_stats.py::TestFloatText::test_matches_dragon4_on_every_finite_double"
 _PINNED_TEXTS = "tests/test_stats.py::TestFloatText::test_pinned_texts"
 _ROUNDED_ONCE = "tests/test_experiments_cli.py::TestTableTypes::test_each_float_is_rounded_once"

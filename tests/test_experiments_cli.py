@@ -129,6 +129,8 @@ class TestCanonicalFloat:
         assert float_text(999.99999999) == "1000"
         assert digit_unit(999.99999999) == 1e-5 == digit_unit(1000.0)
         assert float_text(_spread_on_mean_grid(3.62e-5, 999.99999999)) == "0.00004"
+        # a mean of exactly 0 has no grid, and its spread is left as it is
+        assert _spread_on_mean_grid(3.62e-5, 0.0) == 3.62e-5
 
 
 class TestScnrSweep:

@@ -27,12 +27,19 @@ from jrcsim.detection import (
     statistic_moments,
 )
 from jrcsim.experiments import _optimum_table, emit_outputs, run_detection_sweep, run_tradeoff, run_validation
-from jrcsim.crossings import _BAND, _SAFETY, _descartes, _polynomial, _rate_floor, _verdicts
 from jrcsim.power_allocation import (
+    _BAND,
+    _SAFETY,
     OptimizationResult,
     _SplitForms,
+    _certificate,
+    _descartes,
+    _polynomial,
+    _rate_floor,
     _rho_grid,
+    _settle,
     _tradeoff_record,
+    _verdicts,
     evaluate_point,
     minimize_power,
     tradeoff_sweep,
@@ -322,6 +329,23 @@ class TestMinimizePower:
         ctx = with_targets(fast_context, rate_bps_hz=0.0, pfa_max=0.5, pd_min=1.0)
         assert not minimize_power(ctx).feasible
         assert not tradeoff_sweep(ctx)["feasible"].any()
+        # the floor is +inf, so settling from any power climbs to the ceiling and stops there
+        sc = ctx.scenario
+        forms = _SplitForms(ctx, _rho_grid(sc.optimizer))
+        p_min, p_max = dbm_to_watts(sc.power.min_dbm), dbm_to_watts(sc.targets.p_max_dbm)
+        assert forms.floor == math.inf and p_min < 1.0 < p_max
+        hi, row = _settle(forms, 1.0, p_min, p_max, 1e-3)
+        assert hi is None and row.shape == forms.rhos.shape and not row.any()
+
+    def test_a_certificate_past_the_ceiling_is_none(self, default_context):
+        # no split reaches 30 b/s/Hz, so no candidate is accepted; p_max (1 - 1e-7)
+        # lies about 40 grid units under the ceiling, room for the candidates 0,
+        # 1, 3, 7, 15 and 31 units up, and p_max itself rounds up past it
+        ctx = with_targets(default_context, rate_bps_hz=30.0)
+        p_max = dbm_to_watts(ctx.scenario.targets.p_max_dbm)
+        assert _certificate(ctx, p_max * (1.0 - 1e-7), 0.9) == (None, 6)
+        assert canonical_ceil(p_max) > p_max
+        assert _certificate(ctx, p_max, 0.9) == (None, 0)
 
     def test_unreachable_rate_floor_is_infeasible(self, fast_context):
         result = minimize_power(with_targets(fast_context, rate_bps_hz=40.0))
