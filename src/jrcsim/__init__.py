@@ -8,31 +8,3 @@ rate, false-alarm, and detection constraints.
 """
 
 __version__ = "0.1.0"
-
-from .context import build_context
-from .experiments import (
-    emit_outputs,
-    run_detection_sweep,
-    run_optimize,
-    run_scnr_sweep,
-    run_tradeoff,
-    run_validation,
-)
-from .power_allocation import evaluate_point, minimize_power, tradeoff_sweep
-from .scenario import ScenarioConfig, load_scenario
-
-__all__ = [
-    "__version__",
-    "ScenarioConfig",
-    "load_scenario",
-    "build_context",
-    "evaluate_point",
-    "minimize_power",
-    "tradeoff_sweep",
-    "run_scnr_sweep",
-    "run_detection_sweep",
-    "run_tradeoff",
-    "run_optimize",
-    "run_validation",
-    "emit_outputs",
-]

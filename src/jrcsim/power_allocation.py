@@ -9,13 +9,15 @@ exactly when the deflection sqrt(2)|mu_1|/sigma reaches Q^-1(P_FA,max) -
 Q^-1(P_D,min), at the false-alarm threshold.
 
 minimize_power finds p*, the least power in [P_min, P_max] (the power grid's
-floor and the ceiling) at which some split of the optimizer's grid is
-feasible, without assuming feasibility is monotone in P. It settles on hi
+floor and the last 9-significant-digit power at or under the ceiling, so no
+power the tables cannot print is searched) at which some split of the
+optimizer's grid is feasible, without assuming feasibility is monotone in P;
+none where P_max lies below P_min. It settles on hi
 with p* <= hi <= p* (1 + tol_factor), feasible at its split, while
 hi / (1 + tol_factor) is infeasible at every split; ties go to the smaller
 rho. Its certificate is the triple the tables print, power and kappa rounded
 up onto the 9-significant-digit grid, that evaluate_point accepts, or None
-when no power up to the ceiling is feasible. tradeoff_sweep gives, at each
+when no power up to P_max is feasible. tradeoff_sweep gives, at each
 power of the scenario's dBm grid, the best rate, the best detection
 probability under the false-alarm cap, and whether the targets hold jointly.
 
@@ -40,7 +42,7 @@ from .detection import (
 )
 from .radar_sensing import waveform_from_symbols
 from .scenario import ScenarioConfig, dbm_to_watts, watts_to_dbm
-from .stats import canonical_ceil, canonical_float, digit_unit, inverse_q
+from .stats import canonical_ceil, canonical_float, canonical_floor, digit_unit, inverse_q
 
 __all__ = [
     "EvaluatedPoint",
@@ -412,17 +414,18 @@ def evaluate_point(
     )
 
 
-def _certificate(ctx: SimulationContext, power_watts: float, rho: float) -> tuple[EvaluatedPoint | None, int]:
+def _certificate(ctx: SimulationContext, power: float, rho: float, p_max: float) -> tuple[EvaluatedPoint | None, int]:
     """The first triple on the 9-significant-digit emission grid that
-    evaluate_point accepts, and the evaluations spent; None past the ceiling.
+    evaluate_point accepts, and the evaluations spent; None past the ceiling
+    p_max, a grid value.
     Power rounds up onto the grid, to p_0, and each candidate is one
     evaluate_point whose record gives kappa_fa, rounded up onto the grid too,
     and is audited at it; rounding kappa up can drop P_D below its floor. The
     candidates are p_0, p_0 + u, p_0 + 3u, p_0 + 7u, ..., the step doubling
     from one grid unit u, so grid powers between them (p_0 + 2u, p_0 + 4u, ...)
     are never tried, and the power returned need not be the least accepted."""
-    rho, p_max = canonical_float(rho), dbm_to_watts(ctx.scenario.targets.p_max_dbm)
-    p, units, evaluations = canonical_ceil(power_watts), 1, 0
+    rho = canonical_float(rho)
+    p, units, evaluations = canonical_ceil(power), 1, 0
     while p <= p_max:
         point = evaluate_point(ctx, p, rho, None)
         evaluations += 1
@@ -436,11 +439,11 @@ def minimize_power(ctx: SimulationContext) -> OptimizationResult:
     """Smallest power whose best (rho, kappa) satisfies every target of the
     context's scenario."""
     scenario, tol = ctx.scenario, ctx.scenario.optimizer.tol_factor
-    p_min, p_max = dbm_to_watts(scenario.power.min_dbm), dbm_to_watts(scenario.targets.p_max_dbm)
+    p_min, p_max = dbm_to_watts(scenario.power.min_dbm), canonical_floor(dbm_to_watts(scenario.targets.p_max_dbm))
     forms = _split_forms(ctx)  # reduced once; the search and the tradeoff rows read it
     start, hi, point, audits = forms.entries, math.inf, None, 0
     reach = forms.reaches(np.array([p_max]))[0]
-    if reach.any():  # decided before any sensing term is made
+    if reach.any() and p_min <= p_max:  # decided before any sensing term is made
         if forms.lam is None:
             forms._sense()
         lo = np.where(reach, np.clip(_rate_floor(forms), p_min, p_max), np.inf)
@@ -450,7 +453,7 @@ def minimize_power(ctx: SimulationContext) -> OptimizationResult:
         hi = min(hi * (1.0 + min(tol / 4.0, 1e-6)), p_max) if hi > p_min else hi
         hi, at_hi = _settle(forms, hi, p_min, p_max, tol)
         if hi is not None:
-            point, audits = _certificate(ctx, hi, float(forms.rhos[np.argmax(at_hi)]))
+            point, audits = _certificate(ctx, hi, float(forms.rhos[np.argmax(at_hi)]), p_max)
     return OptimizationResult(point, forms.entries - start + audits)
 
 

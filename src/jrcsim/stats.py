@@ -17,6 +17,7 @@ __all__ = [
     "float_text",
     "canonical_float",
     "canonical_ceil",
+    "canonical_floor",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -135,16 +136,14 @@ def _float_texts(values) -> list[str]:
     One "%.9g" formatting of the whole sequence gives that text for every |x|
     whose rounding lies in [1e-4, 1e9). Outside that range "%.9g" puts an
     exponent on the same 9 rounded digits, and _positional writes them out.
-    Only inf and nan take Dragon4."""
+    "%.9g" writes nan, inf and -inf as Dragon4 does."""
     joined = "%.9g\n" * len(values) % tuple(values)
     texts = joined.split("\n")
     texts.pop()
-    if "e" in joined or "n" in joined:
+    if "e" in joined:
         for i, text in enumerate(texts):
             if "e" in text:
                 texts[i] = _positional(text)
-            elif "n" in text:
-                texts[i] = np.format_float_positional(values[i], precision=9, unique=False, fractional=False, trim="-")
     return texts
 
 
@@ -187,3 +186,9 @@ def canonical_ceil(x: float) -> float:
     if not d:
         return 0.0
     return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 8), rounding=ROUND_CEILING))
+
+
+def canonical_floor(x: float) -> float:
+    """The largest 9-significant-digit value at or below x, the mirror of
+    canonical_ceil."""
+    return 0.0 - canonical_ceil(-x)

@@ -98,6 +98,16 @@ MUTANTS = [
             "test_a_rate_floor_just_under_the_ceiling_certifies_at_the_ceiling",
         ),
     ),
+    Mutant(
+        name="ceiling-off-the-grid",
+        path=_SEARCH,
+        old="canonical_floor(dbm_to_watts(scenario.targets.p_max_dbm))",
+        new="dbm_to_watts(scenario.targets.p_max_dbm)",
+        killers=(
+            "tests/test_power_allocation.py::TestMinimizePower::"
+            "test_an_off_grid_ceiling_certifies_its_last_printable_power",
+        ),
+    ),
     # table emission: each float formatted once, a column at a time, and
     # written by a comma join
     Mutant(
@@ -147,8 +157,8 @@ MUTANTS = [
     Mutant(
         name="exponent-texts-kept",
         path="src/jrcsim/stats.py",
-        old='if "e" in joined or "n" in joined:',
-        new='if "n" in joined:',
+        old='    if "e" in joined:\n',
+        new="    if False:\n",
         killers=(_DRAGON4_ORACLE, _PINNED_TEXTS),
     ),
     Mutant(

@@ -53,6 +53,7 @@ from jrcsim.stats import (
     Streams,
     canonical_ceil,
     canonical_float,
+    canonical_floor,
     derive_stream,
     digit_unit,
     float_text,
@@ -115,12 +116,19 @@ class TestCanonicalFloat:
         assert canonical_ceil(-1.0 / 3.0) == -0.333333333
         assert canonical_ceil(999999999.5) == 1e9
         assert canonical_ceil(0.0) == 0.0
+        # and its mirror, the next grid value down
+        assert canonical_floor(1.0 / 3.0) == 0.333333333
+        assert canonical_floor(-1.0 / 3.0) == -0.333333334
+        assert canonical_floor(-999999999.5) == -1e9
+        assert math.copysign(1.0, canonical_floor(-0.0)) == 1.0
         rng = np.random.default_rng(1)
         for _ in range(500):
             x = float(rng.standard_normal() * 10.0 ** rng.integers(-30, 30))
-            up = canonical_ceil(x)
+            up, down = canonical_ceil(x), canonical_floor(x)
             assert up >= x and canonical_float(up) == up
             assert up == canonical_float(x) or canonical_float(x) < x
+            assert down <= x and canonical_float(down) == down
+            assert down == canonical_float(x) or canonical_float(x) > x
 
     def test_the_digit_unit_is_that_of_the_printed_text(self):
         # 999.99999999 prints as 1000, whose 9th significant digit is 1e-5, not

@@ -46,7 +46,7 @@ from jrcsim.power_allocation import (
 )
 from jrcsim.radar_sensing import waveform_from_symbols
 from jrcsim.scenario import ConfigError, ScenarioConfig, TargetsSection, dbm_to_watts
-from jrcsim.stats import canonical_ceil, canonical_float, inverse_q, q_function
+from jrcsim.stats import canonical_ceil, canonical_float, canonical_floor, inverse_q, q_function
 from oracles import (
     average_scnr,
     clutter_covariance,
@@ -339,13 +339,15 @@ class TestMinimizePower:
 
     def test_a_certificate_past_the_ceiling_is_none(self, default_context):
         # no split reaches 30 b/s/Hz, so no candidate is accepted; p_max (1 - 1e-7)
-        # lies about 40 grid units under the ceiling, room for the candidates 0,
-        # 1, 3, 7, 15 and 31 units up, and p_max itself rounds up past it
+        # lies about 40 grid units under the ceiling p_max, the grid value under
+        # 46 dBm, room for the candidates 0, 1, 3, 7, 15 and 31 units up, and
+        # 46 dBm itself rounds up past it
         ctx = with_targets(default_context, rate_bps_hz=30.0)
-        p_max = dbm_to_watts(ctx.scenario.targets.p_max_dbm)
-        assert _certificate(ctx, p_max * (1.0 - 1e-7), 0.9) == (None, 6)
-        assert canonical_ceil(p_max) > p_max
-        assert _certificate(ctx, p_max, 0.9) == (None, 0)
+        ceiling = dbm_to_watts(ctx.scenario.targets.p_max_dbm)
+        p_max = canonical_floor(ceiling)
+        assert _certificate(ctx, p_max * (1.0 - 1e-7), 0.9, p_max) == (None, 6)
+        assert canonical_ceil(ceiling) > ceiling
+        assert _certificate(ctx, ceiling, 0.9, p_max) == (None, 0)
 
     def test_unreachable_rate_floor_is_infeasible(self, fast_context):
         result = minimize_power(with_targets(fast_context, rate_bps_hz=40.0))
@@ -391,6 +393,37 @@ class TestMinimizePower:
         assert 10.0 / (1.0 + 1e-6) < _rate_floor(_SplitForms(ctx, np.array([0.9])))[0] < 10.0
         result = minimize_power(ctx)
         assert result.feasible and result.point.power_watts == 10.0 and result.point.feasible
+
+    def test_an_off_grid_ceiling_certifies_its_last_printable_power(self, default_scenario):
+        # the 46 dBm ceiling, 39.810717055 W, prints as 39.8107171, above it;
+        # the rate turns on 3e-9 below it, past 39.8107169, so the search stops
+        # at the last printable power under the ceiling, 39.810717, and the
+        # certificate holds there
+        sc = dataclasses.replace(
+            default_scenario, optimizer=dataclasses.replace(default_scenario.optimizer, fixed_rho=0.9)
+        )
+        ceiling = dbm_to_watts(sc.targets.p_max_dbm)
+        point = build_context(sc).operating_point(ceiling * (1.0 - 3e-9), 0.9)
+        rate = float(mrc_rate(point.gamma_direct, point.gamma_relayed))
+        ctx = build_context(dataclasses.replace(sc, targets=dataclasses.replace(sc.targets, rate_bps_hz=rate)))
+        assert rate == 5.074927282373557 and canonical_ceil(ceiling) > ceiling
+        assert not evaluate_point(ctx, 39.8107169, 0.9, None).meets_rate
+        result = minimize_power(ctx)
+        assert result.feasible and result.point.power_watts == 39.810717 == canonical_floor(ceiling)
+        certificate = result.point
+        assert evaluate_point(ctx, certificate.power_watts, certificate.rho, certificate.kappa).feasible
+
+    def test_no_printable_power_between_the_floor_and_the_ceiling_is_infeasible(self, default_scenario):
+        # P_min, at 46 - 1e-12 dBm, lies between 39.810717, the last printable
+        # power under the 46 dBm ceiling, and the ceiling: the targets hold at
+        # P_min, yet no power the tables can print lies in [P_min, P_max], and
+        # none below P_min is certified
+        power = dataclasses.replace(default_scenario.power, min_dbm=46.0 - 1e-12, max_dbm=47.0)
+        ctx = build_context(dataclasses.replace(default_scenario, power=power))
+        p_min, ceiling = dbm_to_watts(power.min_dbm), dbm_to_watts(ctx.scenario.targets.p_max_dbm)
+        assert canonical_floor(ceiling) < p_min < ceiling
+        assert evaluate_point(ctx, p_min, 0.9, None).feasible
+        assert minimize_power(ctx).point is None
 
 
 @pytest.fixture(scope="module")
@@ -1038,7 +1071,7 @@ class TestExactSearch:
         ctx, rhos, tol = build_context(sc), _rho_grid(sc.optimizer), sc.optimizer.tol_factor
         p_min, p_max = dbm_to_watts(sc.power.min_dbm), dbm_to_watts(sc.targets.p_max_dbm)
         handed, certify = [], power_allocation._certificate
-        with mock.patch.object(power_allocation, "_certificate", lambda c, p, r: handed.append(p) or certify(c, p, r)):
+        with mock.patch.object(power_allocation, "_certificate", lambda c, p, r, m: handed.append(p) or certify(c, p, r, m)):
             result = minimize_power(ctx)
         scan = np.geomspace(p_min, p_max, 300)
         first = next((p for p in scan.tolist() if first_feasible_split(ctx, p, rhos) is not None), None)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, erfcinv
 
@@ -300,6 +300,9 @@ class TestFloatText:
             max_size=24,
         )
     )
+    # nan and both infinities in one column with exponent texts, which "%.9g"
+    # writes as Dragon4 does
+    @example(xs=[math.nan, math.inf, -math.inf, -math.nan, np.float64(math.nan), 1.5e-7, 2.5e12])
     def test_matches_dragon4_on_every_finite_double(self, xs):
         texts = [dragon4_text(x) for x in xs]
         assert _float_texts(xs) == texts

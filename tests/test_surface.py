@@ -3,7 +3,8 @@ every interference kernel comes from the scene, once per clutter matrix and
 split whatever the clutter levels, the power search reads its split forms a
 few times from one build, the link SINRs have exactly two readers, each
 emitted float is formatted once (a detection command's never by Dragon4),
-and the package runs on NumPy and the standard library alone.
+the package runs on NumPy and the standard library alone, and it re-exports
+nothing, so importing a module loads only what that module imports.
 
 All five commands run on the reduced scenario (and optimize in JSON form,
 and on scenario B) under sys.setprofile, which records the code object of every Python frame
@@ -206,13 +207,33 @@ print(json.dumps([on_import, code, scipy_modules()]))
 """
 
 
+IMPORT_PROBE = """
+import json, sys
+loaded = lambda prefixes: sorted(m for m in sys.modules if m.split(".")[0] in prefixes)
+import jrcsim
+on_package = loaded(("jrcsim", "numpy"))
+import jrcsim.stats
+print(json.dumps([on_package, loaded(("jrcsim",))]))
+"""
+
+
+def fresh_probe(probe, *argv):
+    """The JSON a probe prints, run in a fresh interpreter on this tree's src/."""
+    src = os.path.dirname(os.path.dirname(jrcsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
 def test_no_scipy_module_is_loaded(tmp_path):
     # SciPy is a test dependency only: neither the import of the CLI nor a
     # full optimize run may load it, so the probe runs in a fresh interpreter
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(reduced_scenario(ScenarioConfig()).to_dict()))
-    src = os.path.dirname(os.path.dirname(jrcsim.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = [sys.executable, "-c", NO_SCIPY_PROBE, str(path), str(tmp_path / "out")]
-    done = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) == [[], 0, []]
+    assert fresh_probe(NO_SCIPY_PROBE, str(path), str(tmp_path / "out")) == [[], 0, []]
+
+
+def test_a_module_import_loads_only_what_it_imports():
+    # the package re-exports nothing, so importing it loads no submodule and
+    # no NumPy, and importing one module loads only that module's own imports
+    assert fresh_probe(IMPORT_PROBE) == [["jrcsim"], ["jrcsim", "jrcsim.stats"]]
